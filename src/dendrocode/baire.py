@@ -188,17 +188,15 @@ class PrefixHierarchy:
     def dump_text(self) -> str:
         """Indented one-node-per-line rendering for inspection."""
         lines: list[str] = []
-
-        def walk(node: TrieNode, prefix: str, indent: int) -> None:
-            shown = prefix if prefix else "(root)"
+        stack = [(self.root, "")]
+        while stack:
+            node, prefix = stack.pop()
             tag = ""
             if node.members:
                 tag = "  <- " + ", ".join(self.labels[i] for i in node.members)
-            lines.append("  " * indent + f"{shown} [{node.size}]{tag}")
-            for digit in sorted(node.children):
-                walk(node.children[digit], prefix + _DIGIT_CHARS[digit], indent + 1)
-
-        walk(self.root, "", 0)
+            lines.append("  " * len(prefix) + f"{prefix or '(root)'} [{node.size}]{tag}")
+            for digit in sorted(node.children, reverse=True):
+                stack.append((node.children[digit], prefix + _DIGIT_CHARS[digit]))
         return "\n".join(lines) + "\n"
 
 
@@ -248,36 +246,36 @@ def baire_cluster(
     if len(strings) == 1:
         return hierarchy, Dendrogram((labels[0],), ())
 
-    # collect merges deepest-first so heights are monotone in rank
-    merge_plan: list[tuple[int, list[Child]]] = []  # (trie depth, items)
+    # Trie nodes level by level, left to right; the children of one node sit
+    # side by side, in digit order, in the level below.
+    levels = [[root]]
+    while True:
+        children = [node.children[d] for node in levels[-1] for d in sorted(node.children)]
+        if not children:
+            break
+        levels.append(children)
 
-    def walk(node: TrieNode, level: int) -> Child:
-        items: list[Child] = [terminal(i) for i in sorted(node.members)]
-        for digit in sorted(node.children):
-            items.append(walk(node.children[digit], level + 1))
-        if len(items) == 1:
-            return items[0]
-        merge_plan.append((level, items))
-        return ("plan", len(merge_plan) - 1)
-
-    top = walk(root, 0)
-    merge_plan_order = sorted(range(len(merge_plan)), key=lambda k: -merge_plan[k][0])
-
+    # Merge the deepest level first, so heights are monotone in rank.
     nodes: list[MergeNode] = []
-    plan_ref: dict[int, Child] = {}
-
-    def resolve(ref: Child) -> Child:
-        return plan_ref[ref[1]] if ref[0] == "plan" else ref
-
-    for k in merge_plan_order:
-        level, items = merge_plan[k]
+    below: list[Child] = []  # subtree of each node of the level below
+    for level in range(len(levels) - 1, -1, -1):
         height = float(Fraction(1, base**level))
-        current = resolve(items[0])
-        for item in items[1:]:
-            rank = len(nodes) + 1
-            nodes.append(MergeNode(rank, height, current, resolve(item)))
-            current = internal(rank)
-        plan_ref[k] = current
+        subtrees: list[Child] = []
+        taken = 0
+        for trie_node in levels[level]:
+            end = taken + len(trie_node.children)
+            if trie_node.members or end - taken > 1:
+                items = [terminal(i) for i in sorted(trie_node.members)] + below[taken:end]
+                current = items[0]
+                for item in items[1:]:
+                    rank = len(nodes) + 1
+                    nodes.append(MergeNode(rank, height, current, item))
+                    current = internal(rank)
+                subtrees.append(current)
+            else:  # a node with one child and no members passes that subtree up
+                subtrees.append(below[taken])
+            taken = end
+        below = subtrees
 
-    assert resolve(top) == internal(len(nodes))
+    assert below == [internal(len(nodes))]
     return hierarchy, Dendrogram(labels, tuple(nodes))

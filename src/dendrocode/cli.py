@@ -25,6 +25,7 @@ from .permutations import (
     enumerate_nlr,
     ordinal_sequence,
     packed_representation,
+    permutation_text,
     rank_permutation,
     unpack,
 )
@@ -245,11 +246,7 @@ def _cmd_ordinal(args) -> int:
 def _cmd_rankperm(args) -> int:
     stream = formats.read_stream_csv(_read(args.stream))
     perm = rank_permutation(stream, args.delay)
-    if all(v <= 9 for v in perm):
-        text = "(" + "".join(str(v) for v in perm) + ")"
-    else:
-        text = "(" + ",".join(str(v) for v in perm) + ")"
-    _emit(text + "\n", args.output)
+    _emit("(" + permutation_text(perm) + ")\n", args.output)
     return 0
 
 

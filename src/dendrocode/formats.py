@@ -29,6 +29,7 @@ from .hierarchy import (
     INTERNAL,
     MergeNode,
     TERMINAL,
+    walk,
 )
 from .lattice import BooleanTable, Semilattice
 from .padic import PadicEncoding
@@ -177,6 +178,10 @@ def tree_from_json(text: str) -> Dendrogram:
         raise ParseError(f"tree JSON missing field: {exc}") from None
     if n != len(labels):
         raise ParseError(f"n={n} does not match {len(labels)} labels")
+    if not isinstance(raw_nodes, list) or not all(
+        isinstance(item, dict) and isinstance(item.get("rank", 0), int) for item in raw_nodes
+    ):
+        raise ParseError("tree JSON field 'nodes' must be a list of objects with integer ranks")
     nodes = []
     for item in sorted(raw_nodes, key=lambda d: d.get("rank", 0)):
         try:
@@ -200,19 +205,24 @@ def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
     def clean(label: str) -> str:
         return label.replace(" ", "_").replace(",", "_").replace("(", "_").replace(")", "_")
 
-    def walk(child: Child, parent_height: float) -> str:
-        kind, idx = child
-        if kind == TERMINAL:
-            return f"{clean(tree.labels[idx])}:{fmt_float(parent_height, full_precision)}"
-        node = tree.nodes[idx - 1]
-        inner = f"({walk(node.left, node.height)},{walk(node.right, node.height)})"
-        return f"{inner}:{fmt_float(parent_height - node.height, full_precision)}"
-
     if not tree.nodes:
         return f"{clean(tree.labels[0])};\n"
-    root = tree.nodes[-1]
-    body = f"({walk(root.left, root.height)},{walk(root.right, root.height)})"
-    return f"{body}[height={fmt_float(root.height, full_precision)}];\n"
+    parts: list[str] = []
+    heights: list[float] = []  # heights of the open ancestors
+    for (kind, idx), visit in walk(tree):
+        if kind == TERMINAL:
+            parts.append(f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}")
+        elif visit == 0:
+            parts.append("(")
+            heights.append(tree.nodes[idx - 1].height)
+        elif visit == 1:
+            parts.append(",")
+        else:
+            height = heights.pop()
+            parts.append(")")
+            if heights:
+                parts.append(f":{fmt_float(heights[-1] - height, full_precision)}")
+    return f"{''.join(parts)}[height={fmt_float(tree.nodes[-1].height, full_precision)}];\n"
 
 
 def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError
-from .hierarchy import Child, Dendrogram, TERMINAL
+from .hierarchy import Child, Dendrogram, TERMINAL, walk
 
 
 @dataclass(frozen=True)
@@ -85,22 +85,17 @@ def haar_inverse(t: HaarTransform) -> np.ndarray:
     - on right supports), accumulated top-down in path order."""
     tree = t.tree
     out = np.empty((tree.n, t.dim), dtype=float)
-    if not tree.nodes:
-        out[0, :] = t.root_smooth
-        return out
-
-    def descend(child: Child, acc: np.ndarray) -> None:
-        kind, idx = child
+    # acc[-1]: the root smooth plus the signed details along the current path
+    acc = [t.root_smooth]
+    for (kind, idx), visit in walk(tree):
         if kind == TERMINAL:
-            out[idx, :] = acc
-            return
-        node = tree.nodes[idx - 1]
-        d = t.detail(node.rank)
-        descend(node.left, acc + d)
-        descend(node.right, acc - d)
-
-    root = tree.nodes[-1]
-    descend(("q", root.rank), t.root_smooth)
+            out[idx, :] = acc[-1]
+        elif visit == 0:
+            acc.append(acc[-1] + t.detail(idx))
+        elif visit == 1:
+            acc[-1] = acc[-2] - t.detail(idx)
+        else:
+            acc.pop()
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,42 +120,31 @@ class Dendrogram:
 
     def terminal_order(self) -> tuple[int, ...]:
         """Left-to-right terminal indices of the stored drawing."""
-        if not self.nodes:
-            return (0,)
-        out: list[int] = []
+        return tuple(idx for (kind, idx), _ in walk(self) if kind == TERMINAL)
 
-        def walk(child: Child) -> None:
-            kind, idx = child
-            if kind == TERMINAL:
-                out.append(idx)
-            else:
-                node = self.nodes[idx - 1]
-                walk(node.left)
-                walk(node.right)
 
-        root = self.nodes[-1]
-        walk(root.left)
-        walk(root.right)
-        return tuple(out)
+def walk(tree: Dendrogram) -> Iterator[tuple[Child, int]]:
+    """Euler tour of the stored drawing as ``(child, visit)`` pairs.
 
-    def parent_map(self) -> dict[Child, tuple[int, str]]:
-        """Map child reference -> (parent rank, "left"|"right")."""
-        parents: dict[Child, tuple[int, str]] = {}
-        for node in self.nodes:
-            parents[node.left] = (node.rank, "left")
-            parents[node.right] = (node.rank, "right")
-        return parents
-
-    def path_from_root(self, terminal_index: int) -> tuple[tuple[int, str], ...]:
-        """(rank, side) steps from the root down to the terminal."""
-        parents = self.parent_map()
-        steps: list[tuple[int, str]] = []
-        ref: Child = (TERMINAL, terminal_index)
-        while ref in parents:
-            rank, side = parents[ref]
-            steps.append((rank, side))
-            ref = (INTERNAL, rank)
-        return tuple(reversed(steps))
+    Each terminal appears once with visit 0; each internal node appears three
+    times: 0 before its left subtree, 1 between its subtrees and 2 after its
+    right subtree.  The tour starts at the root and keeps its own stack, so
+    depth is bounded by memory, not by the recursion limit.
+    """
+    nodes = tree.nodes
+    # events not yet yielded; a node's visit-0 event pushes the rest of its tour
+    stack = [((INTERNAL, len(nodes)) if nodes else (TERMINAL, 0), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        event = pop()
+        yield event
+        child, visit = event
+        if visit == 0 and child[0] == INTERNAL:
+            node = nodes[child[1] - 1]
+            push((child, 2))
+            push((node.right, 0))
+            push((child, 1))
+            push((node.left, 0))
 
 
 def member_sets(tree: Dendrogram) -> dict[int, frozenset[int]]:
@@ -244,8 +233,13 @@ def pairwise_distances(
         raise InputShapeError("need at least one coordinate per observation")
     if np.isnan(arr).any():
         raise DomainError("data contains missing values")
-    diff = arr[:, None, :] - arr[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+    if np.isinf(arr).any():
+        raise DomainError("data contains infinite values")
+    with np.errstate(over="ignore"):
+        diff = arr[:, None, :] - arr[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=-1))
+    if not np.isfinite(d).all():
+        raise DomainError("pairwise distances overflow the float range")
     np.fill_diagonal(d, 0.0)
     return DissimilarityMatrix(d, tuple(labels) if labels is not None else None)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import Dendrogram, MergeNode, internal, member_sets, terminal
+from .hierarchy import Dendrogram, MergeNode, TERMINAL, internal, terminal, walk
 
 
 def is_prime(p: int) -> bool:
@@ -38,6 +38,15 @@ def is_prime(p: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+
+
+def _require_encoding_prime(p: int) -> None:
+    _require_prime(p)
+    if p == 2:
+        raise DomainError(
+            "p = 2 is rejected: signed-digit decimal codes are only guaranteed "
+            "unique and reversible for p >= 3"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,12 +81,7 @@ class PadicEncoding:
     C: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _require_prime(self.p)
-        if self.p == 2:
-            raise DomainError(
-                "p = 2 is rejected: signed-digit decimal codes are only guaranteed "
-                "unique and reversible for p >= 3"
-            )
+        _require_encoding_prime(self.p)
         n = len(self.labels)
         if len(self.C) != n:
             raise MalformedEncodingError("one coefficient row per terminal required")
@@ -118,18 +122,15 @@ class PadicEncoding:
 def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
     """Row i holds the signed branch coefficients of terminal i's
     terminal-to-root traversal; requires a prime p >= 3."""
-    _require_prime(p)
-    if p == 2:
-        raise DomainError(
-            "p = 2 is rejected: signed-digit decimal codes are only guaranteed "
-            "unique and reversible for p >= 3"
-        )
-    n = tree.n
-    rows = [[0] * (n - 1) for _ in range(n)]
-    for i in range(n):
-        for rank, side in tree.path_from_root(i):
-            rows[i][rank - 1] = 1 if side == "left" else -1
-    return PadicEncoding(p, tree.labels, tuple(tuple(r) for r in rows))
+    _require_encoding_prime(p)
+    rows: list[tuple[int, ...]] = [()] * tree.n
+    path = [0] * (tree.n - 1)  # coefficients of the current root-to-node path
+    for (kind, idx), visit in walk(tree):
+        if kind == TERMINAL:
+            rows[idx] = tuple(path)
+        else:
+            path[idx - 1] = (1, -1, 0)[visit]  # in left subtree, in right, done
+    return PadicEncoding(p, tree.labels, tuple(rows))
 
 
 def evaluate_code(code: PadicCode) -> int:

@@ -17,14 +17,20 @@ from .errors import (
 from .hierarchy import (
     Child,
     Dendrogram,
-    INTERNAL,
     MergeNode,
     TERMINAL,
     internal,
     terminal,
+    walk,
 )
 
 TIE_RULES = ("earlier-low", "later-low")
+
+
+def permutation_text(values: Sequence[int]) -> str:
+    """Values run together when every one is a single digit, else comma-separated."""
+    sep = "" if all(v <= 9 for v in values) else ","
+    return sep.join(str(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -45,9 +51,7 @@ class OrdinalPattern:
         return len(self.symbols) - 1
 
     def text(self) -> str:
-        if all(s <= 9 for s in self.symbols):
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return permutation_text(self.symbols)
 
 
 def ordinal_pattern(window: Sequence[float], tie_rule: str = "earlier-low") -> OrdinalPattern:
@@ -139,30 +143,7 @@ class PackedPermutation:
         return len(self.values)
 
     def text(self) -> str:
-        if self.n <= 9:
-            return "(" + "".join(str(v) for v in self.values) + ")"
-        return "(" + ",".join(str(v) for v in self.values) + ")"
-
-
-def _packed_orientation_key(tree: Dendrogram):
-    """Child sort key for the packed drawing: the subtree whose earliest
-    merge happened first goes left; bare terminals go right of any subtree
-    that already contains a merge."""
-    min_rank: dict[Child, tuple[int, int]] = {}
-
-    def key(child: Child) -> tuple[int, int]:
-        if child in min_rank:
-            return min_rank[child]
-        kind, idx = child
-        if kind == TERMINAL:
-            k = (len(tree.nodes) + 1, idx)
-        else:
-            node = tree.nodes[idx - 1]
-            k = min(key(node.left), key(node.right), (idx, -1))
-        min_rank[child] = k
-        return k
-
-    return key
+        return "(" + permutation_text(self.values) + ")"
 
 
 def packed_representation(tree: Dendrogram) -> PackedPermutation:
@@ -176,23 +157,21 @@ def packed_representation(tree: Dendrogram) -> PackedPermutation:
     n = tree.n
     if n == 1:
         return PackedPermutation((1,))
-    key = _packed_orientation_key(tree)
-    out: list[int] = []
-
-    def walk(child: Child) -> None:
-        kind, idx = child
-        if kind == TERMINAL:
-            return
-        node = tree.nodes[idx - 1]
+    # Orientation key: a subtree's earliest merge rank, or n + index for a
+    # bare terminal, so terminals go right of any subtree with a merge.
+    first = [0] * n  # earliest merge rank under each internal node, by rank
+    oriented: list[MergeNode] = []
+    for node in tree.nodes:
         a, b = node.left, node.right
-        if key(a) > key(b):
+        ka = n + a[1] if a[0] == TERMINAL else first[a[1]]
+        kb = n + b[1] if b[0] == TERMINAL else first[b[1]]
+        if ka > kb:
             a, b = b, a
-        walk(a)
-        out.append(node.rank)
-        walk(b)
-
-    walk(internal(len(tree.nodes)))
-    return PackedPermutation(tuple(out) + (n,))
+        first[node.rank] = min(ka, kb, node.rank)
+        oriented.append(MergeNode(node.rank, node.height, a, b))
+    drawing = Dendrogram(tree.labels, tuple(oriented))
+    inorder = [idx for (_, idx), visit in walk(drawing) if visit == 1]
+    return PackedPermutation(tuple(inorder) + (n,))
 
 
 def unpack(perm: PackedPermutation) -> Dendrogram:

@@ -8,7 +8,7 @@ yields byte-identical output.
 
 from __future__ import annotations
 
-from .hierarchy import Child, Dendrogram, TERMINAL, canonicalize
+from .hierarchy import Dendrogram, TERMINAL, canonicalize, walk
 
 
 def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
@@ -28,35 +28,34 @@ def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
 
     def put(row: int, col: int, text: str, keep: bool = False) -> None:
         line = lines[row]
-        while len(line) < col + len(text):
-            line.append(" ")
+        if len(line) < col + len(text):
+            line.extend(" " * (col + len(text) - len(line)))
         for offset, ch in enumerate(text):
             if not keep or line[col + offset] == " ":
                 line[col + offset] = ch
 
-    def walk(child: Child) -> tuple[int, int]:
-        """Emit a subtree; return its (attach_row, attach_col)."""
-        kind, idx = child
+    # attach (row, col) of the last finished subtree, and the (top attach
+    # row, junction row) of every node whose right subtree is being drawn
+    attach = (0, 0)
+    open_nodes: list[tuple[int, int]] = []
+    for (kind, idx), visit in walk(tree):
         if kind == TERMINAL:
-            row = len(lines)
+            attach = (len(lines), label_width + 1)
             lines.append(list(f"{tree.labels[idx]:<{label_width}} "))
-            return row, label_width + 1
-        node = tree.nodes[idx - 1]
-        col = column(node.rank)
-        top_row, top_col = walk(node.left)
-        put(top_row, top_col, "-" * (col - top_col) + "+")
-        junction_row = len(lines)
-        lines.append([])
-        bottom_row, bottom_col = walk(node.right)
-        put(bottom_row, bottom_col, "-" * (col - bottom_col) + "+")
-        for row in range(top_row + 1, bottom_row):
-            put(row, col, "|" if row != junction_row else "+", keep=True)
-        put(
-            junction_row,
-            margin,
-            f"q{node.rank} h={fmt_float(node.height, full_precision)}",
-        )
-        return junction_row, col + 1
-
-    walk(("q", tree.nodes[-1].rank))
+            continue
+        col = column(idx)
+        if visit == 1:
+            top_row, top_col = attach
+            put(top_row, top_col, "-" * (col - top_col) + "+")
+            open_nodes.append((top_row, len(lines)))
+            lines.append([])
+        elif visit == 2:
+            bottom_row, bottom_col = attach
+            put(bottom_row, bottom_col, "-" * (col - bottom_col) + "+")
+            top_row, junction_row = open_nodes.pop()
+            for row in range(top_row + 1, bottom_row):
+                put(row, col, "|" if row != junction_row else "+", keep=True)
+            height = tree.nodes[idx - 1].height
+            put(junction_row, margin, f"q{idx} h={fmt_float(height, full_precision)}")
+            attach = (junction_row, col + 1)
     return "\n".join("".join(line).rstrip() for line in lines) + "\n"

@@ -15,6 +15,8 @@ from .errors import DegenerateInputError, DomainError, NotUltrametricError
 from .hierarchy import (
     Dendrogram,
     DissimilarityMatrix,
+    MergeNode,
+    TERMINAL,
     UltrametricMatrix,
     agglomerate,
     member_sets,
@@ -54,7 +56,6 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     n = tree.n
     out = np.zeros((n, n), dtype=float)
     sets = member_sets(tree)
-    seen: dict[int, frozenset[int]] = {}
 
     def side_members(child) -> frozenset[int]:
         kind, idx = child
@@ -183,26 +184,19 @@ def _single_linkage_order(m: DissimilarityMatrix) -> list[int]:
     label-free subtree code, so the reordered matrix is unique for the
     weighted-hierarchy isomorphism class."""
     tree = agglomerate(m, "single")
-    sets = member_sets(tree)
-
-    def code_and_order(child) -> tuple[tuple, list[int]]:
-        kind, idx = child
-        if kind == "t":
-            return ((), [idx])
-        node = tree.nodes[idx - 1]
-        ca, oa = code_and_order(node.left)
-        cb, ob = code_and_order(node.right)
-        if (cb, len(ob)) < (ca, len(oa)):
-            ca, cb = cb, ca
-            oa, ob = ob, oa
-        return ((node.height, ca, cb), oa + ob)
-
-    root = tree.nodes[-1]
-    ca, oa = code_and_order(root.left)
-    cb, ob = code_and_order(root.right)
-    if (cb, len(ob)) < (ca, len(oa)):
-        oa, ob = ob, oa
-    return oa + ob
+    # (code, size) of every subtree, bottom-up; the smaller one goes left
+    terminal_key = ((), 1)
+    keys: dict[int, tuple[tuple, int]] = {}
+    oriented: list[MergeNode] = []
+    for node in tree.nodes:
+        a, b = node.left, node.right
+        ka = terminal_key if a[0] == TERMINAL else keys[a[1]]
+        kb = terminal_key if b[0] == TERMINAL else keys[b[1]]
+        if kb < ka:
+            a, b, ka, kb = b, a, kb, ka
+        keys[node.rank] = ((node.height, ka[0], kb[0]), ka[1] + kb[1])
+        oriented.append(MergeNode(node.rank, node.height, a, b))
+    return list(Dendrogram(tree.labels, tuple(oriented)).terminal_order())
 
 
 def check_canonical_form(matrix: np.ndarray) -> str | None:

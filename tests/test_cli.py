@@ -322,6 +322,22 @@ class TestCloudAndReport:
         assert doc["sampled"] == 100
 
 
+class TestNonFiniteData:
+    @pytest.mark.parametrize(
+        "rows", ["1,inf\n2,3\n0,1\n", "1e308,0\n-1e308,0\n0,1\n"], ids=["inf", "overflow"]
+    )
+    @pytest.mark.parametrize(
+        "verb", [["cluster"], ["haar"], ["ultrametricity", "--data"]], ids=lambda v: v[0]
+    )
+    def test_single_domain_error_line(self, tmp_path, capsys, rows, verb):
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        code, out, err = run(capsys, *verb, str(data), "-o", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("E_DOMAIN:") and err.count("\n") == 1
+        assert "height" not in err
+
+
 class TestRenderVerb:
     def test_render_idempotent(self, tmp_path, iris_csv, capsys):
         tree_path = tmp_path / "tree.json"
@@ -337,6 +353,12 @@ class TestRenderVerb:
         code, _, err = run(capsys, "render", str(bad))
         assert code == 1
         assert err.startswith("E_PARSE:") and "line" in err
+        # well-formed JSON whose node list is not a list of ranked objects
+        for nodes in ('[1]', '5', '[{"rank": "x", "height": 1.0, "left": "t1", "right": "t2"}]'):
+            bad.write_text('{"labels": ["a", "b"], "nodes": ' + nodes + "}")
+            code, _, err = run(capsys, "render", str(bad))
+            assert code == 1
+            assert err.startswith("E_PARSE:") and err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -59,6 +59,19 @@ class TestPairwiseDistances:
         with pytest.raises(DomainError):
             pairwise_distances(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.0, np.inf], [0.0, 1.0]], "infinite values"),
+            ([[-np.inf, 0.0], [0.0, 1.0]], "infinite values"),
+            ([[1e308, 0.0], [-1e308, 0.0]], "overflow"),
+            ([[1e200, 1e200], [-1e200, 0.0]], "overflow"),
+        ],
+    )
+    def test_non_finite_rejected(self, rows, message):
+        with pytest.raises(DomainError, match=message):
+            pairwise_distances(np.array(rows))
+
     def test_single_row_rejected(self):
         with pytest.raises(DegenerateInputError):
             pairwise_distances([[1.0, 2.0]])
