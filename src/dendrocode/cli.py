@@ -83,7 +83,7 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_cluster(args) -> int:
     table = formats.read_data_csv(_read(args.input), args.header, args.labels)
     diss = pairwise_distances(table.values, metric=args.metric, labels=table.labels)
-    tree = agglomerate(diss, args.linkage, method=args.method)
+    tree = agglomerate(diss, args.linkage)
     _emit(formats.tree_to_json(tree), args.output)
     if args.newick:
         _emit(formats.tree_to_newick(tree, args.full_precision), args.newick)
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--linkage", choices=LINKAGES, default="complete")
     p.add_argument("--metric", choices=["euclidean"], default="euclidean")
-    p.add_argument("--method", choices=["greedy", "nn-chain"], default="greedy")
     p.add_argument("--newick", default=None, help="also write Newick text here")
     _add_table_flags(p)
     _add_io_flags(p)

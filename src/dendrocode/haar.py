@@ -63,19 +63,25 @@ def haar_forward(tree: Dendrogram, data: np.ndarray) -> HaarTransform:
         )
     if arr.shape[1] < 1:
         raise AlignmentError("data needs at least one coordinate")
+    if not np.isfinite(arr).all():
+        raise DomainError("data contains missing or infinite values")
     smooths: dict[Child, np.ndarray] = {
         (TERMINAL, i): arr[i, :].astype(float) for i in range(tree.n)
     }
     details: list[np.ndarray] = []
-    for node in tree.nodes:
-        s_left = smooths[node.left]
-        s_right = smooths[node.right]
-        smooths[("q", node.rank)] = (s_left + s_right) / 2.0
-        details.append((s_left - s_right) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in tree.nodes:
+            s_left = smooths[node.left]
+            s_right = smooths[node.right]
+            smooths[("q", node.rank)] = (s_left + s_right) / 2.0
+            details.append((s_left - s_right) / 2.0)
     if tree.nodes:
         root_smooth = smooths[("q", tree.nodes[-1].rank)]
     else:
         root_smooth = smooths[(TERMINAL, 0)]
+    # an overflowing smooth reaches the root as inf or nan
+    if not (np.isfinite(root_smooth).all() and all(np.isfinite(d).all() for d in details)):
+        raise DomainError("Haar coefficients overflow the float range")
     return HaarTransform(tree, root_smooth, tuple(details))
 
 

@@ -175,6 +175,8 @@ class DissimilarityMatrix:
             raise InputShapeError(f"matrix must be square, got shape {arr.shape}")
         if np.isnan(arr).any():
             raise DomainError("matrix contains missing values")
+        if np.isinf(arr).any():
+            raise DomainError("matrix contains infinite values")
         if not np.array_equal(arr, arr.T):
             raise DomainError("matrix is not symmetric")
         if np.any(np.diag(arr) != 0.0):
@@ -203,6 +205,9 @@ class DissimilarityMatrix:
 class UltrametricMatrix(DissimilarityMatrix):
     """A dissimilarity matrix claimed to satisfy the strong triangle
     inequality; check explicitly with :func:`dendrocode.ultrametric.verify_ultrametric`."""
+
+
+_DISTANCE_BLOCK_CELLS = 1 << 16
 
 
 def pairwise_distances(
@@ -235,9 +240,16 @@ def pairwise_distances(
         raise DomainError("data contains missing values")
     if np.isinf(arr).any():
         raise DomainError("data contains infinite values")
+    # upper-triangle row blocks, mirrored: each pair gets the arithmetic of
+    # the full n x n x m broadcast, so values are bit-identical without its memory
+    rows = max(1, _DISTANCE_BLOCK_CELLS // (n * m))
+    d = np.empty((n, n))
     with np.errstate(over="ignore"):
-        diff = arr[:, None, :] - arr[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=-1))
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            diff = arr[lo:hi, None, :] - arr[None, lo:, :]
+            d[lo:hi, lo:] = np.sqrt((diff * diff).sum(axis=-1))
+            d[lo:, lo:hi] = d[lo:hi, lo:].T
     if not np.isfinite(d).all():
         raise DomainError("pairwise distances overflow the float range")
     np.fill_diagonal(d, 0.0)
@@ -260,6 +272,11 @@ def _oriented(rank: int, height: float, a: Child, b: Child) -> MergeNode:
 _SQUARED = {"ward", "median"}
 
 
+def _require_finite(values: np.ndarray, linkage: str) -> None:
+    if not np.isfinite(values).all():
+        raise DomainError(f"the {linkage} linkage criterion overflows the float range")
+
+
 def _lance_williams_update(
     work: np.ndarray,
     sizes: np.ndarray,
@@ -273,126 +290,101 @@ def _lance_williams_update(
     others = others[(others != i) & (others != j)]
     di = work[i, others]
     dj = work[j, others]
-    if linkage == "single":
-        new = np.minimum(di, dj)
-    elif linkage == "complete":
-        new = np.maximum(di, dj)
-    elif linkage == "ward":
-        ni, nj, nk = sizes[i], sizes[j], sizes[others]
-        new = ((ni + nk) * di + (nj + nk) * dj - nk * work[i, j]) / (ni + nj + nk)
-    elif linkage == "median":
-        new = di / 2.0 + dj / 2.0 - work[i, j] / 4.0
-    else:  # pragma: no cover - guarded by caller
-        raise DomainError(f"unknown linkage {linkage!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if linkage == "single":
+            new = np.minimum(di, dj)
+        elif linkage == "complete":
+            new = np.maximum(di, dj)
+        elif linkage == "ward":
+            ni, nj, nk = sizes[i], sizes[j], sizes[others]
+            new = ((ni + nk) * di + (nj + nk) * dj - nk * work[i, j]) / (ni + nj + nk)
+        elif linkage == "median":
+            new = di / 2.0 + dj / 2.0 - work[i, j] / 4.0
+        else:  # pragma: no cover - guarded by caller
+            raise DomainError(f"unknown linkage {linkage!r}")
+    _require_finite(new, linkage)
     work[i, others] = new
     work[others, i] = new
 
 
-def _greedy_merges(
+def _nn_list_merges(
     work: np.ndarray, linkage: str
 ) -> list[tuple[int, int, float]]:
-    """Repeated global-minimum agglomeration.
+    """Global-minimum agglomeration by a nearest-neighbour list (Müllner's
+    generic algorithm, arXiv:1109.2378, which needs no reducibility).
 
-    Ties broken by the pair of smallest member indices: the clusters keep the
-    least original index of their members as identity, and among equal merge
-    values the lexicographically least (min_index_a, min_index_b) pair wins.
-    Returns merges as (slot_i, slot_j, criterion) with slot == least member
-    index of each cluster.
+    Slots are least member indices.  Row ``a`` holds ``mindist[a]``, the
+    least value over live slots above it, and ``nn[a]``, the least slot
+    attaining it, unless ``stale[a]``: then ``mindist[a]`` is a lower bound.
+    The first least row that is not stale gives the least (value, i, j),
+    which is the tie rule.  Returns (slot_i, slot_j, criterion) with i < j;
+    dead rows and columns of ``work`` become inf.
     """
     n = work.shape[0]
     alive = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=float)
-    big = np.inf
+    mindist = np.full(n, np.inf)
+    nn = np.zeros(n, dtype=np.intp)
+    stale = np.zeros(n, dtype=bool)
+
+    def refresh(a: int) -> None:
+        row = work[a, a + 1 :]
+        k = int(row.argmin())
+        mindist[a] = row[k]
+        nn[a] = a + 1 + k
+        stale[a] = False
+
+    for a in range(n - 1):
+        refresh(a)
     merges: list[tuple[int, int, float]] = []
     for _ in range(n - 1):
-        idx = np.flatnonzero(alive)
-        sub = work[np.ix_(idx, idx)].copy()
-        sub[np.tril_indices(len(idx))] = big
-        best = sub.min()
-        ii, jj = np.argwhere(sub == best)[0]
-        i, j = int(idx[ii]), int(idx[jj])
-        # slots are min member indices, and idx is sorted, so the first
-        # argwhere hit is exactly the tie rule's lexicographic minimum
-        merges.append((i, j, float(best)))
+        i = int(mindist.argmin())
+        while stale[i]:
+            refresh(i)
+            i = int(mindist.argmin())
+        j = int(nn[i])
+        merges.append((i, j, float(mindist[i])))
         _lance_williams_update(work, sizes, alive, i, j, linkage)
         sizes[i] += sizes[j]
         alive[j] = False
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        mindist[j] = np.inf
+        stale[nn == j] = True
+        # rows above i see a new value at slot i: a lower one is their new
+        # minimum; an equal one (i may precede nn) or a changed nn is a bound
+        new, old = work[i, :i], mindist[:i]
+        lower = new < old
+        stale[:i] |= (nn[:i] == i) | (new == old)
+        old[lower] = new[lower]
+        nn[:i][lower] = i
+        stale[:i][lower] = False
+        refresh(i)
     return merges
 
 
-def _nn_chain_merges(
-    work: np.ndarray, linkage: str
-) -> list[tuple[int, int, float]]:
-    """Nearest-neighbor-chain agglomeration for reducible criteria.
-
-    Finds reciprocal nearest neighbors along a growing chain; valid for
-    single, complete and ward, whose criteria are reducible, so the merge
-    set equals the greedy builder's.  Merges are returned in discovery
-    order and must be re-sorted by height by the caller.
-    """
-    n = work.shape[0]
-    alive = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=float)
-    merges: list[tuple[int, int, float]] = []
-    chain: list[int] = []
-    for _ in range(n - 1):
-        if not chain:
-            chain.append(int(np.flatnonzero(alive)[0]))
-        while True:
-            x = chain[-1]
-            cand = np.flatnonzero(alive)
-            cand = cand[cand != x]
-            dists = work[x, cand]
-            best = dists.min()
-            y = int(cand[dists == best][0])
-            if len(chain) >= 2 and y == chain[-2]:
-                break
-            chain.append(y)
-        y = chain.pop()
-        x = chain.pop()
-        i, j = min(x, y), max(x, y)
-        merges.append((i, j, float(work[i, j])))
-        _lance_williams_update(work, sizes, alive, i, j, linkage)
-        sizes[i] += sizes[j]
-        alive[j] = False
-        chain = [c for c in chain if alive[c]]
-    return merges
-
-
-def agglomerate(
-    diss: DissimilarityMatrix,
-    linkage: str = "complete",
-    method: str = "greedy",
-) -> Dendrogram:
+def agglomerate(diss: DissimilarityMatrix, linkage: str = "complete") -> Dendrogram:
     """Build a ranked dendrogram from a dissimilarity matrix.
 
-    ``method="greedy"`` (default) repeatedly merges the globally closest
-    pair with a deterministic tie rule; ``method="nn-chain"`` uses
-    reciprocal-nearest-neighbor chains (single/complete/ward only; the
-    median criterion is not reducible).  Ward and median operate on squared
-    input distances and report heights as the square root of the criterion
-    value.  Heights are monotone for single/complete/ward; median may
-    produce inversions, and ranks record merge order, not height order.
+    Repeatedly merges the globally closest pair; among equal values the pair
+    of least (smallest member index, other smallest member index) wins, so
+    the tree is reproducible bit for bit.  One builder serves all four
+    linkages.  Ward and median operate on squared input distances and report
+    heights as the square root of the criterion value.  Heights are monotone
+    for single/complete/ward; median may produce inversions, and ranks
+    record merge order, not height order.
     """
     if linkage not in LINKAGES:
         raise DomainError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
-    if method not in ("greedy", "nn-chain"):
-        raise DomainError(f"method must be 'greedy' or 'nn-chain', got {method!r}")
     n = diss.size
     if n < 2:
         raise DegenerateInputError("agglomeration needs at least two objects")
     work = np.array(diss.values, dtype=float)
     if linkage in _SQUARED:
-        work = work * work
-    if method == "nn-chain":
-        if linkage == "median":
-            raise DomainError("nn-chain is unsound for the median criterion; use method='greedy'")
-        merges = _nn_chain_merges(work, linkage)
-        # Discovery order is a topological order; a stable sort by height
-        # keeps parents after children even through ties.
-        merges = sorted(merges, key=lambda t: t[2])
-    else:
-        merges = _greedy_merges(work, linkage)
+        with np.errstate(over="ignore"):
+            work = work * work
+        _require_finite(work, linkage)
+    merges = _nn_list_merges(work, linkage)
 
     cluster_ref: dict[int, Child] = {i: (TERMINAL, i) for i in range(n)}
     nodes: list[MergeNode] = []

@@ -1,6 +1,10 @@
 """Independent oracles: slow, from-first-principles implementations used to
 pin expected values.  These deliberately avoid the package's own code paths
-(no Lance-Williams updates, no trie, no vectorized triple checks)."""
+(no trie, no vectorized triple checks).  Agglomeration has two: criteria
+from members (``naive_linkage_heights``) and the Lance-Williams recurrence
+written out in plain Python (``lance_williams_linkage``).  For ward and
+median the two differ in the last bits, and the package follows the
+recurrence, so exact ward and median heights come from the second."""
 
 from __future__ import annotations
 
@@ -60,6 +64,54 @@ def naive_linkage_heights(data, linkage):
         heights.append(math.sqrt(crit) if linkage in ("ward", "median") else crit)
         merged_sets.append(union)
         clusters = [c for c in clusters if c not in (a, b)] + [union]
+    return heights, merged_sets
+
+
+def lance_williams_linkage(data, linkage):
+    """O(n^3) plain-Python agglomeration by row-major search of the live
+    upper triangle of the criterion table, updated with the Lance-Williams
+    formulas.  Ward and median work on squared distances and report the
+    square root.  Slots keep their least member index, and the first least
+    (criterion, slot_i, slot_j) wins -- the documented tie rule.  Returns
+    (heights, merged_member_sets) like ``naive_linkage_heights``.
+    """
+    n = len(data)
+    squared = linkage in ("ward", "median")
+    work = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(data[i], data[j])))
+            work[i][j] = d * d if squared else d
+    members = {i: frozenset((i,)) for i in range(n)}
+    heights = []
+    merged_sets = []
+    while len(members) > 1:
+        live = sorted(members)
+        best = None
+        for x, i in enumerate(live):
+            for j in live[x + 1:]:
+                if best is None or work[i][j] < best[0]:
+                    best = (work[i][j], i, j)
+        crit, i, j = best
+        ni, nj = len(members[i]), len(members[j])
+        for k in live:
+            if k in (i, j):
+                continue
+            di, dj, nk = work[i][k], work[j][k], len(members[k])
+            if linkage == "single":
+                new = min(di, dj)
+            elif linkage == "complete":
+                new = max(di, dj)
+            elif linkage == "ward":
+                new = ((ni + nk) * di + (nj + nk) * dj - nk * crit) / (ni + nj + nk)
+            elif linkage == "median":
+                new = di / 2.0 + dj / 2.0 - crit / 4.0
+            else:
+                raise ValueError(linkage)
+            work[i][k] = work[k][i] = new
+        members[i] = members[i] | members.pop(j)
+        heights.append(math.sqrt(crit) if squared else crit)
+        merged_sets.append(members[i])
     return heights, merged_sets
 
 

@@ -337,6 +337,33 @@ class TestNonFiniteData:
         assert err.startswith("E_DOMAIN:") and err.count("\n") == 1
         assert "height" not in err
 
+    def test_ward_criterion_overflow(self, tmp_path, capsys):
+        # distances are finite, but the Lance-Williams update overflows
+        data = tmp_path / "data.csv"
+        data.write_text("0,0\n6e153,0\n-6e153,0\n0,6e153\n")
+        code, _, err = run(capsys, "cluster", str(data), "--linkage", "ward")
+        assert code == 1
+        assert err.startswith("E_DOMAIN:") and err.count("\n") == 1
+        assert "overflows the float range" in err
+
+    def test_haar_overflow(self, tmp_path, capsys):
+        # equal rows are at distance 0, but their smooths overflow
+        data = tmp_path / "data.csv"
+        data.write_text("1e308,1e308\n1e308,1e308\n1e308,1e308\n")
+        code, _, err = run(capsys, "haar", str(data), "-o", str(tmp_path / "wt.csv"))
+        assert code == 1
+        assert err.startswith("E_DOMAIN:") and err.count("\n") == 1
+        assert not (tmp_path / "wt.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["verify-um", "canonical", "ultrametricity"])
+    def test_infinite_matrix_entries(self, tmp_path, capsys, verb):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",a,b,c\na,0,inf,1\nb,inf,0,1\nc,1,1,0\n")
+        code, out, err = run(capsys, verb, str(matrix))
+        assert code == 1
+        assert out == ""
+        assert err == "E_DOMAIN: matrix contains infinite values\n"
+
 
 class TestRenderVerb:
     def test_render_idempotent(self, tmp_path, iris_csv, capsys):
@@ -365,6 +392,12 @@ class TestUsageErrors:
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
+        assert excinfo.value.code == 2
+
+    def test_method_flag_removed(self, iris_csv, capsys):
+        # one builder serves every linkage; there is nothing to select
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", str(iris_csv), "--method", "greedy"])
         assert excinfo.value.code == 2
 
     def test_no_verb_exits_2(self, capsys):

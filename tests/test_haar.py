@@ -60,6 +60,19 @@ class TestForward:
         with pytest.raises(AlignmentError):
             haar_forward(iris_tree, IRIS8[:5])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[np.nan, 0.0], [1.0, 1.0], [2.0, 0.0]], "missing or infinite"),
+            ([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]], "overflow"),  # a detail overflows
+            ([[1e308, 1e308]] * 3, "overflow"),  # the smooths overflow
+        ],
+    )
+    def test_non_finite_rejected(self, rows, message):
+        tree = agglomerate(pairwise_distances([[0.0], [1.0], [3.0]]), "single")
+        with pytest.raises(DomainError, match=message):
+            haar_forward(tree, np.array(rows))
+
     def test_zero_mean_by_construction(self, iris_transform):
         # the signed contributions on the two child supports cancel exactly
         for rank in range(1, 8):
