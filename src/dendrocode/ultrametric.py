@@ -13,13 +13,14 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, NotUltrametricError
 from .hierarchy import (
+    Child,
     Dendrogram,
     DissimilarityMatrix,
     MergeNode,
     TERMINAL,
     UltrametricMatrix,
     agglomerate,
-    member_sets,
+    walk,
 )
 
 EQUILATERAL = "equilateral"
@@ -54,21 +55,63 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     tolerance 0.
     """
     n = tree.n
-    out = np.zeros((n, n), dtype=float)
-    sets = member_sets(tree)
+    # In the drawing, a node's left and right subtrees hold two adjacent
+    # runs of terminal positions, so each node fills one block (and its
+    # mirror) of the position-indexed table, and every pair gets exactly one.
+    by_position = np.zeros((n, n), dtype=float)
+    order: list[int] = []
+    starts: list[int] = []  # open nodes: first position of each subtree
+    for (kind, idx), visit in walk(tree):
+        if kind == TERMINAL:
+            order.append(idx)
+        elif visit < 2:
+            starts.append(len(order))
+        else:
+            mid = starts.pop()
+            lo = starts.pop()
+            hi = len(order)
+            height = tree.nodes[idx - 1].height
+            by_position[lo:mid, mid:hi] = height
+            by_position[mid:hi, lo:mid] = height
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    return UltrametricMatrix(by_position[np.ix_(pos, pos)], tree.labels)
 
-    def side_members(child) -> frozenset[int]:
-        kind, idx = child
-        return frozenset((idx,)) if kind == "t" else sets[idx]
 
-    for node in tree.nodes:
-        left = sorted(side_members(node.left))
-        right = sorted(side_members(node.right))
-        for i in left:
-            out[i, right] = node.height
-        for j in right:
-            out[j, left] = node.height
-    return UltrametricMatrix(out, tree.labels)
+def _certify(
+    m: DissimilarityMatrix, tol: float
+) -> tuple[Dendrogram | None, list[tuple[int, int, int, float, float]]]:
+    """The single-linkage tree of ``m`` (None for one object) and the
+    violation list of :func:`verify_ultrametric`.
+
+    Single linkage gives the subdominant ultrametric u (Gower & Ross 1969):
+    its heights are entries of d, and u(i,k) <= max(d(i,j), d(j,k)) for
+    every j.  Rounding is monotone, so u + tol <= rhs + tol in floating
+    point too, and a pair with d(i,k) <= u(i,k) + tol has no violation.
+    Only the other pairs are scanned for witnesses.
+    """
+    if tol < 0:
+        raise DomainError("tolerance must be nonnegative")
+    d = m.values
+    n = m.size
+    if n < 2:
+        return None, []
+    tree = agglomerate(m, "single")
+    flagged = np.triu(d > cophenetic_matrix(tree).values + tol, 1)
+    violations: list[tuple[int, int, int, float, float]] = []
+    for i in np.flatnonzero(flagged.any(axis=1)):
+        ks = np.flatnonzero(flagged[i])
+        # rhs[j, a] = max(d(i,j), d(j,k)) for k = ks[a]; d is exactly symmetric
+        rhs = np.maximum(d[i, :, None], d[ks].T)
+        # j = i and j = k give rhs = d(i,k), never a violation as tol >= 0;
+        # nonzero walks (j, a) row-major, so rows come out sorted by (j, k)
+        js, a = np.nonzero(d[i, ks] > rhs + tol)
+        k = ks[a]
+        violations.extend(
+            zip(itertools.repeat(int(i)), js.tolist(), k.tolist(),
+                d[i, k].tolist(), rhs[js, a].tolist())
+        )
+    return tree, violations
 
 
 def verify_ultrametric(
@@ -77,24 +120,16 @@ def verify_ultrametric(
     """Every triple violating d(i,k) <= max(d(i,j), d(j,k)) beyond ``tol``.
 
     Tolerance is absolute on heights.  Violations are reported as
-    (i, j, k, lhs, rhs) with i < k and j the witness middle point; an empty
-    list means the matrix is ultrametric at that tolerance.
+    (i, j, k, lhs, rhs) with i < k and j the witness middle point, sorted;
+    an empty list means the matrix is ultrametric at that tolerance.
+
+    A screen makes this O(n^2) plus n per flagged pair: the single-linkage
+    cophenetic matrix u is the subdominant ultrametric, so no witness can
+    exist for a pair with d(i,k) <= u(i,k) + tol, and only the remaining
+    pairs are scanned over every middle point.  The screen is exact in
+    floating point; the list equals that of the full triple scan.
     """
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
-    d = m.values
-    n = m.size
-    violations: list[tuple[int, int, int, float, float]] = []
-    for j in range(n):
-        # lhs d(i,k) against max(d(i,j), d(j,k)) for all i<k, vectorized per middle j
-        rhs = np.maximum.outer(d[:, j], d[j, :])
-        bad = d > rhs + tol
-        bad[j, :] = False
-        bad[:, j] = False
-        for i, k in zip(*np.nonzero(np.triu(bad, 1))):
-            violations.append((int(i), int(j), int(k), float(d[i, k]), float(rhs[i, k])))
-    violations.sort()
-    return violations
+    return _certify(m, tol)[1]
 
 
 def classify_triangle(a: float, b: float, c: float, tol: float = 0.02) -> str:
@@ -179,22 +214,34 @@ def generate_cloud(n: int, dim: int, law: str = "uniform", seed: int = 0) -> np.
     return rng.standard_normal((n, dim))
 
 
-def _single_linkage_order(m: DissimilarityMatrix) -> list[int]:
+def _single_linkage_order(tree: Dendrogram) -> list[int]:
     """Terminal order of a single-linkage tree with children sorted by a
     label-free subtree code, so the reordered matrix is unique for the
     weighted-hierarchy isomorphism class."""
-    tree = agglomerate(m, "single")
-    # (code, size) of every subtree, bottom-up; the smaller one goes left
-    terminal_key = ((), 1)
-    keys: dict[int, tuple[tuple, int]] = {}
     oriented: list[MergeNode] = []
+
+    def code_less(a: Child, b: Child) -> bool:
+        # Subtree codes order lexicographically: a bare terminal first, then
+        # by (height, code of left child, code of right child).  Pairs still
+        # to compare sit on a stack, so deep ties cost no recursion.
+        pending = [(a, b)]
+        while pending:
+            x, y = pending.pop()
+            if x[0] == TERMINAL or y[0] == TERMINAL:
+                if x[0] != y[0]:
+                    return x[0] == TERMINAL
+                continue
+            nx, ny = oriented[x[1] - 1], oriented[y[1] - 1]
+            if nx.height != ny.height:
+                return nx.height < ny.height
+            pending.append((nx.right, ny.right))
+            pending.append((nx.left, ny.left))
+        return False
+
     for node in tree.nodes:
         a, b = node.left, node.right
-        ka = terminal_key if a[0] == TERMINAL else keys[a[1]]
-        kb = terminal_key if b[0] == TERMINAL else keys[b[1]]
-        if kb < ka:
-            a, b, ka, kb = b, a, kb, ka
-        keys[node.rank] = ((node.height, ka[0], kb[0]), ka[1] + kb[1])
+        if code_less(b, a):  # the smaller code goes left
+            a, b = b, a
         oriented.append(MergeNode(node.rank, node.height, a, b))
     return list(Dendrogram(tree.labels, tuple(oriented)).terminal_order())
 
@@ -208,21 +255,21 @@ def check_canonical_form(matrix: np.ndarray) -> str | None:
     d(k+1,j) = d(k,j) beyond it.  Returns None when both hold, else a
     human-readable description of the first failure.
     """
-    d = matrix
-    n = d.shape[0]
+    d = np.asarray(matrix).tolist()  # Python floats index far faster than numpy scalars
+    n = len(d)
     for k in range(n):
         for j in range(k + 1, n - 1):
-            if d[k, j] > d[k, j + 1]:
+            if d[k][j] > d[k][j + 1]:
                 return f"row {k} decreases between columns {j} and {j + 1}"
     for k in range(n - 1):
         run_end = k + 1
-        while run_end + 1 < n and d[k, run_end + 1] == d[k, k + 1]:
+        while run_end + 1 < n and d[k][run_end + 1] == d[k][k + 1]:
             run_end += 1
         for j in range(k + 2, run_end + 1):
-            if d[k + 1, j] > d[k, j]:
+            if d[k + 1][j] > d[k][j]:
                 return f"run condition fails at row {k}, column {j} (expected <=)"
         for j in range(run_end + 1, n):
-            if d[k + 1, j] != d[k, j]:
+            if d[k + 1][j] != d[k][j]:
                 return f"run condition fails at row {k}, column {j} (expected equality)"
     return None
 
@@ -232,22 +279,18 @@ def canonical_form(
 ) -> tuple[tuple[int, ...], UltrametricMatrix]:
     """Permutation of 0..n-1 and the reordered matrix in canonical form.
 
-    The order comes from the terminal order of a single-linkage tree built
-    on the matrix; for a true ultrametric this satisfies both canonical
-    conditions, which an internal checker verifies before returning.
+    The order comes from the terminal order of the single-linkage tree that
+    also screens the ultrametric check; for a true ultrametric this
+    satisfies both canonical conditions, which an internal checker verifies
+    before returning.
     """
-    violations = verify_ultrametric(m, tol)
+    tree, violations = _certify(m, tol)
     if violations:
         i, j, k, lhs, rhs = violations[0]
         raise NotUltrametricError(
             f"matrix is not ultrametric: d({i},{k})={lhs} > max(d({i},{j}), d({j},{k}))={rhs}"
         )
-    if m.size == 1:
-        perm: list[int] = [0]
-    elif m.size == 2:
-        perm = [0, 1]
-    else:
-        perm = _single_linkage_order(m)
+    perm = _single_linkage_order(tree) if tree is not None else [0]
     idx = np.asarray(perm)
     reordered = m.values[np.ix_(idx, idx)]
     problem = check_canonical_form(reordered)

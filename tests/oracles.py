@@ -137,6 +137,41 @@ def brute_violating_combinations(matrix, tol=0.0):
     return bad
 
 
+def brute_violations(matrix, tol=0.0):
+    """Every (i, j, k, lhs, rhs) with i < k, j any other index and
+    lhs = d(i,k) > rhs + tol for rhs = max(d(i,j), d(j,k)), sorted."""
+    n = len(matrix)
+    found = []
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                if j in (i, k):
+                    continue
+                rhs = max(matrix[i][j], matrix[j][k])
+                if matrix[i][k] > rhs + tol:
+                    found.append((i, j, k, matrix[i][k], rhs))
+    return sorted(found)
+
+
+def code_sorted_order(tree):
+    """Terminal order of ``tree`` redrawn with the child of smaller subtree
+    code on the left, codes being nested tuples (height, left code, right
+    code) and () for a terminal, compared by Python's recursive tuple order;
+    for small trees only."""
+
+    def code_and_order(child):
+        kind, idx = child
+        if kind == "t":
+            return (), [idx]
+        node = tree.node(idx)
+        a, b = code_and_order(node.left), code_and_order(node.right)
+        if b[0] < a[0]:
+            a, b = b, a
+        return (node.height, a[0], b[0]), a[1] + b[1]
+
+    return code_and_order(("q", tree.n - 1))[1]
+
+
 def alternating_count(m, start_down=True):
     """Count alternating permutations of 1..m by brute filtering."""
     if m == 0:

@@ -9,9 +9,10 @@ import pytest
 from dendrocode import formats
 from dendrocode.cli import main
 from dendrocode.haar import haar_forward, haar_inverse
-from dendrocode.hierarchy import Dendrogram, MergeNode, internal, terminal
+from dendrocode.hierarchy import Dendrogram, DissimilarityMatrix, MergeNode, internal, terminal
 from dendrocode.permutations import packed_representation, unpack
 from dendrocode.render import render_tree
+from dendrocode.ultrametric import canonical_form, check_canonical_form, cophenetic_matrix
 
 DEEP = 20_000
 CLI_DEEP = 2_000
@@ -84,6 +85,20 @@ class TestDeepCaterpillar:
         assert len(lines) == 2 * CLI_DEEP - 1
         assert sum(" h=" in line for line in lines) == CLI_DEEP - 1
         assert lines[0].startswith("t2000 ")
+
+
+def test_canonical_form_of_twin_caterpillars():
+    # two equal 1200-leaf chains joined at height 1200: ordering the root's
+    # children compares their subtree codes 1199 levels deep
+    half = 1200
+    chain = cophenetic_matrix(caterpillar(half, "left")).values
+    values = np.full((2 * half, 2 * half), float(half))
+    values[:half, :half] = values[half:, half:] = chain
+    perm, canon = canonical_form(DissimilarityMatrix(values))
+    # a bare terminal's code is the smallest, so each chain reads outside in
+    first = list(range(half - 1, 1, -1)) + [0, 1]
+    assert perm == tuple(first + [half + i for i in first])
+    assert check_canonical_form(canon.values) is None
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from dendrocode.errors import DegenerateInputError, DomainError, NotUltrametricError
 from dendrocode.hierarchy import (
+    LINKAGES,
     Dendrogram,
     DissimilarityMatrix,
     MergeNode,
@@ -34,6 +35,8 @@ from conftest import random_tree
 from oracles import (
     brute_ultrametric_ok,
     brute_violating_combinations,
+    brute_violations,
+    code_sorted_order,
     cophenetic_by_paths,
 )
 from reference import IRIS7, IRIS_LABELS7, REFERENCE_ULTRAMETRIC_7
@@ -113,6 +116,66 @@ class TestVerifyUltrametric:
         assert verify_ultrametric(m, 0.0) != []
 
 
+def violation_sweep_matrices():
+    """Tied random tables, true ultrametrics from every linkage (median may
+    invert heights) and copies with entries moved by amounts on both sides
+    of each swept tolerance."""
+    rng = np.random.default_rng(20261018)
+    yield np.zeros((1, 1))
+    yield np.zeros((2, 2))
+    yield np.array([[0.0, 2.0], [2.0, 0.0]])
+    # sibling subtrees at height 5 whose codes order one way by their left
+    # children (a terminal against a pair) and the other way by their right ones
+    siblings = np.full((7, 7), 10.0)
+    siblings[:3, :3] = siblings[3:, 3:] = 5.0
+    siblings[1, 2] = siblings[2, 1] = 3.0
+    siblings[3, 4] = siblings[4, 3] = 1.0
+    siblings[5, 6] = siblings[6, 5] = 2.0
+    np.fill_diagonal(siblings, 0.0)
+    yield siblings
+    yield siblings[::-1, ::-1]
+    for n in range(3, 15):
+        tied = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
+        yield tied + tied.T
+        for linkage in LINKAGES:
+            data = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+            coph = cophenetic_matrix(agglomerate(pairwise_distances(data), linkage)).values
+            yield coph
+            perturbed = coph.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                i, k = rng.choice(n, size=2, replace=False)
+                step = rng.choice([1e-12, 0.05, 1.0, -0.05])
+                perturbed[i, k] = perturbed[k, i] = max(0.0, perturbed[i, k] + step)
+            yield perturbed
+
+
+class TestViolationList:
+    def test_equals_brute_force_list(self):
+        for values in violation_sweep_matrices():
+            m = DissimilarityMatrix(values)
+            for tol in (0.0, 1e-9, 0.1):
+                assert verify_ultrametric(m, tol) == brute_violations(values.tolist(), tol)
+
+    def test_scale_only_raised_pairs_violate(self):
+        n = 2000
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 10, size=(n, 3)).astype(float)
+        coph = cophenetic_matrix(agglomerate(pairwise_distances(data), "complete"))
+        assert verify_ultrametric(coph, 0.0) == []
+        perm, canon = canonical_form(coph)
+        assert sorted(perm) == list(range(n))
+        raised = coph.values.copy()
+        top = raised.max() + 1.0
+        picked = rng.choice(n, size=10, replace=False)
+        planted = {(int(min(a, b)), int(max(a, b))) for a, b in picked.reshape(5, 2)}
+        for i, k in planted:
+            raised[i, k] = raised[k, i] = top
+        violations = verify_ultrametric(DissimilarityMatrix(raised), 0.0)
+        # disjoint pairs raised above every other entry: every j is a witness
+        assert {(i, k) for i, _, k, _, _ in violations} == planted
+        assert len(violations) == len(planted) * (n - 2)
+
+
 class TestCanonicalForm:
     def test_reference_table_is_already_canonical(self):
         assert check_canonical_form(REFERENCE_ULTRAMETRIC_7) is None
@@ -145,6 +208,17 @@ class TestCanonicalForm:
             m = cophenetic_matrix(tree)
             _, canon = canonical_form(m)
             assert check_canonical_form(canon.values) is None
+
+    def test_order_follows_subtree_codes(self):
+        checked = 0
+        for values in violation_sweep_matrices():
+            m = DissimilarityMatrix(values)
+            if len(values) < 2 or verify_ultrametric(m, 0.0):
+                continue
+            perm, _ = canonical_form(m)
+            assert list(perm) == code_sorted_order(agglomerate(m, "single"))
+            checked += 1
+        assert checked > 30
 
     def test_non_ultrametric_rejected_naming_a_triple(self):
         m = pairwise_distances(IRIS7)
