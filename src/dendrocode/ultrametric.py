@@ -92,10 +92,9 @@ def _certify(
     """
     if tol < 0:
         raise DomainError("tolerance must be nonnegative")
-    d = m.values
-    n = m.size
-    if n < 2:
+    if m.size < 2:
         return None, []
+    d = m.values
     tree = agglomerate(m, "single")
     flagged = np.triu(d > cophenetic_matrix(tree).values + tol, 1)
     violations: list[tuple[int, int, int, float, float]] = []
@@ -255,21 +254,24 @@ def check_canonical_form(matrix: np.ndarray) -> str | None:
     d(k+1,j) = d(k,j) beyond it.  Returns None when both hold, else a
     human-readable description of the first failure.
     """
-    d = np.asarray(matrix).tolist()  # Python floats index far faster than numpy scalars
-    n = len(d)
+    # one row at a time as Python floats, which index far faster than numpy scalars
+    rows = np.asarray(matrix)
+    n = rows.shape[0]
     for k in range(n):
+        row = rows[k].tolist()
         for j in range(k + 1, n - 1):
-            if d[k][j] > d[k][j + 1]:
+            if row[j] > row[j + 1]:
                 return f"row {k} decreases between columns {j} and {j + 1}"
     for k in range(n - 1):
+        row, below = rows[k].tolist(), rows[k + 1].tolist()
         run_end = k + 1
-        while run_end + 1 < n and d[k][run_end + 1] == d[k][k + 1]:
+        while run_end + 1 < n and row[run_end + 1] == row[k + 1]:
             run_end += 1
         for j in range(k + 2, run_end + 1):
-            if d[k + 1][j] > d[k][j]:
+            if below[j] > row[j]:
                 return f"run condition fails at row {k}, column {j} (expected <=)"
         for j in range(run_end + 1, n):
-            if d[k + 1][j] != d[k][j]:
+            if below[j] != row[j]:
                 return f"run condition fails at row {k}, column {j} (expected equality)"
     return None
 
