@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import DendrocodeError, DomainError, ParseError
 from .haar import haar_forward, haar_inverse, haar_threshold
 from .hierarchy import LINKAGES, agglomerate, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
-from .padic import decode, encode_dendrogram, padic_distance, padic_similarity
+from .padic import decode, encode_dendrogram
 from .permutations import (
     PackedPermutation,
     enumerate_nlr,
@@ -136,9 +137,12 @@ def _cmd_padic_decode(args) -> int:
 
 def _cmd_padic_dist(args) -> int:
     enc = formats.encoding_from_json(_read(args.encoding))
-    codes = enc.codes()
-    fn = padic_similarity if args.similarity else padic_distance
-    table = [[fn(a, b) for b in codes] for a in codes]
+    levels = enc.differing_levels()
+    text = {}
+    for r in np.unique(levels).tolist():
+        similarity = Fraction(1, enc.p**r)
+        text[r] = str(similarity if args.similarity else 1 - similarity)
+    table = [list(map(text.__getitem__, row)) for row in levels.tolist()]
     _emit(formats.fraction_matrix_csv(enc.labels, table), args.output)
     return 0
 

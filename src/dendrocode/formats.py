@@ -15,6 +15,7 @@ import io
 import json
 import typing
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .hierarchy import (
     walk,
 )
 from .lattice import BooleanTable, Semilattice
-from .padic import PadicEncoding
+from .padic import PadicEncoding, _encoding_from_cells
 from .ultrametric import UltrametricityReport
 
 
@@ -282,52 +283,74 @@ def write_data_csv(
 
 
 def encoding_to_json(enc: PadicEncoding) -> str:
-    doc = {
-        "p": enc.p,
-        "n": enc.n,
-        "labels": list(enc.labels),
-        "C": [c for row in enc.C for c in row],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The encoding as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"p", "n",
+    "labels", "C"}``, with ``C`` the rows concatenated.  ``json`` indents
+    through its pure-Python encoder, so only the header goes through it and
+    the n(n-1) coefficients are joined as text, one per line; the bytes are
+    the same."""
+    head = json.dumps(
+        {"p": enc.p, "n": enc.n, "labels": list(enc.labels), "C": []}, indent=2
+    )
+    if enc.n < 2:
+        return head + "\n"
+    tokens = ("0", "1", "-1")  # indexed by the coefficient itself
+    coefficients = ",\n    ".join(map(tokens.__getitem__, chain.from_iterable(enc.C)))
+    return f"{head[:-4]}[\n    {coefficients}\n  ]\n}}\n"
 
 
 def encoding_from_json(text: str) -> PadicEncoding:
+    """Read ``encoding_to_json`` text strictly: ``p`` and ``n`` are JSON
+    integers, ``labels`` a list of strings and ``C`` a list of n(n-1)
+    integers (not true or false); any other type is one ``ParseError``.
+    The encoding then gets the checks of the ``PadicEncoding`` constructor."""
     try:
         doc = json.loads(text)
-        p = int(doc["p"])
-        n = int(doc["n"])
-        labels = tuple(str(x) for x in doc["labels"])
-        flat = [int(c) for c in doc["C"]]
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    try:
+        p, n, labels, flat = doc["p"], doc["n"], doc["labels"], doc["C"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"encoding JSON missing or bad field: {exc}") from None
+    for name, value in (("p", p), ("n", n)):
+        if type(value) is not int:
+            raise ParseError(f"encoding JSON field {name!r} must be an integer")
+    if type(labels) is not list or not {str}.issuperset(map(type, labels)):
+        raise ParseError("encoding JSON field 'labels' must be a list of strings")
+    if type(flat) is not list or not {int}.issuperset(map(type, flat)):
+        raise ParseError("encoding JSON field 'C' must be a list of integers")
     if len(labels) != n or len(flat) != n * (n - 1):
         raise ParseError("encoding JSON has inconsistent sizes")
-    width = n - 1
-    rows = tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(n))
-    return PadicEncoding(p, labels, rows)
+    return _encoding_from_cells(p, tuple(labels), flat)
 
 
 def decimal_codes_csv(enc: PadicEncoding) -> str:
-    from .padic import evaluate_code
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", "code"])
-    for i, label in enumerate(enc.labels):
-        writer.writerow([label, evaluate_code(enc.code(i))])
+    writer.writerows(zip(enc.labels, enc.decimal_codes()))
     return out.getvalue()
 
 
 def fraction_matrix_csv(
     labels: Sequence[str], values: Sequence[Sequence[Fraction]]
 ) -> str:
+    """Labelled square table of exact fractions (or their ``str``).
+
+    A fraction prints as digits, ``/`` and ``-``, which CSV never quotes, so
+    only the labels go through the csv writer; each row's values are joined
+    directly, which keeps the bytes of writing every cell through it."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([""] + list(labels))
+    cell = io.StringIO()
+    label_writer = csv.writer(cell, lineterminator="\n")
     for label, row in zip(labels, values):
-        writer.writerow([label] + [str(v) for v in row])
+        cell.seek(0)
+        cell.truncate()
+        label_writer.writerow((label, ""))  # the label as CSV writes it, then ",\n"
+        out.write(cell.getvalue()[:-1])
+        out.write(",".join(map(str, row)))
+        out.write("\n")
     return out.getvalue()
 
 

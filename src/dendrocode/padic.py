@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
 from .hierarchy import Dendrogram, MergeNode, TERMINAL, internal, terminal, walk
@@ -74,7 +77,13 @@ class PadicCode:
 
 @dataclass(frozen=True)
 class PadicEncoding:
-    """The n x (n-1) coefficient matrix of a dendrogram, one row per terminal."""
+    """The n x (n-1) coefficient matrix of a dendrogram, one row per terminal.
+
+    The constructor validates its input: a prime p >= 3, one row of n - 1
+    Python ints in {-1, 0, +1} per label (bool is not an int here), no zero
+    in the root column, and a +1 and a -1 in every column.  It does not
+    check that the columns nest; ``decode`` does.
+    """
 
     p: int
     labels: tuple[str, ...]
@@ -82,31 +91,25 @@ class PadicEncoding:
 
     def __post_init__(self) -> None:
         _require_encoding_prime(self.p)
-        n = len(self.labels)
-        if len(self.C) != n:
+        labels = tuple(self.labels)
+        rows = tuple(map(tuple, self.C))
+        n = len(labels)
+        if len(rows) != n:
             raise MalformedEncodingError("one coefficient row per terminal required")
-        width = n - 1
-        rows = []
-        for label, row in zip(self.labels, self.C):
-            row = tuple(int(c) for c in row)
-            if len(row) != width:
-                raise MalformedEncodingError(
-                    f"row for {label} has {len(row)} levels, expected {width}"
-                )
-            if any(c not in (-1, 0, 1) for c in row):
-                raise MalformedEncodingError("coefficients must lie in {-1, 0, +1}")
-            rows.append(row)
-        object.__setattr__(self, "C", tuple(rows))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if n >= 2:
-            if any(row[-1] == 0 for row in rows):
-                raise MalformedEncodingError("root column must have no zero entries")
-            for j in range(width):
-                signs = {row[j] for row in rows} - {0}
-                if signs != {-1, 1}:
-                    raise MalformedEncodingError(
-                        f"column {j + 1} must contain both a +1 and a -1 entry"
-                    )
+        # rows are checked in order, so cells above the first row of the
+        # wrong length are judged before its length is
+        short = next((i for i, row in enumerate(rows) if len(row) != n - 1), n)
+        flat = list(chain.from_iterable(rows[:short]))
+        if not {int}.issuperset(map(type, flat)):
+            raise MalformedEncodingError(_OUTSIDE_COEFFICIENTS)
+        if short < n:
+            _check_values(flat)
+            raise MalformedEncodingError(
+                f"row for {labels[short]} has {len(rows[short])} levels, expected {n - 1}"
+            )
+        _check_cells(n, flat)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "C", rows)
 
     @property
     def n(self) -> int:
@@ -117,6 +120,93 @@ class PadicEncoding:
 
     def codes(self) -> tuple[PadicCode, ...]:
         return tuple(self.code(i) for i in range(self.n))
+
+    def decimal_codes(self) -> tuple[int, ...]:
+        """``evaluate_code`` of every row, summing +-p^j over the row's
+        nonzero entries only: O(n * depth) big-integer additions."""
+        n, width, p = self.n, self.n - 1, self.p
+        cells = _cells(self)
+        rows, cols = np.nonzero(cells)
+        weights = [p]
+        for _ in range(width - 1):
+            weights.append(weights[-1] * p)
+        signed = weights + [-w for w in weights]  # entry width + j is -p^(j+1)
+        slots = cols + width * (cells[rows, cols] < 0)
+        terms = list(map(signed.__getitem__, slots.tolist()))
+        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+        return tuple(sum(terms[a:b]) for a, b in zip([0] + ends, ends))
+
+    def differing_levels(self) -> np.ndarray:
+        """n x n integer matrix of r(i, k), the highest level at which rows
+        i and k differ, 0 where they are equal.  ``padic_similarity`` of the
+        two rows is p^(-r); for a decodable encoding r is the rank of their
+        lowest common ancestor.  Read straight from the coefficients, so it
+        is defined on encodings that ``decode`` rejects as well."""
+        n = self.n
+        levels = np.zeros((n, n), dtype=np.int64)
+        if n < 2:
+            return levels
+        top_first = np.ascontiguousarray(_cells(self)[:, ::-1])
+        every = np.arange(n)
+        for i in range(n):
+            differs = top_first != top_first[i]
+            first = differs.argmax(axis=1)  # counted from the root level down
+            levels[i] = np.where(differs[every, first], n - 1 - first, 0)
+        return levels
+
+
+_OUTSIDE_COEFFICIENTS = "coefficients must lie in {-1, 0, +1}"
+
+
+def _check_values(flat: list[int]) -> None:
+    if not {-1, 0, 1}.issuperset(flat):
+        raise MalformedEncodingError(_OUTSIDE_COEFFICIENTS)
+
+
+def _check_cells(n: int, flat: list[int]) -> None:
+    """Value, root-column and column checks of ``PadicEncoding``, in its
+    order, on n rows of n - 1 Python ints concatenated into ``flat``."""
+    _check_values(flat)
+    if n < 2:
+        return
+    cells = np.array(flat, dtype=np.int8).reshape(n, n - 1)
+    if not cells[:, -1].all():
+        raise MalformedEncodingError("root column must have no zero entries")
+    one_sided = np.flatnonzero(~((cells == 1).any(axis=0) & (cells == -1).any(axis=0)))
+    if one_sided.size:
+        raise MalformedEncodingError(
+            f"column {one_sided[0] + 1} must contain both a +1 and a -1 entry"
+        )
+
+
+def _cells(enc: PadicEncoding) -> np.ndarray:
+    """The coefficient matrix as an n x (n-1) int8 array."""
+    return np.array(enc.C, dtype=np.int8).reshape(enc.n, max(enc.n - 1, 0))
+
+
+def _trusted_encoding(
+    p: int, labels: tuple[str, ...], C: tuple[tuple[int, ...], ...]
+) -> PadicEncoding:
+    """A ``PadicEncoding`` that is valid by construction, built without
+    running the constructor's checks again."""
+    enc = object.__new__(PadicEncoding)
+    object.__setattr__(enc, "p", p)
+    object.__setattr__(enc, "labels", labels)
+    object.__setattr__(enc, "C", C)
+    return enc
+
+
+def _encoding_from_cells(p: int, labels: tuple[str, ...], flat: list[int]) -> PadicEncoding:
+    """The encoding whose rows, concatenated, are ``flat``: Python ints,
+    n - 1 per label.  Runs the constructor's checks past its type and
+    length checks, which the caller has made."""
+    _require_encoding_prime(p)
+    n = len(labels)
+    _check_cells(n, flat)
+    width = n - 1
+    return _trusted_encoding(
+        p, labels, tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(n))
+    )
 
 
 def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
@@ -130,7 +220,7 @@ def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
             rows[idx] = tuple(path)
         else:
             path[idx - 1] = (1, -1, 0)[visit]  # in left subtree, in right, done
-    return PadicEncoding(p, tree.labels, tuple(rows))
+    return _trusted_encoding(p, tree.labels, tuple(rows))
 
 
 def evaluate_code(code: PadicCode) -> int:
@@ -147,32 +237,47 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     """Unique dendrogram whose encoding is ``enc``.
 
     Heights are set to the rank values, since the coefficients carry only
-    the ranked topology.  Raises when the columns do not describe nested
-    left/right splits.
+    the ranked topology.  Column j merges two clusters formed below it: its
+    +1 rows must be exactly one of them (the left child) and its -1 rows
+    exactly another (the right child).  The columns are read in order over
+    one cluster-id array, and each merge relabels the smaller cluster, so
+    decoding costs O(n * depth + n log n) beyond reading the matrix.
+    Raises ``MalformedEncodingError`` naming the first column whose +1 or
+    -1 rows (sorted) are not a cluster formed below it.
     """
     n = enc.n
+    if n == 0:  # the constructor admits an encoding of no terminals; no tree has none
+        raise MalformedEncodingError("root column does not cover all terminals")
     if n == 1:
         return Dendrogram(enc.labels, ())
-    available: dict[frozenset[int], tuple[str, int]] = {
-        frozenset((i,)): terminal(i) for i in range(n)
-    }
+    by_column = _cells(enc).T
+    groups = []  # per sign: rows in column order, and where each column starts
+    for sign in (1, -1):
+        cols, rows = np.nonzero(by_column == sign)
+        groups.append((rows, np.searchsorted(cols, np.arange(n)).tolist()))
+    cluster = np.arange(n)  # cluster id of each terminal
+    members: list[list[int]] = [[i] for i in range(n)]
+    child = [terminal(i) for i in range(n)]
     nodes: list[MergeNode] = []
     for j in range(n - 1):
-        left = frozenset(i for i in range(n) if enc.C[i][j] == 1)
-        right = frozenset(i for i in range(n) if enc.C[i][j] == -1)
-        if left not in available:
-            raise MalformedEncodingError(
-                f"column {j + 1}: +1 entries {sorted(left)} do not form an available cluster"
-            )
-        if right not in available:
-            raise MalformedEncodingError(
-                f"column {j + 1}: -1 entries {sorted(right)} do not form an available cluster"
-            )
+        ids = []
+        for (rows, starts), sign in zip(groups, ("+1", "-1")):
+            group = rows[starts[j] : starts[j + 1]]
+            c = int(cluster[group[0]])
+            if len(members[c]) != len(group) or (cluster[group] != c).any():
+                raise MalformedEncodingError(
+                    f"column {j + 1}: {sign} entries {group.tolist()} "
+                    "do not form an available cluster"
+                )
+            ids.append(c)
+        a, b = ids
         rank = j + 1
-        nodes.append(MergeNode(rank, float(rank), available.pop(left), available.pop(right)))
-        available[left | right] = internal(rank)
-    if frozenset(range(n)) not in available:
-        raise MalformedEncodingError("root column does not cover all terminals")
+        nodes.append(MergeNode(rank, float(rank), child[a], child[b]))
+        small, big = (a, b) if len(members[a]) < len(members[b]) else (b, a)
+        cluster[members[small]] = big
+        members[big] += members[small]
+        members[small] = []
+        child[big] = internal(rank)
     return Dendrogram(enc.labels, tuple(nodes))
 
 

@@ -37,6 +37,16 @@ def random_tree(n: int, rng: random.Random, heights: str = "monotone") -> Dendro
     return Dendrogram(labels, tuple(nodes))
 
 
+def caterpillar(n: int, lean: str) -> Dendrogram:
+    """Rank 1 merges t1 and t2; every later rank r merges q(r-1) with
+    terminal index r at height r, drawing q(r-1) on the ``lean`` side."""
+    nodes = [MergeNode(1, 1.0, terminal(0), terminal(1))]
+    for r in range(2, n):
+        pair = (internal(r - 1), terminal(r))
+        nodes.append(MergeNode(r, float(r), *(pair if lean == "left" else pair[::-1])))
+    return Dendrogram(tuple(f"t{i + 1}" for i in range(n)), tuple(nodes))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)

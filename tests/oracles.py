@@ -227,3 +227,59 @@ def cophenetic_by_paths(tree):
             h = tree.node(rank).height
             out[i][j] = out[j][i] = h
     return out
+
+
+def decode_by_sets(enc):
+    """Tree of an encoding by frozenset lookups: column j must pair two
+    available clusters, its +1 rows on the left and its -1 rows on the
+    right.  O(n^2) set scans; raises the package's MalformedEncodingError
+    with the package's messages."""
+    from dendrocode.errors import MalformedEncodingError
+    from dendrocode.hierarchy import Dendrogram, MergeNode, internal, terminal
+
+    n = enc.n
+    if n == 1:
+        return Dendrogram(enc.labels, ())
+    available = {frozenset((i,)): terminal(i) for i in range(n)}
+    nodes = []
+    for j in range(n - 1):
+        left = frozenset(i for i in range(n) if enc.C[i][j] == 1)
+        right = frozenset(i for i in range(n) if enc.C[i][j] == -1)
+        if left not in available:
+            raise MalformedEncodingError(
+                f"column {j + 1}: +1 entries {sorted(left)} do not form an available cluster"
+            )
+        if right not in available:
+            raise MalformedEncodingError(
+                f"column {j + 1}: -1 entries {sorted(right)} do not form an available cluster"
+            )
+        rank = j + 1
+        nodes.append(MergeNode(rank, float(rank), available.pop(left), available.pop(right)))
+        available[left | right] = internal(rank)
+    if frozenset(range(n)) not in available:
+        raise MalformedEncodingError("root column does not cover all terminals")
+    return Dendrogram(enc.labels, tuple(nodes))
+
+
+def padic_table(enc, similarity=False):
+    """n x n table of exact Fractions, one padic_similarity (or
+    padic_distance) call per pair of rows."""
+    from dendrocode.padic import padic_distance, padic_similarity
+
+    fn = padic_similarity if similarity else padic_distance
+    codes = enc.codes()
+    return [[fn(a, b) for b in codes] for a in codes]
+
+
+def csv_table(labels, table):
+    """Labelled square table with every cell, ``str`` of each value, written
+    through ``csv.writer``."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([""] + list(labels))
+    for label, row in zip(labels, table):
+        writer.writerow([label] + [str(v) for v in row])
+    return out.getvalue()

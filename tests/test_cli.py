@@ -3,14 +3,23 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 
 import numpy as np
 import pytest
 
 from dendrocode.cli import main
 from dendrocode import formats
+from dendrocode.hierarchy import Dendrogram
+from dendrocode.padic import encode_dendrogram
 
+from conftest import random_tree
+from oracles import csv_table, padic_table
 from reference import FCA_ATTRIBUTES, FCA_CELLS, FCA_OBJECTS, IRIS8, IRIS_LABELS8
+
+
+# a valid encoding whose columns do not nest: padic-dist reads it, padic-decode cannot
+NON_NESTED = '{"p": 3, "n": 3, "labels": ["a", "b", "c"], "C": [1, 1, -1, 1, 1, -1]}'
 
 
 @pytest.fixture
@@ -161,6 +170,46 @@ class TestPadicVerbs:
         code, out, _ = run(capsys, "padic-dist", str(enc_path))
         assert code == 0
         assert "2/3" in out or "/" in out
+
+    @pytest.mark.parametrize("flags", [(), ("--similarity",)])
+    def test_dist_equals_fraction_oracle(self, tmp_path, capsys, flags):
+        rng = random.Random(6)
+        texts = [NON_NESTED]
+        for n in (1, 2, 5, 17):
+            tree = random_tree(n, rng, heights="rank")
+            labels = tuple(f"t{i + 1}" for i in range(n))
+            if n == 5:  # labels that CSV must quote
+                labels = ("a,b", 'say "hi"', " lead", "new\nline", "plain")
+            text = formats.encoding_to_json(encode_dendrogram(Dendrogram(labels, tree.nodes), 5))
+            texts.append(text)
+        path = tmp_path / "enc.json"
+        for text in texts:
+            path.write_text(text)
+            enc = formats.encoding_from_json(text)
+            expected = csv_table(enc.labels, padic_table(enc, bool(flags)))
+            assert run(capsys, "padic-dist", str(path), *flags) == (0, expected, "")
+
+    def test_dist_reads_encodings_that_do_not_decode(self, tmp_path, capsys):
+        # column 1 puts a and c on the +1 side, which is no cluster
+        path = tmp_path / "enc.json"
+        path.write_text(NON_NESTED)
+        code, out, err = run(capsys, "padic-decode", str(path))
+        assert (code, out) == (1, "")
+        assert err == "E_ENCODING: column 1: +1 entries [0, 2] do not form an available cluster\n"
+        code, out, err = run(capsys, "padic-dist", str(path))
+        assert (code, out, err) == (0, ",a,b,c\na,0,2/3,8/9\nb,2/3,0,8/9\nc,8/9,8/9,0\n", "")
+
+    @pytest.mark.parametrize("verb", ["padic-decode", "padic-dist"])
+    def test_non_integer_json_rejected(self, tmp_path, capsys, verb):
+        path = tmp_path / "enc.json"
+        for field, value in (("C", "[1, 1, -1, 1.5, 1, -1]"), ("C", "[1, 1, -1, true, 1, -1]"),
+                             ("C", '[1, 1, -1, "1", 1, -1]'), ("p", "3.9"), ("labels", '"abc"')):
+            doc = json.loads(NON_NESTED)
+            doc[field] = json.loads(value)
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, verb, str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith("E_PARSE: encoding JSON field ") and err.count("\n") == 1
 
 
 class TestBaireVerbs:

@@ -3,29 +3,25 @@ than the recursion limit convert like any other tree."""
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dendrocode import formats
 from dendrocode.cli import main
 from dendrocode.haar import haar_forward, haar_inverse
-from dendrocode.hierarchy import Dendrogram, DissimilarityMatrix, MergeNode, internal, terminal
+from dendrocode.hierarchy import Dendrogram, DissimilarityMatrix
+from dendrocode.padic import encode_dendrogram, evaluate_code
 from dendrocode.permutations import packed_representation, unpack
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import canonical_form, check_canonical_form, cophenetic_matrix
 
+from conftest import caterpillar, random_tree
+
 DEEP = 20_000
 CLI_DEEP = 2_000
-
-
-def caterpillar(n: int, lean: str) -> Dendrogram:
-    """Rank 1 merges t1 and t2; every later rank r merges q(r-1) with
-    terminal index r at height r, drawing q(r-1) on the ``lean`` side."""
-    nodes = [MergeNode(1, 1.0, terminal(0), terminal(1))]
-    for r in range(2, n):
-        pair = (internal(r - 1), terminal(r))
-        nodes.append(MergeNode(r, float(r), *(pair if lean == "left" else pair[::-1])))
-    return Dendrogram(tuple(f"t{i + 1}" for i in range(n)), tuple(nodes))
 
 
 def caterpillar_newick(n: int, lean: str) -> str:
@@ -179,3 +175,42 @@ class TestDeepBaire:
         dump = trie.read_text().splitlines()
         assert len(dump) == 3003
         assert dump[-1] == "  " * 3001 + "0" * 3000 + "2 [1]  <- s2"
+
+
+class TestDeepPadic:
+    """The p-adic verbs cost O(n * depth) plus their output, so a deep
+    caterpillar converts like a shallow random tree."""
+
+    @pytest.mark.parametrize("shape", ["caterpillar", "random"])
+    def test_encode_decode_round_trip(self, tmp_path, capsys, shape):
+        if shape == "caterpillar":
+            tree = caterpillar(CLI_DEEP, "right")
+        else:
+            tree = random_tree(CLI_DEEP, random.Random(7), heights="rank")
+        tree_path, enc_path, codes_path = tmp_path / "tree.json", tmp_path / "enc.json", tmp_path / "codes.csv"
+        tree_path.write_text(formats.tree_to_json(tree))
+        code, out, err = run(capsys, "padic-encode", str(tree_path), "-o", str(enc_path),
+                             "--decimals", str(codes_path))
+        assert (code, out, err) == (0, "", "")
+        code, out, err = run(capsys, "padic-decode", str(enc_path))
+        assert code == 0 and err == ""
+        assert formats.tree_from_json(out) == tree  # the heights are already the ranks
+        lines = codes_path.read_text().splitlines()
+        values = [int(line.rpartition(",")[2]) for line in lines[1:]]
+        assert len(set(values)) == CLI_DEEP
+        enc = encode_dendrogram(tree, 3)
+        for i in (0, 1, CLI_DEEP // 2, CLI_DEEP - 1):
+            assert values[i] == evaluate_code(enc.code(i))
+
+    def test_distance_matrix(self, tmp_path, capsys):
+        n = 400
+        tree = random_tree(n, random.Random(8), heights="rank")
+        path = tmp_path / "enc.json"
+        path.write_text(formats.encoding_to_json(encode_dendrogram(tree, 3)))
+        code, out, err = run(capsys, "padic-dist", str(path))
+        assert code == 0 and err == ""
+        # with rank heights the cophenetic matrix holds the rank of each
+        # lowest common ancestor
+        ranks = cophenetic_matrix(tree).values.astype(int).tolist()
+        table = [[1 - Fraction(1, 3**r) for r in row] for row in ranks]
+        assert out == formats.fraction_matrix_csv(tree.labels, table)

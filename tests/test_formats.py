@@ -24,6 +24,7 @@ from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
 
 from conftest import random_tree
+from oracles import csv_table
 from reference import IRIS8, IRIS_LABELS8
 
 
@@ -162,6 +163,48 @@ class TestEncodingJson:
         doc = {"p": 3, "n": 3, "labels": ["a", "b", "c"], "C": [1, -1]}
         with pytest.raises(ParseError):
             formats.encoding_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("labels, p", [
+        (("solo",), 3),
+        (("a", "b"), 3),
+        (("épée", "naïve", "δ", "雪"), 3),
+        (('say "hi"', "back\\slash", 'mixed \\"both\\"', "tab\there"), 5),
+        (tuple(f"x{i}" for i in range(9)), 7),
+    ])
+    def test_bytes_equal_json_dumps(self, rng, labels, p):
+        tree = random_tree(len(labels), rng, heights="rank")
+        enc = encode_dendrogram(Dendrogram(labels, tree.nodes), p)
+        doc = {"p": p, "n": len(labels), "labels": list(labels), "C": [c for row in enc.C for c in row]}
+        assert formats.encoding_to_json(enc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("C", [1, 1, -1, 1.5, 0, -1], "'C' must be a list of integers"),
+        ("C", [1, 1, -1, True, 0, -1], "'C' must be a list of integers"),
+        ("C", [1, 1, -1, "1", 0, -1], "'C' must be a list of integers"),
+        ("C", "111111", "'C' must be a list of integers"),
+        ("p", 3.9, "'p' must be an integer"),
+        ("p", 3.0, "'p' must be an integer"),
+        ("n", "3", "'n' must be an integer"),
+        ("n", False, "'n' must be an integer"),
+        ("labels", "abc", "'labels' must be a list of strings"),
+        ("labels", ["a", 2, "c"], "'labels' must be a list of strings"),
+    ])
+    def test_non_integer_fields_rejected(self, field, value, message):
+        doc = {"p": 3, "n": 3, "labels": ["a", "b", "c"], "C": [1, 1, -1, 1, 0, -1]}
+        formats.encoding_from_json(json.dumps(doc))  # the document itself is valid
+        doc[field] = value
+        with pytest.raises(ParseError, match=message):
+            formats.encoding_from_json(json.dumps(doc))
+
+
+class TestFractionMatrixCsv:
+    def test_equals_writing_every_cell(self):
+        labels = ("", "a,b", 'say "hi"', " lead", "new\nline", "cr\rhere", "é", "plain")
+        table = [[Fraction(i - j, 3 ** (i + j)) for j in range(8)] for i in range(8)]
+        assert formats.fraction_matrix_csv(labels, table) == csv_table(labels, table)
+
+    def test_single_label(self):
+        assert formats.fraction_matrix_csv(("",), [[Fraction(0)]]) == csv_table(("",), [[Fraction(0)]])
 
 
 class TestStringsAndStreams:

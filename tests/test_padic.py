@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from dendrocode import formats
 from dendrocode.errors import DomainError, MalformedEncodingError
-from dendrocode.hierarchy import Dendrogram, MergeNode, internal, member_sets, terminal
+from dendrocode.hierarchy import (
+    Dendrogram,
+    MergeNode,
+    internal,
+    member_sets,
+    swap_children,
+    terminal,
+)
 from dendrocode.padic import (
     PadicCode,
     PadicEncoding,
@@ -22,8 +31,8 @@ from dendrocode.padic import (
     valuation_distance,
 )
 
-from conftest import random_tree
-from oracles import lca_rank
+from conftest import caterpillar, random_tree
+from oracles import decode_by_sets, lca_rank
 from reference import EIGHT_LEAF_COEFFICIENTS, eight_leaf_example_tree
 
 
@@ -140,6 +149,123 @@ class TestDecode:
         ))
         with pytest.raises(MalformedEncodingError):
             decode(bad)
+
+
+def sweep_trees(rng):
+    """Random, caterpillar and child-swapped trees, and the trees with one
+    and two terminals."""
+    trees = [
+        Dendrogram(("solo",), ()),
+        Dendrogram(("a", "b"), (MergeNode(1, 1.0, terminal(0), terminal(1)),)),
+        caterpillar(9, "left"),
+        caterpillar(12, "right"),
+    ]
+    for _ in range(30):
+        tree = random_tree(rng.randrange(2, 14), rng, heights="rank")
+        trees += [tree, swap_children(tree, rng.randrange(1, tree.n))]
+    return trees
+
+
+class TestTrustedEncodings:
+    """``encode_dendrogram`` and the JSON reader build encodings without the
+    constructor's checks; the checks must still pass on what they build."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_pass_the_public_validator(self, p, rng):
+        for tree in sweep_trees(rng):
+            enc = encode_dendrogram(tree, p)
+            assert PadicEncoding(enc.p, enc.labels, enc.C) == enc
+            read = formats.encoding_from_json(formats.encoding_to_json(enc))
+            assert PadicEncoding(read.p, read.labels, read.C) == read == enc
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_decimal_codes_equal_evaluate_code(self, p, rng):
+        for tree in sweep_trees(rng):
+            enc = encode_dendrogram(tree, p)
+            assert enc.decimal_codes() == tuple(evaluate_code(c) for c in enc.codes())
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("cell", [1.5, 1.0, True, "1", None])
+    def test_non_integer_coefficient_rejected(self, cell):
+        with pytest.raises(MalformedEncodingError, match=r"must lie in \{-1, 0, \+1\}"):
+            PadicEncoding(3, ("a", "b", "c"), ((1, 1), (-1, cell), (0, -1)))
+
+    def test_out_of_range_coefficient_rejected(self):
+        for cell in (2, -2, 10**30):
+            with pytest.raises(MalformedEncodingError, match="must lie in"):
+                PadicEncoding(3, ("a", "b", "c"), ((1, 1), (-1, 1), (0, cell)))
+
+    def test_first_failing_row_decides(self):
+        # a bad cell above a short row is reported, a short row above a bad
+        # cell is reported
+        with pytest.raises(MalformedEncodingError, match="must lie in"):
+            PadicEncoding(3, ("a", "b", "c"), ((1, 2), (-1,), (0, -1)))
+        with pytest.raises(MalformedEncodingError, match="row for b has 1 levels, expected 2"):
+            PadicEncoding(3, ("a", "b", "c"), ((1, 1), (-1,), (0, 2)))
+
+    def test_zero_anywhere_in_root_column_rejected(self):
+        for rows in (((0, 0), (1, 1), (-1, -1)), ((1, 1), (-1, -1), (0, 0))):
+            with pytest.raises(MalformedEncodingError, match="root column must have no zero entries"):
+                PadicEncoding(3, ("a", "b", "c"), rows)
+
+    def test_first_one_sided_column_named(self):
+        with pytest.raises(MalformedEncodingError, match="column 2 must contain"):
+            PadicEncoding(3, ("a", "b", "c", "d"), ((1, 1, 1), (-1, 1, 1), (0, 0, -1), (0, 0, -1)))
+
+
+def corrupt(enc, rng):
+    """Rows of ``enc`` with two columns swapped, one column negated (a
+    child swap), part or all of one sign group of a column flipped, or one
+    nonzero entry moved to a zero of its column."""
+    rows = [list(row) for row in enc.C]
+    n, width = enc.n, enc.n - 1
+    kind = rng.randrange(4)
+    if kind == 0:
+        a, b = rng.sample(range(width), 2)
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+    elif kind == 1:
+        j = rng.randrange(width)
+        for row in rows:
+            row[j] = -row[j]
+    elif kind == 2:
+        j, sign = rng.randrange(width), rng.choice((1, -1))
+        group = [i for i in range(n) if rows[i][j] == sign]
+        for i in rng.sample(group, rng.randrange(1, len(group) + 1)):
+            rows[i][j] = -sign
+    else:
+        j = rng.randrange(width - 1)  # the root column has no zero to move to
+        source = rng.choice([i for i in range(n) if rows[i][j]])
+        target = rng.choice([i for i in range(n) if not rows[i][j]])
+        rows[target][j], rows[source][j] = rows[source][j], 0
+    return tuple(map(tuple, rows))
+
+
+class TestDecodeAgainstSets:
+    def test_equals_set_oracle_on_corrupted_encodings(self, rng):
+        seen = Counter()
+        for _ in range(1500):
+            n = rng.randrange(3, 12)
+            tree = caterpillar(n, rng.choice(("left", "right"))) if rng.random() < 0.2 else (
+                random_tree(n, rng, heights="rank"))
+            enc = encode_dendrogram(tree, 3)
+            try:
+                bad = PadicEncoding(3, enc.labels, corrupt(enc, rng))
+            except MalformedEncodingError:
+                seen["constructor"] += 1
+                continue
+            try:
+                expected = decode_by_sets(bad)
+            except MalformedEncodingError as exc:
+                with pytest.raises(MalformedEncodingError) as got:
+                    decode(bad)
+                assert str(got.value) == str(exc)
+                seen["rejected"] += 1
+            else:
+                assert decode(bad) == expected
+                seen["decoded"] += 1
+        assert seen["rejected"] >= 300 and seen["decoded"] >= 300, seen
 
 
 class TestSimilarityAndDistance:
