@@ -16,7 +16,7 @@ import numpy as np
 
 from . import formats
 from .baire import baire_cluster, baire_distance, encode_dna
-from .errors import DendrocodeError, DomainError, ParseError
+from .errors import DendrocodeError, DomainError, ParseError, ResourceGuardError
 from .haar import haar_forward, haar_inverse, haar_threshold
 from .hierarchy import LINKAGES, agglomerate, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
@@ -135,13 +135,25 @@ def _cmd_padic_decode(args) -> int:
     return 0
 
 
+# padic-dist builds its whole table in memory; a cell takes about 2 r log10(p)
+# bytes at level r, so a deep tree over a large p can ask for gigabytes
+_TABLE_GUARD = 2**30
+
+
 def _cmd_padic_dist(args) -> int:
     enc = formats.encoding_from_json(_read(args.encoding))
     levels = enc.differing_levels()
+    distinct, counts = np.unique(levels, return_counts=True)
     text = {}
-    for r in np.unique(levels).tolist():
+    size = 0
+    for r, count in zip(distinct.tolist(), counts.tolist()):
         similarity = Fraction(1, enc.p**r)
-        text[r] = str(similarity if args.similarity else 1 - similarity)
+        text[r] = formats._cell(similarity if args.similarity else 1 - similarity)
+        size += count * (len(text[r]) + 1)
+    if size > _TABLE_GUARD:
+        raise ResourceGuardError(
+            f"the distance table would take {size} bytes, past the guard ({_TABLE_GUARD})"
+        )
     table = [list(map(text.__getitem__, row)) for row in levels.tolist()]
     _emit(formats.fraction_matrix_csv(enc.labels, table), args.output)
     return 0
@@ -175,17 +187,9 @@ def _cmd_baire_cluster(args) -> int:
 
 def _cmd_dna_encode(args) -> int:
     lines = []
-    for raw in _read(args.sequences).splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if "," in line:
-            label, _, seq = line.partition(",")
-            encoded = encode_dna(seq.strip(), args.scheme, label.strip())
-            lines.append(f"{encoded.label},{encoded.text()}")
-        else:
-            encoded = encode_dna(line, args.scheme)
-            lines.append(encoded.text())
+    for _, label, sequence in formats._labelled_lines(_read(args.sequences)):
+        digits = encode_dna(sequence, args.scheme).text()
+        lines.append(digits if label is None else f"{label},{digits}")
     if not lines:
         raise ParseError("no sequences in input")
     _emit("\n".join(lines) + "\n", args.output)
@@ -262,12 +266,15 @@ def _cmd_packed(args) -> int:
 
 def _parse_packed_literal(text: str) -> PackedPermutation:
     body = text.strip().strip("()")
-    if "," in body:
-        values = [int(v) for v in body.split(",") if v.strip()]
-    else:
-        if not body.isdigit():
-            raise ParseError(f"cannot parse permutation literal {text!r}")
-        values = [int(ch) for ch in body]
+    try:
+        if "," in body:
+            values = [int(v) for v in body.split(",") if v.strip()]
+        elif body.isdigit():
+            values = [int(ch) for ch in body]
+        else:
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"cannot parse permutation literal {text!r}") from None
     return PackedPermutation(tuple(values))
 
 

@@ -14,9 +14,10 @@ import csv
 import io
 import json
 import typing
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,10 +38,63 @@ from .padic import PadicEncoding, _encoding_from_cells
 from .ultrametric import UltrametricityReport
 
 
+def _cell(value, full_precision: bool = False) -> str:
+    """The text of one number, for every CSV cell, Newick and ``render``.
+
+    A float prints at 7 significant digits, or as its shortest round-trip
+    ``repr`` with ``full_precision`` (``float.__repr__``, so a numpy float
+    prints as a plain number).  An int or ``Fraction`` prints exactly:
+    ``str`` refuses ints past Python's int-to-str digit limit (4,300 by
+    default), and only then does ``Decimal``, which prints the same digits
+    with no limit, take over."""
+    if isinstance(value, float):
+        return float.__repr__(value) if full_precision else f"{value:.7g}"
+    try:
+        return str(value)
+    except ValueError:
+        numerator, denominator = value.as_integer_ratio()
+        text = str(Decimal(numerator))
+        return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
+
+
 def fmt_float(x: float, full_precision: bool = False) -> str:
-    if full_precision:
-        return repr(float(x))
-    return f"{float(x):.7g}"
+    return _cell(float(x), full_precision)
+
+
+def _write_table(
+    header: Sequence[str] | None,
+    labels: Sequence[str] | None,
+    rows: Iterable[Sequence],
+    full_precision: bool = False,
+) -> str:
+    """The one CSV table writer: an optional header row, then one row per
+    item of ``rows``, each led by its label when ``labels`` is given.
+
+    The header and the labels are text and go through ``csv.writer``.  The
+    cells are numbers formatted by ``_cell``; number text (digits, ``.``,
+    ``e``, ``+``, ``-``, ``/``, ``inf``, ``nan``) is never quoted, so the
+    cells are joined directly, which gives the bytes of writing every cell
+    through the writer.  A labelled row with no cells is the label alone, as
+    CSV writes it (``""`` for the empty label).  ``rows`` may be a generator,
+    so a matrix is converted to Python numbers one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    label_text = io.StringIO()
+    label_writer = csv.writer(label_text, lineterminator="\n")
+    for i, row in enumerate(rows):
+        if labels is not None:
+            if len(row) == 0:
+                writer.writerow((labels[i],))
+                continue
+            label_text.seek(0)
+            label_text.truncate()
+            label_writer.writerow((labels[i], ""))  # the label as CSV writes it, then ",\n"
+            out.write(label_text.getvalue()[:-1])
+        out.write(",".join([_cell(v, full_precision) for v in row]))
+        out.write("\n")
+    return out.getvalue()
 
 
 def _is_number(token: str) -> bool:
@@ -84,14 +138,24 @@ def read_data_csv(
     header_names = None
     if header:
         header_names = tuple(rows[0][1:] if labels else rows[0])
+    names, values = _parse_cells(body, 2 if header else 1, labels)
+    return DataTable(header_names, names, values)
+
+
+def _parse_cells(
+    body: list[list[str]], first_line: int, labels: bool
+) -> tuple[tuple[str, ...] | None, np.ndarray]:
+    """The one cell parser: the label column (when ``labels``) and the float
+    cells of ``body``, whose first row is line ``first_line``.  Rows of
+    different widths and cells that are not numbers are one ``ParseError``
+    naming the line (and the column)."""
     names: list[str] | None = [] if labels else None
     data: list[list[float]] = []
     width = None
-    for lineno, row in enumerate(body, start=2 if header else 1):
+    for lineno, row in enumerate(body, start=first_line):
         cells = row
-        if labels:
-            if names is not None:
-                names.append(cells[0])
+        if names is not None:
+            names.append(cells[0])
             cells = cells[1:]
         if width is None:
             width = len(cells)
@@ -104,8 +168,7 @@ def read_data_csv(
             except ValueError:
                 raise ParseError(f"line {lineno}, column {col}: {cell!r} is not a number") from None
         data.append(parsed)
-    return DataTable(
-        header_names,
+    return (
         tuple(names) if names is not None else None,
         np.asarray(data, dtype=float),
     )
@@ -119,13 +182,9 @@ def read_matrix_csv(text: str) -> DissimilarityMatrix:
 def write_matrix_csv(
     m: DissimilarityMatrix, full_precision: bool = False
 ) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     labels = m.label_list()
-    writer.writerow([""] + list(labels))
-    for label, row in zip(labels, m.values):
-        writer.writerow([label] + [fmt_float(v, full_precision) for v in row])
-    return out.getvalue()
+    rows = (row.tolist() for row in m.values)
+    return _write_table(["", *labels], labels, rows, full_precision)
 
 
 def _child_token(child: Child) -> str:
@@ -166,29 +225,48 @@ def tree_to_json(tree: Dendrogram) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def tree_from_json(text: str) -> Dendrogram:
+def _load_json(text: str):
+    """``json.loads``, with every way it refuses text as one ``ParseError``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer past Python's int-to-str digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
+
+
+def _json_int(doc: str, name: str, value) -> int:
+    """``value`` when it is a JSON integer; a float (``1.7``, ``1e400``), a
+    string or ``true`` is one ``ParseError``."""
+    if type(value) is not int:
+        raise ParseError(f"{doc} JSON field {name!r} must be an integer")
+    return value
+
+
+def tree_from_json(text: str) -> Dendrogram:
+    """Read ``tree_to_json`` text; ``n`` and each node's ``rank`` must be
+    JSON integers."""
+    doc = _load_json(text)
     try:
         labels = tuple(str(x) for x in doc["labels"])
-        n = int(doc.get("n", len(labels)))
+        n = doc.get("n", len(labels))
         raw_nodes = doc["nodes"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"tree JSON missing field: {exc}") from None
-    if n != len(labels):
+    if _json_int("tree", "n", n) != len(labels):
         raise ParseError(f"n={n} does not match {len(labels)} labels")
-    if not isinstance(raw_nodes, list) or not all(
-        isinstance(item, dict) and isinstance(item.get("rank", 0), int) for item in raw_nodes
-    ):
-        raise ParseError("tree JSON field 'nodes' must be a list of objects with integer ranks")
+    if not isinstance(raw_nodes, list) or not all(isinstance(item, dict) for item in raw_nodes):
+        raise ParseError("tree JSON field 'nodes' must be a list of objects")
+    for item in raw_nodes:
+        _json_int("tree", "rank", item.get("rank", 0))
     nodes = []
     for item in sorted(raw_nodes, key=lambda d: d.get("rank", 0)):
         try:
             nodes.append(
                 MergeNode(
-                    rank=int(item["rank"]),
+                    rank=item["rank"],
                     height=float(item["height"]),
                     left=_parse_child(item["left"], n),
                     right=_parse_child(item["right"], n),
@@ -230,40 +308,33 @@ def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
                 full_precision: bool = False) -> str:
     """Wavelet table layout: rows are coordinates, columns are the root
     smooth s_{n-1} followed by details d_{n-1} down to d_1."""
-    m = t.dim
     n1 = len(t.details)
     if coord_names is None:
-        coord_names = tuple(f"c{i + 1}" for i in range(m))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + [f"s{n1}"] + [f"d{r}" for r in range(n1, 0, -1)])
-    for c in range(m):
-        row = [coord_names[c], fmt_float(t.root_smooth[c], full_precision)]
-        row += [fmt_float(t.details[r - 1][c], full_precision) for r in range(n1, 0, -1)]
-        writer.writerow(row)
-    return out.getvalue()
+        coord_names = tuple(f"c{i + 1}" for i in range(t.dim))
+    header = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
+    table = np.column_stack((t.root_smooth, *t.details[::-1]))
+    return _write_table(header, coord_names, (row.tolist() for row in table), full_precision)
 
 
 def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str, ...]]:
+    """Read ``haar_to_csv`` text for ``tree``: the header must name the
+    tree's columns, and the coordinate rows go through the cell parser of
+    ``read_data_csv``."""
     rows = _rows_from_csv(text)
     header = rows[0]
     n1 = len(tree.nodes)
-    expected = [""] + [f"s{n1}"] + [f"d{r}" for r in range(n1, 0, -1)]
-    if [h.strip() for h in header] != expected:
+    expected = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
+    if header != expected:
         raise ParseError(f"wavelet CSV header {header!r} does not match tree with {n1} nodes")
-    coord_names = []
-    smooth = []
-    details: list[list[float]] = [[] for _ in range(n1)]
-    for row in rows[1:]:
-        if len(row) != n1 + 2:
-            raise ParseError(f"wavelet CSV row {row!r} has wrong width")
-        coord_names.append(row[0])
-        smooth.append(float(row[1]))
-        for pos in range(n1):
-            details[n1 - 1 - pos].append(float(row[2 + pos]))
-    root = np.asarray(smooth, dtype=float)
-    detail_arrays = tuple(np.asarray(d, dtype=float) for d in details)
-    return HaarTransform(tree, root, detail_arrays), tuple(coord_names)
+    if len(rows) == 1:
+        raise ParseError("wavelet CSV has no coordinate rows")
+    coord_names, table = _parse_cells(rows[1:], 2, labels=True)
+    if table.shape[1] != n1 + 1:
+        raise ParseError(
+            f"wavelet CSV rows hold {table.shape[1]} values, the tree needs {n1 + 1}"
+        )
+    # column 0 is the root smooth, then d_{n-1} down to d_1
+    return HaarTransform(tree, table[:, 0], tuple(table[:, :0:-1].T)), coord_names
 
 
 def write_data_csv(
@@ -272,14 +343,10 @@ def write_data_csv(
     header: Sequence[str] | None = None,
     full_precision: bool = False,
 ) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if header is not None:
-        writer.writerow(([""] if labels is not None else []) + list(header))
-    for i, row in enumerate(np.atleast_2d(data)):
-        prefix = [labels[i]] if labels is not None else []
-        writer.writerow(prefix + [fmt_float(v, full_precision) for v in row])
-    return out.getvalue()
+        header = ([""] if labels is not None else []) + list(header)
+    rows = (row.tolist() for row in np.atleast_2d(data))
+    return _write_table(header, labels, rows, full_precision)
 
 
 def encoding_to_json(enc: PadicEncoding) -> str:
@@ -303,17 +370,13 @@ def encoding_from_json(text: str) -> PadicEncoding:
     integers, ``labels`` a list of strings and ``C`` a list of n(n-1)
     integers (not true or false); any other type is one ``ParseError``.
     The encoding then gets the checks of the ``PadicEncoding`` constructor."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    doc = _load_json(text)
     try:
         p, n, labels, flat = doc["p"], doc["n"], doc["labels"], doc["C"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"encoding JSON missing or bad field: {exc}") from None
-    for name, value in (("p", p), ("n", n)):
-        if type(value) is not int:
-            raise ParseError(f"encoding JSON field {name!r} must be an integer")
+    _json_int("encoding", "p", p)
+    _json_int("encoding", "n", n)
     if type(labels) is not list or not {str}.issuperset(map(type, labels)):
         raise ParseError("encoding JSON field 'labels' must be a list of strings")
     if type(flat) is not list or not {int}.issuperset(map(type, flat)):
@@ -324,47 +387,22 @@ def encoding_from_json(text: str) -> PadicEncoding:
 
 
 def decimal_codes_csv(enc: PadicEncoding) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["label", "code"])
-    writer.writerows(zip(enc.labels, enc.decimal_codes()))
-    return out.getvalue()
+    codes = ([code] for code in enc.decimal_codes())
+    return _write_table(["label", "code"], enc.labels, codes)
 
 
 def fraction_matrix_csv(
     labels: Sequence[str], values: Sequence[Sequence[Fraction]]
 ) -> str:
-    """Labelled square table of exact fractions (or their ``str``).
-
-    A fraction prints as digits, ``/`` and ``-``, which CSV never quotes, so
-    only the labels go through the csv writer; each row's values are joined
-    directly, which keeps the bytes of writing every cell through it."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(labels))
-    cell = io.StringIO()
-    label_writer = csv.writer(cell, lineterminator="\n")
-    for label, row in zip(labels, values):
-        cell.seek(0)
-        cell.truncate()
-        label_writer.writerow((label, ""))  # the label as CSV writes it, then ",\n"
-        out.write(cell.getvalue()[:-1])
-        out.write(",".join(map(str, row)))
-        out.write("\n")
-    return out.getvalue()
+    """Labelled square table of exact fractions (or their text)."""
+    return _write_table(["", *labels], labels, values)
 
 
 def violations_csv(violations: Iterable[tuple[int, int, int, float, float]],
                    full_precision: bool = False) -> str:
     """Violating triples as 1-based (i, j, k, lhs, rhs) rows."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["i", "j", "k", "lhs", "rhs"])
-    for i, j, k, lhs, rhs in violations:
-        writer.writerow(
-            [i + 1, j + 1, k + 1, fmt_float(lhs, full_precision), fmt_float(rhs, full_precision)]
-        )
-    return out.getvalue()
+    rows = ([i + 1, j + 1, k + 1, float(lhs), float(rhs)] for i, j, k, lhs, rhs in violations)
+    return _write_table(["i", "j", "k", "lhs", "rhs"], None, rows, full_precision)
 
 
 def report_to_json(report: UltrametricityReport) -> str:
@@ -377,19 +415,28 @@ def report_to_json(report: UltrametricityReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def read_strings(text: str, base: int) -> list[BaireString]:
-    """One digit string per line, or CSV lines ``label,digits``."""
-    strings: list[BaireString] = []
+def _labelled_lines(text: str) -> Iterator[tuple[int, str | None, str]]:
+    """``(line number, label, body)`` of each nonblank line, stripped: a line
+    ``label,body`` splits at its first comma, any other line has label None."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        label, comma, body = line.partition(",")
+        if comma:
+            yield lineno, label.strip(), body.strip()
+        else:
+            yield lineno, None, line
+
+
+def read_strings(text: str, base: int) -> list[BaireString]:
+    """One digit string per line, or CSV lines ``label,digits``."""
+    strings: list[BaireString] = []
+    for lineno, label, digits in _labelled_lines(text):
         try:
-            if "," in line:
-                label, _, digits = line.partition(",")
-                strings.append(parse_digits(digits.strip(), base, label.strip()))
-            else:
-                strings.append(parse_digits(line, base, f"s{len(strings) + 1}"))
+            if label is None:
+                label = f"s{len(strings) + 1}"
+            strings.append(parse_digits(digits, base, label))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if not strings:

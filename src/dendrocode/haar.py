@@ -21,7 +21,7 @@ from .hierarchy import Child, Dendrogram, TERMINAL, walk
 
 @dataclass(frozen=True)
 class HaarTransform:
-    """Root smooth plus one detail vector per internal node rank."""
+    """Root smooth plus one detail vector per internal node rank, all finite."""
 
     tree: Dendrogram
     root_smooth: np.ndarray
@@ -41,6 +41,11 @@ class HaarTransform:
             arr.setflags(write=False)
             frozen.append(arr)
         object.__setattr__(self, "details", tuple(frozen))
+        # a coefficient read as inf or nan, or an overflowing smooth, which
+        # reaches the root as inf or nan
+        if not (np.isfinite(root).all() and all(np.isfinite(d).all() for d in frozen)):
+            raise DomainError("Haar coefficients must be finite; a value is inf, nan "
+                              "or overflows the float range")
 
     @property
     def dim(self) -> int:
@@ -79,9 +84,6 @@ def haar_forward(tree: Dendrogram, data: np.ndarray) -> HaarTransform:
         root_smooth = smooths[("q", tree.nodes[-1].rank)]
     else:
         root_smooth = smooths[(TERMINAL, 0)]
-    # an overflowing smooth reaches the root as inf or nan
-    if not (np.isfinite(root_smooth).all() and all(np.isfinite(d).all() for d in details)):
-        raise DomainError("Haar coefficients overflow the float range")
     return HaarTransform(tree, root_smooth, tuple(details))
 
 
@@ -93,15 +95,18 @@ def haar_inverse(t: HaarTransform) -> np.ndarray:
     out = np.empty((tree.n, t.dim), dtype=float)
     # acc[-1]: the root smooth plus the signed details along the current path
     acc = [t.root_smooth]
-    for (kind, idx), visit in walk(tree):
-        if kind == TERMINAL:
-            out[idx, :] = acc[-1]
-        elif visit == 0:
-            acc.append(acc[-1] + t.detail(idx))
-        elif visit == 1:
-            acc[-1] = acc[-2] - t.detail(idx)
-        else:
-            acc.pop()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (kind, idx), visit in walk(tree):
+            if kind == TERMINAL:
+                out[idx, :] = acc[-1]
+            elif visit == 0:
+                acc.append(acc[-1] + t.detail(idx))
+            elif visit == 1:
+                acc[-1] = acc[-2] - t.detail(idx)
+            else:
+                acc.pop()
+    if not np.isfinite(out).all():
+        raise DomainError("Haar reconstruction overflows the float range")
     return out
 
 

@@ -23,18 +23,36 @@ from .errors import DomainError, MalformedEncodingError
 from .hierarchy import Dendrogram, MergeNode, TERMINAL, internal, terminal, walk
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin over the bases 2, 3, ..., 41, exact for
+    every p below 3,317,044,064,679,887,385,961,981; a larger p cannot be
+    decided and is a ``DomainError``."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
+    if p >= _PRIME_BOUND:
+        raise DomainError(f"primality is decided only for p below {_PRIME_BOUND}")
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # a witnesses that p is composite
     return True
 
 

@@ -271,15 +271,56 @@ def padic_table(enc, similarity=False):
     return [[fn(a, b) for b in codes] for a in codes]
 
 
-def csv_table(labels, table):
-    """Labelled square table with every cell, ``str`` of each value, written
-    through ``csv.writer``."""
+def csv_table(header, labels, rows):
+    """A CSV table with every cell written through ``csv.writer``: the
+    ``header`` row unless it is None, then each row of ``rows`` led by its
+    label unless ``labels`` is None.  Cells are text (anything else is
+    written as ``str`` of it, as ``csv.writer`` does)."""
     import csv
     import io
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(labels))
-    for label, row in zip(labels, table):
-        writer.writerow([label] + [str(v) for v in row])
+    if header is not None:
+        writer.writerow(header)
+    for i, row in enumerate(rows):
+        writer.writerow(([labels[i]] if labels is not None else []) + list(row))
     return out.getvalue()
+
+
+def exact_text(value):
+    """Decimal text of an int or Fraction (``num/den``), splitting large ints
+    in halves by division by a power of ten; ``str`` is taken only below
+    10**18, so Python's int-to-str digit limit does not apply."""
+
+    def digits(v):  # v >= 0
+        if v < 10**18:
+            return str(v)
+        k = v.bit_length() * 3 // 20  # about half of v's decimal digits
+        high, low = divmod(v, 10**k)
+        return digits(high) + digits(low).rjust(k, "0")
+
+    def signed(v):
+        return "-" + digits(-v) if v < 0 else digits(v)
+
+    numerator, denominator = value.as_integer_ratio()
+    if denominator == 1:
+        return signed(numerator)
+    return f"{signed(numerator)}/{digits(denominator)}"
+
+
+def float_text(value, full_precision):
+    """A float cell: its shortest round-trip repr, or 7 significant digits."""
+    return repr(float(value)) if full_precision else format(float(value), ".7g")
+
+
+def trial_division_is_prime(p):
+    """Primality by trial division up to sqrt(p)."""
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True

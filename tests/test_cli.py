@@ -10,11 +10,12 @@ import pytest
 
 from dendrocode.cli import main
 from dendrocode import formats
+from dendrocode.baire import baire_distance
 from dendrocode.hierarchy import Dendrogram
-from dendrocode.padic import encode_dendrogram
+from dendrocode.padic import encode_dendrogram, evaluate_code
 
-from conftest import random_tree
-from oracles import csv_table, padic_table
+from conftest import caterpillar, random_tree
+from oracles import csv_table, exact_text, padic_table
 from reference import FCA_ATTRIBUTES, FCA_CELLS, FCA_OBJECTS, IRIS8, IRIS_LABELS8
 
 
@@ -186,7 +187,7 @@ class TestPadicVerbs:
         for text in texts:
             path.write_text(text)
             enc = formats.encoding_from_json(text)
-            expected = csv_table(enc.labels, padic_table(enc, bool(flags)))
+            expected = csv_table(["", *enc.labels], enc.labels, padic_table(enc, bool(flags)))
             assert run(capsys, "padic-dist", str(path), *flags) == (0, expected, "")
 
     def test_dist_reads_encodings_that_do_not_decode(self, tmp_path, capsys):
@@ -279,6 +280,91 @@ class TestHaarVerbs:
                     assert value == 0.0 or abs(value) >= 0.2
 
 
+    @pytest.fixture
+    def wavelet_tree(self, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(formats.tree_to_json(random_tree(3, random.Random(7))))
+        return tree
+
+    @pytest.mark.parametrize("verb", [["haar-inverse"], ["haar-denoise", "--epsilon", "0.1"]])
+    @pytest.mark.parametrize("table, error", [
+        (",s2,d2,d1\nc1,1,2,3\nc2,4,five,6\n",
+         "E_PARSE: line 3, column 2: 'five' is not a number\n"),
+        (",s2,d2,d1\nc1,1,2\n", "E_PARSE: wavelet CSV rows hold 2 values, the tree needs 3\n"),
+        (",s2,d2,d1\n", "E_PARSE: wavelet CSV has no coordinate rows\n"),
+        (",s2,d2,d1\nc1,inf,0,0\n", "E_DOMAIN: Haar coefficients must be finite"),
+        (",s2,d2,d1\nc1,nan,0,0\n", "E_DOMAIN: Haar coefficients must be finite"),
+        (",s2,d2,d1\nc1,1e308,1e308,1e308\n",
+         "E_DOMAIN: Haar reconstruction overflows the float range\n"),
+    ], ids=["word", "narrow", "header-only", "inf", "nan", "overflow"])
+    def test_bad_wavelet_table_is_one_error_line(self, tmp_path, capsys, wavelet_tree,
+                                                 verb, table, error):
+        wt = tmp_path / "wt.csv"
+        wt.write_text(table)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(capsys, *verb, str(wt), "--tree", str(wavelet_tree),
+                                "-o", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(error) and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestExactCellsPastTheDigitLimit:
+    """Ints and fractions past Python's 4,300-digit int-to-str limit print
+    exactly (``exact_text`` is the referee)."""
+
+    def test_padic_encode_decimals(self, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text(formats.tree_to_json(caterpillar(800, "left")))
+        enc_path, codes = tmp_path / "enc.json", tmp_path / "codes.csv"
+        code, _, err = run(capsys, "padic-encode", str(tree), "-p", "1000003",
+                           "-o", str(enc_path), "--decimals", str(codes))
+        assert (code, err) == (0, "")
+        enc = formats.encoding_from_json(enc_path.read_text())
+        values = [evaluate_code(c) for c in enc.codes()]
+        assert max(len(exact_text(v)) for v in values) > 4300
+        expected = csv_table(["label", "code"], enc.labels, [[exact_text(v)] for v in values])
+        assert codes.read_text() == expected
+
+    def test_padic_dist(self, tmp_path, capsys):
+        # the largest prime below is_prime's bound; only rows 0 and 1 differ
+        # from the others at the root level 176, where p^176 has 4,316 digits
+        p, n = 3317044064679887385961813, 177
+        rows = [[1] * (n - 1), [-1] * (n - 2) + [1]] + [[0] * (n - 2) + [-1]] * (n - 2)
+        labels = [f"x{i}" for i in range(n)]
+        doc = {"p": p, "n": n, "labels": labels, "C": [c for row in rows for c in row]}
+        path = tmp_path / "enc.json"
+        path.write_text(json.dumps(doc))
+        enc = formats.encoding_from_json(path.read_text())
+        table = [[exact_text(v) for v in row] for row in padic_table(enc)]
+        assert max(len(cell) for row in table for cell in row) > 2 * 4300
+        code, out, err = run(capsys, "padic-dist", str(path))
+        assert (code, err) == (0, "")
+        assert out == csv_table(["", *labels], labels, table)
+
+    def test_padic_dist_table_past_the_guard(self, tmp_path, capsys):
+        # 1 - 1/p^r at p = 1000003 over an 800-leaf caterpillar: about 4 GB of text
+        tree = tmp_path / "tree.json"
+        tree.write_text(formats.tree_to_json(caterpillar(800, "left")))
+        enc_path = tmp_path / "enc.json"
+        run(capsys, "padic-encode", str(tree), "-p", "1000003", "-o", str(enc_path))
+        code, out, err = run(capsys, "padic-dist", str(enc_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("E_RESOURCE: the distance table would take ")
+        assert err.count("\n") == 1
+
+    def test_baire_dist_exact(self, tmp_path, capsys):
+        digits = "7" * 5000
+        path = tmp_path / "strings.txt"
+        path.write_text(f"a,{digits}\nb,{digits}\n")
+        code, out, err = run(capsys, "baire-dist", str(path), "--exact")
+        assert (code, err) == (0, "")
+        strings = formats.read_strings(path.read_text(), 10)
+        table = [[exact_text(baire_distance(s, t)) for t in strings] for s in strings]
+        assert table[0][1] == "1/1" + "0" * 5000
+        assert out == csv_table(["", "a", "b"], ["a", "b"], table)
+
+
 class TestStreamVerbs:
     def test_ordinal(self, stream_csv, capsys):
         code, out, _ = run(capsys, "ordinal", "--order", "2", "--delay", "1",
@@ -317,6 +403,12 @@ class TestPermutationVerbs:
         assert code == 0
         code, out2, _ = run(capsys, "packed", str(rebuilt_path))
         assert out2.strip() == literal
+
+    @pytest.mark.parametrize("literal", ["(1,a,3)", "(1²3)", "(12x)"])
+    def test_unpack_rejects_non_integers(self, capsys, literal):
+        code, out, err = run(capsys, "unpack", literal)
+        assert (code, out) == (1, "")
+        assert err == f"E_PARSE: cannot parse permutation literal {literal!r}\n"
 
     def test_unpack_rejects_bad_sentinel(self, capsys):
         code, _, err = run(capsys, "unpack", "(21)")

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dendrocode import formats
 from dendrocode.baire import BaireString
-from dendrocode.errors import ParseError
-from dendrocode.haar import haar_forward, haar_inverse
+from dendrocode.errors import DomainError, ParseError
+from dendrocode.haar import HaarTransform, haar_forward, haar_inverse
 from dendrocode.hierarchy import (
     Dendrogram,
     DissimilarityMatrix,
@@ -18,13 +20,13 @@ from dendrocode.hierarchy import (
     pairwise_distances,
     terminal,
 )
-from dendrocode.padic import encode_dendrogram
+from dendrocode.padic import encode_dendrogram, evaluate_code
 from dendrocode.lattice import BooleanTable, build_semilattice
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
 
 from conftest import random_tree
-from oracles import csv_table
+from oracles import csv_table, exact_text, float_text
 from reference import IRIS8, IRIS_LABELS8
 
 
@@ -90,6 +92,27 @@ class TestTreeJson:
         with pytest.raises(ParseError, match="line"):
             formats.tree_from_json("{not json")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", "abc"), ("n", 1e400), ("n", 1.7), ("n", 2.0), ("n", True),
+        ("rank", True), ("rank", 1.0), ("rank", "1"),
+    ])
+    def test_non_integer_n_and_rank_rejected(self, field, value):
+        doc = {"n": 2, "labels": ["a", "b"],
+               "nodes": [{"rank": 1, "height": 1.0, "left": "t1", "right": "t2"}]}
+        formats.tree_from_json(json.dumps(doc))  # the document itself is valid
+        (doc if field == "n" else doc["nodes"][0])[field] = value
+        with pytest.raises(ParseError, match=f"tree JSON field '{field}' must be an integer"):
+            formats.tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("reader", [formats.tree_from_json, formats.encoding_from_json])
+    @pytest.mark.parametrize("text", [
+        '{"n": ' + "1" * 5000 + "}",  # past the int-to-str digit limit
+        "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+    ], ids=["long-int", "deep"])
+    def test_json_the_decoder_refuses(self, reader, text):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            reader(text)
+
     def test_bad_child_reference(self):
         text = json.dumps(
             {
@@ -143,6 +166,31 @@ class TestHaarCsv:
         other = random_tree(6, rng)
         with pytest.raises(ParseError, match="header"):
             formats.haar_from_csv(text, other)
+
+
+    def test_coordinate_rows_go_through_the_cell_parser(self, rng):
+        tree = random_tree(3, rng)
+        good = ",s2,d2,d1\nc1,1,2,3\nc2,4,5,6\n"
+        back, names = formats.haar_from_csv(good, tree)
+        assert names == ("c1", "c2")
+        assert back.root_smooth.tolist() == [1.0, 4.0]
+        assert back.detail(2).tolist() == [2.0, 5.0] and back.detail(1).tolist() == [3.0, 6.0]
+        with pytest.raises(ParseError, match=r"^line 3, column 2: 'x' is not a number$"):
+            formats.haar_from_csv(",s2,d2,d1\nc1,1,2,3\nc2,4,x,6\n", tree)
+        with pytest.raises(ParseError, match="^line 3: expected 3 cells, got 2$"):
+            formats.haar_from_csv(",s2,d2,d1\nc1,1,2,3\nc2,4,5\n", tree)
+        with pytest.raises(ParseError, match="hold 2 values, the tree needs 3"):
+            formats.haar_from_csv(",s2,d2,d1\nc1,1,2\nc2,4,5\n", tree)
+        with pytest.raises(ParseError, match="no coordinate rows"):
+            formats.haar_from_csv(",s2,d2,d1\n", tree)
+        with pytest.raises(ParseError, match="header"):  # the corner cell must be empty
+            formats.haar_from_csv("x,s2,d2,d1\nc1,1,2,3\n", tree)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_coefficients_rejected(self, rng, cell):
+        tree = random_tree(3, rng)
+        with pytest.raises(DomainError, match="must be finite"):
+            formats.haar_from_csv(f",s2,d2,d1\nc1,1,{cell},3\n", tree)
 
 
 class TestEncodingJson:
@@ -201,10 +249,102 @@ class TestFractionMatrixCsv:
     def test_equals_writing_every_cell(self):
         labels = ("", "a,b", 'say "hi"', " lead", "new\nline", "cr\rhere", "é", "plain")
         table = [[Fraction(i - j, 3 ** (i + j)) for j in range(8)] for i in range(8)]
-        assert formats.fraction_matrix_csv(labels, table) == csv_table(labels, table)
+        assert formats.fraction_matrix_csv(labels, table) == csv_table(["", *labels], labels, table)
 
     def test_single_label(self):
-        assert formats.fraction_matrix_csv(("",), [[Fraction(0)]]) == csv_table(("",), [[Fraction(0)]])
+        expected = csv_table(["", ""], ("",), [[Fraction(0)]])
+        assert formats.fraction_matrix_csv(("",), [[Fraction(0)]]) == expected
+
+
+# Labels that CSV must quote (",", '"', "\n"), that it writes bare ("\r", a
+# leading space), and the empty label, which CSV quotes when it is alone.
+LABELS = st.text(st.sampled_from(["a", "b", ",", '"', "\n", "\r", " ", "é"]), max_size=4)
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1 / 3]
+FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+ANY_FLOATS = FLOATS | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+# ints past Python's 4,300-digit int-to-str limit among small ones
+INTS = st.integers(-10**6, 10**6) | st.builds(
+    lambda digit, k, low: digit * 10**k + low,
+    st.integers(-9, 9), st.integers(4290, 6000), st.integers(0, 10**6),
+)
+FRACTIONS = st.builds(Fraction, INTS, INTS.filter(bool))
+
+
+class TestWriterReferee:
+    """Every tabular writer, byte for byte against ``csv_table``, which writes
+    each cell through ``csv.writer``; number cells are ``float_text`` and
+    ``exact_text``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.booleans())
+    def test_write_matrix_csv(self, data, n, full):
+        values = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i, j] = values[j, i] = data.draw(FLOATS.map(abs) | st.just(-0.0))
+        labels = data.draw(st.none() | st.lists(LABELS, min_size=n, max_size=n))
+        m = DissimilarityMatrix(values, labels)
+        names = m.label_list()
+        rows = [[float_text(v, full) for v in row] for row in values]
+        assert formats.write_matrix_csv(m, full) == csv_table(["", *names], names, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(0, 4), st.integers(0, 4), st.booleans())
+    def test_write_data_csv(self, data, r, c, full):
+        values = np.array(data.draw(st.lists(ANY_FLOATS, min_size=r * c, max_size=r * c)))
+        values = values.reshape(r, c)
+        labels = data.draw(st.none() | st.lists(LABELS, min_size=r, max_size=r))
+        header = data.draw(st.none() | st.lists(LABELS, min_size=c, max_size=c))
+        full_header = None if header is None else ([""] if labels is not None else []) + header
+        rows = [[float_text(v, full) for v in row] for row in values]
+        expected = csv_table(full_header, labels, rows)
+        assert formats.write_data_csv(values, labels, header, full) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.booleans())
+    def test_haar_to_csv(self, data, n, m, full):
+        tree = random_tree(n, random.Random(n)) if n > 1 else Dendrogram(("x",), ())
+        draw_vector = lambda: data.draw(st.lists(FLOATS, min_size=m, max_size=m))  # noqa: E731
+        t = HaarTransform(tree, draw_vector(), tuple(draw_vector() for _ in range(n - 1)))
+        names = data.draw(st.none() | st.lists(LABELS, min_size=m, max_size=m))
+        header = ["", f"s{n - 1}", *(f"d{r}" for r in range(n - 1, 0, -1))]
+        rows = [[float_text(t.root_smooth[c], full)]
+                + [float_text(t.detail(r)[c], full) for r in range(n - 1, 0, -1)]
+                for c in range(m)]
+        labels = names if names is not None else [f"c{c + 1}" for c in range(m)]
+        assert formats.haar_to_csv(t, names, full) == csv_table(header, labels, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(INTS, INTS, INTS, ANY_FLOATS, ANY_FLOATS), max_size=4), st.booleans())
+    def test_violations_csv(self, violations, full):
+        rows = [[exact_text(i + 1), exact_text(j + 1), exact_text(k + 1),
+                 float_text(lhs, full), float_text(rhs, full)]
+                for i, j, k, lhs, rhs in violations]
+        expected = csv_table(["i", "j", "k", "lhs", "rhs"], None, rows)
+        assert formats.violations_csv(violations, full) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.sampled_from([3, 5, 7]))
+    def test_decimal_codes_csv(self, data, n, p):
+        labels = data.draw(st.lists(LABELS, min_size=n, max_size=n))
+        tree = random_tree(n, random.Random(n)) if n > 1 else Dendrogram(("x",), ())
+        enc = encode_dendrogram(Dendrogram(tuple(labels), tree.nodes), p)
+        rows = [[exact_text(evaluate_code(code))] for code in enc.codes()]
+        assert formats.decimal_codes_csv(enc) == csv_table(["label", "code"], labels, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 4))
+    def test_fraction_matrix_csv(self, data, n):
+        labels = data.draw(st.lists(LABELS, min_size=n, max_size=n))
+        table = [data.draw(st.lists(FRACTIONS, min_size=n, max_size=n)) for _ in range(n)]
+        rows = [[exact_text(v) for v in row] for row in table]
+        assert formats.fraction_matrix_csv(labels, table) == csv_table(["", *labels], labels, rows)
+
+    def test_labelled_rows_with_no_cells(self):
+        # CSV writes a row holding only the empty label as ""
+        text = formats.write_data_csv(np.zeros((3, 0)), ["", "a,b", "c"], [])
+        assert text == '""\n""\n"a,b"\nc\n'
+        assert text == csv_table([""], ["", "a,b", "c"], [[], [], []])
 
 
 class TestStringsAndStreams:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from dendrocode.padic import (
     decode,
     encode_dendrogram,
     evaluate_code,
+    is_prime,
     padic_distance,
     padic_similarity,
     scale_operator,
@@ -32,7 +34,7 @@ from dendrocode.padic import (
 )
 
 from conftest import caterpillar, random_tree
-from oracles import decode_by_sets, lca_rank
+from oracles import decode_by_sets, lca_rank, trial_division_is_prime
 from reference import EIGHT_LEAF_COEFFICIENTS, eight_leaf_example_tree
 
 
@@ -419,3 +421,25 @@ class TestValuationDistance:
     def test_nonprime_rejected(self):
         with pytest.raises(DomainError):
             valuation_distance(5, 1, 6)
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert [p for p in range(-3, 10**5) if is_prime(p)] == [
+            p for p in range(-3, 10**5) if trial_division_is_prime(p)
+        ]
+
+    def test_strong_pseudoprime_to_bases_2_3_5_7_rejected(self):
+        assert trial_division_is_prime(3215031751) is False
+        assert is_prime(3215031751) is False
+
+    def test_large_primes_answered_at_once(self):
+        start = time.perf_counter()
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**61 - 1) * (2**13 - 1))
+        assert is_prime(3317044064679887385961813)  # the largest prime below the bound
+        assert time.perf_counter() - start < 1.0
+
+    def test_bound_named(self):
+        with pytest.raises(DomainError, match="3317044064679887385961981"):
+            is_prime(3317044064679887385961981)
