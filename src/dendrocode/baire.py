@@ -10,14 +10,14 @@ ever-longer agreement is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, DomainError, ParseError
-from .hierarchy import Child, Dendrogram, MergeNode, internal, terminal
+from .hierarchy import Dendrogram, MergeNode, internal, join_gaps, terminal
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,17 @@ class BaireString:
         object.__setattr__(self, "digits", digits)
 
     def text(self) -> str:
-        if self.base <= len(_DIGIT_CHARS):
-            return "".join(_DIGIT_CHARS[d] for d in self.digits)
-        return ",".join(str(d) for d in self.digits)
+        return _digit_text(self.base, self.digits)
 
 
 _DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _digit_text(base: int, digits: Sequence[int]) -> str:
+    """Digits as characters up to base 36, else comma-separated numbers."""
+    if base <= len(_DIGIT_CHARS):
+        return "".join(map(_DIGIT_CHARS.__getitem__, digits))
+    return ",".join(map(str, digits))
 
 
 def parse_digits(text: str, base: int, label: str | None = None) -> BaireString:
@@ -165,59 +170,58 @@ def encode_dna(sequence: str, scheme: str = "5-adic", label: str | None = None) 
     return BaireString(base, tuple(digits), label)
 
 
-@dataclass
-class TrieNode:
-    children: dict[int, "TrieNode"] = field(default_factory=dict)
-    members: list[int] = field(default_factory=list)  # string indices ending here
-    size: int = 0  # strings passing through or ending here
-
-
 @dataclass(frozen=True)
 class PrefixHierarchy:
-    """A digit trie over a set of strings plus the induced hierarchy."""
+    """The prefix tree of a set of strings, held as the strings sorted by
+    digits: ``order`` lists the string indices in that stable order and
+    ``lcp[k]`` is the common-prefix length of sorted neighbours k-1 and k
+    (0 at k=0).  Each trie node is a prefix, first met where d > lcp[k]."""
 
     base: int
-    depth: int
-    root: TrieNode
     labels: tuple[str, ...]
-    node_count: int
+    strings: tuple[BaireString, ...]
+    order: tuple[int, ...]
+    lcp: tuple[int, ...]
+
+    @property
+    def depth(self) -> int:
+        return max(len(s.digits) for s in self.strings)
+
+    @property
+    def node_count(self) -> int:
+        """Trie nodes: the root plus every distinct nonempty prefix."""
+        strings = self.strings
+        return 1 + sum(len(strings[i].digits) - r for i, r in zip(self.order, self.lcp))
 
     def member_count(self) -> int:
-        return self.root.size
+        return len(self.strings)
 
     def dump_text(self) -> str:
-        """Indented one-node-per-line rendering for inspection."""
-        lines: list[str] = []
-        stack = [(self.root, "")]
-        while stack:
-            node, prefix = stack.pop()
-            tag = ""
-            if node.members:
-                tag = "  <- " + ", ".join(self.labels[i] for i in node.members)
-            lines.append("  " * len(prefix) + f"{prefix or '(root)'} [{node.size}]{tag}")
-            for digit in sorted(node.children, reverse=True):
-                stack.append((node.children[digit], prefix + _DIGIT_CHARS[digit]))
+        """Indented one-node-per-line rendering for inspection, in preorder
+        with children in digit order: each node shows its prefix (as
+        ``BaireString.text`` writes digits), the number of strings under it
+        and the labels of the strings that end there."""
+        order, lcp, n = self.order, self.lcp, len(self.order)
+        digits = [self.strings[i].digits for i in order]
+        # per line: depth, first sorted position, end of its sorted run
+        depths, starts, ends = [0], [0], [n]
+        open_lines = [0]  # lines of the nodes on the current root path
+        for k in range(n):
+            while depths[open_lines[-1]] > lcp[k]:
+                ends[open_lines.pop()] = k
+            for d in range(lcp[k] + 1, len(digits[k]) + 1):
+                open_lines.append(len(depths))
+                depths.append(d)
+                starts.append(k)
+                ends.append(n)
+        lines = [f"(root) [{n}]"]
+        for d, k, end in zip(depths[1:], starts[1:], ends[1:]):
+            j = k  # the strings that end here come first in the run
+            while j < end and len(digits[j]) == d:
+                j += 1
+            tag = "  <- " + ", ".join(self.labels[i] for i in order[k:j]) if j > k else ""
+            lines.append(f"{'  ' * d}{_digit_text(self.base, digits[k][:d])} [{end - k}]{tag}")
         return "\n".join(lines) + "\n"
-
-
-def _build_trie(strings: Sequence[BaireString]) -> tuple[TrieNode, int, int]:
-    root = TrieNode()
-    count = 1
-    depth = 0
-    for index, s in enumerate(strings):
-        node = root
-        node.size += 1
-        for d in s.digits:
-            nxt = node.children.get(d)
-            if nxt is None:
-                nxt = TrieNode()
-                node.children[d] = nxt
-                count += 1
-            node = nxt
-            node.size += 1
-        node.members.append(index)
-        depth = max(depth, len(s.digits))
-    return root, count, depth
 
 
 def baire_cluster(
@@ -225,11 +229,12 @@ def baire_cluster(
 ) -> tuple[PrefixHierarchy, Dendrogram]:
     """One-pass prefix-tree clustering.
 
-    Builds the trie in time linear in the total digit count, then exports a
-    binary dendrogram: items under a trie node of depth r merge at height
-    base^(-r); multiway splits are binarized left-to-right by digit order,
-    all binarization nodes sharing that height, which preserves cophenetic
-    distance = Baire distance for every pair.
+    Sorts the strings by digits; two sorted neighbours meet at the depth r
+    of their common prefix, so the gap between them closes at height
+    base^(-r).  Gaps join deepest first, then left to right, which
+    binarizes every multiway split left-to-right in digit order with all its
+    merges at one height and keeps cophenetic distance = Baire distance for
+    every pair.
     """
     if not strings:
         raise DegenerateInputError("need at least one string")
@@ -240,42 +245,16 @@ def baire_cluster(
     labels = tuple(
         s.label if s.label is not None else f"s{i + 1}" for i, s in enumerate(strings)
     )
-    root, node_count, depth = _build_trie(strings)
-    hierarchy = PrefixHierarchy(base, depth, root, labels, node_count)
+    order = sorted(range(len(strings)), key=lambda i: strings[i].digits)
+    lcp = [0] + [lcp_radius(strings[a], strings[b]) for a, b in zip(order, order[1:])]
+    hierarchy = PrefixHierarchy(base, labels, tuple(strings), tuple(order), tuple(lcp))
 
-    if len(strings) == 1:
-        return hierarchy, Dendrogram((labels[0],), ())
-
-    # Trie nodes level by level, left to right; the children of one node sit
-    # side by side, in digit order, in the level below.
-    levels = [[root]]
-    while True:
-        children = [node.children[d] for node in levels[-1] for d in sorted(node.children)]
-        if not children:
-            break
-        levels.append(children)
-
-    # Merge the deepest level first, so heights are monotone in rank.
-    nodes: list[MergeNode] = []
-    below: list[Child] = []  # subtree of each node of the level below
-    for level in range(len(levels) - 1, -1, -1):
-        height = float(Fraction(1, base**level))
-        subtrees: list[Child] = []
-        taken = 0
-        for trie_node in levels[level]:
-            end = taken + len(trie_node.children)
-            if trie_node.members or end - taken > 1:
-                items = [terminal(i) for i in sorted(trie_node.members)] + below[taken:end]
-                current = items[0]
-                for item in items[1:]:
-                    rank = len(nodes) + 1
-                    nodes.append(MergeNode(rank, height, current, item))
-                    current = internal(rank)
-                subtrees.append(current)
-            else:  # a node with one child and no members passes that subtree up
-                subtrees.append(below[taken])
-            taken = end
-        below = subtrees
-
-    assert below == [internal(len(nodes))]
+    heights = {r: float(Fraction(1, base**r)) for r in set(lcp)}
+    # a stable sort, reversed: deepest lcp first, equal lcps left to right
+    gaps = sorted(range(1, len(order)), key=lcp.__getitem__, reverse=True)
+    refs = [terminal(i) for i in order]  # subtree of the run starting at each position
+    nodes = []
+    for rank, (lo, k) in enumerate(join_gaps(len(order), gaps), start=1):
+        nodes.append(MergeNode(rank, heights[lcp[k]], refs[lo], refs[k]))
+        refs[lo] = internal(rank)
     return hierarchy, Dendrogram(labels, tuple(nodes))

@@ -105,11 +105,19 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _rows_from_csv(text: str) -> list[list[str]]:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+def _rows_from_csv(text: str) -> tuple[list[int], list[list[str]]]:
+    """The nonblank rows of ``text``, cells stripped, and the file line on
+    which each row starts (a quoted cell may span lines)."""
+    reader = csv.reader(io.StringIO(text))
+    lines, rows, start = [], [], 1
+    for row in reader:
+        if any(c.strip() for c in row):
+            lines.append(start)
+            rows.append([c.strip() for c in row])
+        start = reader.line_num + 1
     if not rows:
         raise ParseError("empty CSV input")
-    return [[c.strip() for c in row] for row in rows]
+    return lines, rows
 
 
 class DataTable(typing.NamedTuple):
@@ -127,7 +135,7 @@ def read_data_csv(
     non-numeric first row is a header, a non-numeric leading column holds
     labels.
     """
-    rows = _rows_from_csv(text)
+    lines, rows = _rows_from_csv(text)
     if header is None:
         header = not all(_is_number(c) for c in (rows[0][1:] or rows[0]))
     body = rows[1:] if header else rows
@@ -138,21 +146,21 @@ def read_data_csv(
     header_names = None
     if header:
         header_names = tuple(rows[0][1:] if labels else rows[0])
-    names, values = _parse_cells(body, 2 if header else 1, labels)
+    names, values = _parse_cells(body, lines[1:] if header else lines, labels)
     return DataTable(header_names, names, values)
 
 
 def _parse_cells(
-    body: list[list[str]], first_line: int, labels: bool
+    body: list[list[str]], lines: list[int], labels: bool
 ) -> tuple[tuple[str, ...] | None, np.ndarray]:
     """The one cell parser: the label column (when ``labels``) and the float
-    cells of ``body``, whose first row is line ``first_line``.  Rows of
-    different widths and cells that are not numbers are one ``ParseError``
-    naming the line (and the column)."""
+    cells of ``body``, whose rows start on the file lines ``lines``.  Rows
+    of different widths and cells that are not numbers are one
+    ``ParseError`` naming the line (and the column)."""
     names: list[str] | None = [] if labels else None
     data: list[list[float]] = []
     width = None
-    for lineno, row in enumerate(body, start=first_line):
+    for lineno, row in zip(lines, body):
         cells = row
         if names is not None:
             names.append(cells[0])
@@ -245,16 +253,33 @@ def _json_int(doc: str, name: str, value) -> int:
     return value
 
 
+def _json_labels(doc: str, value) -> tuple[str, ...]:
+    """``value`` as a tuple if it is a JSON list of strings, else one ``ParseError``."""
+    if type(value) is not list or not {str}.issuperset(map(type, value)):
+        raise ParseError(f"{doc} JSON field 'labels' must be a list of strings")
+    return tuple(value)
+
+
+def _json_height(value) -> float:
+    """A JSON number (not true or false) in the float range, or one ``ParseError``."""
+    if type(value) not in (int, float):
+        raise ParseError("tree JSON field 'height' must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError("tree JSON field 'height' is past the float range") from None
+
+
 def tree_from_json(text: str) -> Dendrogram:
-    """Read ``tree_to_json`` text; ``n`` and each node's ``rank`` must be
-    JSON integers."""
+    """Read ``tree_to_json`` text strictly: ``labels`` are strings, ``n``
+    and each ``rank`` JSON integers and each ``height`` a JSON number."""
     doc = _load_json(text)
     try:
-        labels = tuple(str(x) for x in doc["labels"])
-        n = doc.get("n", len(labels))
-        raw_nodes = doc["nodes"]
+        labels, raw_nodes = doc["labels"], doc["nodes"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"tree JSON missing field: {exc}") from None
+    labels = _json_labels("tree", labels)
+    n = doc.get("n", len(labels))
     if _json_int("tree", "n", n) != len(labels):
         raise ParseError(f"n={n} does not match {len(labels)} labels")
     if not isinstance(raw_nodes, list) or not all(isinstance(item, dict) for item in raw_nodes):
@@ -267,7 +292,7 @@ def tree_from_json(text: str) -> Dendrogram:
             nodes.append(
                 MergeNode(
                     rank=item["rank"],
-                    height=float(item["height"]),
+                    height=_json_height(item["height"]),
                     left=_parse_child(item["left"], n),
                     right=_parse_child(item["right"], n),
                 )
@@ -320,7 +345,7 @@ def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str
     """Read ``haar_to_csv`` text for ``tree``: the header must name the
     tree's columns, and the coordinate rows go through the cell parser of
     ``read_data_csv``."""
-    rows = _rows_from_csv(text)
+    lines, rows = _rows_from_csv(text)
     header = rows[0]
     n1 = len(tree.nodes)
     expected = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
@@ -328,7 +353,7 @@ def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str
         raise ParseError(f"wavelet CSV header {header!r} does not match tree with {n1} nodes")
     if len(rows) == 1:
         raise ParseError("wavelet CSV has no coordinate rows")
-    coord_names, table = _parse_cells(rows[1:], 2, labels=True)
+    coord_names, table = _parse_cells(rows[1:], lines[1:], labels=True)
     if table.shape[1] != n1 + 1:
         raise ParseError(
             f"wavelet CSV rows hold {table.shape[1]} values, the tree needs {n1 + 1}"
@@ -377,13 +402,12 @@ def encoding_from_json(text: str) -> PadicEncoding:
         raise ParseError(f"encoding JSON missing or bad field: {exc}") from None
     _json_int("encoding", "p", p)
     _json_int("encoding", "n", n)
-    if type(labels) is not list or not {str}.issuperset(map(type, labels)):
-        raise ParseError("encoding JSON field 'labels' must be a list of strings")
+    labels = _json_labels("encoding", labels)
     if type(flat) is not list or not {int}.issuperset(map(type, flat)):
         raise ParseError("encoding JSON field 'C' must be a list of integers")
     if len(labels) != n or len(flat) != n * (n - 1):
         raise ParseError("encoding JSON has inconsistent sizes")
-    return _encoding_from_cells(p, tuple(labels), flat)
+    return _encoding_from_cells(p, labels, flat)
 
 
 def decimal_codes_csv(enc: PadicEncoding) -> str:
@@ -466,17 +490,15 @@ def read_stream_csv(text: str) -> list[float]:
 def read_boolean_table_csv(text: str) -> BooleanTable:
     """Object labels in the first column; attribute names from the header
     row when present, else v1..vk."""
-    rows = _rows_from_csv(text)
-    has_header = not all(c in ("0", "1") for c in rows[0][1:])
-    if has_header:
+    lines, rows = _rows_from_csv(text)
+    if not all(c in ("0", "1") for c in rows[0][1:]):  # a header row
         attributes = tuple(rows[0][1:])
-        body = rows[1:]
+        lines, rows = lines[1:], rows[1:]
     else:
         attributes = tuple(f"v{i + 1}" for i in range(len(rows[0]) - 1))
-        body = rows
     objects = []
     cells = []
-    for lineno, row in enumerate(body, start=2 if has_header else 1):
+    for lineno, row in zip(lines, rows):
         objects.append(row[0])
         try:
             cells.append(tuple(int(c) for c in row[1:]))

@@ -147,6 +147,25 @@ def walk(tree: Dendrogram) -> Iterator[tuple[Child, int]]:
             push((node.left, 0))
 
 
+def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Join the runs of a drawing of ``n`` terminals one gap at a time.
+
+    Gap k (1 <= k < n) lies between drawing positions k-1 and k; each gap
+    appears once in ``gaps``.  Joining gap k merges the run that ends at
+    position k-1 with the run that starts at k, and yields ``(lo, k)``, the
+    first positions of those two runs.  Every gap is closed by exactly one
+    merge, so an order over the gaps fixes the tree: the Cartesian tree of
+    the gap ranks (Vuillemin 1980).
+    """
+    first = list(range(n))  # first position of the run ending at each position
+    last = list(range(n))  # last position of the run starting at each position
+    for k in gaps:
+        lo, hi = first[k - 1], last[k]
+        first[hi] = lo
+        last[lo] = hi
+        yield lo, k
+
+
 def member_sets(tree: Dendrogram) -> dict[int, frozenset[int]]:
     """Terminal index sets of every internal node, keyed by rank."""
     sets: dict[int, frozenset[int]] = {}

@@ -20,6 +20,7 @@ from .hierarchy import (
     MergeNode,
     TERMINAL,
     internal,
+    join_gaps,
     terminal,
     walk,
 )
@@ -184,46 +185,21 @@ def unpack(perm: PackedPermutation) -> Dendrogram:
     offending rank is reported otherwise.
     """
     n = perm.n
-    if n == 1:
-        return Dendrogram(("x1",), ())
-    boundary_of_rank = {perm.values[i]: i for i in range(n - 1)}
-    # cluster state per drawing position span
-    ref: dict[int, Child] = {i: terminal(i) for i in range(n)}
-    first_rank: dict[int, int] = {i: n for i in range(n)}  # sentinel: never merged
-    span_start: dict[int, int] = {i: i for i in range(n)}
-    span_end: dict[int, int] = {i: i for i in range(n)}
-    start_at: dict[int, int] = {i: i for i in range(n)}  # position -> cluster id
-    end_at: dict[int, int] = {i: i for i in range(n)}
+    gaps = sorted(range(1, n), key=lambda k: perm.values[k - 1])  # gap k is boundary k-1
+    refs = [terminal(i) for i in range(n)]  # subtree of the run starting at each position
+    first = [n] * n  # earliest merge rank in the run starting at each position; n: none
     nodes: list[MergeNode] = []
-    for rank in range(1, n):
-        i = boundary_of_rank.get(rank)
-        if i is None:  # pragma: no cover - permutation bijectivity rules this out
-            raise UnrealizablePermutationError(f"rank {rank} missing")
-        left_id = end_at.get(i)
-        right_id = start_at.get(i + 1)
-        if left_id is None or right_id is None:
-            raise UnrealizablePermutationError(
-                f"prefix through rank {rank} is inconsistent: boundary {i + 1} is "
-                "interior to an existing cluster"
-            )
-        lf, rf = first_rank[left_id], first_rank[right_id]
-        if not (lf == n and rf == n) and not lf < rf:
+    for rank, (lo, k) in enumerate(join_gaps(n, gaps), start=1):
+        lf, rf = first[lo], first[k]
+        if rf < lf:  # the right run merged first (n: never)
             raise UnrealizablePermutationError(
                 f"prefix through rank {rank} is inconsistent: left cluster first "
                 f"merged at {lf if lf < n else 'never'}, right at {rf if rf < n else 'never'}"
             )
-        nodes.append(MergeNode(rank, float(rank), ref[left_id], ref[right_id]))
-        new_id = left_id
-        ref[new_id] = internal(rank)
-        first_rank[new_id] = min(lf, rf, rank)
-        span_end[new_id] = span_end[right_id]
-        end_at[span_end[right_id]] = new_id
-        start_at.pop(i + 1)
-        end_at.pop(i, None)
-        if span_start[right_id] != i + 1:  # pragma: no cover - defensive
-            raise UnrealizablePermutationError("span bookkeeping failed")
-    labels = tuple(f"x{i + 1}" for i in range(n))
-    return Dendrogram(labels, tuple(nodes))
+        nodes.append(MergeNode(rank, float(rank), refs[lo], refs[k]))
+        refs[lo] = internal(rank)
+        first[lo] = min(lf, rank)  # the check leaves lf < rf unless both are n
+    return Dendrogram(tuple(f"x{i + 1}" for i in range(n)), tuple(nodes))
 
 
 def is_up_down(perm: Sequence[int]) -> bool:

@@ -1,10 +1,11 @@
 """Independent oracles: slow, from-first-principles implementations used to
 pin expected values.  These deliberately avoid the package's own code paths
-(no trie, no vectorized triple checks).  Agglomeration has two: criteria
-from members (``naive_linkage_heights``) and the Lance-Williams recurrence
-written out in plain Python (``lance_williams_linkage``).  For ward and
-median the two differ in the last bits, and the package follows the
-recurrence, so exact ward and median heights come from the second."""
+(a node-object trie in place of sorted strings, no vectorized triple
+checks).  Agglomeration has two: criteria from members
+(``naive_linkage_heights``) and the Lance-Williams recurrence written out in
+plain Python (``lance_williams_linkage``).  For ward and median the two
+differ in the last bits, and the package follows the recurrence, so exact
+ward and median heights come from the second."""
 
 from __future__ import annotations
 
@@ -324,3 +325,120 @@ def trial_division_is_prime(p):
             return False
         f += 1
     return True
+
+
+class _TrieNode:
+    def __init__(self):
+        self.children = {}  # digit -> _TrieNode
+        self.members = []  # string indices ending here
+        self.size = 0  # strings passing through or ending here
+
+
+def trie_cluster(strings):
+    """Prefix-tree clustering through a node-object trie, exported level by
+    level: items under a trie node of depth r merge at height base^(-r),
+    members (by index) first, then the child subtrees in digit order, folded
+    left to right, deepest level first.  Returns ``(tree, dump, node_count,
+    depth)``, ``dump`` as the indented preorder listing of ``dump_text``.
+    Digits print as ``0-9A-Z``, so bases up to 36."""
+    from fractions import Fraction
+
+    from dendrocode.hierarchy import Dendrogram, MergeNode, internal, terminal
+
+    chars = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    base = strings[0].base
+    labels = tuple(s.label if s.label is not None else f"s{i + 1}" for i, s in enumerate(strings))
+    root = _TrieNode()
+    count, depth = 1, 0
+    for index, s in enumerate(strings):
+        node = root
+        node.size += 1
+        for d in s.digits:
+            if d not in node.children:
+                node.children[d] = _TrieNode()
+                count += 1
+            node = node.children[d]
+            node.size += 1
+        node.members.append(index)
+        depth = max(depth, len(s.digits))
+
+    lines = []
+    stack = [(root, "")]
+    while stack:
+        node, prefix = stack.pop()
+        tag = "  <- " + ", ".join(labels[i] for i in node.members) if node.members else ""
+        lines.append("  " * len(prefix) + f"{prefix or '(root)'} [{node.size}]{tag}")
+        for digit in sorted(node.children, reverse=True):
+            stack.append((node.children[digit], prefix + chars[digit]))
+    dump = "\n".join(lines) + "\n"
+
+    if len(strings) == 1:
+        return Dendrogram(labels, ()), dump, count, depth
+    levels = [[root]]
+    while True:
+        children = [node.children[d] for node in levels[-1] for d in sorted(node.children)]
+        if not children:
+            break
+        levels.append(children)
+    nodes = []
+    below = []  # subtree of each node of the level below
+    for level in range(len(levels) - 1, -1, -1):
+        height = float(Fraction(1, base**level))
+        subtrees = []
+        taken = 0
+        for trie_node in levels[level]:
+            end = taken + len(trie_node.children)
+            if trie_node.members or end - taken > 1:
+                items = [terminal(i) for i in sorted(trie_node.members)] + below[taken:end]
+                current = items[0]
+                for item in items[1:]:
+                    rank = len(nodes) + 1
+                    nodes.append(MergeNode(rank, height, current, item))
+                    current = internal(rank)
+                subtrees.append(current)
+            else:  # one child and no members: pass that subtree up
+                subtrees.append(below[taken])
+            taken = end
+        below = subtrees
+    return Dendrogram(labels, tuple(nodes)), dump, count, depth
+
+
+def unpack_by_spans(perm):
+    """Tree of a packed permutation by cluster-span dicts: rank k merges the
+    clusters flanking the boundary i with p(i) = k, checking that the left
+    flank merged first (bare terminals count as latest).  Raises the
+    package's UnrealizablePermutationError with the package's messages."""
+    from dendrocode.errors import UnrealizablePermutationError
+    from dendrocode.hierarchy import Dendrogram, MergeNode, internal, terminal
+
+    n = perm.n
+    if n == 1:
+        return Dendrogram(("x1",), ())
+    boundary_of_rank = {perm.values[i]: i for i in range(n - 1)}
+    ref = {i: terminal(i) for i in range(n)}
+    first_rank = {i: n for i in range(n)}  # n: never merged
+    span_end = {i: i for i in range(n)}
+    start_at = {i: i for i in range(n)}  # position -> cluster id
+    end_at = {i: i for i in range(n)}
+    nodes = []
+    for rank in range(1, n):
+        i = boundary_of_rank[rank]
+        left_id, right_id = end_at.get(i), start_at.get(i + 1)
+        if left_id is None or right_id is None:
+            raise UnrealizablePermutationError(
+                f"prefix through rank {rank} is inconsistent: boundary {i + 1} is "
+                "interior to an existing cluster"
+            )
+        lf, rf = first_rank[left_id], first_rank[right_id]
+        if not (lf == n and rf == n) and not lf < rf:
+            raise UnrealizablePermutationError(
+                f"prefix through rank {rank} is inconsistent: left cluster first "
+                f"merged at {lf if lf < n else 'never'}, right at {rf if rf < n else 'never'}"
+            )
+        nodes.append(MergeNode(rank, float(rank), ref[left_id], ref[right_id]))
+        ref[left_id] = internal(rank)
+        first_rank[left_id] = min(lf, rf, rank)
+        span_end[left_id] = span_end[right_id]
+        end_at[span_end[right_id]] = left_id
+        del start_at[i + 1], end_at[i]
+    return Dendrogram(tuple(f"x{i + 1}" for i in range(n)), tuple(nodes))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dendrocode.baire import (
     BaireString,
@@ -18,9 +18,10 @@ from dendrocode.baire import (
     parse_digits,
 )
 from dendrocode.errors import DegenerateInputError, DomainError, ParseError
+from dendrocode.formats import tree_to_json
 from dendrocode.ultrametric import cophenetic_matrix, verify_ultrametric
 
-from oracles import decimal_radix_digits
+from oracles import decimal_radix_digits, trie_cluster
 
 
 def bs(text: str, base: int = 10, label: str | None = None) -> BaireString:
@@ -246,3 +247,31 @@ class TestBaireCluster:
         hierarchy, _ = baire_cluster([bs("12", label="a"), bs("13", label="b")])
         dump = hierarchy.dump_text()
         assert "(root)" in dump and "a" in dump and "b" in dump
+
+    def test_trie_dump_past_base_36_writes_numbers(self):
+        hierarchy, _ = baire_cluster([BaireString(40, (37, 2)), BaireString(40, (1,))])
+        assert hierarchy.dump_text() == (
+            "(root) [2]\n  1 [1]  <- s2\n  37 [1]\n    37,2 [1]  <- s1\n"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_trie_referee(self, data):
+        base = data.draw(st.integers(2, 36))
+        stems = data.draw(st.lists(
+            st.lists(st.integers(0, base - 1), min_size=1, max_size=8).map(tuple),
+            min_size=1, max_size=4,
+        ))
+        # strings cut from a few stems: duplicates and prefixes of one another
+        cut = st.sampled_from(stems).flatmap(
+            lambda d: st.integers(1, len(d)).map(lambda r: d[:r])
+        )
+        label = st.one_of(st.none(), st.sampled_from(["a", "b", ""]))
+        drawn = data.draw(st.lists(st.tuples(cut, label), min_size=1, max_size=12))
+        strings = [BaireString(base, digits, name) for digits, name in drawn]
+        hierarchy, tree = baire_cluster(strings)
+        ref_tree, dump, node_count, depth = trie_cluster(strings)
+        assert tree_to_json(tree) == tree_to_json(ref_tree)
+        assert hierarchy.dump_text() == dump
+        assert (hierarchy.node_count, hierarchy.depth) == (node_count, depth)
+        assert hierarchy.member_count() == len(strings)

@@ -233,6 +233,17 @@ class TestBaireVerbs:
         tree = formats.tree_from_json(tree_path.read_text())
         assert tree.n == 3
 
+    def test_trie_dump_past_base_36_writes_numbers(self, tmp_path, capsys):
+        path = tmp_path / "strings.txt"
+        path.write_text("1Z\n2\n")
+        trie_path = tmp_path / "trie.txt"
+        code, _, _ = run(capsys, "baire-cluster", str(path), "--base", "40",
+                         "--trie-out", str(trie_path))
+        assert code == 0
+        assert trie_path.read_text() == (
+            "(root) [2]\n  1 [1]\n    1,35 [1]  <- s1\n  2 [1]  <- s2\n"
+        )
+
     def test_dna_encode(self, tmp_path, capsys):
         path = tmp_path / "seqs.txt"
         path.write_text("probe,ACGT\n")
@@ -290,13 +301,15 @@ class TestHaarVerbs:
     @pytest.mark.parametrize("table, error", [
         (",s2,d2,d1\nc1,1,2,3\nc2,4,five,6\n",
          "E_PARSE: line 3, column 2: 'five' is not a number\n"),
+        (",s2,d2,d1\n\nc1,1,2,3\n\n\nc2,4,five,6\n",
+         "E_PARSE: line 6, column 2: 'five' is not a number\n"),
         (",s2,d2,d1\nc1,1,2\n", "E_PARSE: wavelet CSV rows hold 2 values, the tree needs 3\n"),
         (",s2,d2,d1\n", "E_PARSE: wavelet CSV has no coordinate rows\n"),
         (",s2,d2,d1\nc1,inf,0,0\n", "E_DOMAIN: Haar coefficients must be finite"),
         (",s2,d2,d1\nc1,nan,0,0\n", "E_DOMAIN: Haar coefficients must be finite"),
         (",s2,d2,d1\nc1,1e308,1e308,1e308\n",
          "E_DOMAIN: Haar reconstruction overflows the float range\n"),
-    ], ids=["word", "narrow", "header-only", "inf", "nan", "overflow"])
+    ], ids=["word", "word-after-blank-lines", "narrow", "header-only", "inf", "nan", "overflow"])
     def test_bad_wavelet_table_is_one_error_line(self, tmp_path, capsys, wavelet_tree,
                                                  verb, table, error):
         wt = tmp_path / "wt.csv"
@@ -424,6 +437,18 @@ class TestPermutationVerbs:
         code, _, err = run(capsys, "enumerate-nlr", "-n", "12")
         assert code == 1
         assert err.startswith("E_RESOURCE:")
+
+
+class TestCsvLineNumbers:
+    @pytest.mark.parametrize("verb, text, error", [
+        ("cluster", "1,2\n\n\n3,x\n", "E_PARSE: line 4, column 2: 'x' is not a number\n"),
+        ("cluster", "1,2\n\n3\n", "E_PARSE: line 3: expected 2 cells, got 1\n"),
+        ("lattice", ",d1,d2\na,1,0\n\n\nb,0,x\n", "E_PARSE: line 5: non-boolean cell\n"),
+    ], ids=["cluster-cell", "cluster-width", "lattice-cell"])
+    def test_blank_lines_count(self, tmp_path, capsys, verb, text, error):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert run(capsys, verb, str(path)) == (1, "", error)
 
 
 class TestLatticeVerb:

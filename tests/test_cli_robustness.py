@@ -90,12 +90,17 @@ TREE_JSON = {
     "rank-range": _tree_node(rank=7),
     "height-word": _tree_node(height="high"),
     "height-negative": _tree_node(height=-1.0),
+    "height-bool": _tree_node(height=True),
+    "height-text": _tree_node(height="0.5"),
+    "height-overflow": _tree_node(height=10**400),
     "bad-child": _tree_node(left="z1"),
     "child-range": _tree_node(left="t9"),
     "repeated-child": _tree_node(right="t1"),
     "nodes-not-list": _tree(nodes=5),
     "node-not-object": _tree(nodes=[1, 2]),
     "labels-not-list": _tree(labels=5),
+    "labels-text": _tree(labels="abc"),
+    "labels-numbers": _tree(labels=[1, 2, 3]),
     "no-labels": json.dumps({"nodes": []}),
     "array": "[1, 2, 3]",
     "null": "null",
@@ -197,6 +202,11 @@ def test_bad_permutation_literal(tmp_path, capsys, literal):
     pytest.param(["render"], TREE_JSON["n-overflow"], id="render:n-overflow"),
     pytest.param(["render"], TREE_JSON["n-float"], id="render:n-float"),
     pytest.param(["render"], TREE_JSON["rank-bool"], id="render:rank-bool"),
+    pytest.param(["render"], TREE_JSON["height-bool"], id="render:height-bool"),
+    pytest.param(["render"], TREE_JSON["height-text"], id="render:height-text"),
+    pytest.param(["render"], TREE_JSON["height-overflow"], id="render:height-overflow"),
+    pytest.param(["render"], TREE_JSON["labels-text"], id="render:labels-text"),
+    pytest.param(["render"], TREE_JSON["labels-numbers"], id="render:labels-numbers"),
     pytest.param(["padic-decode"], ENCODING_JSON["p-past-bound"], id="padic-decode:p-past-bound"),
 ])
 def test_inputs_that_used_to_be_misread_fail_cleanly(tmp_path, capsys, verb, text):

@@ -46,10 +46,17 @@ class TestDataCsv:
     def test_ragged_reported_with_line(self):
         with pytest.raises(ParseError, match="line 2"):
             formats.read_data_csv("1,2\n3\n")
+        with pytest.raises(ParseError, match="^line 4: expected 2 cells, got 1$"):
+            formats.read_data_csv("1,2\n\n \n3\n")
 
     def test_non_numeric_reported_with_position(self):
         with pytest.raises(ParseError, match="line 2, column 2"):
             formats.read_data_csv("1,2\n3,x\n")
+        # blank lines and a quoted label spanning two lines count as file lines
+        with pytest.raises(ParseError, match="^line 4, column 2: 'x' is not a number$"):
+            formats.read_data_csv("1,2\n\n\n3,x\n")
+        with pytest.raises(ParseError, match="^line 5, column 1: 'x' is not a number$"):
+            formats.read_data_csv(',a\n"r\n1",2\n\nr2,x\n')
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
@@ -102,6 +109,20 @@ class TestTreeJson:
         formats.tree_from_json(json.dumps(doc))  # the document itself is valid
         (doc if field == "n" else doc["nodes"][0])[field] = value
         with pytest.raises(ParseError, match=f"tree JSON field '{field}' must be an integer"):
+            formats.tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("labels", "ab", "field 'labels' must be a list of strings"),
+        ("labels", [1, 2], "field 'labels' must be a list of strings"),
+        ("height", True, "field 'height' must be a number"),
+        ("height", "0.5", "field 'height' must be a number"),
+        ("height", 10**400, "field 'height' is past the float range"),
+    ], ids=["labels-text", "labels-numbers", "height-bool", "height-text", "height-overflow"])
+    def test_mistyped_labels_and_heights_rejected(self, field, value, message):
+        doc = {"n": 2, "labels": ["a", "b"],
+               "nodes": [{"rank": 1, "height": 1.0, "left": "t1", "right": "t2"}]}
+        (doc if field == "labels" else doc["nodes"][0])[field] = value
+        with pytest.raises(ParseError, match=f"^tree JSON {message}$"):
             formats.tree_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("reader", [formats.tree_from_json, formats.encoding_from_json])
@@ -177,6 +198,8 @@ class TestHaarCsv:
         assert back.detail(2).tolist() == [2.0, 5.0] and back.detail(1).tolist() == [3.0, 6.0]
         with pytest.raises(ParseError, match=r"^line 3, column 2: 'x' is not a number$"):
             formats.haar_from_csv(",s2,d2,d1\nc1,1,2,3\nc2,4,x,6\n", tree)
+        with pytest.raises(ParseError, match=r"^line 5, column 2: 'x' is not a number$"):
+            formats.haar_from_csv(",s2,d2,d1\n\nc1,1,2,3\n\nc2,4,x,6\n", tree)
         with pytest.raises(ParseError, match="^line 3: expected 3 cells, got 2$"):
             formats.haar_from_csv(",s2,d2,d1\nc1,1,2,3\nc2,4,5\n", tree)
         with pytest.raises(ParseError, match="hold 2 values, the tree needs 3"):
@@ -378,6 +401,10 @@ class TestBooleanTableCsv:
     def test_without_header(self):
         t = formats.read_boolean_table_csv("a,1,0\nb,0,1\n")
         assert t.attributes == ("v1", "v2")
+
+    def test_bad_cell_reports_file_line(self):
+        with pytest.raises(ParseError, match="^line 5: non-boolean cell$"):
+            formats.read_boolean_table_csv(",d1,d2\na,1,0\n\n\nb,0,x\n")
 
     def test_semilattice_json_shape(self):
         t = BooleanTable(("a", "b"), ("d1", "d2"), ((1, 0), (0, 1)))

@@ -12,6 +12,7 @@ from dendrocode.errors import (
     ResourceGuardError,
     UnrealizablePermutationError,
 )
+from dendrocode.formats import tree_to_json
 from dendrocode.hierarchy import canonicalize, member_sets, swap_children
 from dendrocode.permutations import (
     OrdinalPattern,
@@ -27,7 +28,7 @@ from dendrocode.permutations import (
 )
 
 from conftest import random_tree
-from oracles import alternating_count
+from oracles import alternating_count, unpack_by_spans
 from reference import packed_example_tree
 
 STREAM = (4.0, 7.0, 9.0, 10.0, 6.0, 11.0, 3.0)
@@ -186,6 +187,18 @@ class TestPacked:
                 realizable += 1
                 assert packed_representation(tree) == perm
             assert realizable == alternating_count(n - 1)
+
+    def test_unpack_equals_the_span_referee(self):
+        def outcome(fn, perm):
+            try:
+                return tree_to_json(fn(perm))
+            except UnrealizablePermutationError as exc:
+                return str(exc)
+
+        for n in range(1, 8):
+            for tail in itertools.permutations(range(1, n)):
+                perm = PackedPermutation(tail + (n,))
+                assert outcome(unpack, perm) == outcome(unpack_by_spans, perm)
 
 
 class TestAlternationPredicates:
