@@ -200,27 +200,36 @@ class PrefixHierarchy:
         """Indented one-node-per-line rendering for inspection, in preorder
         with children in digit order: each node shows its prefix (as
         ``BaireString.text`` writes digits), the number of strings under it
-        and the labels of the strings that end there."""
+        and the labels of the strings that end there.  Each prefix is its
+        parent's text plus one digit."""
         order, lcp, n = self.order, self.lcp, len(self.order)
         digits = [self.strings[i].digits for i in order]
-        # per line: depth, first sorted position, end of its sorted run
-        depths, starts, ends = [0], [0], [n]
+        if self.base <= len(_DIGIT_CHARS):
+            digit_text, comma = _DIGIT_CHARS.__getitem__, ""
+        else:
+            digit_text, comma = str, ","
+        # per line: depth, prefix text, first sorted position, end of its sorted run
+        depths, prefixes, starts, ends = [0], [""], [0], [n]
         open_lines = [0]  # lines of the nodes on the current root path
         for k in range(n):
             while depths[open_lines[-1]] > lcp[k]:
                 ends[open_lines.pop()] = k
+            prefix = prefixes[open_lines[-1]]  # the text of digits[k][:lcp[k]]
             for d in range(lcp[k] + 1, len(digits[k]) + 1):
+                digit = digit_text(digits[k][d - 1])
+                prefix = f"{prefix}{comma}{digit}" if prefix else digit
                 open_lines.append(len(depths))
                 depths.append(d)
+                prefixes.append(prefix)
                 starts.append(k)
                 ends.append(n)
         lines = [f"(root) [{n}]"]
-        for d, k, end in zip(depths[1:], starts[1:], ends[1:]):
+        for d, prefix, k, end in zip(depths[1:], prefixes[1:], starts[1:], ends[1:]):
             j = k  # the strings that end here come first in the run
             while j < end and len(digits[j]) == d:
                 j += 1
             tag = "  <- " + ", ".join(self.labels[i] for i in order[k:j]) if j > k else ""
-            lines.append(f"{'  ' * d}{_digit_text(self.base, digits[k][:d])} [{end - k}]{tag}")
+            lines.append(f"{'  ' * d}{prefix} [{end - k}]{tag}")
         return "\n".join(lines) + "\n"
 
 

@@ -161,7 +161,7 @@ def _cmd_padic_dist(args) -> int:
 
 def _cmd_baire_dist(args) -> int:
     strings = formats.read_strings(_read(args.strings), args.base)
-    labels = [s.label or f"s{i + 1}" for i, s in enumerate(strings)]
+    labels = [s.label for s in strings]
     if args.exact:
         table = [[baire_distance(a, b) for b in strings] for a in strings]
         _emit(formats.fraction_matrix_csv(labels, table), args.output)

@@ -16,7 +16,6 @@ import json
 import typing
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .hierarchy import (
     walk,
 )
 from .lattice import BooleanTable, Semilattice
-from .padic import PadicEncoding, _encoding_from_cells
+from .padic import PadicEncoding, _cells, _encoding_from_cells
 from .ultrametric import UltrametricityReport
 
 
@@ -377,17 +376,23 @@ def write_data_csv(
 def encoding_to_json(enc: PadicEncoding) -> str:
     """The encoding as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"p", "n",
     "labels", "C"}``, with ``C`` the rows concatenated.  ``json`` indents
-    through its pure-Python encoder, so only the header goes through it and
-    the n(n-1) coefficients are joined as text, one per line; the bytes are
-    the same."""
+    through its pure-Python encoder, so only the header goes through it;
+    the n(n-1) coefficients are written from the bytes of the stored int8
+    array, each of 0, 1 and -1 (byte 0xff) replaced by its token and the
+    separator.  No token contains a byte that is replaced, so the three
+    replacements cannot interfere, and the bytes are the same."""
     head = json.dumps(
         {"p": enc.p, "n": enc.n, "labels": list(enc.labels), "C": []}, indent=2
     )
     if enc.n < 2:
         return head + "\n"
-    tokens = ("0", "1", "-1")  # indexed by the coefficient itself
-    coefficients = ",\n    ".join(map(tokens.__getitem__, chain.from_iterable(enc.C)))
-    return f"{head[:-4]}[\n    {coefficients}\n  ]\n}}\n"
+    body = (
+        _cells(enc).tobytes()
+        .replace(b"\x00", b"0,\n    ")
+        .replace(b"\x01", b"1,\n    ")
+        .replace(b"\xff", b"-1,\n    ")
+    )
+    return f"{head[:-4]}[\n    {body[:-6].decode()}\n  ]\n}}\n"
 
 
 def encoding_from_json(text: str) -> PadicEncoding:

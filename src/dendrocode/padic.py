@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +101,13 @@ class PadicEncoding:
     Python ints in {-1, 0, +1} per label (bool is not an int here), no zero
     in the root column, and a +1 and a -1 in every column.  It does not
     check that the columns nest; ``decode`` does.
+
+    The matrix is stored once, as the read-only n x (n-1) int8 array that
+    the checks build, and every p-adic layer reads that array.  ``C`` reads
+    as a tuple of row tuples: the constructor keeps the rows it checked,
+    and an encoding built by ``encode_dendrogram`` or read from JSON builds
+    them from the array on first access, so the verbs never build them.
+    Equality, hash and repr go through ``C``.
     """
 
     p: int
@@ -125,9 +132,10 @@ class PadicEncoding:
             raise MalformedEncodingError(
                 f"row for {labels[short]} has {len(rows[short])} levels, expected {n - 1}"
             )
-        _check_cells(n, flat)
+        cells = _checked_cells(n, flat)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "C", rows)
+        object.__setattr__(self, "_cells", cells)
 
     @property
     def n(self) -> int:
@@ -140,38 +148,76 @@ class PadicEncoding:
         return tuple(self.code(i) for i in range(self.n))
 
     def decimal_codes(self) -> tuple[int, ...]:
-        """``evaluate_code`` of every row, summing +-p^j over the row's
-        nonzero entries only: O(n * depth) big-integer additions."""
+        """``evaluate_code`` of every row, exact for any encoding.
+
+        The rows are taken in root-first order (``_root_first_order``), and
+        each code is its predecessor's with the entries at and below their
+        cut level swapped out.  On a decodable encoding each node is
+        entered and left at most twice along that order, so this is O(n)
+        big-integer additions in all, plus O(n^2) numpy byte work."""
         n, width, p = self.n, self.n - 1, self.p
+        if n < 2:
+            return (0,) * n
         cells = _cells(self)
-        rows, cols = np.nonzero(cells)
+        order, cut = _root_first_order(cells)
+        ranked = cells[order]
+        below = np.arange(width) < cut[:, None]  # level j + 1 is at or below the cut
+        leaving = np.zeros_like(ranked)
+        leaving[1:] = -ranked[:-1] * below[1:]
+        swaps = np.concatenate((ranked * below, leaving), axis=1)
+        rows, cols = np.nonzero(swaps)  # row-major: grouped by sorted position
         weights = [p]
         for _ in range(width - 1):
             weights.append(weights[-1] * p)
         signed = weights + [-w for w in weights]  # entry width + j is -p^(j+1)
-        slots = cols + width * (cells[rows, cols] < 0)
+        slots = cols % width + width * (swaps[rows, cols] < 0)
         terms = list(map(signed.__getitem__, slots.tolist()))
         ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-        return tuple(sum(terms[a:b]) for a, b in zip([0] + ends, ends))
+        steps = (sum(terms[a:b]) for a, b in zip([0] + ends, ends))
+        codes = [0] * n
+        for i, code in zip(order.tolist(), accumulate(steps)):
+            codes[i] = code
+        return tuple(codes)
 
     def differing_levels(self) -> np.ndarray:
         """n x n integer matrix of r(i, k), the highest level at which rows
         i and k differ, 0 where they are equal.  ``padic_similarity`` of the
         two rows is p^(-r); for a decodable encoding r is the rank of their
         lowest common ancestor.  Read straight from the coefficients, so it
-        is defined on encodings that ``decode`` rejects as well."""
+        is defined on encodings that ``decode`` rejects as well.
+
+        In root-first order r of two rows is the largest cut between their
+        sorted positions, so each row of the table is one running maximum:
+        O(n^2) in all."""
         n = self.n
         levels = np.zeros((n, n), dtype=np.int64)
         if n < 2:
             return levels
-        top_first = np.ascontiguousarray(_cells(self)[:, ::-1])
-        every = np.arange(n)
-        for i in range(n):
-            differs = top_first != top_first[i]
-            first = differs.argmax(axis=1)  # counted from the root level down
-            levels[i] = np.where(differs[every, first], n - 1 - first, 0)
+        order, cut = _root_first_order(_cells(self))
+        for a in range(n - 1):
+            running = np.maximum.accumulate(cut[a + 1 :])
+            levels[order[a], order[a + 1 :]] = running
+            levels[order[a + 1 :], order[a]] = running
         return levels
 
+
+class _CoefficientRows:
+    """The ``C`` field of ``PadicEncoding``: the rows the constructor was
+    given, or else row tuples built once from the stored int8 array."""
+
+    def __get__(self, enc, owner=None):
+        if enc is None:
+            return self
+        state = vars(enc)
+        if "C" not in state:
+            state["C"] = tuple(map(tuple, enc._cells.tolist()))
+        return state["C"]
+
+    def __set__(self, enc, rows) -> None:
+        vars(enc)["C"] = rows
+
+
+PadicEncoding.C = _CoefficientRows()
 
 _OUTSIDE_COEFFICIENTS = "coefficients must lie in {-1, 0, +1}"
 
@@ -181,36 +227,60 @@ def _check_values(flat: list[int]) -> None:
         raise MalformedEncodingError(_OUTSIDE_COEFFICIENTS)
 
 
-def _check_cells(n: int, flat: list[int]) -> None:
-    """Value, root-column and column checks of ``PadicEncoding``, in its
-    order, on n rows of n - 1 Python ints concatenated into ``flat``."""
+def _checked_cells(n: int, flat: list[int]) -> np.ndarray:
+    """n rows of n - 1 Python ints, concatenated into ``flat``, as the
+    read-only n x (n-1) int8 array, after the value, root-column and column
+    checks of ``PadicEncoding`` in its order.  The values are checked on
+    the Python ints, before the conversion: numpy < 2 wraps 256 to 0 in an
+    int8 array."""
     _check_values(flat)
-    if n < 2:
-        return
-    cells = np.array(flat, dtype=np.int8).reshape(n, n - 1)
-    if not cells[:, -1].all():
-        raise MalformedEncodingError("root column must have no zero entries")
-    one_sided = np.flatnonzero(~((cells == 1).any(axis=0) & (cells == -1).any(axis=0)))
-    if one_sided.size:
-        raise MalformedEncodingError(
-            f"column {one_sided[0] + 1} must contain both a +1 and a -1 entry"
-        )
+    cells = np.fromiter(flat, dtype=np.int8, count=len(flat)).reshape(n, max(n - 1, 0))
+    if n >= 2:
+        if not cells[:, -1].all():
+            raise MalformedEncodingError("root column must have no zero entries")
+        one_sided = np.flatnonzero(~((cells == 1).any(axis=0) & (cells == -1).any(axis=0)))
+        if one_sided.size:
+            raise MalformedEncodingError(
+                f"column {one_sided[0] + 1} must contain both a +1 and a -1 entry"
+            )
+    cells.flags.writeable = False
+    return cells
 
 
 def _cells(enc: PadicEncoding) -> np.ndarray:
-    """The coefficient matrix as an n x (n-1) int8 array."""
-    return np.array(enc.C, dtype=np.int8).reshape(enc.n, max(enc.n - 1, 0))
+    """The stored coefficient matrix: a read-only n x (n-1) int8 array."""
+    return enc._cells
 
 
-def _trusted_encoding(
-    p: int, labels: tuple[str, ...], C: tuple[tuple[int, ...], ...]
-) -> PadicEncoding:
-    """A ``PadicEncoding`` that is valid by construction, built without
-    running the constructor's checks again."""
+def _root_first_order(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices sorted by their bytes from the root level down, and
+    ``cut``: ``cut[k]`` is the highest level at which sorted rows k - 1 and
+    k differ (0 where they are equal), and ``cut[0]`` is n - 1.
+
+    Rows of a decodable encoding first differ at their lowest common
+    ancestor, +1 against -1, so any fixed order of the symbols sorts them
+    into a drawing order of the tree.  For any n >= 2 rows, as for any
+    sorted strings, the highest level at which sorted rows a < b differ is
+    the largest of cut[a + 1], ..., cut[b]."""
+    n, width = cells.shape
+    top_first = np.ascontiguousarray(cells[:, ::-1])
+    keys = [row.tobytes() for row in top_first]
+    order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
+    ranked = top_first[order]
+    differs = ranked[1:] != ranked[:-1]
+    first = differs.argmax(axis=1)  # counted from the root level down
+    cut = np.where(differs[np.arange(n - 1), first], width - first, 0)
+    return order, np.concatenate(([width], cut))
+
+
+def _trusted_encoding(p: int, labels: tuple[str, ...], cells: np.ndarray) -> PadicEncoding:
+    """A ``PadicEncoding`` over the n x (n-1) int8 array ``cells``, valid by
+    construction, built without running the constructor's checks again."""
     enc = object.__new__(PadicEncoding)
+    cells.flags.writeable = False
     object.__setattr__(enc, "p", p)
     object.__setattr__(enc, "labels", labels)
-    object.__setattr__(enc, "C", C)
+    object.__setattr__(enc, "_cells", cells)
     return enc
 
 
@@ -219,26 +289,23 @@ def _encoding_from_cells(p: int, labels: tuple[str, ...], flat: list[int]) -> Pa
     n - 1 per label.  Runs the constructor's checks past its type and
     length checks, which the caller has made."""
     _require_encoding_prime(p)
-    n = len(labels)
-    _check_cells(n, flat)
-    width = n - 1
-    return _trusted_encoding(
-        p, labels, tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(n))
-    )
+    return _trusted_encoding(p, labels, _checked_cells(len(labels), flat))
 
 
 def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
     """Row i holds the signed branch coefficients of terminal i's
-    terminal-to-root traversal; requires a prime p >= 3."""
+    terminal-to-root traversal; requires a prime p >= 3.  The rows are
+    written straight into the stored int8 array."""
     _require_encoding_prime(p)
-    rows: list[tuple[int, ...]] = [()] * tree.n
-    path = [0] * (tree.n - 1)  # coefficients of the current root-to-node path
+    width = max(tree.n - 1, 0)
+    cells = np.zeros((tree.n, width), dtype=np.int8)
+    path = np.zeros(width, dtype=np.int8)  # coefficients of the current root-to-node path
     for (kind, idx), visit in walk(tree):
         if kind == TERMINAL:
-            rows[idx] = tuple(path)
+            cells[idx] = path
         else:
             path[idx - 1] = (1, -1, 0)[visit]  # in left subtree, in right, done
-    return _trusted_encoding(p, tree.labels, tuple(rows))
+    return _trusted_encoding(p, tree.labels, cells)
 
 
 def evaluate_code(code: PadicCode) -> int:

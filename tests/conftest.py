@@ -47,6 +47,61 @@ def caterpillar(n: int, lean: str) -> Dendrogram:
     return Dendrogram(tuple(f"t{i + 1}" for i in range(n)), tuple(nodes))
 
 
+def corrupt(enc, rng):
+    """Rows of ``enc`` with two columns swapped, one column negated (a
+    child swap), part or all of one sign group of a column flipped, or one
+    nonzero entry moved to a zero of its column."""
+    rows = [list(row) for row in enc.C]
+    n, width = enc.n, enc.n - 1
+    kind = rng.randrange(4)
+    if kind == 0:
+        a, b = rng.sample(range(width), 2)
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+    elif kind == 1:
+        j = rng.randrange(width)
+        for row in rows:
+            row[j] = -row[j]
+    elif kind == 2:
+        j, sign = rng.randrange(width), rng.choice((1, -1))
+        group = [i for i in range(n) if rows[i][j] == sign]
+        for i in rng.sample(group, rng.randrange(1, len(group) + 1)):
+            rows[i][j] = -sign
+    else:
+        j = rng.randrange(width - 1)  # the root column has no zero to move to
+        source = rng.choice([i for i in range(n) if rows[i][j]])
+        target = rng.choice([i for i in range(n) if not rows[i][j]])
+        rows[target][j], rows[source][j] = rows[source][j], 0
+    return tuple(map(tuple, rows))
+
+
+def encoding_sweep(p: int, rng: random.Random) -> list:
+    """Encodings at prime p: the constructor's with no terminal, the
+    one-terminal tree's, a random and a caterpillar tree's for n = 2, ...,
+    40, and for n >= 3 a corrupted copy of each that the constructor
+    accepts and ``decode`` rejects, when one of five tries gives one."""
+    from dendrocode.errors import MalformedEncodingError
+    from dendrocode.padic import PadicEncoding, decode, encode_dendrogram
+
+    out = [PadicEncoding(p, (), ()), encode_dendrogram(Dendrogram(("t1",), ()), p)]
+    for n in range(2, 41):
+        for tree in (random_tree(n, rng, heights="rank"),
+                     caterpillar(n, rng.choice(("left", "right")))):
+            enc = encode_dendrogram(tree, p)
+            out.append(enc)
+            for _ in range(5 if n >= 3 else 0):
+                try:
+                    bad = PadicEncoding(p, enc.labels, corrupt(enc, rng))
+                except MalformedEncodingError:
+                    continue
+                try:
+                    decode(bad)
+                except MalformedEncodingError:
+                    out.append(bad)
+                    break
+    return out
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)

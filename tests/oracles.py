@@ -272,6 +272,45 @@ def padic_table(enc, similarity=False):
     return [[fn(a, b) for b in codes] for a in codes]
 
 
+def decimal_codes_by_nonzero_sums(enc):
+    """``evaluate_code`` of every row, summing +-p^j over the row's nonzero
+    entries only: O(n * depth) big-integer additions, the package's method
+    before the root-first order."""
+    import numpy as np
+
+    n, width, p = enc.n, enc.n - 1, enc.p
+    cells = np.array(enc.C, dtype=np.int8).reshape(n, max(width, 0))
+    rows, cols = np.nonzero(cells)
+    weights = [p]
+    for _ in range(width - 1):
+        weights.append(weights[-1] * p)
+    signed = weights + [-w for w in weights]  # entry width + j is -p^(j+1)
+    slots = cols + width * (cells[rows, cols] < 0)
+    terms = list(map(signed.__getitem__, slots.tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    return tuple(sum(terms[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def differing_levels_by_rows(enc):
+    """n x n int64 matrix of the highest level at which two rows differ (0
+    where equal), one row against all others at a time over every level:
+    O(n^3) byte comparisons, the package's method before the root-first
+    order."""
+    import numpy as np
+
+    n = enc.n
+    levels = np.zeros((n, n), dtype=np.int64)
+    if n < 2:
+        return levels
+    top_first = np.array(enc.C, dtype=np.int8)[:, ::-1]
+    every = np.arange(n)
+    for i in range(n):
+        differs = top_first != top_first[i]
+        first = differs.argmax(axis=1)  # counted from the root level down
+        levels[i] = np.where(differs[every, first], n - 1 - first, 0)
+    return levels
+
+
 def csv_table(header, labels, rows):
     """A CSV table with every cell written through ``csv.writer``: the
     ``header`` row unless it is None, then each row of ``rows`` led by its
@@ -401,6 +440,36 @@ def trie_cluster(strings):
             taken = end
         below = subtrees
     return Dendrogram(labels, tuple(nodes)), dump, count, depth
+
+
+def dump_by_prefix_slices(hierarchy):
+    """``PrefixHierarchy.dump_text`` with every prefix formatted from scratch
+    by ``BaireString.text`` of a slice of the digits: the package's method
+    before prefixes were built from their parent's text.  Digits past base
+    36 print as comma-separated numbers."""
+    from dendrocode.baire import BaireString
+
+    order, lcp, n = hierarchy.order, hierarchy.lcp, len(hierarchy.order)
+    digits = [hierarchy.strings[i].digits for i in order]
+    depths, starts, ends = [0], [0], [n]
+    open_lines = [0]
+    for k in range(n):
+        while depths[open_lines[-1]] > lcp[k]:
+            ends[open_lines.pop()] = k
+        for d in range(lcp[k] + 1, len(digits[k]) + 1):
+            open_lines.append(len(depths))
+            depths.append(d)
+            starts.append(k)
+            ends.append(n)
+    lines = [f"(root) [{n}]"]
+    for d, k, end in zip(depths[1:], starts[1:], ends[1:]):
+        j = k
+        while j < end and len(digits[j]) == d:
+            j += 1
+        tag = "  <- " + ", ".join(hierarchy.labels[i] for i in order[k:j]) if j > k else ""
+        prefix = BaireString(hierarchy.base, digits[k][:d]).text()
+        lines.append(f"{'  ' * d}{prefix} [{end - k}]{tag}")
+    return "\n".join(lines) + "\n"
 
 
 def unpack_by_spans(perm):

@@ -21,7 +21,7 @@ from dendrocode.errors import DegenerateInputError, DomainError, ParseError
 from dendrocode.formats import tree_to_json
 from dendrocode.ultrametric import cophenetic_matrix, verify_ultrametric
 
-from oracles import decimal_radix_digits, trie_cluster
+from oracles import decimal_radix_digits, dump_by_prefix_slices, trie_cluster
 
 
 def bs(text: str, base: int = 10, label: str | None = None) -> BaireString:
@@ -253,6 +253,22 @@ class TestBaireCluster:
         assert hierarchy.dump_text() == (
             "(root) [2]\n  1 [1]  <- s2\n  37 [1]\n    37,2 [1]  <- s1\n"
         )
+
+    @pytest.mark.parametrize("base", [2, 10, 36, 40])
+    def test_dump_equals_prefixes_formatted_from_scratch(self, base):
+        rng = random.Random(base)
+        for _ in range(40):
+            # a few stems and their cuts, so prefixes are shared and repeated;
+            # base 40 draws digits 36..39 as well
+            stems = [tuple(rng.randrange(base) for _ in range(rng.randint(1, 9)))
+                     for _ in range(rng.randint(1, 5))]
+            strings = []
+            for k in range(rng.randint(1, 30)):
+                stem = rng.choice(stems)
+                label = rng.choice([None, "", f"x{k}"])
+                strings.append(BaireString(base, stem[: rng.randint(1, len(stem))], label))
+            hierarchy, _ = baire_cluster(strings)
+            assert hierarchy.dump_text() == dump_by_prefix_slices(hierarchy)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

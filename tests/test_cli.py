@@ -233,6 +233,19 @@ class TestBaireVerbs:
         tree = formats.tree_from_json(tree_path.read_text())
         assert tree.n == 3
 
+    def test_dist_and_cluster_name_an_empty_label_alike(self, tmp_path, capsys):
+        path = tmp_path / "strings.txt"
+        path.write_text(",241\nb,248\n")
+        tree_path = tmp_path / "tree.json"
+        assert run(capsys, "baire-cluster", str(path), "-o", str(tree_path))[0] == 0
+        assert formats.tree_from_json(tree_path.read_text()).labels == ("", "b")
+        for flags in ([], ["--exact"]):
+            code, out, err = run(capsys, "baire-dist", str(path), *flags)
+            assert (code, err) == (0, "")
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0][1:] == ["", "b"]
+            assert [row[0] for row in rows[1:]] == ["", "b"]
+
     def test_trie_dump_past_base_36_writes_numbers(self, tmp_path, capsys):
         path = tmp_path / "strings.txt"
         path.write_text("1Z\n2\n")

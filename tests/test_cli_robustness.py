@@ -107,7 +107,21 @@ TREE_JSON = {
     "string": '"tree"',
 }
 
+# C cells past int8, and JSON values that compare equal to 1: each must be
+# refused.  With 0 in their place the encoding is valid, and an int8
+# conversion that wraps (numpy < 2) reads 256 as 0.
+INT8_CELLS = {
+    "c-2": 2, "c-127": 127, "c-128": 128, "c-minus-129": -129, "c-256": 256,
+    "c-10e30": 10**30, "c-true": True, "c-float-one": 1.0,
+}
+
+
+def _cell(value) -> str:
+    return _encoding(C=[1, 1, -1, 1, value, -1])
+
+
 ENCODING_JSON = {
+    **{name: _cell(value) for name, value in INT8_CELLS.items()},
     "p-word": _encoding(p="3"),
     "p-float": _encoding(p=3.0),
     "p-one": _encoding(p=1),
@@ -195,6 +209,19 @@ def test_bad_permutation_literal(tmp_path, capsys, literal):
     path = tmp_path / "literal.txt"
     path.write_text(literal)
     _check(*_run(capsys, ["unpack", "--file", str(path), "-o", str(tmp_path / "out")]))
+
+
+@pytest.mark.parametrize("verb", ENCODING_VERBS, ids=lambda verb: verb[0])
+@pytest.mark.parametrize("name", INT8_CELLS)
+def test_cells_past_int8_fail_cleanly(tmp_path, capsys, verb, name):
+    path = tmp_path / "input"
+    path.write_text(_cell(0))
+    assert _run(capsys, [*verb, str(path), "-o", str(tmp_path / "valid")])[0] == 0
+    path.write_text(ENCODING_JSON[name])
+    code, err = _run(capsys, [*verb, str(path), "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert ERROR_LINE.fullmatch(err), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("verb, text", [

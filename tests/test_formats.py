@@ -25,7 +25,7 @@ from dendrocode.lattice import BooleanTable, build_semilattice
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
 
-from conftest import random_tree
+from conftest import encoding_sweep, random_tree
 from oracles import csv_table, exact_text, float_text
 from reference import IRIS8, IRIS_LABELS8
 
@@ -247,6 +247,15 @@ class TestEncodingJson:
         enc = encode_dendrogram(Dendrogram(labels, tree.nodes), p)
         doc = {"p": p, "n": len(labels), "labels": list(labels), "C": [c for row in enc.C for c in row]}
         assert formats.encoding_to_json(enc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_bytes_equal_json_dumps_on_the_sweep(self, p, rng):
+        for enc in encoding_sweep(p, rng):
+            doc = {"p": p, "n": enc.n, "labels": list(enc.labels),
+                   "C": [c for row in enc.C for c in row]}
+            text = formats.encoding_to_json(enc)
+            assert text == json.dumps(doc, indent=2) + "\n"
+            assert formats.encoding_to_json(formats.encoding_from_json(text)) == text
 
     @pytest.mark.parametrize("field, value, message", [
         ("C", [1, 1, -1, 1.5, 0, -1], "'C' must be a list of integers"),

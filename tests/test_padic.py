@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dendrocode import formats
@@ -20,6 +22,7 @@ from dendrocode.hierarchy import (
 from dendrocode.padic import (
     PadicCode,
     PadicEncoding,
+    _cells,
     cluster_sets,
     code_classes,
     code_cluster_sets,
@@ -33,8 +36,14 @@ from dendrocode.padic import (
     valuation_distance,
 )
 
-from conftest import caterpillar, random_tree
-from oracles import decode_by_sets, lca_rank, trial_division_is_prime
+from conftest import caterpillar, corrupt, encoding_sweep, random_tree
+from oracles import (
+    decimal_codes_by_nonzero_sums,
+    decode_by_sets,
+    differing_levels_by_rows,
+    lca_rank,
+    trial_division_is_prime,
+)
 from reference import EIGHT_LEAF_COEFFICIENTS, eight_leaf_example_tree
 
 
@@ -187,11 +196,65 @@ class TestTrustedEncodings:
             assert enc.decimal_codes() == tuple(evaluate_code(c) for c in enc.codes())
 
 
+class TestRootFirstOrder:
+    """``decimal_codes`` and ``differing_levels`` read the stored array in
+    root-first row order; the referees read the rows one at a time.  The
+    sweep has n = 0, 1, ..., 40 and encodings that ``decode`` rejects."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_decimal_codes_equal_evaluate_code(self, p, rng):
+        for enc in encoding_sweep(p, rng):
+            expected = tuple(evaluate_code(code) for code in enc.codes())
+            assert enc.decimal_codes() == expected == decimal_codes_by_nonzero_sums(enc)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_differing_levels_equal_the_row_referee(self, p, rng):
+        for enc in encoding_sweep(p, rng):
+            levels = enc.differing_levels()
+            assert levels.dtype == np.int64
+            assert np.array_equal(levels, differing_levels_by_rows(enc))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_trusted_and_public_encodings_agree(self, p, rng):
+        for enc in encoding_sweep(p, rng):
+            text = formats.encoding_to_json(enc)
+            doc = json.loads(text)
+            width = max(enc.n - 1, 0)
+            rows = tuple(tuple(doc["C"][i * width : (i + 1) * width]) for i in range(enc.n))
+            public = PadicEncoding(p, tuple(doc["labels"]), rows)
+            trusted = [formats.encoding_from_json(text)]
+            try:
+                trusted.append(encode_dendrogram(decode(enc), p))
+            except MalformedEncodingError:
+                pass  # no terminal, or columns that do not nest
+            for other in trusted:
+                assert hash(other) == hash(public)
+                assert other == public and public == other
+                assert other.C == public.C == rows
+                assert {type(c) for row in other.C for c in row} <= {int}
+                assert repr(other) == repr(public)
+
+    def test_stored_array_is_read_only(self, rng):
+        enc = encode_dendrogram(random_tree(5, rng, heights="rank"), 3)
+        for stored in (enc, PadicEncoding(3, enc.labels, enc.C),
+                       formats.encoding_from_json(formats.encoding_to_json(enc))):
+            with pytest.raises(ValueError):
+                _cells(stored)[0, 0] = 0
+
+
 class TestConstructorChecks:
     @pytest.mark.parametrize("cell", [1.5, 1.0, True, "1", None])
     def test_non_integer_coefficient_rejected(self, cell):
         with pytest.raises(MalformedEncodingError, match=r"must lie in \{-1, 0, \+1\}"):
             PadicEncoding(3, ("a", "b", "c"), ((1, 1), (-1, cell), (0, -1)))
+
+    @pytest.mark.parametrize("cell", [2, 127, 128, -129, 256, 10**30, True, 1.0])
+    def test_cells_past_int8_rejected(self, cell):
+        # with 0 in place of cell the rows are valid; an int8 conversion
+        # that wraps (numpy < 2) would read 256 as 0
+        PadicEncoding(3, ("a", "b", "c"), ((1, 1), (-1, 1), (0, -1)))
+        with pytest.raises(MalformedEncodingError, match=r"must lie in \{-1, 0, \+1\}"):
+            PadicEncoding(3, ("a", "b", "c"), ((1, 1), (-1, 1), (cell, -1)))
 
     def test_out_of_range_coefficient_rejected(self):
         for cell in (2, -2, 10**30):
@@ -214,34 +277,6 @@ class TestConstructorChecks:
     def test_first_one_sided_column_named(self):
         with pytest.raises(MalformedEncodingError, match="column 2 must contain"):
             PadicEncoding(3, ("a", "b", "c", "d"), ((1, 1, 1), (-1, 1, 1), (0, 0, -1), (0, 0, -1)))
-
-
-def corrupt(enc, rng):
-    """Rows of ``enc`` with two columns swapped, one column negated (a
-    child swap), part or all of one sign group of a column flipped, or one
-    nonzero entry moved to a zero of its column."""
-    rows = [list(row) for row in enc.C]
-    n, width = enc.n, enc.n - 1
-    kind = rng.randrange(4)
-    if kind == 0:
-        a, b = rng.sample(range(width), 2)
-        for row in rows:
-            row[a], row[b] = row[b], row[a]
-    elif kind == 1:
-        j = rng.randrange(width)
-        for row in rows:
-            row[j] = -row[j]
-    elif kind == 2:
-        j, sign = rng.randrange(width), rng.choice((1, -1))
-        group = [i for i in range(n) if rows[i][j] == sign]
-        for i in rng.sample(group, rng.randrange(1, len(group) + 1)):
-            rows[i][j] = -sign
-    else:
-        j = rng.randrange(width - 1)  # the root column has no zero to move to
-        source = rng.choice([i for i in range(n) if rows[i][j]])
-        target = rng.choice([i for i in range(n) if not rows[i][j]])
-        rows[target][j], rows[source][j] = rows[source][j], 0
-    return tuple(map(tuple, rows))
 
 
 class TestDecodeAgainstSets:
