@@ -16,8 +16,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DegenerateInputError, DomainError, ParseError
-from .hierarchy import Dendrogram, MergeNode, internal, join_gaps, terminal
+from .hierarchy import Dendrogram, MergeNode, gap_levels, internal, join_gaps, terminal
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,21 @@ class PrefixHierarchy:
 
     def member_count(self) -> int:
         return len(self.strings)
+
+    def levels(self) -> np.ndarray:
+        """n x n integer table, in string order, of the common-prefix length
+        of each two strings, so base^(-level) is their ``baire_distance``;
+        -1 where that distance is 0: on the diagonal and between equal
+        digits under one label.  Two sorted strings share the least ``lcp``
+        between their positions, which is depth minus the largest gap of
+        depth - lcp (``gap_levels``)."""
+        depth = self.depth
+        levels = gap_levels(self.order, depth - np.array(self.lcp[1:], dtype=np.intp))
+        np.subtract(depth, levels, out=levels)
+        ids: dict = {}
+        same = np.array([ids.setdefault((s.digits, s.label), len(ids)) for s in self.strings])
+        levels[same[:, None] == same] = -1
+        return levels
 
     def dump_text(self) -> str:
         """Indented one-node-per-line rendering for inspection, in preorder

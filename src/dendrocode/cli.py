@@ -12,11 +12,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
-from .baire import baire_cluster, baire_distance, encode_dna
-from .errors import DendrocodeError, DomainError, ParseError, ResourceGuardError
+from .baire import baire_cluster, encode_dna
+from .errors import DendrocodeError, DomainError, ParseError
 from .haar import haar_forward, haar_inverse, haar_threshold
 from .hierarchy import LINKAGES, agglomerate, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
@@ -64,14 +62,15 @@ def _sidecar(path: str | None) -> str | None:
     return path + ".tree.json"
 
 
-def _add_io_flags(p: argparse.ArgumentParser, output: bool = True) -> None:
-    if output:
-        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p.add_argument(
-        "--full-precision",
-        action="store_true",
-        help="print floats at full precision instead of 7 significant digits",
-    )
+def _add_io_flags(p: argparse.ArgumentParser, floats: bool = False) -> None:
+    """``-o``, and ``--full-precision`` for a verb that prints floats."""
+    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    if floats:
+        p.add_argument(
+            "--full-precision",
+            action="store_true",
+            help="print floats at full precision instead of 7 significant digits",
+        )
 
 
 def _add_table_flags(p: argparse.ArgumentParser) -> None:
@@ -135,42 +134,27 @@ def _cmd_padic_decode(args) -> int:
     return 0
 
 
-# padic-dist builds its whole table in memory; a cell takes about 2 r log10(p)
-# bytes at level r, so a deep tree over a large p can ask for gigabytes
-_TABLE_GUARD = 2**30
-
-
 def _cmd_padic_dist(args) -> int:
     enc = formats.encoding_from_json(_read(args.encoding))
-    levels = enc.differing_levels()
-    distinct, counts = np.unique(levels, return_counts=True)
-    text = {}
-    size = 0
-    for r, count in zip(distinct.tolist(), counts.tolist()):
+
+    def value(r: int) -> Fraction:
         similarity = Fraction(1, enc.p**r)
-        text[r] = formats._cell(similarity if args.similarity else 1 - similarity)
-        size += count * (len(text[r]) + 1)
-    if size > _TABLE_GUARD:
-        raise ResourceGuardError(
-            f"the distance table would take {size} bytes, past the guard ({_TABLE_GUARD})"
-        )
-    table = [list(map(text.__getitem__, row)) for row in levels.tolist()]
-    _emit(formats.fraction_matrix_csv(enc.labels, table), args.output)
+        return similarity if args.similarity else 1 - similarity
+
+    _emit(formats.level_table_csv(enc.labels, enc.differing_levels(), value), args.output)
     return 0
 
 
 def _cmd_baire_dist(args) -> int:
     strings = formats.read_strings(_read(args.strings), args.base)
-    labels = [s.label for s in strings]
-    if args.exact:
-        table = [[baire_distance(a, b) for b in strings] for a in strings]
-        _emit(formats.fraction_matrix_csv(labels, table), args.output)
-    else:
-        values = np.array(
-            [[float(baire_distance(a, b)) for b in strings] for a in strings]
-        )
-        out = formats.write_data_csv(values, labels, labels, args.full_precision)
-        _emit(out, args.output)
+    hierarchy = baire_cluster(strings)[0]
+
+    def value(r: int) -> Fraction | float:
+        distance = Fraction(0) if r < 0 else Fraction(1, args.base**r)
+        return distance if args.exact else float(distance)
+
+    table = formats.level_table_csv(hierarchy.labels, hierarchy.levels(), value, args.full_precision)
+    _emit(table, args.output)
     return 0
 
 
@@ -209,32 +193,33 @@ def _cmd_haar(args) -> int:
     return 0
 
 
-def _cmd_haar_inverse(args) -> int:
+def _load_transform(args):
+    """The wavelet table ``args.transform`` and its coordinate names, read
+    against the tree of ``--tree`` or else of the transform's sidecar."""
     tree_path = args.tree or _sidecar(args.transform)
     if tree_path is None:
         raise DomainError("need --tree when the transform comes from stdin")
-    tree = _load_tree(tree_path)
-    transform, coord_names = formats.haar_from_csv(_read(args.transform), tree)
+    return formats.haar_from_csv(_read(args.transform), _load_tree(tree_path))
+
+
+def _cmd_haar_inverse(args) -> int:
+    transform, coord_names = _load_transform(args)
     data = haar_inverse(transform)
     _emit(
-        formats.write_data_csv(data, tree.labels, coord_names, args.full_precision),
+        formats.write_data_csv(data, transform.tree.labels, coord_names, args.full_precision),
         args.output,
     )
     return 0
 
 
 def _cmd_haar_denoise(args) -> int:
-    tree_path = args.tree or _sidecar(args.transform)
-    if tree_path is None:
-        raise DomainError("need --tree when the transform comes from stdin")
-    tree = _load_tree(tree_path)
-    transform, coord_names = formats.haar_from_csv(_read(args.transform), tree)
+    transform, coord_names = _load_transform(args)
     thinned = haar_threshold(transform, args.epsilon)
     if args.transform_out:
         _emit(formats.haar_to_csv(thinned, coord_names, args.full_precision), args.transform_out)
     data = haar_inverse(thinned)
     _emit(
-        formats.write_data_csv(data, tree.labels, coord_names, args.full_precision),
+        formats.write_data_csv(data, transform.tree.labels, coord_names, args.full_precision),
         args.output,
     )
     return 0
@@ -344,25 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["euclidean"], default="euclidean")
     p.add_argument("--newick", default=None, help="also write Newick text here")
     _add_table_flags(p)
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_cluster)
 
     p = sub.add_parser("cophenetic", help="ultrametric matrix of a tree")
     p.add_argument("tree")
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_cophenetic)
 
     p = sub.add_parser("verify-um", help="list strong-triangle violations")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_verify_um)
 
     p = sub.add_parser("canonical", help="reorder an ultrametric matrix to canonical form")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--perm-out", default=None, help="write the 1-based permutation here")
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("padic-encode", help="signed coefficient matrix of a tree")
@@ -387,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("strings")
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--exact", action="store_true", help="emit exact fractions")
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_baire_dist)
 
     p = sub.add_parser("baire-cluster", help="prefix-tree clustering of digit strings")
@@ -395,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--trie-out", default=None, help="write the indented trie dump here")
     p.add_argument("--newick", default=None)
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_baire_cluster)
 
     p = sub.add_parser("dna-encode", help="digit-encode nucleotide sequences")
@@ -409,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linkage", choices=LINKAGES, default="median")
     p.add_argument("--tree-out", default=None, help="tree sidecar path (default <output>.tree.json)")
     _add_table_flags(p)
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_haar)
 
     p = sub.add_parser("haar-inverse", help="reconstruct data from a wavelet table")
     p.add_argument("transform")
     p.add_argument("--tree", default=None, help="tree sidecar path (default <transform>.tree.json)")
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_haar_inverse)
 
     p = sub.add_parser("haar-denoise", help="zero small details, then reconstruct")
@@ -423,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--tree", default=None)
     p.add_argument("--transform-out", default=None, help="also write the thresholded table")
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_haar_denoise)
 
     p = sub.add_parser("ordinal", help="sliding-window ordinal patterns of a stream")
@@ -478,12 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--law", choices=["uniform", "gaussian"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_gen_cloud)
 
     p = sub.add_parser("render", help="monospaced text drawing of a tree")
     p.add_argument("tree")
-    _add_io_flags(p)
+    _add_io_flags(p, floats=True)
     p.set_defaults(fn=_cmd_render)
 
     return parser

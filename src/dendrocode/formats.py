@@ -11,17 +11,18 @@ emitted at full precision; tabular floats default to 7 significant digits.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import re
 import typing
 from decimal import Decimal
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .baire import BaireString, parse_digits
-from .errors import ParseError
+from .errors import ParseError, ResourceGuardError
 from .haar import HaarTransform
 from .hierarchy import (
     Child,
@@ -301,13 +302,15 @@ def tree_from_json(text: str) -> Dendrogram:
     return Dendrogram(labels, tuple(nodes))
 
 
+_NEWICK_RESERVED = re.compile(r"[\s()\[\]':;,]")
+
+
 def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
     """Newick text with branch lengths = parent height - child height
-    (terminals sit at height 0); the root carries its height as a comment."""
-
-    def clean(label: str) -> str:
-        return label.replace(" ", "_").replace(",", "_").replace("(", "_").replace(")", "_")
-
+    (terminals sit at height 0); the root carries its height as a comment.
+    Each whitespace or Newick-reserved character (``()[]':;,``) of a label
+    is written as ``_``."""
+    clean = functools.partial(_NEWICK_RESERVED.sub, "_")
     if not tree.nodes:
         return f"{clean(tree.labels[0])};\n"
     parts: list[str] = []
@@ -420,11 +423,33 @@ def decimal_codes_csv(enc: PadicEncoding) -> str:
     return _write_table(["label", "code"], enc.labels, codes)
 
 
-def fraction_matrix_csv(
-    labels: Sequence[str], values: Sequence[Sequence[Fraction]]
+# a level table is built whole in memory; a cell can take thousands of digits
+# (1/p^r at a deep level), so a modest input can ask for gigabytes of text
+_TABLE_GUARD = 2**30
+
+
+def level_table_csv(
+    labels: Sequence[str],
+    levels: np.ndarray,
+    value: Callable[[int], object],
+    full_precision: bool = False,
 ) -> str:
-    """Labelled square table of exact fractions (or their text)."""
-    return _write_table(["", *labels], labels, values)
+    """Labelled square table whose cell (i, k) is ``value(levels[i, k])``.
+
+    Every ultrametric table is an integer level per pair (the level of the
+    two terminals' lowest common ancestor) mapped to a number, so each
+    distinct level is formatted once, by ``_cell``.  The text the table
+    would take is summed before it is built: past 1 GiB it is a
+    ``ResourceGuardError``."""
+    distinct, counts = (a.tolist() for a in np.unique(levels, return_counts=True))
+    text = {r: _cell(value(r), full_precision) for r in distinct}
+    size = sum(count * (len(text[r]) + 1) for r, count in zip(distinct, counts))
+    if size > _TABLE_GUARD:
+        raise ResourceGuardError(
+            f"the distance table would take {size} bytes, past the guard ({_TABLE_GUARD})"
+        )
+    rows = (list(map(text.__getitem__, row.tolist())) for row in levels)
+    return _write_table(["", *labels], labels, rows)
 
 
 def violations_csv(violations: Iterable[tuple[int, int, int, float, float]],

@@ -120,7 +120,7 @@ class Dendrogram:
 
     def terminal_order(self) -> tuple[int, ...]:
         """Left-to-right terminal indices of the stored drawing."""
-        return tuple(idx for (kind, idx), _ in walk(self) if kind == TERMINAL)
+        return tuple(drawing(self)[0])
 
 
 def walk(tree: Dendrogram) -> Iterator[tuple[Child, int]]:
@@ -145,6 +145,37 @@ def walk(tree: Dendrogram) -> Iterator[tuple[Child, int]]:
             push((node.right, 0))
             push((child, 1))
             push((node.left, 0))
+
+
+def drawing(tree: Dendrogram) -> tuple[list[int], list[int]]:
+    """The stored drawing as ``(order, gap_ranks)``: the terminal indices
+    left to right, and the rank of the node between each two neighbours
+    (``gap_ranks[k]`` lies between ``order[k]`` and ``order[k + 1]``).  The
+    ranks are the in-order read of the internal nodes; the lowest common
+    ancestor of two terminals is the highest rank between them."""
+    events = list(walk(tree))
+    order = [idx for (kind, idx), _ in events if kind == TERMINAL]
+    return order, [idx for (_, idx), visit in events if visit == 1]
+
+
+def gap_levels(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
+    """n x n table, in terminal-index order, of the largest gap between each
+    two terminals of a drawing, 0 on the diagonal, of the dtype of ``gaps``.
+
+    ``order`` lists the terminal indices left to right and ``gaps[k]`` is
+    the level of the gap between positions k and k + 1.  When each gap is
+    the level at which its two neighbours join (the Cartesian tree of the
+    gaps, as in :func:`join_gaps`), entry (i, j) is the level of the lowest
+    common ancestor of i and j.  One running maximum per position fills the
+    position-indexed table and its mirror, and one gather reorders it."""
+    n = len(order)
+    by_position = np.zeros((n, n), dtype=gaps.dtype)
+    for a in range(n - 1):
+        running = by_position[a, a + 1 :]
+        np.maximum.accumulate(gaps[a:], out=running)
+        by_position[a + 1 :, a] = running
+    pos = np.argsort(order)  # the position of each terminal
+    return by_position[np.ix_(pos, pos)]
 
 
 def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import Dendrogram, MergeNode, TERMINAL, internal, terminal, walk
+from .hierarchy import Dendrogram, MergeNode, TERMINAL, gap_levels, internal, terminal, walk
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -187,18 +187,12 @@ class PadicEncoding:
         is defined on encodings that ``decode`` rejects as well.
 
         In root-first order r of two rows is the largest cut between their
-        sorted positions, so each row of the table is one running maximum:
+        sorted positions, so the table is ``gap_levels`` of the cuts:
         O(n^2) in all."""
-        n = self.n
-        levels = np.zeros((n, n), dtype=np.int64)
-        if n < 2:
-            return levels
+        if self.n < 2:
+            return np.zeros((self.n, self.n), dtype=np.int64)
         order, cut = _root_first_order(_cells(self))
-        for a in range(n - 1):
-            running = np.maximum.accumulate(cut[a + 1 :])
-            levels[order[a], order[a + 1 :]] = running
-            levels[order[a + 1 :], order[a]] = running
-        return levels
+        return gap_levels(order, cut[1:])
 
 
 class _CoefficientRows:

@@ -19,10 +19,10 @@ from .hierarchy import (
     Dendrogram,
     MergeNode,
     TERMINAL,
+    drawing,
     internal,
     join_gaps,
     terminal,
-    walk,
 )
 
 TIE_RULES = ("earlier-low", "later-low")
@@ -170,9 +170,8 @@ def packed_representation(tree: Dendrogram) -> PackedPermutation:
             a, b = b, a
         first[node.rank] = min(ka, kb, node.rank)
         oriented.append(MergeNode(node.rank, node.height, a, b))
-    drawing = Dendrogram(tree.labels, tuple(oriented))
-    inorder = [idx for (_, idx), visit in walk(drawing) if visit == 1]
-    return PackedPermutation(tuple(inorder) + (n,))
+    inorder = drawing(Dendrogram(tree.labels, tuple(oriented)))[1]
+    return PackedPermutation((*inorder, n))
 
 
 def unpack(perm: PackedPermutation) -> Dendrogram:

@@ -20,7 +20,8 @@ from .hierarchy import (
     TERMINAL,
     UltrametricMatrix,
     agglomerate,
-    walk,
+    drawing,
+    gap_levels,
 )
 
 EQUILATERAL = "equilateral"
@@ -46,36 +47,23 @@ class UltrametricityReport:
             raise DomainError("coefficient must lie in [0, 1]")
 
 
+def _lca_heights(tree: Dendrogram) -> np.ndarray:
+    """The n x n array of :func:`cophenetic_matrix`, unvalidated."""
+    order, ranks = drawing(tree)
+    levels = gap_levels(order, np.array(ranks, dtype=np.intp))
+    return np.array([0.0, *tree.heights()])[levels]
+
+
 def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     """Pairwise heights of lowest common ancestors.
 
     Entry (i, j) is the height of the lowest-rank internal node whose
-    subtree contains both terminals; exact copies of the stored heights,
-    so for monotone trees the result passes ``verify_ultrametric`` at
-    tolerance 0.
+    subtree contains both terminals, read as the highest rank between them
+    in the drawing (:func:`~dendrocode.hierarchy.gap_levels`); exact copies
+    of the stored heights, so for monotone trees the result passes
+    ``verify_ultrametric`` at tolerance 0.
     """
-    n = tree.n
-    # In the drawing, a node's left and right subtrees hold two adjacent
-    # runs of terminal positions, so each node fills one block (and its
-    # mirror) of the position-indexed table, and every pair gets exactly one.
-    by_position = np.zeros((n, n), dtype=float)
-    order: list[int] = []
-    starts: list[int] = []  # open nodes: first position of each subtree
-    for (kind, idx), visit in walk(tree):
-        if kind == TERMINAL:
-            order.append(idx)
-        elif visit < 2:
-            starts.append(len(order))
-        else:
-            mid = starts.pop()
-            lo = starts.pop()
-            hi = len(order)
-            height = tree.nodes[idx - 1].height
-            by_position[lo:mid, mid:hi] = height
-            by_position[mid:hi, lo:mid] = height
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    return UltrametricMatrix(by_position[np.ix_(pos, pos)], tree.labels)
+    return UltrametricMatrix(_lca_heights(tree), tree.labels)
 
 
 def _certify(
@@ -96,7 +84,7 @@ def _certify(
         return None, []
     d = m.values
     tree = agglomerate(m, "single")
-    flagged = np.triu(d > cophenetic_matrix(tree).values + tol, 1)
+    flagged = np.triu(d > _lca_heights(tree) + tol, 1)
     violations: list[tuple[int, int, int, float, float]] = []
     for i in np.flatnonzero(flagged.any(axis=1)):
         ks = np.flatnonzero(flagged[i])

@@ -354,6 +354,21 @@ def float_text(value, full_precision):
     return repr(float(value)) if full_precision else format(float(value), ".7g")
 
 
+def baire_dist_by_pairs(strings, exact, full_precision=False):
+    """The ``baire-dist`` table of ``strings`` with every cell computed by
+    ``baire_distance``, one pair at a time: exact fractions, or floats at
+    7 significant digits or at full precision.  The verb's method before
+    it read one level table off the sorted strings."""
+    from dendrocode.baire import baire_distance
+
+    labels = [s.label for s in strings]
+    if exact:
+        rows = [[exact_text(baire_distance(a, b)) for b in strings] for a in strings]
+    else:
+        rows = [[float_text(baire_distance(a, b), full_precision) for b in strings] for a in strings]
+    return csv_table(["", *labels], labels, rows)
+
+
 def trial_division_is_prime(p):
     """Primality by trial division up to sqrt(p)."""
     if p < 2:

@@ -8,14 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from dendrocode.cli import main
+from dendrocode.cli import build_parser, main
 from dendrocode import formats
 from dendrocode.baire import baire_distance
 from dendrocode.hierarchy import Dendrogram
 from dendrocode.padic import encode_dendrogram, evaluate_code
 
 from conftest import caterpillar, random_tree
-from oracles import csv_table, exact_text, padic_table
+from oracles import baire_dist_by_pairs, csv_table, exact_text, padic_table
 from reference import FCA_ATTRIBUTES, FCA_CELLS, FCA_OBJECTS, IRIS8, IRIS_LABELS8
 
 
@@ -213,6 +213,28 @@ class TestPadicVerbs:
             assert err.startswith("E_PARSE: encoding JSON field ") and err.count("\n") == 1
 
 
+def _random_strings(rng, count, alphabet, longest):
+    return "".join(
+        f"s{i},{''.join(rng.choice(alphabet) for _ in range(rng.randrange(1, longest)))}\n"
+        for i in range(count)
+    )
+
+
+# baire-dist inputs (text, base): pairs at distance 0 off the diagonal, a
+# string that prefixes another, labels that repeat or are empty, and cells
+# past Python's int-to-str digit limit
+BAIRE_INPUTS = {
+    "equal-digits-one-label": ("a,123\na,123\nb,124\na,12\n", 10),
+    "equal-digits-two-labels": ("a,123\nb,123\nc,12\nb,124\n", 10),
+    "prefix": ("a,12\nb,1234\nc,123\nd,2\n", 10),
+    "empty-label": (",241\nb,248\n,241\n,24\n", 10),
+    "one-string": ("a,5\n", 10),
+    "base-2": (_random_strings(random.Random(2), 60, "01", 10), 2),
+    "base-40": (_random_strings(random.Random(40), 60, "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ", 4), 40),
+    "5000-digits": ("a," + "7" * 5000 + "\nb," + "7" * 5000 + "\nc," + "7" * 4999 + "1\n", 10),
+}
+
+
 class TestBaireVerbs:
     def test_distance_matrix(self, tmp_path, capsys):
         path = tmp_path / "strings.txt"
@@ -256,6 +278,18 @@ class TestBaireVerbs:
         assert trie_path.read_text() == (
             "(root) [2]\n  1 [1]\n    1,35 [1]  <- s1\n  2 [1]  <- s2\n"
         )
+
+    @pytest.mark.parametrize("flags", [["--exact"], [], ["--full-precision"]],
+                             ids=["exact", "float", "full-precision"])
+    @pytest.mark.parametrize("name", BAIRE_INPUTS)
+    def test_equals_the_pairwise_referee(self, name, flags, tmp_path, capsys):
+        text, base = BAIRE_INPUTS[name]
+        path = tmp_path / "strings.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "baire-dist", str(path), "--base", str(base), *flags)
+        assert (code, err) == (0, "")
+        strings = formats.read_strings(text, base)
+        assert out == baire_dist_by_pairs(strings, "--exact" in flags, "--full-precision" in flags)
 
     def test_dna_encode(self, tmp_path, capsys):
         path = tmp_path / "seqs.txt"
@@ -375,6 +409,16 @@ class TestExactCellsPastTheDigitLimit:
         enc_path = tmp_path / "enc.json"
         run(capsys, "padic-encode", str(tree), "-p", "1000003", "-o", str(enc_path))
         code, out, err = run(capsys, "padic-dist", str(enc_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("E_RESOURCE: the distance table would take ")
+        assert err.count("\n") == 1
+
+    def test_baire_dist_table_past_the_guard(self, tmp_path, capsys):
+        # 1/10^r with r past 1,100 in each of 10^6 cells: about 1.1 GB of text
+        rng = random.Random(11)
+        path = tmp_path / "strings.txt"
+        path.write_text("".join(f"s{i},{'3' * 1100}{rng.randrange(10**5):05d}\n" for i in range(1000)))
+        code, out, err = run(capsys, "baire-dist", str(path), "--exact")
         assert (code, out) == (1, "")
         assert err.startswith("E_RESOURCE: the distance table would take ")
         assert err.count("\n") == 1
@@ -583,3 +627,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+# each verb with its required arguments; the first group prints floats
+FLOAT_VERBS = [
+    ["cluster", "x.csv"], ["cophenetic", "t.json"], ["verify-um", "m.csv"],
+    ["canonical", "m.csv"], ["baire-dist", "s.txt"], ["baire-cluster", "s.txt"],
+    ["haar", "x.csv"], ["haar-inverse", "w.csv"], ["haar-denoise", "w.csv", "--epsilon", "1"],
+    ["gen-cloud", "-n", "3", "--dim", "2"], ["render", "t.json"],
+]
+EXACT_VERBS = [
+    ["padic-encode", "t.json"], ["padic-decode", "e.json"], ["padic-dist", "e.json"],
+    ["dna-encode", "s.txt"], ["ordinal", "s.csv", "--order", "3"], ["rankperm", "s.csv"],
+    ["packed", "t.json"], ["unpack", "(12)"], ["lattice", "b.csv"], ["ultrametricity", "m.csv"],
+]
+
+
+class TestFullPrecisionFlag:
+    """Only the verbs that print floats take ``--full-precision``."""
+
+    @pytest.mark.parametrize("argv", FLOAT_VERBS, ids=lambda argv: argv[0])
+    def test_float_verbs_accept_it(self, argv):
+        assert build_parser().parse_args(argv).full_precision is False
+        assert build_parser().parse_args([*argv, "--full-precision"]).full_precision is True
+
+    @pytest.mark.parametrize("argv", EXACT_VERBS, ids=lambda argv: argv[0])
+    def test_other_verbs_exit_2(self, argv, capsys):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--full-precision"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --full-precision" in capsys.readouterr().err

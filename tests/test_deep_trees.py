@@ -211,6 +211,5 @@ class TestDeepPadic:
         assert code == 0 and err == ""
         # with rank heights the cophenetic matrix holds the rank of each
         # lowest common ancestor
-        ranks = cophenetic_matrix(tree).values.astype(int).tolist()
-        table = [[1 - Fraction(1, 3**r) for r in row] for row in ranks]
-        assert out == formats.fraction_matrix_csv(tree.labels, table)
+        ranks = cophenetic_matrix(tree).values.astype(int)
+        assert out == formats.level_table_csv(tree.labels, ranks, lambda r: 1 - Fraction(1, 3**r))

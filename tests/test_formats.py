@@ -17,6 +17,7 @@ from dendrocode.hierarchy import (
     DissimilarityMatrix,
     MergeNode,
     agglomerate,
+    internal,
     pairwise_distances,
     terminal,
 )
@@ -160,6 +161,23 @@ class TestNewick:
     def test_single_leaf(self):
         assert formats.tree_to_newick(Dendrogram(("x",), ())) == "x;\n"
 
+    @pytest.mark.parametrize("ch", [" ", "\t", "\n", "\r", "\u00a0", "(", ")", "[", "]", "'", ":", ";", ","])
+    def test_reserved_characters_become_underscores(self, ch):
+        tree = Dendrogram((f"a{ch}b", ch), (MergeNode(1, 2.0, terminal(0), terminal(1)),))
+        assert formats.tree_to_newick(tree) == "(a_b:2,_:2)[height=2];\n"
+        assert formats.tree_to_newick(Dendrogram((f"{ch}x",), ())) == "_x;\n"
+
+    def test_labels_cannot_end_the_tree_or_open_a_comment(self):
+        labels = ("a:b", "c;d", "e[1]", "f'g")
+        nodes = (
+            MergeNode(1, 1.0, terminal(0), terminal(1)),
+            MergeNode(2, 1.0, terminal(2), terminal(3)),
+            MergeNode(3, 3.0, internal(1), internal(2)),
+        )
+        assert formats.tree_to_newick(Dendrogram(labels, nodes)) == (
+            "((a_b:1,c_d:1):2,(e_1_:1,f_g:1):2)[height=3];\n"
+        )
+
 
 class TestHaarCsv:
     def test_round_trip_full_precision(self, rng):
@@ -277,15 +295,23 @@ class TestEncodingJson:
             formats.encoding_from_json(json.dumps(doc))
 
 
+def as_levels(table):
+    """An n x n table of numbers as ``level_table_csv`` arguments: cell
+    (i, k) at level n*i + k, and the value of each level."""
+    n = len(table)
+    return np.arange(n * n, dtype=np.int64).reshape(n, n), [v for row in table for v in row].__getitem__
+
+
 class TestFractionMatrixCsv:
     def test_equals_writing_every_cell(self):
         labels = ("", "a,b", 'say "hi"', " lead", "new\nline", "cr\rhere", "é", "plain")
         table = [[Fraction(i - j, 3 ** (i + j)) for j in range(8)] for i in range(8)]
-        assert formats.fraction_matrix_csv(labels, table) == csv_table(["", *labels], labels, table)
+        text = formats.level_table_csv(labels, *as_levels(table))
+        assert text == csv_table(["", *labels], labels, table)
 
     def test_single_label(self):
         expected = csv_table(["", ""], ("",), [[Fraction(0)]])
-        assert formats.fraction_matrix_csv(("",), [[Fraction(0)]]) == expected
+        assert formats.level_table_csv(("",), *as_levels([[Fraction(0)]])) == expected
 
 
 # Labels that CSV must quote (",", '"', "\n"), that it writes bare ("\r", a
@@ -370,7 +396,8 @@ class TestWriterReferee:
         labels = data.draw(st.lists(LABELS, min_size=n, max_size=n))
         table = [data.draw(st.lists(FRACTIONS, min_size=n, max_size=n)) for _ in range(n)]
         rows = [[exact_text(v) for v in row] for row in table]
-        assert formats.fraction_matrix_csv(labels, table) == csv_table(["", *labels], labels, rows)
+        text = formats.level_table_csv(labels, *as_levels(table))
+        assert text == csv_table(["", *labels], labels, rows)
 
     def test_labelled_rows_with_no_cells(self):
         # CSV writes a row holding only the empty label as ""
@@ -434,9 +461,8 @@ class TestReportsAndViolations:
         assert text.splitlines()[1] == "1,2,3,5,1"
 
     def test_fraction_matrix(self):
-        text = formats.fraction_matrix_csv(
-            ("a", "b"), [[Fraction(0), Fraction(2, 3)], [Fraction(2, 3), Fraction(0)]]
-        )
+        levels = np.array([[0, 1], [1, 0]])
+        text = formats.level_table_csv(("a", "b"), levels, [Fraction(0), Fraction(2, 3)].__getitem__)
         assert "2/3" in text
 
 

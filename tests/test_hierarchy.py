@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dendrocode.errors import (
     DegenerateInputError,
@@ -18,6 +19,7 @@ from dendrocode.hierarchy import (
     MergeNode,
     agglomerate,
     canonicalize,
+    gap_levels,
     internal,
     member_sets,
     pairwise_distances,
@@ -254,3 +256,29 @@ class TestDendrogramValidation:
                 ("a", "b"),
                 (MergeNode(1, -0.5, terminal(0), terminal(1)),),
             )
+
+
+@st.composite
+def drawings(draw):
+    """A terminal order and one gap value between each two neighbours."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.intp, np.float64]))
+    gaps = draw(st.lists(st.integers(0, 9), min_size=n - 1, max_size=n - 1))
+    return order, np.array(gaps, dtype=dtype)
+
+
+class TestGapLevels:
+    @settings(max_examples=200, deadline=None)
+    @given(drawings())
+    def test_equals_the_largest_gap_between(self, drawing):
+        order, gaps = drawing
+        n = len(order)
+        pos = {t: k for k, t in enumerate(order)}
+        expected = [
+            [0 if i == j else gaps[min(pos[i], pos[j]) : max(pos[i], pos[j])].max() for j in range(n)]
+            for i in range(n)
+        ]
+        levels = gap_levels(order, gaps)
+        assert levels.dtype == gaps.dtype
+        assert np.array_equal(levels, np.array(expected, dtype=gaps.dtype).reshape(n, n))

@@ -31,7 +31,7 @@ from dendrocode.ultrametric import (
     verify_ultrametric,
 )
 
-from conftest import random_tree
+from conftest import caterpillar, random_tree
 from oracles import (
     brute_ultrametric_ok,
     brute_violating_combinations,
@@ -63,12 +63,14 @@ class TestCophenetic:
         assert np.array_equal(cophenetic_matrix(tree).values, [[0.0, 3.5], [3.5, 0.0]])
 
     def test_matches_pairwise_lca_oracle(self, rng):
+        trees = [caterpillar(n, lean) for n in (2, 3, 9, 40) for lean in ("left", "right")]
         for heights in ("monotone", "jumbled"):
-            for _ in range(5):
-                tree = random_tree(rng.randrange(3, 12), rng, heights)
-                assert np.array_equal(
-                    cophenetic_matrix(tree).values, np.array(cophenetic_by_paths(tree))
-                )
+            trees += [random_tree(n, rng, heights) for n in (1, 2)]
+            trees += [random_tree(rng.randrange(3, 12), rng, heights) for _ in range(5)]
+        for tree in trees:
+            assert np.array_equal(
+                cophenetic_matrix(tree).values, np.array(cophenetic_by_paths(tree))
+            )
 
     def test_monotone_tree_output_is_exactly_ultrametric(self, rng):
         for _ in range(20):
