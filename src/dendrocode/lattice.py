@@ -14,9 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DegenerateInputError, DomainError, ResourceGuardError
 
 _CLIQUE_GUARD = 64
+_VERTEX_GUARD = 4096
 
 
 @dataclass(frozen=True)
@@ -90,36 +93,38 @@ class Semilattice:
 
 def build_semilattice(table: BooleanTable) -> Semilattice:
     """Distinct pairwise dissimilarity subsets, union-closed, each annotated
-    with the object pairs mapping to it; covering edges by inclusion."""
+    with the object pairs mapping to it; covering edges by inclusion.
+
+    Subsets are int bitmasks while they are built.  The closure of a family
+    F together with r is F, r and every c | r for c in F.  A cover is a pair
+    of vertices with none between, so the covers are
+    ``below & (below @ below == 0)`` for strict inclusion ``below``, read
+    row-major in vertex order.
+    """
     if table.n < 2:
         raise DegenerateInputError("need at least two objects")
-    realized: dict[frozenset[int], list[tuple[str, str]]] = {}
+    width = len(table.attributes)
+    full = (1 << width) - 1
+    rows = [sum(v << j for j, v in enumerate(row)) for row in table.cells]
+    realized: dict[int, list[tuple[str, str]]] = {}
     for (i, a), (j, b) in itertools.combinations(enumerate(table.objects), 2):
-        subset = set_dissimilarity(table.cells[i], table.cells[j])
-        realized.setdefault(subset, []).append((a, b))
-    # close under pairwise union so joins exist inside the vertex set
-    closed = set(realized)
-    grew = True
-    while grew:
-        grew = False
-        for u, v in itertools.combinations(sorted(closed, key=sorted), 2):
-            w = u | v
-            if w not in closed:
-                closed.add(w)
-                grew = True
-    def sort_key(s: frozenset[int]):
-        return (len(s), sorted(s))
-
+        realized.setdefault(full & ~(rows[i] & rows[j]), []).append((a, b))
+    closed: set[int] = set()
+    for r in realized:
+        closed |= {r} | {c | r for c in closed}
+        if len(closed) > _VERTEX_GUARD:  # checked each step; a step at most doubles the family
+            raise ResourceGuardError(f"{len(closed)} subsets exceed the vertex guard ({_VERTEX_GUARD})")
+    bits = {m: [j for j in range(width) if m >> j & 1] for m in closed}
+    order = sorted(closed, key=lambda m: (len(bits[m]), bits[m]))
     vertices = tuple(
-        SemilatticeVertex(s, len(s), tuple(realized.get(s, ())))
-        for s in sorted(closed, key=sort_key)
+        SemilatticeVertex(frozenset(bits[m]), len(bits[m]), tuple(realized.get(m, ()))) for m in order
     )
-    covers: list[tuple[frozenset[int], frozenset[int]]] = []
-    for low, high in itertools.permutations(closed, 2):
-        if low < high and not any(low < mid < high for mid in closed):
-            covers.append((low, high))
-    covers.sort(key=lambda e: (sort_key(e[0]), sort_key(e[1])))
-    return Semilattice(table, vertices, tuple(covers))
+    inside = np.array([[m >> j & 1 for j in range(width)] for m in order], dtype=np.float32)
+    # strict inclusion as 0/1: a lies below b when a has no member outside b
+    below = (inside @ (1 - inside).T == 0) - np.eye(len(order), dtype=np.float32)
+    cover = (below == 1) & (below @ below == 0)
+    covers = tuple((vertices[a].subset, vertices[b].subset) for a, b in zip(*np.nonzero(cover)))
+    return Semilattice(table, vertices, covers)
 
 
 def _maximal_cliques(adjacency: dict[int, set[int]]) -> list[frozenset[int]]:

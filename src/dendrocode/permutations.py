@@ -15,7 +15,6 @@ from .errors import (
     UnrealizablePermutationError,
 )
 from .hierarchy import (
-    Child,
     Dendrogram,
     MergeNode,
     TERMINAL,
@@ -223,62 +222,37 @@ _NLR_GUARD = 10
 
 
 def enumerate_nlr(n: int) -> list[Dendrogram]:
-    """All non-labeled ranked binary tree shapes on ``n`` terminals, stored
-    canonically with synthetic labels; counted by the zigzag numbers."""
+    """All non-labeled ranked binary tree shapes on ``n`` terminals, one per
+    realizable packed permutation, in increasing order of the permutation
+    and each drawn by ``unpack``; counted by the zigzag numbers."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if n > _NLR_GUARD:
         raise ResourceGuardError(
             f"n={n} exceeds the enumeration guard ({_NLR_GUARD}): counts grow as zigzag numbers"
         )
-    if n == 1:
-        return [Dendrogram(("x1",), ())]
+    # Give ranks 1, 2, ... to the gaps depth first, keeping the run ends as
+    # join_gaps does and refusing each join that unpack would refuse.
+    first = list(range(n))  # first position of the run ending at each position
+    last = list(range(n))  # last position of the run starting at each position
+    merged = [n] * n  # earliest merge rank of the run starting at each position; n: never
+    values = [0] * (n - 1) + [n]  # the packed permutation; 0: gap not yet joined
+    found: list[tuple[int, ...]] = []
 
-    # shapes as nested tuples: 0 for a terminal, (rank, a, b) canonical-sorted
-    def shape_key(shape):
-        return (0,) if shape == 0 else (shape[0],) + shape_key(shape[1]) + shape_key(shape[2])
-
-    def make(rank, a, b):
-        if shape_key(a) > shape_key(b):
-            a, b = b, a
-        return (rank, a, b)
-
-    found: list = []
-
-    def rec(forest: list, next_rank: int) -> None:
-        if len(forest) == 1:
-            found.append(forest[0])
+    def search(rank: int) -> None:  # recursion depth n - 1 <= 9 under the guard
+        if rank == n:
+            found.append(tuple(values))
             return
-        seen = set()
-        for i in range(len(forest)):
-            for j in range(i + 1, len(forest)):
-                pair = tuple(sorted((shape_key(forest[i]), shape_key(forest[j]))))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                rest = [forest[k] for k in range(len(forest)) if k not in (i, j)]
-                rec(rest + [make(next_rank, forest[i], forest[j])], next_rank + 1)
+        for k in range(1, n):
+            lo, hi = first[k - 1], last[k]
+            lf = merged[lo]
+            if values[k - 1] or merged[k] < lf:  # joined, or the right run merged first
+                continue
+            values[k - 1] = rank
+            first[hi], last[lo], merged[lo] = lo, hi, min(lf, rank)
+            search(rank + 1)
+            values[k - 1] = 0
+            first[hi], last[lo], merged[lo] = k, k - 1, lf
 
-    rec([0] * n, 1)
-
-    trees: list[Dendrogram] = []
-    for shape in found:
-        nodes: dict[int, MergeNode] = {}
-        counter = [0]
-
-        def build(sub) -> Child:
-            if sub == 0:
-                idx = counter[0]
-                counter[0] += 1
-                return terminal(idx)
-            rank, a, b = sub
-            left = build(a)
-            right = build(b)
-            nodes[rank] = MergeNode(rank, float(rank), left, right)
-            return internal(rank)
-
-        build(shape)
-        labels = tuple(f"x{i + 1}" for i in range(n))
-        ordered = tuple(nodes[r] for r in range(1, n))
-        trees.append(Dendrogram(labels, ordered))
-    return trees
+    search(1)
+    return [unpack(PackedPermutation(p)) for p in sorted(found)]

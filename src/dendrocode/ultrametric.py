@@ -142,10 +142,6 @@ def classify_triangle(a: float, b: float, c: float, tol: float = 0.02) -> str:
     return METRIC_ONLY
 
 
-def _all_triples(n: int):
-    return itertools.combinations(range(n), 3)
-
-
 def ultrametricity_coefficient(
     m: DissimilarityMatrix,
     sample: int = 2000,
@@ -167,7 +163,7 @@ def ultrametricity_coefficient(
         raise DomainError("sample must be at least 1")
     total = n * (n - 1) * (n - 2) // 6
     if sample >= total:
-        triples = list(_all_triples(n))
+        triples = list(itertools.combinations(range(n), 3))
     else:
         rng = random.Random(seed)
         chosen: set[tuple[int, int, int]] = set()

@@ -37,6 +37,17 @@ def random_tree(n: int, rng: random.Random, heights: str = "monotone") -> Dendro
     return Dendrogram(labels, tuple(nodes))
 
 
+def dense_table_csv() -> str:
+    """A 60-object by 20-attribute boolean table, each cell 1 with
+    probability 0.8 (fixed seed): its union closure has far more than 4,096
+    subsets, so it trips the semilattice vertex guard."""
+    rng = random.Random(0)
+    lines = ["," + ",".join(f"a{j + 1}" for j in range(20))]
+    for i in range(60):
+        lines.append(f"o{i + 1}," + ",".join(str(int(rng.random() < 0.8)) for _ in range(20)))
+    return "\n".join(lines) + "\n"
+
+
 def caterpillar(n: int, lean: str) -> Dendrogram:
     """Rank 1 merges t1 and t2; every later rank r merges q(r-1) with
     terminal index r at height r, drawing q(r-1) on the ``lean`` side."""

@@ -526,3 +526,97 @@ def unpack_by_spans(perm):
         end_at[span_end[right_id]] = left_id
         del start_at[i + 1], end_at[i]
     return Dendrogram(tuple(f"x{i + 1}" for i in range(n)), tuple(nodes))
+
+
+def nlr_by_nested_shapes(n):
+    """Every ranked tree shape on n terminals, by merging pairs of a forest
+    of nested-tuple shapes (0 for a terminal, (rank, a, b) with the smaller
+    shape key left), skipping pairs already tried at each step."""
+    from dendrocode.hierarchy import Dendrogram, MergeNode, internal, terminal
+
+    if n == 1:
+        return [Dendrogram(("x1",), ())]
+
+    def shape_key(shape):
+        return (0,) if shape == 0 else (shape[0],) + shape_key(shape[1]) + shape_key(shape[2])
+
+    def make(rank, a, b):
+        if shape_key(a) > shape_key(b):
+            a, b = b, a
+        return (rank, a, b)
+
+    found = []
+
+    def rec(forest, next_rank):
+        if len(forest) == 1:
+            found.append(forest[0])
+            return
+        seen = set()
+        for i in range(len(forest)):
+            for j in range(i + 1, len(forest)):
+                pair = tuple(sorted((shape_key(forest[i]), shape_key(forest[j]))))
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                rest = [forest[k] for k in range(len(forest)) if k not in (i, j)]
+                rec(rest + [make(next_rank, forest[i], forest[j])], next_rank + 1)
+
+    rec([0] * n, 1)
+
+    trees = []
+    for shape in found:
+        nodes = {}
+        counter = [0]
+
+        def build(sub):
+            if sub == 0:
+                counter[0] += 1
+                return terminal(counter[0] - 1)
+            rank, a, b = sub
+            left, right = build(a), build(b)
+            nodes[rank] = MergeNode(rank, float(rank), left, right)
+            return internal(rank)
+
+        build(shape)
+        labels = tuple(f"x{i + 1}" for i in range(n))
+        trees.append(Dendrogram(labels, tuple(nodes[r] for r in range(1, n))))
+    return trees
+
+
+def semilattice_by_pairs(table):
+    """The semilattice of a BooleanTable by frozensets: union every two
+    members of the family until no new subset appears, then test each
+    ordered pair of vertices against every vertex for a cover."""
+    from dendrocode.lattice import (
+        Semilattice,
+        SemilatticeVertex,
+        set_dissimilarity,
+    )
+
+    realized = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(table.objects), 2):
+        subset = set_dissimilarity(table.cells[i], table.cells[j])
+        realized.setdefault(subset, []).append((a, b))
+    closed = set(realized)
+    grew = True
+    while grew:
+        grew = False
+        for u, v in itertools.combinations(sorted(closed, key=sorted), 2):
+            w = u | v
+            if w not in closed:
+                closed.add(w)
+                grew = True
+
+    def sort_key(s):
+        return (len(s), sorted(s))
+
+    vertices = tuple(
+        SemilatticeVertex(s, len(s), tuple(realized.get(s, ())))
+        for s in sorted(closed, key=sort_key)
+    )
+    covers = []
+    for low, high in itertools.permutations(closed, 2):
+        if low < high and not any(low < mid < high for mid in closed):
+            covers.append((low, high))
+    covers.sort(key=lambda e: (sort_key(e[0]), sort_key(e[1])))
+    return Semilattice(table, vertices, tuple(covers))

@@ -13,9 +13,10 @@ from dendrocode import formats
 from dendrocode.baire import baire_distance
 from dendrocode.hierarchy import Dendrogram
 from dendrocode.padic import encode_dendrogram, evaluate_code
+from dendrocode.permutations import packed_representation
 
 from conftest import caterpillar, random_tree
-from oracles import baire_dist_by_pairs, csv_table, exact_text, padic_table
+from oracles import alternating_count, baire_dist_by_pairs, csv_table, exact_text, padic_table
 from reference import FCA_ATTRIBUTES, FCA_CELLS, FCA_OBJECTS, IRIS8, IRIS_LABELS8
 
 
@@ -489,6 +490,22 @@ class TestPermutationVerbs:
         code, out, _ = run(capsys, "enumerate-nlr", "-n", "5")
         assert code == 0
         assert out.strip() == "5"
+
+    @pytest.mark.parametrize("n", [1, 5, 7])
+    def test_enumerate_trees_out(self, tmp_path, capsys, n):
+        """The tree documents follow one another in increasing packed order."""
+        path = tmp_path / "trees.json"
+        code, out, _ = run(capsys, "enumerate-nlr", "-n", str(n), "--trees-out", str(path))
+        text, decoder, trees = path.read_text(), json.JSONDecoder(), []
+        pos = 0
+        while pos < len(text):
+            end = decoder.raw_decode(text, pos)[1]
+            trees.append(formats.tree_from_json(text[pos:end]))
+            pos = len(text) - len(text[end:].lstrip())
+        assert (code, out) == (0, f"{alternating_count(n - 1)}\n")
+        assert len(trees) == alternating_count(n - 1)
+        packed = [packed_representation(t).values for t in trees]
+        assert all(a < b for a, b in zip(packed, packed[1:]))
 
     def test_enumerate_guard(self, capsys):
         code, _, err = run(capsys, "enumerate-nlr", "-n", "12")

@@ -13,6 +13,8 @@ import pytest
 
 from dendrocode.cli import main
 
+from conftest import dense_table_csv
+
 TREE = json.dumps({
     "n": 3, "labels": ["a", "b", "c"],
     "nodes": [{"rank": 1, "height": 1.0, "left": "t1", "right": "t2"},
@@ -40,10 +42,13 @@ def _encoding(**changes) -> str:
     return json.dumps(doc)
 
 
-# Inputs every reader gets: empty, blank, truncated, binary-ish, deeply
-# nested, and an integer past Python's int-to-str digit limit.
+# Inputs every reader gets: empty, blank, truncated, binary-ish, not UTF-8
+# (a UTF-16 byte-order mark), deeply nested, and an integer past Python's
+# int-to-str digit limit.
+NON_UTF8 = b"\xff\xfe1\x00,\x002\x00\n\x00"
 COMMON = {
     "empty": "",
+    "non-utf8": NON_UTF8,
     "blank": "\n \n",
     "truncated-json": TREE[: len(TREE) // 2],
     "nul": "\x00\x01\n",
@@ -174,6 +179,13 @@ def _cases():
                                id=f"{verb[0]}:tree-{name}")
 
 
+def _write(path, data) -> None:
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+
+
 def _run(capsys, argv):
     try:
         code = main(argv)
@@ -194,11 +206,11 @@ def _check(code, err):
 @pytest.mark.parametrize("verb, text, tree", _cases())
 def test_bad_file_input(tmp_path, capsys, verb, text, tree):
     path = tmp_path / "input"
-    path.write_text(text)
+    _write(path, text)
     argv = [*verb, str(path), "-o", str(tmp_path / "out")]
     if tree is not None or verb in WAVELET_VERBS:
         tree_path = tmp_path / "tree.json"
-        tree_path.write_text(TREE if tree is None else tree)
+        _write(tree_path, TREE if tree is None else tree)
         argv += ["--tree", str(tree_path)]
     _check(*_run(capsys, argv))
 
@@ -235,6 +247,7 @@ def test_cells_past_int8_fail_cleanly(tmp_path, capsys, verb, name):
     pytest.param(["render"], TREE_JSON["labels-text"], id="render:labels-text"),
     pytest.param(["render"], TREE_JSON["labels-numbers"], id="render:labels-numbers"),
     pytest.param(["padic-decode"], ENCODING_JSON["p-past-bound"], id="padic-decode:p-past-bound"),
+    pytest.param(["lattice"], dense_table_csv(), id="lattice:dense-table"),
 ])
 def test_inputs_that_used_to_be_misread_fail_cleanly(tmp_path, capsys, verb, text):
     """Each of these ended in a traceback, was misread or ran for minutes;
@@ -245,3 +258,62 @@ def test_inputs_that_used_to_be_misread_fail_cleanly(tmp_path, capsys, verb, tex
     assert code == 1
     assert ERROR_LINE.fullmatch(err), err
     assert not (tmp_path / "out").exists()
+
+
+READER_VERBS = CSV_VERBS + TREE_VERBS + ENCODING_VERBS + WAVELET_VERBS + [["unpack", "--file"]]
+
+
+@pytest.mark.parametrize("verb", READER_VERBS, ids=" ".join)
+def test_non_utf8_input_fails_cleanly(tmp_path, capsys, verb):
+    """Bytes that are not UTF-8 used to raise UnicodeDecodeError out of main."""
+    path = tmp_path / "input"
+    path.write_bytes(NON_UTF8)
+    argv = [*verb, str(path), "-o", str(tmp_path / "out")]
+    if verb in WAVELET_VERBS:
+        argv += ["--tree", str(path)]
+    code, err = _run(capsys, argv)
+    assert code == 1
+    assert err.startswith(f"E_PARSE: cannot read {path}: ") and ERROR_LINE.fullmatch(err), err
+
+
+@pytest.mark.parametrize("verb", WAVELET_VERBS, ids=lambda verb: verb[0])
+def test_non_utf8_tree_sidecar_fails_cleanly(tmp_path, capsys, verb):
+    transform, tree_path = tmp_path / "transform.csv", tmp_path / "tree.json"
+    transform.write_text(WAVELET["word-cell"].replace("five", "5"))
+    tree_path.write_bytes(NON_UTF8)
+    code, err = _run(capsys, [*verb, str(transform), "--tree", str(tree_path)])
+    assert code == 1
+    assert err.startswith(f"E_PARSE: cannot read {tree_path}: ") and ERROR_LINE.fullmatch(err), err
+
+
+INPUTS = {
+    "data.csv": "1,2\n3,4\n5,7\n",
+    "strings.txt": "a,241\nb,248\n",
+    "tree.json": TREE,
+    "matrix.csv": ",a,b,c\na,0,1,2\nb,1,0,2\nc,2,2,0\n",
+    "transform.csv": WAVELET["word-cell"].replace("five", "5"),
+}
+# one invocation per output flag; BAD stands for the unwritable path
+OUTPUT_FLAGS = {
+    "-o": ["gen-cloud", "-n", "3", "--dim", "2", "-o", "BAD"],
+    "--newick": ["cluster", "data.csv", "-o", "out", "--newick", "BAD"],
+    "--trie-out": ["baire-cluster", "strings.txt", "-o", "out", "--trie-out", "BAD"],
+    "--decimals": ["padic-encode", "tree.json", "-o", "out", "--decimals", "BAD"],
+    "--perm-out": ["canonical", "matrix.csv", "-o", "out", "--perm-out", "BAD"],
+    "--tree-out": ["haar", "data.csv", "-o", "out", "--tree-out", "BAD"],
+    "--transform-out": ["haar-denoise", "transform.csv", "--tree", "tree.json", "--epsilon", "0.1",
+                        "-o", "out", "--transform-out", "BAD"],
+    "--trees-out": ["enumerate-nlr", "-n", "4", "--trees-out", "BAD"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FLAGS.values(), ids=OUTPUT_FLAGS.keys())
+def test_unwritable_output_fails_cleanly(tmp_path, capsys, argv):
+    """A missing output directory used to end in a FileNotFoundError traceback."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    bad = tmp_path / "missing" / "out"
+    names = {"BAD": str(bad), **{name: str(tmp_path / name) for name in [*INPUTS, "out"]}}
+    code, err = _run(capsys, [names.get(arg, arg) for arg in argv])
+    assert code == 1
+    assert err == f"E_DOMAIN: cannot write {bad}: No such file or directory\n"

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dendrocode.cli import main
 from dendrocode.errors import DomainError, ResourceGuardError
+from dendrocode.formats import read_boolean_table_csv
 from dendrocode.lattice import (
     BooleanTable,
     build_semilattice,
@@ -15,6 +18,8 @@ from dendrocode.lattice import (
     set_dissimilarity,
 )
 
+from conftest import dense_table_csv
+from oracles import semilattice_by_pairs
 from reference import FCA_ATTRIBUTES, FCA_CELLS, FCA_OBJECTS
 
 
@@ -128,6 +133,59 @@ class TestSemilattice:
     def test_text_rendering_mentions_everything(self, table):
         text = semilattice_text(build_semilattice(table))
         assert "d1,d2,d3" in text and "Level" in text and "d(a,c)" in text
+
+
+def _table(cells) -> BooleanTable:
+    return BooleanTable(
+        tuple(f"o{i}" for i in range(len(cells))),
+        tuple(f"v{j}" for j in range(len(cells[0]))),
+        tuple(cells),
+    )
+
+
+@st.composite
+def boolean_tables(draw):
+    """Tables small enough for the referee: random rows, repeated rows,
+    all-ones rows, a single attribute, and 70 attributes (masks past 64
+    bits) on at most four rows."""
+    width = draw(st.sampled_from([1, 2, 3, 4, 5, 70]))
+    most = 4 if width == 70 else 8
+    row = st.one_of(
+        st.lists(st.integers(0, 1), min_size=width, max_size=width).map(tuple),
+        st.just((1,) * width),
+    )
+    distinct = draw(st.lists(row, min_size=1, max_size=most))
+    return _table(draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=most)))
+
+
+class TestSemilatticeReferee:
+    @given(boolean_tables())
+    def test_equals_the_pairwise_referee(self, t):
+        assert build_semilattice(t) == semilattice_by_pairs(t)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_shaped_tables(self, seed):
+        """40 objects by 12 attributes with six attributes held per row."""
+        rng = random.Random(seed)
+        cells = [
+            tuple(int(j in held) for j in range(12))
+            for held in (set(rng.sample(range(12), 6)) for _ in range(40))
+        ]
+        t = _table(cells)
+        assert build_semilattice(t) == semilattice_by_pairs(t)
+
+    def test_vertex_guard(self, tmp_path, capsys):
+        t = read_boolean_table_csv(dense_table_csv())
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="vertex guard"):
+            build_semilattice(t)
+        assert time.perf_counter() - start < 5.0
+        path = tmp_path / "dense.csv"
+        path.write_text(dense_table_csv())
+        assert main(["lattice", str(path), "-o", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_RESOURCE: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestClustersAtLevel:

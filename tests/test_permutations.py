@@ -28,7 +28,7 @@ from dendrocode.permutations import (
 )
 
 from conftest import random_tree
-from oracles import alternating_count, unpack_by_spans
+from oracles import alternating_count, nlr_by_nested_shapes, unpack_by_spans
 from reference import packed_example_tree
 
 STREAM = (4.0, 7.0, 9.0, 10.0, 6.0, 11.0, 3.0)
@@ -256,6 +256,16 @@ class TestEnumerateNlr:
                     continue
                 realizable.add(perm.values)
             assert from_trees == realizable
+
+    def test_packed_order_and_drawing_match_the_referee(self):
+        """The shapes are the referee's, listed in increasing order of their
+        packed permutations, each drawn as unpack draws it."""
+        for n in range(1, 10):
+            trees = enumerate_nlr(n)
+            packed = [packed_representation(t) for t in trees]
+            expected = sorted(packed_representation(t).values for t in nlr_by_nested_shapes(n))
+            assert [p.values for p in packed] == expected
+            assert all(tree == unpack(p) for tree, p in zip(trees, packed))
 
     def test_unpack_packed_identity_on_topologies(self):
         for tree in enumerate_nlr(6):
