@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 on a domain error (single-line diagnostic
 ``<CODE>: <message>`` on stderr), 2 on usage errors.  Every command is
 deterministic given identical inputs, flags and seed.
+
+Each verb is a generator of ``(target, text)`` outputs and writes nothing
+itself; ``main`` collects them all and hands them to ``_write``, so a run
+that ends in an error leaves no output behind.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 from . import formats
 from .baire import baire_cluster, encode_dna
@@ -47,14 +52,31 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
+def _write(outputs: list[tuple[str | TextIO | None, str]]) -> int:
+    """The one writer.  A target is a path, None or "-" for stdout, or
+    sys.stderr.  Every file is opened for append (and closed) before any is
+    written, so a path that cannot be opened fails the run before anything
+    is written; the files this run created are then removed.  Append
+    changes no existing file, and is not a truncation, which a device such
+    as /dev/null refuses.  Next the files are written in order, then the
+    stdout texts, then the stderr texts.  Returns the exit code: 1 when a
+    text went to stderr, else 0."""
+    files = [(t, text) for t, text in outputs if isinstance(t, str) and t != "-"]
+    created = []
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        for target, _ in files:
+            if not Path(target).exists():
+                created.append(target)
+            Path(target).open("a", encoding="utf-8").close()
+        for target, text in files:
+            Path(target).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise DendrocodeError(f"cannot write {out}: {exc.strerror}") from None
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise DomainError(f"cannot write {target}: {exc.strerror}") from None
+    sys.stdout.writelines(text for target, text in outputs if target in (None, "-"))
+    sys.stderr.writelines(text for target, text in outputs if target is sys.stderr)
+    return int(any(target is sys.stderr for target, _ in outputs))
 
 
 def _load_tree(path: str):
@@ -85,72 +107,66 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
                    help="treat the first column as labels (default: sniff)")
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_cluster(args):
     table = formats.read_data_csv(_read(args.input), args.header, args.labels)
     diss = pairwise_distances(table.values, metric=args.metric, labels=table.labels)
     tree = agglomerate(diss, args.linkage)
-    _emit(formats.tree_to_json(tree), args.output)
+    yield args.output, formats.tree_to_json(tree)
     if args.newick:
-        _emit(formats.tree_to_newick(tree, args.full_precision), args.newick)
-    return 0
+        yield args.newick, formats.tree_to_newick(tree, args.full_precision)
 
 
-def _cmd_cophenetic(args) -> int:
+def _cmd_cophenetic(args):
     tree = _load_tree(args.tree)
-    _emit(formats.write_matrix_csv(cophenetic_matrix(tree), args.full_precision), args.output)
-    return 0
+    yield args.output, formats.write_matrix_csv(cophenetic_matrix(tree), args.full_precision)
 
 
-def _cmd_verify_um(args) -> int:
+def _cmd_verify_um(args):
     matrix = formats.read_matrix_csv(_read(args.matrix))
     violations = verify_ultrametric(matrix, args.tol)
-    _emit(formats.violations_csv(violations, args.full_precision), args.output)
+    yield args.output, formats.violations_csv(violations, args.full_precision)
     if violations:
-        sys.stderr.write(
-            f"E_ULTRAMETRIC: {len(violations)} violating triple(s) at tolerance {args.tol}\n"
-        )
-        return 1
-    return 0
+        line = f"E_ULTRAMETRIC: {len(violations)} violating triple(s) at tolerance {args.tol}\n"
+        yield sys.stderr, line
 
 
-def _cmd_canonical(args) -> int:
+def _cmd_canonical(args):
     matrix = formats.read_matrix_csv(_read(args.matrix))
     perm, reordered = canonical_form(matrix, args.tol)
-    _emit(formats.write_matrix_csv(reordered, args.full_precision), args.output)
+    yield args.output, formats.write_matrix_csv(reordered, args.full_precision)
     perm_text = ",".join(str(i + 1) for i in perm) + "\n"
     if args.perm_out:
-        _emit(perm_text, args.perm_out)
+        yield args.perm_out, perm_text
     elif args.output not in (None, "-"):
-        sys.stdout.write(perm_text)
-    return 0
+        yield None, perm_text
 
 
-def _cmd_padic_encode(args) -> int:
+def _cmd_padic_encode(args):
     enc = encode_dendrogram(_load_tree(args.tree), args.prime)
-    _emit(formats.encoding_to_json(enc), args.output)
+    # the codes first: building them while the large JSON text is held
+    # raised the benchmark's peak memory
+    decimals = formats.decimal_codes_csv(enc) if args.decimals else None
+    yield args.output, formats.encoding_to_json(enc)
     if args.decimals:
-        _emit(formats.decimal_codes_csv(enc), args.decimals)
-    return 0
+        yield args.decimals, decimals
 
 
-def _cmd_padic_decode(args) -> int:
+def _cmd_padic_decode(args):
     enc = formats.encoding_from_json(_read(args.encoding))
-    _emit(formats.tree_to_json(decode(enc)), args.output)
-    return 0
+    yield args.output, formats.tree_to_json(decode(enc))
 
 
-def _cmd_padic_dist(args) -> int:
+def _cmd_padic_dist(args):
     enc = formats.encoding_from_json(_read(args.encoding))
 
     def value(r: int) -> Fraction:
         similarity = Fraction(1, enc.p**r)
         return similarity if args.similarity else 1 - similarity
 
-    _emit(formats.level_table_csv(enc.labels, enc.differing_levels(), value), args.output)
-    return 0
+    yield args.output, formats.level_table_csv(enc.labels, enc.differing_levels(), value)
 
 
-def _cmd_baire_dist(args) -> int:
+def _cmd_baire_dist(args):
     strings = formats.read_strings(_read(args.strings), args.base)
     hierarchy = baire_cluster(strings)[0]
 
@@ -159,43 +175,39 @@ def _cmd_baire_dist(args) -> int:
         return distance if args.exact else float(distance)
 
     table = formats.level_table_csv(hierarchy.labels, hierarchy.levels(), value, args.full_precision)
-    _emit(table, args.output)
-    return 0
+    yield args.output, table
 
 
-def _cmd_baire_cluster(args) -> int:
+def _cmd_baire_cluster(args):
     strings = formats.read_strings(_read(args.strings), args.base)
     hierarchy, tree = baire_cluster(strings)
-    _emit(formats.tree_to_json(tree), args.output)
+    yield args.output, formats.tree_to_json(tree)
     if args.trie_out:
-        _emit(hierarchy.dump_text(), args.trie_out)
+        yield args.trie_out, hierarchy.dump_text()
     if args.newick:
-        _emit(formats.tree_to_newick(tree, args.full_precision), args.newick)
-    return 0
+        yield args.newick, formats.tree_to_newick(tree, args.full_precision)
 
 
-def _cmd_dna_encode(args) -> int:
+def _cmd_dna_encode(args):
     lines = []
     for _, label, sequence in formats._labelled_lines(_read(args.sequences)):
         digits = encode_dna(sequence, args.scheme).text()
         lines.append(digits if label is None else f"{label},{digits}")
     if not lines:
         raise ParseError("no sequences in input")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    yield args.output, "\n".join(lines) + "\n"
 
 
-def _cmd_haar(args) -> int:
+def _cmd_haar(args):
     table = formats.read_data_csv(_read(args.input), args.header, args.labels)
     diss = pairwise_distances(table.values, labels=table.labels)
     tree = agglomerate(diss, args.linkage)
     transform = haar_forward(tree, table.values)
-    _emit(formats.haar_to_csv(transform, table.header, args.full_precision), args.output)
+    yield args.output, formats.haar_to_csv(transform, table.header, args.full_precision)
     tree_path = args.tree_out or _sidecar(args.output)
     if tree_path is None:
         raise DomainError("writing to stdout requires --tree-out for the tree sidecar")
-    _emit(formats.tree_to_json(tree), tree_path)
-    return 0
+    yield tree_path, formats.tree_to_json(tree)
 
 
 def _load_transform(args):
@@ -207,51 +219,44 @@ def _load_transform(args):
     return formats.haar_from_csv(_read(args.transform), _load_tree(tree_path))
 
 
-def _cmd_haar_inverse(args) -> int:
+def _cmd_haar_inverse(args):
     transform, coord_names = _load_transform(args)
     data = haar_inverse(transform)
-    _emit(
-        formats.write_data_csv(data, transform.tree.labels, coord_names, args.full_precision),
-        args.output,
+    yield args.output, formats.write_data_csv(
+        data, transform.tree.labels, coord_names, args.full_precision
     )
-    return 0
 
 
-def _cmd_haar_denoise(args) -> int:
+def _cmd_haar_denoise(args):
     transform, coord_names = _load_transform(args)
     thinned = haar_threshold(transform, args.epsilon)
     if args.transform_out:
-        _emit(formats.haar_to_csv(thinned, coord_names, args.full_precision), args.transform_out)
+        yield args.transform_out, formats.haar_to_csv(thinned, coord_names, args.full_precision)
     data = haar_inverse(thinned)
-    _emit(
-        formats.write_data_csv(data, transform.tree.labels, coord_names, args.full_precision),
-        args.output,
+    yield args.output, formats.write_data_csv(
+        data, transform.tree.labels, coord_names, args.full_precision
     )
-    return 0
 
 
-def _cmd_ordinal(args) -> int:
+def _cmd_ordinal(args):
     stream = formats.read_stream_csv(_read(args.stream))
     patterns, classes = ordinal_sequence(stream, args.order, args.delay, args.tie_rule)
     out = " ".join(p.text() for p in patterns) + "\n"
     if args.counts:
         parts = [f"{text}:{len(idx)}" for text, idx in sorted(classes.items())]
         out += "classes " + " ".join(parts) + "\n"
-    _emit(out, args.output)
-    return 0
+    yield args.output, out
 
 
-def _cmd_rankperm(args) -> int:
+def _cmd_rankperm(args):
     stream = formats.read_stream_csv(_read(args.stream))
     perm = rank_permutation(stream, args.delay)
-    _emit("(" + permutation_text(perm) + ")\n", args.output)
-    return 0
+    yield args.output, "(" + permutation_text(perm) + ")\n"
 
 
-def _cmd_packed(args) -> int:
+def _cmd_packed(args):
     perm = packed_representation(_load_tree(args.tree))
-    _emit(perm.text() + "\n", args.output)
-    return 0
+    yield args.output, perm.text() + "\n"
 
 
 def _parse_packed_literal(text: str) -> PackedPermutation:
@@ -268,37 +273,31 @@ def _parse_packed_literal(text: str) -> PackedPermutation:
     return PackedPermutation(tuple(values))
 
 
-def _cmd_unpack(args) -> int:
+def _cmd_unpack(args):
     text = _read(args.permutation) if args.file else args.permutation
     tree = unpack(_parse_packed_literal(text))
-    _emit(formats.tree_to_json(tree), args.output)
-    return 0
+    yield args.output, formats.tree_to_json(tree)
 
 
-def _cmd_enumerate_nlr(args) -> int:
+def _cmd_enumerate_nlr(args):
     trees = enumerate_nlr(args.n)
-    sys.stdout.write(f"{len(trees)}\n")
+    yield None, f"{len(trees)}\n"
     if args.trees_out:
-        blob = "".join(formats.tree_to_json(t) for t in trees)
-        _emit(blob, args.trees_out)
-    return 0
+        yield args.trees_out, "".join(formats.tree_to_json(t) for t in trees)
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args):
     table = formats.read_boolean_table_csv(_read(args.table))
     if args.level is not None:
         clusters = clusters_at_level(table, args.level)
-        _emit("\n".join(",".join(c) for c in clusters) + "\n", args.output)
-        return 0
-    lat = build_semilattice(table)
-    if args.text:
-        _emit(semilattice_text(lat), args.output)
+        yield args.output, "\n".join(",".join(c) for c in clusters) + "\n"
+    elif args.text:
+        yield args.output, semilattice_text(build_semilattice(table))
     else:
-        _emit(formats.semilattice_to_json(lat), args.output)
-    return 0
+        yield args.output, formats.semilattice_to_json(build_semilattice(table))
 
 
-def _cmd_ultrametricity(args) -> int:
+def _cmd_ultrametricity(args):
     text = _read(args.input)
     if args.data:
         table = formats.read_data_csv(text)
@@ -306,19 +305,16 @@ def _cmd_ultrametricity(args) -> int:
     else:
         matrix = formats.read_matrix_csv(text)
     report = ultrametricity_coefficient(matrix, args.sample, args.seed, args.tol)
-    _emit(formats.report_to_json(report), args.output)
-    return 0
+    yield args.output, formats.report_to_json(report)
 
 
-def _cmd_gen_cloud(args) -> int:
+def _cmd_gen_cloud(args):
     cloud = generate_cloud(args.n, args.dim, args.law, args.seed)
-    _emit(formats.write_data_csv(cloud, full_precision=args.full_precision), args.output)
-    return 0
+    yield args.output, formats.write_data_csv(cloud, full_precision=args.full_precision)
 
 
-def _cmd_render(args) -> int:
-    _emit(render_tree(_load_tree(args.tree), args.full_precision), args.output)
-    return 0
+def _cmd_render(args):
+    yield args.output, render_tree(_load_tree(args.tree), args.full_precision)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,10 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _write(list(args.fn(args)))
     except DendrocodeError as exc:
         message = str(exc).replace("\n", " ")
         sys.stderr.write(f"{exc.code}: {message}\n")

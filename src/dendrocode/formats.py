@@ -521,7 +521,9 @@ def read_stream_csv(text: str) -> list[float]:
 
 def read_boolean_table_csv(text: str) -> BooleanTable:
     """Object labels in the first column; attribute names from the header
-    row when present, else v1..vk."""
+    row when present, else v1..vk.  A row of the wrong width, or a cell
+    that ``int`` does not read as 0 or 1, is one ``ParseError`` naming its
+    line, as in data tables."""
     lines, rows = _rows_from_csv(text)
     if not all(c in ("0", "1") for c in rows[0][1:]):  # a header row
         attributes = tuple(rows[0][1:])
@@ -531,9 +533,13 @@ def read_boolean_table_csv(text: str) -> BooleanTable:
     objects = []
     cells = []
     for lineno, row in zip(lines, rows):
+        if len(row) - 1 != len(attributes):
+            raise ParseError(f"line {lineno}: expected {len(attributes)} cells, got {len(row) - 1}")
         objects.append(row[0])
         try:
             cells.append(tuple(int(c) for c in row[1:]))
+            if not set(cells[-1]) <= {0, 1}:
+                raise ValueError
         except ValueError:
             raise ParseError(f"line {lineno}: non-boolean cell") from None
     return BooleanTable(tuple(objects), attributes, tuple(cells))

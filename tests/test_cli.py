@@ -518,7 +518,9 @@ class TestCsvLineNumbers:
         ("cluster", "1,2\n\n\n3,x\n", "E_PARSE: line 4, column 2: 'x' is not a number\n"),
         ("cluster", "1,2\n\n3\n", "E_PARSE: line 3: expected 2 cells, got 1\n"),
         ("lattice", ",d1,d2\na,1,0\n\n\nb,0,x\n", "E_PARSE: line 5: non-boolean cell\n"),
-    ], ids=["cluster-cell", "cluster-width", "lattice-cell"])
+        ("lattice", ",a,b\nx,1,0\n\ny,2,1\n", "E_PARSE: line 4: non-boolean cell\n"),
+        ("lattice", ",a,b\nx,1,0\n\ny,1\n", "E_PARSE: line 4: expected 2 cells, got 1\n"),
+    ], ids=["cluster-cell", "cluster-width", "lattice-cell", "lattice-value", "lattice-width"])
     def test_blank_lines_count(self, tmp_path, capsys, verb, text, error):
         path = tmp_path / "input.csv"
         path.write_text(text)

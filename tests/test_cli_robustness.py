@@ -317,3 +317,85 @@ def test_unwritable_output_fails_cleanly(tmp_path, capsys, argv):
     code, err = _run(capsys, [names.get(arg, arg) for arg in argv])
     assert code == 1
     assert err == f"E_DOMAIN: cannot write {bad}: No such file or directory\n"
+
+
+def _secondary_output_cases():
+    """Each output flag besides ``-o`` at an unwritable path, with ``-o`` at
+    a fresh path and at an existing file (``enumerate-nlr`` has no ``-o``)."""
+    for flag, argv in OUTPUT_FLAGS.items():
+        if flag == "-o":
+            continue
+        for existing in (False, True) if "out" in argv else (False,):
+            kind = "existing" if existing else "fresh"
+            yield pytest.param(argv, existing, id=f"{flag}:{kind}-output")
+
+
+@pytest.mark.parametrize("argv, existing", _secondary_output_cases())
+def test_unwritable_output_leaves_no_output(tmp_path, capsys, argv, existing):
+    """Every output is written only once all of them can be: the first one
+    used to be written, or printed, before the second failed."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    if existing:
+        out.write_bytes(b"kept\n")
+    bad = tmp_path / "missing" / "x"
+    names = {"BAD": str(bad), **{name: str(tmp_path / name) for name in [*INPUTS, "out"]}}
+    code = main([names.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"E_DOMAIN: cannot write {bad}: No such file or directory\n"
+    assert captured.out == ""
+    expected = [*INPUTS, "out"] if existing else [*INPUTS]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    if existing:
+        assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "-"]], ids=["no-output", "stdout"])
+def test_haar_to_stdout_without_tree_out_prints_nothing(tmp_path, capsys, output):
+    """The wavelet table used to be printed before the missing sidecar failed the run."""
+    path = tmp_path / "data.csv"
+    path.write_text(INPUTS["data.csv"])
+    code = main(["haar", str(path), *output])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "E_DOMAIN: writing to stdout requires --tree-out for the tree sidecar\n"
+    assert captured.out == ""
+
+
+def test_output_to_dev_null(tmp_path, capsys):
+    """A device that cannot be truncated is still a valid output path."""
+    path = tmp_path / "data.csv"
+    path.write_text(INPUTS["data.csv"])
+    assert main(["cluster", str(path), "-o", "/dev/null", "--newick", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_canonical_prints_the_permutation_when_the_table_goes_to_a_file(tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(INPUTS["matrix.csv"])
+    perm_path = tmp_path / "perm.txt"
+    argv = ["canonical", str(matrix), "-o", str(tmp_path / "a.csv"), "--perm-out", str(perm_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["canonical", str(matrix), "-o", str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr() == (perm_path.read_text(), "")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_verify_um_writes_its_list_then_fails(tmp_path, capsys, to_file):
+    """The one verb that writes its output and exits 1."""
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(",a,b,c\na,0,1,3\nb,1,0,1\nc,3,1,0\n")
+    out = tmp_path / "violations.csv"
+    code = main(["verify-um", str(matrix), *(["-o", str(out)] if to_file else [])])
+    captured = capsys.readouterr()
+    listing = "i,j,k,lhs,rhs\n1,2,3,3,1\n"
+    assert code == 1
+    assert captured.err == "E_ULTRAMETRIC: 1 violating triple(s) at tolerance 1e-09\n"
+    if to_file:
+        assert (out.read_text(), captured.out) == (listing, "")
+    else:
+        assert captured.out == listing

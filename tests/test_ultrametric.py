@@ -228,6 +228,16 @@ class TestCanonicalForm:
         with pytest.raises(NotUltrametricError, match=r"d\(\d+,\d+\)"):
             canonical_form(m)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 2, 1], [2, 0, 1], [1, 1, 0]], "row 0 decreases between columns 1 and 2"),
+        ([[0, 1, 1, 2], [1, 0, 2, 2], [1, 2, 0, 2], [2, 2, 2, 0]],
+         "run condition fails at row 0, column 2 (expected <=)"),
+        ([[0, 1, 2, 2], [1, 0, 2, 3], [2, 2, 0, 1], [2, 3, 1, 0]],
+         "run condition fails at row 0, column 3 (expected equality)"),
+    ], ids=["decreasing-row", "run-above-row", "beyond-run-unequal"])
+    def test_check_names_the_first_failure(self, rows, message):
+        assert check_canonical_form(np.array(rows, dtype=float)) == message
+
 
 class TestClassifyTriangle:
     def test_reference_isosceles(self):
