@@ -97,21 +97,22 @@ def baire_distance(s: BaireString, t: BaireString) -> Fraction:
     return Fraction(1, s.base ** lcp_radius(s, t))
 
 
-def _to_fraction(value) -> Fraction:
+def _to_fraction(i: int, value) -> Fraction:
+    """``value`` (the ``i``-th, from 0) as an exact fraction.  It is checked
+    to be a finite number in [0, 1) first: converting an infinity fails, and
+    a huge exponent takes unbounded time."""
+    number = value
     if isinstance(value, str):
         try:
-            return Fraction(Decimal(value))
+            number = Decimal(value)
         except InvalidOperation as exc:
             raise ParseError(f"cannot parse {value!r} as a number") from exc
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ParseError(f"cannot digitize values of type {type(value).__name__}")
+    if not isinstance(number, (Decimal, Rational, float)):
+        raise ParseError(f"cannot digitize values of type {type(value).__name__}")
+    # ordering a Decimal NaN raises; a float NaN fails both comparisons
+    if (isinstance(number, Decimal) and not number.is_finite()) or not 0 <= number < 1:
+        raise DomainError(f"value #{i + 1} ({value!r}) outside [0, 1); normalize inputs first")
+    return Fraction(number)
 
 
 def digitize_reals(
@@ -130,11 +131,7 @@ def digitize_reals(
         raise DomainError("base must be at least 2")
     out = []
     for i, value in enumerate(values):
-        f = _to_fraction(value)
-        if not 0 <= f < 1:
-            raise DomainError(
-                f"value #{i + 1} ({value!r}) outside [0, 1); normalize inputs first"
-            )
+        f = _to_fraction(i, value)
         shifted = f * base**precision
         scaled = shifted.numerator // shifted.denominator
         digits = []

@@ -89,14 +89,12 @@ class Dendrogram:
                 else:
                     raise DomainError(f"bad child reference {child!r}")
                 refs.append(child)
-        if self.nodes:
-            expected = [(TERMINAL, i) for i in range(n)] + [
-                (INTERNAL, r) for r in range(1, n - 1)
-            ]
-            if sorted(refs) != sorted(expected):
-                raise DomainError(
-                    "every terminal and every non-root node needs exactly one parent"
-                )
+        # there are 2(n - 1) references and as many valid ones (n terminals
+        # and the ranks 1..n-2), so each must be a distinct valid one; an
+        # in-range index such as 0.5 is not
+        valid = {*map(terminal, range(n)), *map(internal, range(1, n - 1))}
+        if self.nodes and set(refs) != valid:
+            raise DomainError("every terminal and every non-root node needs exactly one parent")
 
     @property
     def n(self) -> int:

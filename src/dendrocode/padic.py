@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -150,33 +150,29 @@ class PadicEncoding:
     def decimal_codes(self) -> tuple[int, ...]:
         """``evaluate_code`` of every row, exact for any encoding.
 
-        The rows are taken in root-first order (``_root_first_order``), and
-        each code is its predecessor's with the entries at and below their
-        cut level swapped out.  On a decodable encoding each node is
-        entered and left at most twice along that order, so this is O(n)
-        big-integer additions in all, plus O(n^2) numpy byte work."""
+        The rows are taken in root-first order (``_root_first_order``) in
+        one pass, and each code is its predecessor's with the entries at
+        and below their cut level swapped out.  On a decodable encoding
+        each node is entered and left at most twice along that order, so
+        this is O(n) big-integer additions in all, plus O(n^2) numpy byte
+        work."""
         n, width, p = self.n, self.n - 1, self.p
         if n < 2:
             return (0,) * n
         cells = _cells(self)
         order, cut = _root_first_order(cells)
-        ranked = cells[order]
-        below = np.arange(width) < cut[:, None]  # level j + 1 is at or below the cut
-        leaving = np.zeros_like(ranked)
-        leaving[1:] = -ranked[:-1] * below[1:]
-        swaps = np.concatenate((ranked * below, leaving), axis=1)
-        rows, cols = np.nonzero(swaps)  # row-major: grouped by sorted position
         weights = [p]
         for _ in range(width - 1):
             weights.append(weights[-1] * p)
-        signed = weights + [-w for w in weights]  # entry width + j is -p^(j+1)
-        slots = cols % width + width * (swaps[rows, cols] < 0)
-        terms = list(map(signed.__getitem__, slots.tolist()))
-        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-        steps = (sum(terms[a:b]) for a, b in zip([0] + ends, ends))
+
+        def low(row: np.ndarray, c: int) -> int:  # the row's code over levels 1..c
+            return sum(weights[j] if row[j] > 0 else -weights[j] for j in np.flatnonzero(row[:c]))
+
         codes = [0] * n
-        for i, code in zip(order.tolist(), accumulate(steps)):
-            codes[i] = code
+        code, previous = 0, np.zeros(width, dtype=np.int8)  # cut[0] spans the first row
+        for i, c in zip(order.tolist(), cut.tolist()):
+            code += low(cells[i], c) - low(previous, c)
+            codes[i], previous = code, cells[i]
         return tuple(codes)
 
     def differing_levels(self) -> np.ndarray:
@@ -329,23 +325,18 @@ def decode(enc: PadicEncoding) -> Dendrogram:
         raise MalformedEncodingError("root column does not cover all terminals")
     if n == 1:
         return Dendrogram(enc.labels, ())
-    by_column = _cells(enc).T
-    groups = []  # per sign: rows in column order, and where each column starts
-    for sign in (1, -1):
-        cols, rows = np.nonzero(by_column == sign)
-        groups.append((rows, np.searchsorted(cols, np.arange(n)).tolist()))
     cluster = np.arange(n)  # cluster id of each terminal
     members: list[list[int]] = [[i] for i in range(n)]
     child = [terminal(i) for i in range(n)]
     nodes: list[MergeNode] = []
-    for j in range(n - 1):
+    for j, column in enumerate(np.ascontiguousarray(_cells(enc).T)):
         ids = []
-        for (rows, starts), sign in zip(groups, ("+1", "-1")):
-            group = rows[starts[j] : starts[j + 1]]
+        for sign in (1, -1):
+            group = np.flatnonzero(column == sign)
             c = int(cluster[group[0]])
             if len(members[c]) != len(group) or (cluster[group] != c).any():
                 raise MalformedEncodingError(
-                    f"column {j + 1}: {sign} entries {group.tolist()} "
+                    f"column {j + 1}: {sign:+d} entries {group.tolist()} "
                     "do not form an available cluster"
                 )
             ids.append(c)

@@ -155,8 +155,6 @@ def packed_representation(tree: Dendrogram) -> PackedPermutation:
     the oriented binary tree on the internal nodes.
     """
     n = tree.n
-    if n == 1:
-        return PackedPermutation((1,))
     # Orientation key: a subtree's earliest merge rank, or n + index for a
     # bare terminal, so terminals go right of any subtree with a merge.
     first = [0] * n  # earliest merge rank under each internal node, by rank
@@ -211,11 +209,7 @@ def is_up_down(perm: Sequence[int]) -> bool:
 
 def is_down_up(perm: Sequence[int]) -> bool:
     """Successive differences strictly alternate in sign, starting down."""
-    values = list(perm)
-    return all(
-        values[i] > values[i + 1] if i % 2 == 0 else values[i] < values[i + 1]
-        for i in range(len(values) - 1)
-    )
+    return is_up_down([-v for v in perm])
 
 
 _NLR_GUARD = 10

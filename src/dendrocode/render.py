@@ -4,9 +4,14 @@ Terminals are listed top to bottom in the canonical drawing order; each
 internal node appears as a junction column placed by rank, annotated at the
 right margin with its rank and height.  Rendering the same tree twice
 yields byte-identical output.
+
+The rows are written once each, in the order of the tree walk, so the
+memory used is in proportion to the text.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 from .hierarchy import Dendrogram, TERMINAL, canonicalize, walk
 
@@ -24,38 +29,33 @@ def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
         return label_width + 1 + 3 * rank
 
     margin = column(len(tree.nodes)) + 4
-    lines: list[list[str]] = []
-
-    def put(row: int, col: int, text: str, keep: bool = False) -> None:
-        line = lines[row]
-        if len(line) < col + len(text):
-            line.extend(" " * (col + len(text) - len(line)))
-        for offset, ch in enumerate(text):
-            if not keep or line[col + offset] == " ":
-                line[col + offset] = ch
-
-    # attach (row, col) of the last finished subtree, and the (top attach
-    # row, junction row) of every node whose right subtree is being drawn
-    attach = (0, 0)
-    open_nodes: list[tuple[int, int]] = []
-    for (kind, idx), visit in walk(tree):
+    parent = {}  # (parent rank, is left child) of every child
+    for node in tree.nodes:
+        parent[node.left], parent[node.right] = (node.rank, True), (node.rank, False)
+    # a node's vertical line runs from its left child's row to its right
+    # child's row; these are the sorted columns of the lines still open
+    bars: list[int] = []
+    lines = []
+    for child, visit in walk(tree):
+        kind, idx = child
         if kind == TERMINAL:
-            attach = (len(lines), label_width + 1)
-            lines.append(list(f"{tree.labels[idx]:<{label_width}} "))
+            line = f"{tree.labels[idx]:<{label_width}} "
+        elif visit == 1:  # the junction row, between the two subtrees
+            line = " " * column(idx) + "+"
+        else:
             continue
-        col = column(idx)
-        if visit == 1:
-            top_row, top_col = attach
-            put(top_row, top_col, "-" * (col - top_col) + "+")
-            open_nodes.append((top_row, len(lines)))
-            lines.append([])
-        elif visit == 2:
-            bottom_row, bottom_col = attach
-            put(bottom_row, bottom_col, "-" * (col - bottom_col) + "+")
-            top_row, junction_row = open_nodes.pop()
-            for row in range(top_row + 1, bottom_row):
-                put(row, col, "|" if row != junction_row else "+", keep=True)
-            height = tree.nodes[idx - 1].height
-            put(junction_row, margin, f"q{idx} h={fmt_float(height, full_precision)}")
-            attach = (junction_row, col + 1)
-    return "\n".join("".join(line).rstrip() for line in lines) + "\n"
+        if child in parent:  # every row but the root's junction row
+            rank, left = parent[child]
+            col = column(rank)
+            if not left:
+                bars.remove(col)
+            line += "-" * (col - len(line)) + "+"
+            if left:
+                insort(bars, col)
+        for col in bars[bisect_left(bars, len(line)) :]:
+            line += " " * (col - len(line)) + "|"
+        if kind != TERMINAL:
+            height = fmt_float(tree.nodes[idx - 1].height, full_precision)
+            line += " " * (margin - len(line)) + f"q{idx} h={height}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"

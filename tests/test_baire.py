@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +126,17 @@ class TestDigitizeReals:
             digitize_reals([1.5], 3)
         with pytest.raises(DomainError, match="normalize"):
             digitize_reals([-0.1], 3)
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), "nan", Decimal("NaN"), float("inf"), "inf", "-Infinity"],
+        ids=["float-nan", "text-nan", "decimal-nan", "float-inf", "text-inf", "text-minus-infinity"],
+    )
+    def test_non_finite_rejected(self, value):
+        # checked before the exact conversion, which fails on these
+        message = rf"^value #2 \({re.escape(repr(value))}\) outside \[0, 1\); normalize inputs first$"
+        with pytest.raises(DomainError, match=message):
+            digitize_reals(["0.5", value], 3)
 
     @pytest.mark.parametrize(
         "literal,k,base",

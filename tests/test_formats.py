@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,8 @@ from dendrocode.lattice import BooleanTable, build_semilattice
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
 
-from conftest import encoding_sweep, random_tree
-from oracles import csv_table, exact_text, float_text
+from conftest import caterpillar, encoding_sweep, random_tree
+from oracles import csv_table, exact_text, float_text, render_by_grid
 from reference import IRIS8, IRIS_LABELS8
 
 
@@ -494,3 +495,40 @@ class TestRender:
 
     def test_single_leaf(self):
         assert render_tree(Dendrogram(("only",), ())) == "only\n"
+
+
+LABEL_PIECES = ["", " ", "\t", "a b", "t\t ", "long label", "x" * 12]
+
+
+def render_cases():
+    rng = random.Random(1301)
+    yield random_tree(1, rng)
+    yield random_tree(2, rng)
+    for n in (2, 3, 7, 40):
+        yield caterpillar(n, "left")
+        yield caterpillar(n, "right")
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        tree = random_tree(n, rng, rng.choice(["monotone", "rank", "jumbled"]))
+        labels = tuple(rng.choice(LABEL_PIECES) for _ in range(n))
+        yield Dendrogram(labels, tree.nodes)
+    tied = pairwise_distances(np.random.default_rng(7).integers(0, 3, size=(120, 3)).astype(float))
+    for linkage in ("single", "complete", "ward", "median"):  # median gives inversions
+        yield agglomerate(tied, linkage)
+
+
+class TestRenderReferee:
+    @pytest.mark.parametrize("full_precision", [False, True])
+    def test_equals_the_grid_renderer(self, full_precision):
+        for tree in render_cases():
+            assert render_tree(tree, full_precision) == render_by_grid(tree, full_precision)
+
+    def test_memory_in_proportion_to_the_text(self):
+        tree = random_tree(1000, random.Random(1302))
+        tracemalloc.start()
+        try:
+            text = render_tree(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)

@@ -225,7 +225,7 @@ class TestDendrogramValidation:
             )
 
     def test_terminal_used_twice_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^every terminal and every non-root node needs exactly one parent$"):
             Dendrogram(
                 ("a", "b", "c"),
                 (
@@ -233,6 +233,11 @@ class TestDendrogramValidation:
                     MergeNode(2, 2.0, terminal(1), terminal(2)),
                 ),
             )
+
+    def test_non_integral_reference_rejected(self):
+        # in range, distinct, and no terminal's index: 0.5 would break the walk
+        with pytest.raises(DomainError, match="^every terminal and every non-root node needs exactly one parent$"):
+            Dendrogram(("a", "b"), (MergeNode(1, 1.0, terminal(0), terminal(0.5)),))
 
     def test_parent_rank_must_exceed_child(self):
         with pytest.raises(DomainError):
