@@ -97,10 +97,11 @@ def baire_distance(s: BaireString, t: BaireString) -> Fraction:
     return Fraction(1, s.base ** lcp_radius(s, t))
 
 
-def _to_fraction(i: int, value) -> Fraction:
-    """``value`` (the ``i``-th, from 0) as an exact fraction.  It is checked
-    to be a finite number in [0, 1) first: converting an infinity fails, and
-    a huge exponent takes unbounded time."""
+def _to_fraction(i: int, value, cut: int) -> Fraction:
+    """``value`` (the ``i``-th, from 0) as an exact fraction, or 0 for a
+    Decimal below ``10**-cut``.  It is checked to be a finite number in
+    [0, 1) first: converting an infinity fails, and a huge exponent takes
+    unbounded time."""
     number = value
     if isinstance(value, str):
         try:
@@ -112,6 +113,8 @@ def _to_fraction(i: int, value) -> Fraction:
     # ordering a Decimal NaN raises; a float NaN fails both comparisons
     if (isinstance(number, Decimal) and not number.is_finite()) or not 0 <= number < 1:
         raise DomainError(f"value #{i + 1} ({value!r}) outside [0, 1); normalize inputs first")
+    if isinstance(number, Decimal) and number.adjusted() < -cut:
+        return Fraction(0)  # converting 1e-999999999999 would build 10**999999999999
     return Fraction(number)
 
 
@@ -129,10 +132,11 @@ def digitize_reals(
         raise DomainError("precision must be at least 1")
     if base < 2:
         raise DomainError("base must be at least 2")
+    scale = base**precision
+    cut = scale.bit_length() // 3 + 1  # 10**cut > scale: below 10**-cut all digits are 0
     out = []
     for i, value in enumerate(values):
-        f = _to_fraction(i, value)
-        shifted = f * base**precision
+        shifted = _to_fraction(i, value, cut) * scale
         scaled = shifted.numerator // shifted.denominator
         digits = []
         for _ in range(precision):

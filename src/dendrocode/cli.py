@@ -241,7 +241,9 @@ def _cmd_haar_denoise(args):
 def _cmd_ordinal(args):
     stream = formats.read_stream_csv(_read(args.stream))
     patterns, classes = ordinal_sequence(stream, args.order, args.delay, args.tie_rule)
-    out = " ".join(p.text() for p in patterns) + "\n"
+    # equal windows share one pattern object: format each distinct one once
+    texts = {id(p): p.text() for p in {id(p): p for p in patterns}.values()}
+    out = " ".join([texts[id(p)] for p in patterns]) + "\n"
     if args.counts:
         parts = [f"{text}:{len(idx)}" for text, idx in sorted(classes.items())]
         out += "classes " + " ".join(parts) + "\n"

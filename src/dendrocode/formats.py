@@ -97,9 +97,9 @@ def _write_table(
     return out.getvalue()
 
 
-def _is_number(token: str) -> bool:
+def _is_number(token: str, kind: type = float) -> bool:
     try:
-        float(token)
+        kind(token)
         return True
     except ValueError:
         return False
@@ -507,13 +507,15 @@ def read_stream_csv(text: str) -> list[float]:
         line = raw.strip()
         if not line:
             continue
-        cells = [c.strip() for c in line.split(",") if c.strip()]
-        if len(cells) != 1:
-            raise ParseError(f"line {lineno}: expected a single value, got {len(cells)}")
+        if "," in line:
+            cells = [c.strip() for c in line.split(",") if c.strip()]
+            if len(cells) != 1:
+                raise ParseError(f"line {lineno}: expected a single value, got {len(cells)}")
+            line = cells[0]
         try:
-            values.append(float(cells[0]))
+            values.append(float(line))
         except ValueError:
-            raise ParseError(f"line {lineno}: {cells[0]!r} is not a number") from None
+            raise ParseError(f"line {lineno}: {line!r} is not a number") from None
     if not values:
         raise ParseError("empty stream")
     return values
@@ -521,11 +523,12 @@ def read_stream_csv(text: str) -> list[float]:
 
 def read_boolean_table_csv(text: str) -> BooleanTable:
     """Object labels in the first column; attribute names from the header
-    row when present, else v1..vk.  A row of the wrong width, or a cell
-    that ``int`` does not read as 0 or 1, is one ``ParseError`` naming its
-    line, as in data tables."""
+    row when present, else v1..vk.  The first row is a header only when a
+    cell past its label is not read by ``int``; otherwise it is data.  A
+    row of the wrong width, or a cell that ``int`` does not read as 0 or 1,
+    is one ``ParseError`` naming its line, as in data tables."""
     lines, rows = _rows_from_csv(text)
-    if not all(c in ("0", "1") for c in rows[0][1:]):  # a header row
+    if not all(_is_number(c, int) for c in rows[0][1:]):  # a header row
         attributes = tuple(rows[0][1:])
         lines, rows = lines[1:], rows[1:]
     else:

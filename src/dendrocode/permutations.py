@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .errors import (
     DomainError,
     ResourceGuardError,
@@ -54,71 +57,84 @@ class OrdinalPattern:
         return permutation_text(self.symbols)
 
 
-def ordinal_pattern(window: Sequence[float], tie_rule: str = "earlier-low") -> OrdinalPattern:
-    """Ordinal pattern of one window.
+def _values(stream: Sequence[float], tau: int = 1, what: str = "stream") -> np.ndarray:
+    """``stream`` as a float64 array, once the delay ``tau`` is checked.  A
+    value that float64 cannot hold, and a NaN, which has no order, are
+    refused."""
+    if tau < 1:
+        raise DomainError("delay tau must be at least 1")
+    try:
+        x = np.asarray(stream, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        raise DomainError(f"{what} values must be real numbers in the float64 range") from None
+    if (nan := np.isnan(x)).any():
+        raise DomainError(f"{what} value #{nan.argmax() + 1} is NaN, which has no order")
+    return x
 
-    Ties default to the earlier temporal index ranking lower
-    (``earlier-low``); ``later-low`` flips that.
-    """
+
+def _symbols(windows: np.ndarray, tie_rule: str) -> np.ndarray:
+    """Ordinal pattern symbols of each window (the last axis)."""
     if tie_rule not in TIE_RULES:
         raise DomainError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
-    values = list(window)
-    if not values:
-        raise DomainError("window must not be empty")
     if tie_rule == "earlier-low":
-        order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    else:
-        order = sorted(range(len(values)), key=lambda i: (values[i], -i))
-    return OrdinalPattern(tuple(order))
+        return np.argsort(windows, axis=-1, kind="stable")
+    # a stable sort of the reversed window puts the later of equal values first
+    return windows.shape[-1] - 1 - np.argsort(windows[..., ::-1], axis=-1, kind="stable")
+
+
+def ordinal_pattern(window: Sequence[float], tie_rule: str = "earlier-low") -> OrdinalPattern:
+    """Ordinal pattern of one window, its values compared as float64.
+
+    Ties default to the earlier temporal index ranking lower
+    (``earlier-low``); ``later-low`` flips that.  NaN is refused.
+    """
+    values = _values(window, what="window")
+    if not values.size:
+        raise DomainError("window must not be empty")
+    return OrdinalPattern(tuple(_symbols(values, tie_rule)))
 
 
 def ordinal_sequence(
     stream: Sequence[float], d: int, tau: int = 1, tie_rule: str = "earlier-low"
 ) -> tuple[list[OrdinalPattern], dict[str, list[int]]]:
-    """Sliding-window ordinal patterns with delay ``tau``.
+    """Sliding-window ordinal patterns with delay ``tau``, the values
+    compared as float64 (so -0.0 equals 0.0, and infinities order as
+    usual); a NaN is refused.
 
-    Returns the patterns in temporal order together with the partition of
-    window start indices into pattern equivalence classes.
+    Returns the patterns in temporal order, equal windows sharing one
+    pattern object, together with the partition of window start indices
+    into pattern classes, in order of first appearance.
     """
     if d < 1:
         raise DomainError("order d must be at least 1")
-    if tau < 1:
-        raise DomainError("delay tau must be at least 1")
-    values = list(stream)
+    values = _values(stream, tau)
     minimum = d * tau + 1
     if len(values) < minimum:
-        raise DomainError(
-            f"stream of length {len(values)} too short: order {d} at delay {tau} "
-            f"needs at least {minimum} values"
-        )
-    patterns: list[OrdinalPattern] = []
-    classes: dict[str, list[int]] = {}
-    for t in range(len(values) - d * tau):
-        window = values[t : t + d * tau + 1 : tau]
-        pat = ordinal_pattern(window, tie_rule)
-        patterns.append(pat)
-        classes.setdefault(pat.text(), []).append(t)
-    return patterns, classes
+        raise DomainError(f"stream of length {len(values)} too short: order {d} at delay "
+                          f"{tau} needs at least {minimum} values")
+    symbols = _symbols(sliding_window_view(values, minimum)[:, ::tau], tie_rule)
+    order = np.lexsort(symbols.T[::-1])  # windows by pattern, each class's starts ascending
+    starts = np.split(order, np.flatnonzero(np.diff(symbols[order], axis=0).any(axis=1)) + 1)
+    starts.sort(key=lambda s: s[0])  # classes in order of first appearance
+    patterns = np.empty(len(order), dtype=object)
+    for s in starts:
+        patterns[s] = OrdinalPattern(tuple(symbols[s[0]].tolist()))
+    return patterns.tolist(), {patterns[s[0]].text(): s.tolist() for s in starts}
 
 
 def rank_permutation(stream: Sequence[float], tau: int = 1) -> tuple[int, ...]:
-    """Whole-stream rank permutation.
+    """Whole-stream rank permutation, the values compared as float64; a NaN
+    is refused.
 
     Observations are labeled by their delay-multiples back from the latest
     value (label 0 = latest, label k = k*tau steps earlier); the result
     lists the labels in decreasing order of their values.  Ties list the
     smaller label first.
     """
-    if tau < 1:
-        raise DomainError("delay tau must be at least 1")
-    values = list(stream)
-    if not values:
+    values = _values(stream, tau)
+    if not values.size:
         raise DomainError("stream must not be empty")
-    m = len(values)
-    labels = list(range((m - 1) // tau + 1))
-    picked = [(values[m - 1 - k * tau], k) for k in labels]
-    picked.sort(key=lambda vk: (-vk[0], vk[1]))
-    return tuple(k for _, k in picked)
+    return tuple(np.argsort(-values[::-1][::tau], kind="stable").tolist())
 
 
 @dataclass(frozen=True)
@@ -201,10 +217,7 @@ def unpack(perm: PackedPermutation) -> Dendrogram:
 def is_up_down(perm: Sequence[int]) -> bool:
     """Successive differences strictly alternate in sign, starting up."""
     values = list(perm)
-    return all(
-        values[i] < values[i + 1] if i % 2 == 0 else values[i] > values[i + 1]
-        for i in range(len(values) - 1)
-    )
+    return all(a < b if i % 2 == 0 else a > b for i, (a, b) in enumerate(zip(values, values[1:])))
 
 
 def is_down_up(perm: Sequence[int]) -> bool:

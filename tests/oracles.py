@@ -676,3 +676,63 @@ def render_by_grid(tree, full_precision=False):
             put(junction_row, margin, f"q{idx} h={fmt_float(height, full_precision)}")
             attach = (junction_row, col + 1)
     return "\n".join("".join(line).rstrip() for line in lines) + "\n"
+
+
+def ordinal_sequence_by_windows(stream, d, tau=1, tie_rule="earlier-low"):
+    """``ordinal_sequence`` one window at a time: each window's positions
+    sorted by (value, index), or (value, -index) for ``later-low``, and each
+    window's pattern text filed under its class as it is met.  The package's
+    method before the windows were sorted as one array."""
+    from dendrocode.errors import DomainError
+    from dendrocode.permutations import TIE_RULES, OrdinalPattern
+
+    def ordinal_pattern(window, tie_rule):
+        if tie_rule not in TIE_RULES:
+            raise DomainError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
+        values = list(window)
+        if not values:
+            raise DomainError("window must not be empty")
+        if tie_rule == "earlier-low":
+            order = sorted(range(len(values)), key=lambda i: (values[i], i))
+        else:
+            order = sorted(range(len(values)), key=lambda i: (values[i], -i))
+        return OrdinalPattern(tuple(order))
+
+    if d < 1:
+        raise DomainError("order d must be at least 1")
+    if tau < 1:
+        raise DomainError("delay tau must be at least 1")
+    values = list(stream)
+    minimum = d * tau + 1
+    if len(values) < minimum:
+        raise DomainError(
+            f"stream of length {len(values)} too short: order {d} at delay {tau} "
+            f"needs at least {minimum} values"
+        )
+    patterns = []
+    classes = {}
+    for t in range(len(values) - d * tau):
+        window = values[t : t + d * tau + 1 : tau]
+        pat = ordinal_pattern(window, tie_rule)
+        patterns.append(pat)
+        classes.setdefault(pat.text(), []).append(t)
+    return patterns, classes
+
+
+def rank_permutation_by_sort(stream, tau=1):
+    """``rank_permutation`` by sorting (value, label) pairs in Python:
+    labels count delay multiples back from the latest value, listed by
+    decreasing value, ties smaller label first.  The package's method
+    before the stream was sorted as one array."""
+    from dendrocode.errors import DomainError
+
+    if tau < 1:
+        raise DomainError("delay tau must be at least 1")
+    values = list(stream)
+    if not values:
+        raise DomainError("stream must not be empty")
+    m = len(values)
+    labels = list(range((m - 1) // tau + 1))
+    picked = [(values[m - 1 - k * tau], k) for k in labels]
+    picked.sort(key=lambda vk: (-vk[0], vk[1]))
+    return tuple(k for _, k in picked)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,35 @@ class TestDigitizeReals:
         message = rf"^value #2 \({re.escape(repr(value))}\) outside \[0, 1\); normalize inputs first$"
         with pytest.raises(DomainError, match=message):
             digitize_reals(["0.5", value], 3)
+
+    def test_tiny_exponents_return_at_once(self):
+        """A value such as 1e-999999999999 used to hang building
+        10**999999999999 for the exact conversion; each call here must
+        finish well inside the time bound."""
+        code = (
+            "from dendrocode.baire import digitize_reals\n"
+            "for base in (2, 10, 36):\n"
+            "    for precision in (3, 50):\n"
+            "        for value in ('1e-999999999999', '0E-999999999999', '7.5e-100000000000'):\n"
+            "            s = digitize_reals([value], precision, base)[0]\n"
+            "            assert s.digits == (0,) * precision, (base, precision, value)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=30,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("base", [2, 10, 36])
+    @pytest.mark.parametrize("precision", [3, 50])
+    def test_small_values_equal_the_exact_path(self, base, precision):
+        """Around the cut below which digits are all 0 without conversion,
+        every decimal value digitizes as its exact fraction does."""
+        exponents = range(-1, -(3 * precision * 6 // 5 + 12), -1)  # past log10(36) * precision
+        for exponent in exponents:
+            for mantissa in ("1", "9.99", "5"):
+                value = f"{mantissa}e{exponent}"
+                exact = digitize_reals([Fraction(Decimal(value))], precision, base)[0]
+                assert digitize_reals([value], precision, base)[0] == exact, value
+                assert digitize_reals([Decimal(value)], precision, base)[0] == exact, value
 
     @pytest.mark.parametrize(
         "literal,k,base",

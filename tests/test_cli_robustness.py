@@ -12,8 +12,10 @@ import re
 import pytest
 
 from dendrocode.cli import main
+from dendrocode.permutations import permutation_text
 
 from conftest import dense_table_csv
+from oracles import ordinal_sequence_by_windows, rank_permutation_by_sort
 
 TREE = json.dumps({
     "n": 3, "labels": ["a", "b", "c"],
@@ -151,6 +153,19 @@ LITERALS = {
     "long-int": "(" + "9" * 5000 + ")", "repeats": "(1,2,3" + ",4" * 5 + ")",
 }
 
+# Streams for the stream verbs: NaN has no order and is refused; the
+# infinities, and both zeros, order as float64 values do.
+STREAMS = {
+    "nan-first": "nan\n1\n2\n0.5\n3\n",
+    "nan-middle": "1,\nnan\n2\n0.5\nNaN\n3\n",
+    "nan-last": "1\n2\n0.5\n3\n-nan\n",
+    "inf-mixed": "1\ninf\n2\n-inf\n0.5\ninf\n-0.0\n0\n3\n",
+    "inf-only": "inf\n-inf\ninf\ninf\n-inf\n-inf\n",
+}
+STREAM_VERBS = [["ordinal", "--order", "2"], ["ordinal", "--order", "2", "--delay", "2", "--counts"],
+                ["ordinal", "--order", "1", "--tie-rule", "later-low"], ["rankperm"],
+                ["rankperm", "--delay", "2"]]
+
 CSV_VERBS = [
     ["cluster"], ["cluster", "--linkage", "ward"], ["haar"], ["ultrametricity", "--data"],
     ["verify-um"], ["canonical"], ["ultrametricity"], ["lattice"], ["lattice", "--level", "1"],
@@ -248,6 +263,7 @@ def test_cells_past_int8_fail_cleanly(tmp_path, capsys, verb, name):
     pytest.param(["render"], TREE_JSON["labels-numbers"], id="render:labels-numbers"),
     pytest.param(["padic-decode"], ENCODING_JSON["p-past-bound"], id="padic-decode:p-past-bound"),
     pytest.param(["lattice"], dense_table_csv(), id="lattice:dense-table"),
+    pytest.param(["lattice"], "x,2,1\ny,1,0\nz,1,1\n", id="lattice:numeric-first-row"),
 ])
 def test_inputs_that_used_to_be_misread_fail_cleanly(tmp_path, capsys, verb, text):
     """Each of these ended in a traceback, was misread or ran for minutes;
@@ -258,6 +274,41 @@ def test_inputs_that_used_to_be_misread_fail_cleanly(tmp_path, capsys, verb, tex
     assert code == 1
     assert ERROR_LINE.fullmatch(err), err
     assert not (tmp_path / "out").exists()
+
+
+def _stream_referee(verb, text):
+    """The verb's stdout computed by the referee loops."""
+    args = dict(zip(verb[1::2], verb[2::2]))
+    stream = [float(line.strip(", ")) for line in text.split()]
+    tau = int(args.get("--delay", 1))
+    if verb[0] == "rankperm":
+        return "(" + permutation_text(rank_permutation_by_sort(stream, tau)) + ")\n"
+    patterns, classes = ordinal_sequence_by_windows(
+        stream, int(args["--order"]), tau, args.get("--tie-rule", "earlier-low"))
+    out = " ".join(p.text() for p in patterns) + "\n"
+    if "--counts" in verb:
+        out += "classes " + " ".join(f"{t}:{len(idx)}" for t, idx in sorted(classes.items())) + "\n"
+    return out
+
+
+@pytest.mark.parametrize("verb", STREAM_VERBS, ids=" ".join)
+@pytest.mark.parametrize("name", STREAMS)
+def test_non_finite_streams(tmp_path, capsys, verb, name):
+    """A NaN stream is one E_DOMAIN line with nothing printed (it used to
+    exit 0 with an order that depended on the sort); an infinite value
+    orders as float64 does, as in the referee loops."""
+    path = tmp_path / "stream.csv"
+    path.write_text(STREAMS[name])
+    code = main([*verb, str(path)])
+    captured = capsys.readouterr()
+    if name.startswith("nan"):
+        assert code == 1
+        assert captured.err.startswith("E_DOMAIN: stream value #")
+        assert ERROR_LINE.fullmatch(captured.err), captured.err
+        assert captured.out == ""
+    else:
+        assert (code, captured.err) == (0, "")
+        assert captured.out == _stream_referee(verb, STREAMS[name])
 
 
 READER_VERBS = CSV_VERBS + TREE_VERBS + ENCODING_VERBS + WAVELET_VERBS + [["unpack", "--file"]]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -428,6 +429,23 @@ class TestStringsAndStreams:
         with pytest.raises(ParseError):
             formats.read_stream_csv("1,2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1\n\n 2 \n,3,\n", None),
+        ("1\n2,3\n", "line 2: expected a single value, got 2"),
+        ("1\n,\n", "line 2: expected a single value, got 0"),
+        ("1\n\nx\n", "line 3: 'x' is not a number"),
+        ("1\n y ,\n", "line 2: 'y' is not a number"),
+        ("\n \n", "empty stream"),
+    ])
+    def test_stream_lines_with_and_without_commas(self, text, message):
+        """Only a line that holds a comma is split into cells; the messages
+        and line numbers are the same either way."""
+        if message is None:
+            assert formats.read_stream_csv(text) == [1.0, 2.0, 3.0]
+        else:
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                formats.read_stream_csv(text)
+
 
 class TestBooleanTableCsv:
     def test_with_header(self):
@@ -442,6 +460,22 @@ class TestBooleanTableCsv:
     def test_bad_cell_reports_file_line(self):
         with pytest.raises(ParseError, match="^line 5: non-boolean cell$"):
             formats.read_boolean_table_csv(",d1,d2\na,1,0\n\n\nb,0,x\n")
+
+    def test_first_row_of_integers_is_data(self):
+        """A first row whose cells past the label all read as integers is a
+        data row and gets the data checks; it used to be taken as a header
+        naming the attributes 2 and 1."""
+        with pytest.raises(ParseError, match="^line 1: non-boolean cell$"):
+            formats.read_boolean_table_csv("x,2,1\ny,1,0\nz,1,1\n")
+
+    def test_integer_named_columns_are_refused(self):
+        with pytest.raises(ParseError, match="^line 1: non-boolean cell$"):
+            formats.read_boolean_table_csv("obj,1,2,3\na,1,0,1\nb,0,1,1\n")
+
+    def test_one_word_makes_a_header(self):
+        t = formats.read_boolean_table_csv("obj,1,b\na,1,0\nb,0,1\n")
+        assert t.attributes == ("1", "b")
+        assert t.cells == ((1, 0), (0, 1))
 
     def test_semilattice_json_shape(self):
         t = BooleanTable(("a", "b"), ("d1", "d2"), ((1, 0), (0, 1)))

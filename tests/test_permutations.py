@@ -15,6 +15,7 @@ from dendrocode.errors import (
 from dendrocode.formats import tree_to_json
 from dendrocode.hierarchy import canonicalize, member_sets, swap_children
 from dendrocode.permutations import (
+    TIE_RULES,
     OrdinalPattern,
     PackedPermutation,
     enumerate_nlr,
@@ -28,7 +29,13 @@ from dendrocode.permutations import (
 )
 
 from conftest import random_tree
-from oracles import alternating_count, nlr_by_nested_shapes, unpack_by_spans
+from oracles import (
+    alternating_count,
+    nlr_by_nested_shapes,
+    ordinal_sequence_by_windows,
+    rank_permutation_by_sort,
+    unpack_by_spans,
+)
 from reference import packed_example_tree
 
 STREAM = (4.0, 7.0, 9.0, 10.0, 6.0, 11.0, 3.0)
@@ -136,6 +143,66 @@ class TestRankPermutation:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             rank_permutation((), tau=1)
+
+
+TIED = st.sampled_from([-0.0, 0.0, 1.0, -1.0, math.inf, -math.inf, 2.5])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def streams(min_size=0):
+    """Streams over a small tied alphabet, with both zeros and both
+    infinities, or of arbitrary finite floats."""
+    return st.one_of(st.lists(TIED, min_size=min_size, max_size=min_size + 40),
+                     st.lists(FINITE, min_size=min_size, max_size=min_size + 40))
+
+
+class TestStreamsAgainstTheReferees:
+    @given(st.data(), st.integers(1, 6), st.integers(1, 4), st.sampled_from(TIE_RULES))
+    def test_ordinal_sequence_equals_the_window_loop(self, data, d, tau, tie_rule):
+        stream = data.draw(streams(min_size=d * tau + 1))
+        patterns, classes = ordinal_sequence(stream, d, tau, tie_rule)
+        expected, expected_classes = ordinal_sequence_by_windows(stream, d, tau, tie_rule)
+        assert patterns == expected
+        assert list(classes.items()) == list(expected_classes.items())
+        assert len({id(p) for p in patterns}) == len(classes)
+
+    @given(streams(min_size=1), st.integers(1, 4))
+    def test_rank_permutation_equals_the_sort(self, stream, tau):
+        assert rank_permutation(stream, tau) == rank_permutation_by_sort(stream, tau)
+
+    def test_too_short_message_equals_the_window_loop(self):
+        for fn in (ordinal_sequence, ordinal_sequence_by_windows):
+            with pytest.raises(DomainError, match="^stream of length 2 too short: order 3 at "
+                               "delay 2 needs at least 7 values$"):
+                fn((1.0, 2.0), 3, 2)
+
+    @pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_nan_is_refused(self, where):
+        stream = [1.0, 2.0, 0.5, 3.0, 2.0, 4.0, 1.5]
+        stream[where] = math.nan
+        message = f"^stream value #{where + 1} is NaN, which has no order$"
+        with pytest.raises(DomainError, match=message):
+            ordinal_sequence(stream, 2)
+        with pytest.raises(DomainError, match=message):
+            rank_permutation(stream)
+
+    @pytest.mark.parametrize("value", [10**400, "x"], ids=["past-float64", "text"])
+    def test_values_float64_cannot_hold_are_refused(self, value):
+        message = "^stream values must be real numbers in the float64 range$"
+        with pytest.raises(DomainError, match=message):
+            ordinal_sequence([1.0, value, 2.0], 1)
+        with pytest.raises(DomainError, match=message):
+            rank_permutation([1.0, value])
+
+    def test_nan_window_is_refused(self):
+        with pytest.raises(DomainError, match="^window value #2 is NaN"):
+            ordinal_pattern((1.0, math.nan, 0.0))
+
+    def test_equal_windows_share_one_pattern(self):
+        patterns, classes = ordinal_sequence([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 0.0], d=2)
+        assert [p.text() for p in patterns] == ["012", "201", "120", "012", "201"]
+        assert patterns[0] is patterns[3] and patterns[1] is patterns[4]
+        assert list(classes.items()) == [("012", [0, 3]), ("201", [1, 4]), ("120", [2])]
 
 
 class TestPacked:
