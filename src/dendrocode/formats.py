@@ -190,9 +190,14 @@ def read_matrix_csv(text: str) -> DissimilarityMatrix:
 def write_matrix_csv(
     m: DissimilarityMatrix, full_precision: bool = False
 ) -> str:
-    labels = m.label_list()
-    rows = (row.tolist() for row in m.values)
-    return _write_table(["", *labels], labels, rows, full_precision)
+    """Labelled square float table, through ``level_table_csv`` with each
+    cell's bit pattern as its level: each distinct float is formatted once,
+    -0.0 apart from 0.0, and the table guard covers the text."""
+
+    def value(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    return level_table_csv(m.label_list(), m.values.view(np.int64), value, full_precision)
 
 
 def _child_token(child: Child) -> str:
@@ -339,7 +344,7 @@ def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
     if coord_names is None:
         coord_names = tuple(f"c{i + 1}" for i in range(t.dim))
     header = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
-    table = np.column_stack((t.root_smooth, *t.details[::-1]))
+    table = np.column_stack((t.root_smooth, t.details[::-1].T))
     return _write_table(header, coord_names, (row.tolist() for row in table), full_precision)
 
 
@@ -361,7 +366,7 @@ def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str
             f"wavelet CSV rows hold {table.shape[1]} values, the tree needs {n1 + 1}"
         )
     # column 0 is the root smooth, then d_{n-1} down to d_1
-    return HaarTransform(tree, table[:, 0], tuple(table[:, :0:-1].T)), coord_names
+    return HaarTransform(tree, table[:, 0], table[:, :0:-1].T), coord_names
 
 
 def write_data_csv(
@@ -438,9 +443,9 @@ def level_table_csv(
 
     Every ultrametric table is an integer level per pair (the level of the
     two terminals' lowest common ancestor) mapped to a number, so each
-    distinct level is formatted once, by ``_cell``.  The text the table
-    would take is summed before it is built: past 1 GiB it is a
-    ``ResourceGuardError``."""
+    distinct level is formatted once, by ``_cell``; a float matrix passes
+    its cells' bit patterns as levels.  The text the table would take is
+    summed before it is built: past 1 GiB it is a ``ResourceGuardError``."""
     distinct, counts = (a.tolist() for a in np.unique(levels, return_counts=True))
     text = {r: _cell(value(r), full_precision) for r in distinct}
     size = sum(count * (len(text[r]) + 1) for r, count in zip(distinct, counts))

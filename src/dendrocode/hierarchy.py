@@ -430,7 +430,7 @@ def agglomerate(diss: DissimilarityMatrix, linkage: str = "complete") -> Dendrog
     work = np.array(diss.values, dtype=float)
     if linkage in _SQUARED:
         with np.errstate(over="ignore"):
-            work = work * work
+            np.multiply(work, work, out=work)
         _require_finite(work, linkage)
     merges = _nn_list_merges(work, linkage)
 

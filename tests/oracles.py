@@ -736,3 +736,97 @@ def rank_permutation_by_sort(stream, tau=1):
     picked = [(values[m - 1 - k * tau], k) for k in labels]
     picked.sort(key=lambda vk: (-vk[0], vk[1]))
     return tuple(k for _, k in picked)
+
+
+def haar_forward_by_dict(tree, data):
+    """``haar_forward`` with the smooths in a dict keyed by child reference,
+    each detail its own array.  The package's method before the
+    coefficients were one array."""
+    import numpy as np
+
+    from dendrocode.errors import AlignmentError, DomainError
+    from dendrocode.haar import HaarTransform
+    from dendrocode.hierarchy import INTERNAL, TERMINAL
+
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.shape[0] != tree.n:
+        raise AlignmentError(
+            f"data has {arr.shape[0]} rows but the tree has {tree.n} terminals"
+        )
+    if arr.shape[1] < 1:
+        raise AlignmentError("data needs at least one coordinate")
+    if not np.isfinite(arr).all():
+        raise DomainError("data contains missing or infinite values")
+    smooths = {
+        (TERMINAL, i): arr[i, :].astype(float) for i in range(tree.n)
+    }
+    details = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in tree.nodes:
+            s_left = smooths[node.left]
+            s_right = smooths[node.right]
+            smooths[(INTERNAL, node.rank)] = (s_left + s_right) / 2.0
+            details.append((s_left - s_right) / 2.0)
+    if tree.nodes:
+        root_smooth = smooths[(INTERNAL, tree.nodes[-1].rank)]
+    else:
+        root_smooth = smooths[(TERMINAL, 0)]
+    return HaarTransform(tree, root_smooth, tuple(details))
+
+
+def haar_inverse_by_walk(t):
+    """``haar_inverse`` along the Euler walk, with a stack of the smooths of
+    the open nodes.  The package's method before the inverse filled one
+    table in decreasing rank."""
+    import numpy as np
+
+    from dendrocode.errors import DomainError
+    from dendrocode.hierarchy import TERMINAL, walk
+
+    tree = t.tree
+    out = np.empty((tree.n, t.dim), dtype=float)
+    # acc[-1]: the root smooth plus the signed details along the current path
+    acc = [t.root_smooth]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (kind, idx), visit in walk(tree):
+            if kind == TERMINAL:
+                out[idx, :] = acc[-1]
+            elif visit == 0:
+                acc.append(acc[-1] + t.detail(idx))
+            elif visit == 1:
+                acc[-1] = acc[-2] - t.detail(idx)
+            else:
+                acc.pop()
+    if not np.isfinite(out).all():
+        raise DomainError("Haar reconstruction overflows the float range")
+    return out
+
+
+def ultrametricity_by_triangle_loop(m, sample, seed, tol):
+    """``ultrametricity_coefficient`` as (sampled, hits): the same seeded
+    draw of triples, each classified by its own ``classify_triangle`` call.
+    The package's method before the triples were classified as one array."""
+    import random
+
+    from dendrocode.ultrametric import METRIC_ONLY, classify_triangle
+
+    n = m.size
+    total = n * (n - 1) * (n - 2) // 6
+    if sample >= total:
+        triples = list(itertools.combinations(range(n), 3))
+    else:
+        rng = random.Random(seed)
+        chosen = set()
+        while len(chosen) < sample:
+            picked = rng.sample(range(n), 3)
+            picked.sort()
+            chosen.add(tuple(picked))
+        triples = sorted(chosen)
+    d = m.values
+    hits = 0
+    for i, j, k in triples:
+        if classify_triangle(d[i, j], d[i, k], d[j, k], tol) != METRIC_ONLY:
+            hits += 1
+    return len(triples), hits

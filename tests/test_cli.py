@@ -131,6 +131,24 @@ class TestVerifyAndCanonical:
         perm = [int(v) for v in perm_path.read_text().strip().split(",")]
         assert sorted(perm) == list(range(1, 9))
 
+    @pytest.mark.parametrize("verb", ["cophenetic", "canonical"])
+    def test_square_table_past_the_guard(self, verb, tmp_path, iris_csv, capsys, monkeypatch):
+        tree_path, matrix_path = tmp_path / "tree.json", tmp_path / "m.csv"
+        run(capsys, "cluster", str(iris_csv), "-o", str(tree_path))
+        run(capsys, "cophenetic", str(tree_path), "-o", str(matrix_path))
+        # the 8 x 8 table takes about 600 bytes
+        monkeypatch.setattr(formats, "_TABLE_GUARD", 100)
+        outputs = [tmp_path / "out.csv"]
+        argv = [verb, str(tree_path if verb == "cophenetic" else matrix_path), "-o", str(outputs[0])]
+        if verb == "canonical":
+            outputs.append(tmp_path / "perm.txt")
+            argv += ["--perm-out", str(outputs[1])]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("E_RESOURCE: the distance table would take ")
+        assert err.count("\n") == 1
+        assert not any(path.exists() for path in outputs)
+
 
 class TestPadicVerbs:
     def test_encode_decode_round_trip(self, tmp_path, iris_csv, capsys):

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+from dendrocode import formats
 from dendrocode.errors import AlignmentError, DomainError
-from dendrocode.haar import haar_forward, haar_inverse, haar_threshold
+from dendrocode.haar import HaarTransform, haar_forward, haar_inverse, haar_threshold
 from dendrocode.hierarchy import (
     Dendrogram,
     MergeNode,
     agglomerate,
     pairwise_distances,
     swap_children,
+    swap_orbit,
     terminal,
 )
 
-from conftest import random_tree
+from conftest import caterpillar, random_tree
+from oracles import csv_table, float_text, haar_forward_by_dict, haar_inverse_by_walk
 from reference import IRIS8, IRIS_LABELS8, REFERENCE_WAVELET_8
 
 
@@ -170,3 +175,129 @@ class TestWreathInvariance:
             other = haar_forward(t, data)
             for r in range(1, 6):
                 assert np.array_equal(np.abs(other.detail(r)), np.abs(base.detail(r)))
+
+
+def _referee_trees():
+    """Every tree shape the referee test runs on, by name."""
+    rng = random.Random(1501)
+    trees = {
+        "n1": Dendrogram(("x",), ()),
+        "n2": Dendrogram(("u", "v"), (MergeNode(1, 1.0, terminal(0), terminal(1)),)),
+    }
+    for n in (3, 7, 16, 40):
+        trees[f"monotone-{n}"] = random_tree(n, rng)
+        trees[f"inverted-{n}"] = random_tree(n, rng, heights="jumbled")
+        # one height for every node, and a median tree of tied grid data
+        flat = random_tree(n, rng)
+        trees[f"tied-{n}"] = Dendrogram(flat.labels, tuple(
+            MergeNode(node.rank, 1.0, node.left, node.right) for node in flat.nodes))
+        grid = [[rng.randrange(3), rng.randrange(3)] for _ in range(n)]
+        trees[f"tied-median-{n}"] = agglomerate(pairwise_distances(grid), "median")
+    for n in (3, 30):
+        for lean in ("left", "right"):
+            trees[f"caterpillar-{lean}-{n}"] = caterpillar(n, lean)
+    six = random_tree(6, rng)
+    for r in range(1, 6):
+        trees[f"six-swap-{r}"] = swap_children(six, r)
+    for k, tree in enumerate(swap_orbit(six)):
+        trees[f"six-orbit-{k}"] = tree
+    return trees
+
+
+REFEREE_TREES = _referee_trees()
+# cells whose last bits a reordered sum would change, signed zeros and the
+# float extremes that do not overflow a smooth; among subnormals, halving
+# before adding loses the last bit
+CELLS = [-0.0, 0.0, 1 / 3, -2 / 3, 0.1, 1e300, -1e300, 5e-324, 2.2250738585072014e-308, 7.0]
+SUBNORMALS = [5e-324, -5e-324, 1.5e-323, 2.5e-323, -3.5e-323, 0.0]
+
+
+def _assert_identical(a, b):
+    assert np.array_equal(a, b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()  # -0.0 too
+
+
+class TestAgainstTheReferee:
+    """The slot table against the dict forward and the walk inverse of
+    ``tests/oracles.py``: the same bits everywhere."""
+
+    @pytest.mark.parametrize("name", sorted(REFEREE_TREES))
+    def test_coefficients_and_reconstruction_are_bit_identical(self, name):
+        tree = REFEREE_TREES[name]
+        rng = random.Random(name)
+        for dim in (1, 3, 2):
+            data = np.array([[rng.choice(CELLS) if rng.random() < 0.4 else rng.uniform(-1e3, 1e3)
+                              for _ in range(dim)] for _ in range(tree.n)])
+            if dim == 1:
+                data = data[:, 0]  # a 1-D array is one coordinate
+            if dim == 2:
+                data[:, 1] = [rng.choice(SUBNORMALS) for _ in range(tree.n)]
+            t, ref = haar_forward(tree, data), haar_forward_by_dict(tree, data)
+            _assert_identical(t.root_smooth, ref.root_smooth)
+            assert t.details.shape == (tree.n - 1, dim)
+            for rank in range(1, tree.n):
+                _assert_identical(t.detail(rank), ref.detail(rank))
+            _assert_identical(haar_inverse(t), haar_inverse_by_walk(ref))
+            thinned = haar_threshold(t, 1.0)
+            _assert_identical(haar_inverse(thinned), haar_inverse_by_walk(thinned))
+
+            header = ["", f"s{tree.n - 1}", *(f"d{r}" for r in range(tree.n - 1, 0, -1))]
+            rows = [[float_text(ref.root_smooth[c], True)]
+                    + [float_text(ref.detail(r)[c], True) for r in range(tree.n - 1, 0, -1)]
+                    for c in range(dim)]
+            text = formats.haar_to_csv(t, None, True)
+            assert text == csv_table(header, [f"c{c + 1}" for c in range(dim)], rows)
+            back, _ = formats.haar_from_csv(text, tree)
+            _assert_identical(back.root_smooth, t.root_smooth)
+            _assert_identical(back.details, t.details)
+
+    def test_overflow_is_the_same_refusal(self):
+        tree = caterpillar(4, "left")
+        data = np.array([[1e308], [1e308], [-1e308], [1e308]])
+        for forward in (haar_forward, haar_forward_by_dict):
+            with pytest.raises(DomainError, match="overflows the float range"):
+                forward(tree, data)
+
+
+class TestConstructor:
+    TREE = random_tree(4, random.Random(4))
+    ROOT = [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_wrong_detail_count_refused(self, count):
+        with pytest.raises(DomainError, match="^need exactly one detail vector per internal node$"):
+            HaarTransform(self.TREE, self.ROOT, [self.ROOT] * count)
+
+    @pytest.mark.parametrize("details", [
+        [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]],
+        [[1.0, 2.0, 3.0]] * 3,
+        [[1.0, 2.0, 3.0, 4.0, 5.0]] * 3,
+        [1.0, 2.0, 3.0],
+        np.zeros((3, 2, 2)),  # the right number of cells in the wrong shape
+    ], ids=["ragged", "narrow", "wide", "scalars", "block"])
+    def test_wrong_shape_refused(self, details):
+        with pytest.raises(DomainError, match="^detail vectors must match the smooth's dimensionality$"):
+            HaarTransform(self.TREE, self.ROOT, details)
+
+    def test_any_sequence_of_vectors(self):
+        rows = [[float(r), -r / 3, 0.5, -0.0] for r in range(1, 4)]
+        forms = (rows, tuple(map(np.array, rows)), np.array(rows), [tuple(row) for row in rows])
+        for details in forms:
+            t = HaarTransform(self.TREE, self.ROOT, details)
+            _assert_identical(t.details, np.array(rows))
+
+    def test_caller_arrays_are_copied(self):
+        root, details = np.array(self.ROOT), np.ones((3, 4))
+        rows = [row for row in np.ones((3, 4))]
+        t = HaarTransform(self.TREE, root, details)
+        u = HaarTransform(self.TREE, root, rows)
+        root[0] = details[0, 0] = rows[0][0] = 9.0
+        assert t.root_smooth[0] == 1.0 and u.root_smooth[0] == 1.0
+        assert t.detail(1)[0] == 1.0 and u.detail(1)[0] == 1.0
+
+    def test_coefficients_are_read_only(self):
+        t = HaarTransform(self.TREE, self.ROOT, np.ones((3, 4)))
+        assert not t.details.flags.writeable and not t.root_smooth.flags.writeable
+        with pytest.raises(ValueError):
+            t.details[0, 0] = 2.0
+        assert not haar_threshold(t, 0.5).details.flags.writeable

@@ -38,6 +38,7 @@ from oracles import (
     brute_violations,
     code_sorted_order,
     cophenetic_by_paths,
+    ultrametricity_by_triangle_loop,
 )
 from reference import IRIS7, IRIS_LABELS7, REFERENCE_ULTRAMETRIC_7
 
@@ -320,6 +321,26 @@ class TestUltrametricityCoefficient:
         m = DissimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(DegenerateInputError):
             ultrametricity_coefficient(m, 10)
+
+    @pytest.mark.parametrize("tol", [0.0, 0.02, 1.0, float("inf")])
+    @pytest.mark.parametrize("sample", [40, 300, 10**9])
+    def test_hits_equal_the_triangle_loop(self, tol, sample):
+        # a tenths grid ties sides; repeated points make zero sides and an
+        # all-zero triangle
+        rng = np.random.default_rng(1505)
+        cloud = np.round(rng.random((16, 2)), 1)
+        cloud[[5, 9]] = cloud[3]
+        cloud[12] = cloud[7]
+        m = pairwise_distances(cloud)
+        report = ultrametricity_coefficient(m, sample, seed=8, tol=tol)
+        sampled, hits = ultrametricity_by_triangle_loop(m, sample, 8, tol)
+        assert report.sampled == sampled
+        assert report.coefficient == hits / sampled
+
+    def test_negative_tolerance_rejected(self):
+        m = pairwise_distances(generate_cloud(5, 2, "uniform", seed=3))
+        with pytest.raises(DomainError, match="^tolerance must be nonnegative$"):
+            ultrametricity_coefficient(m, 10, tol=-0.01)
 
 
 class TestGenerateCloud:
