@@ -19,7 +19,7 @@ from typing import TextIO
 
 from . import formats
 from .baire import baire_cluster, encode_dna
-from .errors import DendrocodeError, DomainError, ParseError
+from .errors import DendrocodeError, DomainError, ParseError, ResourceGuardError
 from .haar import haar_forward, haar_inverse, haar_threshold
 from .hierarchy import LINKAGES, agglomerate, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
@@ -311,6 +311,11 @@ def _cmd_ultrametricity(args):
 
 
 def _cmd_gen_cloud(args):
+    size = args.n * args.dim * 8  # the float64 cloud, checked before numpy allocates it
+    if size > formats._TABLE_GUARD:
+        raise ResourceGuardError(
+            f"the point cloud would take {size} bytes, past the guard ({formats._TABLE_GUARD})"
+        )
     cloud = generate_cloud(args.n, args.dim, args.law, args.seed)
     yield args.output, formats.write_data_csv(cloud, full_precision=args.full_precision)
 

@@ -71,3 +71,10 @@ class ResourceGuardError(DendrocodeError):
     """Request exceeds the guard against combinatorial blowup."""
 
     code = "E_RESOURCE"
+
+
+def _require_nonnegative(value: float, name: str) -> None:
+    """Refuse a negative or NaN ``value`` (NaN fails every comparison, so
+    the test is ``not value >= 0``); +inf is accepted."""
+    if not value >= 0:
+        raise DomainError(f"{name} must be nonnegative")

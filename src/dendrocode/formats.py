@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .baire import BaireString, parse_digits
-from .errors import ParseError, ResourceGuardError
+from .errors import DomainError, ParseError, ResourceGuardError
 from .haar import HaarTransform
 from .hierarchy import (
     Child,
@@ -34,7 +34,7 @@ from .hierarchy import (
     walk,
 )
 from .lattice import BooleanTable, Semilattice
-from .padic import PadicEncoding, _cells, _encoding_from_cells
+from .padic import PadicEncoding, _cells, _encoding_from_array, _encoding_from_cells
 from .ultrametric import UltrametricityReport
 
 
@@ -221,21 +221,45 @@ def _parse_child(token: str, n: int) -> Child:
     return (INTERNAL, idx)
 
 
+def _json_number(value) -> str:
+    """``json.dumps(value)`` of a number: a plain float or int is written
+    as ``json`` writes it (``float.__repr__``, ``int.__repr__``) without the
+    cost of a ``json`` call; anything else goes through ``json``."""
+    kind = type(value)
+    if kind is float:
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _dumps(value)
+
+
+def _dumps(doc, indent: int | None = None) -> str:
+    """The one JSON writer: strict JSON, so a NaN or an infinity is an
+    error rather than text no JSON reader takes."""
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError:
+        raise DomainError(
+            "the output holds an infinite or NaN number, which JSON cannot represent"
+        ) from None
+
+
 def tree_to_json(tree: Dendrogram) -> str:
-    doc = {
-        "n": tree.n,
-        "labels": list(tree.labels),
-        "nodes": [
-            {
-                "rank": node.rank,
-                "height": node.height,
-                "left": _child_token(node.left),
-                "right": _child_token(node.right),
-            }
-            for node in tree.nodes
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The tree as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"n",
+    "labels", "nodes"}``.  ``json`` indents through its pure-Python encoder,
+    so only the header goes through it, and each node is written as one
+    string in the same layout, its numbers by ``_json_number``."""
+    head = _dumps({"n": tree.n, "labels": list(tree.labels), "nodes": []}, indent=2)
+    if not tree.nodes:
+        return head + "\n"
+    nodes = ",\n".join([
+        f'    {{\n      "rank": {_json_number(node.rank)},\n'
+        f'      "height": {_json_number(node.height)},\n'
+        f'      "left": "{_child_token(node.left)}",\n'
+        f'      "right": "{_child_token(node.right)}"\n    }}'
+        for node in tree.nodes
+    ])
+    return f"{head[:-4]}[\n{nodes}\n  ]\n}}\n"
 
 
 def _load_json(text: str):
@@ -381,33 +405,61 @@ def write_data_csv(
     return _write_table(header, labels, rows, full_precision)
 
 
-def encoding_to_json(enc: PadicEncoding) -> str:
-    """The encoding as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"p", "n",
-    "labels", "C"}``, with ``C`` the rows concatenated.  ``json`` indents
-    through its pure-Python encoder, so only the header goes through it;
-    the n(n-1) coefficients are written from the bytes of the stored int8
-    array, each of 0, 1 and -1 (byte 0xff) replaced by its token and the
-    separator.  No token contains a byte that is replaced, so the three
-    replacements cannot interfere, and the bytes are the same."""
-    head = json.dumps(
-        {"p": enc.p, "n": enc.n, "labels": list(enc.labels), "C": []}, indent=2
-    )
-    if enc.n < 2:
-        return head + "\n"
-    body = (
-        _cells(enc).tobytes()
+# In ``encoding_to_json`` text each coefficient is followed by this
+# separator, bar the last, and the list then closes the document.
+_CELL_SEP = ",\n    "
+_C_OPEN = '"C": [\n    '
+_ENCODING_TAIL = "\n  ]\n}\n"
+# the canonical reader converts the coefficients this many characters at a time
+_CHUNK = 1 << 20
+
+
+def _encoding_body(cells: np.ndarray) -> bytes:
+    """The int8 coefficients ``cells`` as canonical text: each one's token
+    followed by ``_CELL_SEP``.  The bytes of the array, each of 0, 1 and -1
+    (byte 0xff) replaced by its token and the separator; no token contains
+    a byte that is replaced, so the three replacements cannot interfere."""
+    return (
+        cells.tobytes()
         .replace(b"\x00", b"0,\n    ")
         .replace(b"\x01", b"1,\n    ")
         .replace(b"\xff", b"-1,\n    ")
     )
-    return f"{head[:-4]}[\n    {body[:-6].decode()}\n  ]\n}}\n"
+
+
+def _encoding_head(p: int, n: int, labels) -> str:
+    return _dumps({"p": p, "n": n, "labels": list(labels), "C": []}, indent=2)
+
+
+def encoding_to_json(enc: PadicEncoding) -> str:
+    """The encoding as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"p", "n",
+    "labels", "C"}``, with ``C`` the rows concatenated.  ``json`` indents
+    through its pure-Python encoder, so only the header goes through it;
+    the n(n-1) coefficients are written by ``_encoding_body``."""
+    head = _encoding_head(enc.p, enc.n, enc.labels)
+    if enc.n < 2:
+        return head + "\n"
+    body = _encoding_body(_cells(enc))[: -len(_CELL_SEP)].decode()
+    return f"{head[:-4]}[\n    {body}{_ENCODING_TAIL}"
 
 
 def encoding_from_json(text: str) -> PadicEncoding:
     """Read ``encoding_to_json`` text strictly: ``p`` and ``n`` are JSON
     integers, ``labels`` a list of strings and ``C`` a list of n(n-1)
     integers (not true or false); any other type is one ``ParseError``.
-    The encoding then gets the checks of the ``PadicEncoding`` constructor."""
+    The encoding then gets the checks of the ``PadicEncoding`` constructor.
+
+    Text that ``encoding_to_json`` writes is read at byte speed by
+    ``_canonical_encoding``; any other text, and every error, goes through
+    ``_strict_encoding``, which reads the whole document with ``json``.
+    Both give the same fields for the same text."""
+    fields = _canonical_encoding(text)
+    if fields is not None:
+        return _encoding_from_array(*fields)
+    return _encoding_from_cells(*_strict_encoding(text))
+
+
+def _strict_encoding(text: str) -> tuple[int, tuple[str, ...], list[int]]:
     doc = _load_json(text)
     try:
         p, n, labels, flat = doc["p"], doc["n"], doc["labels"], doc["C"]
@@ -420,7 +472,66 @@ def encoding_from_json(text: str) -> PadicEncoding:
         raise ParseError("encoding JSON field 'C' must be a list of integers")
     if len(labels) != n or len(flat) != n * (n - 1):
         raise ParseError("encoding JSON has inconsistent sizes")
-    return _encoding_from_cells(p, labels, flat)
+    return p, labels, flat
+
+
+def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | None:
+    """``(p, labels, cells)`` when ``text`` is exactly ``encoding_to_json``
+    text of n >= 2 labels, with ``cells`` the n x (n-1) int8 coefficient
+    matrix; None on any doubt.
+
+    Only the header goes through ``json``, and it must be the canonical
+    header of the fields it holds.  The body is read in chunks of about
+    ``_CHUNK`` characters, each cut after a separator, by ``_chunk_cells``.
+    A chunk is kept only if ``_encoding_body`` of its cells is its text:
+    the cells lie in {-1, 0, +1}, and the text is the one they are written
+    as, so ``json`` would read the same values from it."""
+    cut = text.find(_C_OPEN)
+    if cut < 0 or not text.endswith(_ENCODING_TAIL):
+        return None
+    header = text[:cut] + '"C": []\n}'
+    try:
+        doc = json.loads(header)
+        p, n, labels = doc["p"], doc["n"], doc["labels"]
+    except (ValueError, RecursionError, KeyError, TypeError):
+        return None
+    if (type(p) is not int or type(n) is not int or type(labels) is not list
+            or not {str}.issuperset(map(type, labels)) or len(labels) != n or n < 2
+            or _encoding_head(p, n, labels) != header):
+        return None
+    total, filled = n * (n - 1), 0
+    cells = np.empty(total, dtype=np.int8)
+    pos, end = cut + len(_C_OPEN), len(text) - len(_ENCODING_TAIL)
+    while pos < end:
+        stop = text.find(_CELL_SEP, min(pos + _CHUNK, end), end)
+        stop = end if stop < 0 else stop + len(_CELL_SEP)
+        try:
+            chunk = text[pos:stop].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        if stop == end:  # the last token has no separator of its own
+            chunk += _CELL_SEP.encode()
+        part = _chunk_cells(chunk)
+        if filled + len(part) > total or _encoding_body(part) != chunk:
+            return None
+        cells[filled:filled + len(part)] = part
+        filled, pos = filled + len(part), stop
+    if filled != total:
+        return None
+    return p, tuple(labels), cells.reshape(n, n - 1)
+
+
+def _chunk_cells(chunk: bytes) -> np.ndarray:
+    """The int8 cells of ``chunk``, read as tokens each followed by
+    ``_CELL_SEP``: a token ending in ``1`` is 1, any other 0, and one led
+    by ``-`` is -1.  Only the two bytes before each comma are read, so the
+    caller compares the cells' text with the chunk.  Before a comma at
+    byte 1, index -1 is the chunk's last byte, a space."""
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord(","))
+    cells = (buf[ends - 1] == ord("1")).astype(np.int8)
+    cells[buf[ends - 2] == ord("-")] = -1
+    return cells
 
 
 def decimal_codes_csv(enc: PadicEncoding) -> str:
@@ -473,7 +584,7 @@ def report_to_json(report: UltrametricityReport) -> str:
         "seed": report.seed,
         "tolerance": report.tolerance,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc, indent=2) + "\n"
 
 
 def _labelled_lines(text: str) -> Iterator[tuple[int, str | None, str]]:
@@ -569,4 +680,4 @@ def semilattice_to_json(lat: Semilattice) -> str:
             for low, high in lat.covers
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc, indent=2) + "\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError
+from .errors import AlignmentError, DomainError, _require_nonnegative
 from .hierarchy import Child, Dendrogram, TERMINAL
 
 
@@ -116,7 +116,6 @@ def haar_inverse(t: HaarTransform) -> np.ndarray:
 def haar_threshold(t: HaarTransform, epsilon: float) -> HaarTransform:
     """Zero every detail coefficient with absolute value below ``epsilon``;
     topology and root smooth unchanged.  Thresholding is per coordinate."""
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
+    _require_nonnegative(epsilon, "epsilon")
     thinned = np.where(np.abs(t.details) < epsilon, 0.0, t.details)
     return HaarTransform(t.tree, t.root_smooth, thinned)

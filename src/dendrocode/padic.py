@@ -219,13 +219,19 @@ def _check_values(flat: list[int]) -> None:
 
 def _checked_cells(n: int, flat: list[int]) -> np.ndarray:
     """n rows of n - 1 Python ints, concatenated into ``flat``, as the
-    read-only n x (n-1) int8 array, after the value, root-column and column
-    checks of ``PadicEncoding`` in its order.  The values are checked on
-    the Python ints, before the conversion: numpy < 2 wraps 256 to 0 in an
-    int8 array."""
+    read-only n x (n-1) int8 array, after the value check and then the
+    array checks of ``_checked_array``, in the order of ``PadicEncoding``.
+    The values are checked on the Python ints, before the conversion:
+    numpy < 2 wraps 256 to 0 in an int8 array."""
     _check_values(flat)
     cells = np.fromiter(flat, dtype=np.int8, count=len(flat)).reshape(n, max(n - 1, 0))
-    if n >= 2:
+    return _checked_array(cells)
+
+
+def _checked_array(cells: np.ndarray) -> np.ndarray:
+    """``cells``, an n x (n-1) int8 array of values in {-1, 0, +1}, made
+    read-only after the root-column and column checks of ``PadicEncoding``."""
+    if cells.shape[0] >= 2:
         if not cells[:, -1].all():
             raise MalformedEncodingError("root column must have no zero entries")
         one_sided = np.flatnonzero(~((cells == 1).any(axis=0) & (cells == -1).any(axis=0)))
@@ -280,6 +286,14 @@ def _encoding_from_cells(p: int, labels: tuple[str, ...], flat: list[int]) -> Pa
     length checks, which the caller has made."""
     _require_encoding_prime(p)
     return _trusted_encoding(p, labels, _checked_cells(len(labels), flat))
+
+
+def _encoding_from_array(p: int, labels: tuple[str, ...], cells: np.ndarray) -> PadicEncoding:
+    """The encoding over ``cells``, an n x (n-1) int8 array of values in
+    {-1, 0, +1}, after the checks ``_encoding_from_cells`` makes past its
+    value check."""
+    _require_encoding_prime(p)
+    return _trusted_encoding(p, labels, _checked_array(cells))
 
 
 def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:

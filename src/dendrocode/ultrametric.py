@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, NotUltrametricError
+from .errors import DegenerateInputError, DomainError, NotUltrametricError, _require_nonnegative
 from .hierarchy import (
     Child,
     Dendrogram,
@@ -78,8 +78,7 @@ def _certify(
     point too, and a pair with d(i,k) <= u(i,k) + tol has no violation.
     Only the other pairs are scanned for witnesses.
     """
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
+    _require_nonnegative(tol, "tolerance")
     if m.size < 2:
         return None, []
     d = m.values
@@ -130,8 +129,7 @@ def classify_triangle(a: float, b: float, c: float, tol: float = 0.02) -> str:
     """
     if a < 0 or b < 0 or c < 0:
         raise DomainError("triangle sides must be nonnegative")
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
+    _require_nonnegative(tol, "tolerance")
     x, y, z = sorted((a, b, c))
     if z == 0.0:
         return EQUILATERAL
@@ -161,11 +159,19 @@ def ultrametricity_coefficient(
         raise DegenerateInputError("need at least three objects to sample triangles")
     if sample < 1:
         raise DomainError("sample must be at least 1")
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
+    _require_nonnegative(tol, "tolerance")
     total = n * (n - 1) * (n - 2) // 6
+    d = m.values
     if sample >= total:
-        triples = list(itertools.combinations(range(n), 3))
+        # every triple once, one block per smallest index i: the pairs
+        # j < k above i are a tail of the upper triangle in row-major order
+        js, ks = np.triu_indices(n, 1)
+        upper = d[js, ks]
+        hits, start = 0, 0
+        for i in range(n - 2):
+            start += n - 1 - i  # past the pairs of rows 0..i
+            hits += _ultrametric_hits(d[i, js[start:]], d[i, ks[start:]], upper[start:], tol)
+        sampled = total
     else:
         rng = random.Random(seed)
         chosen: set[tuple[int, int, int]] = set()
@@ -173,20 +179,26 @@ def ultrametricity_coefficient(
             picked = rng.sample(range(n), 3)
             picked.sort()
             chosen.add(tuple(picked))
-        triples = sorted(chosen)
-    # classify_triangle on every triple at once: with sides x <= y <= z a
-    # triangle is metric-only unless z == 0 or z - y <= tol * z
-    i, j, k = np.array(triples).T
-    d = m.values
-    _, y, z = np.sort((d[i, j], d[i, k], d[j, k]), axis=0)
-    with np.errstate(invalid="ignore"):  # inf * 0 at tol = inf
-        hits = int(np.count_nonzero((z == 0) | (z - y <= tol * z)))
+        i, j, k = np.array(sorted(chosen)).T
+        hits, sampled = _ultrametric_hits(d[i, j], d[i, k], d[j, k], tol), sample
     return UltrametricityReport(
-        sampled=len(triples),
-        coefficient=hits / len(triples),
+        sampled=sampled,
+        coefficient=hits / sampled,
         seed=seed,
         tolerance=tol,
     )
+
+
+def _ultrametric_hits(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> int:
+    """How many triangles with sides ``a``, ``b``, ``c`` (one per position)
+    ``classify_triangle`` calls equilateral or isosceles-small-base: with
+    sides x <= y <= z a triangle is metric-only unless z == 0 or
+    z - y <= tol * z."""
+    _, y, z = np.sort((a, b, c), axis=0)
+    # inf * 0 at tol = inf, and tol * z past the float range, give nan and
+    # inf as Python floats do, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        return int(np.count_nonzero((z == 0) | (z - y <= tol * z)))
 
 
 def generate_cloud(n: int, dim: int, law: str = "uniform", seed: int = 0) -> np.ndarray:

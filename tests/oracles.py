@@ -830,3 +830,25 @@ def ultrametricity_by_triangle_loop(m, sample, seed, tol):
         if classify_triangle(d[i, j], d[i, k], d[j, k], tol) != METRIC_ONLY:
             hits += 1
     return len(triples), hits
+
+
+def tree_json_by_dumps(tree):
+    """``tree_to_json`` as one ``json.dumps(doc, indent=2)`` of the whole
+    document.  The package's writer before the header alone went through
+    ``json`` and each node was written as one string."""
+    import json
+
+    def token(child):
+        kind, idx = child
+        return f"t{idx + 1}" if kind == "t" else f"q{idx}"
+
+    doc = {
+        "n": tree.n,
+        "labels": list(tree.labels),
+        "nodes": [
+            {"rank": node.rank, "height": node.height,
+             "left": token(node.left), "right": token(node.right)}
+            for node in tree.nodes
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

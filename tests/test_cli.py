@@ -582,6 +582,60 @@ class TestCloudAndReport:
         assert doc["sampled"] == 100
 
 
+class TestParameterDomains:
+    """NaN passes every ``x < 0`` test, so each numeric parameter is
+    checked as ``not x >= 0``: a NaN flag is one ``E_DOMAIN`` line."""
+
+    MATRIX = ",a,b,c\na,0,1,3\nb,1,0,1\nc,3,1,0\n"  # d(a,c) = 3 > max(1, 1)
+
+    def refused(self, capsys, *argv) -> str:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("E_DOMAIN: ") and err.count("\n") == 1
+        return err
+
+    def test_verify_um_nan_tolerance_was_a_silent_wrong_answer(self, tmp_path, capsys):
+        # at --tol nan every comparison failed, and the violated triple
+        # went unlisted with exit 0
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(self.MATRIX)
+        code, out, _ = run(capsys, "verify-um", str(matrix), "--tol", "0")
+        assert (code, out) == (1, "i,j,k,lhs,rhs\n1,2,3,3,1\n")
+        err = self.refused(capsys, "verify-um", str(matrix), "--tol", "nan")
+        assert err == "E_DOMAIN: tolerance must be nonnegative\n"
+
+    @pytest.mark.parametrize("verb", ["ultrametricity", "canonical"])
+    def test_nan_tolerance(self, verb, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",a,b,c\na,0,1,2\nb,1,0,2\nc,2,2,0\n")  # ultrametric
+        err = self.refused(capsys, verb, str(matrix), "--tol", "nan")
+        assert err == "E_DOMAIN: tolerance must be nonnegative\n"
+
+    def test_nan_epsilon(self, tmp_path, iris_csv, capsys):
+        wt = tmp_path / "wt.csv"
+        run(capsys, "haar", str(iris_csv), "-o", str(wt))
+        err = self.refused(capsys, "haar-denoise", str(wt), "--epsilon", "nan")
+        assert err == "E_DOMAIN: epsilon must be nonnegative\n"
+
+    def test_report_json_is_strict(self, tmp_path, capsys):
+        # an infinite tolerance is a valid parameter, but strict JSON has no
+        # infinity to write it as
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(self.MATRIX)
+        code, out, _ = run(capsys, "ultrametricity", str(matrix), "--tol", "1e308")
+        assert code == 0 and json.loads(out)["tolerance"] == 1e308
+        self.refused(capsys, "ultrametricity", str(matrix), "--tol", "inf")
+
+    def test_gen_cloud_past_the_guard(self, tmp_path, capsys):
+        out_path = tmp_path / "cloud.csv"
+        code, out, err = run(capsys, "gen-cloud", "-n", "1000000000", "--dim", "1000",
+                             "-o", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == ("E_RESOURCE: the point cloud would take 8000000000000 bytes, "
+                       f"past the guard ({formats._TABLE_GUARD})\n")
+        assert not out_path.exists()
+
+
 class TestNonFiniteData:
     @pytest.mark.parametrize(
         "rows", ["1,inf\n2,3\n0,1\n", "1e308,0\n-1e308,0\n0,1\n"], ids=["inf", "overflow"]

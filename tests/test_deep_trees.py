@@ -4,6 +4,7 @@ than the recursion limit convert like any other tree."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from dendrocode import formats
 from dendrocode.cli import main
 from dendrocode.haar import haar_forward, haar_inverse
 from dendrocode.hierarchy import Dendrogram, DissimilarityMatrix
-from dendrocode.padic import encode_dendrogram, evaluate_code
+from dendrocode.padic import decode, encode_dendrogram, evaluate_code
 from dendrocode.permutations import packed_representation, unpack
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import canonical_form, check_canonical_form, cophenetic_matrix
@@ -213,3 +214,19 @@ class TestDeepPadic:
         # lowest common ancestor
         ranks = cophenetic_matrix(tree).values.astype(int)
         assert out == formats.level_table_csv(tree.labels, ranks, lambda r: 1 - Fraction(1, 3**r))
+
+    def test_decoding_in_bounded_memory(self):
+        """The canonical reader holds the int8 matrix and about 1 MB of text
+        at a time: decoding the n=1500 caterpillar's encoding peaks below
+        half the text's length.  ``json.loads`` of the whole text built a
+        list of its 2,247,000 coefficients, past the text's length."""
+        tree = caterpillar(1500, "left")
+        text = formats.encoding_to_json(encode_dendrogram(tree, 3))
+        tracemalloc.start()
+        try:
+            back = decode(formats.encoding_from_json(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == tree
+        assert peak < 0.5 * len(text), (peak, len(text))

@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dendrocode import formats
 from dendrocode.baire import BaireString
-from dendrocode.errors import DomainError, ParseError
+from dendrocode.errors import DendrocodeError, DomainError, ParseError
 from dendrocode.haar import HaarTransform, haar_forward, haar_inverse
 from dendrocode.hierarchy import (
     Dendrogram,
@@ -23,13 +24,13 @@ from dendrocode.hierarchy import (
     pairwise_distances,
     terminal,
 )
-from dendrocode.padic import encode_dendrogram, evaluate_code
+from dendrocode.padic import PadicEncoding, _cells, _encoding_from_cells, encode_dendrogram, evaluate_code
 from dendrocode.lattice import BooleanTable, build_semilattice
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
 
 from conftest import caterpillar, encoding_sweep, random_tree
-from oracles import csv_table, exact_text, float_text, render_by_grid
+from oracles import csv_table, exact_text, float_text, render_by_grid, tree_json_by_dumps
 from reference import IRIS8, IRIS_LABELS8
 
 
@@ -295,6 +296,155 @@ class TestEncodingJson:
         doc[field] = value
         with pytest.raises(ParseError, match=message):
             formats.encoding_from_json(json.dumps(doc))
+
+
+# Labels that JSON escapes (quote, backslash, control characters, U+2028)
+# or writes as \\u escapes (non-ASCII), the empty label, and one that holds
+# the text the canonical reader looks for.
+LABEL_PIECES = ["t", 'say "hi"', "back\\slash", "tab\there", "new\nline", "épée", "雪",
+                "\u2028", "\ud800", "", '"C": [\n    ', "\x00"]
+
+
+@st.composite
+def encodings(draw, max_n: int = 300) -> PadicEncoding:
+    """An encoding at p = 3, 5 or 1000003: of no terminal, of one, or of a
+    random or caterpillar tree with up to ``max_n`` terminals, its labels
+    built from ``LABEL_PIECES`` and drawn text."""
+    p = draw(st.sampled_from([3, 5, 1000003]))
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(2, min(max_n, 40)),
+                       st.integers(2, max_n)))
+    pieces = draw(st.lists(st.sampled_from(LABEL_PIECES) | st.text(max_size=4), min_size=1, max_size=5))
+    labels = tuple(f"{pieces[i % len(pieces)]}{i}" for i in range(n))
+    if n == 0:
+        return PadicEncoding(p, (), ())
+    if n == 1:
+        return encode_dendrogram(Dendrogram(labels, ()), p)
+    if draw(st.booleans()):
+        tree = random_tree(n, random.Random(draw(st.integers(0, 2**32))), heights="rank")
+    else:
+        tree = caterpillar(n, draw(st.sampled_from(["left", "right"])))
+    return encode_dendrogram(Dendrogram(labels, tree.nodes), p)
+
+
+def strict_read(text: str) -> PadicEncoding:
+    """The reader's fallback alone: the whole document through ``json``."""
+    return _encoding_from_cells(*formats._strict_encoding(text))
+
+
+def read_outcome(read, text: str, chunk: int):
+    """What ``read`` makes of ``text`` with the canonical reader's chunk
+    size set to ``chunk``: the encoding's fields, or the CLI error line."""
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        try:
+            enc = read(text)
+        except DendrocodeError as exc:
+            return f"{exc.code}: {exc}"
+    cells = _cells(enc)
+    return enc.p, enc.labels, cells.shape, cells.tobytes()
+
+
+# Chunk sizes: a few characters, so that chunk edges fall inside tokens and
+# separators, up to the default.
+CHUNKS = st.integers(1, 16) | st.sampled_from([64, 4096, 1 << 20])
+
+
+def mutate(enc: PadicEncoding, kind: str, at: int, byte: str) -> str:
+    """``encoding_to_json`` text of ``enc`` (n >= 2) with one token, one
+    byte or the layout changed; ``at`` picks the place."""
+    text = formats.encoding_to_json(enc)
+    tokens = [str(c) for row in enc.C for c in row]
+    head = text[: text.index('"C": [') + len('"C": ')]
+    if kind in ("2", "-0", "+1", "1.0"):
+        tokens[at % len(tokens)] = kind
+    if kind in ("2", "-0", "+1", "1.0", "drop-comma"):
+        seps = [",\n    "] * (len(tokens) - 1)
+        if kind == "drop-comma":
+            seps[at % len(seps)] = "\n    "
+        body = "".join(t + s for t, s in zip(tokens, seps + [""]))
+        return f"{head}[\n    {body}\n  ]\n}}\n"
+    at %= len(text)
+    return {
+        "extra-space": text[:at] + " " + text[at:],
+        "byte": text[:at] + byte + text[at + 1:],
+        "crlf": text.replace("\n", "\r\n"),
+        "no-final-newline": text[:-1],
+        "duplicate-c-first": text.replace('"C": [', '"C": [1, -1],\n  "C": [', 1),
+        "duplicate-c-last": text[:-len("\n}\n")] + ',\n  "C": [1, -1]\n}\n',
+    }[kind]
+
+
+class TestCanonicalEncodingReader:
+    """``encoding_from_json`` against its strict path alone: the same
+    encoding, or the same error line, on every text."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(encodings(), CHUNKS)
+    def test_canonical_text(self, enc, chunk):
+        text = formats.encoding_to_json(enc)
+        chunk = max(chunk, len(text) // 500)  # at most about 500 chunks
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            assert (formats._canonical_encoding(text) is not None) == (enc.n >= 2)
+        fast = read_outcome(formats.encoding_from_json, text, chunk)
+        assert fast == read_outcome(strict_read, text, chunk)
+        assert fast == (enc.p, enc.labels, _cells(enc).shape, _cells(enc).tobytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(encodings(max_n=12).filter(lambda enc: enc.n >= 2),
+           st.sampled_from(["2", "-0", "+1", "1.0", "drop-comma", "extra-space", "byte", "crlf",
+                            "no-final-newline", "duplicate-c-first", "duplicate-c-last"]),
+           st.integers(0, 10**6), st.sampled_from(list('0123456789-+., \n\r\t"[]{}:xeé')),
+           st.integers(1, 16) | st.just(1 << 20))
+    def test_mutated_text(self, enc, kind, at, byte, chunk):
+        text = mutate(enc, kind, at, byte)
+        fast = read_outcome(formats.encoding_from_json, text, chunk)
+        assert fast == read_outcome(strict_read, text, chunk)
+
+    @pytest.mark.parametrize("kind", ["2", "-0", "+1", "1.0", "drop-comma", "crlf",
+                                      "no-final-newline", "duplicate-c-first", "duplicate-c-last"])
+    def test_each_mutation_leaves_the_canonical_path(self, rng, kind):
+        enc = encode_dendrogram(random_tree(7, rng, heights="rank"), 3)
+        text = mutate(enc, kind, 5, "")
+        assert formats._canonical_encoding(text) is None
+        expected = read_outcome(strict_read, text, 1 << 20)
+        assert read_outcome(formats.encoding_from_json, text, 1 << 20) == expected
+        if kind in ("crlf", "no-final-newline", "duplicate-c-first"):
+            assert expected == read_outcome(strict_read, formats.encoding_to_json(enc), 1 << 20)
+        else:
+            assert isinstance(expected, str)
+
+    def test_text_of_many_chunks(self, rng):
+        enc = encode_dendrogram(random_tree(500, rng, heights="rank"), 5)
+        text = formats.encoding_to_json(enc)
+        assert len(text) > 1.5 * formats._CHUNK
+        fields = formats._canonical_encoding(text)
+        assert fields is not None
+        assert read_outcome(formats.encoding_from_json, text, formats._CHUNK) == (
+            5, enc.labels, (500, 499), _cells(enc).tobytes())
+
+
+# Heights whose shortest repr JSON must keep: past 1e16 and below 1e-4 in
+# exponent form, the largest and smallest floats, integral floats and ints,
+# and a numpy float.
+HEIGHTS = [1e300, 5e-324, 0.0, 3.0, 7, 0, 2.5, 1e-5, 1e16, 1.7976931348623157e308, np.float64(0.1)]
+
+
+class TestTreeJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32),
+           st.lists(st.sampled_from(LABEL_PIECES) | st.text(max_size=4), min_size=1, max_size=5),
+           st.lists(st.sampled_from(HEIGHTS) | st.floats(0, 1e308), min_size=29, max_size=29))
+    def test_equals_json_dumps(self, n, seed, pieces, heights):
+        shape = random_tree(n, random.Random(seed), heights="rank")
+        labels = tuple(f"{pieces[i % len(pieces)]}{i}" for i in range(n))
+        nodes = tuple(MergeNode(node.rank, h, node.left, node.right)
+                      for node, h in zip(shape.nodes, heights))
+        tree = Dendrogram(labels, nodes)
+        assert formats.tree_to_json(tree) == tree_json_by_dumps(tree)
+
+    @pytest.mark.parametrize("label", ["solo", "", 'say "hi"', "雪", "new\nline"])
+    def test_single_terminal(self, label):
+        tree = Dendrogram((label,), ())
+        assert formats.tree_to_json(tree) == tree_json_by_dumps(tree)
 
 
 def as_levels(table):

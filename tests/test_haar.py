@@ -139,6 +139,11 @@ class TestThreshold:
         with pytest.raises(DomainError):
             haar_threshold(iris_transform, -0.1)
 
+    def test_nan_epsilon_rejected(self, iris_transform):
+        # every |d| < nan is false, so NaN used to threshold nothing
+        with pytest.raises(DomainError, match="^epsilon must be nonnegative$"):
+            haar_threshold(iris_transform, float("nan"))
+
     def test_reconstruction_error_monotone_in_epsilon(self, rng):
         tree = random_tree(10, rng)
         data = np.array([[rng.uniform(0, 5) for _ in range(4)] for _ in range(10)])

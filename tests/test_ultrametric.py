@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +345,48 @@ class TestUltrametricityCoefficient:
         m = pairwise_distances(generate_cloud(5, 2, "uniform", seed=3))
         with pytest.raises(DomainError, match="^tolerance must be nonnegative$"):
             ultrametricity_coefficient(m, 10, tol=-0.01)
+
+    def test_nan_tolerance_rejected(self):
+        # NaN passes a `tol < 0` test; each of the three checks refuses it
+        m = pairwise_distances(generate_cloud(5, 2, "uniform", seed=3))
+        with pytest.raises(DomainError, match="^tolerance must be nonnegative$"):
+            ultrametricity_coefficient(m, 10, tol=float("nan"))
+        with pytest.raises(DomainError, match="^tolerance must be nonnegative$"):
+            verify_ultrametric(m, float("nan"))
+        with pytest.raises(DomainError, match="^tolerance must be nonnegative$"):
+            classify_triangle(1.0, 1.0, 1.0, float("nan"))
+
+    @pytest.mark.parametrize("tol", [0.0, 0.02, 1e308, float("inf")])
+    def test_every_triple_equals_the_triangle_loop(self, tol):
+        # n = 40: 9,880 triples, classified in 38 blocks
+        rng = np.random.default_rng(1606)
+        cloud = np.round(rng.random((40, 3)), 1)
+        cloud[[11, 30]] = cloud[2]
+        m = pairwise_distances(cloud)
+        report = ultrametricity_coefficient(m, 10**9, tol=tol)
+        sampled, hits = ultrametricity_by_triangle_loop(m, 10**9, 0, tol)
+        assert report.sampled == sampled == 9880
+        assert report.coefficient == hits / sampled
+
+    def test_every_triple_in_bounded_memory(self):
+        """All 4,455,100 triples of 300 points under a 512 MiB address-space
+        cap.  Listing the triples as tuples needed more and raised
+        ``MemoryError``."""
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "import numpy as np\n"
+            "from dendrocode.hierarchy import pairwise_distances\n"
+            "from dendrocode.ultrametric import ultrametricity_coefficient\n"
+            "cloud = np.round(np.random.default_rng(0).random((300, 8)), 1)\n"
+            "report = ultrametricity_coefficient(pairwise_distances(cloud), 10**9)\n"
+            "assert report.sampled == 300 * 299 * 298 // 6, report\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120, env={**os.environ, "PYTHONPATH": src,
+                                                  "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+        assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestGenerateCloud:
