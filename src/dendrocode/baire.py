@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ParseError
+from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
 from .hierarchy import Dendrogram, MergeNode, gap_levels, internal, join_gaps, terminal
 
 
@@ -31,8 +31,7 @@ class BaireString:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.base < 2:
-            raise DomainError("base must be at least 2")
+        _require_at_least(self.base, 2, "base")
         digits = tuple(int(d) for d in self.digits)
         if len(digits) < 1:
             raise DomainError("need at least one digit")
@@ -128,10 +127,8 @@ def digitize_reals(
     binary value.  Truncation (never rounding) keeps successive precisions
     refining the same prefix.
     """
-    if precision < 1:
-        raise DomainError("precision must be at least 1")
-    if base < 2:
-        raise DomainError("base must be at least 2")
+    _require_at_least(precision, 1, "precision")
+    _require_at_least(base, 2, "base")
     scale = base**precision
     cut = scale.bit_length() // 3 + 1  # 10**cut > scale: below 10**-cut all digits are 0
     out = []

@@ -19,7 +19,7 @@ from typing import TextIO
 
 from . import formats
 from .baire import baire_cluster, encode_dna
-from .errors import DendrocodeError, DomainError, ParseError, ResourceGuardError
+from .errors import DendrocodeError, DomainError, ParseError, _require_within_guard
 from .haar import haar_forward, haar_inverse, haar_threshold
 from .hierarchy import LINKAGES, agglomerate, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
@@ -189,10 +189,11 @@ def _cmd_baire_cluster(args):
 
 
 def _cmd_dna_encode(args):
-    lines = []
-    for _, label, sequence in formats._labelled_lines(_read(args.sequences)):
+    def encode(_, label: str | None, sequence: str) -> str:
         digits = encode_dna(sequence, args.scheme).text()
-        lines.append(digits if label is None else f"{label},{digits}")
+        return digits if label is None else f"{label},{digits}"
+
+    lines = formats._labelled_lines(_read(args.sequences), encode)
     if not lines:
         raise ParseError("no sequences in input")
     yield args.output, "\n".join(lines) + "\n"
@@ -311,11 +312,8 @@ def _cmd_ultrametricity(args):
 
 
 def _cmd_gen_cloud(args):
-    size = args.n * args.dim * 8  # the float64 cloud, checked before numpy allocates it
-    if size > formats._TABLE_GUARD:
-        raise ResourceGuardError(
-            f"the point cloud would take {size} bytes, past the guard ({formats._TABLE_GUARD})"
-        )
+    # the float64 cloud, checked before numpy allocates it
+    _require_within_guard(args.n * args.dim * 8, "the point cloud")
     cloud = generate_cloud(args.n, args.dim, args.law, args.seed)
     yield args.output, formats.write_data_csv(cloud, full_precision=args.full_precision)
 

@@ -78,3 +78,21 @@ def _require_nonnegative(value: float, name: str) -> None:
     the test is ``not value >= 0``); +inf is accepted."""
     if not value >= 0:
         raise DomainError(f"{name} must be nonnegative")
+
+
+def _require_at_least(value: int, low: int, name: str) -> None:
+    """Refuse a ``value`` below ``low``, the least a parameter may take."""
+    if not value >= low:
+        raise DomainError(f"{name} must be at least {low}")
+
+
+# the most bytes an output or array built whole in memory may take: a table
+# cell can take thousands of digits (1/p^r at a deep level), so a modest
+# input can ask for gigabytes
+_TABLE_GUARD = 2**30
+
+
+def _require_within_guard(size: int, what: str) -> None:
+    """Refuse to build ``what`` when it would take ``size`` bytes, past 1 GiB."""
+    if size > _TABLE_GUARD:
+        raise ResourceGuardError(f"{what} would take {size} bytes, past the guard ({_TABLE_GUARD})")

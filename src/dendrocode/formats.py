@@ -17,12 +17,13 @@ import json
 import re
 import typing
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .baire import BaireString, parse_digits
-from .errors import DomainError, ParseError, ResourceGuardError
+from .errors import (DendrocodeError, DomainError, ParseError, _require_at_least,
+                     _require_within_guard)
 from .haar import HaarTransform
 from .hierarchy import (
     Child,
@@ -34,7 +35,7 @@ from .hierarchy import (
     walk,
 )
 from .lattice import BooleanTable, Semilattice
-from .padic import PadicEncoding, _cells, _encoding_from_array, _encoding_from_cells
+from .padic import PadicEncoding, _encoding_from_array, _encoding_from_cells
 from .ultrametric import UltrametricityReport
 
 
@@ -197,7 +198,7 @@ def write_matrix_csv(
     def value(bits: int) -> float:
         return float(np.int64(bits).view(np.float64))
 
-    return level_table_csv(m.label_list(), m.values.view(np.int64), value, full_precision)
+    return level_table_csv(m.labels, m.values.view(np.int64), value, full_precision)
 
 
 def _child_token(child: Child) -> str:
@@ -439,7 +440,7 @@ def encoding_to_json(enc: PadicEncoding) -> str:
     head = _encoding_head(enc.p, enc.n, enc.labels)
     if enc.n < 2:
         return head + "\n"
-    body = _encoding_body(_cells(enc))[: -len(_CELL_SEP)].decode()
+    body = _encoding_body(enc._cells)[: -len(_CELL_SEP)].decode()
     return f"{head[:-4]}[\n    {body}{_ENCODING_TAIL}"
 
 
@@ -539,11 +540,6 @@ def decimal_codes_csv(enc: PadicEncoding) -> str:
     return _write_table(["label", "code"], enc.labels, codes)
 
 
-# a level table is built whole in memory; a cell can take thousands of digits
-# (1/p^r at a deep level), so a modest input can ask for gigabytes of text
-_TABLE_GUARD = 2**30
-
-
 def level_table_csv(
     labels: Sequence[str],
     levels: np.ndarray,
@@ -560,10 +556,7 @@ def level_table_csv(
     distinct, counts = (a.tolist() for a in np.unique(levels, return_counts=True))
     text = {r: _cell(value(r), full_precision) for r in distinct}
     size = sum(count * (len(text[r]) + 1) for r, count in zip(distinct, counts))
-    if size > _TABLE_GUARD:
-        raise ResourceGuardError(
-            f"the distance table would take {size} bytes, past the guard ({_TABLE_GUARD})"
-        )
+    _require_within_guard(size, "the distance table")
     # number text is never quoted, so each row goes to the writer as one
     # joined cell: the bytes are the same, with one ``_cell`` call per row
     rows = ([",".join(map(text.__getitem__, row.tolist()))] for row in levels)
@@ -587,30 +580,36 @@ def report_to_json(report: UltrametricityReport) -> str:
     return _dumps(doc, indent=2) + "\n"
 
 
-def _labelled_lines(text: str) -> Iterator[tuple[int, str | None, str]]:
-    """``(line number, label, body)`` of each nonblank line, stripped: a line
-    ``label,body`` splits at its first comma, any other line has label None."""
+def _labelled_lines(text: str, parse: Callable[[int, str | None, str], object]) -> list:
+    """``parse(k, label, body)`` of the k-th nonblank line (from 0), stripped:
+    a line ``label,body`` splits at its first comma, any other line has
+    label None.  An error from ``parse`` is raised again, of the same class,
+    with its message led by the line number."""
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         label, comma, body = line.partition(",")
-        if comma:
-            yield lineno, label.strip(), body.strip()
-        else:
-            yield lineno, None, line
+        try:
+            if comma:
+                out.append(parse(len(out), label.strip(), body.strip()))
+            else:
+                out.append(parse(len(out), None, line))
+        except DendrocodeError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+    return out
 
 
 def read_strings(text: str, base: int) -> list[BaireString]:
-    """One digit string per line, or CSV lines ``label,digits``."""
-    strings: list[BaireString] = []
-    for lineno, label, digits in _labelled_lines(text):
-        try:
-            if label is None:
-                label = f"s{len(strings) + 1}"
-            strings.append(parse_digits(digits, base, label))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+    """One digit string per line, or CSV lines ``label,digits``; the k-th
+    string without a label is named s<k>."""
+    _require_at_least(base, 2, "base")
+
+    def parse(k: int, label: str | None, digits: str) -> BaireString:
+        return parse_digits(digits, base, f"s{k + 1}" if label is None else label)
+
+    strings = _labelled_lines(text, parse)
     if not strings:
         raise ParseError("no strings in input")
     return strings

@@ -212,7 +212,8 @@ def member_sets(tree: Dendrogram) -> dict[int, frozenset[int]]:
 
 @dataclass(frozen=True)
 class DissimilarityMatrix:
-    """Symmetric nonnegative pairwise table with zero diagonal."""
+    """Symmetric nonnegative pairwise table with zero diagonal; without
+    ``labels`` its objects are named t1, t2, ... in row order."""
 
     values: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -234,20 +235,20 @@ class DissimilarityMatrix:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.labels is not None:
+        if self.labels is None:
+            labels = tuple(f"t{i + 1}" for i in range(arr.shape[0]))
+        else:
             labels = tuple(self.labels)
-            if len(labels) != arr.shape[0]:
-                raise InputShapeError("label count does not match matrix size")
-            object.__setattr__(self, "labels", labels)
+        if len(labels) != arr.shape[0]:
+            raise InputShapeError("label count does not match matrix size")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
 
     def label_list(self) -> tuple[str, ...]:
-        if self.labels is not None:
-            return self.labels
-        return tuple(f"t{i + 1}" for i in range(self.size))
+        return self.labels
 
 
 class UltrametricMatrix(DissimilarityMatrix):
@@ -301,7 +302,7 @@ def pairwise_distances(
     if not np.isfinite(d).all():
         raise DomainError("pairwise distances overflow the float range")
     np.fill_diagonal(d, 0.0)
-    return DissimilarityMatrix(d, tuple(labels) if labels is not None else None)
+    return DissimilarityMatrix(d, labels)
 
 
 def _child_key(child: Child) -> tuple[int, int]:
@@ -441,7 +442,7 @@ def agglomerate(diss: DissimilarityMatrix, linkage: str = "complete") -> Dendrog
         nodes.append(_oriented(rank, height, cluster_ref[i], cluster_ref[j]))
         cluster_ref[i] = (INTERNAL, rank)
         del cluster_ref[j]
-    return Dendrogram(tuple(diss.label_list()), tuple(nodes))
+    return Dendrogram(diss.labels, tuple(nodes))
 
 
 def swap_children(tree: Dendrogram, rank: int) -> Dendrogram:

@@ -132,7 +132,7 @@ class PadicEncoding:
             raise MalformedEncodingError(
                 f"row for {labels[short]} has {len(rows[short])} levels, expected {n - 1}"
             )
-        cells = _checked_cells(n, flat)
+        cells = _checked_array(_checked_cells(n, flat))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "C", rows)
         object.__setattr__(self, "_cells", cells)
@@ -159,7 +159,7 @@ class PadicEncoding:
         n, width, p = self.n, self.n - 1, self.p
         if n < 2:
             return (0,) * n
-        cells = _cells(self)
+        cells = self._cells
         order, cut = _root_first_order(cells)
         weights = [p]
         for _ in range(width - 1):
@@ -187,7 +187,7 @@ class PadicEncoding:
         O(n^2) in all."""
         if self.n < 2:
             return np.zeros((self.n, self.n), dtype=np.int64)
-        order, cut = _root_first_order(_cells(self))
+        order, cut = _root_first_order(self._cells)
         return gap_levels(order, cut[1:])
 
 
@@ -218,14 +218,12 @@ def _check_values(flat: list[int]) -> None:
 
 
 def _checked_cells(n: int, flat: list[int]) -> np.ndarray:
-    """n rows of n - 1 Python ints, concatenated into ``flat``, as the
-    read-only n x (n-1) int8 array, after the value check and then the
-    array checks of ``_checked_array``, in the order of ``PadicEncoding``.
-    The values are checked on the Python ints, before the conversion:
-    numpy < 2 wraps 256 to 0 in an int8 array."""
+    """n rows of n - 1 Python ints, concatenated into ``flat``, as an n x
+    (n-1) int8 array, after the value check of ``PadicEncoding``.  The
+    values are checked on the Python ints, before the conversion: numpy < 2
+    wraps 256 to 0 in an int8 array."""
     _check_values(flat)
-    cells = np.fromiter(flat, dtype=np.int8, count=len(flat)).reshape(n, max(n - 1, 0))
-    return _checked_array(cells)
+    return np.fromiter(flat, dtype=np.int8, count=len(flat)).reshape(n, max(n - 1, 0))
 
 
 def _checked_array(cells: np.ndarray) -> np.ndarray:
@@ -241,11 +239,6 @@ def _checked_array(cells: np.ndarray) -> np.ndarray:
             )
     cells.flags.writeable = False
     return cells
-
-
-def _cells(enc: PadicEncoding) -> np.ndarray:
-    """The stored coefficient matrix: a read-only n x (n-1) int8 array."""
-    return enc._cells
 
 
 def _root_first_order(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,31 +262,26 @@ def _root_first_order(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.concatenate(([width], cut))
 
 
-def _trusted_encoding(p: int, labels: tuple[str, ...], cells: np.ndarray) -> PadicEncoding:
-    """A ``PadicEncoding`` over the n x (n-1) int8 array ``cells``, valid by
-    construction, built without running the constructor's checks again."""
-    enc = object.__new__(PadicEncoding)
-    cells.flags.writeable = False
-    object.__setattr__(enc, "p", p)
-    object.__setattr__(enc, "labels", labels)
-    object.__setattr__(enc, "_cells", cells)
-    return enc
-
-
 def _encoding_from_cells(p: int, labels: tuple[str, ...], flat: list[int]) -> PadicEncoding:
     """The encoding whose rows, concatenated, are ``flat``: Python ints,
     n - 1 per label.  Runs the constructor's checks past its type and
-    length checks, which the caller has made."""
+    length checks, which the caller has made: the prime, the values, then
+    the array checks of ``_encoding_from_array``."""
     _require_encoding_prime(p)
-    return _trusted_encoding(p, labels, _checked_cells(len(labels), flat))
+    return _encoding_from_array(p, labels, _checked_cells(len(labels), flat))
 
 
 def _encoding_from_array(p: int, labels: tuple[str, ...], cells: np.ndarray) -> PadicEncoding:
     """The encoding over ``cells``, an n x (n-1) int8 array of values in
-    {-1, 0, +1}, after the checks ``_encoding_from_cells`` makes past its
-    value check."""
+    {-1, 0, +1}, after the prime, root-column and column checks of the
+    constructor.  Every encoding not built by the constructor is built
+    here, without running the constructor's checks on row tuples."""
     _require_encoding_prime(p)
-    return _trusted_encoding(p, labels, _checked_array(cells))
+    enc = object.__new__(PadicEncoding)
+    object.__setattr__(enc, "p", p)
+    object.__setattr__(enc, "labels", labels)
+    object.__setattr__(enc, "_cells", _checked_array(cells))
+    return enc
 
 
 def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
@@ -309,7 +297,7 @@ def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
             cells[idx] = path
         else:
             path[idx - 1] = (1, -1, 0)[visit]  # in left subtree, in right, done
-    return _trusted_encoding(p, tree.labels, cells)
+    return _encoding_from_array(p, tree.labels, cells)
 
 
 def evaluate_code(code: PadicCode) -> int:
@@ -343,7 +331,7 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     members: list[list[int]] = [[i] for i in range(n)]
     child = [terminal(i) for i in range(n)]
     nodes: list[MergeNode] = []
-    for j, column in enumerate(np.ascontiguousarray(_cells(enc).T)):
+    for j, column in enumerate(np.ascontiguousarray(enc._cells.T)):
         ids = []
         for sign in (1, -1):
             group = np.flatnonzero(column == sign)

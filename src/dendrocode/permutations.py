@@ -16,6 +16,7 @@ from .errors import (
     DomainError,
     ResourceGuardError,
     UnrealizablePermutationError,
+    _require_at_least,
 )
 from .hierarchy import (
     Dendrogram,
@@ -61,8 +62,7 @@ def _values(stream: Sequence[float], tau: int = 1, what: str = "stream") -> np.n
     """``stream`` as a float64 array, once the delay ``tau`` is checked.  A
     value that float64 cannot hold, and a NaN, which has no order, are
     refused."""
-    if tau < 1:
-        raise DomainError("delay tau must be at least 1")
+    _require_at_least(tau, 1, "delay tau")
     try:
         x = np.asarray(stream, dtype=float)
     except (OverflowError, TypeError, ValueError):
@@ -105,8 +105,7 @@ def ordinal_sequence(
     pattern object, together with the partition of window start indices
     into pattern classes, in order of first appearance.
     """
-    if d < 1:
-        raise DomainError("order d must be at least 1")
+    _require_at_least(d, 1, "order d")
     values = _values(stream, tau)
     minimum = d * tau + 1
     if len(values) < minimum:
@@ -232,8 +231,7 @@ def enumerate_nlr(n: int) -> list[Dendrogram]:
     """All non-labeled ranked binary tree shapes on ``n`` terminals, one per
     realizable packed permutation, in increasing order of the permutation
     and each drawn by ``unpack``; counted by the zigzag numbers."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    _require_at_least(n, 1, "n")
     if n > _NLR_GUARD:
         raise ResourceGuardError(
             f"n={n} exceeds the enumeration guard ({_NLR_GUARD}): counts grow as zigzag numbers"

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, NotUltrametricError, _require_nonnegative
+from .errors import (DegenerateInputError, DomainError, NotUltrametricError,
+                     _require_at_least, _require_nonnegative)
 from .hierarchy import (
     Child,
     Dendrogram,
@@ -157,8 +158,7 @@ def ultrametricity_coefficient(
     n = m.size
     if n < 3:
         raise DegenerateInputError("need at least three objects to sample triangles")
-    if sample < 1:
-        raise DomainError("sample must be at least 1")
+    _require_at_least(sample, 1, "sample")
     _require_nonnegative(tol, "tolerance")
     total = n * (n - 1) * (n - 2) // 6
     d = m.values
@@ -203,10 +203,11 @@ def _ultrametric_hits(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -
 
 def generate_cloud(n: int, dim: int, law: str = "uniform", seed: int = 0) -> np.ndarray:
     """Seeded random point cloud: uniform on [0,1]^dim or standard normal."""
-    if n < 1 or dim < 1:
-        raise DomainError("n and dim must be at least 1")
+    _require_at_least(n, 1, "n")
+    _require_at_least(dim, 1, "dim")
     if law not in ("uniform", "gaussian"):
         raise DomainError(f"law must be 'uniform' or 'gaussian', got {law!r}")
+    _require_nonnegative(seed, "seed")
     rng = np.random.default_rng(seed)
     if law == "uniform":
         return rng.random((n, dim))
@@ -296,8 +297,8 @@ def canonical_form(
     idx = np.asarray(perm)
     reordered = m.values[np.ix_(idx, idx)]
     problem = check_canonical_form(reordered)
-    if problem is not None:  # pragma: no cover - guarded by the ultrametric check
+    # the conditions are exact: at tol > 0 a matrix ultrametric only within
+    # tol can pass the check above and still break them
+    if problem is not None:
         raise NotUltrametricError(f"canonical ordering failed verification: {problem}")
-    labels = m.labels
-    new_labels = tuple(labels[i] for i in perm) if labels is not None else None
-    return tuple(perm), UltrametricMatrix(reordered, new_labels)
+    return tuple(perm), UltrametricMatrix(reordered, tuple(m.labels[i] for i in perm))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dendrocode.cli import build_parser, main
-from dendrocode import formats
+from dendrocode import errors, formats
 from dendrocode.baire import baire_distance
 from dendrocode.hierarchy import Dendrogram
 from dendrocode.padic import encode_dendrogram, evaluate_code
@@ -119,6 +119,25 @@ class TestVerifyAndCanonical:
         assert err.startswith("E_ULTRAMETRIC:")
         assert len(out.strip().splitlines()) > 1
 
+    def test_canonical_names_unlabelled_rows_before_reordering(self, tmp_path, capsys):
+        # the header was ",t1,t2,t3": names made up after the rows moved,
+        # with no permutation printed to tell the order
+        path = tmp_path / "m.csv"
+        path.write_text("0,3,1\n3,0,3\n1,3,0\n")
+        assert run(capsys, "canonical", str(path)) == (
+            0, ",t2,t1,t3\nt2,0,3,3\nt1,3,0,1\nt3,3,1,0\n", "")
+
+    def test_canonical_tolerance_cannot_mend_the_exact_conditions(self, tmp_path, capsys):
+        # ultrametric within 0.1, so verify-um passes; the reordered table
+        # still breaks the run condition, which is exact
+        path, out_path = tmp_path / "m.csv", tmp_path / "canon.csv"
+        path.write_text(",a,b,c\na,0,1,2\nb,1,0,2.05\nc,2,2.05,0\n")
+        assert run(capsys, "verify-um", str(path), "--tol", "0.1") == (0, "i,j,k,lhs,rhs\n", "")
+        assert run(capsys, "canonical", str(path), "--tol", "0.1", "-o", str(out_path)) == (
+            1, "", "E_ULTRAMETRIC: canonical ordering failed verification: "
+                   "run condition fails at row 0, column 2 (expected equality)\n")
+        assert not out_path.exists()
+
     def test_canonical_restores_shuffled(self, tmp_path, iris_csv, capsys):
         tree_path = tmp_path / "tree.json"
         matrix_path = tmp_path / "m.csv"
@@ -137,7 +156,7 @@ class TestVerifyAndCanonical:
         run(capsys, "cluster", str(iris_csv), "-o", str(tree_path))
         run(capsys, "cophenetic", str(tree_path), "-o", str(matrix_path))
         # the 8 x 8 table takes about 600 bytes
-        monkeypatch.setattr(formats, "_TABLE_GUARD", 100)
+        monkeypatch.setattr(errors, "_TABLE_GUARD", 100)
         outputs = [tmp_path / "out.csv"]
         argv = [verb, str(tree_path if verb == "cophenetic" else matrix_path), "-o", str(outputs[0])]
         if verb == "canonical":
@@ -323,6 +342,16 @@ class TestBaireVerbs:
         code, _, err = run(capsys, "dna-encode", str(path))
         assert code == 1
         assert err.startswith("E_PARSE:") and "position 2" in err
+
+    @pytest.mark.parametrize("line, error", [
+        ("d2,ACXT", "E_PARSE: line 2: invalid nucleotide 'X' at position 3\n"),
+        ("d2,", "E_DOMAIN: line 2: empty sequence\n"),
+    ], ids=["bad-nucleotide", "empty-sequence"])
+    def test_dna_errors_name_their_line(self, tmp_path, capsys, line, error):
+        path, out_path = tmp_path / "seqs.txt", tmp_path / "out.txt"
+        path.write_text(f"d1,ACGT\n{line}\n")
+        assert run(capsys, "dna-encode", str(path), "-o", str(out_path)) == (1, "", error)
+        assert not out_path.exists()
 
 
 class TestHaarVerbs:
@@ -626,13 +655,31 @@ class TestParameterDomains:
         assert code == 0 and json.loads(out)["tolerance"] == 1e308
         self.refused(capsys, "ultrametricity", str(matrix), "--tol", "inf")
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # gen-cloud ended in numpy's ValueError traceback; random.Random,
+        # which ultrametricity samples with, takes any int
+        err = self.refused(capsys, "gen-cloud", "-n", "2", "--dim", "2", "--seed", "-1")
+        assert err == "E_DOMAIN: seed must be nonnegative\n"
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(self.MATRIX)
+        code, out, _ = run(capsys, "ultrametricity", str(matrix), "--seed", "-1")
+        assert code == 0 and json.loads(out)["seed"] == -1
+
+    @pytest.mark.parametrize("verb", ["baire-dist", "baire-cluster"])
+    def test_base_is_checked_before_the_digits(self, verb, tmp_path, capsys):
+        # it used to read as "E_PARSE: line 1: invalid base-0 digit '1' at position 1"
+        path = tmp_path / "strings.txt"
+        path.write_text("1\n2\n")
+        err = self.refused(capsys, verb, str(path), "--base", "0")
+        assert err == "E_DOMAIN: base must be at least 2\n"
+
     def test_gen_cloud_past_the_guard(self, tmp_path, capsys):
         out_path = tmp_path / "cloud.csv"
         code, out, err = run(capsys, "gen-cloud", "-n", "1000000000", "--dim", "1000",
                              "-o", str(out_path))
         assert (code, out) == (1, "")
         assert err == ("E_RESOURCE: the point cloud would take 8000000000000 bytes, "
-                       f"past the guard ({formats._TABLE_GUARD})\n")
+                       f"past the guard ({errors._TABLE_GUARD})\n")
         assert not out_path.exists()
 
 

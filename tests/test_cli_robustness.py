@@ -7,7 +7,11 @@ error (2); no exception escapes ``main``, and numpy warnings are errors
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,3 +454,100 @@ def test_verify_um_writes_its_list_then_fails(tmp_path, capsys, to_file):
         assert (out.read_text(), captured.out) == (listing, "")
     else:
         assert captured.out == listing
+
+
+# Every numeric flag of every verb: the verb's argv up to the flag (input
+# names as in INPUTS and SWEEP_INPUTS), the flag, and the type argparse reads it with.
+NUMERIC_FLAGS = {
+    "verify-um --tol": (["verify-um", "matrix.csv"], "--tol", float),
+    "canonical --tol": (["canonical", "matrix.csv"], "--tol", float),
+    "ultrametricity --tol": (["ultrametricity", "matrix.csv"], "--tol", float),
+    "padic-encode -p": (["padic-encode", "tree.json"], "-p", int),
+    "baire-dist --base": (["baire-dist", "strings.txt", "--exact"], "--base", int),
+    "baire-cluster --base": (["baire-cluster", "strings.txt"], "--base", int),
+    "haar-denoise --epsilon": (["haar-denoise", "transform.csv", "--tree", "tree.json"],
+                               "--epsilon", float),
+    "ordinal --order": (["ordinal", "stream.csv"], "--order", int),
+    "ordinal --delay": (["ordinal", "stream.csv", "--order", "2"], "--delay", int),
+    "rankperm --delay": (["rankperm", "stream.csv"], "--delay", int),
+    "enumerate-nlr -n": (["enumerate-nlr"], "-n", int),
+    "gen-cloud -n": (["gen-cloud", "--dim", "2"], "-n", int),
+    "lattice --level": (["lattice", "table.csv"], "--level", int),
+    "ultrametricity --sample": (["ultrametricity", "matrix.csv"], "--sample", int),
+    "ultrametricity --seed": (["ultrametricity", "matrix.csv"], "--seed", int),
+    "gen-cloud --seed": (["gen-cloud", "-n", "2", "--dim", "2"], "--seed", int),
+    "gen-cloud --dim": (["gen-cloud", "-n", "2"], "--dim", int),
+}
+SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", str(2**63)]
+SWEEP_INPUTS = {**INPUTS, "stream.csv": "4\n7\n9\n10\n6\n11\n3\n",
+                "table.csv": ",d1,d2,d3\na,1,0,1\nb,0,1,1\nc,1,1,0\n"}
+
+# Runs each argv of the JSON list on stdin through main() in a process
+# whose address space is capped at 2 GiB, and prints [code, stdout,
+# stderr] of each; anything escaping main() is recorded as its traceback.
+SWEEP_SCRIPT = """
+import contextlib, io, json, resource, sys, traceback, warnings
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+warnings.simplefilter("error", RuntimeWarning)
+from dendrocode.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = "escaped"
+            print(traceback.format_exc(), file=sys.stderr)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def numeric_sweep(tmp_path_factory):
+    """The outcome of every numeric flag at every SWEEP_VALUES value, keyed
+    by (flag id, value), from one capped subprocess."""
+    root = tmp_path_factory.mktemp("sweep")
+    for name, text in SWEEP_INPUTS.items():
+        (root / name).write_text(text)
+    cases, argvs = [], []
+    for key, (argv, flag, _) in NUMERIC_FLAGS.items():
+        for value in SWEEP_VALUES:
+            # --flag=value: as a separate word, -inf would read as an option
+            cases.append((key, value))
+            argvs.append([str(root / a) if a in SWEEP_INPUTS else a for a in argv]
+                         + [f"{flag}={value}"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", SWEEP_SCRIPT], input=json.dumps(argvs), capture_output=True,
+        text=True, timeout=300, cwd=root,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert result.returncode == 0, result.stderr[-2000:]
+    return dict(zip(cases, json.loads(result.stdout)))
+
+
+def _type_refuses(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES, ids=["nan", "inf", "-inf", "-1", "0", "2**63"])
+@pytest.mark.parametrize("key", NUMERIC_FLAGS)
+def test_numeric_flag_sweep(numeric_sweep, key, value):
+    """Each run exits 0 with nothing on stderr, or 1 with one ``E_CODE:``
+    line, or 2 where argparse's type refuses the text (an int flag given
+    nan or an infinity).  ``gen-cloud --seed -1`` ended in numpy's
+    traceback until the seed was checked."""
+    code, _, err = numeric_sweep[key, value]
+    if _type_refuses(NUMERIC_FLAGS[key][2], value):
+        assert code == 2, err
+    elif code == 1:
+        assert ERROR_LINE.fullmatch(err), err
+    else:
+        assert (code, err) == (0, "")

@@ -24,7 +24,7 @@ from dendrocode.hierarchy import (
     pairwise_distances,
     terminal,
 )
-from dendrocode.padic import PadicEncoding, _cells, _encoding_from_cells, encode_dendrogram, evaluate_code
+from dendrocode.padic import PadicEncoding, _encoding_from_cells, encode_dendrogram, evaluate_code
 from dendrocode.lattice import BooleanTable, build_semilattice
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
@@ -339,7 +339,7 @@ def read_outcome(read, text: str, chunk: int):
             enc = read(text)
         except DendrocodeError as exc:
             return f"{exc.code}: {exc}"
-    cells = _cells(enc)
+    cells = enc._cells
     return enc.p, enc.labels, cells.shape, cells.tobytes()
 
 
@@ -386,7 +386,7 @@ class TestCanonicalEncodingReader:
             assert (formats._canonical_encoding(text) is not None) == (enc.n >= 2)
         fast = read_outcome(formats.encoding_from_json, text, chunk)
         assert fast == read_outcome(strict_read, text, chunk)
-        assert fast == (enc.p, enc.labels, _cells(enc).shape, _cells(enc).tobytes())
+        assert fast == (enc.p, enc.labels, enc._cells.shape, enc._cells.tobytes())
 
     @settings(max_examples=300, deadline=None)
     @given(encodings(max_n=12).filter(lambda enc: enc.n >= 2),
@@ -419,7 +419,7 @@ class TestCanonicalEncodingReader:
         fields = formats._canonical_encoding(text)
         assert fields is not None
         assert read_outcome(formats.encoding_from_json, text, formats._CHUNK) == (
-            5, enc.labels, (500, 499), _cells(enc).tobytes())
+            5, enc.labels, (500, 499), enc._cells.tobytes())
 
 
 # Heights whose shortest repr JSON must keep: past 1e16 and below 1e-4 in

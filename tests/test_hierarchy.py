@@ -43,6 +43,11 @@ class TestPairwiseDistances:
         d = pairwise_distances([[1.0, 2.0], [1.0, 2.0]]).values
         assert d[0, 1] == 0.0
 
+    def test_unlabelled_rows_are_named_by_the_matrix(self):
+        m = pairwise_distances([[0.0], [1.0], [3.0]])
+        assert m.labels == m.label_list() == ("t1", "t2", "t3")
+        assert agglomerate(m).labels == ("t1", "t2", "t3")
+
     def test_hand_summed_pair(self):
         # iris5 vs iris6: squared coordinate differences sum to 0.38
         d = pairwise_distances(IRIS7).values

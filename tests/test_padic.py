@@ -22,7 +22,6 @@ from dendrocode.hierarchy import (
 from dendrocode.padic import (
     PadicCode,
     PadicEncoding,
-    _cells,
     cluster_sets,
     code_classes,
     code_cluster_sets,
@@ -239,7 +238,7 @@ class TestRootFirstOrder:
         for stored in (enc, PadicEncoding(3, enc.labels, enc.C),
                        formats.encoding_from_json(formats.encoding_to_json(enc))):
             with pytest.raises(ValueError):
-                _cells(stored)[0, 0] = 0
+                stored._cells[0, 0] = 0
 
 
 class TestConstructorChecks:

@@ -210,6 +210,14 @@ class TestCanonicalForm:
         assert perm == (0, 1)
         assert np.array_equal(out.values, m.values)
 
+    def test_unlabelled_rows_keep_their_names(self):
+        # the default names t1..tn belong to the input rows, so they move
+        # with them (they were once made up after the reordering)
+        m = DissimilarityMatrix(np.array([[0.0, 3, 1], [3, 0, 3], [1, 3, 0]]))
+        perm, out = canonical_form(m)
+        assert perm == (1, 0, 2)
+        assert out.labels == ("t2", "t1", "t3")
+
     def test_random_cophenetic_matrices_canonicalize(self, rng):
         for _ in range(10):
             tree = random_tree(rng.randrange(3, 14), rng, heights="monotone")
@@ -410,6 +418,15 @@ class TestGenerateCloud:
     def test_bad_law_rejected(self):
         with pytest.raises(DomainError):
             generate_cloud(5, 2, "cauchy", seed=0)
+
+    @pytest.mark.parametrize("n, dim, seed, message", [
+        (0, 2, 0, "n must be at least 1"),
+        (2, 0, 0, "dim must be at least 1"),
+        (2, 2, -1, "seed must be nonnegative"),
+    ])
+    def test_domains(self, n, dim, seed, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            generate_cloud(n, dim, seed=seed)
 
 
 class TestWreathInvariance:
