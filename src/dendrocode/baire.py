@@ -10,6 +10,7 @@ ever-longer agreement is 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -43,6 +44,28 @@ class BaireString:
         return _digit_text(self.base, self.digits)
 
 
+def _baire_strings(
+    base: int, labels: Sequence[str | None], digits: np.ndarray, lengths: np.ndarray
+) -> list[BaireString]:
+    """The strings whose digits, concatenated, are ``digits``: ``lengths[i]``
+    of them under ``labels[i]``.  Every string not built by the constructor
+    is built here, with the constructor's checks run once over the arrays."""
+    _require_at_least(base, 2, "base")
+    if (lengths < 1).any():
+        raise DomainError("need at least one digit")
+    if ((digits < 0) | (digits >= base)).any():
+        raise DomainError(f"digits must lie in 0..{base - 1}")
+    values, out, start = digits.tolist(), [], 0
+    for label, end in zip(labels, np.cumsum(lengths).tolist()):
+        s = object.__new__(BaireString)
+        object.__setattr__(s, "base", base)
+        object.__setattr__(s, "digits", tuple(values[start:end]))
+        object.__setattr__(s, "label", label)
+        out.append(s)
+        start = end
+    return out
+
+
 _DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -54,6 +77,7 @@ def _digit_text(base: int, digits: Sequence[int]) -> str:
 
 
 def parse_digits(text: str, base: int, label: str | None = None) -> BaireString:
+    _require_at_least(base, 2, "base")
     digits = []
     for pos, ch in enumerate(text.strip().upper(), start=1):
         value = _DIGIT_CHARS.find(ch)
@@ -96,11 +120,12 @@ def baire_distance(s: BaireString, t: BaireString) -> Fraction:
     return Fraction(1, s.base ** lcp_radius(s, t))
 
 
-def _to_fraction(i: int, value, cut: int) -> Fraction:
-    """``value`` (the ``i``-th, from 0) as an exact fraction, or 0 for a
-    Decimal below ``10**-cut``.  It is checked to be a finite number in
-    [0, 1) first: converting an infinity fails, and a huge exponent takes
-    unbounded time."""
+def _scaled(i: int, value, scale: int, cut: int) -> int:
+    """``floor(value * scale)`` for ``value``, the ``i``-th (from 0), or 0
+    for a Decimal below ``10**-cut``.  It is checked to be a finite number
+    in [0, 1) first: converting an infinity fails, and a huge exponent takes
+    unbounded time.  A float is its exact ratio m / 2^k, so
+    ``m * scale // 2^k``, with no ``Fraction``."""
     number = value
     if isinstance(value, str):
         try:
@@ -112,9 +137,13 @@ def _to_fraction(i: int, value, cut: int) -> Fraction:
     # ordering a Decimal NaN raises; a float NaN fails both comparisons
     if (isinstance(number, Decimal) and not number.is_finite()) or not 0 <= number < 1:
         raise DomainError(f"value #{i + 1} ({value!r}) outside [0, 1); normalize inputs first")
+    if isinstance(number, float):
+        m, d = number.as_integer_ratio()
+        return m * scale // d
     if isinstance(number, Decimal) and number.adjusted() < -cut:
-        return Fraction(0)  # converting 1e-999999999999 would build 10**999999999999
-    return Fraction(number)
+        return 0  # converting 1e-999999999999 would build 10**999999999999
+    shifted = Fraction(number) * scale
+    return shifted.numerator // shifted.denominator
 
 
 def digitize_reals(
@@ -125,22 +154,21 @@ def digitize_reals(
     Values must lie in [0, 1); callers normalize first.  Decimal strings
     and fractions are expanded exactly; floats are expanded at their exact
     binary value.  Truncation (never rounding) keeps successive precisions
-    refining the same prefix.
+    refining the same prefix.  The digits of all values are taken at once,
+    one column per pass, in int64 while ``base**precision`` fits.
     """
     _require_at_least(precision, 1, "precision")
     _require_at_least(base, 2, "base")
     scale = base**precision
     cut = scale.bit_length() // 3 + 1  # 10**cut > scale: below 10**-cut all digits are 0
-    out = []
-    for i, value in enumerate(values):
-        shifted = _to_fraction(i, value, cut) * scale
-        scaled = shifted.numerator // shifted.denominator
-        digits = []
-        for _ in range(precision):
-            scaled, d = divmod(scaled, base)
-            digits.append(d)
-        out.append(BaireString(base, tuple(reversed(digits)), label=f"v{i + 1}"))
-    return out
+    scaled = [_scaled(i, value, scale, cut) for i, value in enumerate(values)]
+    rest = np.array(scaled, dtype=np.int64 if scale < 2**63 else object)
+    digits = np.empty((len(scaled), precision), dtype=rest.dtype)
+    for j in range(precision - 1, -1, -1):
+        digits[:, j] = rest % base
+        rest //= base
+    labels = [f"v{i + 1}" for i in range(len(scaled))]
+    return _baire_strings(base, labels, digits.ravel(), np.full(len(scaled), precision))
 
 
 _DNA_SCHEMES = {
@@ -152,6 +180,28 @@ _DNA_SCHEMES = {
         {"A": (0, 0), "C": (0, 1), "G": (1, 0), "T": (1, 1), "U": (1, 1)},
     ),
 }
+
+
+# each scheme's digit text per letter, in either case; an ASCII digit maps
+# to "?", so a translated text holds only ASCII digits if every character
+# was a letter of the alphabet
+_DNA_TEXT = {
+    scheme: str.maketrans({
+        **dict.fromkeys("0123456789", "?"),
+        **{c: "".join(map(str, d)) for letter, d in table.items() for c in (letter, letter.lower())},
+    })
+    for scheme, (_, table) in _DNA_SCHEMES.items()
+}
+
+
+def _dna_digit_texts(sequences: Sequence[str], scheme: str) -> list[str] | None:
+    """The digit text ``encode_dna(seq, scheme).text()`` of each nonempty,
+    stripped sequence, one ``str.translate`` each; None if any character
+    lies outside the alphabet, so that ``encode_dna`` names it."""
+    table = _DNA_TEXT[scheme]
+    texts = [seq.translate(table) for seq in sequences]
+    joined = "".join(texts)
+    return texts if joined.isascii() and joined.isdigit() else None
 
 
 def encode_dna(sequence: str, scheme: str = "5-adic", label: str | None = None) -> BaireString:
@@ -190,8 +240,7 @@ class PrefixHierarchy:
     @property
     def node_count(self) -> int:
         """Trie nodes: the root plus every distinct nonempty prefix."""
-        strings = self.strings
-        return 1 + sum(len(strings[i].digits) - r for i, r in zip(self.order, self.lcp))
+        return 1 + sum(len(s.digits) for s in self.strings) - sum(self.lcp)
 
     def member_count(self) -> int:
         return len(self.strings)
@@ -248,17 +297,76 @@ class PrefixHierarchy:
         return "\n".join(lines) + "\n"
 
 
+# the most digit cells one pass of ``_prefix_order`` gathers, so strings of
+# very different lengths are not padded to the longest all at once
+_BLOCK_CELLS = 2**21
+
+
+def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndarray, np.ndarray]:
+    """``order``, the indices of the digit strings ``digits`` in stable
+    digit order (a prefix before its extensions), and ``lcp``: ``lcp[k]``
+    is the common-prefix length of sorted strings k-1 and k, and 0 at k=0.
+
+    The strings are read as rows of digit+1, padded with 0 past their end,
+    so one stable ``np.lexsort`` over the columns sorts them and the first
+    column where sorted neighbours differ is their ``lcp``; equal rows share
+    their whole length.  A pass reads a block of at most ``_BLOCK_CELLS``
+    cells.  Neighbours equal over a whole block and both longer form a run,
+    and the next pass sorts each run by the next block of columns."""
+    n = len(digits)
+    lengths = np.fromiter(map(len, digits), dtype=np.intp, count=n)
+    total = int(lengths.sum())
+    if base < 2**64:
+        codes = np.fromiter(itertools.chain.from_iterable(digits), np.min_scalar_type(base), total) + 1
+    else:  # the digits by rank: numpy holds no wider integers
+        ranks = np.unique(np.array(list(itertools.chain.from_iterable(digits)), dtype=object),
+                          return_inverse=True)[1]
+        codes = (ranks + 1).astype(np.min_scalar_type(total))
+    codes = np.concatenate((codes, np.zeros(1, codes.dtype)))  # codes[total] is the pad
+    starts = np.cumsum(lengths) - lengths
+    order = np.arange(n)
+    lcp = np.zeros(n, dtype=np.intp)
+    active = np.arange(n)  # sorted positions whose order is still open
+    run = np.zeros(n, dtype=np.intp)  # the run of each active position
+    lo = 0  # the digits before column lo are equal within each run
+    while active.size:
+        rows = order[active]
+        width = min(max(1, _BLOCK_CELLS // active.size), int(lengths[rows].max()) - lo)
+        columns = lo + np.arange(width)
+        inside = columns < lengths[rows, None]
+        block = codes[np.where(inside, starts[rows, None] + columns, total)]
+        longer = lengths[rows] > lo + width
+        resort = np.lexsort((longer, *block.T[::-1], run))
+        rows, block, longer = rows[resort], block[resort], longer[resort]
+        order[active] = rows
+        differs = block[1:] != block[:-1]
+        first = differs.argmax(axis=1)
+        mismatch = differs[np.arange(active.size - 1), first]
+        same_run = run[1:] == run[:-1]
+        tied = same_run & ~mismatch & longer[1:] & longer[:-1]
+        depth = np.where(mismatch, lo + first, np.minimum(lengths[rows[1:]], lengths[rows[:-1]]))
+        settled = same_run & ~tied
+        lcp[active[1:][settled]] = depth[settled]
+        member = np.zeros(active.size, dtype=bool)
+        member[1:] |= tied
+        member[:-1] |= tied
+        run = np.cumsum(np.concatenate(([True], ~tied)))[member]
+        active = active[member]
+        lo += width
+    return order, lcp
+
+
 def baire_cluster(
     strings: Sequence[BaireString],
 ) -> tuple[PrefixHierarchy, Dendrogram]:
     """One-pass prefix-tree clustering.
 
-    Sorts the strings by digits; two sorted neighbours meet at the depth r
-    of their common prefix, so the gap between them closes at height
-    base^(-r).  Gaps join deepest first, then left to right, which
-    binarizes every multiway split left-to-right in digit order with all its
-    merges at one height and keeps cophenetic distance = Baire distance for
-    every pair.
+    Sorts the strings by digits (``_prefix_order``); two sorted neighbours
+    meet at the depth r of their common prefix, so the gap between them
+    closes at height base^(-r).  Gaps join deepest first, then left to
+    right, which binarizes every multiway split left-to-right in digit
+    order with all its merges at one height and keeps cophenetic distance =
+    Baire distance for every pair.
     """
     if not strings:
         raise DegenerateInputError("need at least one string")
@@ -269,16 +377,15 @@ def baire_cluster(
     labels = tuple(
         s.label if s.label is not None else f"s{i + 1}" for i, s in enumerate(strings)
     )
-    order = sorted(range(len(strings)), key=lambda i: strings[i].digits)
-    lcp = [0] + [lcp_radius(strings[a], strings[b]) for a, b in zip(order, order[1:])]
-    hierarchy = PrefixHierarchy(base, labels, tuple(strings), tuple(order), tuple(lcp))
+    order, lcp = _prefix_order([s.digits for s in strings], base)
+    hierarchy = PrefixHierarchy(base, labels, tuple(strings), tuple(order.tolist()), tuple(lcp.tolist()))
 
-    heights = {r: float(Fraction(1, base**r)) for r in set(lcp)}
-    # a stable sort, reversed: deepest lcp first, equal lcps left to right
-    gaps = sorted(range(1, len(order)), key=lcp.__getitem__, reverse=True)
-    refs = [terminal(i) for i in order]  # subtree of the run starting at each position
+    heights = {r: float(Fraction(1, base**r)) for r in set(hierarchy.lcp)}
+    # a stable sort of -lcp: deepest lcp first, equal lcps left to right
+    gaps = (np.argsort(-lcp[1:], kind="stable") + 1).tolist()
+    refs = [terminal(i) for i in hierarchy.order]  # subtree of the run starting at each position
     nodes = []
     for rank, (lo, k) in enumerate(join_gaps(len(order), gaps), start=1):
-        nodes.append(MergeNode(rank, heights[lcp[k]], refs[lo], refs[k]))
+        nodes.append(MergeNode(rank, heights[hierarchy.lcp[k]], refs[lo], refs[k]))
         refs[lo] = internal(rank)
     return hierarchy, Dendrogram(labels, tuple(nodes))

@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import TextIO
 
 from . import formats
-from .baire import baire_cluster, encode_dna
-from .errors import DendrocodeError, DomainError, ParseError, _require_within_guard
+from .baire import baire_cluster
+from .errors import DendrocodeError, DomainError, ParseError
 from .haar import haar_forward, haar_inverse, haar_threshold
 from .hierarchy import LINKAGES, agglomerate, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
@@ -189,11 +189,7 @@ def _cmd_baire_cluster(args):
 
 
 def _cmd_dna_encode(args):
-    def encode(_, label: str | None, sequence: str) -> str:
-        digits = encode_dna(sequence, args.scheme).text()
-        return digits if label is None else f"{label},{digits}"
-
-    lines = formats._labelled_lines(_read(args.sequences), encode)
+    lines = formats._dna_lines(_read(args.sequences), args.scheme)
     if not lines:
         raise ParseError("no sequences in input")
     yield args.output, "\n".join(lines) + "\n"
@@ -312,8 +308,6 @@ def _cmd_ultrametricity(args):
 
 
 def _cmd_gen_cloud(args):
-    # the float64 cloud, checked before numpy allocates it
-    _require_within_guard(args.n * args.dim * 8, "the point cloud")
     cloud = generate_cloud(args.n, args.dim, args.law, args.seed)
     yield args.output, formats.write_data_csv(cloud, full_precision=args.full_precision)
 

@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .baire import BaireString, parse_digits
+from .baire import (_DIGIT_CHARS, BaireString, _baire_strings, _dna_digit_texts, encode_dna,
+                    parse_digits)
 from .errors import (DendrocodeError, DomainError, ParseError, _require_at_least,
                      _require_within_guard)
 from .haar import HaarTransform
@@ -601,10 +602,44 @@ def _labelled_lines(text: str, parse: Callable[[int, str | None, str], object]) 
     return out
 
 
+# a character outside printable ASCII and newline, or a blank line
+_NOT_PLAIN = re.compile(r"[^!-~\n]|\n\n|\A\n")
+
+
+def _plain_lines(text: str) -> tuple[list[str], list[str]] | None:
+    """The labels and bodies of ``text`` if each of its lines is
+    ``label,body`` with a nonempty body, in printable ASCII with no blank
+    line, so that ``_labelled_lines`` would take every line as written;
+    else None."""
+    if not text or _NOT_PLAIN.search(text):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    parts = [line.partition(",") for line in lines]
+    if not all(body for _, _, body in parts):  # no comma, or nothing after it
+        return None
+    return [label for label, _, _ in parts], [body for _, _, body in parts]
+
+
 def read_strings(text: str, base: int) -> list[BaireString]:
     """One digit string per line, or CSV lines ``label,digits``; the k-th
-    string without a label is named s<k>."""
+    string without a label is named s<k>.
+
+    Plain labelled text (``_plain_lines``) whose bodies hold only digits
+    ``0-9A-Z`` below ``base`` is read in one byte lookup; any other text is
+    read line by line, which names the line of an error."""
     _require_at_least(base, 2, "base")
+    plain = _plain_lines(text)
+    if plain is not None:
+        labels, bodies = plain
+        chars = np.frombuffer(_DIGIT_CHARS[:base].encode(), dtype=np.uint8)
+        lookup = np.zeros(256, dtype=np.uint8)  # digit + 1, or 0 for any other byte
+        lookup[chars] = np.arange(1, chars.size + 1)
+        codes = lookup[np.frombuffer("".join(bodies).encode(), dtype=np.uint8)]
+        if codes.all():
+            lengths = np.fromiter(map(len, bodies), dtype=np.intp, count=len(bodies))
+            return _baire_strings(base, labels, codes - 1, lengths)
 
     def parse(k: int, label: str | None, digits: str) -> BaireString:
         return parse_digits(digits, base, f"s{k + 1}" if label is None else label)
@@ -613,6 +648,24 @@ def read_strings(text: str, base: int) -> list[BaireString]:
     if not strings:
         raise ParseError("no strings in input")
     return strings
+
+
+def _dna_lines(text: str, scheme: str) -> list[str]:
+    """The ``dna-encode`` output of ``text``: per nonblank line, the digit
+    text of its sequence, led by ``label,`` if the line has one.  Plain
+    labelled text takes one ``str.translate`` per sequence; any other text,
+    or a character outside the alphabet, is read line by line through
+    ``encode_dna``, which names the line of an error."""
+    plain = _plain_lines(text)
+    digits = plain and _dna_digit_texts(plain[1], scheme)
+    if digits:
+        return [f"{label},{d}" for label, d in zip(plain[0], digits)]
+
+    def encode(_, label: str | None, sequence: str) -> str:
+        digits = encode_dna(sequence, scheme).text()
+        return digits if label is None else f"{label},{digits}"
+
+    return _labelled_lines(text, encode)
 
 
 def read_stream_csv(text: str) -> list[float]:

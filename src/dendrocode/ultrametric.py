@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, NotUltrametricError,
-                     _require_at_least, _require_nonnegative)
+                     _require_at_least, _require_nonnegative, _require_within_guard)
 from .hierarchy import (
     Child,
     Dendrogram,
@@ -203,6 +203,8 @@ def _ultrametric_hits(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -
 
 def generate_cloud(n: int, dim: int, law: str = "uniform", seed: int = 0) -> np.ndarray:
     """Seeded random point cloud: uniform on [0,1]^dim or standard normal."""
+    # the float64 cloud, checked before numpy allocates it
+    _require_within_guard(n * dim * 8, "the point cloud")
     _require_at_least(n, 1, "n")
     _require_at_least(dim, 1, "dim")
     if law not in ("uniform", "gaussian"):

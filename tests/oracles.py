@@ -457,6 +457,104 @@ def trie_cluster(strings):
     return Dendrogram(labels, tuple(nodes)), dump, count, depth
 
 
+def read_strings_by_lines(text, base):
+    """``formats.read_strings`` one line at a time: each nonblank line,
+    stripped, is ``label,digits`` split at its first comma, or bare digits
+    named s<k>; ``parse_digits`` reads the digits and an error is led by its
+    line number.  The reader's method before plain text was read in bulk."""
+    from dendrocode.baire import parse_digits
+    from dendrocode.errors import DendrocodeError, DomainError, ParseError
+
+    if not base >= 2:
+        raise DomainError("base must be at least 2")
+    strings = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        label, comma, body = line.partition(",")
+        try:
+            if comma:
+                strings.append(parse_digits(body.strip(), base, label.strip()))
+            else:
+                strings.append(parse_digits(line, base, f"s{len(strings) + 1}"))
+        except DendrocodeError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+    if not strings:
+        raise ParseError("no strings in input")
+    return strings
+
+
+def cluster_by_tuple_sort(strings):
+    """``baire.baire_cluster`` with the order from a Python sort of the
+    digit tuples and each ``lcp`` from ``lcp_radius`` of sorted neighbours:
+    the package's method before the digits were sorted as one array.
+    Returns ``(hierarchy, tree)``."""
+    from fractions import Fraction
+
+    from dendrocode.baire import PrefixHierarchy, lcp_radius
+    from dendrocode.hierarchy import Dendrogram, MergeNode, internal, join_gaps, terminal
+
+    base = strings[0].base
+    labels = tuple(s.label if s.label is not None else f"s{i + 1}" for i, s in enumerate(strings))
+    order = sorted(range(len(strings)), key=lambda i: strings[i].digits)
+    lcp = [0] + [lcp_radius(strings[a], strings[b]) for a, b in zip(order, order[1:])]
+    hierarchy = PrefixHierarchy(base, labels, tuple(strings), tuple(order), tuple(lcp))
+    gaps = sorted(range(1, len(order)), key=lcp.__getitem__, reverse=True)
+    refs = [terminal(i) for i in order]
+    nodes = []
+    for rank, (lo, k) in enumerate(join_gaps(len(order), gaps), start=1):
+        nodes.append(MergeNode(rank, float(Fraction(1, base ** lcp[k])), refs[lo], refs[k]))
+        refs[lo] = internal(rank)
+    return hierarchy, Dendrogram(labels, tuple(nodes))
+
+
+def digitize_floats_by_fractions(values, precision, base):
+    """``baire.digitize_reals`` of floats through ``Fraction``: each value
+    is checked to lie in [0, 1), scaled exactly by base^precision, floored
+    and split into digits one ``divmod`` at a time."""
+    from fractions import Fraction
+
+    from dendrocode.baire import BaireString
+    from dendrocode.errors import DomainError
+
+    out = []
+    for i, value in enumerate(values):
+        if not 0 <= value < 1:
+            raise DomainError(f"value #{i + 1} ({value!r}) outside [0, 1); normalize inputs first")
+        scaled = math.floor(Fraction(value) * base**precision)
+        digits = []
+        for _ in range(precision):
+            scaled, d = divmod(scaled, base)
+            digits.append(d)
+        out.append(BaireString(base, tuple(reversed(digits)), f"v{i + 1}"))
+    return out
+
+
+def dna_encode_by_lines(text, scheme):
+    """The ``dna-encode`` output of ``text``, or its one error line: each
+    nonblank line, stripped, is ``label,sequence`` split at its first comma
+    or a bare sequence, encoded by ``encode_dna`` and led by its line number
+    on an error."""
+    from dendrocode.baire import encode_dna
+    from dendrocode.errors import DendrocodeError
+
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        label, comma, body = line.partition(",")
+        try:
+            digits = encode_dna(body.strip() if comma else line, scheme).text()
+        except DendrocodeError as exc:
+            return f"{exc.code}: line {lineno}: {exc}\n"
+        lines.append(f"{label.strip()},{digits}" if comma else digits)
+    if not lines:
+        return "E_PARSE: no sequences in input\n"
+    return "\n".join(lines) + "\n"
+
+
 def dump_by_prefix_slices(hierarchy):
     """``PrefixHierarchy.dump_text`` with every prefix formatted from scratch
     by ``BaireString.text`` of a slice of the digits: the package's method

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dendrocode import baire, formats
 from dendrocode.baire import (
     BaireString,
     baire_cluster,
@@ -23,15 +24,26 @@ from dendrocode.baire import (
     lcp_radius,
     parse_digits,
 )
-from dendrocode.errors import DegenerateInputError, DomainError, ParseError
-from dendrocode.formats import tree_to_json
+from dendrocode.errors import DegenerateInputError, DendrocodeError, DomainError, ParseError
+from dendrocode.formats import read_strings, tree_to_json
 from dendrocode.ultrametric import cophenetic_matrix, verify_ultrametric
 
-from oracles import decimal_radix_digits, dump_by_prefix_slices, trie_cluster
+from oracles import (cluster_by_tuple_sort, decimal_radix_digits, digitize_floats_by_fractions,
+                     dump_by_prefix_slices, read_strings_by_lines, trie_cluster)
+
+DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def bs(text: str, base: int = 10, label: str | None = None) -> BaireString:
     return parse_digits(text, base, label)
+
+
+class TestParseDigits:
+    @pytest.mark.parametrize("base", [0, 1, -1])
+    def test_base_checked_before_the_digits(self, base):
+        # it used to read as "invalid base-0 digit '1' at position 1"
+        with pytest.raises(DomainError, match=r"^base must be at least 2$"):
+            parse_digits("1", base)
 
 
 class TestLcpRadius:
@@ -188,6 +200,47 @@ class TestDigitizeReals:
             assert long.digits[:4] == short.digits
 
 
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, 2.0**-1022, 2.0**-1022 - 5e-324, 1 - 2**-53, 0.1, 0.5]
+_FLOATS = st.one_of(
+    st.floats(0, 1, exclude_max=True),
+    st.sampled_from(_FLOAT_EDGES),
+    st.floats(0, 1, exclude_max=True).map(np.float64),
+)
+_OUTSIDE = [float("nan"), float("inf"), float("-inf"), 1.0, -0.5, np.float64("nan"), np.float64(1.0)]
+
+
+def _digitized(digitize, values, precision, base):
+    try:
+        return digitize(values, precision, base)
+    except DendrocodeError as exc:
+        return f"{exc.code}: {exc}"
+
+
+class TestDigitizeFloats:
+    """Floats are expanded from ``as_integer_ratio`` and their digits taken
+    as one array; the referee expands each through ``Fraction``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_FLOATS, min_size=1, max_size=20), precision=st.integers(1, 20),
+           base=st.sampled_from([2, 10, 36]))
+    def test_equals_the_fraction_path(self, values, precision, base):
+        got = digitize_reals(values, precision, base)
+        assert got == digitize_floats_by_fractions(values, precision, base)
+        assert all(type(d) is int for s in got for d in s.digits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(_FLOATS, st.sampled_from(_OUTSIDE)), min_size=1, max_size=8),
+           precision=st.integers(1, 20), base=st.sampled_from([2, 10, 36]))
+    def test_refusals_equal_the_fraction_path(self, values, precision, base):
+        expected = _digitized(digitize_floats_by_fractions, values, precision, base)
+        assert _digitized(digitize_reals, values, precision, base) == expected
+
+    @pytest.mark.parametrize("value", _OUTSIDE, ids=repr)
+    def test_each_refusal_is_one_line(self, value):
+        message = f"E_DOMAIN: value #2 ({value!r}) outside [0, 1); normalize inputs first"
+        assert _digitized(digitize_reals, [0.25, value, float("nan")], 3, 10) == message
+
+
 class TestEncodeDna:
     def test_four_adic_alphabet(self):
         assert encode_dna("ACGT", "4-adic").digits == (0, 1, 2, 3)
@@ -337,3 +390,100 @@ class TestBaireCluster:
         assert hierarchy.dump_text() == dump
         assert (hierarchy.node_count, hierarchy.depth) == (node_count, depth)
         assert hierarchy.member_count() == len(strings)
+
+
+def _clustered(read, cluster, text, base):
+    """What reading and clustering ``text`` gives: the strings, then the
+    hierarchy's order, lcp, tree JSON, trie dump and level table; or the
+    one error line."""
+    try:
+        strings = read(text, base)
+        hierarchy, tree = cluster(strings)
+    except DendrocodeError as exc:
+        return f"{exc.code}: {exc}"
+    return (strings, hierarchy.order, hierarchy.lcp, tree_to_json(tree), hierarchy.dump_text(),
+            hierarchy.levels().tolist())
+
+
+@st.composite
+def string_files(draw):
+    """A strings file and its base: ragged strings cut from a few stems, so
+    that digits repeat under one label and under two, with some lines
+    unlabelled; then at most one change to the plain text: CRLF, blank
+    lines, surrounding spaces or control characters (a vertical tab or a
+    file separator ends a line too), lowercase digits, or a one-character
+    mutation: an invalid digit, an empty body or a non-ASCII character."""
+    base = draw(st.sampled_from([2, 10, 36, 40]))
+    alphabet = DIGIT_CHARS[:base]
+    stems = draw(st.lists(st.text(alphabet, min_size=1, max_size=9), min_size=1, max_size=4))
+    cut = st.sampled_from(stems).flatmap(lambda d: st.integers(1, len(d)).map(lambda r: d[:r]))
+    names = ["", "a", "b", "x1"] + ([None] if draw(st.booleans()) else [])
+    lines = draw(st.lists(st.tuples(st.sampled_from(names), cut), min_size=1, max_size=12))
+    rows = [digits if name is None else f"{name},{digits}" for name, digits in lines]
+    change = draw(st.sampled_from(
+        [None, None, None, "crlf", "blank", "space", "control", "lower", "no-final-newline",
+         "invalid-digit", "empty-body", "non-ascii"]))
+    k = draw(st.integers(0, len(rows) - 1))
+    row = rows[k]
+    body = row.index(",") + 1 if "," in row else 0
+    at = draw(st.integers(body, len(row) - 1))
+    if change == "invalid-digit":
+        bad = draw(st.sampled_from(["!", "_", ".", "-", " "] + ([DIGIT_CHARS[base]] if base < 36 else [])))
+        rows[k] = row[:at] + bad + row[at + 1:]
+    elif change == "empty-body":
+        rows[k] = row[:body]
+    elif change == "non-ascii":
+        rows[k] = row[:at] + draw(st.sampled_from(["\u00e9", "\u00a0", "\u2028", "\x85"])) + row[at:]
+    elif change in ("space", "control"):
+        pad = st.sampled_from(["", " ", "  "] if change == "space" else ["\t", "\r", "\x0b", "\x1c"])
+        rows[k] = f"{draw(pad)}{row.replace(',', draw(pad) + ',' + draw(pad))}{draw(pad)}"
+    elif change == "lower":
+        rows = [r.lower() for r in rows]
+    elif change == "blank":
+        rows.insert(k, draw(st.sampled_from(["", "  ", "\t"])))
+    text = ("\r\n" if change == "crlf" else "\n").join(rows)
+    return (text if change == "no-final-newline" else text + "\n"), base
+
+
+class TestDigitArray:
+    """Reading plain text in bulk and sorting the strings as one digit array
+    against the line-by-line reader and the tuple sort."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(string_files())
+    def test_equals_the_line_reader_and_tuple_sort(self, file):
+        text, base = file
+        expected = _clustered(read_strings_by_lines, cluster_by_tuple_sort, text, base)
+        assert _clustered(read_strings, baire_cluster, text, base) == expected
+
+    @pytest.mark.parametrize("base", [2, 10, 36, 40])
+    def test_plain_text_is_read_in_bulk(self, base, monkeypatch):
+        rng = random.Random(base)
+        alphabet = DIGIT_CHARS[:base]
+        text = "".join(f"s{k},{''.join(rng.choices(alphabet, k=rng.randint(1, 12)))}\n"
+                       for k in range(200))
+        expected = read_strings_by_lines(text, base)
+        monkeypatch.setattr(formats, "_labelled_lines", None)  # the line-by-line reader
+        assert read_strings(text, base) == expected
+
+    def test_blocks_of_columns_sort_as_the_whole(self, monkeypatch):
+        # a one-cell block makes every tie reach the next pass: strings
+        # equal up to their shorter end, long runs and prefixes of each other
+        rng = random.Random(7)
+        for _ in range(60):
+            stem = tuple(rng.randrange(3) for _ in range(rng.randint(1, 30)))
+            strings = [BaireString(3, stem[: rng.randint(1, len(stem))]
+                                   + tuple(rng.randrange(3) for _ in range(rng.randint(0, 3))),
+                                   f"s{k}")
+                       for k in range(rng.randint(1, 25))]
+            expected = _clustered(lambda s, _: s, cluster_by_tuple_sort, strings, 3)
+            for cells in (1, 2, 5, 2**21):
+                monkeypatch.setattr(baire, "_BLOCK_CELLS", cells)
+                assert _clustered(lambda s, _: s, baire_cluster, strings, 3) == expected, cells
+
+    def test_bases_past_int64(self):
+        base = 10**30
+        strings = [BaireString(base, digits, f"s{k}") for k, digits in enumerate(
+            [(10**29, 5), (10**29,), (3, 10**30 - 1), (10**29, 5), (2**64, 1), (2**63,)])]
+        expected = _clustered(lambda s, _: s, cluster_by_tuple_sort, strings, base)
+        assert _clustered(lambda s, _: s, baire_cluster, strings, base) == expected

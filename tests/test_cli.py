@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dendrocode.cli import build_parser, main
 from dendrocode import errors, formats
@@ -16,7 +20,8 @@ from dendrocode.padic import encode_dendrogram, evaluate_code
 from dendrocode.permutations import packed_representation
 
 from conftest import caterpillar, random_tree
-from oracles import alternating_count, baire_dist_by_pairs, csv_table, exact_text, padic_table
+from oracles import (alternating_count, baire_dist_by_pairs, csv_table, dna_encode_by_lines, exact_text,
+                     padic_table)
 from reference import FCA_ATTRIBUTES, FCA_CELLS, FCA_OBJECTS, IRIS8, IRIS_LABELS8
 
 
@@ -352,6 +357,59 @@ class TestBaireVerbs:
         path.write_text(f"d1,ACGT\n{line}\n")
         assert run(capsys, "dna-encode", str(path), "-o", str(out_path)) == (1, "", error)
         assert not out_path.exists()
+
+
+@st.composite
+def sequence_files(draw):
+    """A sequences file: labelled or bare lines over ACGTU in either case,
+    then at most one change: CRLF, blank lines, surrounding whitespace, an
+    invalid character at a random position or an empty body after a label."""
+    names = ["", "d1", "probe"] + ([None] if draw(st.booleans()) else [])
+    lines = draw(st.lists(st.tuples(st.sampled_from(names), st.text("ACGTUacgtu", min_size=1, max_size=12)),
+                          min_size=1, max_size=8))
+    rows = [seq if label is None else f"{label},{seq}" for label, seq in lines]
+    change = draw(st.sampled_from([None, None, "crlf", "blank", "space", "invalid", "empty-body"]))
+    k = draw(st.integers(0, len(rows) - 1))
+    row = rows[k]
+    body = row.index(",") + 1 if "," in row else 0
+    if change == "invalid":
+        at = draw(st.integers(body, len(row)))
+        rows[k] = row[:at] + draw(st.sampled_from(["X", "N", "1", "?", " ", "\u00e9", "\u2028"])) + row[at:]
+    elif change == "empty-body":
+        rows[k] = row[:body] if body else "d9,"
+    elif change == "space":
+        pad = st.sampled_from([" ", "  ", "\t", "\u00a0"])
+        rows[k] = f"{draw(pad)}{row.replace(',', draw(pad) + ',')}{draw(pad)}"
+    elif change == "blank":
+        rows.insert(k, draw(st.sampled_from(["", " \t"])))
+    return ("\r\n" if change == "crlf" else "\n").join(rows) + "\n"
+
+
+class TestDnaEncodeReferee:
+    @pytest.mark.parametrize("scheme", ["5-adic", "4-adic", "2-adic-pairs"])
+    @settings(max_examples=200, deadline=None)
+    @given(text=sequence_files())
+    def test_equals_encode_dna_line_by_line(self, scheme, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seqs.txt"
+            path.write_text(text, newline="")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["dna-encode", str(path), "--scheme", scheme])
+        expected = dna_encode_by_lines(text, scheme)
+        if expected.startswith("E_"):
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", expected)
+        else:
+            assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
+
+    @pytest.mark.parametrize("scheme", ["5-adic", "4-adic", "2-adic-pairs"])
+    def test_plain_text_is_translated_whole(self, scheme, monkeypatch):
+        rng = random.Random(scheme)
+        text = "".join(f"d{k},{''.join(rng.choices('ACGTUacgtu', k=rng.randint(1, 30)))}\n"
+                       for k in range(100))
+        expected = dna_encode_by_lines(text, scheme)
+        monkeypatch.setattr(formats, "encode_dna", None)  # the line-by-line encoder
+        assert "\n".join(formats._dna_lines(text, scheme)) + "\n" == expected
 
 
 class TestHaarVerbs:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dendrocode.errors import DegenerateInputError, DomainError, NotUltrametricError
+from dendrocode.errors import DegenerateInputError, DomainError, NotUltrametricError, ResourceGuardError
 from dendrocode.hierarchy import (
     LINKAGES,
     Dendrogram,
@@ -410,6 +410,12 @@ class TestGenerateCloud:
     def test_single_point(self):
         cloud = generate_cloud(1, 1, "uniform", seed=0)
         assert cloud.shape == (1, 1)
+
+    def test_past_the_guard_refused_before_allocating(self, monkeypatch):
+        # the 8 TB cloud is refused by size, before a generator is made
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ResourceGuardError, match=r"^the point cloud would take 8000000000000 bytes"):
+            generate_cloud(10**9, 1000)
 
     def test_uniform_in_unit_cube(self):
         cloud = generate_cloud(100, 5, "uniform", seed=3)
