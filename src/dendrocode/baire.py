@@ -298,8 +298,11 @@ class PrefixHierarchy:
 
 
 # the most digit cells one pass of ``_prefix_order`` gathers, so strings of
-# very different lengths are not padded to the longest all at once
+# very different lengths are not padded to the longest all at once, and the
+# most columns it sorts by, so a pass over a few long strings does not pay
+# ``np.lexsort``'s cost per key for every digit of them
 _BLOCK_CELLS = 2**21
+_BLOCK_COLUMNS = 256
 
 
 def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +314,9 @@ def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndar
     so one stable ``np.lexsort`` over the columns sorts them and the first
     column where sorted neighbours differ is their ``lcp``; equal rows share
     their whole length.  A pass reads a block of at most ``_BLOCK_CELLS``
-    cells.  Neighbours equal over a whole block and both longer form a run,
-    and the next pass sorts each run by the next block of columns."""
+    cells and ``_BLOCK_COLUMNS`` columns.  Neighbours equal over a whole
+    block and both longer form a run, and the next pass sorts each run by
+    the next block of columns."""
     n = len(digits)
     lengths = np.fromiter(map(len, digits), dtype=np.intp, count=n)
     total = int(lengths.sum())
@@ -331,7 +335,8 @@ def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndar
     lo = 0  # the digits before column lo are equal within each run
     while active.size:
         rows = order[active]
-        width = min(max(1, _BLOCK_CELLS // active.size), int(lengths[rows].max()) - lo)
+        width = min(max(1, _BLOCK_CELLS // active.size), _BLOCK_COLUMNS,
+                    int(lengths[rows].max()) - lo)
         columns = lo + np.arange(width)
         inside = columns < lengths[rows, None]
         block = codes[np.where(inside, starts[rows, None] + columns, total)]

@@ -109,17 +109,51 @@ def _is_number(token: str, kind: type = float) -> bool:
 
 def _rows_from_csv(text: str) -> tuple[list[int], list[list[str]]]:
     """The nonblank rows of ``text``, cells stripped, and the file line on
-    which each row starts (a quoted cell may span lines)."""
+    which each row starts (a quoted cell may span lines).  A cell past
+    ``csv.field_size_limit()`` characters, or a carriage return inside an
+    unquoted cell, is one ``ParseError`` naming the line."""
     reader = csv.reader(io.StringIO(text))
     lines, rows, start = [], [], 1
-    for row in reader:
-        if any(c.strip() for c in row):
-            lines.append(start)
-            rows.append([c.strip() for c in row])
-        start = reader.line_num + 1
+    try:
+        for row in reader:
+            if any(c.strip() for c in row):
+                lines.append(start)
+                rows.append([c.strip() for c in row])
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError("empty CSV input")
     return lines, rows
+
+
+def _table_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` when ``csv.reader`` would read each of them as
+    the row ``line.split(",")``: plain text (``_plain_text``) with no
+    ``"``, and no cell past ``csv.field_size_limit()`` characters; else
+    None."""
+    lines = None if '"' in text else _plain_text(text)
+    if lines is None:
+        return None
+    limit = csv.field_size_limit()
+    if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
+        return None
+    return lines
+
+
+def _sniff(first: list[str], next_cell: str | None, header: bool | None,
+           labels: bool | None) -> tuple[bool, bool | None]:
+    """``header`` and ``labels``, each sniffed when None, of a table whose
+    first row is ``first`` and whose next row starts with ``next_cell``
+    (None when there is no next row): a first row with a non-numeric cell
+    past its first is a header, and a non-numeric first body cell leads a
+    label column.  With no body row ``labels`` stays None."""
+    if header is None:
+        header = not all(_is_number(c) for c in (first[1:] or first))
+    cell = next_cell if header else first[0]
+    if labels is None and cell is not None:
+        labels = not _is_number(cell)
+    return header, labels
 
 
 class DataTable(typing.NamedTuple):
@@ -136,20 +170,69 @@ def read_data_csv(
     With ``header``/``labels`` left as None the layout is sniffed: a
     non-numeric first row is a header, a non-numeric leading column holds
     labels.
+
+    Plain text (``_table_lines``) is read in bulk by ``_bulk_table``; any
+    other text, and every table the bulk path does not take, is read cell
+    by cell, which names the line of an error.
     """
+    table = _bulk_table(text, header, labels)
+    if table is not None:
+        return table
     lines, rows = _rows_from_csv(text)
-    if header is None:
-        header = not all(_is_number(c) for c in (rows[0][1:] or rows[0]))
+    header, labels = _sniff(rows[0], rows[1][0] if len(rows) > 1 else None, header, labels)
     body = rows[1:] if header else rows
     if not body:
         raise ParseError("no data rows")
-    if labels is None:
-        labels = not _is_number(body[0][0])
     header_names = None
     if header:
         header_names = tuple(rows[0][1:] if labels else rows[0])
     names, values = _parse_cells(body, lines[1:] if header else lines, labels)
     return DataTable(header_names, names, values)
+
+
+def _bulk_table(text: str, header: bool | None, labels: bool | None) -> DataTable | None:
+    """``read_data_csv`` of ``text`` when it is plain (``_table_lines``)
+    and ``_bulk_cells`` reads its body; None otherwise, and never an
+    error."""
+    lines = _table_lines(text)
+    if lines is None:
+        return None
+    first = lines[0].split(",")
+    if not any(first):  # a row of empty cells, which csv skips
+        return None
+    header, labels = _sniff(first, lines[1].partition(",")[0] if len(lines) > 1 else None,
+                            header, labels)
+    cells = _bulk_cells(lines[1:] if header else lines, bool(labels))
+    if cells is None:
+        return None
+    header_names = tuple(first[1:] if labels else first) if header else None
+    return DataTable(header_names, *cells)
+
+
+def _bulk_cells(
+    lines: list[str], labels: bool
+) -> tuple[tuple[str, ...] | None, np.ndarray] | None:
+    """What ``_parse_cells`` gives for the rows ``line.split(",")`` of the
+    plain ``lines``, with one ``np.loadtxt`` over the cells; None where it
+    would raise, and where csv would skip a row.
+
+    ``loadtxt`` reads a cell through ``PyOS_string_to_double``, as ``float``
+    does, so every value it takes is the same float; what it refuses
+    (``1_0``, non-ASCII digits, an empty cell) is left to ``_parse_cells``.
+    A ragged row is a ``ValueError`` too: no ``usecols`` drops cells."""
+    if not lines:  # loadtxt warns on no lines
+        return None
+    names = None
+    if labels:
+        split = _split_labels(lines)
+        if split is None:
+            return None
+        names, lines = tuple(split[0]), split[1]
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return names, values
 
 
 def _parse_cells(
@@ -376,17 +459,23 @@ def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
 
 def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str, ...]]:
     """Read ``haar_to_csv`` text for ``tree``: the header must name the
-    tree's columns, and the coordinate rows go through the cell parser of
+    tree's columns, and the coordinate rows go through the cell readers of
     ``read_data_csv``."""
-    lines, rows = _rows_from_csv(text)
-    header = rows[0]
     n1 = len(tree.nodes)
     expected = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
-    if header != expected:
-        raise ParseError(f"wavelet CSV header {header!r} does not match tree with {n1} nodes")
-    if len(rows) == 1:
-        raise ParseError("wavelet CSV has no coordinate rows")
-    coord_names, table = _parse_cells(rows[1:], lines[1:], labels=True)
+    lines = _table_lines(text)
+    cells = None
+    if lines is not None and lines[0].split(",") == expected:
+        cells = _bulk_cells(lines[1:], labels=True)
+    if cells is None:
+        line_numbers, rows = _rows_from_csv(text)
+        header = rows[0]
+        if header != expected:
+            raise ParseError(f"wavelet CSV header {header!r} does not match tree with {n1} nodes")
+        if len(rows) == 1:
+            raise ParseError("wavelet CSV has no coordinate rows")
+        cells = _parse_cells(rows[1:], line_numbers[1:], labels=True)
+    coord_names, table = cells
     if table.shape[1] != n1 + 1:
         raise ParseError(
             f"wavelet CSV rows hold {table.shape[1]} values, the tree needs {n1 + 1}"
@@ -602,22 +691,36 @@ def _labelled_lines(text: str, parse: Callable[[int, str | None, str], object]) 
     return out
 
 
-# a character outside printable ASCII and newline, or a blank line
-_NOT_PLAIN = re.compile(r"[^!-~\n]|\n\n|\A\n")
+# the characters of plain text: printable ASCII and newline
+_PLAIN_BYTES = bytes(range(ord("!"), ord("~") + 1)) + b"\n"
 
 
-def _plain_lines(text: str) -> tuple[list[str], list[str]] | None:
-    """The labels and bodies of ``text`` if each of its lines is
-    ``label,body`` with a nonempty body, in printable ASCII with no blank
-    line, so that ``_labelled_lines`` would take every line as written;
-    else None."""
-    if not text or _NOT_PLAIN.search(text):
+def _plain_text(text: str) -> list[str] | None:
+    """The lines of ``text`` if it is nonempty, holds only printable ASCII
+    and newlines, and has no blank line, so that every line is nonempty and
+    holds no whitespace; else None.  Every test is a C string scan."""
+    if (not text or not text.isascii() or text.startswith("\n") or "\n\n" in text
+            or text.encode("ascii").translate(None, _PLAIN_BYTES)):
         return None
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
+    return lines
+
+
+def _plain_lines(text: str) -> tuple[list[str], list[str]] | None:
+    """The labels and bodies of plain text (``_plain_text``) whose every
+    line is ``label,body`` with a nonempty body, so that ``_labelled_lines``
+    would take every line as written; else None."""
+    lines = _plain_text(text)
+    return None if lines is None else _split_labels(lines)
+
+
+def _split_labels(lines: list[str]) -> tuple[list[str], list[str]] | None:
+    """The labels and bodies of ``lines``, each split at its first comma;
+    None if a line has no comma or nothing after it."""
     parts = [line.partition(",") for line in lines]
-    if not all(body for _, _, body in parts):  # no comma, or nothing after it
+    if not all(body for _, _, body in parts):
         return None
     return [label for label, _, _ in parts], [body for _, _, body in parts]
 

@@ -477,9 +477,38 @@ class TestDigitArray:
                                    f"s{k}")
                        for k in range(rng.randint(1, 25))]
             expected = _clustered(lambda s, _: s, cluster_by_tuple_sort, strings, 3)
-            for cells in (1, 2, 5, 2**21):
+            for cells, columns in itertools.product((1, 2, 5, 2**21), (1, 3, 256)):
                 monkeypatch.setattr(baire, "_BLOCK_CELLS", cells)
-                assert _clustered(lambda s, _: s, baire_cluster, strings, 3) == expected, cells
+                monkeypatch.setattr(baire, "_BLOCK_COLUMNS", columns)
+                got = _clustered(lambda s, _: s, baire_cluster, strings, 3)
+                assert got == expected, (cells, columns)
+
+    @pytest.mark.parametrize("n, length, widths", [
+        (3, 5000, [256] * 19 + [136]),  # a few long strings: 256 columns a pass
+        (20_000, 8, [8]),  # the shapes of the benchmark's strings: one pass
+        (5_000, 60, [60]),
+    ])
+    def test_a_pass_sorts_by_a_bounded_number_of_columns(self, monkeypatch, n, length, widths):
+        # three strings equal but for the last digit of one stay tied to
+        # the end; random strings of the benchmark's shapes are settled in
+        # one pass.  Each lexsort gets the block's columns and 2 keys more.
+        rng = random.Random(length)
+        digits = [tuple(rng.choices(range(10), k=length - 1)) for _ in range(n)]
+        if n == 3:
+            digits = [digits[0]] * 3
+        digits = [d + (int(k == 1),) for k, d in enumerate(digits)]
+        keys = []
+        lexsort = np.lexsort
+
+        def counting_lexsort(columns):
+            keys.append(len(columns) - 2)
+            return lexsort(columns)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        order, _ = baire._prefix_order(digits, 10)
+        assert keys == widths
+        expected = sorted(range(n), key=lambda k: digits[k])
+        assert order.tolist() == expected
 
     def test_bases_past_int64(self):
         base = 10**30

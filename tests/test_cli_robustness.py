@@ -62,6 +62,8 @@ COMMON = {
     "long-int": "1" * 5000 + "\n",
 }
 
+LONG_CELL = "1" * 200_000  # past csv's default field limit of 131,072 characters
+
 CSV = {
     "ragged": "1,2\n3\n4,5\n",
     "word-cell": "1,2\n3,x\n",
@@ -74,6 +76,8 @@ CSV = {
     "asymmetric": ",a,b\na,0,1\nb,2,0\n",
     "not-square": ",a,b\na,0,1\n",
     "single-row": "1,2\n",
+    "long-cell": "1," + LONG_CELL + "\n",
+    "long-quoted-cell": '"a","' + LONG_CELL + '"\n',
 }
 
 WAVELET = {
@@ -87,6 +91,8 @@ WAVELET = {
     "ragged": ",s2,d2,d1\nc1,1,2,3\nc2,1,2\n",
     "wrong-header": ",s1,d1\nc1,1,2\n",
     "corner": "x,s2,d2,d1\nc1,1,2,3\n",
+    "long-cell": ",s2,d2,d1\nc1,1,2," + LONG_CELL + "\n",
+    "long-quoted-cell": ',s2,d2,d1\n"c1",1,2,"' + LONG_CELL + '"\n',
 }
 
 TREE_JSON = {
@@ -278,6 +284,28 @@ def test_inputs_that_used_to_be_misread_fail_cleanly(tmp_path, capsys, verb, tex
     assert code == 1
     assert ERROR_LINE.fullmatch(err), err
     assert not (tmp_path / "out").exists()
+
+
+TABLE_VERBS = [verb for verb in CSV_VERBS if verb[0] in (
+    "cluster", "haar", "ultrametricity", "verify-um", "canonical", "lattice")] + WAVELET_VERBS
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("verb", TABLE_VERBS, ids=" ".join)
+def test_cell_past_the_field_limit_is_one_error_line(tmp_path, capsys, verb, quoted):
+    """A cell longer than csv's field limit ended in a ``_csv.Error``
+    traceback; now it is one ``E_PARSE`` line naming its line, whether the
+    text is plain (read in bulk) or quoted, and no output is written."""
+    head = ",s2,d2,d1\nc1,1,2,3\nc2,4,5," if verb in WAVELET_VERBS else "1,2\n3,4\n5,"
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_text(head + (f'"{LONG_CELL}"' if quoted else LONG_CELL) + "\n")
+    argv = [*verb, str(path), "-o", str(out)]
+    if verb in WAVELET_VERBS:
+        (tmp_path / "tree.json").write_text(TREE)
+        argv += ["--tree", str(tmp_path / "tree.json")]
+    code, err = _run(capsys, argv)
+    assert (code, err) == (1, "E_PARSE: line 3: field larger than field limit (131072)\n")
+    assert not out.exists()
 
 
 def _stream_referee(verb, text):

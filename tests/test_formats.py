@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
@@ -34,6 +35,9 @@ from oracles import csv_table, exact_text, float_text, render_by_grid, tree_json
 from reference import IRIS8, IRIS_LABELS8
 
 
+LONG_CELL = "1" * 200_000  # past csv's default field limit of 131,072 characters
+
+
 class TestDataCsv:
     def test_sniffs_header_and_labels(self):
         text = ",a,b\nrow1,1.0,2.0\nrow2,3.5,4.5\n"
@@ -41,6 +45,19 @@ class TestDataCsv:
         assert table.header == ("a", "b")
         assert table.labels == ("row1", "row2")
         assert np.array_equal(table.values, [[1.0, 2.0], [3.5, 4.5]])
+
+    @pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "per-cell"])
+    def test_labels_are_sniffed_from_the_first_body_row(self, bulk):
+        # the header's corner cell does not decide the label column
+        table = table_outcome(formats.read_data_csv, "id,a,b\n1,2,3\n", None, None, bulk=bulk)
+        assert table == (("id", "a", "b"), None, bits(np.array([[1.0, 2.0, 3.0]])))
+        table = table_outcome(formats.read_data_csv, "0,a,b\nr1,2,3\n", None, None, bulk=bulk)
+        assert table == (("a", "b"), ("r1",), bits(np.array([[2.0, 3.0]])))
+
+    @pytest.mark.parametrize("text", ["", "\n1,2\n", "1,2\n\n3,4\n", "1, 2\n", "1,\t2\n",
+                                      "1,2\r\n", "é,1\n", '"a",1\n'])
+    def test_text_that_is_not_plain_is_read_cell_by_cell(self, text):
+        assert formats._table_lines(text) is None
 
     def test_plain_numbers(self):
         table = formats.read_data_csv("1,2\n3,4\n")
@@ -65,6 +82,34 @@ class TestDataCsv:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             formats.read_data_csv("\n\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("1," + LONG_CELL + "\n", 1),
+        ("1,2\n3,4\n5," + LONG_CELL + "\n", 3),
+        (LONG_CELL + ",1\n", 1),
+        ('"a",1\n"b",' + LONG_CELL + "\n", 2),
+        ('1,2\n"' + LONG_CELL + '",3\n', 2),
+        ('"a\nb",1\n2,' + LONG_CELL + "\n", 3),
+    ], ids=["plain", "plain-line-3", "plain-label", "quoted-file", "quoted-cell", "after-quoted-newline"])
+    def test_cell_past_the_field_limit_names_its_line(self, text, line):
+        message = f"line {line}: field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            formats.read_data_csv(text)
+        assert formats._table_lines(text) is None
+
+    def test_long_lines_of_short_cells_are_read_in_bulk(self, monkeypatch):
+        limit = csv.field_size_limit()
+        long_line = ",".join(["1"] * limit)  # past the limit; its cells are not
+        at_limit = f"2,{'1' * limit}\n"  # a cell as long as csv takes
+        expected = table_outcome(formats.read_data_csv, at_limit, None, None, bulk=False)
+        assert expected[2] == bits(np.array([[2.0, float("inf")]]))
+        monkeypatch.setattr(formats, "_rows_from_csv", None)  # the per-cell reader
+        assert formats.read_data_csv(f"{long_line}\n{long_line}\n").values.shape == (2, limit)
+        assert table_outcome(formats.read_data_csv, at_limit, None, None) == expected
+
+    def test_carriage_return_inside_an_unquoted_cell(self):
+        with pytest.raises(ParseError, match="^line 2: new-line character seen in unquoted field"):
+            formats.read_data_csv("1,2\n3\r4,5\n")
 
 
 class TestMatrixCsv:
@@ -556,6 +601,194 @@ class TestWriterReferee:
         text = formats.write_data_csv(np.zeros((3, 0)), ["", "a,b", "c"], [])
         assert text == '""\n""\n"a,b"\nc\n'
         assert text == csv_table([""], ["", "a,b", "c"], [[], [], []])
+
+
+# Table labels that CSV writes and reads back: each is unique, not a number,
+# and has no whitespace at either end (the reader strips cells).  Some need
+# quotes (a comma, a quote, a newline); a space or "é" leaves plain text.
+# A carriage return is left out: ``csv.writer`` does not quote it.
+TABLE_LABEL = st.text(st.sampled_from(["a", "1", ",", '"', "\n", " ", "é"]), max_size=4)
+ROUND_TRIP_FLOATS = FLOATS | st.sampled_from([float("inf"), float("-inf")])
+
+
+def names(k: int):
+    """``k`` such labels."""
+    return st.lists(TABLE_LABEL, min_size=k, max_size=k).map(
+        lambda texts: [f"r{i}{text}." for i, text in enumerate(texts)])
+
+
+def bits(values: np.ndarray):
+    return values.shape, values.tobytes()
+
+
+class TestTableRoundTrip:
+    """``write_data_csv`` and ``write_matrix_csv --full-precision`` text
+    read back bit for bit.  Plain text is read in bulk; text with a quoted
+    label, a space or non-ASCII goes through the per-cell reader."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans())
+    def test_data_table(self, data, r, c, labelled, headed):
+        values = np.array(data.draw(st.lists(ROUND_TRIP_FLOATS, min_size=r * c, max_size=r * c)))
+        values = values.reshape(r, c)
+        labels = data.draw(names(r)) if labelled else None
+        header = data.draw(names(c)) if headed else None
+        text = formats.write_data_csv(values, labels, header, full_precision=True)
+        table = formats.read_data_csv(text, header=headed, labels=labelled)
+        assert table.labels == (tuple(labels) if labelled else None)
+        assert table.header == (tuple(header) if headed else None)
+        assert bits(table.values) == bits(values)
+        plain = not any(ch in text for ch in '" é')
+        assert (formats._bulk_table(text, headed, labelled) is not None) == plain
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_matrix(self, data, n):
+        values = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i, j] = values[j, i] = data.draw(FLOATS.map(abs) | st.just(-0.0))
+        labels = data.draw(names(n))
+        text = formats.write_matrix_csv(DissimilarityMatrix(values, labels), full_precision=True)
+        back = formats.read_matrix_csv(text)
+        assert back.labels == tuple(labels)
+        assert bits(back.values) == bits(values)
+        plain = not any(ch in text for ch in '" é')
+        assert (formats._bulk_table(text, None, None) is not None) == plain
+
+
+# Cell text of plain tables: integers, decimals, exponents, both zeros, the
+# extremes and the shortest repr of any finite float.
+CELL_TEXT = st.sampled_from(["0", "7", "-2", "0.5", "1e3", "-0.0", "5e-324", "+.5",
+                             "1.7976931348623157e+308"]) | FLOATS.map(repr)
+# One-byte or one-token changes; a token replaces a cell, a byte is put in
+# before the chosen character.
+TABLE_MUTATIONS = ["space", "quote", "cr", "blank-line", "trailing-comma", "drop-cell",
+                   "1_0", "nan", "inf", "١", "", "x", "byte"]
+
+
+@st.composite
+def plain_tables(draw) -> str:
+    """Plain table text, as the writers leave it: an optional header row and
+    an optional label column around 1-5 rows of 1-4 number cells."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    labelled, headed = draw(st.booleans()), draw(st.booleans())
+    rows = [[draw(CELL_TEXT) for _ in range(c)] for _ in range(r)]
+    if labelled:
+        rows = [[f"r{i}", *row] for i, row in enumerate(rows)]
+    if headed:
+        rows.insert(0, [""] * labelled + [f"h{j}" for j in range(c)])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def mutate_table(text: str, kind: str, at: int, byte: str = "") -> str:
+    """``text`` with one byte or token changed; ``at`` picks the place."""
+    rows = [line.split(",") for line in text.splitlines()]
+    row = rows[at % len(rows)]
+    cell = at // len(rows) % len(row)
+    inserted = {"space": " ", "quote": '"', "cr": "\r", "byte": byte}
+    if kind in inserted:
+        at %= len(text)
+        return text[:at] + inserted[kind] + text[at:]
+    if kind == "blank-line":
+        row.insert(0, "\n" + row.pop(0))
+    elif kind == "trailing-comma":
+        row.append("")
+    elif kind == "drop-cell":
+        del row[cell]
+    else:
+        row[cell] = kind
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def table_outcome(read, text: str, *args, bulk: bool = True):
+    """What ``read`` makes of ``text``: the table's fields (values by their
+    bits) or the CLI error line.  ``bulk=False`` reads cell by cell."""
+    with mock.patch.object(formats, "_table_lines", formats._table_lines if bulk else lambda text: None):
+        try:
+            table = read(text, *args)
+        except DendrocodeError as exc:
+            return f"{exc.code}: {exc}"
+    if isinstance(table, formats.DataTable):
+        return table.header, table.labels, bits(table.values)
+    t, coord_names = table
+    return coord_names, bits(t.root_smooth), bits(t.details)
+
+
+LAYOUTS = st.sampled_from([None, True, False])
+PLACES = st.integers(0, 10**6)
+BYTES = st.sampled_from(list('0123456789-+.,e \n\r\t"x\x00é'))
+
+
+class TestBulkTableReferee:
+    """``read_data_csv`` and ``haar_from_csv`` with the bulk path against
+    the per-cell reader alone: the same table, or the same error line, on
+    plain tables and on each one byte or one token off."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_tables(), st.sampled_from(TABLE_MUTATIONS), PLACES, BYTES, LAYOUTS, LAYOUTS)
+    def test_data_table(self, text, kind, at, byte, header, labels):
+        for case in (text, mutate_table(text, kind, at, byte)):
+            fast = table_outcome(formats.read_data_csv, case, header, labels)
+            assert fast == table_outcome(formats.read_data_csv, case, header, labels, bulk=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3), st.sampled_from(TABLE_MUTATIONS), PLACES, BYTES,
+           st.data())
+    def test_wavelet_table(self, n, m, kind, at, byte, data):
+        tree = random_tree(n, random.Random(n)) if n > 1 else Dendrogram(("x",), ())
+        values = lambda: data.draw(st.lists(CELL_TEXT, min_size=m, max_size=m))  # noqa: E731
+        header = ["", f"s{n - 1}", *(f"d{r}" for r in range(n - 1, 0, -1))]
+        columns = [values() for _ in range(n)]
+        text = "".join(",".join(row) + "\n" for row in
+                       [header, *([f"c{k}", *(col[k] for col in columns)] for k in range(m))])
+        for case in (text, mutate_table(text, kind, at, byte)):
+            fast = table_outcome(formats.haar_from_csv, case, tree)
+            assert fast == table_outcome(formats.haar_from_csv, case, tree, bulk=False)
+
+    @pytest.mark.parametrize("kind", TABLE_MUTATIONS[:-1])
+    def test_each_mutation(self, kind):
+        # nan and inf are numbers to both readers; every other change is
+        # left to the per-cell reader
+        text = ",a,b,c\nr1,0.5,1e3,-2\nr2,7,-0.0,5e-324\nr3,1,2,3\n"
+        changed = mutate_table(text, kind, 5)  # row 2, its first number
+        assert (formats._bulk_table(changed, None, None) is not None) == (kind in ("nan", "inf"))
+        expected = table_outcome(formats.read_data_csv, changed, None, None, bulk=False)
+        assert table_outcome(formats.read_data_csv, changed, None, None) == expected
+
+    @pytest.mark.parametrize("header", [None, True, False])
+    @pytest.mark.parametrize("labels", [None, True, False])
+    @pytest.mark.parametrize("text", [
+        ",a,b\n", "a,b\n", ",\n1,2\n", ",,\nr1,1,2\n", "1,2\n,\n3,4\n", "r1,1\n,\n", "a\nb\n",
+        "r1,1\nr2\n", "r1,1\nr2,\n", "1\n2\n", "x\n", "7\n", "1,2", "1,2\n3,4,\n", ",1\n,2\n",
+        "#,1\n2,3\n", "1,2\n#3,4\n", "1,-\n", "1,0x10\n", "1,1e400\n", "r1,-nan\n",
+    ])
+    def test_edge_tables(self, text, header, labels):
+        # rows of empty cells, which csv skips; a header with no body; rows
+        # with no cells past the label; no final newline; comment marks
+        expected = table_outcome(formats.read_data_csv, text, header, labels, bulk=False)
+        assert table_outcome(formats.read_data_csv, text, header, labels) == expected
+
+    def test_writer_output_is_read_in_bulk(self, rng, monkeypatch):
+        data = np.array([[rng.uniform(-5, 5) for _ in range(4)] for _ in range(6)])
+        m = pairwise_distances(data, labels=[f"o{i}" for i in range(6)])
+        tree = random_tree(6, rng)
+        cloud = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+        texts = [formats.write_matrix_csv(m), formats.write_matrix_csv(m, full_precision=True),
+                 formats.write_data_csv(data), formats.write_data_csv(data, full_precision=True),
+                 formats.write_data_csv(data, [f"o{i}" for i in range(6)], list("wxyz")), cloud]
+        wavelet = formats.haar_to_csv(haar_forward(tree, data), full_precision=True)
+        expected = [table_outcome(formats.read_data_csv, text, None, None, bulk=False)
+                    for text in texts]
+        expected_haar = table_outcome(formats.haar_from_csv, wavelet, tree, bulk=False)
+
+        def per_cell(text):
+            raise AssertionError("plain writer output went to the per-cell reader")
+
+        monkeypatch.setattr(formats, "_rows_from_csv", per_cell)
+        assert [table_outcome(formats.read_data_csv, text, None, None) for text in texts] == expected
+        assert table_outcome(formats.haar_from_csv, wavelet, tree) == expected_haar
+        assert bits(formats.read_matrix_csv(texts[1]).values) == bits(m.values)
 
 
 class TestStringsAndStreams:
