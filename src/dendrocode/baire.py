@@ -297,68 +297,36 @@ class PrefixHierarchy:
         return "\n".join(lines) + "\n"
 
 
-# the most digit cells one pass of ``_prefix_order`` gathers, so strings of
-# very different lengths are not padded to the longest all at once, and the
-# most columns it sorts by, so a pass over a few long strings does not pay
-# ``np.lexsort``'s cost per key for every digit of them
-_BLOCK_CELLS = 2**21
-_BLOCK_COLUMNS = 256
-
-
 def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndarray, np.ndarray]:
     """``order``, the indices of the digit strings ``digits`` in stable
     digit order (a prefix before its extensions), and ``lcp``: ``lcp[k]``
     is the common-prefix length of sorted strings k-1 and k, and 0 at k=0.
 
-    The strings are read as rows of digit+1, padded with 0 past their end,
-    so one stable ``np.lexsort`` over the columns sorts them and the first
-    column where sorted neighbours differ is their ``lcp``; equal rows share
-    their whole length.  A pass reads a block of at most ``_BLOCK_CELLS``
-    cells and ``_BLOCK_COLUMNS`` columns.  Neighbours equal over a whole
-    block and both longer form a run, and the next pass sorts each run by
-    the next block of columns."""
+    One stable sort orders the strings by a key that compares as the digits
+    do: their bytes up to base 256, else the digit tuple.  Each sorted
+    neighbour pair is then compared digit by digit over the shorter length,
+    all pairs in one numpy comparison; ``lcp`` is the first mismatch, or
+    that length when there is none."""
     n = len(digits)
+    if base <= 256:
+        keys = [bytes(d) for d in digits]
+        codes = np.frombuffer(b"".join(keys), dtype=np.uint8)
+    else:  # object dtype past 2**64: numpy holds no wider integers
+        keys = digits
+        codes = np.array(list(itertools.chain.from_iterable(digits)), np.min_scalar_type(base - 1))
+    order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
     lengths = np.fromiter(map(len, digits), dtype=np.intp, count=n)
-    total = int(lengths.sum())
-    if base < 2**64:
-        codes = np.fromiter(itertools.chain.from_iterable(digits), np.min_scalar_type(base), total) + 1
-    else:  # the digits by rank: numpy holds no wider integers
-        ranks = np.unique(np.array(list(itertools.chain.from_iterable(digits)), dtype=object),
-                          return_inverse=True)[1]
-        codes = (ranks + 1).astype(np.min_scalar_type(total))
-    codes = np.concatenate((codes, np.zeros(1, codes.dtype)))  # codes[total] is the pad
     starts = np.cumsum(lengths) - lengths
-    order = np.arange(n)
-    lcp = np.zeros(n, dtype=np.intp)
-    active = np.arange(n)  # sorted positions whose order is still open
-    run = np.zeros(n, dtype=np.intp)  # the run of each active position
-    lo = 0  # the digits before column lo are equal within each run
-    while active.size:
-        rows = order[active]
-        width = min(max(1, _BLOCK_CELLS // active.size), _BLOCK_COLUMNS,
-                    int(lengths[rows].max()) - lo)
-        columns = lo + np.arange(width)
-        inside = columns < lengths[rows, None]
-        block = codes[np.where(inside, starts[rows, None] + columns, total)]
-        longer = lengths[rows] > lo + width
-        resort = np.lexsort((longer, *block.T[::-1], run))
-        rows, block, longer = rows[resort], block[resort], longer[resort]
-        order[active] = rows
-        differs = block[1:] != block[:-1]
-        first = differs.argmax(axis=1)
-        mismatch = differs[np.arange(active.size - 1), first]
-        same_run = run[1:] == run[:-1]
-        tied = same_run & ~mismatch & longer[1:] & longer[:-1]
-        depth = np.where(mismatch, lo + first, np.minimum(lengths[rows[1:]], lengths[rows[:-1]]))
-        settled = same_run & ~tied
-        lcp[active[1:][settled]] = depth[settled]
-        member = np.zeros(active.size, dtype=bool)
-        member[1:] |= tied
-        member[:-1] |= tied
-        run = np.cumsum(np.concatenate(([True], ~tied)))[member]
-        active = active[member]
-        lo += width
-    return order, lcp
+    left, right = order[:-1], order[1:]
+    shared = np.minimum(lengths[left], lengths[right])
+    ends = np.cumsum(shared)
+    begins = ends - shared  # sorted pair k compares its digits at positions begins[k]..ends[k]-1
+    at = np.repeat(starts[left] - begins, shared)  # where each pair's left digits lie
+    at += np.arange(at.size)
+    differs = codes[at] != codes[at + np.repeat(starts[right] - starts[left], shared)]
+    mismatches = np.flatnonzero(np.append(differs, True))  # ends past every pair's digits
+    first = mismatches[np.searchsorted(mismatches, begins)]
+    return order, np.concatenate(([0], np.minimum(first, ends) - begins))
 
 
 def baire_cluster(

@@ -72,28 +72,33 @@ def _write_table(
     """The one CSV table writer: an optional header row, then one row per
     item of ``rows``, each led by its label when ``labels`` is given.
 
-    The header and the labels are text and go through ``csv.writer``.  The
+    The header and the labels are text and go through one ``csv.writer``
+    whose line end is ``\r\n``, so that it quotes a ``\r`` in a cell as it
+    quotes ``\n``; each row's ``\r\n`` is then written as ``\n``.  The
     cells are numbers formatted by ``_cell``; number text (digits, ``.``,
     ``e``, ``+``, ``-``, ``/``, ``inf``, ``nan``) is never quoted, so the
     cells are joined directly, which gives the bytes of writing every cell
     through the writer.  A labelled row with no cells is the label alone, as
     CSV writes it (``""`` for the empty label).  ``rows`` may be a generator,
     so a matrix is converted to Python numbers one row at a time."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n")
+
+    def text_row(cells: Sequence[str]) -> str:
+        text.seek(0)
+        text.truncate()
+        writer.writerow(cells)
+        return text.getvalue()[:-2]
+
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if header is not None:
-        writer.writerow(header)
-    label_text = io.StringIO()
-    label_writer = csv.writer(label_text, lineterminator="\n")
+        out.write(text_row(header) + "\n")
     for i, row in enumerate(rows):
         if labels is not None:
             if len(row) == 0:
-                writer.writerow((labels[i],))
+                out.write(text_row((labels[i],)) + "\n")
                 continue
-            label_text.seek(0)
-            label_text.truncate()
-            label_writer.writerow((labels[i], ""))  # the label as CSV writes it, then ",\n"
-            out.write(label_text.getvalue()[:-1])
+            out.write(text_row((labels[i], "")))  # the label as CSV writes it, then ","
         out.write(",".join([_cell(v, full_precision) for v in row]))
         out.write("\n")
     return out.getvalue()

@@ -315,17 +315,21 @@ def csv_table(header, labels, rows):
     """A CSV table with every cell written through ``csv.writer``: the
     ``header`` row unless it is None, then each row of ``rows`` led by its
     label unless ``labels`` is None.  Cells are text (anything else is
-    written as ``str`` of it, as ``csv.writer`` does)."""
+    written as ``str`` of it, as ``csv.writer`` does).  Each row is written
+    with the line end ``\r\n``, so that a ``\r`` in a cell is quoted, and
+    ends in ``\n``."""
     import csv
     import io
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
+    def line(cells):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(cells)
+        return out.getvalue()[:-2] + "\n"
+
+    lines = [] if header is None else [line(header)]
     for i, row in enumerate(rows):
-        writer.writerow(([labels[i]] if labels is not None else []) + list(row))
-    return out.getvalue()
+        lines.append(line(([labels[i]] if labels is not None else []) + list(row)))
+    return "".join(lines)
 
 
 def exact_text(value):
@@ -487,9 +491,10 @@ def read_strings_by_lines(text, base):
 
 def cluster_by_tuple_sort(strings):
     """``baire.baire_cluster`` with the order from a Python sort of the
-    digit tuples and each ``lcp`` from ``lcp_radius`` of sorted neighbours:
-    the package's method before the digits were sorted as one array.
-    Returns ``(hierarchy, tree)``."""
+    digit tuples and each ``lcp`` from ``lcp_radius`` of sorted neighbours,
+    one pair at a time in Python; the package sorts by byte keys and
+    compares all neighbours in one numpy pass.  Returns
+    ``(hierarchy, tree)``."""
     from fractions import Fraction
 
     from dendrocode.baire import PrefixHierarchy, lcp_radius

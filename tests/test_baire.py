@@ -445,8 +445,37 @@ def string_files(draw):
     return (text if change == "no-final-newline" else text + "\n"), base
 
 
+@st.composite
+def digit_strings(draw):
+    """Digit strings and their base: ragged cuts of a few stems with short
+    random tails, so that strings share stems, repeat and extend one
+    another, and at times one string of about a thousand digits among them."""
+    base = draw(st.sampled_from([2, 4, 10, 36, 256, 257, 2**64, 10**30]))
+    digit = st.sampled_from([0, 1, base // 2, base - 1]) | st.integers(0, base - 1)
+    stems = draw(st.lists(st.lists(digit, min_size=1, max_size=12), min_size=1, max_size=4))
+    parts = st.tuples(st.sampled_from(stems), st.integers(1, 12), st.lists(digit, max_size=3))
+    digits = [tuple(stem[:cut] + tail) for stem, cut, tail in
+              draw(st.lists(parts, min_size=1, max_size=20))]
+    if draw(st.booleans()):
+        stem = draw(st.sampled_from(stems))
+        long = tuple(itertools.islice(itertools.cycle(stem), draw(st.integers(900, 1100))))
+        digits.insert(draw(st.integers(0, len(digits))), long)
+    return digits, base
+
+
+def assert_sorts_as_tuples(digits, base):
+    """``_prefix_order`` against a Python sort of the digit tuples and
+    ``lcp_radius`` of sorted neighbours."""
+    order, lcp = baire._prefix_order(digits, base)
+    expected = sorted(range(len(digits)), key=digits.__getitem__)
+    assert order.tolist() == expected
+    strings = [BaireString(base, d) for d in digits]
+    assert lcp.tolist() == [0] + [lcp_radius(strings[a], strings[b])
+                                  for a, b in zip(expected, expected[1:])]
+
+
 class TestDigitArray:
-    """Reading plain text in bulk and sorting the strings as one digit array
+    """Reading plain text in bulk and sorting the strings by byte keys
     against the line-by-line reader and the tuple sort."""
 
     @settings(max_examples=500, deadline=None)
@@ -466,49 +495,22 @@ class TestDigitArray:
         monkeypatch.setattr(formats, "_labelled_lines", None)  # the line-by-line reader
         assert read_strings(text, base) == expected
 
-    def test_blocks_of_columns_sort_as_the_whole(self, monkeypatch):
-        # a one-cell block makes every tie reach the next pass: strings
-        # equal up to their shorter end, long runs and prefixes of each other
-        rng = random.Random(7)
-        for _ in range(60):
-            stem = tuple(rng.randrange(3) for _ in range(rng.randint(1, 30)))
-            strings = [BaireString(3, stem[: rng.randint(1, len(stem))]
-                                   + tuple(rng.randrange(3) for _ in range(rng.randint(0, 3))),
-                                   f"s{k}")
-                       for k in range(rng.randint(1, 25))]
-            expected = _clustered(lambda s, _: s, cluster_by_tuple_sort, strings, 3)
-            for cells, columns in itertools.product((1, 2, 5, 2**21), (1, 3, 256)):
-                monkeypatch.setattr(baire, "_BLOCK_CELLS", cells)
-                monkeypatch.setattr(baire, "_BLOCK_COLUMNS", columns)
-                got = _clustered(lambda s, _: s, baire_cluster, strings, 3)
-                assert got == expected, (cells, columns)
+    @settings(max_examples=300, deadline=None)
+    @given(digit_strings())
+    def test_order_and_lcp_equal_the_tuple_sort(self, case):
+        assert_sorts_as_tuples(*case)
 
-    @pytest.mark.parametrize("n, length, widths", [
-        (3, 5000, [256] * 19 + [136]),  # a few long strings: 256 columns a pass
-        (20_000, 8, [8]),  # the shapes of the benchmark's strings: one pass
-        (5_000, 60, [60]),
+    @pytest.mark.parametrize("n, length", [
+        (3, 5000),  # three long strings equal but for the last digit of one
+        (20_000, 8),  # the shapes of the benchmark's strings
+        (5_000, 60),
     ])
-    def test_a_pass_sorts_by_a_bounded_number_of_columns(self, monkeypatch, n, length, widths):
-        # three strings equal but for the last digit of one stay tied to
-        # the end; random strings of the benchmark's shapes are settled in
-        # one pass.  Each lexsort gets the block's columns and 2 keys more.
+    def test_order_and_lcp_on_the_benchmark_shapes(self, n, length):
         rng = random.Random(length)
         digits = [tuple(rng.choices(range(10), k=length - 1)) for _ in range(n)]
         if n == 3:
             digits = [digits[0]] * 3
-        digits = [d + (int(k == 1),) for k, d in enumerate(digits)]
-        keys = []
-        lexsort = np.lexsort
-
-        def counting_lexsort(columns):
-            keys.append(len(columns) - 2)
-            return lexsort(columns)
-
-        monkeypatch.setattr(np, "lexsort", counting_lexsort)
-        order, _ = baire._prefix_order(digits, 10)
-        assert keys == widths
-        expected = sorted(range(n), key=lambda k: digits[k])
-        assert order.tolist() == expected
+        assert_sorts_as_tuples([d + (int(k == 1),) for k, d in enumerate(digits)], 10)
 
     def test_bases_past_int64(self):
         base = 10**30

@@ -511,7 +511,7 @@ class TestFractionMatrixCsv:
         assert formats.level_table_csv(("",), *as_levels([[Fraction(0)]])) == expected
 
 
-# Labels that CSV must quote (",", '"', "\n"), that it writes bare ("\r", a
+# Labels that CSV must quote (",", '"', "\n", "\r"), that it writes bare (a
 # leading space), and the empty label, which CSV quotes when it is alone.
 LABELS = st.text(st.sampled_from(["a", "b", ",", '"', "\n", "\r", " ", "é"]), max_size=4)
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1 / 3]
@@ -605,9 +605,9 @@ class TestWriterReferee:
 
 # Table labels that CSV writes and reads back: each is unique, not a number,
 # and has no whitespace at either end (the reader strips cells).  Some need
-# quotes (a comma, a quote, a newline); a space or "é" leaves plain text.
-# A carriage return is left out: ``csv.writer`` does not quote it.
-TABLE_LABEL = st.text(st.sampled_from(["a", "1", ",", '"', "\n", " ", "é"]), max_size=4)
+# quotes (a comma, a quote, a newline, a carriage return); a space or "é"
+# leaves plain text.
+TABLE_LABEL = st.text(st.sampled_from(["a", "1", ",", '"', "\n", "\r", " ", "é"]), max_size=4)
 ROUND_TRIP_FLOATS = FLOATS | st.sampled_from([float("inf"), float("-inf")])
 
 
