@@ -80,6 +80,12 @@ def _require_nonnegative(value: float, name: str) -> None:
         raise DomainError(f"{name} must be nonnegative")
 
 
+def _require_square(arr) -> None:
+    """Refuse an array that is not a square 2-d table."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InputShapeError(f"matrix must be square, got shape {arr.shape}")
+
+
 def _require_at_least(value: int, low: int, name: str) -> None:
     """Refuse a ``value`` below ``low``, the least a parameter may take."""
     if not value >= low:

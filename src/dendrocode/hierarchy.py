@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     InputShapeError,
     RankRangeError,
+    _require_square,
 )
 
 LINKAGES = ("single", "complete", "ward", "median")
@@ -220,8 +221,7 @@ class DissimilarityMatrix:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputShapeError(f"matrix must be square, got shape {arr.shape}")
+        _require_square(arr)
         if np.isnan(arr).any():
             raise DomainError("matrix contains missing values")
         if np.isinf(arr).any():
@@ -297,7 +297,8 @@ def pairwise_distances(
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             diff = arr[lo:hi, None, :] - arr[None, lo:, :]
-            d[lo:hi, lo:] = np.sqrt((diff * diff).sum(axis=-1))
+            np.multiply(diff, diff, out=diff)
+            d[lo:hi, lo:] = np.sqrt(diff.sum(axis=-1))
             d[lo:, lo:hi] = d[lo:hi, lo:].T
     if not np.isfinite(d).all():
         raise DomainError("pairwise distances overflow the float range")
@@ -434,15 +435,21 @@ def agglomerate(diss: DissimilarityMatrix, linkage: str = "complete") -> Dendrog
             np.multiply(work, work, out=work)
         _require_finite(work, linkage)
     merges = _nn_list_merges(work, linkage)
+    if linkage in _SQUARED:
+        merges = [(i, j, math.sqrt(crit)) for i, j, crit in merges]
+    return _merge_tree(diss.labels, merges)
 
-    cluster_ref: dict[int, Child] = {i: (TERMINAL, i) for i in range(n)}
+
+def _merge_tree(labels: tuple[str, ...], merges: Iterable[tuple[int, int, float]]) -> Dendrogram:
+    """The canonical dendrogram of ``merges`` (slot_i, slot_j, height) in
+    rank order, each folding the cluster in slot j into slot i."""
+    cluster_ref: dict[int, Child] = {i: (TERMINAL, i) for i in range(len(labels))}
     nodes: list[MergeNode] = []
-    for rank, (i, j, crit) in enumerate(merges, start=1):
-        height = math.sqrt(crit) if linkage in _SQUARED else crit
+    for rank, (i, j, height) in enumerate(merges, start=1):
         nodes.append(_oriented(rank, height, cluster_ref[i], cluster_ref[j]))
         cluster_ref[i] = (INTERNAL, rank)
         del cluster_ref[j]
-    return Dendrogram(diss.labels, tuple(nodes))
+    return Dendrogram(labels, tuple(nodes))
 
 
 def swap_children(tree: Dendrogram, rank: int) -> Dendrogram:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, NotUltrametricError,
-                     _require_at_least, _require_nonnegative, _require_within_guard)
+                     _require_at_least, _require_nonnegative, _require_square,
+                     _require_within_guard)
 from .hierarchy import (
     Child,
     Dendrogram,
@@ -20,6 +21,7 @@ from .hierarchy import (
     MergeNode,
     TERMINAL,
     UltrametricMatrix,
+    _merge_tree,
     agglomerate,
     drawing,
     gap_levels,
@@ -67,24 +69,102 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     return UltrametricMatrix(_lca_heights(tree), tree.labels)
 
 
+def _spanning_tree(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A minimum spanning tree of the complete graph weighted by ``d``, by
+    Prim's algorithm on the dense table (Prim 1957; Müllner,
+    arXiv:1109.2378, "MST-linkage"): edge t joins ``near[t]`` to
+    ``added[t]``.  Each step takes the closest vertex outside the tree and
+    lowers the others' distances to its row, a few numpy passes of n."""
+    n = d.shape[0]
+    dist = d[0].copy()  # each outside vertex's least weight to the tree
+    near = np.zeros(n, dtype=np.intp)  # the tree vertex attaining it
+    outside = np.ones(n, dtype=bool)
+    outside[0], dist[0] = False, np.inf
+    closer = np.empty(n, dtype=bool)
+    added = np.empty(n - 1, dtype=np.intp)
+    for t in range(n - 1):
+        v = int(dist.argmin())
+        added[t] = v
+        outside[v], dist[v] = False, np.inf
+        row = d[v]
+        np.less(row, dist, out=closer)
+        closer &= outside
+        np.copyto(dist, row, where=closer)
+        near[closer] = v
+    return near[added], added
+
+
+def _subdominant_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
+    """Single-linkage merges (slot_i, slot_j, height) of the subdominant
+    ultrametric u of ``d`` in the builder's tie rule, read off a minimum
+    spanning tree: u is its minimax path distance (Gower & Ross 1969).
+
+    Its edges are joined level by level, smallest first.  The subclusters
+    that one level joins into a group are pairwise at distance v in u, so
+    least (value, slot_i, slot_j) joins each group's subclusters
+    s0 < s1 < ... as (s0, s1), (s0, s2), ..., and the groups of a level in
+    order of their least slot s0.  When d is ultrametric, d equals u and
+    these are the merges of ``agglomerate(m, "single")``."""
+    a, b = _spanning_tree(d)
+    weights = d[a, b]
+    by_weight = np.argsort(weights, kind="stable")
+    a, b, weights = a[by_weight].tolist(), b[by_weight].tolist(), weights[by_weight].tolist()
+    root = list(range(d.shape[0]))  # union-find; a root is its set's least member
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    merges: list[tuple[int, int, float]] = []
+    lo = 0
+    while lo < len(weights):
+        v, hi = weights[lo], lo + 1
+        while hi < len(weights) and weights[hi] == v:
+            hi += 1
+        level = range(lo, hi)
+        subclusters = {find(x) for e in level for x in (a[e], b[e])}
+        for e in level:
+            x, y = find(a[e]), find(b[e])
+            root[max(x, y)] = min(x, y)
+        merges += sorted((find(s), s, v) for s in subclusters if root[s] != s)
+        lo = hi
+    return merges
+
+
+def _merge_heights(n: int, merges: list[tuple[int, int, float]]) -> np.ndarray:
+    """The n x n table of the height at which ``merges`` (slot_i, slot_j,
+    height), taken in order, join each two terminals: the largest gap
+    between them in a drawing where each merge puts slot j's run after
+    slot i's (:func:`~dendrocode.hierarchy.gap_levels`)."""
+    after, gap, tail = [0] * n, [0.0] * n, list(range(n))  # per run's last terminal
+    for i, j, height in merges:
+        after[tail[i]], gap[tail[i]] = j, height  # j heads its run
+        tail[i] = tail[j]
+    order = [0]  # slot 0 takes in every run
+    for _ in range(n - 1):
+        order.append(after[order[-1]])
+    return gap_levels(order, np.array([gap[t] for t in order[:-1]]))
+
+
 def _certify(
     m: DissimilarityMatrix, tol: float
-) -> tuple[Dendrogram | None, list[tuple[int, int, int, float, float]]]:
-    """The single-linkage tree of ``m`` (None for one object) and the
-    violation list of :func:`verify_ultrametric`.
+) -> tuple[list[tuple[int, int, float]], np.ndarray, list[tuple[int, int, int, float, float]]]:
+    """The tie-rule single-linkage merges of the subdominant ultrametric u
+    of ``m``, u itself, and the violation list of :func:`verify_ultrametric`.
 
-    Single linkage gives the subdominant ultrametric u (Gower & Ross 1969):
-    its heights are entries of d, and u(i,k) <= max(d(i,j), d(j,k)) for
-    every j.  Rounding is monotone, so u + tol <= rhs + tol in floating
+    The heights of u are entries of d, and u(i,k) <= max(d(i,j), d(j,k))
+    for every j.  Rounding is monotone, so u + tol <= rhs + tol in floating
     point too, and a pair with d(i,k) <= u(i,k) + tol has no violation.
     Only the other pairs are scanned for witnesses.
     """
     _require_nonnegative(tol, "tolerance")
-    if m.size < 2:
-        return None, []
     d = m.values
-    tree = agglomerate(m, "single")
-    flagged = np.triu(d > _lca_heights(tree) + tol, 1)
+    if m.size < 2:
+        return [], d, []
+    merges = _subdominant_merges(d)
+    u = _merge_heights(m.size, merges)
+    flagged = np.triu(d > u + tol, 1)
     violations: list[tuple[int, int, int, float, float]] = []
     for i in np.flatnonzero(flagged.any(axis=1)):
         ks = np.flatnonzero(flagged[i])
@@ -98,7 +178,7 @@ def _certify(
             zip(itertools.repeat(int(i)), js.tolist(), k.tolist(),
                 d[i, k].tolist(), rhs[js, a].tolist())
         )
-    return tree, violations
+    return merges, u, violations
 
 
 def verify_ultrametric(
@@ -110,13 +190,13 @@ def verify_ultrametric(
     (i, j, k, lhs, rhs) with i < k and j the witness middle point, sorted;
     an empty list means the matrix is ultrametric at that tolerance.
 
-    A screen makes this O(n^2) plus n per flagged pair: the single-linkage
-    cophenetic matrix u is the subdominant ultrametric, so no witness can
-    exist for a pair with d(i,k) <= u(i,k) + tol, and only the remaining
-    pairs are scanned over every middle point.  The screen is exact in
-    floating point; the list equals that of the full triple scan.
+    A screen makes this O(n^2) plus n per flagged pair: the subdominant
+    ultrametric u, the minimax path distance on a minimum spanning tree,
+    leaves no witness for a pair with d(i,k) <= u(i,k) + tol, and only the
+    remaining pairs are scanned over every middle point.  The screen is
+    exact in floating point; the list equals that of the full triple scan.
     """
-    return _certify(m, tol)[1]
+    return _certify(m, tol)[2]
 
 
 def classify_triangle(a: float, b: float, c: float, tol: float = 0.02) -> str:
@@ -173,13 +253,7 @@ def ultrametricity_coefficient(
             hits += _ultrametric_hits(d[i, js[start:]], d[i, ks[start:]], upper[start:], tol)
         sampled = total
     else:
-        rng = random.Random(seed)
-        chosen: set[tuple[int, int, int]] = set()
-        while len(chosen) < sample:
-            picked = rng.sample(range(n), 3)
-            picked.sort()
-            chosen.add(tuple(picked))
-        i, j, k = np.array(sorted(chosen)).T
+        i, j, k = np.array(_sampled_triples(n, sample, seed)).T
         hits, sampled = _ultrametric_hits(d[i, j], d[i, k], d[j, k], tol), sample
     return UltrametricityReport(
         sampled=sampled,
@@ -187,6 +261,55 @@ def ultrametricity_coefficient(
         seed=seed,
         tolerance=tol,
     )
+
+
+def _sampled_triples(n: int, sample: int, seed: int) -> list[tuple[int, int, int]]:
+    """The first ``sample`` distinct sorted triples that repeated
+    ``random.Random(seed).sample(range(n), 3)`` calls draw, in sorted order.
+
+    The draws replay CPython's ``Random.sample`` on the generator's
+    ``getrandbits`` stream without its per-call overhead: ``_randbelow(m)``
+    draws ``m.bit_length()`` bits until the value is below m; for n > 21 each
+    of the three indices is drawn below n again until it is new, and for
+    n <= 21 the i-th is drawn below n - i from a pool whose drawn slot takes
+    the pool's last item.  The test suite pins this against ``sample``.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    chosen: set[tuple[int, int, int]] = set()
+    add = chosen.add
+    if n <= 21:
+        while len(chosen) < sample:
+            pool = list(range(n))
+            picked = []
+            for size in (n, n - 1, n - 2):
+                bits = size.bit_length()
+                r = getrandbits(bits)
+                while r >= size:
+                    r = getrandbits(bits)
+                picked.append(pool[r])
+                pool[r] = pool[size - 1]
+            picked.sort()
+            add(tuple(picked))
+        return sorted(chosen)
+    bits = n.bit_length()
+    while len(chosen) < sample:
+        a = getrandbits(bits)
+        while a >= n:
+            a = getrandbits(bits)
+        b = getrandbits(bits)
+        while b >= n or b == a:
+            b = getrandbits(bits)
+        c = getrandbits(bits)
+        while c >= n or c == a or c == b:
+            c = getrandbits(bits)
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        add((a, b, c))
+    return sorted(chosen)
 
 
 def _ultrametric_hits(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> int:
@@ -255,28 +378,42 @@ def check_canonical_form(matrix: np.ndarray) -> str | None:
     rightward.  Condition 2: when row k opens with a run of equal values
     d(k,k+1) = ... = d(k,k+l+1), then d(k+1,j) <= d(k,j) inside the run and
     d(k+1,j) = d(k,j) beyond it.  Returns None when both hold, else a
-    human-readable description of the first failure.
+    human-readable description of the first failure, row by row and column
+    by column, condition 1 first.  Raises InputShapeError unless
+    ``matrix`` is a square 2-d array.
     """
-    # one row at a time as Python floats, which index far faster than numpy scalars
-    rows = np.asarray(matrix)
-    n = rows.shape[0]
-    for k in range(n):
-        row = rows[k].tolist()
-        for j in range(k + 1, n - 1):
-            if row[j] > row[j + 1]:
-                return f"row {k} decreases between columns {j} and {j + 1}"
-    for k in range(n - 1):
-        row, below = rows[k].tolist(), rows[k + 1].tolist()
-        run_end = k + 1
-        while run_end + 1 < n and row[run_end + 1] == row[k + 1]:
-            run_end += 1
-        for j in range(k + 2, run_end + 1):
-            if below[j] > row[j]:
-                return f"run condition fails at row {k}, column {j} (expected <=)"
-        for j in range(run_end + 1, n):
-            if below[j] != row[j]:
-                return f"run condition fails at row {k}, column {j} (expected equality)"
-    return None
+    a = np.asarray(matrix)
+    _require_square(a)
+    n = len(a)
+    if n < 3:  # each condition looks at a column k + 2 or further right
+        return None
+    # falls[k, j]: row k decreases from column j to j + 1, for j > k
+    falls = np.triu(a[:, :-1] > a[:, 1:], 1).ravel()
+    first = int(falls.argmax())
+    if falls[first]:
+        k, j = divmod(first, n - 1)
+        return f"row {k} decreases between columns {j} and {j + 1}"
+    above, below = a[:-1], a[1:]
+    # row k's run ends before its first column j > k + 1 with a value other
+    # than d(k,k+1), or at the last column
+    rows = np.arange(n - 1)
+    breaks = np.triu(above != a[rows, rows + 1, None], 2)
+    stop = breaks.argmax(axis=1)
+    run_end = np.where(breaks[rows, stop], stop - 1, n - 1)
+    # cell (k+1, j) fails when it differs from (k, j) past the run, or
+    # exceeds it inside the run (columns k+2..run_end)
+    fails = below != above
+    beyond = np.arange(n) > run_end[:, None]
+    beyond |= below > above
+    fails &= beyond
+    fails = np.triu(fails, 2).ravel()
+    first = int(fails.argmax())
+    if not fails[first]:
+        return None
+    k, j = divmod(first, n)
+    if j > run_end[k]:
+        return f"run condition fails at row {k}, column {j} (expected equality)"
+    return f"run condition fails at row {k}, column {j} (expected <=)"
 
 
 def canonical_form(
@@ -284,18 +421,25 @@ def canonical_form(
 ) -> tuple[tuple[int, ...], UltrametricMatrix]:
     """Permutation of 0..n-1 and the reordered matrix in canonical form.
 
-    The order comes from the terminal order of the single-linkage tree that
-    also screens the ultrametric check; for a true ultrametric this
-    satisfies both canonical conditions, which an internal checker verifies
-    before returning.
+    The order comes from the terminal order of the tie-rule single-linkage
+    tree; for a true ultrametric this satisfies both canonical conditions,
+    which an internal checker verifies before returning.  The screen of
+    :func:`verify_ultrametric` already has that tree's merges for u, which
+    are those of ``m`` whenever ``m`` equals u; a matrix that is
+    ultrametric only within ``tol > 0`` is agglomerated instead.
     """
-    tree, violations = _certify(m, tol)
+    merges, u, violations = _certify(m, tol)
     if violations:
         i, j, k, lhs, rhs = violations[0]
         raise NotUltrametricError(
             f"matrix is not ultrametric: d({i},{k})={lhs} > max(d({i},{j}), d({j},{k}))={rhs}"
         )
-    perm = _single_linkage_order(tree) if tree is not None else [0]
+    if m.size < 2:
+        perm = [0]
+    elif np.array_equal(m.values, u):
+        perm = _single_linkage_order(_merge_tree(m.labels, merges))
+    else:
+        perm = _single_linkage_order(agglomerate(m, "single"))
     idx = np.asarray(perm)
     reordered = m.values[np.ix_(idx, idx)]
     problem = check_canonical_form(reordered)

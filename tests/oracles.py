@@ -154,6 +154,32 @@ def brute_violations(matrix, tol=0.0):
     return sorted(found)
 
 
+def canonical_check_by_loop(matrix):
+    """``check_canonical_form`` on a square array as a literal double loop
+    over Python floats: condition 1 row by row, then condition 2 row by row
+    with each row's run end found by walking it.  The package's check
+    before it became array code."""
+    rows = matrix.tolist()
+    n = len(rows)
+    for k in range(n):
+        row = rows[k]
+        for j in range(k + 1, n - 1):
+            if row[j] > row[j + 1]:
+                return f"row {k} decreases between columns {j} and {j + 1}"
+    for k in range(n - 1):
+        row, below = rows[k], rows[k + 1]
+        run_end = k + 1
+        while run_end + 1 < n and row[run_end + 1] == row[k + 1]:
+            run_end += 1
+        for j in range(k + 2, run_end + 1):
+            if below[j] > row[j]:
+                return f"run condition fails at row {k}, column {j} (expected <=)"
+        for j in range(run_end + 1, n):
+            if below[j] != row[j]:
+                return f"run condition fails at row {k}, column {j} (expected equality)"
+    return None
+
+
 def code_sorted_order(tree):
     """Terminal order of ``tree`` redrawn with the child of smaller subtree
     code on the left, codes being nested tuples (height, left code, right

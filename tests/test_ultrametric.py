@@ -9,14 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dendrocode.errors import DegenerateInputError, DomainError, NotUltrametricError, ResourceGuardError
+from dendrocode.errors import (DegenerateInputError, DomainError, InputShapeError,
+                               NotUltrametricError, ResourceGuardError)
 from dendrocode.hierarchy import (
     LINKAGES,
     Dendrogram,
     DissimilarityMatrix,
     MergeNode,
+    _merge_tree,
     agglomerate,
     pairwise_distances,
     swap_children,
@@ -26,6 +28,9 @@ from dendrocode.ultrametric import (
     EQUILATERAL,
     ISOSCELES_SMALL_BASE,
     METRIC_ONLY,
+    _certify,
+    _lca_heights,
+    _sampled_triples,
     canonical_form,
     check_canonical_form,
     classify_triangle,
@@ -40,6 +45,7 @@ from oracles import (
     brute_ultrametric_ok,
     brute_violating_combinations,
     brute_violations,
+    canonical_check_by_loop,
     code_sorted_order,
     cophenetic_by_paths,
     ultrametricity_by_triangle_loop,
@@ -182,6 +188,153 @@ class TestViolationList:
         # disjoint pairs raised above every other entry: every j is a witness
         assert {(i, k) for i, _, k, _, _ in violations} == planted
         assert len(violations) == len(planted) * (n - 2)
+
+
+def tied_tree(n: int, rng: random.Random) -> Dendrogram:
+    """A random tree whose sorted heights are cut down to 0, 1 and 2, so
+    that most merges tie with others at their height."""
+    tree = random_tree(n, rng, heights="monotone")
+    return Dendrogram(tree.labels, tuple(
+        MergeNode(node.rank, float(node.height // 4), node.left, node.right) for node in tree.nodes))
+
+
+def exact_ultrametric(n: int, kind: str, rng: random.Random) -> np.ndarray:
+    """A writable copy of the cophenetic matrix of a random, caterpillar or
+    tied tree on n >= 2 terminals, or the all-equal matrix."""
+    if kind == "random":
+        tree = random_tree(n, rng, heights="monotone")
+    elif kind == "caterpillar":
+        tree = caterpillar(n, rng.choice(("left", "right")))
+    elif kind == "tied":
+        tree = tied_tree(n, rng)
+    else:
+        return np.ones((n, n)) - np.eye(n)
+    return cophenetic_matrix(tree).values.copy()
+
+
+def screened_matrix(n: int, kind: str, rng: random.Random) -> np.ndarray:
+    """A random symmetric table on n >= 2 objects (uniform, or on a grid of
+    four values, so many entries tie), the all-equal one, or an exact
+    ultrametric with up to three entries moved by amounts on both sides of
+    the tolerances the tests sweep."""
+    if kind in ("uniform", "grid"):
+        cells = [[rng.random() if kind == "uniform" else float(rng.randrange(4))
+                  for _ in range(n)] for _ in range(n)]
+        upper = np.triu(np.array(cells), 1)
+        return upper + upper.T
+    if kind == "equal":
+        return np.ones((n, n)) - np.eye(n)
+    values = exact_ultrametric(n, rng.choice(("random", "caterpillar", "tied")), rng)
+    for _ in range(rng.randrange(1, 4)):
+        i, k = rng.sample(range(n), 2)
+        step = rng.choice((1e-12, 0.05, 1.0, -0.05))
+        values[i, k] = values[k, i] = max(0.0, values[i, k] + step)
+    return values
+
+
+SCREENED = st.sampled_from(("uniform", "grid", "equal", "perturbed"))
+EXACT = st.sampled_from(("random", "caterpillar", "tied", "equal"))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestSubdominantScreen:
+    """The screen's u comes from a minimum spanning tree, its merges in the
+    tie rule from that tree alone; the builder is the referee."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 30), SCREENED, SEEDS)
+    def test_u_is_the_single_linkage_cophenetic_matrix(self, n, kind, seed):
+        m = DissimilarityMatrix(screened_matrix(n, kind, random.Random(seed)))
+        assert np.array_equal(_certify(m, 0.0)[1], _lca_heights(agglomerate(m, "single")))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12), SCREENED, SEEDS)
+    def test_violations_equal_the_triple_scan(self, n, kind, seed):
+        values = screened_matrix(n, kind, random.Random(seed))
+        m = DissimilarityMatrix(values)
+        for tol in (0.0, 1e-9, 0.1):
+            assert verify_ultrametric(m, tol) == brute_violations(values.tolist(), tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40), EXACT, SEEDS)
+    def test_tie_rule_tree_of_an_ultrametric_is_the_builders(self, n, kind, seed):
+        m = DissimilarityMatrix(exact_ultrametric(n, kind, random.Random(seed)))
+        merges, u, violations = _certify(m, 0.0)
+        assert violations == [] and np.array_equal(m.values, u)
+        assert _merge_tree(m.labels, merges) == agglomerate(m, "single")
+
+    def test_within_tolerance_orders_by_the_builders_tree(self):
+        # an entry moved by 1e-12 mostly leaves d unequal to u, and then
+        # canonical_form orders d by its own single-linkage tree; no such
+        # matrix has been seen to pass the exact check, so the order shows
+        # in the check's message
+        rng = random.Random(1721)
+        checked = 0
+        for _ in range(300):
+            n = rng.randrange(3, 12)
+            values = exact_ultrametric(n, rng.choice(("random", "tied", "equal")), rng)
+            i, k = rng.sample(range(n), 2)
+            values[i, k] = values[k, i] = values[i, k] + rng.choice((1e-12, -1e-12 * (values[i, k] > 0)))
+            m = DissimilarityMatrix(values)
+            if np.array_equal(values, _certify(m, 1e-9)[1]):
+                continue
+            perm = code_sorted_order(agglomerate(m, "single"))
+            problem = check_canonical_form(values[np.ix_(perm, perm)])
+            if problem is None:
+                assert canonical_form(m, 1e-9)[0] == tuple(perm)
+            else:
+                with pytest.raises(NotUltrametricError) as raised:
+                    canonical_form(m, 1e-9)
+                assert str(raised.value) == f"canonical ordering failed verification: {problem}"
+            checked += 1
+        assert checked > 30
+
+
+def near_canonical(canon: np.ndarray, rng: random.Random) -> list[np.ndarray]:
+    """Copies of a canonical matrix with one cell moved (up, down, to a
+    value elsewhere in the matrix, or to zero; sometimes its mirror too),
+    one cell NaN, and two neighbouring objects swapped, which reorders
+    tied runs."""
+    n = len(canon)
+    if n == 0:
+        return []
+    moved, nan, swapped = canon.copy(), canon.copy(), canon.copy()
+    i, j = rng.randrange(n), rng.randrange(n)
+    value = rng.choice((canon[i, j] + 1.0, canon[i, j] - 1.0,
+                        canon[rng.randrange(n), rng.randrange(n)], 0.0))
+    moved[i, j] = value
+    if rng.random() < 0.5:
+        moved[j, i] = value
+    nan[rng.randrange(n), rng.randrange(n)] = np.nan
+    a = rng.randrange(n)
+    b = min(a + 1, n - 1)
+    order = list(range(n))
+    order[a], order[b] = order[b], order[a]
+    swapped = swapped[np.ix_(order, order)]
+    return [moved, nan, swapped]
+
+
+class TestCanonicalCheck:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,)])
+    def test_refuses_what_is_not_a_square_table(self, shape):
+        with pytest.raises(InputShapeError, match=rf"^matrix must be square, got shape \({shape[0]},"):
+            check_canonical_form(np.zeros(shape))
+
+    @settings(max_examples=650, deadline=None)
+    @given(st.integers(0, 12), SEEDS)
+    def test_equals_the_loop(self, n, seed):
+        # five matrices per example: a random one, a canonical one and three
+        # near-canonical copies of it
+        rng = random.Random(seed)
+        cells = np.array([[float(rng.randrange(4)) for _ in range(n)] for _ in range(n)])
+        if n:
+            tree = (tied_tree if rng.random() < 0.5 else random_tree)(n, rng)
+            canon = canonical_form(cophenetic_matrix(tree))[1].values
+        else:
+            canon = np.zeros((0, 0))
+        matrices = [cells.reshape(n, n), canon, *near_canonical(canon, rng)]
+        for values in matrices:
+            assert check_canonical_form(values) == canonical_check_by_loop(values)
 
 
 class TestCanonicalForm:
@@ -348,6 +501,18 @@ class TestUltrametricityCoefficient:
         sampled, hits = ultrametricity_by_triangle_loop(m, sample, 8, tol)
         assert report.sampled == sampled
         assert report.coefficient == hits / sampled
+
+    @pytest.mark.parametrize("n", [*range(3, 23), 300, 2**16 + 1])
+    def test_triples_replay_random_sample(self, n):
+        # n <= 21 takes sample's pool branch, larger n its set branch
+        total = n * (n - 1) * (n - 2) // 6
+        sample = min(max(1, total - 1), 500)
+        for seed in (0, 1, 2021):
+            rng = random.Random(seed)
+            chosen = set()
+            while len(chosen) < sample:
+                chosen.add(tuple(sorted(rng.sample(range(n), 3))))
+            assert _sampled_triples(n, sample, seed) == sorted(chosen)
 
     def test_negative_tolerance_rejected(self):
         m = pairwise_distances(generate_cloud(5, 2, "uniform", seed=3))
