@@ -12,6 +12,7 @@ that ends in an error leaves no output behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -316,7 +317,9 @@ def _cmd_render(args):
     yield args.output, render_tree(_load_tree(args.tree), args.full_precision)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verbs' parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dendrocode",
         description="Dendrograms and their codes: build, convert, verify.",

@@ -22,7 +22,6 @@ from .hierarchy import (
     TERMINAL,
     UltrametricMatrix,
     _merge_tree,
-    agglomerate,
     drawing,
     gap_levels,
 )
@@ -132,38 +131,25 @@ def _subdominant_merges(d: np.ndarray) -> list[tuple[int, int, float]]:
     return merges
 
 
-def _merge_heights(n: int, merges: list[tuple[int, int, float]]) -> np.ndarray:
-    """The n x n table of the height at which ``merges`` (slot_i, slot_j,
-    height), taken in order, join each two terminals: the largest gap
-    between them in a drawing where each merge puts slot j's run after
-    slot i's (:func:`~dendrocode.hierarchy.gap_levels`)."""
-    after, gap, tail = [0] * n, [0.0] * n, list(range(n))  # per run's last terminal
-    for i, j, height in merges:
-        after[tail[i]], gap[tail[i]] = j, height  # j heads its run
-        tail[i] = tail[j]
-    order = [0]  # slot 0 takes in every run
-    for _ in range(n - 1):
-        order.append(after[order[-1]])
-    return gap_levels(order, np.array([gap[t] for t in order[:-1]]))
-
-
 def _certify(
     m: DissimilarityMatrix, tol: float
-) -> tuple[list[tuple[int, int, float]], np.ndarray, list[tuple[int, int, int, float, float]]]:
-    """The tie-rule single-linkage merges of the subdominant ultrametric u
-    of ``m``, u itself, and the violation list of :func:`verify_ultrametric`.
+) -> tuple[Dendrogram | None, np.ndarray, list[tuple[int, int, int, float, float]]]:
+    """The tie-rule single-linkage tree of the subdominant ultrametric u of
+    ``m`` (None below two objects), u itself, and the violation list of
+    :func:`verify_ultrametric`.
 
-    The heights of u are entries of d, and u(i,k) <= max(d(i,j), d(j,k))
-    for every j.  Rounding is monotone, so u + tol <= rhs + tol in floating
-    point too, and a pair with d(i,k) <= u(i,k) + tol has no violation.
-    Only the other pairs are scanned for witnesses.
+    u is read off the tree (:func:`cophenetic_matrix`).  Its heights are
+    entries of d, and u(i,k) <= max(d(i,j), d(j,k)) for every j.  Rounding
+    is monotone, so u + tol <= rhs + tol in floating point too, and a pair
+    with d(i,k) <= u(i,k) + tol has no violation.  Only the other pairs are
+    scanned for witnesses.
     """
     _require_nonnegative(tol, "tolerance")
     d = m.values
     if m.size < 2:
-        return [], d, []
-    merges = _subdominant_merges(d)
-    u = _merge_heights(m.size, merges)
+        return None, d, []
+    tree = _merge_tree(m.labels, _subdominant_merges(d))
+    u = _lca_heights(tree)
     flagged = np.triu(d > u + tol, 1)
     violations: list[tuple[int, int, int, float, float]] = []
     for i in np.flatnonzero(flagged.any(axis=1)):
@@ -178,7 +164,7 @@ def _certify(
             zip(itertools.repeat(int(i)), js.tolist(), k.tolist(),
                 d[i, k].tolist(), rhs[js, a].tolist())
         )
-    return merges, u, violations
+    return tree, u, violations
 
 
 def verify_ultrametric(
@@ -421,30 +407,27 @@ def canonical_form(
 ) -> tuple[tuple[int, ...], UltrametricMatrix]:
     """Permutation of 0..n-1 and the reordered matrix in canonical form.
 
-    The order comes from the terminal order of the tie-rule single-linkage
-    tree; for a true ultrametric this satisfies both canonical conditions,
-    which an internal checker verifies before returning.  The screen of
-    :func:`verify_ultrametric` already has that tree's merges for u, which
-    are those of ``m`` whenever ``m`` equals u; a matrix that is
-    ultrametric only within ``tol > 0`` is agglomerated instead.
+    The order is the terminal order of the tie-rule single-linkage tree
+    that the screen of :func:`verify_ultrametric` builds for the
+    subdominant ultrametric u, its children sorted by subtree code.  For a
+    true ultrametric, u is the matrix itself and the order satisfies both
+    canonical conditions, which an internal checker verifies before
+    returning.  A matrix meeting both conditions is an exact ultrametric,
+    so one that is ultrametric only within ``tol > 0`` (and so differs
+    from u) fails that check under any order.
     """
-    merges, u, violations = _certify(m, tol)
+    tree, _, violations = _certify(m, tol)
     if violations:
         i, j, k, lhs, rhs = violations[0]
         raise NotUltrametricError(
             f"matrix is not ultrametric: d({i},{k})={lhs} > max(d({i},{j}), d({j},{k}))={rhs}"
         )
-    if m.size < 2:
-        perm = [0]
-    elif np.array_equal(m.values, u):
-        perm = _single_linkage_order(_merge_tree(m.labels, merges))
-    else:
-        perm = _single_linkage_order(agglomerate(m, "single"))
-    idx = np.asarray(perm)
+    perm = range(m.size) if tree is None else _single_linkage_order(tree)
+    idx = np.asarray(perm, dtype=np.intp)
     reordered = m.values[np.ix_(idx, idx)]
     problem = check_canonical_form(reordered)
     # the conditions are exact: at tol > 0 a matrix ultrametric only within
-    # tol can pass the check above and still break them
+    # tol passes the screen above and still breaks them
     if problem is not None:
         raise NotUltrametricError(f"canonical ordering failed verification: {problem}")
     return tuple(perm), UltrametricMatrix(reordered, tuple(m.labels[i] for i in perm))

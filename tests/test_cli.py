@@ -839,6 +839,10 @@ EXACT_VERBS = [
 ]
 
 
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
 class TestFullPrecisionFlag:
     """Only the verbs that print floats take ``--full-precision``."""
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dendrocode.errors import (DegenerateInputError, DomainError, InputShapeError,
                                NotUltrametricError, ResourceGuardError)
@@ -18,7 +18,7 @@ from dendrocode.hierarchy import (
     Dendrogram,
     DissimilarityMatrix,
     MergeNode,
-    _merge_tree,
+    UltrametricMatrix,
     agglomerate,
     pairwise_distances,
     swap_children,
@@ -259,15 +259,15 @@ class TestSubdominantScreen:
     @given(st.integers(2, 40), EXACT, SEEDS)
     def test_tie_rule_tree_of_an_ultrametric_is_the_builders(self, n, kind, seed):
         m = DissimilarityMatrix(exact_ultrametric(n, kind, random.Random(seed)))
-        merges, u, violations = _certify(m, 0.0)
+        tree, u, violations = _certify(m, 0.0)
         assert violations == [] and np.array_equal(m.values, u)
-        assert _merge_tree(m.labels, merges) == agglomerate(m, "single")
+        assert tree == agglomerate(m, "single")
 
-    def test_within_tolerance_orders_by_the_builders_tree(self):
-        # an entry moved by 1e-12 mostly leaves d unequal to u, and then
-        # canonical_form orders d by its own single-linkage tree; no such
-        # matrix has been seen to pass the exact check, so the order shows
-        # in the check's message
+    def test_within_tolerance_names_the_failure_of_the_u_tree(self):
+        # an entry moved by 1e-12 mostly leaves d unequal to u; canonical_form
+        # then orders d by the tie-rule tree of u, which is the builder's tree
+        # of u, and no order passes the exact check, so the message shows
+        # which order was taken
         rng = random.Random(1721)
         checked = 0
         for _ in range(300):
@@ -276,18 +276,36 @@ class TestSubdominantScreen:
             i, k = rng.sample(range(n), 2)
             values[i, k] = values[k, i] = values[i, k] + rng.choice((1e-12, -1e-12 * (values[i, k] > 0)))
             m = DissimilarityMatrix(values)
-            if np.array_equal(values, _certify(m, 1e-9)[1]):
+            _, u, violations = _certify(m, 1e-9)
+            assert violations == []
+            if np.array_equal(values, u):
                 continue
-            perm = code_sorted_order(agglomerate(m, "single"))
+            perm = code_sorted_order(agglomerate(DissimilarityMatrix(u), "single"))
             problem = check_canonical_form(values[np.ix_(perm, perm)])
-            if problem is None:
-                assert canonical_form(m, 1e-9)[0] == tuple(perm)
-            else:
-                with pytest.raises(NotUltrametricError) as raised:
-                    canonical_form(m, 1e-9)
-                assert str(raised.value) == f"canonical ordering failed verification: {problem}"
+            assert problem is not None
+            with pytest.raises(NotUltrametricError) as raised:
+                canonical_form(m, 1e-9)
+            assert str(raised.value) == f"canonical ordering failed verification: {problem}"
             checked += 1
         assert checked > 30
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 20), EXACT, SEEDS, st.sampled_from((1e-9, 1e-3, 0.5)))
+    def test_within_tolerance_but_not_exact_never_canonicalizes(self, n, kind, seed, tol):
+        # entries moved by up to half the tolerance mostly leave no violation
+        # beyond it; when d then differs from u it is not an ultrametric, and no
+        # order meets both canonical conditions
+        rng = random.Random(seed)
+        values = exact_ultrametric(n, kind, rng)
+        for _ in range(rng.randrange(1, 4)):
+            i, k = rng.sample(range(n), 2)
+            step = tol * rng.choice((0.5, 0.25, 1e-3, -0.25, -0.5))
+            values[i, k] = values[k, i] = max(0.0, values[i, k] + step)
+        m = DissimilarityMatrix(values)
+        _, u, violations = _certify(m, tol)
+        assume(violations == [] and not np.array_equal(values, u))
+        with pytest.raises(NotUltrametricError, match=r"^canonical ordering failed verification: "):
+            canonical_form(m, tol)
 
 
 def near_canonical(canon: np.ndarray, rng: random.Random) -> list[np.ndarray]:
@@ -336,6 +354,22 @@ class TestCanonicalCheck:
         for values in matrices:
             assert check_canonical_form(values) == canonical_check_by_loop(values)
 
+    def test_both_conditions_imply_an_ultrametric(self):
+        # every symmetric zero-diagonal table on small grids that passes the
+        # check has no violating triple: a table in canonical form is an
+        # exact ultrametric, so no order of a non-ultrametric one passes
+        accepted = 0
+        for n, levels in ((3, 4), (4, 4), (5, 3)):
+            upper = np.triu_indices(n, 1)
+            for cells in itertools.product(range(levels), repeat=len(upper[0])):
+                values = np.zeros((n, n))
+                values[upper] = cells
+                values.T[upper] = cells
+                if check_canonical_form(values) is None:
+                    assert brute_violations(values.tolist()) == []
+                    accepted += 1
+        assert accepted == 161
+
 
 class TestCanonicalForm:
     def test_reference_table_is_already_canonical(self):
@@ -356,6 +390,15 @@ class TestCanonicalForm:
             _, restored = canonical_form(shuffled)
             assert check_canonical_form(restored.values) is None
             assert np.array_equal(restored.values, canon.values)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_objects_keep_their_order(self, n):
+        m = DissimilarityMatrix(np.zeros((n, n)))
+        assert verify_ultrametric(m) == []
+        perm, out = canonical_form(m)
+        assert perm == tuple(range(n))
+        assert isinstance(out, UltrametricMatrix)
+        assert out.values.shape == (n, n) and out.labels == m.labels
 
     def test_two_by_two_identity(self):
         m = DissimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
