@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
-from .hierarchy import Dendrogram, MergeNode, gap_levels, internal, join_gaps, terminal
+from .hierarchy import Dendrogram, MergeNode, _tree, gap_levels, internal, join_gaps, terminal
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,8 @@ def _baire_strings(
 ) -> list[BaireString]:
     """The strings whose digits, concatenated, are ``digits``: ``lengths[i]``
     of them under ``labels[i]``.  Every string not built by the constructor
-    is built here, with the constructor's checks run once over the arrays."""
-    _require_at_least(base, 2, "base")
-    if (lengths < 1).any():
-        raise DomainError("need at least one digit")
-    if ((digits < 0) | (digits >= base)).any():
-        raise DomainError(f"digits must lie in 0..{base - 1}")
+    is built here, without its checks: the caller has checked ``base`` and
+    made every length at least 1 and every digit below ``base``."""
     values, out, start = digits.tolist(), [], 0
     for label, end in zip(labels, np.cumsum(lengths).tolist()):
         s = object.__new__(BaireString)
@@ -361,4 +357,4 @@ def baire_cluster(
     for rank, (lo, k) in enumerate(join_gaps(len(order), gaps), start=1):
         nodes.append(MergeNode(rank, heights[hierarchy.lcp[k]], refs[lo], refs[k]))
         refs[lo] = internal(rank)
-    return hierarchy, Dendrogram(labels, tuple(nodes))
+    return hierarchy, _tree(labels, tuple(nodes))

@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -58,25 +59,34 @@ class Dendrogram:
     ``nodes`` is ordered by rank, so ``nodes[k-1]`` is the node of rank k and
     ``nodes[-1]`` is the root (rank n-1).  A single-terminal tree has no
     internal nodes.
+
+    The constructor checks its input and stores ``labels`` and ``nodes`` as
+    tuples.  Ranks and child indices must be ints (not bools, floats or
+    numpy integers), and heights finite nonnegative ints or floats (numpy's
+    float64 included).  Trees that the library builds valid by
+    construction come from ``_tree`` and skip the checks.
     """
 
     labels: tuple[str, ...]
     nodes: tuple[MergeNode, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
+        object.__setattr__(self, "labels", labels := tuple(self.labels))
+        object.__setattr__(self, "nodes", nodes := tuple(self.nodes))
+        n = len(labels)
         if n < 1:
             raise DegenerateInputError("a dendrogram needs at least one terminal")
-        if len(self.nodes) != n - 1:
+        if len(nodes) != n - 1:
             raise DomainError(
-                f"expected {n - 1} internal nodes for {n} terminals, got {len(self.nodes)}"
+                f"expected {n - 1} internal nodes for {n} terminals, got {len(nodes)}"
             )
         refs: list[Child] = []
-        for k, node in enumerate(self.nodes, start=1):
+        for k, node in enumerate(nodes, start=1):
             if node.rank != k:
                 raise DomainError("nodes must be ordered by rank 1..n-1")
-            if not (node.height >= 0.0) or not math.isfinite(node.height):
-                raise DomainError(f"node q{k} has invalid height {node.height!r}")
+            height = node.height
+            if type(height) not in (int, float, np.float64) or not 0.0 <= height <= sys.float_info.max:
+                raise DomainError(f"node q{k} has invalid height {height!r}")
             for child in (node.left, node.right):
                 kind, idx = child
                 if kind == TERMINAL:
@@ -94,8 +104,12 @@ class Dendrogram:
         # and the ranks 1..n-2), so each must be a distinct valid one; an
         # in-range index such as 0.5 is not
         valid = {*map(terminal, range(n)), *map(internal, range(1, n - 1))}
-        if self.nodes and set(refs) != valid:
+        if nodes and set(refs) != valid:
             raise DomainError("every terminal and every non-root node needs exactly one parent")
+        # a rank or an index equal to an int but of another type (0.0, True,
+        # a numpy integer) passes the tests above
+        if any(type(node.rank) is not int for node in nodes) or any(type(i) is not int for _, i in refs):
+            raise DomainError("ranks and child indices must be ints")
 
     @property
     def n(self) -> int:
@@ -114,12 +128,28 @@ class Dendrogram:
         return tuple(node.height for node in self.nodes)
 
     def members(self, rank: int) -> frozenset[int]:
-        """Terminal indices under the node of the given rank."""
-        return member_sets(self)[rank]
+        """Terminal indices under the node of the given rank, read off its
+        subtree alone."""
+        found, stack = [], [self.node(rank)]
+        while stack:
+            node = stack.pop()
+            found += [idx for kind, idx in (node.left, node.right) if kind == TERMINAL]
+            stack += [self.nodes[idx - 1] for kind, idx in (node.left, node.right) if kind == INTERNAL]
+        return frozenset(found)
 
     def terminal_order(self) -> tuple[int, ...]:
         """Left-to-right terminal indices of the stored drawing."""
         return tuple(drawing(self)[0])
+
+
+def _tree(labels: tuple[str, ...], nodes: tuple[MergeNode, ...]) -> Dendrogram:
+    """The dendrogram of ``labels`` and ``nodes``, both tuples, that a
+    builder made valid by construction; the constructor's checks are not
+    run.  Input from outside the library goes through ``Dendrogram``."""
+    tree = object.__new__(Dendrogram)
+    object.__setattr__(tree, "labels", labels)
+    object.__setattr__(tree, "nodes", nodes)
+    return tree
 
 
 def walk(tree: Dendrogram) -> Iterator[tuple[Child, int]]:
@@ -214,34 +244,47 @@ def member_sets(tree: Dendrogram) -> dict[int, frozenset[int]]:
 @dataclass(frozen=True)
 class DissimilarityMatrix:
     """Symmetric nonnegative pairwise table with zero diagonal; without
-    ``labels`` its objects are named t1, t2, ... in row order."""
+    ``labels`` its objects are named t1, t2, ... in row order.
+
+    The constructor copies ``values`` once into a read-only float array and
+    checks it.  Matrices that the library builds valid by construction
+    come from ``_built``, which takes the array over without a copy or a
+    check."""
 
     values: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)
         _require_square(arr)
-        if np.isnan(arr).any():
-            raise DomainError("matrix contains missing values")
-        if np.isinf(arr).any():
-            raise DomainError("matrix contains infinite values")
+        if not np.isfinite(arr).all():
+            kind = "missing" if np.isnan(arr).any() else "infinite"
+            raise DomainError(f"matrix contains {kind} values")
         if not np.array_equal(arr, arr.T):
             raise DomainError("matrix is not symmetric")
         if np.any(np.diag(arr) != 0.0):
             raise DomainError("matrix diagonal must be zero")
         if np.any(arr < 0.0):
             raise DomainError("matrix entries must be nonnegative")
-        arr = arr.copy()
+        self._own(arr, self.labels)
+
+    @classmethod
+    def _built(cls, values: np.ndarray, labels: Sequence[str] | None = None) -> DissimilarityMatrix:
+        """The matrix over ``values``, a float array that a builder made
+        valid by construction and hands over: it is not copied, and only
+        the labels are checked."""
+        return object.__new__(cls)._own(values, labels)
+
+    def _own(self, arr: np.ndarray, labels: Sequence[str] | None) -> DissimilarityMatrix:
+        """Hold ``arr``, made read-only, and ``labels``, or t1..tn without
+        them; the tail of both the constructor and ``_built``."""
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.labels is None:
-            labels = tuple(f"t{i + 1}" for i in range(arr.shape[0]))
-        else:
-            labels = tuple(self.labels)
+        labels = tuple(f"t{i + 1}" for i in range(arr.shape[0])) if labels is None else tuple(labels)
         if len(labels) != arr.shape[0]:
             raise InputShapeError("label count does not match matrix size")
         object.__setattr__(self, "labels", labels)
+        return self
 
     @property
     def size(self) -> int:
@@ -302,8 +345,8 @@ def pairwise_distances(
             d[lo:, lo:hi] = d[lo:hi, lo:].T
     if not np.isfinite(d).all():
         raise DomainError("pairwise distances overflow the float range")
-    np.fill_diagonal(d, 0.0)
-    return DissimilarityMatrix(d, labels)
+    # for finite x, x - x is +0.0, so the diagonal is already zero
+    return DissimilarityMatrix._built(d, labels)
 
 
 def _child_key(child: Child) -> tuple[int, int]:
@@ -348,10 +391,8 @@ def _lance_williams_update(
         elif linkage == "ward":
             ni, nj, nk = sizes[i], sizes[j], sizes[others]
             new = ((ni + nk) * di + (nj + nk) * dj - nk * work[i, j]) / (ni + nj + nk)
-        elif linkage == "median":
+        else:  # median; agglomerate has checked the linkage
             new = di / 2.0 + dj / 2.0 - work[i, j] / 4.0
-        else:  # pragma: no cover - guarded by caller
-            raise DomainError(f"unknown linkage {linkage!r}")
     _require_finite(new, linkage)
     work[i, others] = new
     work[others, i] = new
@@ -449,7 +490,7 @@ def _merge_tree(labels: tuple[str, ...], merges: Iterable[tuple[int, int, float]
         nodes.append(_oriented(rank, height, cluster_ref[i], cluster_ref[j]))
         cluster_ref[i] = (INTERNAL, rank)
         del cluster_ref[j]
-    return Dendrogram(labels, tuple(nodes))
+    return _tree(labels, tuple(nodes))
 
 
 def swap_children(tree: Dendrogram, rank: int) -> Dendrogram:
@@ -457,28 +498,21 @@ def swap_children(tree: Dendrogram, rank: int) -> Dendrogram:
     leaves ranks, heights and all subtree internals untouched."""
     node = tree.node(rank)
     swapped = MergeNode(node.rank, node.height, node.right, node.left)
-    nodes = list(tree.nodes)
-    nodes[rank - 1] = swapped
-    return Dendrogram(tree.labels, tuple(nodes))
+    return _tree(tree.labels, (*tree.nodes[: rank - 1], swapped, *tree.nodes[rank:]))
 
 
 def canonicalize(tree: Dendrogram) -> Dendrogram:
     """Deterministic drawing: at every node the later-formed (higher-rank)
     child subtree goes right; terminal pairs are ordered by index."""
-    nodes = [
-        _oriented(node.rank, node.height, node.left, node.right)
-        for node in tree.nodes
-    ]
-    return Dendrogram(tree.labels, tuple(nodes))
+    return _tree(tree.labels, tuple(
+        _oriented(node.rank, node.height, node.left, node.right) for node in tree.nodes))
 
 
 def swap_orbit(tree: Dendrogram) -> Iterable[Dendrogram]:
     """All 2^(n-1) child-swap orientations of ``tree``, canonical-first order."""
-    base = canonicalize(tree)
-    m = len(base.nodes)
-    for mask in range(1 << m):
-        t = base
-        for r in range(1, m + 1):
-            if mask >> (r - 1) & 1:
-                t = swap_children(t, r)
-        yield t
+    base = canonicalize(tree).nodes
+    for mask in range(1 << len(base)):
+        # bit r - 1 of the mask swaps the node of rank r
+        yield _tree(tree.labels, tuple(
+            MergeNode(node.rank, node.height, node.right, node.left) if mask >> k & 1 else node
+            for k, node in enumerate(base)))

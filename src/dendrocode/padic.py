@@ -325,8 +325,6 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     n = enc.n
     if n == 0:  # the constructor admits an encoding of no terminals; no tree has none
         raise MalformedEncodingError("root column does not cover all terminals")
-    if n == 1:
-        return Dendrogram(enc.labels, ())
     cluster = np.arange(n)  # cluster id of each terminal
     members: list[list[int]] = [[i] for i in range(n)]
     child = [terminal(i) for i in range(n)]

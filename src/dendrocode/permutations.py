@@ -22,6 +22,7 @@ from .hierarchy import (
     Dendrogram,
     MergeNode,
     TERMINAL,
+    _tree,
     drawing,
     internal,
     join_gaps,
@@ -182,7 +183,7 @@ def packed_representation(tree: Dendrogram) -> PackedPermutation:
             a, b = b, a
         first[node.rank] = min(ka, kb, node.rank)
         oriented.append(MergeNode(node.rank, node.height, a, b))
-    inorder = drawing(Dendrogram(tree.labels, tuple(oriented)))[1]
+    inorder = drawing(_tree(tree.labels, tuple(oriented)))[1]
     return PackedPermutation((*inorder, n))
 
 
@@ -210,7 +211,7 @@ def unpack(perm: PackedPermutation) -> Dendrogram:
         nodes.append(MergeNode(rank, float(rank), refs[lo], refs[k]))
         refs[lo] = internal(rank)
         first[lo] = min(lf, rank)  # the check leaves lf < rf unless both are n
-    return Dendrogram(tuple(f"x{i + 1}" for i in range(n)), tuple(nodes))
+    return _tree(tuple(f"x{i + 1}" for i in range(n)), tuple(nodes))
 
 
 def is_up_down(perm: Sequence[int]) -> bool:

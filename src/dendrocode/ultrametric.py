@@ -22,6 +22,7 @@ from .hierarchy import (
     TERMINAL,
     UltrametricMatrix,
     _merge_tree,
+    _tree,
     drawing,
     gap_levels,
 )
@@ -49,13 +50,6 @@ class UltrametricityReport:
             raise DomainError("coefficient must lie in [0, 1]")
 
 
-def _lca_heights(tree: Dendrogram) -> np.ndarray:
-    """The n x n array of :func:`cophenetic_matrix`, unvalidated."""
-    order, ranks = drawing(tree)
-    levels = gap_levels(order, np.array(ranks, dtype=np.intp))
-    return np.array([0.0, *tree.heights()])[levels]
-
-
 def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     """Pairwise heights of lowest common ancestors.
 
@@ -65,7 +59,9 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     of the stored heights, so for monotone trees the result passes
     ``verify_ultrametric`` at tolerance 0.
     """
-    return UltrametricMatrix(_lca_heights(tree), tree.labels)
+    order, ranks = drawing(tree)
+    levels = gap_levels(order, np.array(ranks, dtype=np.intp))
+    return UltrametricMatrix._built(np.array([0.0, *tree.heights()])[levels], tree.labels)
 
 
 def _spanning_tree(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +145,7 @@ def _certify(
     if m.size < 2:
         return None, d, []
     tree = _merge_tree(m.labels, _subdominant_merges(d))
-    u = _lca_heights(tree)
+    u = cophenetic_matrix(tree).values
     flagged = np.triu(d > u + tol, 1)
     violations: list[tuple[int, int, int, float, float]] = []
     for i in np.flatnonzero(flagged.any(axis=1)):
@@ -354,7 +350,7 @@ def _single_linkage_order(tree: Dendrogram) -> list[int]:
         if code_less(b, a):  # the smaller code goes left
             a, b = b, a
         oriented.append(MergeNode(node.rank, node.height, a, b))
-    return list(Dendrogram(tree.labels, tuple(oriented)).terminal_order())
+    return drawing(_tree(tree.labels, tuple(oriented)))[0]
 
 
 def check_canonical_form(matrix: np.ndarray) -> str | None:
@@ -430,4 +426,4 @@ def canonical_form(
     # tol passes the screen above and still breaks them
     if problem is not None:
         raise NotUltrametricError(f"canonical ordering failed verification: {problem}")
-    return tuple(perm), UltrametricMatrix(reordered, tuple(m.labels[i] for i in perm))
+    return tuple(perm), UltrametricMatrix._built(reordered, tuple(m.labels[i] for i in perm))

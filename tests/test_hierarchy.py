@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dendrocode.hierarchy import (
 )
 from dendrocode.ultrametric import cophenetic_matrix
 
-from conftest import random_tree
+from conftest import caterpillar, random_tree
 from oracles import lance_williams_linkage, naive_linkage_heights
 from reference import COMPLETE_7_HEIGHTS, IRIS7, IRIS8, IRIS_LABELS7
 
@@ -266,6 +267,66 @@ class TestDendrogramValidation:
                 ("a", "b"),
                 (MergeNode(1, -0.5, terminal(0), terminal(1)),),
             )
+
+    @pytest.mark.parametrize(
+        "rank, height, left",
+        [
+            (1, 1.0, ("t", 0.0)),  # tree JSON would write it as "t1.0"
+            (1, 1.0, ("t", np.int64(0))),
+            (1, 1.0, ("t", False)),
+            (True, 1.0, terminal(0)),  # tree JSON would write "rank": true
+            (np.int64(1), 1.0, terminal(0)),  # tree JSON cannot write it
+            (1.0, 1.0, terminal(0)),
+            (1, "x", terminal(0)),  # "x" >= 0.0 used to raise TypeError
+            (1, True, terminal(0)),
+            (1, np.float32(1.0), terminal(0)),
+            (1, 10**400, terminal(0)),  # past the float range
+        ],
+        ids=["index-float", "index-numpy", "index-bool", "rank-bool", "rank-numpy",
+             "rank-float", "height-str", "height-bool", "height-float32", "height-huge-int"],
+    )
+    def test_only_ints_and_floats_are_taken(self, rank, height, left):
+        with pytest.raises(DomainError):
+            Dendrogram(("a", "b"), (MergeNode(rank, height, left, terminal(1)),))
+
+    def test_int_and_float64_heights_are_kept(self):
+        for height in (2, np.float64(0.5), 0.0):
+            tree = Dendrogram(("a", "b"), (MergeNode(1, height, terminal(0), terminal(1)),))
+            assert tree.heights() == (height,)
+
+    def test_labels_and_nodes_are_stored_as_tuples(self):
+        node = MergeNode(1, 1.0, terminal(0), terminal(1))
+        tree = Dendrogram(["a", "b"], [node])
+        assert tree.labels == ("a", "b") and tree.nodes == (node,)
+        assert hash(tree) == hash(Dendrogram(("a", "b"), (node,)))
+
+
+class TestMembers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.sampled_from(["random", "left", "right"]), st.integers(0, 2**32))
+    def test_equal_member_sets(self, n, kind, seed):
+        tree = random_tree(n, random.Random(seed)) if kind == "random" else caterpillar(n, kind)
+        sets = member_sets(tree)
+        for rank in range(1, n):
+            assert tree.members(rank) == sets[rank]
+
+    def test_reads_only_the_subtree(self):
+        # the lowest node of a caterpillar has two members, while the sets
+        # of every node (member_sets) hold n^2 / 2 indices, about 200 MB here
+        tree = caterpillar(3000, "left")
+        tracemalloc.start()
+        try:
+            assert tree.members(1) == frozenset({0, 1})
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert tree.members(2999) == frozenset(range(3000))
+
+    def test_rank_out_of_range(self):
+        tree = caterpillar(4, "right")
+        for rank in (0, 4):
+            with pytest.raises(RankRangeError):
+                tree.members(rank)
 
 
 @st.composite

@@ -29,7 +29,6 @@ from dendrocode.ultrametric import (
     ISOSCELES_SMALL_BASE,
     METRIC_ONLY,
     _certify,
-    _lca_heights,
     _sampled_triples,
     canonical_form,
     check_canonical_form,
@@ -245,7 +244,7 @@ class TestSubdominantScreen:
     @given(st.integers(2, 30), SCREENED, SEEDS)
     def test_u_is_the_single_linkage_cophenetic_matrix(self, n, kind, seed):
         m = DissimilarityMatrix(screened_matrix(n, kind, random.Random(seed)))
-        assert np.array_equal(_certify(m, 0.0)[1], _lca_heights(agglomerate(m, "single")))
+        assert np.array_equal(_certify(m, 0.0)[1], cophenetic_matrix(agglomerate(m, "single")).values)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 12), SCREENED, SEEDS)
