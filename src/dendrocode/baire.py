@@ -11,16 +11,18 @@ ever-longer agreement is 0.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
-from .hierarchy import Dendrogram, MergeNode, _tree, gap_levels, internal, join_gaps, terminal
+from .hierarchy import (Dendrogram, MergeNode, _tree, gap_counts, gap_levels, internal, join_gaps,
+                        terminal)
 
 
 @dataclass(frozen=True)
@@ -247,50 +249,99 @@ class PrefixHierarchy:
         -1 where that distance is 0: on the diagonal and between equal
         digits under one label.  Two sorted strings share the least ``lcp``
         between their positions, which is depth minus the largest gap of
-        depth - lcp (``gap_levels``)."""
+        depth - lcp (``gap_levels``).  The table takes the narrowest signed
+        integer type that holds -1 and the depth."""
         depth = self.depth
-        levels = gap_levels(self.order, depth - np.array(self.lcp[1:], dtype=np.intp))
+        gaps = depth - np.array(self.lcp[1:], dtype=np.intp)
+        levels = gap_levels(self.order, gaps.astype(np.result_type(np.int8, np.min_scalar_type(depth))))
         np.subtract(depth, levels, out=levels)
         ids: dict = {}
         same = np.array([ids.setdefault((s.digits, s.label), len(ids)) for s in self.strings])
         levels[same[:, None] == same] = -1
         return levels
 
+    def _level_counts(self) -> dict[int, int]:
+        """The number of cells of each level in ``levels()``, without
+        building it: ``gap_counts`` of the same gaps, each gap g at level
+        depth - g, and then the cells of level -1: the diagonal's n (gap 0),
+        and the s(s - 1) of s equal strings under one label, whose level is
+        their length."""
+        depth, n = self.depth, len(self.strings)
+        gaps = depth - np.array(self.lcp[1:], dtype=np.intp)
+        counts = Counter({depth - g: count for g, count in gap_counts(self.order, gaps).items()})
+        counts[depth] -= n
+        counts[-1] += n
+        for (digits, _), s in Counter((s.digits, s.label) for s in self.strings).items():
+            counts[len(digits)] -= s * (s - 1)
+            counts[-1] += s * (s - 1)
+        return {level: count for level, count in counts.items() if count}
+
     def dump_text(self) -> str:
         """Indented one-node-per-line rendering for inspection, in preorder
         with children in digit order: each node shows its prefix (as
         ``BaireString.text`` writes digits), the number of strings under it
-        and the labels of the strings that end there.  Each prefix is its
-        parent's text plus one digit."""
+        and the labels of the strings that end there.  The text of
+        ``_dump_chunks``."""
+        return "".join(self._dump_chunks())
+
+    def _dump_chunks(self) -> Iterator[str]:
+        """``dump_text`` in chunks of whole lines, about ``_CHUNK``
+        characters each.
+
+        The trie's nodes in preorder are the pairs (k, d) in order, for each
+        sorted position k and each depth d past ``lcp[k]`` up to the length
+        of string k: the prefix of length d of string k.  Its strings run
+        from k to the first later position whose ``lcp`` is below d.  Those
+        run ends are found first, into one array, one depth at a time by a
+        binary search among the positions whose ``lcp`` is below it.  The
+        lines are then written in order, each prefix cut from its string's
+        text; only a string's last node, the whole string, ends one."""
+        from .formats import _CHUNK
+
         order, lcp, n = self.order, self.lcp, len(self.order)
         digits = [self.strings[i].digits for i in order]
-        if self.base <= len(_DIGIT_CHARS):
-            digit_text, comma = _DIGIT_CHARS.__getitem__, ""
-        else:
-            digit_text, comma = str, ","
-        # per line: depth, prefix text, first sorted position, end of its sorted run
-        depths, prefixes, starts, ends = [0], [""], [0], [n]
-        open_lines = [0]  # lines of the nodes on the current root path
+        lengths = [len(d) for d in digits]
+        shared, lens = np.array(lcp, dtype=np.intp), np.array(lengths, dtype=np.intp)
+        # first[k]: the preorder index, less 1 for the root, of node (k, lcp[k] + 1)
+        first = np.concatenate(([0], np.cumsum(lens - shared)))
+        ends = np.empty(first[-1], dtype=np.intp)
+        for d in range(1, self.depth + 1):
+            below = np.flatnonzero(shared < d)  # the positions where a run of depth d can end
+            at = below[lens[below] >= d]  # the positions with a node at depth d
+            ends[first[at] + d - 1 - shared[at]] = np.append(below, n)[np.searchsorted(below, at, "right")]
+        ends, first = ends.tolist(), first.tolist()
+        small = self.base <= len(_DIGIT_CHARS)  # one character a digit
+        if small:
+            chars = bytes.maketrans(bytes(range(len(_DIGIT_CHARS))), _DIGIT_CHARS.encode())
+            texts = b"".join(map(bytes, digits)).translate(chars).decode()
+        indents = ["  " * d for d in range(self.depth + 1)]
+        lines, size, start = [f"(root) [{n}]\n"], 0, 0
         for k in range(n):
-            while depths[open_lines[-1]] > lcp[k]:
-                ends[open_lines.pop()] = k
-            prefix = prefixes[open_lines[-1]]  # the text of digits[k][:lcp[k]]
-            for d in range(lcp[k] + 1, len(digits[k]) + 1):
-                digit = digit_text(digits[k][d - 1])
-                prefix = f"{prefix}{comma}{digit}" if prefix else digit
-                open_lines.append(len(depths))
-                depths.append(d)
-                prefixes.append(prefix)
-                starts.append(k)
-                ends.append(n)
-        lines = [f"(root) [{n}]"]
-        for d, prefix, k, end in zip(depths[1:], prefixes[1:], starts[1:], ends[1:]):
-            j = k  # the strings that end here come first in the run
-            while j < end and len(digits[j]) == d:
+            low, length = lcp[k] + 1, lengths[k]
+            start += length
+            if low > length:  # equal to the string before it: no node of its own
+                continue
+            # the text of the first d digits ends at stops[d]
+            if small:
+                text, stops = texts[start - length : start], range(length + 1)
+            else:
+                text = _digit_text(self.base, digits[k])
+                stops = [0, *(stop - 1 for stop in itertools.accumulate(len(str(x)) + 1 for x in digits[k]))]
+            node_ends = ends[first[k] : first[k + 1]]
+            block = [f"{indents[d]}{text[: stops[d]]} [{end - k}]\n"
+                     for d, end in zip(range(low, length), node_ends)]
+            end = node_ends[-1]  # string k ends here, and any equal ones after it
+            j = k + 1
+            while j < end and lengths[j] == length:
                 j += 1
-            tag = "  <- " + ", ".join(self.labels[i] for i in order[k:j]) if j > k else ""
-            lines.append(f"{'  ' * d}{prefix} [{end - k}]{tag}")
-        return "\n".join(lines) + "\n"
+            tags = ", ".join(self.labels[i] for i in order[k:j])
+            block.append(f"{indents[length]}{text} [{end - k}]  <- {tags}\n")
+            lines += block
+            size += sum(map(len, block))
+            if size >= _CHUNK:
+                yield "".join(lines)
+                lines, size = [], 0
+        yield "".join(lines)
 
 
 def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndarray, np.ndarray]:

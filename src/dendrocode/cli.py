@@ -6,23 +6,32 @@ deterministic given identical inputs, flags and seed.
 
 Each verb is a generator of ``(target, text)`` outputs and writes nothing
 itself; ``main`` collects them all and hands them to ``_write``, so a run
-that ends in an error leaves no output behind.
+that ends in an error leaves no output behind.  A large text is a
+generator of chunks, written to disk as it is made.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
 import functools
+import itertools
+import os
+import stat
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, Iterable, TextIO
+
+import numpy as np
 
 from . import formats
 from .baire import baire_cluster
-from .errors import DendrocodeError, DomainError, ParseError
+from .errors import _TABLE_GUARD, DendrocodeError, DomainError, ParseError, ResourceGuardError
 from .haar import haar_forward, haar_inverse, haar_threshold
-from .hierarchy import LINKAGES, agglomerate, pairwise_distances
+from .hierarchy import LINKAGES, agglomerate, drawing, gap_counts, gap_levels, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
 from .padic import decode, encode_dendrogram
 from .permutations import (
@@ -34,10 +43,9 @@ from .permutations import (
     rank_permutation,
     unpack,
 )
-from .render import render_tree
+from .render import _render_chunks
 from .ultrametric import (
     canonical_form,
-    cophenetic_matrix,
     generate_cloud,
     ultrametricity_coefficient,
     verify_ultrametric,
@@ -53,31 +61,130 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _write(outputs: list[tuple[str | TextIO | None, str]]) -> int:
+Text = str | Iterable[str]
+
+
+def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
     """The one writer.  A target is a path, None or "-" for stdout, or
-    sys.stderr.  Every file is opened for append (and closed) before any is
-    written, so a path that cannot be opened fails the run before anything
-    is written; the files this run created are then removed.  Append
-    changes no existing file, and is not a truncation, which a device such
-    as /dev/null refuses.  Next the files are written in order, then the
-    stdout texts, then the stderr texts.  Returns the exit code: 1 when a
-    text went to stderr, else 0."""
-    files = [(t, text) for t, text in outputs if isinstance(t, str) and t != "-"]
-    created = []
+    sys.stderr; a text is a str or an iterable of str chunks, which are
+    generated as they are written.
+
+    Every path is opened before anything is written (``_open_target``): a
+    regular file, or a path that does not exist yet, gets a temporary file
+    beside it, and any other target, such as /dev/null, is opened in place.
+    Then the texts are written in order: each file's to its temporary file
+    and the stdout texts to one spool, each text past 1 GiB a
+    ``ResourceGuardError``.  Only when every text is complete are the
+    temporary files renamed over their targets, in order, so a path given
+    twice keeps the later text; then the spool is printed and the stderr
+    texts (each a str) after it.  On any error every temporary file is
+    removed, so no file target changes; a target written in place keeps
+    what was written to it.  Returns the exit code: 1 when a text went to
+    stderr, else 0."""
+    renames: list[tuple[str, str]] = []  # (temporary file, the file it replaces)
+    sinks: list[tuple[str, Text, BinaryIO]] = []
+    spool = None
     try:
-        for target, _ in files:
-            if not Path(target).exists():
-                created.append(target)
-            Path(target).open("a", encoding="utf-8").close()
-        for target, text in files:
-            Path(target).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        for path in created:
-            Path(path).unlink(missing_ok=True)
-        raise DomainError(f"cannot write {target}: {exc.strerror}") from None
-    sys.stdout.writelines(text for target, text in outputs if target in (None, "-"))
+        for target, text in outputs:
+            if target is sys.stderr:
+                continue
+            if target in (None, "-"):
+                if spool is None:
+                    spool = tempfile.SpooledTemporaryFile(formats._CHUNK)
+                sinks.append(("stdout", text, spool))
+            else:
+                sinks.append((target, text, _open_target(target, renames)))
+        for name, text, sink in sinks:
+            written = 0
+            for chunk in (text,) if isinstance(text, str) else text:
+                data = chunk.encode()
+                written += len(data)
+                if written > _TABLE_GUARD:
+                    raise ResourceGuardError(
+                        f"the output to {name} passed the guard ({_TABLE_GUARD} bytes)")
+                _io(name, sink.write, data)
+        for name, _, sink in sinks:
+            if sink is not spool:
+                _io(name, sink.close)
+        for temp, final in renames:
+            _io(final, os.replace, temp, final)
+    except BaseException:
+        for _, _, sink in sinks:
+            with contextlib.suppress(OSError):
+                sink.close()
+        for temp, _ in renames:
+            Path(temp).unlink(missing_ok=True)
+        raise
+    if spool is not None:
+        spool.seek(0)
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        while block := spool.read(formats._CHUNK):
+            sys.stdout.write(decode(block))
+        spool.close()
     sys.stderr.writelines(text for target, text in outputs if target is sys.stderr)
     return int(any(target is sys.stderr for target, _ in outputs))
+
+
+def _io(name: str, call, *args):
+    """``call(*args)``, an operation on the output to ``name``; an
+    ``OSError`` is one ``DomainError`` naming it."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise DomainError(f"cannot write {name}: {exc.strerror}") from None
+
+
+def _open_target(target: str, renames: list[tuple[str, str]]) -> BinaryIO:
+    """A binary file to write ``target``'s text to.
+
+    A target that exists and is not a regular file (a device, a pipe), or
+    is the file that this process's stdout or stderr writes to (as
+    /dev/stdout is when stdout goes to a file), is opened in place for
+    append, which truncates nothing.  Any other target is written through
+    its symlinks to the file they lead to: a temporary file is made beside
+    that file and added to ``renames``.  It takes the mode of the file it
+    replaces, or, for a new file, the mode the umask leaves of 0o666, as a
+    new file opened for writing would.  An existing file that cannot be
+    opened for writing is refused here."""
+    try:
+        found = os.stat(target)
+    except FileNotFoundError:
+        found = None
+    except OSError as exc:
+        raise DomainError(f"cannot write {target}: {exc.strerror}") from None
+    if found is not None and (not stat.S_ISREG(found.st_mode) or _is_std_stream(found)):
+        return _io(target, open, target, "ab")
+    if found is not None:
+        _io(target, open, target, "ab").close()
+    final = os.path.realpath(target)
+    folder, name = os.path.split(final)
+    while True:
+        temp = os.path.join(folder, f".{name[:200]}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise DomainError(f"cannot write {target}: {exc.strerror}") from None
+        break
+    renames.append((temp, final))
+    file = os.fdopen(fd, "wb")
+    if found is not None:
+        try:
+            _io(target, os.fchmod, fd, stat.S_IMODE(found.st_mode))
+        except DomainError:
+            file.close()
+            raise
+    return file
+
+
+def _is_std_stream(found: os.stat_result) -> bool:
+    """Whether ``found`` is the file open as this process's stdout or stderr."""
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):  # the descriptor may be closed
+            if os.path.samestat(found, os.fstat(fd)):
+                return True
+    return False
 
 
 def _load_tree(path: str):
@@ -112,14 +219,23 @@ def _cmd_cluster(args):
     table = formats.read_data_csv(_read(args.input), args.header, args.labels)
     diss = pairwise_distances(table.values, metric=args.metric, labels=table.labels)
     tree = agglomerate(diss, args.linkage)
-    yield args.output, formats.tree_to_json(tree)
+    yield args.output, formats._tree_json_chunks(tree)
     if args.newick:
-        yield args.newick, formats.tree_to_newick(tree, args.full_precision)
+        yield args.newick, formats._newick_chunks(tree, args.full_precision)
 
 
 def _cmd_cophenetic(args):
     tree = _load_tree(args.tree)
-    yield args.output, formats.write_matrix_csv(cophenetic_matrix(tree), args.full_precision)
+    # the cophenetic matrix as the rank table of the drawing, each rank
+    # mapped to its node's height and 0 to 0.0: the text of
+    # write_matrix_csv(cophenetic_matrix(tree)), sized from the tree first;
+    # the table takes the narrowest integer type that holds every rank
+    order, ranks = drawing(tree)
+    ranks = np.array(ranks, dtype=np.min_scalar_type(len(ranks)))
+    heights = [0.0, *map(float, tree.heights())]
+    yield args.output, formats._level_table_chunks(
+        tree.labels, gap_counts(order, ranks), lambda: gap_levels(order, ranks),
+        heights.__getitem__, args.full_precision)
 
 
 def _cmd_verify_um(args):
@@ -134,7 +250,7 @@ def _cmd_verify_um(args):
 def _cmd_canonical(args):
     matrix = formats.read_matrix_csv(_read(args.matrix))
     perm, reordered = canonical_form(matrix, args.tol)
-    yield args.output, formats.write_matrix_csv(reordered, args.full_precision)
+    yield args.output, formats._matrix_chunks(reordered, args.full_precision)
     perm_text = ",".join(str(i + 1) for i in perm) + "\n"
     if args.perm_out:
         yield args.perm_out, perm_text
@@ -144,17 +260,14 @@ def _cmd_canonical(args):
 
 def _cmd_padic_encode(args):
     enc = encode_dendrogram(_load_tree(args.tree), args.prime)
-    # the codes first: building them while the large JSON text is held
-    # raised the benchmark's peak memory
-    decimals = formats.decimal_codes_csv(enc) if args.decimals else None
-    yield args.output, formats.encoding_to_json(enc)
+    yield args.output, formats._encoding_json_chunks(enc)
     if args.decimals:
-        yield args.decimals, decimals
+        yield args.decimals, formats.decimal_codes_csv(enc)
 
 
 def _cmd_padic_decode(args):
     enc = formats.encoding_from_json(_read(args.encoding))
-    yield args.output, formats.tree_to_json(decode(enc))
+    yield args.output, formats._tree_json_chunks(decode(enc))
 
 
 def _cmd_padic_dist(args):
@@ -164,7 +277,8 @@ def _cmd_padic_dist(args):
         similarity = Fraction(1, enc.p**r)
         return similarity if args.similarity else 1 - similarity
 
-    yield args.output, formats.level_table_csv(enc.labels, enc.differing_levels(), value)
+    yield args.output, formats._level_table_chunks(
+        enc.labels, enc._level_counts(), enc.differing_levels, value)
 
 
 def _cmd_baire_dist(args):
@@ -175,18 +289,18 @@ def _cmd_baire_dist(args):
         distance = Fraction(0) if r < 0 else Fraction(1, args.base**r)
         return distance if args.exact else float(distance)
 
-    table = formats.level_table_csv(hierarchy.labels, hierarchy.levels(), value, args.full_precision)
-    yield args.output, table
+    yield args.output, formats._level_table_chunks(
+        hierarchy.labels, hierarchy._level_counts(), hierarchy.levels, value, args.full_precision)
 
 
 def _cmd_baire_cluster(args):
     strings = formats.read_strings(_read(args.strings), args.base)
     hierarchy, tree = baire_cluster(strings)
-    yield args.output, formats.tree_to_json(tree)
+    yield args.output, formats._tree_json_chunks(tree)
     if args.trie_out:
-        yield args.trie_out, hierarchy.dump_text()
+        yield args.trie_out, hierarchy._dump_chunks()
     if args.newick:
-        yield args.newick, formats.tree_to_newick(tree, args.full_precision)
+        yield args.newick, formats._newick_chunks(tree, args.full_precision)
 
 
 def _cmd_dna_encode(args):
@@ -205,7 +319,7 @@ def _cmd_haar(args):
     tree_path = args.tree_out or _sidecar(args.output)
     if tree_path is None:
         raise DomainError("writing to stdout requires --tree-out for the tree sidecar")
-    yield tree_path, formats.tree_to_json(tree)
+    yield tree_path, formats._tree_json_chunks(tree)
 
 
 def _load_transform(args):
@@ -276,14 +390,14 @@ def _parse_packed_literal(text: str) -> PackedPermutation:
 def _cmd_unpack(args):
     text = _read(args.permutation) if args.file else args.permutation
     tree = unpack(_parse_packed_literal(text))
-    yield args.output, formats.tree_to_json(tree)
+    yield args.output, formats._tree_json_chunks(tree)
 
 
 def _cmd_enumerate_nlr(args):
     trees = enumerate_nlr(args.n)
     yield None, f"{len(trees)}\n"
     if args.trees_out:
-        yield args.trees_out, "".join(formats.tree_to_json(t) for t in trees)
+        yield args.trees_out, itertools.chain.from_iterable(map(formats._tree_json_chunks, trees))
 
 
 def _cmd_lattice(args):
@@ -314,7 +428,7 @@ def _cmd_gen_cloud(args):
 
 
 def _cmd_render(args):
-    yield args.output, render_tree(_load_tree(args.tree), args.full_precision)
+    yield args.output, _render_chunks(_load_tree(args.tree), args.full_precision)
 
 
 @functools.cache
@@ -484,6 +598,9 @@ def main(argv: list[str] | None = None) -> int:
     except DendrocodeError as exc:
         message = str(exc).replace("\n", " ")
         sys.stderr.write(f"{exc.code}: {message}\n")
+        return 1
+    except MemoryError:  # past the memory the host gives, such as an input larger than it
+        sys.stderr.write(f"{ResourceGuardError.code}: out of memory\n")
         return 1
 
 

@@ -17,7 +17,7 @@ import json
 import re
 import typing
 from decimal import Decimal
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,10 @@ from .hierarchy import (
 from .lattice import BooleanTable, Semilattice
 from .padic import PadicEncoding, _encoding_from_array, _encoding_from_cells
 from .ultrametric import UltrametricityReport
+
+# text is written, and the canonical encoding reader converts coefficients,
+# in chunks of about this many characters
+_CHUNK = 1 << 20
 
 
 def _cell(value, full_precision: bool = False) -> str:
@@ -63,14 +67,15 @@ def fmt_float(x: float, full_precision: bool = False) -> str:
     return _cell(float(x), full_precision)
 
 
-def _write_table(
+def _table_chunks(
     header: Sequence[str] | None,
     labels: Sequence[str] | None,
     rows: Iterable[Sequence],
     full_precision: bool = False,
-) -> str:
-    """The one CSV table writer: an optional header row, then one row per
-    item of ``rows``, each led by its label when ``labels`` is given.
+) -> Iterator[str]:
+    """The one CSV table writer, as chunks of about ``_CHUNK`` characters:
+    an optional header row, then one row per item of ``rows``, each led by
+    its label when ``labels`` is given.
 
     The header and the labels are text and go through one ``csv.writer``
     whose line end is ``\r\n``, so that it quotes a ``\r`` in a cell as it
@@ -90,18 +95,23 @@ def _write_table(
         writer.writerow(cells)
         return text.getvalue()[:-2]
 
-    out = io.StringIO()
+    out: list[str] = []
+    size = 0
     if header is not None:
-        out.write(text_row(header) + "\n")
+        out.append(text_row(header) + "\n")
     for i, row in enumerate(rows):
         if labels is not None:
             if len(row) == 0:
-                out.write(text_row((labels[i],)) + "\n")
+                out.append(text_row((labels[i],)) + "\n")
                 continue
-            out.write(text_row((labels[i], "")))  # the label as CSV writes it, then ","
-        out.write(",".join([_cell(v, full_precision) for v in row]))
-        out.write("\n")
-    return out.getvalue()
+            out.append(text_row((labels[i], "")))  # the label as CSV writes it, then ","
+        line = ",".join([_cell(v, full_precision) for v in row]) + "\n"
+        out.append(line)
+        size += len(line)
+        if size >= _CHUNK:
+            yield "".join(out)
+            out, size = [], 0
+    yield "".join(out)
 
 
 def _is_number(token: str, kind: type = float) -> bool:
@@ -280,14 +290,20 @@ def read_matrix_csv(text: str) -> DissimilarityMatrix:
 def write_matrix_csv(
     m: DissimilarityMatrix, full_precision: bool = False
 ) -> str:
-    """Labelled square float table, through ``level_table_csv`` with each
+    """Labelled square float table: the text of ``_matrix_chunks``."""
+    return "".join(_matrix_chunks(m, full_precision))
+
+
+def _matrix_chunks(m: DissimilarityMatrix, full_precision: bool = False) -> Iterator[str]:
+    """``write_matrix_csv`` text, through ``_level_table_chunks`` with each
     cell's bit pattern as its level: each distinct float is formatted once,
     -0.0 apart from 0.0, and the table guard covers the text."""
 
     def value(bits: int) -> float:
         return float(np.int64(bits).view(np.float64))
 
-    return level_table_csv(m.labels, m.values.view(np.int64), value, full_precision)
+    bits = m.values.view(np.int64)
+    return _level_table_chunks(m.labels, _level_counts(bits), lambda: bits, value, full_precision)
 
 
 def _child_token(child: Child) -> str:
@@ -336,20 +352,30 @@ def _dumps(doc, indent: int | None = None) -> str:
 
 def tree_to_json(tree: Dendrogram) -> str:
     """The tree as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"n",
-    "labels", "nodes"}``.  ``json`` indents through its pure-Python encoder,
-    so only the header goes through it, and each node is written as one
-    string in the same layout, its numbers by ``_json_number``."""
+    "labels", "nodes"}``: the text of ``_tree_json_chunks``."""
+    return "".join(_tree_json_chunks(tree))
+
+
+def _tree_json_chunks(tree: Dendrogram) -> Iterator[str]:
+    """``tree_to_json`` text in chunks of about ``_CHUNK`` characters, a
+    node taking about 100.  ``json`` indents through its pure-Python
+    encoder, so only the header goes through it, and each node is written
+    as one string in the same layout, its numbers by ``_json_number``."""
     head = _dumps({"n": tree.n, "labels": list(tree.labels), "nodes": []}, indent=2)
     if not tree.nodes:
-        return head + "\n"
-    nodes = ",\n".join([
-        f'    {{\n      "rank": {_json_number(node.rank)},\n'
-        f'      "height": {_json_number(node.height)},\n'
-        f'      "left": "{_child_token(node.left)}",\n'
-        f'      "right": "{_child_token(node.right)}"\n    }}'
-        for node in tree.nodes
-    ])
-    return f"{head[:-4]}[\n{nodes}\n  ]\n}}\n"
+        yield head + "\n"
+        return
+    sep, step = f"{head[:-4]}[\n", max(1, _CHUNK // 256)
+    for lo in range(0, len(tree.nodes), step):
+        yield sep + ",\n".join([
+            f'    {{\n      "rank": {_json_number(node.rank)},\n'
+            f'      "height": {_json_number(node.height)},\n'
+            f'      "left": "{_child_token(node.left)}",\n'
+            f'      "right": "{_child_token(node.right)}"\n    }}'
+            for node in tree.nodes[lo:lo + step]
+        ])
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _load_json(text: str):
@@ -428,15 +454,28 @@ def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
     """Newick text with branch lengths = parent height - child height
     (terminals sit at height 0); the root carries its height as a comment.
     Each whitespace or Newick-reserved character (``()[]':;,``) of a label
-    is written as ``_``."""
+    is written as ``_``.  The text of ``_newick_chunks``."""
+    return "".join(_newick_chunks(tree, full_precision))
+
+
+def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
+    """``tree_to_newick`` text in chunks of about ``_CHUNK`` characters,
+    written along the tree walk."""
     clean = functools.partial(_NEWICK_RESERVED.sub, "_")
     if not tree.nodes:
-        return f"{clean(tree.labels[0])};\n"
+        yield f"{clean(tree.labels[0])};\n"
+        return
     parts: list[str] = []
+    size = 0
     heights: list[float] = []  # heights of the open ancestors
     for (kind, idx), visit in walk(tree):
         if kind == TERMINAL:
-            parts.append(f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}")
+            part = f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}"
+            parts.append(part)
+            size += len(part)
+            if size >= _CHUNK:
+                yield "".join(parts)
+                parts, size = [], 0
         elif visit == 0:
             parts.append("(")
             heights.append(tree.nodes[idx - 1].height)
@@ -447,7 +486,7 @@ def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
             parts.append(")")
             if heights:
                 parts.append(f":{fmt_float(heights[-1] - height, full_precision)}")
-    return f"{''.join(parts)}[height={fmt_float(tree.nodes[-1].height, full_precision)}];\n"
+    yield f"{''.join(parts)}[height={fmt_float(tree.nodes[-1].height, full_precision)}];\n"
 
 
 def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
@@ -459,7 +498,7 @@ def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
         coord_names = tuple(f"c{i + 1}" for i in range(t.dim))
     header = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
     table = np.column_stack((t.root_smooth, t.details[::-1].T))
-    return _write_table(header, coord_names, (row.tolist() for row in table), full_precision)
+    return "".join(_table_chunks(header, coord_names, (row.tolist() for row in table), full_precision))
 
 
 def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str, ...]]:
@@ -498,7 +537,7 @@ def write_data_csv(
     if header is not None:
         header = ([""] if labels is not None else []) + list(header)
     rows = (row.tolist() for row in np.atleast_2d(data))
-    return _write_table(header, labels, rows, full_precision)
+    return "".join(_table_chunks(header, labels, rows, full_precision))
 
 
 # In ``encoding_to_json`` text each coefficient is followed by this
@@ -506,8 +545,6 @@ def write_data_csv(
 _CELL_SEP = ",\n    "
 _C_OPEN = '"C": [\n    '
 _ENCODING_TAIL = "\n  ]\n}\n"
-# the canonical reader converts the coefficients this many characters at a time
-_CHUNK = 1 << 20
 
 
 def _encoding_body(cells: np.ndarray) -> bytes:
@@ -529,14 +566,26 @@ def _encoding_head(p: int, n: int, labels) -> str:
 
 def encoding_to_json(enc: PadicEncoding) -> str:
     """The encoding as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"p", "n",
-    "labels", "C"}``, with ``C`` the rows concatenated.  ``json`` indents
-    through its pure-Python encoder, so only the header goes through it;
-    the n(n-1) coefficients are written by ``_encoding_body``."""
+    "labels", "C"}``, with ``C`` the rows concatenated: the text of
+    ``_encoding_json_chunks``."""
+    return "".join(_encoding_json_chunks(enc))
+
+
+def _encoding_json_chunks(enc: PadicEncoding) -> Iterator[str]:
+    """``encoding_to_json`` text in chunks of whole rows, about ``_CHUNK``
+    characters each (a coefficient takes 7 or 8).  ``json`` indents through its pure-Python encoder, so
+    only the header goes through it; the n(n-1) coefficients are written by
+    ``_encoding_body``, which ends every one in ``_CELL_SEP``, so the last
+    chunk drops its last separator."""
     head = _encoding_head(enc.p, enc.n, enc.labels)
     if enc.n < 2:
-        return head + "\n"
-    body = _encoding_body(enc._cells)[: -len(_CELL_SEP)].decode()
-    return f"{head[:-4]}[\n    {body}{_ENCODING_TAIL}"
+        yield head + "\n"
+        return
+    yield f"{head[:-4]}[\n    "
+    cells, rows = enc._cells, max(1, _CHUNK // (8 * enc.n))
+    for lo in range(0, enc.n, rows):
+        body = _encoding_body(cells[lo:lo + rows]).decode()
+        yield body if lo + rows < enc.n else body[: -len(_CELL_SEP)] + _ENCODING_TAIL
 
 
 def encoding_from_json(text: str) -> PadicEncoding:
@@ -632,7 +681,7 @@ def _chunk_cells(chunk: bytes) -> np.ndarray:
 
 def decimal_codes_csv(enc: PadicEncoding) -> str:
     codes = ([code] for code in enc.decimal_codes())
-    return _write_table(["label", "code"], enc.labels, codes)
+    return "".join(_table_chunks(["label", "code"], enc.labels, codes))
 
 
 def level_table_csv(
@@ -648,21 +697,41 @@ def level_table_csv(
     distinct level is formatted once, by ``_cell``; a float matrix passes
     its cells' bit patterns as levels.  The text the table would take is
     summed before it is built: past 1 GiB it is a ``ResourceGuardError``."""
-    distinct, counts = (a.tolist() for a in np.unique(levels, return_counts=True))
-    text = {r: _cell(value(r), full_precision) for r in distinct}
-    size = sum(count * (len(text[r]) + 1) for r, count in zip(distinct, counts))
+    return "".join(_level_table_chunks(labels, _level_counts(levels), lambda: levels,
+                                       value, full_precision))
+
+
+def _level_counts(levels: np.ndarray) -> dict[int, int]:
+    """The number of cells of each distinct level of ``levels``."""
+    distinct, counts = np.unique(levels, return_counts=True)
+    return dict(zip(distinct.tolist(), counts.tolist()))
+
+
+def _level_table_chunks(
+    labels: Sequence[str],
+    counts: dict[int, int],
+    levels: Callable[[], np.ndarray],
+    value: Callable[[int], object],
+    full_precision: bool = False,
+) -> Iterator[str]:
+    """``level_table_csv`` as chunks, given ``counts``, the number of cells
+    of each level, and ``levels``, which builds the table: the guard is
+    checked on the text the counts give before ``levels`` is called, so a
+    table past it is never built."""
+    text = {r: _cell(value(r), full_precision) for r in counts}
+    size = sum(count * (len(text[r]) + 1) for r, count in counts.items())
     _require_within_guard(size, "the distance table")
     # number text is never quoted, so each row goes to the writer as one
     # joined cell: the bytes are the same, with one ``_cell`` call per row
-    rows = ([",".join(map(text.__getitem__, row.tolist()))] for row in levels)
-    return _write_table(["", *labels], labels, rows)
+    rows = ([",".join(map(text.__getitem__, row.tolist()))] for row in levels())
+    yield from _table_chunks(["", *labels], labels, rows)
 
 
 def violations_csv(violations: Iterable[tuple[int, int, int, float, float]],
                    full_precision: bool = False) -> str:
     """Violating triples as 1-based (i, j, k, lhs, rhs) rows."""
     rows = ([i + 1, j + 1, k + 1, float(lhs), float(rhs)] for i, j, k, lhs, rhs in violations)
-    return _write_table(["i", "j", "k", "lhs", "rhs"], None, rows, full_precision)
+    return "".join(_table_chunks(["i", "j", "k", "lhs", "rhs"], None, rows, full_precision))
 
 
 def report_to_json(report: UltrametricityReport) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -205,6 +206,24 @@ def gap_levels(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
         by_position[a + 1 :, a] = running
     pos = np.argsort(order)  # the position of each terminal
     return by_position[np.ix_(pos, pos)]
+
+
+def gap_counts(order: Sequence[int], gaps: np.ndarray) -> dict[int, int]:
+    """The number of cells of each level in ``gap_levels(order, gaps)``,
+    read off the Cartesian tree of the gaps without building the table.
+
+    Gaps are joined from the lowest level up (:func:`join_gaps`), so the gap
+    that joins runs of a and b terminals is the largest between the a * b
+    pairs across it, which fill 2ab cells of the table; the n diagonal cells
+    are 0.  One stable sort of the gaps, then one pass."""
+    n = len(order)
+    counts = Counter({0: n} if n else {})
+    levels = gaps.tolist()
+    size = [1] * n  # terminals in the run starting at each position
+    for lo, k in join_gaps(n, (np.argsort(gaps, kind="stable") + 1).tolist()):
+        counts[levels[k - 1]] += 2 * size[lo] * size[k]
+        size[lo] += size[k]
+    return dict(counts)
 
 
 def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int]]:

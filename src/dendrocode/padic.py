@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import Dendrogram, MergeNode, TERMINAL, gap_levels, internal, terminal, walk
+from .hierarchy import (Dendrogram, MergeNode, TERMINAL, gap_counts, gap_levels, internal, terminal,
+                        walk)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -185,10 +186,19 @@ class PadicEncoding:
         In root-first order r of two rows is the largest cut between their
         sorted positions, so the table is ``gap_levels`` of the cuts:
         O(n^2) in all."""
+        return gap_levels(*self._level_gaps())
+
+    def _level_counts(self) -> dict[int, int]:
+        """The number of cells of each level in ``differing_levels()``,
+        read off the same cuts without building the table (``gap_counts``)."""
+        return gap_counts(*self._level_gaps())
+
+    def _level_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The root-first order of the rows and the cuts between them."""
         if self.n < 2:
-            return np.zeros((self.n, self.n), dtype=np.int64)
+            return np.arange(self.n), np.zeros(0, dtype=np.int64)
         order, cut = _root_first_order(self._cells)
-        return gap_levels(order, cut[1:])
+        return order, cut[1:]
 
 
 class _CoefficientRows:

@@ -231,34 +231,45 @@ _NLR_GUARD = 10
 def enumerate_nlr(n: int) -> list[Dendrogram]:
     """All non-labeled ranked binary tree shapes on ``n`` terminals, one per
     realizable packed permutation, in increasing order of the permutation
-    and each drawn by ``unpack``; counted by the zigzag numbers."""
+    and each drawn as ``unpack`` draws it; counted by the zigzag numbers."""
     _require_at_least(n, 1, "n")
     if n > _NLR_GUARD:
         raise ResourceGuardError(
             f"n={n} exceeds the enumeration guard ({_NLR_GUARD}): counts grow as zigzag numbers"
         )
     # Give ranks 1, 2, ... to the gaps depth first, keeping the run ends as
-    # join_gaps does and refusing each join that unpack would refuse.
+    # join_gaps does, refusing each join that unpack would refuse and making
+    # each merge node as unpack makes it, so each tree the search completes
+    # is built valid with no further check.
     first = list(range(n))  # first position of the run ending at each position
     last = list(range(n))  # last position of the run starting at each position
     merged = [n] * n  # earliest merge rank of the run starting at each position; n: never
+    refs = [terminal(i) for i in range(n)]  # subtree of the run starting at each position
     values = [0] * (n - 1) + [n]  # the packed permutation; 0: gap not yet joined
-    found: list[tuple[int, ...]] = []
+    nodes: list[MergeNode] = []
+    found: list[tuple[tuple[int, ...], tuple[MergeNode, ...]]] = []
 
     def search(rank: int) -> None:  # recursion depth n - 1 <= 9 under the guard
         if rank == n:
-            found.append(tuple(values))
+            found.append((tuple(values), tuple(nodes)))
             return
         for k in range(1, n):
             lo, hi = first[k - 1], last[k]
-            lf = merged[lo]
+            lf, ref = merged[lo], refs[lo]
             if values[k - 1] or merged[k] < lf:  # joined, or the right run merged first
                 continue
             values[k - 1] = rank
             first[hi], last[lo], merged[lo] = lo, hi, min(lf, rank)
+            nodes.append(MergeNode(rank, float(rank), ref, refs[k]))
+            refs[lo] = internal(rank)
             search(rank + 1)
             values[k - 1] = 0
-            first[hi], last[lo], merged[lo] = k, k - 1, lf
+            first[hi], last[lo], merged[lo], refs[lo] = k, k - 1, lf, ref
+            nodes.pop()
 
     search(1)
-    return [unpack(PackedPermutation(p)) for p in sorted(found)]
+    labels = tuple(f"x{i + 1}" for i in range(n))
+    trees = []
+    for _, tree_nodes in sorted(found, key=lambda item: item[0]):
+        trees.append(_tree(labels, tree_nodes))
+    return trees

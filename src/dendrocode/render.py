@@ -5,23 +5,31 @@ internal node appears as a junction column placed by rank, annotated at the
 right margin with its rank and height.  Rendering the same tree twice
 yields byte-identical output.
 
-The rows are written once each, in the order of the tree walk, so the
-memory used is in proportion to the text.
+The rows are written once each, in the order of the tree walk, and handed
+on in chunks, so the memory used is in proportion to a chunk of the text.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from typing import Iterator
 
 from .hierarchy import Dendrogram, TERMINAL, canonicalize, walk
 
 
 def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
-    from .formats import fmt_float
+    return "".join(_render_chunks(tree, full_precision))
+
+
+def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
+    """``render_tree`` text in chunks of whole rows, about ``_CHUNK``
+    characters each."""
+    from .formats import _CHUNK, fmt_float
 
     tree = canonicalize(tree)
     if not tree.nodes:
-        return f"{tree.labels[0]}\n"
+        yield f"{tree.labels[0]}\n"
+        return
 
     label_width = max(len(label) for label in tree.labels)
 
@@ -35,7 +43,8 @@ def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
     # a node's vertical line runs from its left child's row to its right
     # child's row; these are the sorted columns of the lines still open
     bars: list[int] = []
-    lines = []
+    lines: list[str] = []
+    size = 0
     for child, visit in walk(tree):
         kind, idx = child
         if kind == TERMINAL:
@@ -58,4 +67,9 @@ def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
             height = fmt_float(tree.nodes[idx - 1].height, full_precision)
             line += " " * (margin - len(line)) + f"q{idx} h={height}"
         lines.append(line)
-    return "\n".join(lines) + "\n"
+        size += len(line)
+        if size >= _CHUNK:
+            yield "\n".join(lines) + "\n"
+            lines, size = [], 0
+    if lines:
+        yield "\n".join(lines) + "\n"

@@ -58,6 +58,21 @@ def caterpillar(n: int, lean: str) -> Dendrogram:
     return Dendrogram(tuple(f"t{i + 1}" for i in range(n)), tuple(nodes))
 
 
+TREE_KINDS = ("random", "jumbled", "left", "right", "tied")
+
+
+def make_tree(n: int, kind: str, rng: random.Random) -> Dendrogram:
+    """A random tree (monotone or jumbled heights), a caterpillar leaning
+    either way, or a random tree whose heights are cut down to 0, 1 and 2."""
+    if kind in ("left", "right"):
+        return caterpillar(n, kind)
+    tree = random_tree(n, rng, heights="jumbled" if kind == "jumbled" else "monotone")
+    if kind == "tied":
+        tree = Dendrogram(tree.labels, tuple(
+            MergeNode(node.rank, float(node.height // 4), node.left, node.right) for node in tree.nodes))
+    return tree
+
+
 def corrupt(enc, rng):
     """Rows of ``enc`` with two columns swapped, one column negated (a
     child swap), part or all of one sign group of a column flipped, or one

@@ -981,3 +981,179 @@ def tree_json_by_dumps(tree):
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# The whole-string writers that the chunked writers replaced, each building
+# its text in memory at once: ``tree_to_json``, ``tree_to_newick``,
+# ``encoding_to_json``, ``level_table_csv`` (so ``write_matrix_csv``),
+# ``render_tree`` and ``PrefixHierarchy.dump_text``.  The joined chunks of
+# each writer must equal its text byte for byte.
+
+
+def tree_json_whole(tree):
+    """``tree_to_json``: the header through ``json``, then every node as
+    one string, joined at once."""
+    from dendrocode.formats import _child_token, _dumps, _json_number
+
+    head = _dumps({"n": tree.n, "labels": list(tree.labels), "nodes": []}, indent=2)
+    if not tree.nodes:
+        return head + "\n"
+    nodes = ",\n".join([
+        f'    {{\n      "rank": {_json_number(node.rank)},\n'
+        f'      "height": {_json_number(node.height)},\n'
+        f'      "left": "{_child_token(node.left)}",\n'
+        f'      "right": "{_child_token(node.right)}"\n    }}'
+        for node in tree.nodes
+    ])
+    return f"{head[:-4]}[\n{nodes}\n  ]\n}}\n"
+
+
+def newick_whole(tree, full_precision=False):
+    """``tree_to_newick``: every part of the walk in one list, joined once."""
+    import functools
+    import re
+
+    from dendrocode.formats import fmt_float
+    from dendrocode.hierarchy import TERMINAL, walk
+
+    clean = functools.partial(re.compile(r"[\s()\[\]':;,]").sub, "_")
+    if not tree.nodes:
+        return f"{clean(tree.labels[0])};\n"
+    parts = []
+    heights = []
+    for (kind, idx), visit in walk(tree):
+        if kind == TERMINAL:
+            parts.append(f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}")
+        elif visit == 0:
+            parts.append("(")
+            heights.append(tree.nodes[idx - 1].height)
+        elif visit == 1:
+            parts.append(",")
+        else:
+            height = heights.pop()
+            parts.append(")")
+            if heights:
+                parts.append(f":{fmt_float(heights[-1] - height, full_precision)}")
+    return f"{''.join(parts)}[height={fmt_float(tree.nodes[-1].height, full_precision)}];\n"
+
+
+def encoding_json_whole(enc):
+    """``encoding_to_json``: the coefficients of all rows replaced at once,
+    the last separator sliced off the whole body, and the body decoded."""
+    import json
+
+    head = json.dumps({"p": enc.p, "n": enc.n, "labels": list(enc.labels), "C": []}, indent=2)
+    if enc.n < 2:
+        return head + "\n"
+    sep = ",\n    "
+    body = (enc._cells.tobytes().replace(b"\x00", b"0" + sep.encode())
+            .replace(b"\x01", b"1" + sep.encode()).replace(b"\xff", b"-1" + sep.encode()))
+    return f"{head[:-4]}[\n    {body[:-len(sep)].decode()}\n  ]\n}}\n"
+
+
+def level_table_whole(labels, levels, value, full_precision=False):
+    """``level_table_csv``: each distinct level of the whole table, counted
+    by ``np.unique``, formatted once; the guard on the summed text; then
+    every row written through ``csv_table``."""
+    import numpy as np
+
+    from dendrocode.errors import _require_within_guard
+    from dendrocode.formats import _cell
+
+    distinct, counts = (a.tolist() for a in np.unique(levels, return_counts=True))
+    text = {r: _cell(value(r), full_precision) for r in distinct}
+    _require_within_guard(sum(c * (len(text[r]) + 1) for r, c in zip(distinct, counts)),
+                          "the distance table")
+    return csv_table(["", *labels], labels, [[text[r] for r in row] for row in levels.tolist()])
+
+
+def matrix_csv_whole(m, full_precision=False):
+    """``write_matrix_csv``: ``level_table_whole`` of the cells' bit patterns."""
+    import numpy as np
+
+    def value(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    return level_table_whole(m.labels, m.values.view(np.int64), value, full_precision)
+
+
+def render_whole(tree, full_precision=False):
+    """``render_tree``: every row of the walk in one list, joined once."""
+    from bisect import bisect_left, insort
+
+    from dendrocode.formats import fmt_float
+    from dendrocode.hierarchy import TERMINAL, canonicalize, walk
+
+    tree = canonicalize(tree)
+    if not tree.nodes:
+        return f"{tree.labels[0]}\n"
+    label_width = max(len(label) for label in tree.labels)
+
+    def column(rank):
+        return label_width + 1 + 3 * rank
+
+    margin = column(len(tree.nodes)) + 4
+    parent = {}
+    for node in tree.nodes:
+        parent[node.left], parent[node.right] = (node.rank, True), (node.rank, False)
+    bars = []
+    lines = []
+    for child, visit in walk(tree):
+        kind, idx = child
+        if kind == TERMINAL:
+            line = f"{tree.labels[idx]:<{label_width}} "
+        elif visit == 1:
+            line = " " * column(idx) + "+"
+        else:
+            continue
+        if child in parent:
+            rank, left = parent[child]
+            col = column(rank)
+            if not left:
+                bars.remove(col)
+            line += "-" * (col - len(line)) + "+"
+            if left:
+                insort(bars, col)
+        for col in bars[bisect_left(bars, len(line)):]:
+            line += " " * (col - len(line)) + "|"
+        if kind != TERMINAL:
+            height = fmt_float(tree.nodes[idx - 1].height, full_precision)
+            line += " " * (margin - len(line)) + f"q{idx} h={height}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def dump_whole(hierarchy):
+    """``PrefixHierarchy.dump_text``: four parallel lists over the trie's
+    nodes (depth, prefix text built from the parent's, first sorted
+    position, end of its sorted run), then every line, joined once."""
+    from dendrocode.baire import _DIGIT_CHARS
+
+    order, lcp, n = hierarchy.order, hierarchy.lcp, len(hierarchy.order)
+    digits = [hierarchy.strings[i].digits for i in order]
+    if hierarchy.base <= len(_DIGIT_CHARS):
+        digit_text, comma = _DIGIT_CHARS.__getitem__, ""
+    else:
+        digit_text, comma = str, ","
+    depths, prefixes, starts, ends = [0], [""], [0], [n]
+    open_lines = [0]
+    for k in range(n):
+        while depths[open_lines[-1]] > lcp[k]:
+            ends[open_lines.pop()] = k
+        prefix = prefixes[open_lines[-1]]
+        for d in range(lcp[k] + 1, len(digits[k]) + 1):
+            digit = digit_text(digits[k][d - 1])
+            prefix = f"{prefix}{comma}{digit}" if prefix else digit
+            open_lines.append(len(depths))
+            depths.append(d)
+            prefixes.append(prefix)
+            starts.append(k)
+            ends.append(n)
+    lines = [f"(root) [{n}]"]
+    for d, prefix, k, end in zip(depths[1:], prefixes[1:], starts[1:], ends[1:]):
+        j = k
+        while j < end and len(digits[j]) == d:
+            j += 1
+        tag = "  <- " + ", ".join(hierarchy.labels[i] for i in order[k:j]) if j > k else ""
+        lines.append(f"{'  ' * d}{prefix} [{end - k}]{tag}")
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,179 @@
+"""Referee for the chunked writers: every large output is written as a
+generator of text chunks, and each public writer returns their join.  The
+joined chunks must equal, byte for byte, the text of the whole-string
+writer each one replaced (``tests/oracles.py``), with chunks of the usual
+size and with chunks so small that every node, row or line ends one.  The
+level-table verbs size their tables from the tree, so the counts they read
+off it must equal the counts of the built table."""
+
+from __future__ import annotations
+
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dendrocode import formats
+from dendrocode.baire import BaireString, baire_cluster, digitize_reals
+from dendrocode.cli import main
+from dendrocode.hierarchy import Dendrogram, drawing, gap_counts, gap_levels
+from dendrocode.padic import encode_dendrogram
+from dendrocode.render import render_tree
+from dendrocode.ultrametric import cophenetic_matrix
+
+import oracles
+from conftest import TREE_KINDS, make_tree
+
+CHUNKS = st.sampled_from([1, 64, formats._CHUNK])
+
+
+def _counts(levels: np.ndarray) -> dict[int, int]:
+    distinct, counts = np.unique(levels, return_counts=True)
+    return dict(zip(distinct.tolist(), counts.tolist()))
+
+
+def _same(got: str, want: str) -> None:
+    """``got == want``, or an error naming the first difference: a diff of
+    two long texts would take minutes on each example hypothesis shrinks."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        raise AssertionError(f"texts differ at {at} (lengths {len(got)}, {len(want)}): "
+                             f"{got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
+def _tree(n: int, kind: str, seed: int) -> Dendrogram:
+    """``make_tree``, or the one-terminal tree when n is 1."""
+    return make_tree(n, kind, random.Random(seed)) if n > 1 else Dendrogram(("t 1",), ())
+
+
+def _verb(argv: list[str], inputs: dict[str, str]) -> tuple[int, str]:
+    """Exit code and output text of one verb, its inputs named as in
+    ``inputs`` and its output at ``out``."""
+    with tempfile.TemporaryDirectory() as folder:
+        for name, text in inputs.items():
+            Path(folder, name).write_text(text)
+        code = main([str(Path(folder, arg)) if arg in (*inputs, "out") else arg for arg in argv])
+        out = Path(folder, "out")
+        return code, out.read_text() if out.exists() else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.sampled_from(TREE_KINDS), st.integers(0, 2**32), CHUNKS,
+       st.booleans())
+def test_tree_writers_match_the_whole_string_writers(n, kind, seed, chunk, full_precision):
+    tree = _tree(n, kind, seed)
+    enc = encode_dendrogram(tree, 3)
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        _same(formats.tree_to_json(tree), oracles.tree_json_whole(tree))
+        _same(formats.tree_to_newick(tree, full_precision), oracles.newick_whole(tree, full_precision))
+        _same(render_tree(tree, full_precision), oracles.render_whole(tree, full_precision))
+        _same(formats.encoding_to_json(enc), oracles.encoding_json_whole(enc))
+        m = cophenetic_matrix(tree)
+        _same(formats.write_matrix_csv(m, full_precision), oracles.matrix_csv_whole(m, full_precision))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.sampled_from(TREE_KINDS), st.integers(0, 2**32), CHUNKS,
+       st.booleans())
+def test_level_table_verbs_match_the_whole_tables(n, kind, seed, chunk, full_precision):
+    """``cophenetic`` writes the rank table of the drawing, sized from the
+    tree, with each rank's height: the text of the float matrix."""
+    tree = _tree(n, kind, seed)
+    enc = encode_dendrogram(tree, 3)
+    precision = ["--full-precision"] if full_precision else []
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        code, text = _verb(["cophenetic", "tree", "-o", "out", *precision],
+                           {"tree": formats.tree_to_json(tree)})
+        assert code == 0
+        _same(text, oracles.matrix_csv_whole(cophenetic_matrix(tree), full_precision))
+        code, text = _verb(["padic-dist", "enc", "-o", "out"], {"enc": formats.encoding_to_json(enc)})
+        rows = [[oracles.exact_text(d) for d in row] for row in oracles.padic_table(enc)]
+        assert code == 0
+        _same(text, oracles.csv_table(["", *enc.labels], enc.labels, rows))
+
+
+@pytest.mark.parametrize("n", [256, 257, 300])
+@pytest.mark.parametrize("kind", ["random", "left", "tied"])
+def test_cophenetic_past_one_byte_of_ranks(n, kind, rng):
+    """Ranks past 255 take a two-byte table."""
+    tree = make_tree(n, kind, rng)
+    code, text = _verb(["cophenetic", "tree", "-o", "out"], {"tree": formats.tree_to_json(tree)})
+    assert code == 0
+    _same(text, oracles.matrix_csv_whole(cophenetic_matrix(tree)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 10, 40, 2**70]), st.integers(1, 30), st.integers(1, 12),
+       st.integers(0, 2**32), CHUNKS)
+def test_prefix_trees_match_the_whole_string_writers(base, n, width, seed, chunk):
+    """Strings cut from a few shared stems, some equal, some under one
+    label, so prefixes are shared and runs end together."""
+    rng = random.Random(seed)
+    stems = [[rng.randrange(base) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+    strings = [BaireString(base, tuple(rng.choice(stems)[: rng.randint(1, width)]),
+                           rng.choice(["a", "b", None])) for _ in range(n)]
+    hierarchy, tree = baire_cluster(strings)
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        _same(hierarchy.dump_text(), oracles.dump_whole(hierarchy))
+        _same(formats.tree_to_json(tree), oracles.tree_json_whole(tree))
+        _same(formats.tree_to_newick(tree), oracles.newick_whole(tree))
+    assert hierarchy._level_counts() == _counts(hierarchy.levels())
+
+
+@pytest.mark.parametrize("base, digits", [(2, 6), (10, 6), (2, 130)])
+def test_baire_dist_matches_the_whole_table(base, digits):
+    """130 digits take a two-byte level table."""
+    rng = random.Random(base)
+    reals = [rng.choice([0.5, 0.25, rng.random()]) for _ in range(25)]
+    text = "".join(f"{s.label},{s.text()}\n" for s in digitize_reals(reals, digits, base))
+    for exact in (False, True):
+        code, out = _verb(["baire-dist", "s", "--base", str(base), "-o", "out",
+                           *(["--exact"] if exact else [])], {"s": text})
+        assert code == 0
+        _same(out, oracles.baire_dist_by_pairs(formats.read_strings(text, base), exact))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 4), st.integers(0, 2**32))
+def test_gap_counts_are_the_counts_of_the_table(n, top, seed):
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(0, top + 1, max(n - 1, 0))
+    order = rng.permutation(n)
+    assert gap_counts(order, gaps) == _counts(gap_levels(order, gaps))
+
+
+def test_encoding_counts_are_the_counts_of_the_table(rng):
+    from conftest import encoding_sweep
+
+    for enc in encoding_sweep(3, rng):
+        assert enc._level_counts() == _counts(enc.differing_levels())
+
+
+def test_drawing_counts_are_the_counts_of_the_rank_table(rng):
+    for kind in TREE_KINDS:
+        tree = make_tree(40, kind, rng)
+        order, ranks = drawing(tree)
+        ranks = np.array(ranks, dtype=np.intp)
+        assert gap_counts(order, ranks) == _counts(gap_levels(order, ranks))
+
+
+@pytest.mark.parametrize("verb", ["cophenetic", "padic-dist", "baire-dist"])
+def test_level_tables_are_sized_before_they_are_built(verb, rng, capsys):
+    """Past the guard, each level-table verb is one E_RESOURCE line and
+    writes nothing; the table builder is never called."""
+    tree = make_tree(30, "random", rng)
+    inputs = {"cophenetic": formats.tree_to_json(tree),
+              "padic-dist": formats.encoding_to_json(encode_dendrogram(tree, 3)),
+              "baire-dist": "".join(f"s{i},{i:05d}\n" for i in range(30))}
+    with (mock.patch("dendrocode.errors._TABLE_GUARD", 100),
+          mock.patch("dendrocode.cli.gap_levels", side_effect=AssertionError),
+          mock.patch("dendrocode.padic.PadicEncoding.differing_levels", side_effect=AssertionError),
+          mock.patch("dendrocode.baire.PrefixHierarchy.levels", side_effect=AssertionError)):
+        code, out = _verb([verb, "in", "-o", "out"], {"in": inputs[verb]})
+    err = capsys.readouterr().err
+    assert (code, out) == (1, None)
+    assert err.startswith("E_RESOURCE: the distance table would take ") and err.count("\n") == 1

@@ -9,13 +9,18 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from dendrocode import cli, formats
+from dendrocode.baire import baire_cluster
 from dendrocode.cli import main
+from dendrocode.errors import ResourceGuardError
 from dendrocode.permutations import permutation_text
 
 from conftest import dense_table_csv
@@ -482,6 +487,161 @@ def test_verify_um_writes_its_list_then_fails(tmp_path, capsys, to_file):
         assert (out.read_text(), captured.out) == (listing, "")
     else:
         assert captured.out == listing
+
+
+# The writer's contract: a file target is written to a temporary file beside
+# it and renamed over it only once every output is complete; stdout is
+# printed after that.
+
+
+def _chunks_then(error):
+    yield "a first chunk\n"
+    raise error
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+@pytest.mark.parametrize("error", [ResourceGuardError("past the guard"), MemoryError()],
+                         ids=["dendrocode-error", "memory-error"])
+def test_an_error_in_a_chunk_changes_no_target(tmp_path, capsys, existing, error):
+    out, later = tmp_path / "out", tmp_path / "later"
+    if existing:
+        out.write_bytes(b"kept\n")
+    outputs = [(str(out), "the whole text\n"), ("-", "printed\n"),
+               (str(later), _chunks_then(error)), (None, "printed too\n")]
+    with pytest.raises(type(error)):
+        cli._write(outputs)
+    assert capsys.readouterr() == ("", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_a_failed_write_changes_no_other_target(tmp_path, capsys, existing):
+    """/dev/full takes every open and fails every write (ENOSPC)."""
+    (tmp_path / "data.csv").write_text(INPUTS["data.csv"])
+    out = tmp_path / "tree.json"
+    if existing:
+        out.write_bytes(b"kept\n")
+    code, err = _run(capsys, ["cluster", str(tmp_path / "data.csv"), "-o", str(out),
+                              "--newick", "/dev/full"])
+    assert (code, err) == (1, "E_DOMAIN: cannot write /dev/full: No space left on device\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", *(["tree.json"] if existing else [])]
+    if existing:
+        assert out.read_bytes() == b"kept\n"
+
+
+def test_the_running_count_is_a_backstop_for_every_output(tmp_path, capsys):
+    (tmp_path / "data.csv").write_text(INPUTS["data.csv"])
+    argv = ["cluster", str(tmp_path / "data.csv"), "-o", str(tmp_path / "tree.json"),
+            "--newick", str(tmp_path / "tree.nwk")]
+    with mock.patch.object(cli, "_TABLE_GUARD", 100):
+        code, err = _run(capsys, argv)
+    assert (code, err) == (1, f"E_RESOURCE: the output to {tmp_path / 'tree.json'} "
+                              "passed the guard (100 bytes)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+@pytest.mark.parametrize("dangling", [False, True], ids=["existing", "dangling"])
+def test_a_symlinked_target_is_written_through(tmp_path, capsys, dangling):
+    (tmp_path / "data.csv").write_text(INPUTS["data.csv"])
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    if not dangling:
+        real.write_text("old\n")
+    link.symlink_to(real)
+    assert main(["cluster", str(tmp_path / "data.csv"), "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text().startswith('{\n  "n": 3,')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.json", "real.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_files_take_the_umask_and_existing_files_keep_their_mode(tmp_path, capsys, umask):
+    (tmp_path / "data.csv").write_text(INPUTS["data.csv"])
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.nwk"
+    kept.write_text("old\n")
+    kept.chmod(0o604)
+    old = os.umask(umask)
+    try:
+        code = main(["cluster", str(tmp_path / "data.csv"), "-o", str(fresh), "--newick", str(kept)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert kept.read_text().endswith("];\n")
+
+
+def test_a_read_only_target_is_refused_before_anything_is_written(tmp_path, capsys):
+    """The superuser may open a read-only file for writing; the open is made
+    to refuse as it does for anyone else."""
+    (tmp_path / "data.csv").write_text(INPUTS["data.csv"])
+    locked = tmp_path / "locked.nwk"
+    locked.write_text("old\n")
+    locked.chmod(0o444)
+
+    def refusing_open(path, mode="r", *args, **kwargs):
+        if str(path) == str(locked) and set(mode) & set("wa+"):
+            raise PermissionError(13, "Permission denied")
+        return open(path, mode, *args, **kwargs)
+
+    with mock.patch.object(cli, "open", refusing_open, create=True):
+        code, err = _run(capsys, ["cluster", str(tmp_path / "data.csv"), "-o", str(tmp_path / "tree.json"),
+                                  "--newick", str(locked)])
+    assert (code, err) == (1, f"E_DOMAIN: cannot write {locked}: Permission denied\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "locked.nwk"]
+    assert locked.read_text() == "old\n"
+
+
+def test_one_path_given_twice_keeps_the_later_output(tmp_path, capsys):
+    (tmp_path / "data.csv").write_text(INPUTS["data.csv"])
+    out = tmp_path / "out"
+    assert main(["cluster", str(tmp_path / "data.csv"), "-o", str(out), "--newick", str(out)]) == 0
+    assert out.read_text().endswith("];\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out"]
+
+
+def test_dev_stdout_sent_to_a_file_is_written_in_place(tmp_path):
+    """``canonical -o /dev/stdout`` writes its table through /dev/stdout and
+    prints its permutation: both reach the file stdout appends to (as after
+    ``>>``).  Renaming over that file would leave stdout writing to a file
+    no longer in the directory, and the permutation would be lost."""
+    (tmp_path / "matrix.csv").write_text(INPUTS["matrix.csv"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with open(tmp_path / "out.txt", "a") as out:
+        result = subprocess.run(
+            [sys.executable, "-m", "dendrocode.cli", "canonical", str(tmp_path / "matrix.csv"),
+             "-o", "/dev/stdout"], stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "out.txt").read_text() == ",c,a,b\nc,0,2,2\na,2,0,1\nb,2,1,0\n3,1,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv", "out.txt"]
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys):
+    """An input larger than the memory the host gives used to end in a
+    MemoryError traceback; a chunk that runs out leaves no target either."""
+    (tmp_path / "data.csv").write_text(INPUTS["data.csv"])
+    with mock.patch.object(cli.Path, "read_text", side_effect=MemoryError):
+        assert _run(capsys, ["cluster", str(tmp_path / "data.csv")]) == (1, "E_RESOURCE: out of memory\n")
+    with mock.patch.object(formats, "_newick_chunks", lambda *args: _chunks_then(MemoryError())):
+        code, err = _run(capsys, ["cluster", str(tmp_path / "data.csv"), "-o", str(tmp_path / "t.json"),
+                                  "--newick", str(tmp_path / "t.nwk")])
+    assert (code, err) == (1, "E_RESOURCE: out of memory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+def test_stdout_is_spooled_whole_past_the_memory_spool(tmp_path, capsys):
+    """A spool past its memory size moves to disk; text split inside a
+    character by the copy's blocks prints whole."""
+    labels = [f"é{i}" for i in range(40)]
+    text = "".join(f"{label},{i:04d}\n" for i, label in enumerate(labels))
+    (tmp_path / "s.txt").write_text(text)
+    with mock.patch.object(formats, "_CHUNK", 7):
+        code = main(["baire-cluster", str(tmp_path / "s.txt"), "--trie-out", "-"])
+    hierarchy, tree = baire_cluster(formats.read_strings(text, 10))
+    assert code == 0
+    assert capsys.readouterr().out == formats.tree_to_json(tree) + hierarchy.dump_text()
 
 
 # Every numeric flag of every verb: the verb's argv up to the flag (input

@@ -42,6 +42,29 @@ def test_peak_rss_runs_one_verb_and_reports_one_line(tmp_path):
     assert re.fullmatch(line, result.stderr), result.stderr
 
 
+def test_peak_rss_limits_the_address_space_of_the_verb(tmp_path):
+    """Under --limit-mb the verb runs as before while it fits.  A limit of
+    1 MB lies below what the process already holds, so the cophenetic table
+    of a 2,000-leaf caterpillar cannot be allocated: the verb is refused."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from dendrocode.formats import tree_to_json
+    from conftest import caterpillar
+
+    stream, out = tmp_path / "stream.csv", tmp_path / "ordinal.txt"
+    stream.write_text("4\n7\n9\n10\n6\n11\n3\n")
+    tool = str(ROOT / "tools" / "peak_rss.py")
+    result = _run(tool, "--limit-mb", "16384", "ordinal", str(stream), "--order", "2", "-o", str(out))
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == b"012 012 201 102 201\n"
+    assert result.stderr.startswith("peak_rss: exit=0 ")
+    tree, table = tmp_path / "tree.json", tmp_path / "table.csv"
+    tree.write_text(tree_to_json(caterpillar(2000, "left")))
+    result = _run(tool, "--limit-mb", "1", "cophenetic", str(tree), "-o", str(table))
+    assert result.returncode == 1
+    assert result.stderr.startswith("E_RESOURCE: out of memory\npeak_rss: exit=1 "), result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ordinal.txt", "stream.csv", "tree.json"]
+
+
 # A stand-in for perfbench/run.py: it logs its call, writes a run record of
 # two passes and prints a fixed result, with wall_s and the output digest
 # of op "a" taken from the checkout's walls.json and digests.json by seed.

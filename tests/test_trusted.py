@@ -31,7 +31,6 @@ from dendrocode.hierarchy import (
     LINKAGES,
     Dendrogram,
     DissimilarityMatrix,
-    MergeNode,
     agglomerate,
     canonicalize,
     pairwise_distances,
@@ -41,7 +40,7 @@ from dendrocode.hierarchy import (
 from dendrocode.permutations import enumerate_nlr, packed_representation, unpack
 from dendrocode.ultrametric import canonical_form, cophenetic_matrix, verify_ultrametric
 
-from conftest import caterpillar, random_tree
+from conftest import TREE_KINDS, make_tree
 
 # (entry, module, function) for every call of a trusted entry in the package
 CALL_SITES = {
@@ -52,6 +51,7 @@ CALL_SITES = {
     ("_tree", "ultrametric", "_single_linkage_order"),
     ("_tree", "permutations", "packed_representation"),
     ("_tree", "permutations", "unpack"),
+    ("_tree", "permutations", "enumerate_nlr"),
     ("_tree", "baire", "baire_cluster"),
     ("_built", "hierarchy", "pairwise_distances"),
     ("_built", "ultrametric", "cophenetic_matrix"),
@@ -130,19 +130,7 @@ def refereed():
         yield seen
 
 
-TREES = st.sampled_from(["random", "jumbled", "left", "right", "tied"])
-
-
-def make_tree(n: int, kind: str, rng: random.Random) -> Dendrogram:
-    """A random tree (monotone or jumbled heights), a caterpillar leaning
-    either way, or a random tree whose heights are cut down to 0, 1 and 2."""
-    if kind in ("left", "right"):
-        return caterpillar(n, kind)
-    tree = random_tree(n, rng, heights="jumbled" if kind == "jumbled" else "monotone")
-    if kind == "tied":
-        tree = Dendrogram(tree.labels, tuple(
-            MergeNode(node.rank, float(node.height // 4), node.left, node.right) for node in tree.nodes))
-    return tree
+TREES = st.sampled_from(TREE_KINDS)
 
 
 def exercise_tree(tree: Dendrogram) -> None:
@@ -206,7 +194,7 @@ class TestReferee:
         with refereed() as seen:
             trees = enumerate_nlr(n)
         assert len(trees) == [1, 1, 1, 2, 5, 16, 61, 272, 1385][n - 1]
-        assert seen == {("_tree", "permutations", "unpack")}
+        assert seen == {("_tree", "permutations", "enumerate_nlr")}
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 4, 10, 36, 40, 257, 2**70]), st.integers(1, 30), st.integers(1, 12),
