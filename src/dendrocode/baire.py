@@ -11,7 +11,6 @@ ever-longer agreement is 0.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -21,8 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
-from .hierarchy import (Dendrogram, MergeNode, _tree, gap_counts, gap_levels, internal, join_gaps,
-                        terminal)
+from .hierarchy import Dendrogram, MergeNode, _tree, gap_levels, internal, join_gaps, terminal
 
 
 @dataclass(frozen=True)
@@ -247,34 +245,32 @@ class PrefixHierarchy:
         """n x n integer table, in string order, of the common-prefix length
         of each two strings, so base^(-level) is their ``baire_distance``;
         -1 where that distance is 0: on the diagonal and between equal
-        digits under one label.  Two sorted strings share the least ``lcp``
-        between their positions, which is depth minus the largest gap of
-        depth - lcp (``gap_levels``).  The table takes the narrowest signed
-        integer type that holds -1 and the depth."""
+        digits under one label.  Each gap g of ``_level_gaps`` stands for
+        level depth + 1 - g, and gap 0 for -1.  The table takes the
+        narrowest signed integer type that holds -1 and the depth."""
         depth = self.depth
-        gaps = depth - np.array(self.lcp[1:], dtype=np.intp)
-        levels = gap_levels(self.order, gaps.astype(np.result_type(np.int8, np.min_scalar_type(depth))))
-        np.subtract(depth, levels, out=levels)
-        ids: dict = {}
-        same = np.array([ids.setdefault((s.digits, s.label), len(ids)) for s in self.strings])
-        levels[same[:, None] == same] = -1
-        return levels
+        level = np.arange(depth + 1, -1, -1, dtype=np.result_type(np.int8, np.min_scalar_type(depth)))
+        level[0] = -1
+        return level[gap_levels(*self._level_gaps())]
 
-    def _level_counts(self) -> dict[int, int]:
-        """The number of cells of each level in ``levels()``, without
-        building it: ``gap_counts`` of the same gaps, each gap g at level
-        depth - g, and then the cells of level -1: the diagonal's n (gap 0),
-        and the s(s - 1) of s equal strings under one label, whose level is
-        their length."""
-        depth, n = self.depth, len(self.strings)
-        gaps = depth - np.array(self.lcp[1:], dtype=np.intp)
-        counts = Counter({depth - g: count for g, count in gap_counts(self.order, gaps).items()})
-        counts[depth] -= n
-        counts[-1] += n
-        for (digits, _), s in Counter((s.digits, s.label) for s in self.strings).items():
-            counts[len(digits)] -= s * (s - 1)
-            counts[-1] += s * (s - 1)
-        return {level: count for level, count in counts.items() if count}
+    def _level_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each string's drawing position, and the gaps between positions.
+
+        The positions are the sorted strings, where equal digits under one
+        label share one position: their distance is 0.  Two strings share
+        the least ``lcp`` between their sorted positions, so the gap before
+        a position is depth + 1 - ``lcp`` at the first string there, at
+        least 1; a string's equal neighbours hold equal ``lcp``, so their
+        order within the run does not matter."""
+        ids: dict = {}  # the position of each (digits, label)
+        pos = np.empty(len(self.strings), dtype=np.intp)
+        first = []  # the sorted index of each position's first string
+        for k, i in enumerate(self.order):
+            s = self.strings[i]
+            pos[i] = p = ids.setdefault((s.digits, s.label), len(ids))
+            if p == len(first):
+                first.append(k)
+        return pos, self.depth + 1 - np.array(self.lcp, dtype=np.intp)[first[1:]]
 
     def dump_text(self) -> str:
         """Indented one-node-per-line rendering for inspection, in preorder
@@ -405,7 +401,7 @@ def baire_cluster(
     gaps = (np.argsort(-lcp[1:], kind="stable") + 1).tolist()
     refs = [terminal(i) for i in hierarchy.order]  # subtree of the run starting at each position
     nodes = []
-    for rank, (lo, k) in enumerate(join_gaps(len(order), gaps), start=1):
+    for rank, (lo, k, _) in enumerate(join_gaps(len(order), gaps), start=1):
         nodes.append(MergeNode(rank, heights[hierarchy.lcp[k]], refs[lo], refs[k]))
         refs[lo] = internal(rank)
     return hierarchy, _tree(labels, tuple(nodes))

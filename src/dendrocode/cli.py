@@ -69,31 +69,36 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
     sys.stderr; a text is a str or an iterable of str chunks, which are
     generated as they are written.
 
-    Every path is opened before anything is written (``_open_target``): a
-    regular file, or a path that does not exist yet, gets a temporary file
-    beside it, and any other target, such as /dev/null, is opened in place.
-    Then the texts are written in order: each file's to its temporary file
-    and the stdout texts to one spool, each text past 1 GiB a
-    ``ResourceGuardError``.  Only when every text is complete are the
-    temporary files renamed over their targets, in order, so a path given
-    twice keeps the later text; then the spool is printed and the stderr
-    texts (each a str) after it.  On any error every temporary file is
+    Stdout, stderr, and a path that is the regular file either of them
+    writes to (/dev/stdout when stdout goes to a file), each get one spool.
+    Every other path is opened before anything is written
+    (``_open_target``): a regular file, or a path that does not exist yet,
+    gets a temporary file beside it, and any other target, such as
+    /dev/null, is opened in place.  Then the texts are written in order,
+    each past 1 GiB a ``ResourceGuardError``.  Only when every text is
+    complete are the temporary files renamed over their targets, in order,
+    so a path given twice keeps the later text; then stdout's spool is
+    printed, and stderr's after it.  On any error every temporary file is
     removed, so no file target changes; a target written in place keeps
     what was written to it.  Returns the exit code: 1 when a text went to
-    stderr, else 0."""
+    sys.stderr, else 0."""
     renames: list[tuple[str, str]] = []  # (temporary file, the file it replaces)
     sinks: list[tuple[str, Text, BinaryIO]] = []
-    spool = None
+    spools: dict[TextIO, BinaryIO] = {}
     try:
         for target, text in outputs:
-            if target is sys.stderr:
-                continue
             if target in (None, "-"):
-                if spool is None:
-                    spool = tempfile.SpooledTemporaryFile(formats._CHUNK)
-                sinks.append(("stdout", text, spool))
+                name, stream = "stdout", sys.stdout
+            elif target is sys.stderr:
+                name, stream = "stderr", sys.stderr
             else:
-                sinks.append((target, text, _open_target(target, renames)))
+                name, stream = target, _std_stream(target)
+            if stream is None:
+                sinks.append((name, text, _open_target(target, renames)))
+            else:
+                if stream not in spools:
+                    spools[stream] = tempfile.SpooledTemporaryFile(formats._CHUNK)
+                sinks.append((name, text, spools[stream]))
         for name, text, sink in sinks:
             written = 0
             for chunk in (text,) if isinstance(text, str) else text:
@@ -104,7 +109,7 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
                         f"the output to {name} passed the guard ({_TABLE_GUARD} bytes)")
                 _io(name, sink.write, data)
         for name, _, sink in sinks:
-            if sink is not spool:
+            if sink not in spools.values():
                 _io(name, sink.close)
         for temp, final in renames:
             _io(final, os.replace, temp, final)
@@ -115,13 +120,13 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
         for temp, _ in renames:
             Path(temp).unlink(missing_ok=True)
         raise
-    if spool is not None:
-        spool.seek(0)
-        decode = codecs.getincrementaldecoder("utf-8")().decode
-        while block := spool.read(formats._CHUNK):
-            sys.stdout.write(decode(block))
-        spool.close()
-    sys.stderr.writelines(text for target, text in outputs if target is sys.stderr)
+    for stream in (sys.stdout, sys.stderr):
+        if (spool := spools.pop(stream, None)) is not None:
+            spool.seek(0)
+            decode = codecs.getincrementaldecoder("utf-8")().decode
+            while block := spool.read(formats._CHUNK):
+                stream.write(decode(block))
+            spool.close()
     return int(any(target is sys.stderr for target, _ in outputs))
 
 
@@ -137,22 +142,20 @@ def _io(name: str, call, *args):
 def _open_target(target: str, renames: list[tuple[str, str]]) -> BinaryIO:
     """A binary file to write ``target``'s text to.
 
-    A target that exists and is not a regular file (a device, a pipe), or
-    is the file that this process's stdout or stderr writes to (as
-    /dev/stdout is when stdout goes to a file), is opened in place for
-    append, which truncates nothing.  Any other target is written through
-    its symlinks to the file they lead to: a temporary file is made beside
-    that file and added to ``renames``.  It takes the mode of the file it
-    replaces, or, for a new file, the mode the umask leaves of 0o666, as a
-    new file opened for writing would.  An existing file that cannot be
-    opened for writing is refused here."""
+    A target that exists and is not a regular file (a device, a pipe) is
+    opened in place for append, which truncates nothing.  Any other target
+    is written through its symlinks to the file they lead to: a temporary
+    file is made beside that file and added to ``renames``.  It takes the
+    mode of the file it replaces, or, for a new file, the mode the umask
+    leaves of 0o666, as a new file opened for writing would.  An existing
+    file that cannot be opened for writing is refused here."""
     try:
         found = os.stat(target)
     except FileNotFoundError:
         found = None
     except OSError as exc:
         raise DomainError(f"cannot write {target}: {exc.strerror}") from None
-    if found is not None and (not stat.S_ISREG(found.st_mode) or _is_std_stream(found)):
+    if found is not None and not stat.S_ISREG(found.st_mode):
         return _io(target, open, target, "ab")
     if found is not None:
         _io(target, open, target, "ab").close()
@@ -178,13 +181,17 @@ def _open_target(target: str, renames: list[tuple[str, str]]) -> BinaryIO:
     return file
 
 
-def _is_std_stream(found: os.stat_result) -> bool:
-    """Whether ``found`` is the file open as this process's stdout or stderr."""
-    for fd in (1, 2):
-        with contextlib.suppress(OSError):  # the descriptor may be closed
-            if os.path.samestat(found, os.fstat(fd)):
-                return True
-    return False
+def _std_stream(target: str) -> TextIO | None:
+    """sys.stdout or sys.stderr when ``target`` is the regular file that
+    fd 1 or fd 2 writes to, else None."""
+    with contextlib.suppress(OSError):  # the path or a descriptor may be missing
+        found = os.stat(target)
+        if stat.S_ISREG(found.st_mode):
+            for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+                with contextlib.suppress(OSError):
+                    if os.path.samestat(found, os.fstat(fd)):
+                        return stream
+    return None
 
 
 def _load_tree(path: str):
@@ -228,14 +235,19 @@ def _cmd_cophenetic(args):
     tree = _load_tree(args.tree)
     # the cophenetic matrix as the rank table of the drawing, each rank
     # mapped to its node's height and 0 to 0.0: the text of
-    # write_matrix_csv(cophenetic_matrix(tree)), sized from the tree first;
-    # the table takes the narrowest integer type that holds every rank
+    # write_matrix_csv(cophenetic_matrix(tree)), sized from the tree first
     order, ranks = drawing(tree)
-    ranks = np.array(ranks, dtype=np.min_scalar_type(len(ranks)))
     heights = [0.0, *map(float, tree.heights())]
-    yield args.output, formats._level_table_chunks(
-        tree.labels, gap_counts(order, ranks), lambda: gap_levels(order, ranks),
-        heights.__getitem__, args.full_precision)
+    yield args.output, _level_table(tree.labels, np.argsort(order), np.array(ranks, dtype=np.intp),
+                                    heights.__getitem__, args.full_precision)
+
+
+def _level_table(labels, pos, gaps, value, full_precision=False):
+    """The chunks of the level table of the drawing ``(pos, gaps)``, each
+    level printed as ``value(level)``: sized by ``gap_counts`` before
+    ``gap_levels`` builds it."""
+    return formats._level_table_chunks(labels, gap_counts(pos, gaps), lambda: gap_levels(pos, gaps),
+                                       value, full_precision)
 
 
 def _cmd_verify_um(args):
@@ -277,20 +289,20 @@ def _cmd_padic_dist(args):
         similarity = Fraction(1, enc.p**r)
         return similarity if args.similarity else 1 - similarity
 
-    yield args.output, formats._level_table_chunks(
-        enc.labels, enc._level_counts(), enc.differing_levels, value)
+    yield args.output, _level_table(enc.labels, *enc._level_gaps(), value)
 
 
 def _cmd_baire_dist(args):
     strings = formats.read_strings(_read(args.strings), args.base)
     hierarchy = baire_cluster(strings)[0]
+    top = hierarchy.depth + 1
 
-    def value(r: int) -> Fraction | float:
-        distance = Fraction(0) if r < 0 else Fraction(1, args.base**r)
+    def value(g: int) -> Fraction | float:
+        # gap g is the common-prefix length top - g, and gap 0 distance 0
+        distance = Fraction(0) if g == 0 else Fraction(1, args.base ** (top - g))
         return distance if args.exact else float(distance)
 
-    yield args.output, formats._level_table_chunks(
-        hierarchy.labels, hierarchy._level_counts(), hierarchy.levels, value, args.full_precision)
+    yield args.output, _level_table(hierarchy.labels, *hierarchy._level_gaps(), value, args.full_precision)
 
 
 def _cmd_baire_cluster(args):

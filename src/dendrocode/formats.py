@@ -36,7 +36,7 @@ from .hierarchy import (
     walk,
 )
 from .lattice import BooleanTable, Semilattice
-from .padic import PadicEncoding, _encoding_from_array, _encoding_from_cells
+from .padic import PadicEncoding, _encoding_from_array
 from .ultrametric import UltrametricityReport
 
 # text is written, and the canonical encoding reader converts coefficients,
@@ -596,15 +596,16 @@ def encoding_from_json(text: str) -> PadicEncoding:
 
     Text that ``encoding_to_json`` writes is read at byte speed by
     ``_canonical_encoding``; any other text, and every error, goes through
-    ``_strict_encoding``, which reads the whole document with ``json``.
-    Both give the same fields for the same text."""
+    ``_strict_encoding``, which reads the whole document with ``json`` and
+    builds the encoding through the constructor.  Both give equal
+    encodings for the same text."""
     fields = _canonical_encoding(text)
     if fields is not None:
         return _encoding_from_array(*fields)
-    return _encoding_from_cells(*_strict_encoding(text))
+    return _strict_encoding(text)
 
 
-def _strict_encoding(text: str) -> tuple[int, tuple[str, ...], list[int]]:
+def _strict_encoding(text: str) -> PadicEncoding:
     doc = _load_json(text)
     try:
         p, n, labels, flat = doc["p"], doc["n"], doc["labels"], doc["C"]
@@ -617,7 +618,7 @@ def _strict_encoding(text: str) -> tuple[int, tuple[str, ...], list[int]]:
         raise ParseError("encoding JSON field 'C' must be a list of integers")
     if len(labels) != n or len(flat) != n * (n - 1):
         raise ParseError("encoding JSON has inconsistent sizes")
-    return p, labels, flat
+    return PadicEncoding(p, labels, [flat[i * (n - 1) : (i + 1) * (n - 1)] for i in range(n)])
 
 
 def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | None:

@@ -188,53 +188,54 @@ def drawing(tree: Dendrogram) -> tuple[list[int], list[int]]:
     return order, [idx for (_, idx), visit in events if visit == 1]
 
 
-def gap_levels(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
-    """n x n table, in terminal-index order, of the largest gap between each
-    two terminals of a drawing, 0 on the diagonal, of the dtype of ``gaps``.
+def gap_levels(pos: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """n x n table, in row order, of the largest gap between the drawing
+    positions of each two rows, 0 where the two share a position, in the
+    narrowest unsigned type that holds the gaps.
 
-    ``order`` lists the terminal indices left to right and ``gaps[k]`` is
-    the level of the gap between positions k and k + 1.  When each gap is
-    the level at which its two neighbours join (the Cartesian tree of the
-    gaps, as in :func:`join_gaps`), entry (i, j) is the level of the lowest
-    common ancestor of i and j.  One running maximum per position fills the
-    position-indexed table and its mirror, and one gather reorders it."""
-    n = len(order)
-    by_position = np.zeros((n, n), dtype=gaps.dtype)
-    for a in range(n - 1):
-        running = by_position[a, a + 1 :]
-        np.maximum.accumulate(gaps[a:], out=running)
-        by_position[a + 1 :, a] = running
-    pos = np.argsort(order)  # the position of each terminal
+    ``pos`` gives each row's position in a drawing of m positions and
+    ``gaps[k]``, a nonnegative integer, the level of the gap between
+    positions k and k + 1.  When each gap is the level at which its two
+    neighbours join (the Cartesian tree of the gaps, as in
+    :func:`join_gaps`), entry (i, j) is the level of the lowest common
+    ancestor of i and j.  Joining the gaps from the lowest level up, the
+    gap that joins two runs is the largest between them, so it fills the
+    two blocks of the position-indexed table that pair the runs; one
+    gather then reorders the table to rows."""
+    m = len(gaps) + 1
+    by_position = np.zeros((m, m), dtype=np.min_scalar_type(int(gaps.max(initial=0))))
+    levels = gaps.tolist()
+    for lo, k, hi in join_gaps(m, (np.argsort(gaps, kind="stable") + 1).tolist()):
+        by_position[lo:k, k : hi + 1] = by_position[k : hi + 1, lo:k] = levels[k - 1]
     return by_position[np.ix_(pos, pos)]
 
 
-def gap_counts(order: Sequence[int], gaps: np.ndarray) -> dict[int, int]:
-    """The number of cells of each level in ``gap_levels(order, gaps)``,
+def gap_counts(pos: np.ndarray, gaps: np.ndarray) -> dict[int, int]:
+    """The number of cells of each level in ``gap_levels(pos, gaps)``,
     read off the Cartesian tree of the gaps without building the table.
 
-    Gaps are joined from the lowest level up (:func:`join_gaps`), so the gap
-    that joins runs of a and b terminals is the largest between the a * b
-    pairs across it, which fill 2ab cells of the table; the n diagonal cells
+    The gap that joins two runs of positions (:func:`join_gaps`) fills 2ab
+    cells, a and b the rows at the positions of each run, which one prefix
+    sum of the rows per position gives; the cells of rows at one position
     are 0.  One stable sort of the gaps, then one pass."""
-    n = len(order)
-    counts = Counter({0: n} if n else {})
+    rows = np.bincount(pos, minlength=len(gaps) + 1)
+    before = [0, *np.cumsum(rows).tolist()]  # rows left of each position
+    counts = Counter({0: int(rows @ rows)})
     levels = gaps.tolist()
-    size = [1] * n  # terminals in the run starting at each position
-    for lo, k in join_gaps(n, (np.argsort(gaps, kind="stable") + 1).tolist()):
-        counts[levels[k - 1]] += 2 * size[lo] * size[k]
-        size[lo] += size[k]
-    return dict(counts)
+    for lo, k, hi in join_gaps(len(rows), (np.argsort(gaps, kind="stable") + 1).tolist()):
+        counts[levels[k - 1]] += 2 * (before[k] - before[lo]) * (before[hi + 1] - before[k])
+    return {level: count for level, count in counts.items() if count}
 
 
-def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Join the runs of a drawing of ``n`` terminals one gap at a time.
+def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Join the runs of a drawing of ``n`` positions one gap at a time.
 
     Gap k (1 <= k < n) lies between drawing positions k-1 and k; each gap
     appears once in ``gaps``.  Joining gap k merges the run that ends at
-    position k-1 with the run that starts at k, and yields ``(lo, k)``, the
-    first positions of those two runs.  Every gap is closed by exactly one
-    merge, so an order over the gaps fixes the tree: the Cartesian tree of
-    the gap ranks (Vuillemin 1980).
+    position k-1 with the run that starts at k, and yields ``(lo, k, hi)``:
+    the joined run spans positions lo..hi, its left part lo..k-1.  Every
+    gap is closed by exactly one merge, so an order over the gaps fixes the
+    tree: the Cartesian tree of the gap ranks (Vuillemin 1980).
     """
     first = list(range(n))  # first position of the run ending at each position
     last = list(range(n))  # last position of the run starting at each position
@@ -242,7 +243,7 @@ def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int]]:
         lo, hi = first[k - 1], last[k]
         first[hi] = lo
         last[lo] = hi
-        yield lo, k
+        yield lo, k, hi
 
 
 def member_sets(tree: Dendrogram) -> dict[int, frozenset[int]]:

@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import (Dendrogram, MergeNode, TERMINAL, gap_counts, gap_levels, internal, terminal,
-                        walk)
+from .hierarchy import Dendrogram, MergeNode, TERMINAL, gap_levels, internal, terminal, walk
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -185,20 +184,16 @@ class PadicEncoding:
 
         In root-first order r of two rows is the largest cut between their
         sorted positions, so the table is ``gap_levels`` of the cuts:
-        O(n^2) in all."""
+        O(n^2) in all, in the narrowest unsigned type that holds them."""
         return gap_levels(*self._level_gaps())
 
-    def _level_counts(self) -> dict[int, int]:
-        """The number of cells of each level in ``differing_levels()``,
-        read off the same cuts without building the table (``gap_counts``)."""
-        return gap_counts(*self._level_gaps())
-
     def _level_gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """The root-first order of the rows and the cuts between them."""
+        """Each row's position in root-first order, and the cuts between
+        the positions."""
         if self.n < 2:
-            return np.arange(self.n), np.zeros(0, dtype=np.int64)
+            return np.arange(self.n), np.zeros(0, dtype=np.intp)
         order, cut = _root_first_order(self._cells)
-        return order, cut[1:]
+        return np.argsort(order), cut[1:]
 
 
 class _CoefficientRows:
@@ -270,15 +265,6 @@ def _root_first_order(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = differs.argmax(axis=1)  # counted from the root level down
     cut = np.where(differs[np.arange(n - 1), first], width - first, 0)
     return order, np.concatenate(([width], cut))
-
-
-def _encoding_from_cells(p: int, labels: tuple[str, ...], flat: list[int]) -> PadicEncoding:
-    """The encoding whose rows, concatenated, are ``flat``: Python ints,
-    n - 1 per label.  Runs the constructor's checks past its type and
-    length checks, which the caller has made: the prime, the values, then
-    the array checks of ``_encoding_from_array``."""
-    _require_encoding_prime(p)
-    return _encoding_from_array(p, labels, _checked_cells(len(labels), flat))
 
 
 def _encoding_from_array(p: int, labels: tuple[str, ...], cells: np.ndarray) -> PadicEncoding:

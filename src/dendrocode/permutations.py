@@ -201,7 +201,7 @@ def unpack(perm: PackedPermutation) -> Dendrogram:
     refs = [terminal(i) for i in range(n)]  # subtree of the run starting at each position
     first = [n] * n  # earliest merge rank in the run starting at each position; n: none
     nodes: list[MergeNode] = []
-    for rank, (lo, k) in enumerate(join_gaps(n, gaps), start=1):
+    for rank, (lo, k, _) in enumerate(join_gaps(n, gaps), start=1):
         lf, rf = first[lo], first[k]
         if rf < lf:  # the right run merged first (n: never)
             raise UnrealizablePermutationError(

@@ -60,7 +60,7 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     ``verify_ultrametric`` at tolerance 0.
     """
     order, ranks = drawing(tree)
-    levels = gap_levels(order, np.array(ranks, dtype=np.intp))
+    levels = gap_levels(np.argsort(order), np.array(ranks, dtype=np.intp))
     return UltrametricMatrix._built(np.array([0.0, *tree.heights()])[levels], tree.labels)
 
 

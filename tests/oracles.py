@@ -534,7 +534,7 @@ def cluster_by_tuple_sort(strings):
     gaps = sorted(range(1, len(order)), key=lcp.__getitem__, reverse=True)
     refs = [terminal(i) for i in order]
     nodes = []
-    for rank, (lo, k) in enumerate(join_gaps(len(order), gaps), start=1):
+    for rank, (lo, k, _) in enumerate(join_gaps(len(order), gaps), start=1):
         nodes.append(MergeNode(rank, float(Fraction(1, base ** lcp[k])), refs[lo], refs[k]))
         refs[lo] = internal(rank)
     return hierarchy, Dendrogram(labels, tuple(nodes))

@@ -390,6 +390,11 @@ class TestBaireCluster:
         assert hierarchy.dump_text() == dump
         assert (hierarchy.node_count, hierarchy.depth) == (node_count, depth)
         assert hierarchy.member_count() == len(strings)
+        # the level table, pair by pair: -1 where the distance is 0
+        levels = hierarchy.levels()
+        assert levels.dtype == np.result_type(np.int8, np.min_scalar_type(depth))
+        assert levels.tolist() == [[-1 if baire_distance(s, t) == 0 else lcp_radius(s, t) for t in strings]
+                                   for s in strings]
 
 
 def _clustered(read, cluster, text, base):

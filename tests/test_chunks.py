@@ -121,7 +121,8 @@ def test_prefix_trees_match_the_whole_string_writers(base, n, width, seed, chunk
         _same(hierarchy.dump_text(), oracles.dump_whole(hierarchy))
         _same(formats.tree_to_json(tree), oracles.tree_json_whole(tree))
         _same(formats.tree_to_newick(tree), oracles.newick_whole(tree))
-    assert hierarchy._level_counts() == _counts(hierarchy.levels())
+    pos, gaps = hierarchy._level_gaps()
+    assert gap_counts(pos, gaps) == _counts(gap_levels(pos, gaps))
 
 
 @pytest.mark.parametrize("base, digits", [(2, 6), (10, 6), (2, 130)])
@@ -137,28 +138,38 @@ def test_baire_dist_matches_the_whole_table(base, digits):
         _same(out, oracles.baire_dist_by_pairs(formats.read_strings(text, base), exact))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_baire_dist_of_equal_digits_under_labels_a_b_a(exact):
+    """The two strings under label a are at distance 0 and share a
+    position; the one under b lies between them in sorted order."""
+    text = "a,123\nb,123\na,123\nc,12\na,124\nb,123\n"
+    code, out = _verb(["baire-dist", "s", "-o", "out", *(["--exact"] if exact else [])], {"s": text})
+    assert code == 0
+    _same(out, oracles.baire_dist_by_pairs(formats.read_strings(text, 10), exact))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 14), st.integers(0, 4), st.integers(0, 2**32))
 def test_gap_counts_are_the_counts_of_the_table(n, top, seed):
     rng = np.random.default_rng(seed)
     gaps = rng.integers(0, top + 1, max(n - 1, 0))
-    order = rng.permutation(n)
-    assert gap_counts(order, gaps) == _counts(gap_levels(order, gaps))
+    pos = rng.permutation(n)
+    assert gap_counts(pos, gaps) == _counts(gap_levels(pos, gaps))
 
 
 def test_encoding_counts_are_the_counts_of_the_table(rng):
     from conftest import encoding_sweep
 
     for enc in encoding_sweep(3, rng):
-        assert enc._level_counts() == _counts(enc.differing_levels())
+        assert gap_counts(*enc._level_gaps()) == _counts(enc.differing_levels())
 
 
 def test_drawing_counts_are_the_counts_of_the_rank_table(rng):
     for kind in TREE_KINDS:
         tree = make_tree(40, kind, rng)
         order, ranks = drawing(tree)
-        ranks = np.array(ranks, dtype=np.intp)
-        assert gap_counts(order, ranks) == _counts(gap_levels(order, ranks))
+        pos, ranks = np.argsort(order), np.array(ranks, dtype=np.intp)
+        assert gap_counts(pos, ranks) == _counts(gap_levels(pos, ranks))
 
 
 @pytest.mark.parametrize("verb", ["cophenetic", "padic-dist", "baire-dist"])
@@ -170,9 +181,7 @@ def test_level_tables_are_sized_before_they_are_built(verb, rng, capsys):
               "padic-dist": formats.encoding_to_json(encode_dendrogram(tree, 3)),
               "baire-dist": "".join(f"s{i},{i:05d}\n" for i in range(30))}
     with (mock.patch("dendrocode.errors._TABLE_GUARD", 100),
-          mock.patch("dendrocode.cli.gap_levels", side_effect=AssertionError),
-          mock.patch("dendrocode.padic.PadicEncoding.differing_levels", side_effect=AssertionError),
-          mock.patch("dendrocode.baire.PrefixHierarchy.levels", side_effect=AssertionError)):
+          mock.patch("dendrocode.cli.gap_levels", side_effect=AssertionError)):
         code, out = _verb([verb, "in", "-o", "out"], {"in": inputs[verb]})
     err = capsys.readouterr().err
     assert (code, out) == (1, None)

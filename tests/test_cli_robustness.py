@@ -601,20 +601,42 @@ def test_one_path_given_twice_keeps_the_later_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out"]
 
 
-def test_dev_stdout_sent_to_a_file_is_written_in_place(tmp_path):
-    """``canonical -o /dev/stdout`` writes its table through /dev/stdout and
-    prints its permutation: both reach the file stdout appends to (as after
-    ``>>``).  Renaming over that file would leave stdout writing to a file
-    no longer in the directory, and the permutation would be lost."""
+def _canonical_to(tmp_path, path: str, mode: str, stream: str) -> subprocess.CompletedProcess:
+    """``canonical matrix.csv -o path`` in a new process whose ``stream``
+    (stdout or stderr) writes to out.txt, opened with ``mode``."""
     (tmp_path / "matrix.csv").write_text(INPUTS["matrix.csv"])
     src = str(Path(__file__).resolve().parent.parent / "src")
-    with open(tmp_path / "out.txt", "a") as out:
-        result = subprocess.run(
+    with open(tmp_path / "out.txt", mode) as out:
+        return subprocess.run(
             [sys.executable, "-m", "dendrocode.cli", "canonical", str(tmp_path / "matrix.csv"),
-             "-o", "/dev/stdout"], stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
+             "-o", path], text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+            **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: out})
+
+
+def test_dev_stdout_sent_to_a_file_is_written_in_place(tmp_path):
+    """``canonical -o /dev/stdout`` writes its table through stdout and
+    then prints its permutation: both reach the file stdout appends to (as
+    after ``>>``).  Renaming over that file would leave stdout writing to a
+    file no longer in the directory, and the permutation would be lost."""
+    result = _canonical_to(tmp_path, "/dev/stdout", "a", "stdout")
     assert (result.returncode, result.stderr) == (0, "")
     assert (tmp_path / "out.txt").read_text() == ",c,a,b\nc,0,2,2\na,2,0,1\nb,2,1,0\n3,1,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv", "out.txt"]
+
+
+@pytest.mark.parametrize("path, stream", [("/dev/stdout", "stdout"), ("/dev/stderr", "stderr")])
+def test_dev_stdout_truncated_by_the_shell_gets_every_output_in_order(tmp_path, path, stream):
+    """After ``>`` the file has no append flag: a second open of it would
+    write at its own offset, and the stream's text would overwrite the
+    start of the table.  The table goes through the stream instead, in
+    output order; the permutation goes to stdout."""
+    result = _canonical_to(tmp_path, path, "w", stream)
+    table = ",c,a,b\nc,0,2,2\na,2,0,1\nb,2,1,0\n"
+    assert result.returncode == 0
+    if stream == "stdout":
+        assert (result.stderr, (tmp_path / "out.txt").read_text()) == ("", table + "3,1,2\n")
+    else:
+        assert (result.stdout, (tmp_path / "out.txt").read_text()) == ("3,1,2\n", table)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv", "out.txt"]
 
 

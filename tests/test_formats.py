@@ -25,7 +25,7 @@ from dendrocode.hierarchy import (
     pairwise_distances,
     terminal,
 )
-from dendrocode.padic import PadicEncoding, _encoding_from_cells, encode_dendrogram, evaluate_code
+from dendrocode.padic import PadicEncoding, encode_dendrogram, evaluate_code
 from dendrocode.lattice import BooleanTable, build_semilattice
 from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
@@ -373,7 +373,7 @@ def encodings(draw, max_n: int = 300) -> PadicEncoding:
 
 def strict_read(text: str) -> PadicEncoding:
     """The reader's fallback alone: the whole document through ``json``."""
-    return _encoding_from_cells(*formats._strict_encoding(text))
+    return formats._strict_encoding(text)
 
 
 def read_outcome(read, text: str, chunk: int):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dendrocode.hierarchy import (
     MergeNode,
     agglomerate,
     canonicalize,
+    gap_counts,
     gap_levels,
     internal,
     member_sets,
@@ -331,25 +334,48 @@ class TestMembers:
 
 @st.composite
 def drawings(draw):
-    """A terminal order and one gap value between each two neighbours."""
-    n = draw(st.integers(1, 12))
-    order = draw(st.permutations(range(n)))
-    dtype = draw(st.sampled_from([np.int64, np.int32, np.intp, np.float64]))
-    gaps = draw(st.lists(st.integers(0, 9), min_size=n - 1, max_size=n - 1))
-    return order, np.array(gaps, dtype=dtype)
+    """Each row's position in a drawing and one gap value between each two
+    neighbouring positions: the rows are a permutation of the positions, or
+    any rows, so positions repeat and some hold no row; now and then a gap
+    past one or two bytes."""
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        pos = draw(st.permutations(range(m)))
+    else:
+        pos = draw(st.lists(st.integers(0, m - 1), max_size=14))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.intp]))
+    values = st.one_of(st.integers(0, 9), st.sampled_from([255, 256, 65535, 65536]))
+    gaps = draw(st.lists(values, min_size=m - 1, max_size=m - 1))
+    return np.array(pos, dtype=np.intp), np.array(gaps, dtype=dtype)
+
+
+def largest_gaps_between(pos, gaps):
+    """The largest gap between the positions of each two rows, 0 where the
+    two share a position, one pair at a time."""
+    return [[int(gaps[min(a, b) : max(a, b)].max()) if a != b else 0 for b in pos] for a in pos]
 
 
 class TestGapLevels:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(drawings())
     def test_equals_the_largest_gap_between(self, drawing):
-        order, gaps = drawing
-        n = len(order)
-        pos = {t: k for k, t in enumerate(order)}
-        expected = [
-            [0 if i == j else gaps[min(pos[i], pos[j]) : max(pos[i], pos[j])].max() for j in range(n)]
-            for i in range(n)
-        ]
-        levels = gap_levels(order, gaps)
-        assert levels.dtype == gaps.dtype
-        assert np.array_equal(levels, np.array(expected, dtype=gaps.dtype).reshape(n, n))
+        pos, gaps = drawing
+        n = len(pos)
+        levels = gap_levels(pos, gaps)
+        assert levels.dtype == np.min_scalar_type(max(gaps.tolist(), default=0))
+        assert np.array_equal(levels, np.array(largest_gaps_between(pos, gaps), dtype=np.int64).reshape(n, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawings())
+    def test_counts_are_the_counts_of_the_largest_gaps(self, drawing):
+        pos, gaps = drawing
+        expected = Counter(itertools.chain.from_iterable(largest_gaps_between(pos, gaps)))
+        assert gap_counts(pos, gaps) == dict(expected)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_gaps(self, n):
+        """Below two rows there are no gaps: the table is n x n zeros in one byte."""
+        gaps = np.zeros(0, dtype=np.intp)
+        levels = gap_levels(np.zeros(n, dtype=np.intp), gaps)
+        assert (levels.shape, levels.dtype, levels.tolist()) == ((n, n), np.uint8, [[0]] * n)
+        assert gap_counts(np.zeros(n, dtype=np.intp), gaps) == ({0: 1} if n else {})
