@@ -281,8 +281,9 @@ class PrefixHierarchy:
         return "".join(self._dump_chunks())
 
     def _dump_chunks(self) -> Iterator[str]:
-        """``dump_text`` in chunks of whole lines, about ``_CHUNK``
-        characters each.
+        """``dump_text`` text: the root's line, then one piece per sorted
+        string k that differs from the string before it, the lines of its
+        nodes (k, d).
 
         The trie's nodes in preorder are the pairs (k, d) in order, for each
         sorted position k and each depth d past ``lcp[k]`` up to the length
@@ -292,8 +293,6 @@ class PrefixHierarchy:
         binary search among the positions whose ``lcp`` is below it.  The
         lines are then written in order, each prefix cut from its string's
         text; only a string's last node, the whole string, ends one."""
-        from .formats import _CHUNK
-
         order, lcp, n = self.order, self.lcp, len(self.order)
         digits = [self.strings[i].digits for i in order]
         lengths = [len(d) for d in digits]
@@ -311,7 +310,8 @@ class PrefixHierarchy:
             chars = bytes.maketrans(bytes(range(len(_DIGIT_CHARS))), _DIGIT_CHARS.encode())
             texts = b"".join(map(bytes, digits)).translate(chars).decode()
         indents = ["  " * d for d in range(self.depth + 1)]
-        lines, size, start = [f"(root) [{n}]\n"], 0, 0
+        yield f"(root) [{n}]\n"
+        start = 0
         for k in range(n):
             low, length = lcp[k] + 1, lengths[k]
             start += length
@@ -332,12 +332,7 @@ class PrefixHierarchy:
                 j += 1
             tags = ", ".join(self.labels[i] for i in order[k:j])
             block.append(f"{indents[length]}{text} [{end - k}]  <- {tags}\n")
-            lines += block
-            size += sum(map(len, block))
-            if size >= _CHUNK:
-                yield "".join(lines)
-                lines, size = [], 0
-        yield "".join(lines)
+            yield "".join(block)
 
 
 def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndarray, np.ndarray]:

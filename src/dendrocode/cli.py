@@ -7,7 +7,9 @@ deterministic given identical inputs, flags and seed.
 Each verb is a generator of ``(target, text)`` outputs and writes nothing
 itself; ``main`` collects them all and hands them to ``_write``, so a run
 that ends in an error leaves no output behind.  A large text is a
-generator of chunks, written to disk as it is made.
+generator of pieces in their natural units (rows, tree nodes, lines), and
+``_write`` alone joins them into blocks and writes each to disk as it is
+made.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import BinaryIO, Iterable, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -66,8 +68,8 @@ Text = str | Iterable[str]
 
 def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
     """The one writer.  A target is a path, None or "-" for stdout, or
-    sys.stderr; a text is a str or an iterable of str chunks, which are
-    generated as they are written.
+    sys.stderr; a text is a str or an iterable of str pieces, which are
+    generated as they are written, joined into blocks by ``_blocks``.
 
     Stdout, stderr, and a path that is the regular file either of them
     writes to (/dev/stdout when stdout goes to a file), each get one spool.
@@ -101,8 +103,8 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
                 sinks.append((name, text, spools[stream]))
         for name, text, sink in sinks:
             written = 0
-            for chunk in (text,) if isinstance(text, str) else text:
-                data = chunk.encode()
+            for block in _blocks(text):
+                data = block.encode()
                 written += len(data)
                 if written > _TABLE_GUARD:
                     raise ResourceGuardError(
@@ -128,6 +130,22 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
                 stream.write(decode(block))
             spool.close()
     return int(any(target is sys.stderr for target, _ in outputs))
+
+
+def _blocks(text: Text) -> Iterator[str]:
+    """``text`` as blocks to write: its pieces (a str is one piece) joined
+    until a block holds at least ``formats._CHUNK`` characters.  A block
+    never splits a piece."""
+    parts: list[str] = []
+    size = 0
+    for piece in (text,) if isinstance(text, str) else text:
+        parts.append(piece)
+        size += len(piece)
+        if size >= formats._CHUNK:
+            yield "".join(parts)
+            parts, size = [], 0
+    if parts:
+        yield "".join(parts)
 
 
 def _io(name: str, call, *args):
@@ -243,7 +261,7 @@ def _cmd_cophenetic(args):
 
 
 def _level_table(labels, pos, gaps, value, full_precision=False):
-    """The chunks of the level table of the drawing ``(pos, gaps)``, each
+    """The pieces of the level table of the drawing ``(pos, gaps)``, each
     level printed as ``value(level)``: sized by ``gap_counts`` before
     ``gap_levels`` builds it."""
     return formats._level_table_chunks(labels, gap_counts(pos, gaps), lambda: gap_levels(pos, gaps),

@@ -39,8 +39,9 @@ from .lattice import BooleanTable, Semilattice
 from .padic import PadicEncoding, _encoding_from_array
 from .ultrametric import UltrametricityReport
 
-# text is written, and the canonical encoding reader converts coefficients,
-# in chunks of about this many characters
+# Two users: ``cli._write`` joins the pieces of an output into blocks of
+# about this many characters, and the canonical encoding reader converts
+# coefficients in chunks of about this many
 _CHUNK = 1 << 20
 
 
@@ -73,9 +74,9 @@ def _table_chunks(
     rows: Iterable[Sequence],
     full_precision: bool = False,
 ) -> Iterator[str]:
-    """The one CSV table writer, as chunks of about ``_CHUNK`` characters:
-    an optional header row, then one row per item of ``rows``, each led by
-    its label when ``labels`` is given.
+    """The one CSV table writer, one piece per row: an optional header
+    row, then one row per item of ``rows``, each led by a piece of its
+    label when ``labels`` is given.
 
     The header and the labels are text and go through one ``csv.writer``
     whose line end is ``\r\n``, so that it quotes a ``\r`` in a cell as it
@@ -95,23 +96,15 @@ def _table_chunks(
         writer.writerow(cells)
         return text.getvalue()[:-2]
 
-    out: list[str] = []
-    size = 0
     if header is not None:
-        out.append(text_row(header) + "\n")
+        yield text_row(header) + "\n"
     for i, row in enumerate(rows):
         if labels is not None:
             if len(row) == 0:
-                out.append(text_row((labels[i],)) + "\n")
+                yield text_row((labels[i],)) + "\n"
                 continue
-            out.append(text_row((labels[i], "")))  # the label as CSV writes it, then ","
-        line = ",".join([_cell(v, full_precision) for v in row]) + "\n"
-        out.append(line)
-        size += len(line)
-        if size >= _CHUNK:
-            yield "".join(out)
-            out, size = [], 0
-    yield "".join(out)
+            yield text_row((labels[i], ""))  # the label as CSV writes it, then ","
+        yield ",".join([_cell(v, full_precision) for v in row]) + "\n"
 
 
 def _is_number(token: str, kind: type = float) -> bool:
@@ -357,23 +350,21 @@ def tree_to_json(tree: Dendrogram) -> str:
 
 
 def _tree_json_chunks(tree: Dendrogram) -> Iterator[str]:
-    """``tree_to_json`` text in chunks of about ``_CHUNK`` characters, a
-    node taking about 100.  ``json`` indents through its pure-Python
-    encoder, so only the header goes through it, and each node is written
-    as one string in the same layout, its numbers by ``_json_number``."""
+    """``tree_to_json`` text, one piece per node record, led by its
+    separator (the header before the first).  ``json`` indents through its
+    pure-Python encoder, so only the header goes through it, and each node
+    is written as one string in the same layout, its numbers by
+    ``_json_number``."""
     head = _dumps({"n": tree.n, "labels": list(tree.labels), "nodes": []}, indent=2)
     if not tree.nodes:
         yield head + "\n"
         return
-    sep, step = f"{head[:-4]}[\n", max(1, _CHUNK // 256)
-    for lo in range(0, len(tree.nodes), step):
-        yield sep + ",\n".join([
-            f'    {{\n      "rank": {_json_number(node.rank)},\n'
-            f'      "height": {_json_number(node.height)},\n'
-            f'      "left": "{_child_token(node.left)}",\n'
-            f'      "right": "{_child_token(node.right)}"\n    }}'
-            for node in tree.nodes[lo:lo + step]
-        ])
+    sep = f"{head[:-4]}[\n"
+    for node in tree.nodes:
+        yield (f'{sep}    {{\n      "rank": {_json_number(node.rank)},\n'
+               f'      "height": {_json_number(node.height)},\n'
+               f'      "left": "{_child_token(node.left)}",\n'
+               f'      "right": "{_child_token(node.right)}"\n    }}')
         sep = ",\n"
     yield "\n  ]\n}\n"
 
@@ -459,34 +450,25 @@ def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
 
 
 def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
-    """``tree_to_newick`` text in chunks of about ``_CHUNK`` characters,
-    written along the tree walk."""
+    """``tree_to_newick`` text, one piece per token, written along the
+    tree walk."""
     clean = functools.partial(_NEWICK_RESERVED.sub, "_")
     if not tree.nodes:
         yield f"{clean(tree.labels[0])};\n"
         return
-    parts: list[str] = []
-    size = 0
     heights: list[float] = []  # heights of the open ancestors
     for (kind, idx), visit in walk(tree):
         if kind == TERMINAL:
-            part = f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}"
-            parts.append(part)
-            size += len(part)
-            if size >= _CHUNK:
-                yield "".join(parts)
-                parts, size = [], 0
+            yield f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}"
         elif visit == 0:
-            parts.append("(")
+            yield "("
             heights.append(tree.nodes[idx - 1].height)
         elif visit == 1:
-            parts.append(",")
+            yield ","
         else:
             height = heights.pop()
-            parts.append(")")
-            if heights:
-                parts.append(f":{fmt_float(heights[-1] - height, full_precision)}")
-    yield f"{''.join(parts)}[height={fmt_float(tree.nodes[-1].height, full_precision)}];\n"
+            yield f"):{fmt_float(heights[-1] - height, full_precision)}" if heights else ")"
+    yield f"[height={fmt_float(tree.nodes[-1].height, full_precision)}];\n"
 
 
 def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
@@ -572,20 +554,19 @@ def encoding_to_json(enc: PadicEncoding) -> str:
 
 
 def _encoding_json_chunks(enc: PadicEncoding) -> Iterator[str]:
-    """``encoding_to_json`` text in chunks of whole rows, about ``_CHUNK``
-    characters each (a coefficient takes 7 or 8).  ``json`` indents through its pure-Python encoder, so
-    only the header goes through it; the n(n-1) coefficients are written by
+    """``encoding_to_json`` text, one piece per row of coefficients after
+    the header.  ``json`` indents through its pure-Python encoder, so only
+    the header goes through it; the n(n-1) coefficients are written by
     ``_encoding_body``, which ends every one in ``_CELL_SEP``, so the last
-    chunk drops its last separator."""
+    row drops its last separator."""
     head = _encoding_head(enc.p, enc.n, enc.labels)
     if enc.n < 2:
         yield head + "\n"
         return
     yield f"{head[:-4]}[\n    "
-    cells, rows = enc._cells, max(1, _CHUNK // (8 * enc.n))
-    for lo in range(0, enc.n, rows):
-        body = _encoding_body(cells[lo:lo + rows]).decode()
-        yield body if lo + rows < enc.n else body[: -len(_CELL_SEP)] + _ENCODING_TAIL
+    for row in enc._cells[:-1]:
+        yield _encoding_body(row).decode()
+    yield _encoding_body(enc._cells[-1]).decode()[: -len(_CELL_SEP)] + _ENCODING_TAIL
 
 
 def encoding_from_json(text: str) -> PadicEncoding:
@@ -715,7 +696,7 @@ def _level_table_chunks(
     value: Callable[[int], object],
     full_precision: bool = False,
 ) -> Iterator[str]:
-    """``level_table_csv`` as chunks, given ``counts``, the number of cells
+    """``level_table_csv`` as pieces, given ``counts``, the number of cells
     of each level, and ``levels``, which builds the table: the guard is
     checked on the text the counts give before ``levels`` is called, so a
     table past it is never built."""

@@ -384,6 +384,7 @@ def scale_operator(code: PadicCode) -> PadicCode:
 
 def padic_valuation(x: int, p: int) -> int:
     """Exponent of p in the factorization of |x|; infinite for 0 (not represented)."""
+    _require_prime(p)
     if x == 0:
         raise DomainError("0 has infinite valuation")
     x = abs(x)

@@ -6,7 +6,7 @@ right margin with its rank and height.  Rendering the same tree twice
 yields byte-identical output.
 
 The rows are written once each, in the order of the tree walk, and handed
-on in chunks, so the memory used is in proportion to a chunk of the text.
+on one at a time, so the writer holds no more of the text than a block.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Iterator
 
+from .formats import fmt_float
 from .hierarchy import Dendrogram, TERMINAL, canonicalize, walk
 
 
@@ -22,10 +23,7 @@ def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
 
 
 def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
-    """``render_tree`` text in chunks of whole rows, about ``_CHUNK``
-    characters each."""
-    from .formats import _CHUNK, fmt_float
-
+    """``render_tree`` text, one piece per row."""
     tree = canonicalize(tree)
     if not tree.nodes:
         yield f"{tree.labels[0]}\n"
@@ -43,8 +41,6 @@ def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
     # a node's vertical line runs from its left child's row to its right
     # child's row; these are the sorted columns of the lines still open
     bars: list[int] = []
-    lines: list[str] = []
-    size = 0
     for child, visit in walk(tree):
         kind, idx = child
         if kind == TERMINAL:
@@ -66,10 +62,4 @@ def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
         if kind != TERMINAL:
             height = fmt_float(tree.nodes[idx - 1].height, full_precision)
             line += " " * (margin - len(line)) + f"q{idx} h={height}"
-        lines.append(line)
-        size += len(line)
-        if size >= _CHUNK:
-            yield "\n".join(lines) + "\n"
-            lines, size = [], 0
-    if lines:
-        yield "\n".join(lines) + "\n"
+        yield line + "\n"

@@ -190,7 +190,7 @@ def classify_triangle(a: float, b: float, c: float, tol: float = 0.02) -> str:
     arguments.  Triples that are not even metric are reported metric-only
     so the sampling coefficient stays defined on dissimilarity data.
     """
-    if a < 0 or b < 0 or c < 0:
+    if not (a >= 0 and b >= 0 and c >= 0):  # NaN fails every comparison
         raise DomainError("triangle sides must be nonnegative")
     _require_nonnegative(tol, "tolerance")
     x, y, z = sorted((a, b, c))

@@ -1,13 +1,16 @@
-"""Referee for the chunked writers: every large output is written as a
-generator of text chunks, and each public writer returns their join.  The
-joined chunks must equal, byte for byte, the text of the whole-string
-writer each one replaced (``tests/oracles.py``), with chunks of the usual
-size and with chunks so small that every node, row or line ends one.  The
+"""Referee for the streamed writers: every large output is written as a
+generator of pieces (rows, node records, tokens, lines), which the one
+writer, ``cli._write``, joins into blocks of about ``formats._CHUNK``
+characters; each public writer returns the join of the pieces.  What the
+writer writes must equal, byte for byte, the text of the whole-string
+writer each generator replaced (``tests/oracles.py``), with blocks of the
+usual size and with blocks so small that every piece ends one.  The
 level-table verbs size their tables from the tree, so the counts they read
 off it must equal the counts of the built table."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import tempfile
 from pathlib import Path
@@ -17,12 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dendrocode import formats
+from dendrocode import cli, formats
 from dendrocode.baire import BaireString, baire_cluster, digitize_reals
 from dendrocode.cli import main
 from dendrocode.hierarchy import Dendrogram, drawing, gap_counts, gap_levels
 from dendrocode.padic import encode_dendrogram
-from dendrocode.render import render_tree
+from dendrocode.render import _render_chunks, render_tree
 from dendrocode.ultrametric import cophenetic_matrix
 
 import oracles
@@ -50,6 +53,47 @@ def _tree(n: int, kind: str, seed: int) -> Dendrogram:
     return make_tree(n, kind, random.Random(seed)) if n > 1 else Dendrogram(("t 1",), ())
 
 
+def _written(*texts) -> list[str]:
+    """What ``cli._write`` writes of each of ``texts``, each to a file of
+    its own."""
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [str(Path(folder, str(i))) for i in range(len(texts))]
+        assert cli._write(list(zip(paths, texts))) == 0
+        return [Path(path).read_bytes().decode() for path in paths]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=9), max_size=40), st.integers(1, 30))
+def test_blocks_join_whole_pieces_until_the_chunk_size(pieces, chunk):
+    """The writer's blocks join to the pieces, and no block splits a piece.
+    Every block but the last holds at least ``_CHUNK`` characters and ends
+    with the first piece that brings it there.  A str is one block."""
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        blocks = list(cli._blocks(iter(pieces)))
+        assert list(cli._blocks("".join(pieces))) == ["".join(pieces)]
+    assert "".join(blocks) == "".join(pieces)
+    ends = sorted(set(itertools.accumulate(map(len, pieces), initial=0)))
+    start = 0
+    for i, block in enumerate(blocks):
+        stop = start + len(block)
+        assert stop in ends
+        if i < len(blocks) - 1:
+            assert len(block) >= chunk
+            assert ends[ends.index(stop) - 1] - start < chunk  # where its last piece starts
+        start = stop
+
+
+def _match_through_the_writer(chunk: int, writers: list) -> None:
+    """For each ``(pieces, text, want)``: what ``cli._write`` writes of
+    ``pieces`` with blocks of ``chunk`` characters, and ``text``, the
+    public writer's string, are both ``want``."""
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        written = _written(*(pieces for pieces, _, _ in writers))
+    for got, (_, text, want) in zip(written, writers):
+        _same(got, want)
+        _same(text, want)
+
+
 def _verb(argv: list[str], inputs: dict[str, str]) -> tuple[int, str]:
     """Exit code and output text of one verb, its inputs named as in
     ``inputs`` and its output at ``out``."""
@@ -67,13 +111,18 @@ def _verb(argv: list[str], inputs: dict[str, str]) -> tuple[int, str]:
 def test_tree_writers_match_the_whole_string_writers(n, kind, seed, chunk, full_precision):
     tree = _tree(n, kind, seed)
     enc = encode_dendrogram(tree, 3)
-    with mock.patch.object(formats, "_CHUNK", chunk):
-        _same(formats.tree_to_json(tree), oracles.tree_json_whole(tree))
-        _same(formats.tree_to_newick(tree, full_precision), oracles.newick_whole(tree, full_precision))
-        _same(render_tree(tree, full_precision), oracles.render_whole(tree, full_precision))
-        _same(formats.encoding_to_json(enc), oracles.encoding_json_whole(enc))
-        m = cophenetic_matrix(tree)
-        _same(formats.write_matrix_csv(m, full_precision), oracles.matrix_csv_whole(m, full_precision))
+    m = cophenetic_matrix(tree)
+    _match_through_the_writer(chunk, [
+        (formats._tree_json_chunks(tree), formats.tree_to_json(tree), oracles.tree_json_whole(tree)),
+        (formats._newick_chunks(tree, full_precision), formats.tree_to_newick(tree, full_precision),
+         oracles.newick_whole(tree, full_precision)),
+        (_render_chunks(tree, full_precision), render_tree(tree, full_precision),
+         oracles.render_whole(tree, full_precision)),
+        (formats._encoding_json_chunks(enc), formats.encoding_to_json(enc),
+         oracles.encoding_json_whole(enc)),
+        (formats._matrix_chunks(m, full_precision), formats.write_matrix_csv(m, full_precision),
+         oracles.matrix_csv_whole(m, full_precision)),
+    ])
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,10 +166,11 @@ def test_prefix_trees_match_the_whole_string_writers(base, n, width, seed, chunk
     strings = [BaireString(base, tuple(rng.choice(stems)[: rng.randint(1, width)]),
                            rng.choice(["a", "b", None])) for _ in range(n)]
     hierarchy, tree = baire_cluster(strings)
-    with mock.patch.object(formats, "_CHUNK", chunk):
-        _same(hierarchy.dump_text(), oracles.dump_whole(hierarchy))
-        _same(formats.tree_to_json(tree), oracles.tree_json_whole(tree))
-        _same(formats.tree_to_newick(tree), oracles.newick_whole(tree))
+    _match_through_the_writer(chunk, [
+        (hierarchy._dump_chunks(), hierarchy.dump_text(), oracles.dump_whole(hierarchy)),
+        (formats._tree_json_chunks(tree), formats.tree_to_json(tree), oracles.tree_json_whole(tree)),
+        (formats._newick_chunks(tree), formats.tree_to_newick(tree), oracles.newick_whole(tree)),
+    ])
     pos, gaps = hierarchy._level_gaps()
     assert gap_counts(pos, gaps) == _counts(gap_levels(pos, gaps))
 

@@ -31,6 +31,7 @@ from dendrocode.padic import (
     is_prime,
     padic_distance,
     padic_similarity,
+    padic_valuation,
     scale_operator,
     valuation_distance,
 )
@@ -455,6 +456,13 @@ class TestValuationDistance:
     def test_nonprime_rejected(self):
         with pytest.raises(DomainError):
             valuation_distance(5, 1, 6)
+
+    @pytest.mark.parametrize("p", [1, 0, -3, 6])
+    def test_valuation_of_a_nonprime_rejected(self, p):
+        """p = 1 would divide forever and p = 0 by zero; every non-prime p
+        is the ``DomainError`` of ``valuation_distance``."""
+        with pytest.raises(DomainError, match="is not prime"):
+            padic_valuation(12, p)
 
 
 class TestIsPrime:

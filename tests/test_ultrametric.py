@@ -457,9 +457,12 @@ class TestClassifyTriangle:
     def test_scalene(self):
         assert classify_triangle(3, 4, 5) == METRIC_ONLY
 
-    def test_negative_side_rejected(self):
-        with pytest.raises(DomainError):
-            classify_triangle(-1.0, 1.0, 1.0)
+    @pytest.mark.parametrize("sides", [(-1.0, 1.0, 1.0), (float("nan"), 1.0, 1.0),
+                                       (1.0, float("nan"), 1.0), (1.0, 1.0, float("nan"))])
+    def test_negative_side_rejected(self, sides):
+        """A NaN side is refused wherever it sits, as a negative one is."""
+        with pytest.raises(DomainError, match="triangle sides must be nonnegative"):
+            classify_triangle(*sides)
 
     @given(
         st.permutations([3.5, 3.5, 1.0]),
