@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
-from .hierarchy import Dendrogram, MergeNode, _tree, gap_levels, internal, join_gaps, terminal
+from .hierarchy import Dendrogram, _Columns, gap_levels, join_gaps
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,13 @@ def _digit_text(base: int, digits: Sequence[int]) -> str:
 
 def parse_digits(text: str, base: int, label: str | None = None) -> BaireString:
     _require_at_least(base, 2, "base")
+    return BaireString(base, tuple(_parse_digit_list(text, base)), label)
+
+
+def _parse_digit_list(text: str, base: int) -> list[int]:
+    """The digits of ``text``, stripped, read as ``0-9A-Z`` in either
+    case; the first one not below ``base``, or no digit at all, is a
+    ``ParseError``.  The caller has checked ``base``."""
     digits = []
     for pos, ch in enumerate(text.strip().upper(), start=1):
         value = _DIGIT_CHARS.find(ch)
@@ -82,7 +89,7 @@ def parse_digits(text: str, base: int, label: str | None = None) -> BaireString:
         digits.append(value)
     if not digits:
         raise ParseError("empty digit string")
-    return BaireString(base, tuple(digits), label)
+    return digits
 
 
 def _check_bases(s: BaireString, t: BaireString) -> None:
@@ -216,12 +223,29 @@ def encode_dna(sequence: str, scheme: str = "5-adic", label: str | None = None) 
     return BaireString(base, tuple(digits), label)
 
 
+def _digit_array(digits: Sequence[Sequence[int]], base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit sequences ``digits`` as one digit array: their digits
+    concatenated, in the narrowest unsigned type that holds ``base - 1``
+    (Python ints past 2**64), and the length of each."""
+    lengths = np.fromiter(map(len, digits), dtype=np.intp, count=len(digits))
+    codes = np.fromiter(itertools.chain.from_iterable(digits), dtype=np.min_scalar_type(base - 1),
+                        count=int(lengths.sum()))
+    return codes, lengths
+
+
 @dataclass(frozen=True)
 class PrefixHierarchy:
     """The prefix tree of a set of strings, held as the strings sorted by
     digits: ``order`` lists the string indices in that stable order and
     ``lcp[k]`` is the common-prefix length of sorted neighbours k-1 and k
-    (0 at k=0).  Each trie node is a prefix, first met where d > lcp[k]."""
+    (0 at k=0).  Each trie node is a prefix, first met where d > lcp[k].
+
+    Every method reads one digit array: the strings' digits concatenated,
+    the length and label of each, and ``order`` and ``lcp`` as arrays.
+    The clustering core, ``_prefix_tree``, makes only that array; a field
+    it was not handed (``strings``, ``order``, ``lcp``) is made from the
+    array on first access, so the verbs never make them.  Equality, hash
+    and repr go through the fields."""
 
     base: int
     labels: tuple[str, ...]
@@ -229,17 +253,30 @@ class PrefixHierarchy:
     order: tuple[int, ...]
     lcp: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # the public constructor: the digit array of the fields it was given
+        codes, lengths = _digit_array([s.digits for s in self.strings], self.base)
+        self._hold([s.label for s in self.strings], codes, lengths,
+                   np.array(self.order, dtype=np.intp), np.array(self.lcp, dtype=np.intp))
+
+    def _hold(self, tags: Sequence[str | None], codes: np.ndarray, lengths: np.ndarray,
+              order: np.ndarray, lcp: np.ndarray) -> PrefixHierarchy:
+        """Keep the digit array: ``tags`` are the strings' own labels, None
+        where a string has none."""
+        vars(self).update(_tags=tags, _codes=codes, _lengths=lengths, _order=order, _lcp=lcp)
+        return self
+
     @property
     def depth(self) -> int:
-        return max(len(s.digits) for s in self.strings)
+        return int(self._lengths.max())
 
     @property
     def node_count(self) -> int:
         """Trie nodes: the root plus every distinct nonempty prefix."""
-        return 1 + sum(len(s.digits) for s in self.strings) - sum(self.lcp)
+        return 1 + int(self._lengths.sum()) - int(self._lcp.sum())
 
     def member_count(self) -> int:
-        return len(self.strings)
+        return len(self._lengths)
 
     def levels(self) -> np.ndarray:
         """n x n integer table, in string order, of the common-prefix length
@@ -257,20 +294,47 @@ class PrefixHierarchy:
         """Each string's drawing position, and the gaps between positions.
 
         The positions are the sorted strings, where equal digits under one
-        label share one position: their distance is 0.  Two strings share
-        the least ``lcp`` between their sorted positions, so the gap before
-        a position is depth + 1 - ``lcp`` at the first string there, at
-        least 1; a string's equal neighbours hold equal ``lcp``, so their
-        order within the run does not matter."""
-        ids: dict = {}  # the position of each (digits, label)
-        pos = np.empty(len(self.strings), dtype=np.intp)
-        first = []  # the sorted index of each position's first string
-        for k, i in enumerate(self.order):
-            s = self.strings[i]
-            pos[i] = p = ids.setdefault((s.digits, s.label), len(ids))
-            if p == len(first):
-                first.append(k)
-        return pos, self.depth + 1 - np.array(self.lcp, dtype=np.intp)[first[1:]]
+        label share one position: their distance is 0.  Equal digits are
+        sorted neighbours, a run of strings whose ``lcp`` is their whole
+        length, so only the labels within such a run are compared; each
+        label's first string there takes a position of its own.  Two
+        strings share the least ``lcp`` between their sorted positions, so
+        the gap before a position is depth + 1 - ``lcp`` at the first
+        string there, at least 1."""
+        order, lcp = self._order, self._lcp
+        fresh = lcp != self._lengths[order]  # the sorted strings that start a position
+        first = np.arange(len(order))  # the sorted string whose position each takes
+        repeats = np.flatnonzero(~fresh).tolist()
+        if repeats:
+            tags, ids, seen, previous = self._tags, order.tolist(), {}, -2
+            for k in repeats:
+                if k != previous + 1:  # a run of equal digits from k - 1
+                    seen = {tags[ids[k - 1]]: k - 1}
+                first[k] = seen.setdefault(tags[ids[k]], k)
+                fresh[k] = first[k] == k
+                previous = k
+        pos = np.empty(len(order), dtype=np.intp)
+        pos[order] = (np.cumsum(fresh) - 1)[first]
+        return pos, self.depth + 1 - lcp[np.flatnonzero(fresh)[1:]]
+
+    def _tree_columns(self) -> _Columns:
+        """The tree of ``baire_cluster`` as columns.  Two sorted neighbours
+        meet at the depth r of their common prefix, so the gap between them
+        closes at height base^(-r), level r.  Gaps join deepest first, then
+        left to right (``join_gaps``), which binarizes every multiway split
+        left-to-right in digit order with all its merges at one height and
+        keeps cophenetic distance = Baire distance for every pair."""
+        order, lcp = self._order, self._lcp
+        # a stable sort of -lcp: deepest lcp first, equal lcps left to right
+        gaps = np.argsort(-lcp[1:], kind="stable") + 1
+        lo, hi = [], []
+        for a, _, b in join_gaps(len(order), gaps.tolist()):
+            lo.append(a)
+            hi.append(b)
+        level = lcp[gaps]
+        heights = [1 / self.base**r for r in range(int(level.max(initial=0)) + 1)]
+        return _Columns._drawn(self.labels, heights, level, (
+            order, gaps, np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)))
 
     def dump_text(self) -> str:
         """Indented one-node-per-line rendering for inspection, in preorder
@@ -281,90 +345,222 @@ class PrefixHierarchy:
         return "".join(self._dump_chunks())
 
     def _dump_chunks(self) -> Iterator[str]:
-        """``dump_text`` text: the root's line, then one piece per sorted
-        string k that differs from the string before it, the lines of its
-        nodes (k, d).
+        """``dump_text`` text: the root's line, then the lines of one run of
+        sorted strings at a time, each run cut at about ``formats._CHUNK``
+        characters and made as bytes by numpy.
 
         The trie's nodes in preorder are the pairs (k, d) in order, for each
         sorted position k and each depth d past ``lcp[k]`` up to the length
         of string k: the prefix of length d of string k.  Its strings run
-        from k to the first later position whose ``lcp`` is below d.  Those
-        run ends are found first, into one array, one depth at a time by a
-        binary search among the positions whose ``lcp`` is below it.  The
-        lines are then written in order, each prefix cut from its string's
-        text; only a string's last node, the whole string, ends one."""
-        order, lcp, n = self.order, self.lcp, len(self.order)
-        digits = [self.strings[i].digits for i in order]
-        lengths = [len(d) for d in digits]
-        shared, lens = np.array(lcp, dtype=np.intp), np.array(lengths, dtype=np.intp)
-        # first[k]: the preorder index, less 1 for the root, of node (k, lcp[k] + 1)
-        first = np.concatenate(([0], np.cumsum(lens - shared)))
-        ends = np.empty(first[-1], dtype=np.intp)
-        for d in range(1, self.depth + 1):
-            below = np.flatnonzero(shared < d)  # the positions where a run of depth d can end
-            at = below[lens[below] >= d]  # the positions with a node at depth d
-            ends[first[at] + d - 1 - shared[at]] = np.append(below, n)[np.searchsorted(below, at, "right")]
-        ends, first = ends.tolist(), first.tolist()
-        small = self.base <= len(_DIGIT_CHARS)  # one character a digit
-        if small:
-            chars = bytes.maketrans(bytes(range(len(_DIGIT_CHARS))), _DIGIT_CHARS.encode())
-            texts = b"".join(map(bytes, digits)).translate(chars).decode()
-        indents = ["  " * d for d in range(self.depth + 1)]
+        from k to the first later position whose ``lcp`` is below d.  A
+        string that repeats the digits before it has no node; the labels of
+        a run of equal strings follow the line of the first one's last node,
+        "  <- " before the first label and ", " before each other.
+
+        Each run's lines are laid out as items, a node's line, or a string's
+        label with what leads it, and every part of an item (indent, prefix,
+        ``[count]``, tag text and line end) is placed by one fancy-index
+        pass, every base through the same code: a prefix is cut from its
+        string's text (``_digits_text``)."""
+        from . import formats  # formats imports this module
+
+        order, lcp, n = self._order, self._lcp, len(self._order)
+        lens = self._lengths[order]
+        starts = np.cumsum(self._lengths) - self._lengths
+        nodes = lens - lcp
+        repeat = nodes == 0  # the sorted strings equal to the one before
+        small = self.base <= len(_DIGIT_CHARS)
         yield f"(root) [{n}]\n"
-        start = 0
-        for k in range(n):
-            low, length = lcp[k] + 1, lengths[k]
-            start += length
-            if low > length:  # equal to the string before it: no node of its own
-                continue
-            # the text of the first d digits ends at stops[d]
-            if small:
-                text, stops = texts[start - length : start], range(length + 1)
-            else:
-                text = _digit_text(self.base, digits[k])
-                stops = [0, *(stop - 1 for stop in itertools.accumulate(len(str(x)) + 1 for x in digits[k]))]
-            node_ends = ends[first[k] : first[k + 1]]
-            block = [f"{indents[d]}{text[: stops[d]]} [{end - k}]\n"
-                     for d, end in zip(range(low, length), node_ends)]
-            end = node_ends[-1]  # string k ends here, and any equal ones after it
-            j = k + 1
-            while j < end and lengths[j] == length:
-                j += 1
-            tags = ", ".join(self.labels[i] for i in order[k:j])
-            block.append(f"{indents[length]}{text} [{end - k}]  <- {tags}\n")
-            yield "".join(block)
+        # the runs: their prefixes and indents take at least 3d characters
+        # per node of depth d
+        size = np.cumsum(3 * (lens * (lens + 1) - lcp * (lcp + 1)) // 2 + 8 * nodes + 4)
+        cuts = np.searchsorted(size, np.arange(formats._CHUNK, size[-1], formats._CHUNK)) + 1
+        bounds = sorted({0, *cuts.tolist(), n})
+        # after[d]: the first position from a run's end on whose lcp is
+        # below d, or n; found for each run from the last back
+        depth = int(lens.max())
+        after = np.full(depth + 1, n)
+        afters = []
+        for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
+            afters.append(after)
+            low = np.minimum.accumulate(lcp[a:b])
+            at = np.searchsorted(-low, -np.arange(depth + 1), side="right")
+            after = np.where(at < b - a, a + at, after)
+        for (a, b), after in zip(zip(bounds[:-1], bounds[1:]), reversed(afters)):
+            ids, run_lcp, run_lens, count = order[a:b], lcp[a:b], lens[a:b], nodes[a:b]
+            # the nodes of the run, in preorder: position, depth and run end
+            before = np.cumsum(count) - count
+            node_at = np.repeat(np.arange(b - a), count)
+            node_depth = np.repeat(run_lcp + 1 - before, count) + np.arange(node_at.size)
+            end = np.empty(node_at.size, dtype=np.intp)
+            for d in range(1, int(run_lens.max()) + 1):
+                below = np.flatnonzero(run_lcp < d)  # where a run of depth d can end
+                at = below[run_lens[below] >= d]  # the positions with a node at depth d
+                end[before[at] + d - 1 - run_lcp[at]] = np.append(below + a, after[d])[
+                    np.searchsorted(below, at, "right")]
+            members = end - a - node_at
+            del end
+            # the text of the run's strings: each node's prefix starts where
+            # its string's text does and ends with its last digit's text
+            text, digit_end = _digits_text(self._codes[_ragged(starts[ids], run_lens)], run_lens, small)
+            first_digit = np.cumsum(run_lens) - run_lens
+            source = np.append(0, digit_end)[first_digit][node_at]
+            prefix = digit_end[first_digit[node_at] + node_depth - 1] - source
+            del digit_end
+            digits = 1 + np.searchsorted(10 ** np.arange(1, len(str(n)) + 1), members, "right")
+            newline = node_depth < run_lens[node_at]  # the line of a string's last node goes on
+            # the labels: a string's own with "  <- " or ", " before it, and
+            # a line end after the last of equal strings
+            names = [self.labels[i] for i in ids.tolist()]
+            joined = "".join(names)
+            if not joined.isascii():
+                names = [name.encode("utf-8", "surrogatepass") for name in names]
+                joined = b"".join(names)
+            label_len = np.fromiter(map(len, names), dtype=np.intp, count=len(names))
+            opens = ~repeat[a:b]
+            closes = ~np.append(repeat, False)[a + 1 : b + 1]
+            lead = np.where(opens, 5, 2)
+            # the items: each position's nodes, then its label
+            node_item = np.arange(node_at.size) + node_at
+            label_item = before + count + np.arange(b - a)
+            item_len = np.empty(node_at.size + b - a, dtype=np.intp)
+            item_len[node_item] = 2 * node_depth + prefix + 3 + digits + newline
+            item_len[label_item] = lead + label_len + closes
+            item_start = np.cumsum(item_len) - item_len
+            out = np.full(int(item_len.sum()), ord(" "), dtype=np.uint8)
+            line = item_start[node_item] + 2 * node_depth
+            tag = item_start[label_item]
+            del node_at, node_depth, node_item, item_len, item_start
+            out[_ragged(line, prefix)] = text[_ragged(source, prefix)]
+            line += prefix + 1
+            out[line] = ord("[")
+            for place in range(int(digits.max(initial=0))):
+                has = digits > place
+                out[(line + digits - place)[has]] = ord("0") + members[has] // 10**place % 10
+            line += digits
+            out[line + 1] = ord("]")
+            out[line[newline] + 2] = ord("\n")
+            out[tag[opens] + 2] = ord("<")
+            out[tag[opens] + 3] = ord("-")
+            out[tag[~opens]] = ord(",")
+            out[_ragged(tag + lead, label_len)] = np.frombuffer(
+                joined if isinstance(joined, bytes) else joined.encode(), dtype=np.uint8)
+            out[(tag + lead + label_len)[closes]] = ord("\n")
+            yield out.tobytes().decode("utf-8", "surrogatepass")
 
 
-def _prefix_order(digits: Sequence[tuple[int, ...]], base: int) -> tuple[np.ndarray, np.ndarray]:
-    """``order``, the indices of the digit strings ``digits`` in stable
-    digit order (a prefix before its extensions), and ``lcp``: ``lcp[k]``
-    is the common-prefix length of sorted strings k-1 and k, and 0 at k=0.
+def _digits_text(codes: np.ndarray, lengths: np.ndarray, small: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The text of the strings whose digits, concatenated, are ``codes``,
+    ``lengths[i]`` of them in string i, as ``BaireString.text`` writes
+    each (one character a digit when ``small``, else decimal numbers with a
+    comma before each but a string's first), concatenated as bytes; and
+    where each digit's text ends in it.  Each distinct digit's text is made
+    once, and all of them are placed by one fancy-index pass."""
+    values, token = np.unique(codes, return_inverse=True)
+    texts = [_DIGIT_CHARS[v] if small else str(v) for v in values.tolist()]
+    token_len = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    token_start = np.cumsum(token_len) - token_len
+    comma = 0 if small else 1
+    text_len = token_len[token]
+    cell = text_len + comma  # each digit's text and the comma before it
+    cell[np.cumsum(lengths) - lengths] -= comma
+    digit_end = np.cumsum(cell)
+    text = np.full(digit_end[-1], ord(","), dtype=np.uint8)
+    text[_ragged(digit_end - text_len, text_len)] = np.frombuffer("".join(texts).encode(), dtype=np.uint8)[
+        _ragged(token_start[token], text_len)]
+    return text, digit_end
 
-    One stable sort orders the strings by a key that compares as the digits
-    do: their bytes up to base 256, else the digit tuple.  Each sorted
-    neighbour pair is then compared digit by digit over the shorter length,
-    all pairs in one numpy comparison; ``lcp`` is the first mismatch, or
-    that length when there is none."""
-    n = len(digits)
-    if base <= 256:
-        keys = [bytes(d) for d in digits]
-        codes = np.frombuffer(b"".join(keys), dtype=np.uint8)
-    else:  # object dtype past 2**64: numpy holds no wider integers
-        keys = digits
-        codes = np.array(list(itertools.chain.from_iterable(digits)), np.min_scalar_type(base - 1))
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]``, ..., ``starts[i] + lengths[i] - 1`` of
+    every i in turn, as one array."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(int(lengths.sum()))
+
+
+class _FromArrays:
+    """A field of ``PrefixHierarchy`` that ``_prefix_tree`` leaves unset,
+    made once from the digit array on first access, as
+    ``padic._CoefficientRows`` makes ``PadicEncoding.C``."""
+
+    def __init__(self, name: str, make):
+        self.name, self.make = name, make
+
+    def __get__(self, hierarchy, owner=None):
+        if hierarchy is None:
+            return self
+        state = vars(hierarchy)
+        if self.name not in state:
+            state[self.name] = self.make(hierarchy)
+        return state[self.name]
+
+    def __set__(self, hierarchy, value) -> None:
+        vars(hierarchy)[self.name] = value
+
+
+def _strings_of(hierarchy: PrefixHierarchy) -> tuple[BaireString, ...]:
+    return tuple(_baire_strings(hierarchy.base, hierarchy._tags, hierarchy._codes, hierarchy._lengths))
+
+
+PrefixHierarchy.strings = _FromArrays("strings", _strings_of)
+PrefixHierarchy.order = _FromArrays("order", lambda hierarchy: tuple(hierarchy._order.tolist()))
+PrefixHierarchy.lcp = _FromArrays("lcp", lambda hierarchy: tuple(hierarchy._lcp.tolist()))
+
+
+def _prefix_order(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``order``, the indices of the strings of a digit array (``codes``
+    and ``lengths``, as ``_digit_array`` makes them) in stable digit order
+    (a prefix before its extensions), and ``lcp``: ``lcp[k]`` is the
+    common-prefix length of sorted strings k-1 and k, and 0 at k=0.
+
+    One stable sort orders the strings by a key cut from one buffer of
+    the codes, each a fixed number of big-endian bytes, so that the keys
+    compare as the digits do.  Each sorted neighbour pair is then compared
+    digit by digit over the shorter length, all pairs in one numpy
+    comparison; ``lcp`` is the first mismatch, or that length when there
+    is none."""
+    n = len(lengths)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    if codes.dtype == object:  # numpy holds no integers past 2**64
+        width = max(1, (max(codes.tolist()).bit_length() + 7) // 8)
+        buffer = b"".join(d.to_bytes(width, "big") for d in codes.tolist())
+    else:
+        width = codes.itemsize
+        buffer = codes.astype(codes.dtype.newbyteorder(">")).tobytes()
+    keys = [buffer[a:b] for a, b in zip((starts * width).tolist(), (ends * width).tolist())]
     order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
-    lengths = np.fromiter(map(len, digits), dtype=np.intp, count=n)
-    starts = np.cumsum(lengths) - lengths
+    del keys, buffer
     left, right = order[:-1], order[1:]
     shared = np.minimum(lengths[left], lengths[right])
     ends = np.cumsum(shared)
     begins = ends - shared  # sorted pair k compares its digits at positions begins[k]..ends[k]-1
-    at = np.repeat(starts[left] - begins, shared)  # where each pair's left digits lie
-    at += np.arange(at.size)
-    differs = codes[at] != codes[at + np.repeat(starts[right] - starts[left], shared)]
+    # the digit indices, in 32 bits where they fit
+    index = np.int32 if max(codes.size, int(ends[-1:].sum())) < 2**31 else np.intp
+    at = np.repeat((starts[left] - begins).astype(index), shared)  # where each pair's left digits lie
+    at += np.arange(at.size, dtype=index)
+    digits = codes[at]
+    at += np.repeat((starts[right] - starts[left]).astype(index), shared)
+    differs = digits != codes[at]
+    del at, digits
     mismatches = np.flatnonzero(np.append(differs, True))  # ends past every pair's digits
     first = mismatches[np.searchsorted(mismatches, begins)]
     return order, np.concatenate(([0], np.minimum(first, ends) - begins))
+
+
+def _prefix_tree(base: int, tags: Sequence[str | None], codes: np.ndarray, lengths: np.ndarray,
+                 strings: tuple[BaireString, ...] | None = None) -> PrefixHierarchy:
+    """The one clustering core: the prefix hierarchy of the strings of a
+    digit array, string i labelled ``tags[i]``, or s<i+1> when that is
+    None.  Only the sort (``_prefix_order``) runs here; the tree is
+    ``_tree_columns`` of the result.  ``strings``, when the caller holds
+    them, become the hierarchy's field as they are."""
+    order, lcp = _prefix_order(codes, lengths)
+    hierarchy = object.__new__(PrefixHierarchy)
+    vars(hierarchy).update(base=base, labels=tuple(
+        f"s{i + 1}" if tag is None else tag for i, tag in enumerate(tags)))
+    if strings is not None:
+        vars(hierarchy)["strings"] = strings
+    return hierarchy._hold(tags, codes, lengths, order, lcp)
 
 
 def baire_cluster(
@@ -377,7 +573,9 @@ def baire_cluster(
     closes at height base^(-r).  Gaps join deepest first, then left to
     right, which binarizes every multiway split left-to-right in digit
     order with all its merges at one height and keeps cophenetic distance =
-    Baire distance for every pair.
+    Baire distance for every pair.  The verbs run the same core on the
+    digit array they read, without ``BaireString`` or ``MergeNode``
+    objects.
     """
     if not strings:
         raise DegenerateInputError("need at least one string")
@@ -385,18 +583,6 @@ def baire_cluster(
     for s in strings[1:]:
         if s.base != base:
             raise DomainError("all strings must share one base")
-    labels = tuple(
-        s.label if s.label is not None else f"s{i + 1}" for i, s in enumerate(strings)
-    )
-    order, lcp = _prefix_order([s.digits for s in strings], base)
-    hierarchy = PrefixHierarchy(base, labels, tuple(strings), tuple(order.tolist()), tuple(lcp.tolist()))
-
-    heights = {r: float(Fraction(1, base**r)) for r in set(hierarchy.lcp)}
-    # a stable sort of -lcp: deepest lcp first, equal lcps left to right
-    gaps = (np.argsort(-lcp[1:], kind="stable") + 1).tolist()
-    refs = [terminal(i) for i in hierarchy.order]  # subtree of the run starting at each position
-    nodes = []
-    for rank, (lo, k, _) in enumerate(join_gaps(len(order), gaps), start=1):
-        nodes.append(MergeNode(rank, heights[hierarchy.lcp[k]], refs[lo], refs[k]))
-        refs[lo] = internal(rank)
-    return hierarchy, _tree(labels, tuple(nodes))
+    codes, lengths = _digit_array([s.digits for s in strings], base)
+    hierarchy = _prefix_tree(base, [s.label for s in strings], codes, lengths, tuple(strings))
+    return hierarchy, hierarchy._tree_columns()._dendrogram()

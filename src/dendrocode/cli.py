@@ -30,10 +30,11 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 import numpy as np
 
 from . import formats
-from .baire import baire_cluster
+from .baire import _prefix_tree
 from .errors import _TABLE_GUARD, DendrocodeError, DomainError, ParseError, ResourceGuardError
 from .haar import haar_forward, haar_inverse, haar_threshold
-from .hierarchy import LINKAGES, agglomerate, drawing, gap_counts, gap_levels, pairwise_distances
+from .hierarchy import (LINKAGES, _Columns, agglomerate, drawing, gap_counts, gap_levels,
+                        pairwise_distances)
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
 from .padic import decode, encode_dendrogram
 from .permutations import (
@@ -243,10 +244,10 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_cluster(args):
     table = formats.read_data_csv(_read(args.input), args.header, args.labels)
     diss = pairwise_distances(table.values, metric=args.metric, labels=table.labels)
-    tree = agglomerate(diss, args.linkage)
-    yield args.output, formats._tree_json_chunks(tree)
+    columns = _Columns.of(agglomerate(diss, args.linkage))
+    yield args.output, formats._tree_json_chunks(columns)
     if args.newick:
-        yield args.newick, formats._newick_chunks(tree, args.full_precision)
+        yield args.newick, formats._newick_chunks(columns, args.full_precision)
 
 
 def _cmd_cophenetic(args):
@@ -271,7 +272,7 @@ def _level_table(labels, pos, gaps, value, full_precision=False):
 def _cmd_verify_um(args):
     matrix = formats.read_matrix_csv(_read(args.matrix))
     violations = verify_ultrametric(matrix, args.tol)
-    yield args.output, formats.violations_csv(violations, args.full_precision)
+    yield args.output, formats._violation_chunks(violations, args.full_precision)
     if violations:
         line = f"E_ULTRAMETRIC: {len(violations)} violating triple(s) at tolerance {args.tol}\n"
         yield sys.stderr, line
@@ -292,12 +293,12 @@ def _cmd_padic_encode(args):
     enc = encode_dendrogram(_load_tree(args.tree), args.prime)
     yield args.output, formats._encoding_json_chunks(enc)
     if args.decimals:
-        yield args.decimals, formats.decimal_codes_csv(enc)
+        yield args.decimals, formats._decimal_code_chunks(enc)
 
 
 def _cmd_padic_decode(args):
     enc = formats.encoding_from_json(_read(args.encoding))
-    yield args.output, formats._tree_json_chunks(decode(enc))
+    yield args.output, formats._tree_json_chunks(_Columns.of(decode(enc)))
 
 
 def _cmd_padic_dist(args):
@@ -310,9 +311,13 @@ def _cmd_padic_dist(args):
     yield args.output, _level_table(enc.labels, *enc._level_gaps(), value)
 
 
+def _prefixes(args):
+    """The prefix hierarchy of the strings file, read as one digit array."""
+    return _prefix_tree(args.base, *formats._read_digits(_read(args.strings), args.base))
+
+
 def _cmd_baire_dist(args):
-    strings = formats.read_strings(_read(args.strings), args.base)
-    hierarchy = baire_cluster(strings)[0]
+    hierarchy = _prefixes(args)
     top = hierarchy.depth + 1
 
     def value(g: int) -> Fraction | float:
@@ -324,13 +329,13 @@ def _cmd_baire_dist(args):
 
 
 def _cmd_baire_cluster(args):
-    strings = formats.read_strings(_read(args.strings), args.base)
-    hierarchy, tree = baire_cluster(strings)
-    yield args.output, formats._tree_json_chunks(tree)
+    hierarchy = _prefixes(args)
+    columns = hierarchy._tree_columns()
+    yield args.output, formats._tree_json_chunks(columns)
     if args.trie_out:
         yield args.trie_out, hierarchy._dump_chunks()
     if args.newick:
-        yield args.newick, formats._newick_chunks(tree, args.full_precision)
+        yield args.newick, formats._newick_chunks(columns, args.full_precision)
 
 
 def _cmd_dna_encode(args):
@@ -345,11 +350,11 @@ def _cmd_haar(args):
     diss = pairwise_distances(table.values, labels=table.labels)
     tree = agglomerate(diss, args.linkage)
     transform = haar_forward(tree, table.values)
-    yield args.output, formats.haar_to_csv(transform, table.header, args.full_precision)
+    yield args.output, formats._haar_chunks(transform, table.header, args.full_precision)
     tree_path = args.tree_out or _sidecar(args.output)
     if tree_path is None:
         raise DomainError("writing to stdout requires --tree-out for the tree sidecar")
-    yield tree_path, formats._tree_json_chunks(tree)
+    yield tree_path, formats._tree_json_chunks(_Columns.of(tree))
 
 
 def _load_transform(args):
@@ -364,20 +369,16 @@ def _load_transform(args):
 def _cmd_haar_inverse(args):
     transform, coord_names = _load_transform(args)
     data = haar_inverse(transform)
-    yield args.output, formats.write_data_csv(
-        data, transform.tree.labels, coord_names, args.full_precision
-    )
+    yield args.output, formats._data_chunks(data, transform.tree.labels, coord_names, args.full_precision)
 
 
 def _cmd_haar_denoise(args):
     transform, coord_names = _load_transform(args)
     thinned = haar_threshold(transform, args.epsilon)
     if args.transform_out:
-        yield args.transform_out, formats.haar_to_csv(thinned, coord_names, args.full_precision)
+        yield args.transform_out, formats._haar_chunks(thinned, coord_names, args.full_precision)
     data = haar_inverse(thinned)
-    yield args.output, formats.write_data_csv(
-        data, transform.tree.labels, coord_names, args.full_precision
-    )
+    yield args.output, formats._data_chunks(data, transform.tree.labels, coord_names, args.full_precision)
 
 
 def _cmd_ordinal(args):
@@ -420,14 +421,15 @@ def _parse_packed_literal(text: str) -> PackedPermutation:
 def _cmd_unpack(args):
     text = _read(args.permutation) if args.file else args.permutation
     tree = unpack(_parse_packed_literal(text))
-    yield args.output, formats._tree_json_chunks(tree)
+    yield args.output, formats._tree_json_chunks(_Columns.of(tree))
 
 
 def _cmd_enumerate_nlr(args):
     trees = enumerate_nlr(args.n)
     yield None, f"{len(trees)}\n"
     if args.trees_out:
-        yield args.trees_out, itertools.chain.from_iterable(map(formats._tree_json_chunks, trees))
+        yield args.trees_out, itertools.chain.from_iterable(
+            formats._tree_json_chunks(_Columns.of(tree)) for tree in trees)
 
 
 def _cmd_lattice(args):
@@ -454,7 +456,7 @@ def _cmd_ultrametricity(args):
 
 def _cmd_gen_cloud(args):
     cloud = generate_cloud(args.n, args.dim, args.law, args.seed)
-    yield args.output, formats.write_data_csv(cloud, full_precision=args.full_precision)
+    yield args.output, formats._data_chunks(cloud, full_precision=args.full_precision)
 
 
 def _cmd_render(args):

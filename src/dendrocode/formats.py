@@ -11,8 +11,8 @@ emitted at full precision; tabular floats default to 7 significant digits.
 from __future__ import annotations
 
 import csv
-import functools
 import io
+import itertools
 import json
 import re
 import typing
@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .baire import (_DIGIT_CHARS, BaireString, _baire_strings, _dna_digit_texts, encode_dna,
-                    parse_digits)
+from .baire import (_DIGIT_CHARS, BaireString, _baire_strings, _digit_array, _dna_digit_texts,
+                    _parse_digit_list, encode_dna)
 from .errors import (DendrocodeError, DomainError, ParseError, _require_at_least,
                      _require_within_guard)
 from .haar import HaarTransform
@@ -33,15 +33,18 @@ from .hierarchy import (
     INTERNAL,
     MergeNode,
     TERMINAL,
-    walk,
+    _Columns,
+    _parents,
 )
 from .lattice import BooleanTable, Semilattice
 from .padic import PadicEncoding, _encoding_from_array
 from .ultrametric import UltrametricityReport
 
-# Two users: ``cli._write`` joins the pieces of an output into blocks of
-# about this many characters, and the canonical encoding reader converts
-# coefficients in chunks of about this many
+# Three users: ``cli._write`` joins the pieces of an output into blocks of
+# about this many characters, the canonical encoding reader converts
+# coefficients in chunks of about this many, and the trie dump
+# (``PrefixHierarchy._dump_chunks``) makes its text one run of sorted
+# strings of about this many characters at a time
 _CHUNK = 1 << 20
 
 
@@ -299,11 +302,6 @@ def _matrix_chunks(m: DissimilarityMatrix, full_precision: bool = False) -> Iter
     return _level_table_chunks(m.labels, _level_counts(bits), lambda: bits, value, full_precision)
 
 
-def _child_token(child: Child) -> str:
-    kind, idx = child
-    return f"t{idx + 1}" if kind == TERMINAL else f"q{idx}"
-
-
 def _parse_child(token: str, n: int) -> Child:
     if not isinstance(token, str) or len(token) < 2 or token[0] not in "tq":
         raise ParseError(f"bad child reference {token!r}")
@@ -332,11 +330,11 @@ def _json_number(value) -> str:
     return _dumps(value)
 
 
-def _dumps(doc, indent: int | None = None) -> str:
+def _dumps(doc, indent: int | None = None, separators: tuple[str, str] | None = None) -> str:
     """The one JSON writer: strict JSON, so a NaN or an infinity is an
     error rather than text no JSON reader takes."""
     try:
-        return json.dumps(doc, indent=indent, allow_nan=False)
+        return json.dumps(doc, indent=indent, separators=separators, allow_nan=False)
     except ValueError:
         raise DomainError(
             "the output holds an infinite or NaN number, which JSON cannot represent"
@@ -346,26 +344,28 @@ def _dumps(doc, indent: int | None = None) -> str:
 def tree_to_json(tree: Dendrogram) -> str:
     """The tree as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"n",
     "labels", "nodes"}``: the text of ``_tree_json_chunks``."""
-    return "".join(_tree_json_chunks(tree))
+    return "".join(_tree_json_chunks(_Columns.of(tree)))
 
 
-def _tree_json_chunks(tree: Dendrogram) -> Iterator[str]:
-    """``tree_to_json`` text, one piece per node record, led by its
-    separator (the header before the first).  ``json`` indents through its
-    pure-Python encoder, so only the header goes through it, and each node
-    is written as one string in the same layout, its numbers by
-    ``_json_number``."""
-    head = _dumps({"n": tree.n, "labels": list(tree.labels), "nodes": []}, indent=2)
-    if not tree.nodes:
-        yield head + "\n"
+def _tree_json_chunks(tree: _Columns) -> Iterator[str]:
+    """``tree_to_json`` text of a tree's columns, one piece per node
+    record, led by its separator (the header before the first).  ``json``
+    indents through its pure-Python encoder, so the header's label list
+    goes through the C encoder with the separator ``indent=2`` puts between
+    its items, and each node is written as one string in the same layout:
+    its height as ``_json_number`` writes it, once per distinct height."""
+    labels = _dumps(list(tree.labels), separators=(",\n    ", ": "))[1:-1]
+    head = f'{{\n  "n": {len(tree.labels)},\n  "labels": [\n    {labels}\n  ],\n  "nodes": '
+    if len(tree.labels) == 1:
+        yield head + "[]\n}\n"
         return
-    sep = f"{head[:-4]}[\n"
-    for node in tree.nodes:
-        yield (f'{sep}    {{\n      "rank": {_json_number(node.rank)},\n'
-               f'      "height": {_json_number(node.height)},\n'
-               f'      "left": "{_child_token(node.left)}",\n'
-               f'      "right": "{_child_token(node.right)}"\n    }}')
-        sep = ",\n"
+    heights = [_json_number(height) for height in tree.heights]
+    columns = (np.asarray(column).tolist() for column in (tree.level, tree.left, tree.right))
+    record = ',\n    {\n      "rank": %d,\n      "height": %s,\n      "left": "%s%d",\n      "right": "%s%d"\n    }'
+    records = (record % (rank, heights[level], "tq"[a > 0], abs(a), "tq"[b > 0], abs(b))
+               for rank, level, a, b in zip(itertools.count(1), *columns))
+    yield f"{head}[\n{next(records)[2:]}"
+    yield from records
     yield "\n  ]\n}\n"
 
 
@@ -446,41 +446,64 @@ def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
     (terminals sit at height 0); the root carries its height as a comment.
     Each whitespace or Newick-reserved character (``()[]':;,``) of a label
     is written as ``_``.  The text of ``_newick_chunks``."""
-    return "".join(_newick_chunks(tree, full_precision))
+    return "".join(_newick_chunks(_Columns.of(tree), full_precision))
 
 
-def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
-    """``tree_to_newick`` text, one piece per token, written along the
-    tree walk."""
-    clean = functools.partial(_NEWICK_RESERVED.sub, "_")
-    if not tree.nodes:
-        yield f"{clean(tree.labels[0])};\n"
+def _newick_chunks(tree: _Columns, full_precision: bool = False) -> Iterator[str]:
+    """``tree_to_newick`` text of a tree's columns, one piece per terminal
+    of the drawing: the parentheses of the subtrees that start there, its
+    label and branch, the closing tokens of the subtrees that end there in
+    rank order, and the comma before the next terminal.
+
+    A terminal's parent, and a subtree's, is the lower rank of the two gaps
+    that bound it in the drawing, so every branch is read off the gap
+    ranks; each distinct (parent level, level) pair is formatted once."""
+    labels, n = tree.labels, len(tree.labels)
+    if _NEWICK_RESERVED.search("".join(labels)):
+        labels = [_NEWICK_RESERVED.sub("_", label) for label in labels]
+    if n == 1:
+        yield f"{labels[0]};\n"
         return
-    heights: list[float] = []  # heights of the open ancestors
-    for (kind, idx), visit in walk(tree):
-        if kind == TERMINAL:
-            yield f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}"
-        elif visit == 0:
-            yield "("
-            heights.append(tree.nodes[idx - 1].height)
-        elif visit == 1:
-            yield ","
-        else:
-            height = heights.pop()
-            yield f"):{fmt_float(heights[-1] - height, full_precision)}" if heights else ")"
-    yield f"[height={fmt_float(tree.nodes[-1].height, full_precision)}];\n"
+    order, gap, lo, hi = (np.asarray(column, dtype=np.intp) for column in tree.drawing)
+    heights = tree.heights
+    levels = len(heights)
+    level = np.append(np.asarray(tree.level, dtype=np.intp), 0)  # level[n - 1]: past the root
+    terminal_parent, parent = _parents(gap, lo, hi)
+    above = level[parent[:-1] - 1]  # the level of each rank's parent, the root's apart
+    pairs, pair = np.unique(above * levels + level[:-2], return_inverse=True)
+    texts = [f"):{fmt_float(heights[p // levels] - heights[p % levels], full_precision)}"
+             for p in pairs.tolist()]
+    closing = [""] * n  # the closing tokens of the subtrees that end at each position
+    for end, k in zip(hi[:-1].tolist(), pair.tolist()):
+        closing[end] += texts[k]
+    closing[n - 1] += ")"
+    leaf = [fmt_float(height, full_precision) for height in heights]
+    pieces = zip(np.bincount(lo, minlength=n).tolist(), order.tolist(),
+                 level[terminal_parent - 1].tolist(), closing)
+    for opens, i, branch, close in itertools.islice(pieces, n - 1):
+        yield f"{'(' * opens}{labels[i]}:{leaf[branch]}{close},"
+    opens, i, branch, close = next(pieces)
+    yield (f"{'(' * opens}{labels[i]}:{leaf[branch]}{close}"
+           f"[height={fmt_float(heights[level[n - 2]], full_precision)}];\n")
 
 
 def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
                 full_precision: bool = False) -> str:
     """Wavelet table layout: rows are coordinates, columns are the root
-    smooth s_{n-1} followed by details d_{n-1} down to d_1."""
+    smooth s_{n-1} followed by details d_{n-1} down to d_1.  The text of
+    ``_haar_chunks``."""
+    return "".join(_haar_chunks(t, coord_names, full_precision))
+
+
+def _haar_chunks(t: HaarTransform, coord_names: Sequence[str] | None = None,
+                 full_precision: bool = False) -> Iterator[str]:
+    """``haar_to_csv`` text, one piece per row."""
     n1 = len(t.details)
     if coord_names is None:
         coord_names = tuple(f"c{i + 1}" for i in range(t.dim))
     header = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
     table = np.column_stack((t.root_smooth, t.details[::-1].T))
-    return "".join(_table_chunks(header, coord_names, (row.tolist() for row in table), full_precision))
+    return _table_chunks(header, coord_names, (row.tolist() for row in table), full_precision)
 
 
 def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str, ...]]:
@@ -516,10 +539,22 @@ def write_data_csv(
     header: Sequence[str] | None = None,
     full_precision: bool = False,
 ) -> str:
+    """A float table, its rows led by ``labels`` and under ``header`` when
+    given: the text of ``_data_chunks``."""
+    return "".join(_data_chunks(data, labels, header, full_precision))
+
+
+def _data_chunks(
+    data: np.ndarray,
+    labels: Sequence[str] | None = None,
+    header: Sequence[str] | None = None,
+    full_precision: bool = False,
+) -> Iterator[str]:
+    """``write_data_csv`` text, one piece per row."""
     if header is not None:
         header = ([""] if labels is not None else []) + list(header)
     rows = (row.tolist() for row in np.atleast_2d(data))
-    return "".join(_table_chunks(header, labels, rows, full_precision))
+    return _table_chunks(header, labels, rows, full_precision)
 
 
 # In ``encoding_to_json`` text each coefficient is followed by this
@@ -662,8 +697,15 @@ def _chunk_cells(chunk: bytes) -> np.ndarray:
 
 
 def decimal_codes_csv(enc: PadicEncoding) -> str:
+    """``label,code`` rows of the encoding's decimal codes: the text of
+    ``_decimal_code_chunks``."""
+    return "".join(_decimal_code_chunks(enc))
+
+
+def _decimal_code_chunks(enc: PadicEncoding) -> Iterator[str]:
+    """``decimal_codes_csv`` text, one piece per row."""
     codes = ([code] for code in enc.decimal_codes())
-    return "".join(_table_chunks(["label", "code"], enc.labels, codes))
+    return _table_chunks(["label", "code"], enc.labels, codes)
 
 
 def level_table_csv(
@@ -711,9 +753,16 @@ def _level_table_chunks(
 
 def violations_csv(violations: Iterable[tuple[int, int, int, float, float]],
                    full_precision: bool = False) -> str:
-    """Violating triples as 1-based (i, j, k, lhs, rhs) rows."""
+    """Violating triples as 1-based (i, j, k, lhs, rhs) rows: the text of
+    ``_violation_chunks``."""
+    return "".join(_violation_chunks(violations, full_precision))
+
+
+def _violation_chunks(violations: Iterable[tuple[int, int, int, float, float]],
+                      full_precision: bool = False) -> Iterator[str]:
+    """``violations_csv`` text, one piece per row."""
     rows = ([i + 1, j + 1, k + 1, float(lhs), float(rhs)] for i, j, k, lhs, rhs in violations)
-    return "".join(_table_chunks(["i", "j", "k", "lhs", "rhs"], None, rows, full_precision))
+    return _table_chunks(["i", "j", "k", "lhs", "rhs"], None, rows, full_precision)
 
 
 def report_to_json(report: UltrametricityReport) -> str:
@@ -751,12 +800,17 @@ def _labelled_lines(text: str, parse: Callable[[int, str | None, str], object]) 
 _PLAIN_BYTES = bytes(range(ord("!"), ord("~") + 1)) + b"\n"
 
 
+def _is_plain(text: str) -> bool:
+    """Whether ``text`` is nonempty, holds only printable ASCII and
+    newlines, and has no blank line, so that every line is nonempty and
+    holds no whitespace.  Every test is a C string scan."""
+    return (bool(text) and text.isascii() and not text.startswith("\n") and "\n\n" not in text
+            and not text.encode("ascii").translate(None, _PLAIN_BYTES))
+
+
 def _plain_text(text: str) -> list[str] | None:
-    """The lines of ``text`` if it is nonempty, holds only printable ASCII
-    and newlines, and has no blank line, so that every line is nonempty and
-    holds no whitespace; else None.  Every test is a C string scan."""
-    if (not text or not text.isascii() or text.startswith("\n") or "\n\n" in text
-            or text.encode("ascii").translate(None, _PLAIN_BYTES)):
+    """The lines of plain text (``_is_plain``), else None."""
+    if not _is_plain(text):
         return None
     lines = text.split("\n")
     if not lines[-1]:
@@ -783,30 +837,47 @@ def _split_labels(lines: list[str]) -> tuple[list[str], list[str]] | None:
 
 def read_strings(text: str, base: int) -> list[BaireString]:
     """One digit string per line, or CSV lines ``label,digits``; the k-th
-    string without a label is named s<k>.
+    string without a label is named s<k>.  The strings of the digit array
+    ``_read_digits`` reads."""
+    return _baire_strings(base, *_read_digits(text, base))
 
-    Plain labelled text (``_plain_lines``) whose bodies hold only digits
-    ``0-9A-Z`` below ``base`` is read in one byte lookup; any other text is
-    read line by line, which names the line of an error."""
+
+def _read_digits(text: str, base: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``read_strings`` as one digit array: the labels, every string's
+    digits concatenated (``baire._digit_array``) and their lengths.
+
+    Plain text (``_is_plain``) whose every line is ``label,digits``, the
+    digits ``0-9A-Z`` below ``base``, is read with numpy from its bytes and
+    its labels with one ``re.findall``; any other text is read line by
+    line, which names the line of an error."""
     _require_at_least(base, 2, "base")
-    plain = _plain_lines(text)
-    if plain is not None:
-        labels, bodies = plain
-        chars = np.frombuffer(_DIGIT_CHARS[:base].encode(), dtype=np.uint8)
-        lookup = np.zeros(256, dtype=np.uint8)  # digit + 1, or 0 for any other byte
-        lookup[chars] = np.arange(1, chars.size + 1)
-        codes = lookup[np.frombuffer("".join(bodies).encode(), dtype=np.uint8)]
-        if codes.all():
-            lengths = np.fromiter(map(len, bodies), dtype=np.intp, count=len(bodies))
-            return _baire_strings(base, labels, codes - 1, lengths)
+    if _is_plain(text):
+        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        # each line's comma, then its line end: they alternate, from a comma
+        breaks = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+        commas = breaks[::2]
+        ends = np.append(breaks[1::2], data.size)[: commas.size]  # the last line may have no "\n"
+        lengths = ends - commas - 1
+        if (breaks.size % 2 != text.endswith("\n") and (data[commas] == ord(",")).all()
+                and (data[breaks[1::2]] == ord("\n")).all() and (lengths > 0).all()):
+            chars = np.frombuffer(_DIGIT_CHARS[:base].encode(), dtype=np.uint8)
+            lookup = np.zeros(256, dtype=np.uint8)  # digit + 1, or 0 for any other byte
+            lookup[chars] = np.arange(1, chars.size + 1)
+            body = np.zeros(data.size + 1, dtype=np.int8)  # 1 from each comma on to its line end
+            body[commas + 1] = 1
+            body[ends] -= 1
+            codes = lookup[data[np.cumsum(body[:-1], dtype=np.int8).view(bool)]]
+            if codes.all():
+                codes -= 1
+                return re.findall(r"^([^,\n]*),", text, re.M), codes, lengths
 
-    def parse(k: int, label: str | None, digits: str) -> BaireString:
-        return parse_digits(digits, base, f"s{k + 1}" if label is None else label)
+    def parse(k: int, label: str | None, digits: str) -> tuple[str, list[int]]:
+        return f"s{k + 1}" if label is None else label, _parse_digit_list(digits, base)
 
-    strings = _labelled_lines(text, parse)
-    if not strings:
+    rows = _labelled_lines(text, parse)
+    if not rows:
         raise ParseError("no strings in input")
-    return strings
+    return [label for label, _ in rows], *_digit_array([digits for _, digits in rows], base)
 
 
 def _dna_lines(text: str, scheme: str) -> list[str]:

@@ -10,7 +10,9 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -153,6 +155,99 @@ def _tree(labels: tuple[str, ...], nodes: tuple[MergeNode, ...]) -> Dendrogram:
     return tree
 
 
+class _Columns:
+    """A ranked tree as the columns that the tree writers read: rank r has
+    height ``heights[level[r - 1]]``, so each distinct height is formatted
+    once, and children ``left[r - 1]`` and ``right[r - 1]``, each a rank, or
+    ``-(i + 1)`` for terminal i.
+
+    ``drawing`` is the stored drawing as four columns ``(order, gap, lo,
+    hi)``: the terminal at each position, and for each rank the gap it
+    joins and the positions its subtree spans, as ``join_gaps`` yields
+    them.  A builder that joined gaps makes the columns from it
+    (``_drawn``); else it is read off the children on first use.  Columns
+    may be lists or integer arrays."""
+
+    def __init__(self, labels: Sequence[str], heights: Sequence, level: Sequence[int],
+                 left: Sequence[int], right: Sequence[int],
+                 drawing: tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]] | None = None):
+        self.labels, self.heights, self.level = labels, heights, level
+        self.left, self.right = left, right
+        if drawing is not None:
+            self.drawing = drawing
+
+    @classmethod
+    def of(cls, tree: Dendrogram) -> _Columns:
+        """The columns of ``tree``, one height per rank."""
+        left, right = ([idx if kind == INTERNAL else ~idx for kind, idx in map(side, tree.nodes)]
+                       for side in (operator.attrgetter("left"), operator.attrgetter("right")))
+        return cls(tree.labels, tree.heights(), range(len(left)), left, right)
+
+    def _dendrogram(self) -> Dendrogram:
+        """The tree of the columns, which its builder made valid."""
+
+        def child(code: int) -> Child:
+            return (INTERNAL, code) if code > 0 else (TERMINAL, ~code)
+
+        heights = self.heights
+        columns = (np.asarray(column).tolist() for column in (self.level, self.left, self.right))
+        return _tree(tuple(self.labels), tuple(
+            MergeNode(rank, heights[level], child(a), child(b))
+            for rank, (level, a, b) in enumerate(zip(*columns), start=1)))
+
+    @classmethod
+    def _drawn(cls, labels: Sequence[str], heights: Sequence, level: np.ndarray,
+               drawing: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> _Columns:
+        """The columns of the tree whose stored drawing is ``drawing``, with
+        each child read off it: a subtree is the left child of its parent
+        when the parent joins the gap after it (``_parents``)."""
+        order, gap, lo, hi = drawing
+        n = len(order)
+        left, right = np.empty(n - 1, dtype=np.intp), np.empty(n - 1, dtype=np.intp)
+        if n > 1:
+            terminal_parent, parent = _parents(gap, lo, hi)
+            # the subtrees below the root: the terminal at each position, then ranks 1..n-2
+            code = np.concatenate((~order, np.arange(1, n - 1)))
+            parent = np.concatenate((terminal_parent, parent[:-1]))
+            after = np.concatenate((np.arange(1, n + 1), hi[:-1] + 1))  # the gap after each subtree
+            is_left = gap[parent - 1] == after
+            left[parent[is_left] - 1] = code[is_left]
+            right[parent[~is_left] - 1] = code[~is_left]
+        return cls(labels, heights, level, left, right, drawing)
+
+    @functools.cached_property
+    def drawing(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Subtree sizes bottom-up, then each subtree's first position top
+        down: a left child starts where its parent does, a right child
+        after the left child's terminals."""
+        left, right, n = self.left, self.right, len(self.labels)
+        # the size and first position of rank r at index r, and of terminal
+        # i at index -(i + 1), its code
+        size, start, gap = [1] * (2 * n), [0] * (2 * n), [0] * (n - 1)
+        for r, a, b in zip(range(1, n), left, right):
+            size[r] = size[a] + size[b]
+        for r in range(n - 1, 0, -1):
+            a, first = left[r - 1], start[r]
+            start[a] = first
+            start[right[r - 1]] = gap[r - 1] = first + size[a]
+        order, lo = [0] * n, start[1:n]
+        for i, position in enumerate(start[: n - 1 : -1]):
+            order[position] = i
+        return order, gap, lo, [first + count - 1 for first, count in zip(lo, size[1:n])]
+
+
+def _parents(gap: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parent rank of the terminal at each position, and of each rank
+    (n for the root), in a drawing of n positions where rank r joins gap
+    ``gap[r - 1]`` (between positions k - 1 and k) and spans positions
+    ``lo[r - 1]``..``hi[r - 1]``: the lower rank of the two gaps that bound
+    each subtree, the gaps past either end ranking n."""
+    n = len(gap) + 1
+    rank_at = np.full(n + 1, n, dtype=np.intp)
+    rank_at[gap] = np.arange(1, n)
+    return np.minimum(rank_at[:-1], rank_at[1:]), np.minimum(rank_at[lo], rank_at[hi + 1])
+
+
 def walk(tree: Dendrogram) -> Iterator[tuple[Child, int]]:
     """Euler tour of the stored drawing as ``(child, visit)`` pairs.
 
@@ -182,10 +277,13 @@ def drawing(tree: Dendrogram) -> tuple[list[int], list[int]]:
     left to right, and the rank of the node between each two neighbours
     (``gap_ranks[k]`` lies between ``order[k]`` and ``order[k + 1]``).  The
     ranks are the in-order read of the internal nodes; the lowest common
-    ancestor of two terminals is the highest rank between them."""
-    events = list(walk(tree))
-    order = [idx for (kind, idx), _ in events if kind == TERMINAL]
-    return order, [idx for (_, idx), visit in events if visit == 1]
+    ancestor of two terminals is the highest rank between them.  Read off
+    the tree's columns (``_Columns.drawing``)."""
+    order, gap, _, _ = _Columns.of(tree).drawing
+    ranks = [0] * len(gap)
+    for rank, k in enumerate(gap, start=1):
+        ranks[k - 1] = rank
+    return order, ranks
 
 
 def gap_levels(pos: np.ndarray, gaps: np.ndarray) -> np.ndarray:

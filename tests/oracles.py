@@ -993,7 +993,11 @@ def tree_json_by_dumps(tree):
 def tree_json_whole(tree):
     """``tree_to_json``: the header through ``json``, then every node as
     one string, joined at once."""
-    from dendrocode.formats import _child_token, _dumps, _json_number
+    from dendrocode.formats import _dumps, _json_number
+
+    def _child_token(child):
+        kind, idx = child
+        return f"t{idx + 1}" if kind == "t" else f"q{idx}"
 
     head = _dumps({"n": tree.n, "labels": list(tree.labels), "nodes": []}, indent=2)
     if not tree.nodes:

@@ -469,9 +469,9 @@ def digit_strings(draw):
 
 
 def assert_sorts_as_tuples(digits, base):
-    """``_prefix_order`` against a Python sort of the digit tuples and
-    ``lcp_radius`` of sorted neighbours."""
-    order, lcp = baire._prefix_order(digits, base)
+    """``_prefix_order`` of the digit array of ``digits`` against a Python
+    sort of the digit tuples and ``lcp_radius`` of sorted neighbours."""
+    order, lcp = baire._prefix_order(*baire._digit_array(digits, base))
     expected = sorted(range(len(digits)), key=digits.__getitem__)
     assert order.tolist() == expected
     strings = [BaireString(base, d) for d in digits]
@@ -523,3 +523,117 @@ class TestDigitArray:
             [(10**29, 5), (10**29,), (3, 10**30 - 1), (10**29, 5), (2**64, 1), (2**63,)])]
         expected = _clustered(lambda s, _: s, cluster_by_tuple_sort, strings, base)
         assert _clustered(lambda s, _: s, baire_cluster, strings, base) == expected
+
+
+# Labels that the strings file holds as written: the plain ones go through
+# the bulk reader, and those with a space or a non-ASCII character through
+# the line reader; Newick writes its reserved characters as "_"
+CLI_LABELS = ["a", "b", "x(1)", "q:r;", "[t]", "it's", "é", "a b", "Ω-1", ""]
+
+
+@st.composite
+def strings_files(draw):
+    """A strings file of ragged strings cut from a few stems, so that digits
+    repeat under one label and under several, and its base; at times every
+    string is equal, or one string has about a thousand digits.  A line
+    with no label is bare digits."""
+    base = draw(st.sampled_from([2, 4, 10, 36, 40, 256, 257, 2**70]))
+    digit = st.integers(0, min(base, 36) - 1)  # the file holds digits 0-9A-Z
+    stems = draw(st.lists(st.lists(digit, min_size=1, max_size=10), min_size=1, max_size=3))
+    parts = st.tuples(st.sampled_from(stems), st.integers(1, 10), st.lists(digit, max_size=2))
+    rows = [stem[:cut] + tail for stem, cut, tail in draw(st.lists(parts, min_size=1, max_size=14))]
+    if draw(st.integers(0, 5)) == 0:
+        rows = [rows[0]] * len(rows)
+    if draw(st.integers(0, 5)) == 0:
+        long = itertools.islice(itertools.cycle(draw(st.sampled_from(stems))), draw(st.integers(990, 1010)))
+        rows.insert(draw(st.integers(0, len(rows))), list(long))
+    labels = draw(st.lists(st.sampled_from([*CLI_LABELS, None]), min_size=len(rows), max_size=len(rows)))
+    lines = ["".join(DIGIT_CHARS[d] for d in row) for row in rows]
+    return "".join(f"{d}\n" if label is None else f"{label},{d}\n" for label, d in zip(labels, lines)), base
+
+
+def _run_baire_verbs(text: str, base: int, full_precision: bool, tmp: Path) -> dict[str, str]:
+    """The outputs of ``baire-cluster`` (tree JSON, trie dump, Newick) and of
+    ``baire-dist``, exact and in floats, on the strings file ``text``."""
+    from dendrocode.cli import main
+
+    source = tmp / "strings.txt"
+    source.write_text(text, encoding="utf-8")
+    precision = ["--full-precision"] if full_precision else []
+    out = {name: tmp / name for name in ("tree.json", "trie.txt", "tree.nwk", "exact.csv", "float.csv")}
+    common = [str(source), "--base", str(base)]
+    assert main(["baire-cluster", *common, "-o", str(out["tree.json"]), "--trie-out", str(out["trie.txt"]),
+                 "--newick", str(out["tree.nwk"]), *precision]) == 0
+    assert main(["baire-dist", *common, "--exact", "-o", str(out["exact.csv"])]) == 0
+    assert main(["baire-dist", *common, "-o", str(out["float.csv"]), *precision]) == 0
+    return {name: path.read_text(encoding="utf-8") for name, path in out.items()}
+
+
+def _oracle_outputs(text: str, base: int, full_precision: bool) -> dict[str, str]:
+    """What the verbs of ``_run_baire_verbs`` write, by the oracles: the
+    node-object trie, the whole-string writers and the pairwise table."""
+    from oracles import baire_dist_by_pairs, dump_whole, newick_whole, tree_json_whole
+
+    strings = read_strings_by_lines(text, base)
+    tree, dump, _, _ = trie_cluster(strings)
+    if base > len(DIGIT_CHARS):  # the trie oracle prints digits as characters
+        dump = dump_whole(cluster_by_tuple_sort(strings)[0])
+    return {"tree.json": tree_json_whole(tree), "trie.txt": dump,
+            "tree.nwk": newick_whole(tree, full_precision),
+            "exact.csv": baire_dist_by_pairs(strings, True),
+            "float.csv": baire_dist_by_pairs(strings, False, full_precision)}
+
+
+class TestArrayPath:
+    """The verbs cluster one digit array and write the tree from its
+    columns; the oracles refer them, and the library's objects stay as the
+    public constructors make them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(strings_files(), st.booleans())
+    def test_verbs_equal_the_oracles(self, tmp_path_factory, file, full_precision):
+        text, base = file
+        got = _run_baire_verbs(text, base, full_precision, tmp_path_factory.mktemp("verbs"))
+        assert got == _oracle_outputs(text, base, full_precision)
+
+    @pytest.mark.parametrize("text", [
+        "only,7\n",  # n = 1
+        "a,55\nb,55\nc,55\n",  # all equal
+        "a,123\nb,123\na,123\nc,12\na,124\nb,123\n",  # equal digits under labels a, b, a
+        "a,123\né,123\na b,1\nx(1),123\n",  # the line reader, equal digits under a label
+    ])
+    @pytest.mark.parametrize("base", [10, 40, 2**70])
+    def test_fixed_files(self, text, base, tmp_path):
+        for full_precision in (False, True):
+            got = _run_baire_verbs(text, base, full_precision, tmp_path)
+            assert got == _oracle_outputs(text, base, full_precision)
+
+    @settings(max_examples=150, deadline=None)
+    @given(strings_files())
+    def test_hierarchy_equals_hashes_and_reprs_as_the_constructor_makes_it(self, file):
+        text, base = file
+        strings = read_strings_by_lines(text, base)
+        expected = cluster_by_tuple_sort(strings)[0]  # through the public constructor
+        hierarchy = baire_cluster(strings)[0]
+        arrays = baire._prefix_tree(base, *formats._read_digits(text, base))
+        for got in (hierarchy, arrays):
+            assert got == expected and hash(got) == hash(expected) and repr(got) == repr(expected)
+            assert type(got.order) is tuple and type(got.lcp) is tuple
+            assert {int} >= set(map(type, got.order + got.lcp))
+        assert all(a is b for a, b in zip(hierarchy.strings, strings, strict=True))
+
+    @pytest.mark.parametrize("text", ["a,0123\nb,01\nc,3\nd,01\n", "é,0123\nb,01\n3\n"])
+    def test_verbs_make_no_string_or_node_object(self, text, tmp_path, monkeypatch):
+        """Plain text, and text for the line reader."""
+        from dendrocode.hierarchy import MergeNode
+
+        expected = _oracle_outputs(text, 4, False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verbs made a BaireString or a MergeNode")
+
+        monkeypatch.setattr(BaireString, "__post_init__", refuse)
+        monkeypatch.setattr(MergeNode, "__init__", refuse)
+        for module in (baire, formats):
+            monkeypatch.setattr(module, "_baire_strings", refuse)
+        assert _run_baire_verbs(text, 4, False, tmp_path) == expected

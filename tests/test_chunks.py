@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from dendrocode import cli, formats
 from dendrocode.baire import BaireString, baire_cluster, digitize_reals
 from dendrocode.cli import main
-from dendrocode.hierarchy import Dendrogram, drawing, gap_counts, gap_levels
+from dendrocode.hierarchy import Dendrogram, _Columns, drawing, gap_counts, gap_levels
 from dendrocode.padic import encode_dendrogram
 from dendrocode.render import _render_chunks, render_tree
 from dendrocode.ultrametric import cophenetic_matrix
@@ -113,8 +113,9 @@ def test_tree_writers_match_the_whole_string_writers(n, kind, seed, chunk, full_
     enc = encode_dendrogram(tree, 3)
     m = cophenetic_matrix(tree)
     _match_through_the_writer(chunk, [
-        (formats._tree_json_chunks(tree), formats.tree_to_json(tree), oracles.tree_json_whole(tree)),
-        (formats._newick_chunks(tree, full_precision), formats.tree_to_newick(tree, full_precision),
+        (formats._tree_json_chunks(_Columns.of(tree)), formats.tree_to_json(tree),
+         oracles.tree_json_whole(tree)),
+        (formats._newick_chunks(_Columns.of(tree), full_precision), formats.tree_to_newick(tree, full_precision),
          oracles.newick_whole(tree, full_precision)),
         (_render_chunks(tree, full_precision), render_tree(tree, full_precision),
          oracles.render_whole(tree, full_precision)),
@@ -168,8 +169,9 @@ def test_prefix_trees_match_the_whole_string_writers(base, n, width, seed, chunk
     hierarchy, tree = baire_cluster(strings)
     _match_through_the_writer(chunk, [
         (hierarchy._dump_chunks(), hierarchy.dump_text(), oracles.dump_whole(hierarchy)),
-        (formats._tree_json_chunks(tree), formats.tree_to_json(tree), oracles.tree_json_whole(tree)),
-        (formats._newick_chunks(tree), formats.tree_to_newick(tree), oracles.newick_whole(tree)),
+        (formats._tree_json_chunks(hierarchy._tree_columns()), formats.tree_to_json(tree),
+         oracles.tree_json_whole(tree)),
+        (formats._newick_chunks(hierarchy._tree_columns()), formats.tree_to_newick(tree), oracles.newick_whole(tree)),
     ])
     pos, gaps = hierarchy._level_gaps()
     assert gap_counts(pos, gaps) == _counts(gap_levels(pos, gaps))
@@ -236,3 +238,60 @@ def test_level_tables_are_sized_before_they_are_built(verb, rng, capsys):
     err = capsys.readouterr().err
     assert (code, out) == (1, None)
     assert err.startswith("E_RESOURCE: the distance table would take ") and err.count("\n") == 1
+
+
+def _data(n: int, kind: str) -> tuple[np.ndarray, str]:
+    """Data whose agglomerated tree is random, tied, or a caterpillar under
+    single linkage (points whose gaps grow left to right), and the linkage."""
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        return rng.random((n, 3)), "complete"
+    if kind == "tied":
+        return rng.integers(0, 3, (n, 2)).astype(float), "complete"
+    return np.cumsum(np.arange(n, dtype=float))[:, None], "single"
+
+
+@pytest.mark.parametrize("n", [1, 2, 600, 1500])
+@pytest.mark.parametrize("kind", ["random", "tied", "left"])
+def test_tree_verbs_write_the_whole_string_bytes(n, kind, tmp_path):
+    """Every verb that writes a tree passes its tree's columns to the two
+    tree writers, and writes the bytes of the whole-string writers."""
+    from dendrocode.hierarchy import agglomerate, pairwise_distances
+    from dendrocode.padic import decode
+    from dendrocode.permutations import packed_representation, unpack
+
+    tree = _tree(n, kind, n)
+    enc = encode_dendrogram(tree, 3)
+    perm = packed_representation(tree)
+    written = {"enc.json": formats.encoding_to_json(enc), "perm.txt": perm.text()}
+    runs = {"decoded.json": (["padic-decode", "enc.json"], oracles.tree_json_whole(decode(enc))),
+            "unpacked.json": (["unpack", "--file", "perm.txt"], oracles.tree_json_whole(unpack(perm)))}
+    if n > 1:  # the data verbs need two observations
+        data, linkage = _data(n, kind)
+        written["data.csv"] = formats.write_data_csv(data, full_precision=True)
+        built = agglomerate(pairwise_distances(data), linkage)
+        median = agglomerate(pairwise_distances(data), "median")
+        runs["cluster.json"] = (["cluster", "data.csv", "--linkage", linkage, "--newick", "cluster.nwk"],
+                                oracles.tree_json_whole(built))
+        runs["cluster.nwk"] = (None, oracles.newick_whole(built))
+        runs["haar.csv.tree.json"] = (["haar", "data.csv", "-o", "haar.csv"], oracles.tree_json_whole(median))
+    for name, text in written.items():
+        (tmp_path / name).write_text(text)
+    for name, (argv, want) in runs.items():
+        if argv is not None:
+            argv = [str(tmp_path / a) if a in written or "." in a else a for a in argv]
+            out = [] if argv[0] == "haar" else ["-o", str(tmp_path / name)]
+            assert main([*argv, *out]) == 0
+        _same((tmp_path / name).read_text(), want)
+    if n > 1:
+        assert main(["cluster", str(tmp_path / "data.csv"), "--linkage", linkage, "--full-precision",
+                     "--newick", str(tmp_path / "full.nwk"), "-o", str(tmp_path / "full.json")]) == 0
+        _same((tmp_path / "full.nwk").read_text(), oracles.newick_whole(built, True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_enumerate_nlr_writes_the_whole_string_bytes(n, tmp_path):
+    from dendrocode.permutations import enumerate_nlr
+
+    assert main(["enumerate-nlr", "-n", str(n), "--trees-out", str(tmp_path / "trees.json")]) == 0
+    _same((tmp_path / "trees.json").read_text(), "".join(map(oracles.tree_json_whole, enumerate_nlr(n))))

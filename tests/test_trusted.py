@@ -52,12 +52,13 @@ CALL_SITES = {
     ("_tree", "permutations", "packed_representation"),
     ("_tree", "permutations", "unpack"),
     ("_tree", "permutations", "enumerate_nlr"),
-    ("_tree", "baire", "baire_cluster"),
+    ("_tree", "hierarchy", "_dendrogram"),
     ("_built", "hierarchy", "pairwise_distances"),
     ("_built", "ultrametric", "cophenetic_matrix"),
     ("_built", "ultrametric", "canonical_form"),
     ("_baire_strings", "baire", "digitize_reals"),
     ("_baire_strings", "formats", "read_strings"),
+    ("_baire_strings", "baire", "_strings_of"),
 }
 
 PACKAGE = Path(dendrocode.__file__).parent
@@ -122,7 +123,7 @@ def refereed():
         return out
 
     with contextlib.ExitStack() as stack:
-        for module in (hierarchy, ultrametric, permutations, baire):
+        for module in (hierarchy, ultrametric, permutations):
             stack.enter_context(mock.patch.object(module, "_tree", checked_tree))
         stack.enter_context(mock.patch.object(DissimilarityMatrix, "_built", classmethod(checked_built)))
         for module in (baire, formats):
@@ -211,15 +212,17 @@ class TestReferee:
                                for k, row in enumerate(rows))
                 strings = formats.read_strings(text, base)
                 assert [list(s.digits) for s in strings] == rows
+                # the verbs' hierarchy makes its strings only when asked
+                assert baire._prefix_tree(base, *formats._read_digits(text, base)).strings == tuple(strings)
             else:
                 strings = [BaireString(base, tuple(row), f"s{k}") for k, row in enumerate(rows)]
             baire_cluster(strings)
             pool = [rng.random() for _ in range(3)]  # some reals are equal
             reals = digitize_reals([rng.choice(pool) for _ in range(n)], width, base)
             baire_cluster(reals)
-        expected = {("_tree", "baire", "baire_cluster"), ("_baire_strings", "baire", "digitize_reals")}
+        expected = {("_tree", "hierarchy", "_dendrogram"), ("_baire_strings", "baire", "digitize_reals")}
         if base <= 36:
-            expected.add(("_baire_strings", "formats", "read_strings"))
+            expected |= {("_baire_strings", "formats", "read_strings"), ("_baire_strings", "baire", "_strings_of")}
         assert seen == expected
 
     def test_every_call_site_is_exercised(self):
@@ -229,5 +232,6 @@ class TestReferee:
             exercise_data(np.random.default_rng(23).integers(0, 3, (12, 2)).astype(float))
             enumerate_nlr(5)
             baire_cluster(formats.read_strings("a,0123\nb,01\nc,3\n", 4))
+            assert len(baire._prefix_tree(4, *formats._read_digits("a,0123\nb,01\n", 4)).strings) == 2
             baire_cluster(digitize_reals([0.25, 0.5, 0.125], 4, 40))
         assert seen == CALL_SITES
