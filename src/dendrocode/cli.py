@@ -290,7 +290,9 @@ def _cmd_canonical(args):
 
 
 def _cmd_padic_encode(args):
-    enc = encode_dendrogram(_load_tree(args.tree), args.prime)
+    tree = _load_tree(args.tree)
+    formats._require_encoding_within_guard(tree, args.prime)
+    enc = encode_dendrogram(tree, args.prime)
     yield args.output, formats._encoding_json_chunks(enc)
     if args.decimals:
         yield args.decimals, formats._decimal_code_chunks(enc)

@@ -37,7 +37,7 @@ from .hierarchy import (
     _parents,
 )
 from .lattice import BooleanTable, Semilattice
-from .padic import PadicEncoding, _encoding_from_array
+from .padic import PadicEncoding, _encoding_from_array, _require_encoding_prime
 from .ultrametric import UltrametricityReport
 
 # Three users: ``cli._write`` joins the pieces of an output into blocks of
@@ -604,6 +604,21 @@ def _encoding_json_chunks(enc: PadicEncoding) -> Iterator[str]:
     yield _encoding_body(enc._cells[-1]).decode()[: -len(_CELL_SEP)] + _ENCODING_TAIL
 
 
+def _require_encoding_within_guard(tree: Dendrogram, p: int) -> None:
+    """Refuse, before its cells are built, the encoding of ``tree`` at
+    prime ``p`` whose ``encoding_to_json`` text would pass the guard; a
+    prime that ``encode_dendrogram`` refuses is refused first.  The text is
+    the header, 7 characters for each of the n(n-1) coefficients with its
+    separator, bar the last separator's 6, one more for each -1, of which
+    rank r has one per terminal under its right child, and the tail."""
+    _require_encoding_prime(p)
+    size = len(_encoding_head(p, tree.n, tree.labels)) + 1
+    if tree.n >= 2:
+        _, gap, _, hi = _Columns.of(tree).drawing
+        size += 7 * tree.n * (tree.n - 1) + sum(hi) - sum(gap) + len(gap) + 2
+    _require_within_guard(size, "the encoding")
+
+
 def encoding_from_json(text: str) -> PadicEncoding:
     """Read ``encoding_to_json`` text strictly: ``p`` and ``n`` are JSON
     integers, ``labels`` a list of strings and ``C`` a list of n(n-1)
@@ -643,11 +658,13 @@ def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | 
     matrix; None on any doubt.
 
     Only the header goes through ``json``, and it must be the canonical
-    header of the fields it holds.  The body is read in chunks of about
-    ``_CHUNK`` characters, each cut after a separator, by ``_chunk_cells``.
-    A chunk is kept only if ``_encoding_body`` of its cells is its text:
-    the cells lie in {-1, 0, +1}, and the text is the one they are written
-    as, so ``json`` would read the same values from it."""
+    header of the fields it holds.  Each of the n(n-1) tokens takes 7
+    characters with its separator, or 8 for -1, bar the last separator, so
+    a body outside those lengths is refused before the cells are made.  The
+    body is then read in chunks of about ``_CHUNK`` characters, each cut
+    after a separator, and each checked byte for byte by ``_chunk_cells``,
+    so the text is the one the cells are written as and ``json`` would read
+    the same values from it."""
     cut = text.find(_C_OPEN)
     if cut < 0 or not text.endswith(_ENCODING_TAIL):
         return None
@@ -662,8 +679,10 @@ def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | 
             or _encoding_head(p, n, labels) != header):
         return None
     total, filled = n * (n - 1), 0
-    cells = np.empty(total, dtype=np.int8)
     pos, end = cut + len(_C_OPEN), len(text) - len(_ENCODING_TAIL)
+    if not 7 * total - 6 <= end - pos <= 8 * total - 6:
+        return None
+    cells = np.empty(total, dtype=np.int8)
     while pos < end:
         stop = text.find(_CELL_SEP, min(pos + _CHUNK, end), end)
         stop = end if stop < 0 else stop + len(_CELL_SEP)
@@ -674,7 +693,7 @@ def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | 
         if stop == end:  # the last token has no separator of its own
             chunk += _CELL_SEP.encode()
         part = _chunk_cells(chunk)
-        if filled + len(part) > total or _encoding_body(part) != chunk:
+        if part is None or filled + len(part) > total:
             return None
         cells[filled:filled + len(part)] = part
         filled, pos = filled + len(part), stop
@@ -683,16 +702,26 @@ def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | 
     return p, tuple(labels), cells.reshape(n, n - 1)
 
 
-def _chunk_cells(chunk: bytes) -> np.ndarray:
-    """The int8 cells of ``chunk``, read as tokens each followed by
-    ``_CELL_SEP``: a token ending in ``1`` is 1, any other 0, and one led
-    by ``-`` is -1.  Only the two bytes before each comma are read, so the
-    caller compares the cells' text with the chunk.  Before a comma at
-    byte 1, index -1 is the chunk's last byte, a space."""
-    buf = np.frombuffer(chunk, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord(","))
-    cells = (buf[ends - 1] == ord("1")).astype(np.int8)
-    cells[buf[ends - 2] == ord("-")] = -1
+# A token 0 or 1 and its separator: the unit of canonical body text once
+# its - bytes are deleted
+_UNIT = b"0" + _CELL_SEP.encode()
+
+
+def _chunk_cells(chunk: bytes) -> np.ndarray | None:
+    """The int8 cells of ``chunk`` when it is tokens 0, 1 and -1, each
+    followed by ``_CELL_SEP``; else None.  Such text, with its - bytes
+    deleted, is 7-byte units, each 0 or 1 and the separator, and each -
+    stood at the start of a unit that holds 1, one - to a unit."""
+    plain = chunk.replace(b"-", b"")
+    count, rest = divmod(len(plain), len(_UNIT))
+    if rest or plain.replace(b"1", b"0") != _UNIT * count:
+        return None
+    cells = np.frombuffer(plain, dtype=np.int8)[::len(_UNIT)] - ord("0")
+    minus = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("-"))
+    unit, offset = np.divmod(minus - np.arange(len(minus)), len(_UNIT))
+    if offset.any() or (cells[unit] != 1).any() or (unit[1:] == unit[:-1]).any():
+        return None
+    cells[unit] = -1
     return cells
 
 

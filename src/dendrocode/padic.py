@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Sequence
+from itertools import accumulate, chain
+from operator import mul
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import Dendrogram, MergeNode, TERMINAL, gap_levels, internal, terminal, walk
+from .hierarchy import Dendrogram, MergeNode, _Columns, gap_levels, internal, join_gaps, terminal
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -150,29 +151,35 @@ class PadicEncoding:
     def decimal_codes(self) -> tuple[int, ...]:
         """``evaluate_code`` of every row, exact for any encoding.
 
-        The rows are taken in root-first order (``_root_first_order``) in
-        one pass, and each code is its predecessor's with the entries at
-        and below their cut level swapped out.  On a decodable encoding
-        each node is entered and left at most twice along that order, so
-        this is O(n) big-integer additions in all, plus O(n^2) numpy byte
-        work."""
+        The rows are taken in root-first order (``_root_first_order``), and
+        each code is its predecessor's plus the differences between the two
+        rows, each at level j a multiple of p^j.  Two neighbours differ only
+        at levels at or below their cut, and on a decodable encoding each
+        node's coefficient changes at most three times along that order (0
+        to +1, +1 to -1, -1 to 0), so there are O(n) differences in all:
+        one ``accumulate`` of that many big-integer terms, plus O(n^2)
+        numpy byte work in row blocks."""
         n, width, p = self.n, self.n - 1, self.p
         if n < 2:
             return (0,) * n
         cells = self._cells
-        order, cut = _root_first_order(cells)
+        order, _ = _root_first_order(cells)
         weights = [p]
         for _ in range(width - 1):
             weights.append(weights[-1] * p)
-
-        def low(row: np.ndarray, c: int) -> int:  # the row's code over levels 1..c
-            return sum(weights[j] if row[j] > 0 else -weights[j] for j in np.flatnonzero(row[:c]))
-
+        terms: list[int] = []
+        ends = []  # the number of terms up to each sorted row
+        previous = np.zeros((1, width), dtype=np.int8)  # the first row differs from no row
+        for rows in _row_blocks(cells, order):
+            steps = np.diff(np.concatenate((previous, rows)), axis=0)
+            at, level = np.divmod(np.flatnonzero(steps != 0), width)
+            terms += map(mul, steps[at, level].tolist(), map(weights.__getitem__, level.tolist()))
+            ends.append(np.bincount(at, minlength=len(rows)))
+            previous = rows[-1:]
+        sums = list(accumulate(terms, initial=0))
         codes = [0] * n
-        code, previous = 0, np.zeros(width, dtype=np.int8)  # cut[0] spans the first row
-        for i, c in zip(order.tolist(), cut.tolist()):
-            code += low(cells[i], c) - low(previous, c)
-            codes[i], previous = code, cells[i]
+        for i, end in zip(order.tolist(), np.cumsum(np.concatenate(ends)).tolist()):
+            codes[i] = sums[end]
         return tuple(codes)
 
     def differing_levels(self) -> np.ndarray:
@@ -246,6 +253,18 @@ def _checked_array(cells: np.ndarray) -> np.ndarray:
     return cells
 
 
+# the most cells of one block of rows that the root-first passes gather at a time
+_BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(cells: np.ndarray, order: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of ``cells`` in ``order``, gathered a block of rows at a
+    time, so that no full reordered copy is held."""
+    step = max(1, _BLOCK_CELLS // max(cells.shape[1], 1))
+    for a in range(0, len(order), step):
+        yield cells[order[a:a + step]]
+
+
 def _root_first_order(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row indices sorted by their bytes from the root level down, and
     ``cut``: ``cut[k]`` is the highest level at which sorted rows k - 1 and
@@ -253,18 +272,23 @@ def _root_first_order(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows of a decodable encoding first differ at their lowest common
     ancestor, +1 against -1, so any fixed order of the symbols sorts them
-    into a drawing order of the tree.  For any n >= 2 rows, as for any
-    sorted strings, the highest level at which sorted rows a < b differ is
-    the largest of cut[a + 1], ..., cut[b]."""
+    into a drawing order of the tree; bytes put +1 (0x01) before -1 (0xff),
+    so it is the stored drawing.  For any n >= 2 rows, as for any sorted
+    strings, the highest level at which sorted rows a < b differ is the
+    largest of cut[a + 1], ..., cut[b].  The sort keys are dropped once
+    sorted, and the cuts are read off blocks of sorted rows."""
     n, width = cells.shape
-    top_first = np.ascontiguousarray(cells[:, ::-1])
-    keys = [row.tobytes() for row in top_first]
+    keys = [row[::-1].tobytes() for row in cells]
     order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
-    ranked = top_first[order]
-    differs = ranked[1:] != ranked[:-1]
-    first = differs.argmax(axis=1)  # counted from the root level down
-    cut = np.where(differs[np.arange(n - 1), first], width - first, 0)
-    return order, np.concatenate(([width], cut))
+    del keys
+    cut = np.empty(n, dtype=np.intp)
+    cut[0], previous, k = width, cells[order[:1]], 1
+    for rows in _row_blocks(cells, order[1:]):
+        differs = rows != np.concatenate((previous, rows[:-1]))
+        top = width - 1 - differs[:, ::-1].argmax(axis=1)  # the highest column that differs, if any
+        cut[k:k + len(rows)] = np.where(differs[np.arange(len(rows)), top], top + 1, 0)
+        previous, k = rows[-1:], k + len(rows)
+    return order, cut
 
 
 def _encoding_from_array(p: int, labels: tuple[str, ...], cells: np.ndarray) -> PadicEncoding:
@@ -280,20 +304,36 @@ def _encoding_from_array(p: int, labels: tuple[str, ...], cells: np.ndarray) -> 
     return enc
 
 
+def _drawn_cells(gap: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The coefficients of the tree of a drawing of n >= 2 positions, rank r
+    joining gap ``gap[r - 1]`` and spanning positions ``lo[r - 1]`` to
+    ``hi[r - 1]``, as an n x (n-1) int8 array with one row per position:
+    column r - 1 is +1 on the left child's positions, lo up to the gap,
+    and -1 on the right child's, the gap up to hi.  Each column is the
+    running sum of a +1 at lo, a -2 at the gap and a +1 past hi, summed a
+    row at a time: ``np.cumsum`` down the rows of an int8 table was about
+    eight times slower at n = 1500."""
+    n = len(gap) + 1
+    cells = np.zeros((n + 1, n - 1), dtype=np.int8)
+    ranks = np.arange(n - 1)
+    cells[lo, ranks] = 1
+    cells[gap, ranks] = -2
+    cells[hi + 1, ranks] = 1
+    for above, row in zip(cells, cells[1:n]):
+        np.add(row, above, out=row)
+    return cells[:n]
+
+
 def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
     """Row i holds the signed branch coefficients of terminal i's
-    terminal-to-root traversal; requires a prime p >= 3.  The rows are
-    written straight into the stored int8 array."""
+    terminal-to-root traversal; requires a prime p >= 3.  The rows are the
+    coefficients of the tree's stored drawing (``_drawn_cells``), put
+    into terminal order."""
     _require_encoding_prime(p)
-    width = max(tree.n - 1, 0)
-    cells = np.zeros((tree.n, width), dtype=np.int8)
-    path = np.zeros(width, dtype=np.int8)  # coefficients of the current root-to-node path
-    for (kind, idx), visit in walk(tree):
-        if kind == TERMINAL:
-            cells[idx] = path
-        else:
-            path[idx - 1] = (1, -1, 0)[visit]  # in left subtree, in right, done
-    return _encoding_from_array(p, tree.labels, cells)
+    if tree.n < 2:
+        return _encoding_from_array(p, tree.labels, np.zeros((tree.n, 0), dtype=np.int8))
+    order, gap, lo, hi = map(np.asarray, _Columns.of(tree).drawing)
+    return _encoding_from_array(p, tree.labels, _drawn_cells(gap, lo, hi)[np.argsort(order)])
 
 
 def evaluate_code(code: PadicCode) -> int:
@@ -310,14 +350,48 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     """Unique dendrogram whose encoding is ``enc``.
 
     Heights are set to the rank values, since the coefficients carry only
-    the ranked topology.  Column j merges two clusters formed below it: its
-    +1 rows must be exactly one of them (the left child) and its -1 rows
-    exactly another (the right child).  The columns are read in order over
-    one cluster-id array, and each merge relabels the smaller cluster, so
-    decoding costs O(n * depth + n log n) beyond reading the matrix.
-    Raises ``MalformedEncodingError`` naming the first column whose +1 or
-    -1 rows (sorted) are not a cluster formed below it.
+    the ranked topology.  The rows sorted root first (``_root_first_order``)
+    are the stored drawing of the tree when there is one, and the cut
+    between two neighbours is the rank of the node that joins them, so the
+    tree is the one that joins the gaps in the order of their cuts
+    (``join_gaps``), and its coefficients (``_drawn_cells``) must equal the
+    stored ones.  That costs one sort of the rows and O(n^2) numpy byte
+    work.  Only when the check fails are the columns read in order
+    (``_decode_by_columns``), to name the first bad one.
     """
+    if enc.n >= 2:
+        columns = _drawn_columns(enc)
+        if columns is not None:
+            return columns._dendrogram()
+    return _decode_by_columns(enc)
+
+
+def _drawn_columns(enc: PadicEncoding) -> _Columns | None:
+    """The columns of the tree whose stored drawing the root-first sort of
+    ``enc``'s n >= 2 rows gives, when its coefficients are ``enc``'s; else
+    None."""
+    cells, n = enc._cells, enc.n
+    order, cut = _root_first_order(cells)
+    gaps = np.argsort(cut[1:]) + 1  # the gap of each rank, if the cuts are the ranks
+    spans = np.array([(lo, hi) for lo, _, hi in join_gaps(n, gaps.tolist())], dtype=np.intp)
+    drawing = (order, gaps, spans[:, 0], spans[:, 1])
+    drawn = _drawn_cells(*drawing[1:])
+    at = 0
+    for rows in _row_blocks(cells, order):
+        if not np.array_equal(drawn[at:at + len(rows)], rows):
+            return None
+        at += len(rows)
+    return _Columns._drawn(enc.labels, [float(rank) for rank in range(n)], np.arange(1, n), drawing)
+
+
+def _decode_by_columns(enc: PadicEncoding) -> Dendrogram:
+    """``decode`` by reading the columns in order over one cluster-id
+    array: column j must merge two clusters formed below it, its +1 rows
+    exactly one of them (the left child) and its -1 rows exactly another
+    (the right child).  Each merge relabels the smaller cluster, so this
+    costs O(n * depth + n log n) beyond reading the matrix.  Raises
+    ``MalformedEncodingError`` naming the first column whose +1 or -1 rows
+    (sorted) are not a cluster formed below it."""
     n = enc.n
     if n == 0:  # the constructor admits an encoding of no terminals; no tree has none
         raise MalformedEncodingError("root column does not cover all terminals")
@@ -418,8 +492,11 @@ def code_cluster_sets(codes: Sequence[PadicCode]) -> tuple[frozenset[int], ...]:
 
 
 def cluster_sets(enc: PadicEncoding) -> tuple[frozenset[int], ...]:
-    """Cluster read off each column of the encoding matrix."""
-    return code_cluster_sets(enc.codes())
+    """Cluster read off each column of the encoding matrix: its nonzero
+    rows, read off the stored array.  Every column holds a +1 and a -1, so
+    this is ``code_cluster_sets`` of the codes."""
+    return tuple(frozenset(np.flatnonzero(column).tolist())
+                 for column in np.ascontiguousarray(enc._cells.T))
 
 
 def code_classes(codes: Sequence[PadicCode]) -> set[frozenset[int]]:

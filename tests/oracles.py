@@ -288,6 +288,26 @@ def decode_by_sets(enc):
     return Dendrogram(enc.labels, tuple(nodes))
 
 
+def encoding_cells_by_walk(tree):
+    """The n x (n-1) int8 coefficient matrix of ``tree``, each terminal's
+    row copied from the coefficients of the root-to-terminal path along
+    the Euler tour: the package's method before rows were read off the
+    drawing."""
+    import numpy as np
+
+    from dendrocode.hierarchy import TERMINAL, walk
+
+    width = max(tree.n - 1, 0)
+    cells = np.zeros((tree.n, width), dtype=np.int8)
+    path = np.zeros(width, dtype=np.int8)
+    for (kind, idx), visit in walk(tree):
+        if kind == TERMINAL:
+            cells[idx] = path
+        else:
+            path[idx - 1] = (1, -1, 0)[visit]  # in left subtree, in right, done
+    return cells
+
+
 def padic_table(enc, similarity=False):
     """n x n table of exact Fractions, one padic_similarity (or
     padic_distance) call per pair of rows."""
@@ -1053,6 +1073,60 @@ def encoding_json_whole(enc):
     body = (enc._cells.tobytes().replace(b"\x00", b"0" + sep.encode())
             .replace(b"\x01", b"1" + sep.encode()).replace(b"\xff", b"-1" + sep.encode()))
     return f"{head[:-4]}[\n    {body[:-len(sep)].decode()}\n  ]\n}}\n"
+
+
+def canonical_encoding_by_regeneration(text, chunk_size=1 << 20):
+    """``formats._canonical_encoding``: ``(p, labels, cells)`` or None, the
+    package's reader before the byte check.  The body is cut into chunks
+    after a separator; each chunk's cells are read off the two bytes before
+    every comma, and the chunk is kept only if ``_encoding_body`` of those
+    cells gives its text back."""
+    import json
+
+    import numpy as np
+
+    from dendrocode.formats import _C_OPEN, _CELL_SEP, _ENCODING_TAIL, _encoding_body, _encoding_head
+
+    def chunk_cells(chunk):
+        buf = np.frombuffer(chunk, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord(","))
+        cells = (buf[ends - 1] == ord("1")).astype(np.int8)
+        cells[buf[ends - 2] == ord("-")] = -1  # before a comma at byte 1, index -1 is a space
+        return cells
+
+    cut = text.find(_C_OPEN)
+    if cut < 0 or not text.endswith(_ENCODING_TAIL):
+        return None
+    header = text[:cut] + '"C": []\n}'
+    try:
+        doc = json.loads(header)
+        p, n, labels = doc["p"], doc["n"], doc["labels"]
+    except (ValueError, RecursionError, KeyError, TypeError):
+        return None
+    if (type(p) is not int or type(n) is not int or type(labels) is not list
+            or not all(type(label) is str for label in labels) or len(labels) != n or n < 2
+            or _encoding_head(p, n, labels) != header):
+        return None
+    parts = []
+    pos, end = cut + len(_C_OPEN), len(text) - len(_ENCODING_TAIL)
+    while pos < end:
+        stop = text.find(_CELL_SEP, min(pos + chunk_size, end), end)
+        stop = end if stop < 0 else stop + len(_CELL_SEP)
+        try:
+            chunk = text[pos:stop].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        if stop == end:
+            chunk += _CELL_SEP.encode()
+        part = chunk_cells(chunk)
+        if _encoding_body(part) != chunk:
+            return None
+        parts.append(part)
+        pos = stop
+    cells = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int8)
+    if len(cells) != n * (n - 1):
+        return None
+    return p, tuple(labels), cells.reshape(n, n - 1)
 
 
 def level_table_whole(labels, levels, value, full_precision=False):

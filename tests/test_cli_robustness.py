@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import stat
 import subprocess
@@ -17,13 +18,14 @@ from unittest import mock
 
 import pytest
 
-from dendrocode import cli, formats
+from dendrocode import cli, errors, formats
 from dendrocode.baire import baire_cluster
 from dendrocode.cli import main
 from dendrocode.errors import ResourceGuardError
+from dendrocode.padic import encode_dendrogram
 from dendrocode.permutations import permutation_text
 
-from conftest import dense_table_csv
+from conftest import dense_table_csv, make_tree
 from oracles import ordinal_sequence_by_windows, rank_permutation_by_sort
 
 TREE = json.dumps({
@@ -540,6 +542,43 @@ def test_the_running_count_is_a_backstop_for_every_output(tmp_path, capsys):
     assert (code, err) == (1, f"E_RESOURCE: the output to {tmp_path / 'tree.json'} "
                               "passed the guard (100 bytes)\n")
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+@pytest.mark.parametrize("kind", ["random", "left", "right", "tied"])
+def test_the_encoding_is_sized_before_its_cells_are_built(tmp_path, capsys, kind):
+    """``padic-encode`` refuses an encoding whose text would pass the guard
+    before ``encode_dendrogram`` runs; the size it gives is the text's."""
+    tree = make_tree(23, kind, random.Random(23))
+    (tmp_path / "tree.json").write_text(formats.tree_to_json(tree))
+    out = tmp_path / "enc.json"
+    size = len(formats.encoding_to_json(encode_dendrogram(tree, 5)).encode())
+    argv = ["padic-encode", str(tmp_path / "tree.json"), "-p", "5", "-o", str(out)]
+    with mock.patch.object(errors, "_TABLE_GUARD", size):
+        assert _run(capsys, argv) == (0, "")
+    assert len(out.read_bytes()) == size
+    out.unlink()
+    with (mock.patch.object(errors, "_TABLE_GUARD", size - 1),
+          mock.patch.object(cli, "encode_dendrogram", side_effect=AssertionError)):
+        code, err = _run(capsys, argv)
+    assert (code, err) == (1, f"E_RESOURCE: the encoding would take {size} bytes, "
+                              f"past the guard ({size - 1})\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.json"]
+    # a prime that the encoder refuses is refused first, as before the guard
+    with mock.patch.object(errors, "_TABLE_GUARD", 1):
+        code, err = _run(capsys, [*argv[:3], "9", *argv[4:]])
+    assert (code, err) == (1, "E_DOMAIN: 9 is not prime\n")
+
+
+@pytest.mark.parametrize("verb", ["padic-decode", "padic-dist"])
+def test_a_short_body_under_a_long_header_is_a_size_error(tmp_path, capsys, verb):
+    """400,000 labels and 2 coefficients: the canonical reader used to make
+    the n(n-1) cells (160 GB) before it read the body."""
+    n = 400_000
+    doc = {"p": 3, "n": n, "labels": [f"t{i}" for i in range(n)], "C": [1, -1]}
+    path = tmp_path / "enc.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert _run(capsys, [verb, str(path), "-o", str(tmp_path / "out")]) == (
+        1, "E_PARSE: encoding JSON has inconsistent sizes\n")
 
 
 @pytest.mark.parametrize("dangling", [False, True], ids=["existing", "dangling"])

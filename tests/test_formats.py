@@ -31,7 +31,8 @@ from dendrocode.render import render_tree
 from dendrocode.ultrametric import ultrametricity_coefficient
 
 from conftest import caterpillar, encoding_sweep, random_tree
-from oracles import csv_table, exact_text, float_text, render_by_grid, tree_json_by_dumps
+from oracles import (canonical_encoding_by_regeneration, csv_table, exact_text, float_text,
+                     render_by_grid, tree_json_by_dumps)
 from reference import IRIS8, IRIS_LABELS8
 
 
@@ -418,6 +419,26 @@ def mutate(enc: PadicEncoding, kind: str, at: int, byte: str) -> str:
     }[kind]
 
 
+def mutate_bytes(text: str, edits, in_body: bool) -> str:
+    """``text`` with each ``(kind, at, byte)`` edit made in turn: ``byte``
+    inserted before, or put in place of, the character at ``at`` (taken
+    modulo the length, or of the coefficient list when ``in_body``), or
+    that character deleted."""
+    for kind, at, byte in edits:
+        lo = text.find("[\n    ") + 1 if in_body else 0
+        at = lo + at % max(len(text) - lo, 1)
+        text = text[:at] + ("" if kind == "delete" else byte) + text[at + (kind != "insert"):]
+    return text
+
+
+def fields_outcome(fields):
+    """``(p, labels, cells)`` from a canonical reader as comparable values."""
+    if fields is None:
+        return None
+    p, labels, cells = fields
+    return p, labels, cells.shape, cells.tobytes()
+
+
 class TestCanonicalEncodingReader:
     """``encoding_from_json`` against its strict path alone: the same
     encoding, or the same error line, on every text."""
@@ -456,6 +477,43 @@ class TestCanonicalEncodingReader:
             assert expected == read_outcome(strict_read, formats.encoding_to_json(enc), 1 << 20)
         else:
             assert isinstance(expected, str)
+
+    @settings(max_examples=400, deadline=None)
+    @given(encodings(max_n=12).filter(lambda enc: enc.n >= 2),
+           st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6),
+                              st.sampled_from(list("-01,\n 2x]"))), min_size=1, max_size=2),
+           st.booleans(), st.integers(1, 16) | st.just(1 << 20))
+    def test_byte_edits_are_read_as_the_old_reader_and_json_read_them(self, enc, edits, in_body, chunk):
+        """Single-byte insertions, deletions and replacements, from the
+        bytes that canonical text is made of and two that it never holds:
+        the byte check accepts exactly the texts that regenerating each
+        chunk accepted, and the reader agrees with ``json``."""
+        text = mutate_bytes(formats.encoding_to_json(enc), edits, in_body)
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            fields = formats._canonical_encoding(text)
+        assert fields_outcome(fields) == fields_outcome(canonical_encoding_by_regeneration(text, chunk))
+        fast = read_outcome(formats.encoding_from_json, text, chunk)
+        assert fast == read_outcome(strict_read, text, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 1 << 20])
+    def test_every_single_byte_edit_of_a_small_body(self, chunk):
+        tree = Dendrogram(("a", "b", "c", "d"), (
+            MergeNode(1, 1.0, terminal(0), terminal(1)), MergeNode(2, 2.0, terminal(2), terminal(3)),
+            MergeNode(3, 3.0, internal(2), internal(1))))
+        text = formats.encoding_to_json(encode_dendrogram(tree, 3))
+        body = range(text.index("[\n    ") + 1, len(text) - len(formats._ENCODING_TAIL) + 1)
+        accepted = 0
+        for at in body:
+            for kind in ("insert", "delete", "replace"):
+                for byte in "-01,\n 2x]":
+                    edited = mutate_bytes(text, [(kind, at, byte)], False)
+                    with mock.patch.object(formats, "_CHUNK", chunk):
+                        fields = fields_outcome(formats._canonical_encoding(edited))
+                    assert fields == fields_outcome(canonical_encoding_by_regeneration(edited, chunk))
+                    accepted += fields is not None
+        # a byte put in place of itself, or a 0 and a 1 swapped, leaves
+        # canonical text
+        assert accepted > 0
 
     def test_text_of_many_chunks(self, rng):
         enc = encode_dendrogram(random_tree(500, rng, heights="rank"), 5)

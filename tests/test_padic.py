@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dendrocode import formats
+from dendrocode import formats, padic
 from dendrocode.errors import DomainError, MalformedEncodingError
 from dendrocode.hierarchy import (
     Dendrogram,
@@ -22,6 +24,7 @@ from dendrocode.hierarchy import (
 from dendrocode.padic import (
     PadicCode,
     PadicEncoding,
+    _decode_by_columns,
     cluster_sets,
     code_classes,
     code_cluster_sets,
@@ -41,6 +44,7 @@ from oracles import (
     decimal_codes_by_nonzero_sums,
     decode_by_sets,
     differing_levels_by_rows,
+    encoding_cells_by_walk,
     lca_rank,
     trial_division_is_prime,
 )
@@ -303,6 +307,115 @@ class TestDecodeAgainstSets:
                 assert decode(bad) == expected
                 seen["decoded"] += 1
         assert seen["rejected"] >= 300 and seen["decoded"] >= 300, seen
+
+
+def decode_outcome(decoder, enc):
+    """The tree ``decoder`` makes of ``enc``, or its error message."""
+    try:
+        return decoder(enc)
+    except MalformedEncodingError as exc:
+        return str(exc)
+
+
+def permuted_columns(enc, rng):
+    """Rows of ``enc`` with the columns below the root in a random order."""
+    levels = [*rng.sample(range(enc.n - 2), enc.n - 2), enc.n - 2]
+    return tuple(tuple(row[j] for j in levels) for row in enc.C)
+
+
+def duplicated_row(enc, rng):
+    """Rows of ``enc`` with two rows made equal: level 1 joins two
+    terminals, whose rows differ only there, so its +1 and -1 move to two
+    rows drawn at random."""
+    rows = [[0, *row[1:]] for row in enc.C]
+    a, b = rng.sample(range(enc.n), 2)
+    rows[a][0], rows[b][0] = 1, -1
+    return tuple(map(tuple, rows))
+
+
+def accepted(change, enc, rng):
+    """The encoding of the first rows ``change(enc, rng)`` gives that the
+    constructor accepts."""
+    while True:
+        try:
+            return PadicEncoding(enc.p, enc.labels, change(enc, rng))
+        except MalformedEncodingError:
+            pass
+
+
+class TestDrawnDecode:
+    """``decode`` reads the tree off the root-first drawing and checks its
+    coefficients; the set referee and the column loop read the columns."""
+
+    @pytest.mark.parametrize("change", [permuted_columns, duplicated_row, corrupt])
+    def test_equals_the_referees_on_changed_encodings(self, rng, change):
+        seen = Counter()
+        for _ in range(400):
+            n = rng.randrange(3, 61)
+            kind = rng.choice(("left", "right", "random"))
+            tree = random_tree(n, rng, heights="rank") if kind == "random" else caterpillar(n, kind)
+            enc = encode_dendrogram(tree, 3)
+            try:
+                changed = PadicEncoding(3, enc.labels, change(enc, rng))
+            except MalformedEncodingError:
+                continue
+            got = decode_outcome(decode, changed)
+            assert got == decode_outcome(decode_by_sets, changed) == decode_outcome(_decode_by_columns, changed)
+            seen[type(got)] += 1
+        assert seen[str] >= 50, seen
+
+    @pytest.mark.parametrize("kind", ["random", "left", "right"])
+    def test_large_trees(self, kind):
+        tree = (random_tree(1500, random.Random(1500), heights="rank") if kind == "random"
+                else caterpillar(1500, kind))
+        enc = encode_dendrogram(tree, 3)
+        assert np.array_equal(enc._cells, encoding_cells_by_walk(tree))
+        assert decode(enc) == decode_by_sets(enc) == tree
+
+    def test_encoding_equals_the_euler_tour(self, rng):
+        trees = [Dendrogram(("a",), ())]
+        for n in range(2, 61):
+            trees += [caterpillar(n, "left"), caterpillar(n, "right"), random_tree(n, rng, heights="rank"),
+                      swap_children(random_tree(n, rng, heights="rank"), rng.randrange(1, n))]
+        for tree in trees:
+            enc = encode_dendrogram(tree, 3)
+            assert enc._cells.shape == (tree.n, tree.n - 1) and not enc._cells.flags.writeable
+            assert np.array_equal(enc._cells, encoding_cells_by_walk(tree))
+
+    def test_the_column_loop_runs_only_on_a_bad_encoding(self, rng):
+        with mock.patch.object(padic, "_decode_by_columns", side_effect=AssertionError):
+            for n in (2, 3, 17, 60):
+                tree = random_tree(n, rng, heights="rank")
+                assert decode(encode_dendrogram(tree, 5)) == tree
+        bad = PadicEncoding(3, ("a", "b", "c"), ((1, 1), (1, 1), (-1, -1)))  # rows a and b are equal
+        with pytest.raises(MalformedEncodingError, match="column 1"):
+            decode(bad)
+
+    @pytest.mark.parametrize("kind", ["random", "left", "right", "permuted", "corrupted"])
+    def test_decimal_codes_at_n_300(self, rng, kind):
+        tree = (caterpillar(300, kind) if kind in ("left", "right")
+                else random_tree(300, rng, heights="rank"))
+        enc = encode_dendrogram(tree, 7)
+        if kind in ("permuted", "corrupted"):
+            enc = accepted(permuted_columns if kind == "permuted" else corrupt, enc, rng)
+        assert enc.decimal_codes() == decimal_codes_by_nonzero_sums(enc)
+
+    @pytest.mark.parametrize("block", [1, 40, 97])
+    def test_row_blocks_of_any_size(self, rng, block):
+        """The root-first passes gather sorted rows a block at a time; with
+        blocks of one row or a few, every block edge falls between rows
+        that the passes compare."""
+        with mock.patch.object(padic, "_BLOCK_CELLS", block):
+            for enc in encoding_sweep(3, rng):
+                assert enc.decimal_codes() == decimal_codes_by_nonzero_sums(enc)
+                assert np.array_equal(enc.differing_levels(), differing_levels_by_rows(enc))
+                if enc.n:
+                    assert decode_outcome(decode, enc) == decode_outcome(decode_by_sets, enc)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_cluster_sets_read_off_the_columns(self, p, rng):
+        for enc in encoding_sweep(p, rng):
+            assert cluster_sets(enc) == code_cluster_sets(enc.codes())
 
 
 class TestSimilarityAndDistance:

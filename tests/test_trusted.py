@@ -3,11 +3,12 @@
 Builders whose output is valid by construction make trees, matrices and
 strings through private entries that skip the public checks:
 ``hierarchy._tree``, ``DissimilarityMatrix._built`` and
-``baire._baire_strings``.  Here every call of those entries runs the public
-constructor on what the entry made, over random, caterpillar and tied
-inputs, and the fields must come back equal.  A second test lists the
-calls in the source, so that a new call site fails until it is added to
-``CALL_SITES`` and exercised below.
+``baire._baire_strings``; trees built from columns go through
+``hierarchy._Columns._dendrogram``, which calls ``_tree``.  Here every call
+of those entries runs the public constructor on what the entry made, over
+random, caterpillar and tied inputs, and the fields must come back equal.
+A second test lists the calls in the source, so that a new call site fails
+until it is added to ``CALL_SITES`` and exercised below.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import dendrocode
 from dendrocode import baire, formats, hierarchy, permutations, ultrametric
+from dendrocode.padic import decode, encode_dendrogram
 from dendrocode.baire import BaireString, baire_cluster, digitize_reals
 from dendrocode.hierarchy import (
     LINKAGES,
@@ -53,6 +55,8 @@ CALL_SITES = {
     ("_tree", "permutations", "unpack"),
     ("_tree", "permutations", "enumerate_nlr"),
     ("_tree", "hierarchy", "_dendrogram"),
+    ("_dendrogram", "baire", "baire_cluster"),
+    ("_dendrogram", "padic", "decode"),
     ("_built", "hierarchy", "pairwise_distances"),
     ("_built", "ultrametric", "cophenetic_matrix"),
     ("_built", "ultrametric", "canonical_form"),
@@ -72,7 +76,7 @@ def entry_calls(node: ast.AST, module: str, function: str | None = None):
     if isinstance(node, ast.Call):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("_tree", "_built", "_baire_strings"):
+        if name in ("_tree", "_built", "_baire_strings", "_dendrogram"):
             yield name, module, function
     for child in ast.iter_child_nodes(node):
         yield from entry_calls(child, module, function)
@@ -95,6 +99,7 @@ def refereed():
     it makes; yields the set of (entry, module, function) calls seen."""
     seen: set[tuple[str, str, str]] = set()
     tree, built, strings = hierarchy._tree, DissimilarityMatrix._built.__func__, baire._baire_strings
+    dendrogram = hierarchy._Columns._dendrogram
 
     def checked_tree(labels, nodes):
         seen.add(("_tree", *_caller()))
@@ -102,6 +107,14 @@ def refereed():
         again = Dendrogram(out.labels, out.nodes)
         assert type(out.labels) is tuple and type(out.nodes) is tuple
         assert (again.labels, again.nodes) == (out.labels, out.nodes)
+        return out
+
+    def checked_dendrogram(columns):
+        # the tree's own drawing is the one its columns were built with
+        seen.add(("_dendrogram", *_caller()))
+        out = dendrogram(columns)
+        drawing = hierarchy._Columns.of(out).drawing
+        assert [np.asarray(c).tolist() for c in columns.drawing] == [list(c) for c in drawing]
         return out
 
     def checked_built(cls, values, labels=None):
@@ -126,6 +139,7 @@ def refereed():
         for module in (hierarchy, ultrametric, permutations):
             stack.enter_context(mock.patch.object(module, "_tree", checked_tree))
         stack.enter_context(mock.patch.object(DissimilarityMatrix, "_built", classmethod(checked_built)))
+        stack.enter_context(mock.patch.object(hierarchy._Columns, "_dendrogram", checked_dendrogram))
         for module in (baire, formats):
             stack.enter_context(mock.patch.object(module, "_baire_strings", checked_strings))
         yield seen
@@ -144,6 +158,8 @@ def exercise_tree(tree: Dendrogram) -> None:
     if all(a <= b for a, b in zip(tree.heights(), tree.heights()[1:])):
         canonical_form(um)  # a monotone tree's cophenetic matrix is ultrametric
     verify_ultrametric(um, 0.0)
+    assert decode(encode_dendrogram(tree)).nodes == tuple(
+        hierarchy.MergeNode(node.rank, float(node.rank), node.left, node.right) for node in tree.nodes)
 
 
 def exercise_data(data: np.ndarray) -> None:
@@ -165,7 +181,7 @@ class TestReferee:
             ("_tree", "hierarchy", "swap_children"), ("_tree", "hierarchy", "canonicalize"),
             ("_tree", "hierarchy", "swap_orbit"), ("_tree", "hierarchy", "_merge_tree"),
             ("_tree", "permutations", "packed_representation"), ("_tree", "permutations", "unpack"),
-            ("_built", "ultrametric", "cophenetic_matrix"),
+            ("_built", "ultrametric", "cophenetic_matrix"), ("_dendrogram", "padic", "decode"),
         }
 
     @settings(max_examples=200, deadline=None)
@@ -220,7 +236,8 @@ class TestReferee:
             pool = [rng.random() for _ in range(3)]  # some reals are equal
             reals = digitize_reals([rng.choice(pool) for _ in range(n)], width, base)
             baire_cluster(reals)
-        expected = {("_tree", "hierarchy", "_dendrogram"), ("_baire_strings", "baire", "digitize_reals")}
+        expected = {("_tree", "hierarchy", "_dendrogram"), ("_dendrogram", "baire", "baire_cluster"),
+                    ("_baire_strings", "baire", "digitize_reals")}
         if base <= 36:
             expected |= {("_baire_strings", "formats", "read_strings"), ("_baire_strings", "baire", "_strings_of")}
         assert seen == expected
