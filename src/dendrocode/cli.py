@@ -48,6 +48,7 @@ from .permutations import (
 )
 from .render import _render_chunks
 from .ultrametric import (
+    _data_coefficient,
     canonical_form,
     generate_cloud,
     ultrametricity_coefficient,
@@ -448,11 +449,9 @@ def _cmd_lattice(args):
 def _cmd_ultrametricity(args):
     text = _read(args.input)
     if args.data:
-        table = formats.read_data_csv(text)
-        matrix = pairwise_distances(table.values, labels=table.labels)
+        report = _data_coefficient(formats.read_data_csv(text).values, args.sample, args.seed, args.tol)
     else:
-        matrix = formats.read_matrix_csv(text)
-    report = ultrametricity_coefficient(matrix, args.sample, args.seed, args.tol)
+        report = ultrametricity_coefficient(formats.read_matrix_csv(text), args.sample, args.seed, args.tol)
     yield args.output, formats.report_to_json(report)
 
 

@@ -298,8 +298,7 @@ def _matrix_chunks(m: DissimilarityMatrix, full_precision: bool = False) -> Iter
     def value(bits: int) -> float:
         return float(np.int64(bits).view(np.float64))
 
-    bits = m.values.view(np.int64)
-    return _level_table_chunks(m.labels, _level_counts(bits), lambda: bits, value, full_precision)
+    return _level_table_chunks(m.labels, *_dense_levels(m.values.view(np.int64), value), full_precision)
 
 
 def _parse_child(token: str, n: int) -> Child:
@@ -750,33 +749,44 @@ def level_table_csv(
     distinct level is formatted once, by ``_cell``; a float matrix passes
     its cells' bit patterns as levels.  The text the table would take is
     summed before it is built: past 1 GiB it is a ``ResourceGuardError``."""
-    return "".join(_level_table_chunks(labels, _level_counts(levels), lambda: levels,
-                                       value, full_precision))
+    return "".join(_level_table_chunks(labels, *_dense_levels(levels, value), full_precision))
 
 
-def _level_counts(levels: np.ndarray) -> dict[int, int]:
-    """The number of cells of each distinct level of ``levels``."""
+def _dense_levels(
+    levels: np.ndarray, value: Callable[[int], object]
+) -> tuple[dict[int, int], Callable[[], Iterator[np.ndarray]], Callable[[int], object]]:
+    """``_level_table_chunks`` arguments for a table of any integer levels:
+    each distinct level is renumbered by its place in sorted order, the
+    table row by row as it is written."""
     distinct, counts = np.unique(levels, return_counts=True)
-    return dict(zip(distinct.tolist(), counts.tolist()))
+    keys = distinct.tolist()
+    return (dict(enumerate(counts.tolist())),
+            lambda: (np.searchsorted(distinct, row) for row in levels),
+            lambda r: value(keys[r]))
 
 
 def _level_table_chunks(
     labels: Sequence[str],
     counts: dict[int, int],
-    levels: Callable[[], np.ndarray],
+    levels: Callable[[], Iterable[np.ndarray]],
     value: Callable[[int], object],
     full_precision: bool = False,
 ) -> Iterator[str]:
     """``level_table_csv`` as pieces, given ``counts``, the number of cells
-    of each level, and ``levels``, which builds the table: the guard is
-    checked on the text the counts give before ``levels`` is called, so a
-    table past it is never built."""
-    text = {r: _cell(value(r), full_precision) for r in counts}
-    size = sum(count * (len(text[r]) + 1) for r, count in counts.items())
+    of each level, and ``levels``, which builds the table's rows: the guard
+    is checked on the text the counts give before ``levels`` is called, so
+    a table past it is never built.  Levels are small nonnegative ints
+    (gap levels, or ``_dense_levels``): each row is one gather of the
+    levels' texts, joined."""
+    text = np.empty(max(counts, default=-1) + 1, dtype=object)
+    size = 0
+    for r, count in counts.items():
+        text[r] = _cell(value(r), full_precision)
+        size += count * (len(text[r]) + 1)
     _require_within_guard(size, "the distance table")
     # number text is never quoted, so each row goes to the writer as one
     # joined cell: the bytes are the same, with one ``_cell`` call per row
-    rows = ([",".join(map(text.__getitem__, row.tolist()))] for row in levels())
+    rows = ([",".join(text[row].tolist())] for row in levels())
     yield from _table_chunks(["", *labels], labels, rows)
 
 
@@ -789,9 +799,22 @@ def violations_csv(violations: Iterable[tuple[int, int, int, float, float]],
 
 def _violation_chunks(violations: Iterable[tuple[int, int, int, float, float]],
                       full_precision: bool = False) -> Iterator[str]:
-    """``violations_csv`` text, one piece per row."""
-    rows = ([i + 1, j + 1, k + 1, float(lhs), float(rhs)] for i, j, k, lhs, rhs in violations)
-    return _table_chunks(["i", "j", "k", "lhs", "rhs"], None, rows, full_precision)
+    """``violations_csv`` text, one piece per row.  Each distinct lhs and
+    rhs value is formatted once, keyed by its bit pattern so that -0.0
+    stays apart from 0.0; number text is never quoted, so a row is its
+    cells' text joined."""
+    yield from _table_chunks(["i", "j", "k", "lhs", "rhs"], None, ())
+    violations = list(violations)
+    if not violations:
+        return
+    i, j, k, lhs, rhs = zip(*violations)
+    distinct, inverse = np.unique(np.array([lhs, rhs], dtype=float).view(np.int64), return_inverse=True)
+    text = np.array([_cell(v, full_precision) for v in distinct.view(np.float64).tolist()], dtype=object)
+    for a, b, c, x, y in zip(i, j, k, *text[inverse.reshape(2, -1)].tolist()):
+        try:
+            yield f"{a + 1},{b + 1},{c + 1},{x},{y}\n"
+        except ValueError:  # an index past the int-to-str digit limit, which _cell prints
+            yield from _table_chunks(None, None, [[a + 1, b + 1, c + 1, x, y]])
 
 
 def report_to_json(report: UltrametricityReport) -> str:

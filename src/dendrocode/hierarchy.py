@@ -417,7 +417,11 @@ class UltrametricMatrix(DissimilarityMatrix):
     inequality; check explicitly with :func:`dendrocode.ultrametric.verify_ultrametric`."""
 
 
+# the most cells (pairs times coordinates) one difference temporary holds
 _DISTANCE_BLOCK_CELLS = 1 << 16
+# the cells per row past which _pair_distances saves more by not gathering
+# the row than its call per row costs
+_ROW_RUN_CELLS = 1 << 12
 
 
 def pairwise_distances(
@@ -428,6 +432,30 @@ def pairwise_distances(
     """Euclidean distance table of the rows of ``data``."""
     if metric != "euclidean":
         raise DomainError(f"unsupported metric {metric!r}")
+    arr = _checked_data(data)
+    n, m = arr.shape
+    # upper-triangle blocks of at most _DISTANCE_BLOCK_CELLS cells (whole
+    # rows while a row fits, else one row's columns in runs), mirrored
+    cols = max(1, min(n, _DISTANCE_BLOCK_CELLS // m))
+    rows = max(1, _DISTANCE_BLOCK_CELLS // (cols * m))
+    d = np.empty((n, n))
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            for left in range(lo, n, cols):
+                right = min(left + cols, n)
+                d[lo:hi, left:right] = _distances(arr[lo:hi, None, :], arr[None, left:right, :])
+                d[left:right, lo:hi] = d[lo:hi, left:right].T
+    if not np.isfinite(d).all():
+        raise DomainError("pairwise distances overflow the float range")
+    # for finite x, x - x is +0.0, so the diagonal is already zero
+    return DissimilarityMatrix._built(d, labels)
+
+
+def _checked_data(data: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """``data`` as a float table of at least two rows and one column, with
+    no missing or infinite value: the checks of :func:`pairwise_distances`,
+    in its order."""
     if not isinstance(data, np.ndarray):
         rows = [list(row) for row in data]
         if not rows:
@@ -450,21 +478,55 @@ def pairwise_distances(
         raise DomainError("data contains missing values")
     if np.isinf(arr).any():
         raise DomainError("data contains infinite values")
-    # upper-triangle row blocks, mirrored: each pair gets the arithmetic of
-    # the full n x n x m broadcast, so values are bit-identical without its memory
-    rows = max(1, _DISTANCE_BLOCK_CELLS // (n * m))
-    d = np.empty((n, n))
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            diff = arr[lo:hi, None, :] - arr[None, lo:, :]
-            np.multiply(diff, diff, out=diff)
-            d[lo:hi, lo:] = np.sqrt(diff.sum(axis=-1))
-            d[lo:, lo:hi] = d[lo:hi, lo:].T
-    if not np.isfinite(d).all():
-        raise DomainError("pairwise distances overflow the float range")
-    # for finite x, x - x is +0.0, so the diagonal is already zero
-    return DissimilarityMatrix._built(d, labels)
+    return arr
+
+
+def _distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The one Euclidean distance kernel: the square root of the sum of
+    ``(x - y) ** 2`` over the last axis, which the difference temporary
+    holds contiguously, so a pair's distance has the same bits whichever
+    block or gather it comes from.  The difference goes to ``out`` when
+    given (a gathered ``y`` may take it), else to a new array."""
+    diff = np.subtract(x, y, out=out)
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(diff.sum(axis=-1))
+
+
+def _pair_distances(arr: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The distances between rows ``i[t]`` and ``j[t]`` of the float table
+    ``arr``, ``i`` sorted, bit for bit those of :func:`pairwise_distances`,
+    in blocks of at most ``_DISTANCE_BLOCK_CELLS`` cells.
+
+    Where each row i has many pairs (over ``_ROW_RUN_CELLS`` cells on
+    average), its row is subtracted from the gathered rows j as it stands;
+    otherwise both rows of each pair are gathered, one call per block."""
+    m = arr.shape[1]
+    step = max(1, _DISTANCE_BLOCK_CELLS // m)
+    out = np.empty(len(i))
+    firsts = np.flatnonzero(np.diff(i, prepend=-1))  # each row's first pair
+    if len(i) * m < _ROW_RUN_CELLS * len(firsts):
+        for lo in range(0, len(i), step):
+            y = arr[j[lo : lo + step]]
+            out[lo : lo + step] = _distances(arr[i[lo : lo + step]], y, y)
+        return out
+    bounds = [*firsts.tolist(), len(i)]
+    for row, a, b in zip(i[firsts].tolist(), bounds, bounds[1:]):
+        for lo in range(a, b, step):
+            y = arr[j[lo : min(lo + step, b)]]
+            out[lo : lo + len(y)] = _distances(arr[row], y, y)
+    return out
+
+
+def _distances_finite(arr: np.ndarray) -> bool:
+    """Whether no two rows of the finite float table ``arr`` can be at a
+    distance past the float range: true when the summed squares of the
+    column ranges stay below half the largest float.  Rounding is
+    monotone, so no pair's rounded difference, square or sum exceeds the
+    ranges'; the half absorbs a different summation order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = arr.max(axis=0) - arr.min(axis=0)
+        bound = np.square(span).sum()
+    return bool(bound < np.finfo(float).max / 2)
 
 
 def _child_key(child: Child) -> tuple[int, int]:

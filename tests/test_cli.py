@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -782,6 +785,51 @@ class TestNonFiniteData:
         assert code == 1
         assert out == ""
         assert err == "E_DOMAIN: matrix contains infinite values\n"
+
+
+class TestUltrametricityData:
+    """``ultrametricity --data`` measures only the sampled sides, but refuses
+    data with the lines, in the order, that building the table gave."""
+
+    @pytest.mark.parametrize("rows, sample, line", [
+        ("1,2\n", "5", "E_DEGENERATE: need at least two observations"),
+        ("1,2\n3,4\n", "5", "E_DEGENERATE: need at least three objects to sample triangles"),
+        ("1,2\n3,4\n", "0", "E_DEGENERATE: need at least three objects to sample triangles"),
+        ("1,nan\n3,4\n", "5", "E_DOMAIN: data contains missing values"),
+        ("nan,inf\n3,4\n0,1\n", "0", "E_DOMAIN: data contains missing values"),
+        ("1,inf\n3,4\n0,1\n", "0", "E_DOMAIN: data contains infinite values"),
+        ("1,-inf\n3,4\n", "5", "E_DOMAIN: data contains infinite values"),
+        ("1e308,0\n-1e308,0\n", "0", "E_DOMAIN: pairwise distances overflow the float range"),
+        ("0,0\n1,0\n0,1\n5,5\n", "0", "E_DOMAIN: sample must be at least 1"),
+        # the pair past the float range is the last; a sample of 1 misses it
+        ("".join(f"{i},0\n" for i in range(40)) + "1e308,0\n-1e308,0\n", "1",
+         "E_DOMAIN: pairwise distances overflow the float range"),
+    ])
+    def test_error_lines(self, tmp_path, capsys, rows, sample, line):
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        code, out, err = run(capsys, "ultrametricity", str(data), "--data", "--sample", sample)
+        assert (code, out, err) == (1, "", line + "\n")
+
+    def test_large_cloud_in_bounded_memory(self, tmp_path):
+        """20,000 points under a 512 MiB address-space cap: their distance
+        table alone would take 3.2 GB."""
+        data = tmp_path / "cloud.csv"
+        cloud = np.random.default_rng(29).random((20_000, 2))
+        data.write_text("".join(f"{a!r},{b!r}\n" for a, b in cloud.tolist()))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from dendrocode.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        argv = ["ultrametricity", str(data), "--data", "--sample", "2000", "--seed", "3"]
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                                timeout=120, env={**os.environ, "PYTHONPATH": src,
+                                                  "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["sampled"] == 2000
 
 
 class TestRenderVerb:

@@ -936,6 +936,18 @@ class TestReportsAndViolations:
         text = formats.violations_csv([(0, 1, 2, 5.0, 1.0)])
         assert text.splitlines()[1] == "1,2,3,5,1"
 
+    def test_violations_csv_formats_by_bit_pattern(self):
+        # each distinct value is formatted once: -0.0 must not take 0.0's text
+        rows = [(0, 1, 2, 0.0, -0.0), (3, 4, 5, -0.0, 0.0), (6, 7, 8, 0.1, 0.1)]
+        assert formats.violations_csv(rows, True).splitlines()[1:] == [
+            "1,2,3,0.0,-0.0", "4,5,6,-0.0,0.0", "7,8,9,0.1,0.1"]
+
+    def test_level_table_of_any_integer_levels(self):
+        # negative and huge levels are renumbered before the row gather
+        levels = np.array([[0, -5, 2**62], [-5, 0, 7], [2**62, 7, 0]])
+        text = formats.level_table_csv(("a", "b", "c"), levels, lambda r: Fraction(r, 3))
+        assert text.splitlines()[1:] == [f"a,0,-5/3,{2**62}/3", "b,-5/3,0,7/3", f"c,{2**62}/3,7/3,0"]
+
     def test_fraction_matrix(self):
         levels = np.array([[0, 1], [1, 0]])
         text = formats.level_table_csv(("a", "b"), levels, [Fraction(0), Fraction(2, 3)].__getitem__)

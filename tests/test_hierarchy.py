@@ -87,9 +87,12 @@ class TestPairwiseDistances:
         with pytest.raises(DegenerateInputError):
             pairwise_distances([[1.0, 2.0]])
 
-    @pytest.mark.parametrize("shape", [(301, 50), (37, 3), (5, 20000)], ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("shape", [(301, 50), (37, 3), (5, 20000), (70, 1000), (4, 70000)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
     def test_row_blocks_equal_the_full_broadcast(self, shape):
-        # 301 rows of 50 split into blocks of 4 with one row left over
+        # 301 rows of 50 split into blocks of 4 with one row left over; past
+        # a row of 65,536 cells a block is a run of one row's columns (65
+        # of 1,000), down to one pair
         arr = np.random.default_rng(3).normal(size=shape) * 100.0
         diff = arr[:, None, :] - arr[None, :, :]
         expected = np.sqrt((diff * diff).sum(axis=-1))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dendrocode import ultrametric
 from dendrocode.errors import (DegenerateInputError, DomainError, InputShapeError,
                                NotUltrametricError, ResourceGuardError)
 from dendrocode.hierarchy import (
@@ -19,6 +20,8 @@ from dendrocode.hierarchy import (
     DissimilarityMatrix,
     MergeNode,
     UltrametricMatrix,
+    _distances_finite,
+    _pair_distances,
     agglomerate,
     pairwise_distances,
     swap_children,
@@ -29,6 +32,7 @@ from dendrocode.ultrametric import (
     ISOSCELES_SMALL_BASE,
     METRIC_ONLY,
     _certify,
+    _data_coefficient,
     _sampled_triples,
     canonical_form,
     check_canonical_form,
@@ -47,6 +51,7 @@ from oracles import (
     canonical_check_by_loop,
     code_sorted_order,
     cophenetic_by_paths,
+    sampled_triples_by_replay,
     ultrametricity_by_triangle_loop,
 )
 from reference import IRIS7, IRIS_LABELS7, REFERENCE_ULTRAMETRIC_7
@@ -547,8 +552,8 @@ class TestUltrametricityCoefficient:
         assert report.sampled == sampled
         assert report.coefficient == hits / sampled
 
-    @pytest.mark.parametrize("n", [*range(3, 23), 300, 2**16 + 1])
-    def test_triples_replay_random_sample(self, n):
+    @pytest.mark.parametrize("n", [*range(3, 24), 40, 300, 2**16 + 1])
+    def test_replay_referee_draws_as_random_sample(self, n):
         # n <= 21 takes sample's pool branch, larger n its set branch
         total = n * (n - 1) * (n - 2) // 6
         sample = min(max(1, total - 1), 500)
@@ -557,7 +562,39 @@ class TestUltrametricityCoefficient:
             chosen = set()
             while len(chosen) < sample:
                 chosen.add(tuple(sorted(rng.sample(range(n), 3))))
-            assert _sampled_triples(n, sample, seed) == sorted(chosen)
+            assert sampled_triples_by_replay(n, sample, seed) == sorted(chosen)
+
+    @pytest.mark.parametrize("n", [*range(3, 24), 40, 150, 300, 2**16 + 1, 2**21 + 1, 2**33 + 1])
+    def test_triples_replay_random_sample(self, n):
+        # 2**21 + 1 has triples (i n + j) n + k past int64, and 2**33 + 1
+        # draws each index from two generator words
+        total = n * (n - 1) * (n - 2) // 6
+        for sample in sorted({1, min(max(1, total - 1), 500), min(max(1, total - 1), 5000)}):
+            for seed in (0, 1, 2021, -7, 10**40 + 3):
+                i, j, k = _sampled_triples(n, sample, seed)
+                assert i.dtype == j.dtype == k.dtype == np.int64
+                triples = list(zip(i.tolist(), j.tolist(), k.tolist()))
+                assert triples == sampled_triples_by_replay(n, sample, seed)
+
+    @pytest.mark.parametrize("words, samples", [
+        (1, ((23, 400), (300, 200), (2**33 + 1, 10))),
+        (64, ((23, 1770), (40, 3000), (300, 2000), (2**33 + 1, 100))),
+    ])
+    def test_replay_over_several_windows(self, monkeypatch, words, samples):
+        # windows of a few words: most hold no whole triple (a value past
+        # 2**32 takes two words), and repeated values often fall across a
+        # window's end
+        monkeypatch.setattr(ultrametric, "_REPLAY_WORDS", words)
+        for n, sample in samples:
+            triples = list(zip(*(a.tolist() for a in _sampled_triples(n, sample, 5))))
+            assert triples == sampled_triples_by_replay(n, sample, 5)
+
+    def test_near_total_sample(self):
+        # every triple of n = 60 but one: the last distinct triples take
+        # many windows of mostly repeated draws
+        total = 60 * 59 * 58 // 6
+        triples = list(zip(*(a.tolist() for a in _sampled_triples(60, total - 1, 3))))
+        assert triples == sampled_triples_by_replay(60, total - 1, 3)
 
     def test_negative_tolerance_rejected(self):
         m = pairwise_distances(generate_cloud(5, 2, "uniform", seed=3))
@@ -605,6 +642,69 @@ class TestUltrametricityCoefficient:
                                 timeout=120, env={**os.environ, "PYTHONPATH": src,
                                                   "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
         assert result.returncode == 0, result.stderr[-2000:]
+
+
+def _cloud(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(2903)
+    if kind == "random":
+        return rng.normal(size=(70, 6)) * 10.0
+    if kind == "tied-grid":  # tenths tie sides, and repeated points make zero ones
+        cloud = np.round(rng.random((80, 2)), 1)
+        cloud[[4, 9, 60]] = cloud[2]
+        return cloud
+    if kind == "m=1":
+        return np.round(rng.random((90, 1)) * 20.0)
+    return rng.random((24, 1000))  # m = 1000: a row with many pairs is not gathered
+
+
+class TestDataCoefficient:
+    """``_data_coefficient`` measures only the sampled sides; its report
+    must be that of the full table."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied-grid", "m=1", "m=1000"])
+    @pytest.mark.parametrize("sample", [1, 37, 600, 10**9])
+    def test_equals_the_table_report(self, kind, sample):
+        cloud = _cloud(kind)
+        table = pairwise_distances(cloud)
+        for seed, tol in ((0, 0.02), (11, 0.0), (-4, 0.3), (7, float("inf"))):
+            assert (_data_coefficient(cloud, sample, seed, tol)
+                    == ultrametricity_coefficient(table, sample, seed, tol))
+
+    @pytest.mark.parametrize("shape", [(60, 1), (60, 7), (40, 1000), (30, 70000), (3000, 2)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_pair_distances_have_the_table_bits(self, shape):
+        # rows with many pairs are subtracted as they stand (40x1000,
+        # 30x70000), rows with few are gathered pair by pair (60x1, 60x7,
+        # 3000x2)
+        arr = np.random.default_rng(5).normal(size=shape) * 100.0
+        n = shape[0]
+        i, j = np.triu_indices(n, 1)
+        keep = np.random.default_rng(6).random(len(i)) < (0.5 if n < 1000 else 0.0005)
+        i, j = i[keep], j[keep]
+        expected = pairwise_distances(arr).values[i, j]
+        assert np.array_equal(_pair_distances(arr, i, j).view(np.int64), expected.view(np.int64))
+
+    def test_sampling_builds_no_table(self, monkeypatch):
+        cloud = _cloud("random")
+        expected = ultrametricity_coefficient(pairwise_distances(cloud), 500, 3)
+        monkeypatch.setattr(ultrametric, "pairwise_distances", None)
+        assert _data_coefficient(cloud, 500, 3, 0.02) == expected
+
+    @pytest.mark.parametrize("rows, bounded, overflows", [
+        ([[1e150 * i, 0.0] for i in range(30)], True, False),  # far apart, within the bound
+        ([[1.2e154 * (i % 2)] for i in range(30)], False, False),  # past the bound, not the range
+        ([[0.0, 0.0]] * 28 + [[1e308, 0.0], [-1e308, 0.0]], False, True),  # one pair past the range
+    ])
+    def test_column_ranges_guard_overflow(self, rows, bounded, overflows):
+        # data the column ranges cannot bound goes through the table, which
+        # refuses a pair past the range though the sample of 1 misses it
+        arr = np.array(rows)
+        assert _distances_finite(arr) == bounded
+        if overflows:
+            with pytest.raises(DomainError, match="^pairwise distances overflow the float range$"):
+                _data_coefficient(arr, 1, 0, 0.02)
+        else:
+            assert _data_coefficient(arr, 40, 1, 0.02) == ultrametricity_coefficient(pairwise_distances(arr), 40, 1)
 
 
 class TestGenerateCloud:
