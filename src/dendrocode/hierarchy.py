@@ -419,9 +419,6 @@ class UltrametricMatrix(DissimilarityMatrix):
 
 # the most cells (pairs times coordinates) one difference temporary holds
 _DISTANCE_BLOCK_CELLS = 1 << 16
-# the cells per row past which _pair_distances saves more by not gathering
-# the row than its call per row costs
-_ROW_RUN_CELLS = 1 << 12
 
 
 def pairwise_distances(
@@ -494,21 +491,12 @@ def _distances(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> n
 
 def _pair_distances(arr: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The distances between rows ``i[t]`` and ``j[t]`` of the float table
-    ``arr``, ``i`` sorted, bit for bit those of :func:`pairwise_distances`,
-    in blocks of at most ``_DISTANCE_BLOCK_CELLS`` cells.
-
-    Where each row i has many pairs (over ``_ROW_RUN_CELLS`` cells on
-    average), its row is subtracted from the gathered rows j as it stands;
-    otherwise both rows of each pair are gathered, one call per block."""
-    m = arr.shape[1]
-    step = max(1, _DISTANCE_BLOCK_CELLS // m)
+    ``arr``, ``i`` sorted, bit for bit those of :func:`pairwise_distances`:
+    each row i is subtracted as it stands from its gathered rows j, in
+    blocks of at most ``_DISTANCE_BLOCK_CELLS`` cells."""
+    step = max(1, _DISTANCE_BLOCK_CELLS // arr.shape[1])
     out = np.empty(len(i))
     firsts = np.flatnonzero(np.diff(i, prepend=-1))  # each row's first pair
-    if len(i) * m < _ROW_RUN_CELLS * len(firsts):
-        for lo in range(0, len(i), step):
-            y = arr[j[lo : lo + step]]
-            out[lo : lo + step] = _distances(arr[i[lo : lo + step]], y, y)
-        return out
     bounds = [*firsts.tolist(), len(i)]
     for row, a, b in zip(i[firsts].tolist(), bounds, bounds[1:]):
         for lo in range(a, b, step):

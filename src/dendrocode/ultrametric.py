@@ -5,12 +5,9 @@ coefficient measuring how ultrametric an arbitrary dissimilarity table is.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -237,10 +234,16 @@ def ultrametricity_coefficient(
         for i in range(n - 2):
             start += n - 1 - i  # past the pairs of rows 0..i
             hits += _ultrametric_hits(d[i, js[start:]], d[i, ks[start:]], upper[start:], tol)
-        return UltrametricityReport(sampled=total, coefficient=hits / total, seed=seed, tolerance=tol)
-    i, j, k = _sampled_triples(n, sample, seed)
-    hits = _ultrametric_hits(d[i, j], d[i, k], d[j, k], tol)
-    return UltrametricityReport(sampled=sample, coefficient=hits / sample, seed=seed, tolerance=tol)
+        sampled = total
+    else:
+        i, j, k = np.array(_sampled_triples(n, sample, seed)).T
+        hits, sampled = _ultrametric_hits(d[i, j], d[i, k], d[j, k], tol), sample
+    return UltrametricityReport(
+        sampled=sampled,
+        coefficient=hits / sampled,
+        seed=seed,
+        tolerance=tol,
+    )
 
 
 def _data_coefficient(data: np.ndarray, sample: int, seed: int, tol: float) -> UltrametricityReport:
@@ -256,7 +259,7 @@ def _data_coefficient(data: np.ndarray, sample: int, seed: int, tol: float) -> U
     if sample >= n * (n - 1) * (n - 2) // 6 or not _distances_finite(arr):
         return ultrametricity_coefficient(pairwise_distances(arr), sample, seed, tol)
     _check_sampling(n, sample, tol)
-    i, j, k = _sampled_triples(n, sample, seed)
+    i, j, k = np.array(_sampled_triples(n, sample, seed)).T
     pairs, side = np.unique(np.concatenate([i * n + j, i * n + k, j * n + k]), return_inverse=True)
     a, b, c = _pair_distances(arr, *np.divmod(pairs, n))[side].reshape(3, -1)
     hits = _ultrametric_hits(a, b, c, tol)
@@ -271,159 +274,53 @@ def _check_sampling(n: int, sample: int, tol: float) -> None:
     _require_nonnegative(tol, "tolerance")
 
 
-# the most generator words one window of the triple replay draws (8 MB)
-_REPLAY_WORDS = 1 << 20
-
-
-def _sampled_triples(n: int, sample: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sampled_triples(n: int, sample: int, seed: int) -> list[tuple[int, int, int]]:
     """The first ``sample`` distinct sorted triples that repeated
-    ``random.Random(seed).sample(range(n), 3)`` calls draw, in sorted
-    order, as three index columns i < j < k.
+    ``random.Random(seed).sample(range(n), 3)`` calls draw, in sorted order.
 
-    ``sample``'s ``_randbelow(m)`` draws ``m.bit_length()`` bits until the
-    value is below m.  For n <= 21 the i-th index is drawn below n - i from
-    a pool whose drawn slot takes the pool's last item, replayed here call
-    by call (there are at most 1,330 triples).  For n > 21 each index is
-    drawn below n again until it is new; those draws are replayed in bulk
-    (:func:`_replayed_draws`).  The test suite pins both against ``sample``.
+    The draws replay CPython's ``Random.sample`` on the generator's
+    ``getrandbits`` stream without its per-call overhead: ``_randbelow(m)``
+    draws ``m.bit_length()`` bits until the value is below m; for n > 21 each
+    of the three indices is drawn below n again until it is new, and for
+    n <= 21 the i-th is drawn below n - i from a pool whose drawn slot takes
+    the pool's last item.  The test suite pins this against ``sample``.
     """
-    if n > 21:
-        return _distinct_draws(n, sample, seed)
     getrandbits = random.Random(seed).getrandbits
     chosen: set[tuple[int, int, int]] = set()
-    while len(chosen) < sample:
-        pool = list(range(n))
-        picked = []
-        for size in (n, n - 1, n - 2):
-            bits = size.bit_length()
-            r = getrandbits(bits)
-            while r >= size:
+    add = chosen.add
+    if n <= 21:
+        while len(chosen) < sample:
+            pool = list(range(n))
+            picked = []
+            for size in (n, n - 1, n - 2):
+                bits = size.bit_length()
                 r = getrandbits(bits)
-            picked.append(pool[r])
-            pool[r] = pool[size - 1]
-        picked.sort()
-        chosen.add(tuple(picked))
-    i, j, k = np.array(sorted(chosen), dtype=np.int64).T
-    return i, j, k
-
-
-def _distinct_draws(n: int, sample: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_sampled_triples`` for n > 21.  Each sorted triple i < j < k is
-    the key (i n + j) n + k, an int64 while n^3 fits one and a Python int
-    past that.  Window by window, each distinct key drawn is merged into
-    the sorted keys seen so far with the draw at which it first appeared,
-    until ``sample`` have appeared; the ``sample`` that appeared first are
-    kept.  Each window draws about the triples still expected to be
-    needed: reaching s of the t triples takes about t ln(t / (t - s))
-    draws."""
-    total = n * (n - 1) * (n - 2) // 6
-    kind = np.int64 if n**3 <= 2**63 else object
-    keys = np.empty(0, dtype=kind)  # the distinct keys drawn, sorted
-    first = np.empty(0, dtype=np.int64)  # the draw at which each first appeared
-    drawn = 0
-    draw = _replayed_draws(n, seed)
-    while len(keys) < sample:
-        wanted = total * math.log((total - len(keys)) / max(total - sample, 0.5))
-        a, b, c = draw(int(wanted * 1.05) + 16)
-        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-        drawn_keys = (lo.astype(kind) * n + (a + b + c - lo - hi)) * n + hi
-        # each distinct key of the window and its first draw
-        order = drawn_keys.argsort()
-        drawn_keys = drawn_keys[order]
-        starts = np.flatnonzero(np.diff(drawn_keys, prepend=-1))
-        drawn_keys, at = drawn_keys[starts], np.minimum.reduceat(order, starts)
-        place = np.searchsorted(keys, drawn_keys)
-        new = place == len(keys)
-        new[~new] = keys[place[~new]] != drawn_keys[~new]
-        keys = np.insert(keys, place[new], drawn_keys[new])
-        first = np.insert(first, place[new], at[new] + drawn)
-        drawn += len(a)
-    if len(keys) > sample:
-        keys = keys[first <= np.partition(first, sample - 1)[sample - 1]]
-    i, j, k = keys // (n * n), keys // n % n, keys % n
-    return i.astype(np.int64), j.astype(np.int64), k.astype(np.int64)
-
-
-def _replayed_draws(n: int, seed: int) -> Callable[[int], np.ndarray]:
-    """``draw(t)``, which returns about t more of the triples that
-    ``random.Random(seed).sample(range(n), 3)`` draws for n > 21, in draw
-    order, as a (3, t) array of unsorted triples.
-
-    A numpy Mersenne Twister in the state of ``random.Random(seed)``
-    yields that generator's ``getrandbits(32)`` words, and
-    ``getrandbits(b)`` for b <= 32 is the word's top b bits (for b <= 64,
-    the top b - 32 bits of a second word above the first).  The values
-    drawn below n form one stream, since ``_randbelow`` rejects the others
-    whatever came before: each triple takes the next value, the next one
-    unequal to it, and the next one unequal to both.  A triple whose three
-    values are distinct takes exactly three, which one mask finds for every
-    start; the few others are parsed one value at a time."""
-    state = random.Random(seed).getstate()[1]
-    words = np.random.MT19937(0)
-    words.state = {"bit_generator": "MT19937",
-                   "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]}}
+                while r >= size:
+                    r = getrandbits(bits)
+                picked.append(pool[r])
+                pool[r] = pool[size - 1]
+            picked.sort()
+            add(tuple(picked))
+        return sorted(chosen)
     bits = n.bit_length()
-    per_value = 1 if bits <= 32 else 2
-    stream = np.empty(0, dtype=np.int64)  # values below n not yet parsed
-
-    def draw(wanted: int) -> np.ndarray:
-        nonlocal stream
-        count = max(1, min(_REPLAY_WORDS, -(-3 * wanted * (1 << bits) // n)) // per_value)
-        raw = words.random_raw(per_value * count)
-        if bits <= 32:
-            values = raw >> np.uint64(32 - bits)
-        else:
-            low, high = raw.reshape(count, 2).T
-            values = high >> np.uint64(64 - bits) << np.uint64(32) | low
-        stream = np.concatenate([stream, values[values < n].astype(np.int64)])
-        at, used = _parse(stream)
-        triples = stream[at]
-        stream = stream[used:]
-        return triples
-
-    return draw
-
-
-def _parse(u: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cut the stream ``u`` of values drawn below n into triples: the
-    positions in ``u`` of each triple's three values, a (3, t) array in draw
-    order, and how many values the triples use."""
-    size = len(u)
-    repeats = np.flatnonzero((u[1:-1] == u[:-2]) | (u[2:] == u[:-2]) | (u[2:] == u[1:-1]))
-    by_phase = [repeats[repeats % 3 == r].tolist() for r in range(3)]
-    clean_from: list[int] = []  # runs of triples of three distinct values
-    clean_count: list[int] = []
-    others: list[tuple[int, int, int]] = []  # the positions of each other triple
-    p = 0
-    while True:
-        # the clean triples from p up to the next start that repeats a value
-        phase = by_phase[p % 3]
-        at = bisect.bisect_left(phase, p)
-        stop = phase[at] if at < len(phase) else size
-        count = max(0, -(-(min(stop, size - 2) - p) // 3))
-        clean_from.append(p)
-        clean_count.append(count)
-        p += 3 * count
-        if p != stop or p == size:
-            break
-        q, a = p + 1, u[p]
-        while q < size and u[q] == a:
-            q += 1
-        r = q + 1
-        while r < size and (u[r] == a or u[r] == u[q]):
-            r += 1
-        if r >= size:
-            break
-        others.append((p, q, r))
-        p = r + 1
-    counts = np.array(clean_count)
-    starts = np.repeat(np.array(clean_from) - 3 * (np.cumsum(counts) - counts), counts)
-    starts += 3 * np.arange(len(starts))
-    at = starts + np.arange(3)[:, None]
-    if others:
-        rows = np.array(others).T
-        at = np.insert(at, np.searchsorted(starts, rows[0]), rows, axis=1)
-    return at, p
+    while len(chosen) < sample:
+        a = getrandbits(bits)
+        while a >= n:
+            a = getrandbits(bits)
+        b = getrandbits(bits)
+        while b >= n or b == a:
+            b = getrandbits(bits)
+        c = getrandbits(bits)
+        while c >= n or c == a or c == b:
+            c = getrandbits(bits)
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        add((a, b, c))
+    return sorted(chosen)
 
 
 def _ultrametric_hits(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> int:

@@ -953,41 +953,6 @@ def haar_inverse_by_walk(t):
     return out
 
 
-def sampled_triples_by_replay(n, sample, seed):
-    """``ultrametric._sampled_triples`` as a sorted list of tuples: the
-    draws of repeated ``random.Random(seed).sample(range(n), 3)`` calls,
-    replayed one ``getrandbits`` call at a time.  ``_randbelow(m)`` draws
-    ``m.bit_length()`` bits until the value is below m; for n > 21 each of
-    the three indices is drawn below n again until it is new, and for
-    n <= 21 the i-th is drawn below n - i from a pool whose drawn slot takes
-    the pool's last item.  The package's sampler before the n > 21 draws
-    were replayed in bulk."""
-    import random
-
-    getrandbits = random.Random(seed).getrandbits
-    chosen = set()
-    while len(chosen) < sample:
-        if n <= 21:
-            pool = list(range(n))
-            picked = []
-            for size in (n, n - 1, n - 2):
-                bits = size.bit_length()
-                r = getrandbits(bits)
-                while r >= size:
-                    r = getrandbits(bits)
-                picked.append(pool[r])
-                pool[r] = pool[size - 1]
-        else:
-            bits = n.bit_length()
-            picked = []
-            while len(picked) < 3:
-                r = getrandbits(bits)
-                if r < n and r not in picked:
-                    picked.append(r)
-        chosen.add(tuple(sorted(picked)))
-    return sorted(chosen)
-
-
 def ultrametricity_by_triangle_loop(m, sample, seed, tol):
     """``ultrametricity_coefficient`` as (sampled, hits): the same seeded
     draw of triples, each classified by its own ``classify_triangle`` call.
