@@ -19,8 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
-from .hierarchy import Dendrogram, _Columns, gap_levels, join_gaps
+from .hierarchy import Dendrogram, _Columns, _FromArrays, gap_levels, join_gaps
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,7 @@ class PrefixHierarchy:
 
     def _dump_chunks(self) -> Iterator[str]:
         """``dump_text`` text: the root's line, then the lines of one run of
-        sorted strings at a time, each run cut at about ``formats._CHUNK``
+        sorted strings at a time, each run cut at about ``errors._CHUNK``
         characters and made as bytes by numpy.
 
         The trie's nodes in preorder are the pairs (k, d) in order, for each
@@ -362,8 +363,6 @@ class PrefixHierarchy:
         ``[count]``, tag text and line end) is placed by one fancy-index
         pass, every base through the same code: a prefix is cut from its
         string's text (``_digits_text``)."""
-        from . import formats  # formats imports this module
-
         order, lcp, n = self._order, self._lcp, len(self._order)
         lens = self._lengths[order]
         starts = np.cumsum(self._lengths) - self._lengths
@@ -374,7 +373,7 @@ class PrefixHierarchy:
         # the runs: their prefixes and indents take at least 3d characters
         # per node of depth d
         size = np.cumsum(3 * (lens * (lens + 1) - lcp * (lcp + 1)) // 2 + 8 * nodes + 4)
-        cuts = np.searchsorted(size, np.arange(formats._CHUNK, size[-1], formats._CHUNK)) + 1
+        cuts = np.searchsorted(size, np.arange(errors._CHUNK, size[-1], errors._CHUNK)) + 1
         bounds = sorted({0, *cuts.tolist(), n})
         # after[d]: the first position from a run's end on whose lcp is
         # below d, or n; found for each run from the last back
@@ -475,26 +474,6 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices ``starts[i]``, ..., ``starts[i] + lengths[i] - 1`` of
     every i in turn, as one array."""
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(int(lengths.sum()))
-
-
-class _FromArrays:
-    """A field of ``PrefixHierarchy`` that ``_prefix_tree`` leaves unset,
-    made once from the digit array on first access, as
-    ``padic._CoefficientRows`` makes ``PadicEncoding.C``."""
-
-    def __init__(self, name: str, make):
-        self.name, self.make = name, make
-
-    def __get__(self, hierarchy, owner=None):
-        if hierarchy is None:
-            return self
-        state = vars(hierarchy)
-        if self.name not in state:
-            state[self.name] = self.make(hierarchy)
-        return state[self.name]
-
-    def __set__(self, hierarchy, value) -> None:
-        vars(hierarchy)[self.name] = value
 
 
 def _strings_of(hierarchy: PrefixHierarchy) -> tuple[BaireString, ...]:

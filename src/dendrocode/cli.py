@@ -29,14 +29,13 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import formats
+from . import errors, formats
 from .baire import _prefix_tree
 from .errors import _TABLE_GUARD, DendrocodeError, DomainError, ParseError, ResourceGuardError
 from .haar import haar_forward, haar_inverse, haar_threshold
-from .hierarchy import (LINKAGES, _Columns, agglomerate, drawing, gap_counts, gap_levels,
-                        pairwise_distances)
+from .hierarchy import LINKAGES, _Columns, agglomerate, gap_counts, gap_levels, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
-from .padic import decode, encode_dendrogram
+from .padic import _decoded_columns, encode_dendrogram
 from .permutations import (
     PackedPermutation,
     enumerate_nlr,
@@ -101,7 +100,7 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
                 sinks.append((name, text, _open_target(target, renames)))
             else:
                 if stream not in spools:
-                    spools[stream] = tempfile.SpooledTemporaryFile(formats._CHUNK)
+                    spools[stream] = tempfile.SpooledTemporaryFile(errors._CHUNK)
                 sinks.append((name, text, spools[stream]))
         for name, text, sink in sinks:
             written = 0
@@ -128,7 +127,7 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
         if (spool := spools.pop(stream, None)) is not None:
             spool.seek(0)
             decode = codecs.getincrementaldecoder("utf-8")().decode
-            while block := spool.read(formats._CHUNK):
+            while block := spool.read(errors._CHUNK):
                 stream.write(decode(block))
             spool.close()
     return int(any(target is sys.stderr for target, _ in outputs))
@@ -136,14 +135,14 @@ def _write(outputs: list[tuple[str | TextIO | None, Text]]) -> int:
 
 def _blocks(text: Text) -> Iterator[str]:
     """``text`` as blocks to write: its pieces (a str is one piece) joined
-    until a block holds at least ``formats._CHUNK`` characters.  A block
+    until a block holds at least ``errors._CHUNK`` characters.  A block
     never splits a piece."""
     parts: list[str] = []
     size = 0
     for piece in (text,) if isinstance(text, str) else text:
         parts.append(piece)
         size += len(piece)
-        if size >= formats._CHUNK:
+        if size >= errors._CHUNK:
             yield "".join(parts)
             parts, size = [], 0
     if parts:
@@ -256,9 +255,9 @@ def _cmd_cophenetic(args):
     # the cophenetic matrix as the rank table of the drawing, each rank
     # mapped to its node's height and 0 to 0.0: the text of
     # write_matrix_csv(cophenetic_matrix(tree)), sized from the tree first
-    order, ranks = drawing(tree)
+    order, gap, _, _ = _Columns.of(tree).drawing
     heights = [0.0, *map(float, tree.heights())]
-    yield args.output, _level_table(tree.labels, np.argsort(order), np.array(ranks, dtype=np.intp),
+    yield args.output, _level_table(tree.labels, np.argsort(order), np.argsort(gap) + 1,
                                     heights.__getitem__, args.full_precision)
 
 
@@ -301,7 +300,7 @@ def _cmd_padic_encode(args):
 
 def _cmd_padic_decode(args):
     enc = formats.encoding_from_json(_read(args.encoding))
-    yield args.output, formats._tree_json_chunks(_Columns.of(decode(enc)))
+    yield args.output, formats._tree_json_chunks(_decoded_columns(enc))
 
 
 def _cmd_padic_dist(args):

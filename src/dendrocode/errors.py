@@ -92,6 +92,13 @@ def _require_at_least(value: int, low: int, name: str) -> None:
         raise DomainError(f"{name} must be at least {low}")
 
 
+# Three users: ``cli._write`` joins the pieces of an output into blocks of
+# about this many characters, the canonical encoding reader converts
+# coefficients in chunks of about this many, and the trie dump
+# (``PrefixHierarchy._dump_chunks``) makes its text one run of sorted
+# strings of about this many characters at a time
+_CHUNK = 1 << 20
+
 # the most bytes an output or array built whole in memory may take: a table
 # cell can take thousands of digits (1/p^r at a deep level), so a modest
 # input can ask for gigabytes

@@ -23,6 +23,7 @@ import numpy as np
 
 from .baire import (_DIGIT_CHARS, BaireString, _baire_strings, _digit_array, _dna_digit_texts,
                     _parse_digit_list, encode_dna)
+from . import errors
 from .errors import (DendrocodeError, DomainError, ParseError, _require_at_least,
                      _require_within_guard)
 from .haar import HaarTransform
@@ -39,14 +40,6 @@ from .hierarchy import (
 from .lattice import BooleanTable, Semilattice
 from .padic import PadicEncoding, _encoding_from_array, _require_encoding_prime
 from .ultrametric import UltrametricityReport
-
-# Three users: ``cli._write`` joins the pieces of an output into blocks of
-# about this many characters, the canonical encoding reader converts
-# coefficients in chunks of about this many, and the trie dump
-# (``PrefixHierarchy._dump_chunks``) makes its text one run of sorted
-# strings of about this many characters at a time
-_CHUNK = 1 << 20
-
 
 def _cell(value, full_precision: bool = False) -> str:
     """The text of one number, for every CSV cell, Newick and ``render``.
@@ -660,7 +653,7 @@ def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | 
     header of the fields it holds.  Each of the n(n-1) tokens takes 7
     characters with its separator, or 8 for -1, bar the last separator, so
     a body outside those lengths is refused before the cells are made.  The
-    body is then read in chunks of about ``_CHUNK`` characters, each cut
+    body is then read in chunks of about ``errors._CHUNK`` characters, each cut
     after a separator, and each checked byte for byte by ``_chunk_cells``,
     so the text is the one the cells are written as and ``json`` would read
     the same values from it."""
@@ -683,7 +676,7 @@ def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | 
         return None
     cells = np.empty(total, dtype=np.int8)
     while pos < end:
-        stop = text.find(_CELL_SEP, min(pos + _CHUNK, end), end)
+        stop = text.find(_CELL_SEP, min(pos + errors._CHUNK, end), end)
         stop = end if stop < 0 else stop + len(_CELL_SEP)
         try:
             chunk = text[pos:stop].encode("ascii")

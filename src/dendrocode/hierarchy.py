@@ -142,7 +142,7 @@ class Dendrogram:
 
     def terminal_order(self) -> tuple[int, ...]:
         """Left-to-right terminal indices of the stored drawing."""
-        return tuple(drawing(self)[0])
+        return tuple(_Columns.of(self).drawing[0])
 
 
 def _tree(labels: tuple[str, ...], nodes: tuple[MergeNode, ...]) -> Dendrogram:
@@ -153,6 +153,25 @@ def _tree(labels: tuple[str, ...], nodes: tuple[MergeNode, ...]) -> Dendrogram:
     object.__setattr__(tree, "labels", labels)
     object.__setattr__(tree, "nodes", nodes)
     return tree
+
+
+class _FromArrays:
+    """A field that its builder may leave unset, made once by ``make`` from
+    the instance's arrays on first access and kept in the instance dict."""
+
+    def __init__(self, name: str, make):
+        self.name, self.make = name, make
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        state = vars(instance)
+        if self.name not in state:
+            state[self.name] = self.make(instance)
+        return state[self.name]
+
+    def __set__(self, instance, value) -> None:
+        vars(instance)[self.name] = value
 
 
 class _Columns:
@@ -248,44 +267,6 @@ def _parents(gap: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return np.minimum(rank_at[:-1], rank_at[1:]), np.minimum(rank_at[lo], rank_at[hi + 1])
 
 
-def walk(tree: Dendrogram) -> Iterator[tuple[Child, int]]:
-    """Euler tour of the stored drawing as ``(child, visit)`` pairs.
-
-    Each terminal appears once with visit 0; each internal node appears three
-    times: 0 before its left subtree, 1 between its subtrees and 2 after its
-    right subtree.  The tour starts at the root and keeps its own stack, so
-    depth is bounded by memory, not by the recursion limit.
-    """
-    nodes = tree.nodes
-    # events not yet yielded; a node's visit-0 event pushes the rest of its tour
-    stack = [((INTERNAL, len(nodes)) if nodes else (TERMINAL, 0), 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        event = pop()
-        yield event
-        child, visit = event
-        if visit == 0 and child[0] == INTERNAL:
-            node = nodes[child[1] - 1]
-            push((child, 2))
-            push((node.right, 0))
-            push((child, 1))
-            push((node.left, 0))
-
-
-def drawing(tree: Dendrogram) -> tuple[list[int], list[int]]:
-    """The stored drawing as ``(order, gap_ranks)``: the terminal indices
-    left to right, and the rank of the node between each two neighbours
-    (``gap_ranks[k]`` lies between ``order[k]`` and ``order[k + 1]``).  The
-    ranks are the in-order read of the internal nodes; the lowest common
-    ancestor of two terminals is the highest rank between them.  Read off
-    the tree's columns (``_Columns.drawing``)."""
-    order, gap, _, _ = _Columns.of(tree).drawing
-    ranks = [0] * len(gap)
-    for rank, k in enumerate(gap, start=1):
-        ranks[k - 1] = rank
-    return order, ranks
-
-
 def gap_levels(pos: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """n x n table, in row order, of the largest gap between the drawing
     positions of each two rows, 0 where the two share a position, in the
@@ -345,18 +326,10 @@ def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
 
 
 def member_sets(tree: Dendrogram) -> dict[int, frozenset[int]]:
-    """Terminal index sets of every internal node, keyed by rank."""
-    sets: dict[int, frozenset[int]] = {}
-
-    def of(child: Child) -> frozenset[int]:
-        kind, idx = child
-        if kind == TERMINAL:
-            return frozenset((idx,))
-        return sets[idx]
-
-    for node in tree.nodes:
-        sets[node.rank] = of(node.left) | of(node.right)
-    return sets
+    """Terminal index sets of every internal node, keyed by rank: the
+    terminals at the drawing positions each rank spans."""
+    order, _, lo, hi = _Columns.of(tree).drawing
+    return {rank: frozenset(order[a : b + 1]) for rank, (a, b) in enumerate(zip(lo, hi), start=1)}
 
 
 @dataclass(frozen=True)

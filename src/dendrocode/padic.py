@@ -21,7 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import Dendrogram, MergeNode, _Columns, gap_levels, internal, join_gaps, terminal
+from .hierarchy import (Dendrogram, MergeNode, _Columns, _FromArrays, gap_levels, internal, join_gaps,
+                        terminal)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -94,6 +95,17 @@ class PadicCode:
         return len(self.coefficients)
 
 
+def _code(coefficients: tuple[int, ...], p: int) -> PadicCode:
+    """The code of ``coefficients``, a tuple of ints in {-1, 0, +1}, at the
+    prime ``p``: a row of an encoding, which its checks made valid, so the
+    constructor's checks are not run.  Input from outside the library goes
+    through ``PadicCode``."""
+    code = object.__new__(PadicCode)
+    object.__setattr__(code, "coefficients", coefficients)
+    object.__setattr__(code, "p", p)
+    return code
+
+
 @dataclass(frozen=True)
 class PadicEncoding:
     """The n x (n-1) coefficient matrix of a dendrogram, one row per terminal.
@@ -143,10 +155,10 @@ class PadicEncoding:
         return len(self.labels)
 
     def code(self, index: int) -> PadicCode:
-        return PadicCode(self.C[index], self.p)
+        return _code(self.C[index], self.p)
 
     def codes(self) -> tuple[PadicCode, ...]:
-        return tuple(self.code(i) for i in range(self.n))
+        return tuple(map(self.code, range(self.n)))
 
     def decimal_codes(self) -> tuple[int, ...]:
         """``evaluate_code`` of every row, exact for any encoding.
@@ -203,23 +215,7 @@ class PadicEncoding:
         return np.argsort(order), cut[1:]
 
 
-class _CoefficientRows:
-    """The ``C`` field of ``PadicEncoding``: the rows the constructor was
-    given, or else row tuples built once from the stored int8 array."""
-
-    def __get__(self, enc, owner=None):
-        if enc is None:
-            return self
-        state = vars(enc)
-        if "C" not in state:
-            state["C"] = tuple(map(tuple, enc._cells.tolist()))
-        return state["C"]
-
-    def __set__(self, enc, rows) -> None:
-        vars(enc)["C"] = rows
-
-
-PadicEncoding.C = _CoefficientRows()
+PadicEncoding.C = _FromArrays("C", lambda enc: tuple(map(tuple, enc._cells.tolist())))
 
 _OUTSIDE_COEFFICIENTS = "coefficients must lie in {-1, 0, +1}"
 
@@ -359,29 +355,29 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     work.  Only when the check fails are the columns read in order
     (``_decode_by_columns``), to name the first bad one.
     """
-    if enc.n >= 2:
-        columns = _drawn_columns(enc)
-        if columns is not None:
-            return columns._dendrogram()
-    return _decode_by_columns(enc)
+    return _decoded_columns(enc)._dendrogram()
 
 
-def _drawn_columns(enc: PadicEncoding) -> _Columns | None:
-    """The columns of the tree whose stored drawing the root-first sort of
-    ``enc``'s n >= 2 rows gives, when its coefficients are ``enc``'s; else
-    None."""
+def _decoded_columns(enc: PadicEncoding) -> _Columns:
+    """The columns of ``decode(enc)``: those of the tree whose stored
+    drawing the root-first sort of ``enc``'s n >= 2 rows gives, when its
+    coefficients are ``enc``'s; else those of ``_decode_by_columns``,
+    which raises on a bad encoding."""
     cells, n = enc._cells, enc.n
-    order, cut = _root_first_order(cells)
-    gaps = np.argsort(cut[1:]) + 1  # the gap of each rank, if the cuts are the ranks
-    spans = np.array([(lo, hi) for lo, _, hi in join_gaps(n, gaps.tolist())], dtype=np.intp)
-    drawing = (order, gaps, spans[:, 0], spans[:, 1])
-    drawn = _drawn_cells(*drawing[1:])
-    at = 0
-    for rows in _row_blocks(cells, order):
-        if not np.array_equal(drawn[at:at + len(rows)], rows):
-            return None
-        at += len(rows)
-    return _Columns._drawn(enc.labels, [float(rank) for rank in range(n)], np.arange(1, n), drawing)
+    if n >= 2:
+        order, cut = _root_first_order(cells)
+        gaps = np.argsort(cut[1:]) + 1  # the gap of each rank, if the cuts are the ranks
+        spans = np.array([(lo, hi) for lo, _, hi in join_gaps(n, gaps.tolist())], dtype=np.intp)
+        drawing = (order, gaps, spans[:, 0], spans[:, 1])
+        drawn, at = _drawn_cells(*drawing[1:]), 0
+        for rows in _row_blocks(cells, order):
+            if not np.array_equal(drawn[at:at + len(rows)], rows):
+                break
+            at += len(rows)
+        else:
+            heights = [float(rank) for rank in range(n)]
+            return _Columns._drawn(enc.labels, heights, np.arange(1, n), drawing)
+    return _Columns.of(_decode_by_columns(enc))
 
 
 def _decode_by_columns(enc: PadicEncoding) -> Dendrogram:

@@ -18,16 +18,7 @@ from .errors import (
     UnrealizablePermutationError,
     _require_at_least,
 )
-from .hierarchy import (
-    Dendrogram,
-    MergeNode,
-    TERMINAL,
-    _tree,
-    drawing,
-    internal,
-    join_gaps,
-    terminal,
-)
+from .hierarchy import Dendrogram, MergeNode, _Columns, _tree, internal, join_gaps, terminal
 
 TIE_RULES = ("earlier-low", "later-low")
 
@@ -170,21 +161,20 @@ def packed_representation(tree: Dendrogram) -> PackedPermutation:
     right; the rightmost position gets n.  Equals the inorder traversal of
     the oriented binary tree on the internal nodes.
     """
-    n = tree.n
+    n, columns = tree.n, _Columns.of(tree)
+    left, right = list(columns.left), list(columns.right)
     # Orientation key: a subtree's earliest merge rank, or n + index for a
-    # bare terminal, so terminals go right of any subtree with a merge.
+    # bare terminal (child code -(index + 1)), so terminals go right of any
+    # subtree with a merge.
     first = [0] * n  # earliest merge rank under each internal node, by rank
-    oriented: list[MergeNode] = []
-    for node in tree.nodes:
-        a, b = node.left, node.right
-        ka = n + a[1] if a[0] == TERMINAL else first[a[1]]
-        kb = n + b[1] if b[0] == TERMINAL else first[b[1]]
+    for rank, a, b in zip(range(1, n), columns.left, columns.right):
+        ka = n + ~a if a < 0 else first[a]
+        kb = n + ~b if b < 0 else first[b]
         if ka > kb:
-            a, b = b, a
-        first[node.rank] = min(ka, kb, node.rank)
-        oriented.append(MergeNode(node.rank, node.height, a, b))
-    inorder = drawing(_tree(tree.labels, tuple(oriented)))[1]
-    return PackedPermutation((*inorder, n))
+            left[rank - 1], right[rank - 1] = b, a
+        first[rank] = min(ka, kb, rank)
+    gap = _Columns(columns.labels, columns.heights, columns.level, left, right).drawing[1]
+    return PackedPermutation((*(np.argsort(gap) + 1).tolist(), n))
 
 
 def unpack(perm: PackedPermutation) -> Dendrogram:

@@ -5,8 +5,9 @@ internal node appears as a junction column placed by rank, annotated at the
 right margin with its rank and height.  Rendering the same tree twice
 yields byte-identical output.
 
-The rows are written once each, in the order of the tree walk, and handed
-on one at a time, so the writer holds no more of the text than a block.
+The rows are written once each, in the order of the canonical drawing
+(``_Columns.drawing``), and handed on one at a time, so the writer holds
+no more of the text than a block.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bisect import bisect_left, insort
 from typing import Iterator
 
 from .formats import fmt_float
-from .hierarchy import Dendrogram, TERMINAL, canonicalize, walk
+from .hierarchy import Dendrogram, _Columns, canonicalize
 
 
 def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
@@ -23,7 +24,9 @@ def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
 
 
 def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
-    """``render_tree`` text, one piece per row."""
+    """``render_tree`` text, one piece per row: row 2k is the terminal at
+    drawing position k, and row 2k - 1 the junction of the rank that joins
+    gap k."""
     tree = canonicalize(tree)
     if not tree.nodes:
         yield f"{tree.labels[0]}\n"
@@ -34,32 +37,35 @@ def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
     def column(rank: int) -> int:
         return label_width + 1 + 3 * rank
 
-    margin = column(len(tree.nodes)) + 4
-    parent = {}  # (parent rank, is left child) of every child
-    for node in tree.nodes:
-        parent[node.left], parent[node.right] = (node.rank, True), (node.rank, False)
+    n, margin = tree.n, column(tree.n - 1) + 4
+    columns = _Columns.of(tree)
+    order, gap, _, _ = columns.drawing
+    # the parent rank of each child, 0 for the root, and whether it is the
+    # left child, at the child's code: rank r at r, terminal i at -(i + 1)
+    parent, left = [0] * (2 * n), [False] * (2 * n)
+    rows = [~order[0]] + [0] * (2 * n - 2)  # the child drawn on each row
+    for rank, a, b, k in zip(range(1, n), columns.left, columns.right, gap):
+        parent[a] = parent[b] = rank
+        left[a] = True
+        rows[2 * k - 1], rows[2 * k] = rank, ~order[k]
     # a node's vertical line runs from its left child's row to its right
     # child's row; these are the sorted columns of the lines still open
     bars: list[int] = []
-    for child, visit in walk(tree):
-        kind, idx = child
-        if kind == TERMINAL:
-            line = f"{tree.labels[idx]:<{label_width}} "
-        elif visit == 1:  # the junction row, between the two subtrees
-            line = " " * column(idx) + "+"
-        else:
-            continue
-        if child in parent:  # every row but the root's junction row
-            rank, left = parent[child]
+    for child in rows:
+        if child < 0:
+            line = f"{tree.labels[~child]:<{label_width}} "
+        else:  # the junction row, between the two subtrees
+            line = " " * column(child) + "+"
+        if rank := parent[child]:  # every row but the root's junction row
             col = column(rank)
-            if not left:
+            if not left[child]:
                 bars.remove(col)
             line += "-" * (col - len(line)) + "+"
-            if left:
+            if left[child]:
                 insort(bars, col)
         for col in bars[bisect_left(bars, len(line)) :]:
             line += " " * (col - len(line)) + "|"
-        if kind != TERMINAL:
-            height = fmt_float(tree.nodes[idx - 1].height, full_precision)
-            line += " " * (margin - len(line)) + f"q{idx} h={height}"
+        if child > 0:
+            height = fmt_float(tree.nodes[child - 1].height, full_precision)
+            line += " " * (margin - len(line)) + f"q{child} h={height}"
         yield line + "\n"

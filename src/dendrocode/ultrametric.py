@@ -15,18 +15,14 @@ from .errors import (DegenerateInputError, DomainError, NotUltrametricError,
                      _require_at_least, _require_nonnegative, _require_square,
                      _require_within_guard)
 from .hierarchy import (
-    Child,
     Dendrogram,
     DissimilarityMatrix,
-    MergeNode,
-    TERMINAL,
     UltrametricMatrix,
     _checked_data,
+    _Columns,
     _distances_finite,
     _merge_tree,
     _pair_distances,
-    _tree,
-    drawing,
     gap_levels,
     pairwise_distances,
 )
@@ -63,8 +59,8 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     of the stored heights, so for monotone trees the result passes
     ``verify_ultrametric`` at tolerance 0.
     """
-    order, ranks = drawing(tree)
-    levels = gap_levels(np.argsort(order), np.array(ranks, dtype=np.intp))
+    order, gap, _, _ = _Columns.of(tree).drawing
+    levels = gap_levels(np.argsort(order), np.argsort(gap) + 1)
     return UltrametricMatrix._built(np.array([0.0, *tree.heights()])[levels], tree.labels)
 
 
@@ -278,30 +274,21 @@ def _sampled_triples(n: int, sample: int, seed: int) -> list[tuple[int, int, int
     """The first ``sample`` distinct sorted triples that repeated
     ``random.Random(seed).sample(range(n), 3)`` calls draw, in sorted order.
 
-    The draws replay CPython's ``Random.sample`` on the generator's
-    ``getrandbits`` stream without its per-call overhead: ``_randbelow(m)``
-    draws ``m.bit_length()`` bits until the value is below m; for n > 21 each
-    of the three indices is drawn below n again until it is new, and for
-    n <= 21 the i-th is drawn below n - i from a pool whose drawn slot takes
-    the pool's last item.  The test suite pins this against ``sample``.
+    For n <= 21 those calls draw from a pool, and are made as they are.
+    For n > 21 the draws replay CPython's ``Random.sample`` on the
+    generator's ``getrandbits`` stream without its per-call overhead:
+    ``_randbelow(m)`` draws ``m.bit_length()`` bits until the value is below
+    m, and each of the three indices is drawn below n again until it is
+    new.  The test suite pins this against ``sample``.
     """
-    getrandbits = random.Random(seed).getrandbits
+    rng = random.Random(seed)
     chosen: set[tuple[int, int, int]] = set()
     add = chosen.add
     if n <= 21:
         while len(chosen) < sample:
-            pool = list(range(n))
-            picked = []
-            for size in (n, n - 1, n - 2):
-                bits = size.bit_length()
-                r = getrandbits(bits)
-                while r >= size:
-                    r = getrandbits(bits)
-                picked.append(pool[r])
-                pool[r] = pool[size - 1]
-            picked.sort()
-            add(tuple(picked))
+            add(tuple(sorted(rng.sample(range(n), 3))))
         return sorted(chosen)
+    getrandbits = rng.getrandbits
     bits = n.bit_length()
     while len(chosen) < sample:
         a = getrandbits(bits)
@@ -354,32 +341,31 @@ def _single_linkage_order(tree: Dendrogram) -> list[int]:
     """Terminal order of a single-linkage tree with children sorted by a
     label-free subtree code, so the reordered matrix is unique for the
     weighted-hierarchy isomorphism class."""
-    oriented: list[MergeNode] = []
+    columns = _Columns.of(tree)
+    heights, left, right = columns.heights, list(columns.left), list(columns.right)
 
-    def code_less(a: Child, b: Child) -> bool:
-        # Subtree codes order lexicographically: a bare terminal first, then
-        # by (height, code of left child, code of right child).  Pairs still
-        # to compare sit on a stack, so deep ties cost no recursion.
+    def code_less(a: int, b: int) -> bool:
+        # Subtree codes order lexicographically: a bare terminal (a negative
+        # child code) first, then by (height, code of left child, code of
+        # right child).  Pairs still to compare sit on a stack, so deep ties
+        # cost no recursion.
         pending = [(a, b)]
         while pending:
             x, y = pending.pop()
-            if x[0] == TERMINAL or y[0] == TERMINAL:
-                if x[0] != y[0]:
-                    return x[0] == TERMINAL
+            if x < 0 or y < 0:
+                if (x < 0) != (y < 0):
+                    return x < 0
                 continue
-            nx, ny = oriented[x[1] - 1], oriented[y[1] - 1]
-            if nx.height != ny.height:
-                return nx.height < ny.height
-            pending.append((nx.right, ny.right))
-            pending.append((nx.left, ny.left))
+            if heights[x - 1] != heights[y - 1]:
+                return heights[x - 1] < heights[y - 1]
+            pending.append((right[x - 1], right[y - 1]))
+            pending.append((left[x - 1], left[y - 1]))
         return False
 
-    for node in tree.nodes:
-        a, b = node.left, node.right
-        if code_less(b, a):  # the smaller code goes left
-            a, b = b, a
-        oriented.append(MergeNode(node.rank, node.height, a, b))
-    return drawing(_tree(tree.labels, tuple(oriented)))[0]
+    for r in range(len(left)):
+        if code_less(right[r], left[r]):  # the smaller code goes left
+            left[r], right[r] = right[r], left[r]
+    return _Columns(columns.labels, heights, columns.level, left, right).drawing[0]
 
 
 def check_canonical_form(matrix: np.ndarray) -> str | None:

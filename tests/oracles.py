@@ -14,6 +14,23 @@ import math
 from decimal import Decimal, getcontext
 
 
+def euler_tour(tree):
+    """Euler tour of the stored drawing as ``((kind, index), visit)``
+    pairs: each terminal once with visit 0, each internal node three times,
+    0 before its left subtree, 1 between its subtrees and 2 after its right
+    subtree.  It starts at the root and keeps its own stack, so deep trees
+    need no recursion."""
+    nodes = tree.nodes
+    stack = [(("q", len(nodes)) if nodes else ("t", 0), 0)]
+    while stack:
+        event = stack.pop()
+        yield event
+        node_ref, visit = event
+        if visit == 0 and node_ref[0] == "q":
+            node = nodes[node_ref[1] - 1]
+            stack += [(node_ref, 2), (node.right, 0), (node_ref, 1), (node.left, 0)]
+
+
 def naive_linkage_heights(data, linkage):
     """O(n^3) repeated-minimum agglomeration computing every cluster-pair
     criterion directly from member lists (no recurrences).
@@ -295,12 +312,12 @@ def encoding_cells_by_walk(tree):
     drawing."""
     import numpy as np
 
-    from dendrocode.hierarchy import TERMINAL, walk
+    from dendrocode.hierarchy import TERMINAL
 
     width = max(tree.n - 1, 0)
     cells = np.zeros((tree.n, width), dtype=np.int8)
     path = np.zeros(width, dtype=np.int8)
-    for (kind, idx), visit in walk(tree):
+    for (kind, idx), visit in euler_tour(tree):
         if kind == TERMINAL:
             cells[idx] = path
         else:
@@ -778,7 +795,7 @@ def render_by_grid(tree, full_precision=False):
     holds a space.  The package's method before rows were written in walk
     order."""
     from dendrocode.formats import fmt_float
-    from dendrocode.hierarchy import TERMINAL, canonicalize, walk
+    from dendrocode.hierarchy import TERMINAL, canonicalize
 
     tree = canonicalize(tree)
     if not tree.nodes:
@@ -804,7 +821,7 @@ def render_by_grid(tree, full_precision=False):
     # row, junction row) of every node whose right subtree is being drawn
     attach = (0, 0)
     open_nodes: list[tuple[int, int]] = []
-    for (kind, idx), visit in walk(tree):
+    for (kind, idx), visit in euler_tour(tree):
         if kind == TERMINAL:
             attach = (len(lines), label_width + 1)
             lines.append(list(f"{tree.labels[idx]:<{label_width}} "))
@@ -932,14 +949,14 @@ def haar_inverse_by_walk(t):
     import numpy as np
 
     from dendrocode.errors import DomainError
-    from dendrocode.hierarchy import TERMINAL, walk
+    from dendrocode.hierarchy import TERMINAL
 
     tree = t.tree
     out = np.empty((tree.n, t.dim), dtype=float)
     # acc[-1]: the root smooth plus the signed details along the current path
     acc = [t.root_smooth]
     with np.errstate(over="ignore", invalid="ignore"):
-        for (kind, idx), visit in walk(tree):
+        for (kind, idx), visit in euler_tour(tree):
             if kind == TERMINAL:
                 out[idx, :] = acc[-1]
             elif visit == 0:
@@ -1038,14 +1055,14 @@ def newick_whole(tree, full_precision=False):
     import re
 
     from dendrocode.formats import fmt_float
-    from dendrocode.hierarchy import TERMINAL, walk
+    from dendrocode.hierarchy import TERMINAL
 
     clean = functools.partial(re.compile(r"[\s()\[\]':;,]").sub, "_")
     if not tree.nodes:
         return f"{clean(tree.labels[0])};\n"
     parts = []
     heights = []
-    for (kind, idx), visit in walk(tree):
+    for (kind, idx), visit in euler_tour(tree):
         if kind == TERMINAL:
             parts.append(f"{clean(tree.labels[idx])}:{fmt_float(heights[-1], full_precision)}")
         elif visit == 0:
@@ -1160,7 +1177,7 @@ def render_whole(tree, full_precision=False):
     from bisect import bisect_left, insort
 
     from dendrocode.formats import fmt_float
-    from dendrocode.hierarchy import TERMINAL, canonicalize, walk
+    from dendrocode.hierarchy import TERMINAL, canonicalize
 
     tree = canonicalize(tree)
     if not tree.nodes:
@@ -1176,7 +1193,7 @@ def render_whole(tree, full_precision=False):
         parent[node.left], parent[node.right] = (node.rank, True), (node.rank, False)
     bars = []
     lines = []
-    for child, visit in walk(tree):
+    for child, visit in euler_tour(tree):
         kind, idx = child
         if kind == TERMINAL:
             line = f"{tree.labels[idx]:<{label_width}} "

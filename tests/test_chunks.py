@@ -1,6 +1,6 @@
 """Referee for the streamed writers: every large output is written as a
 generator of pieces (rows, node records, tokens, lines), which the one
-writer, ``cli._write``, joins into blocks of about ``formats._CHUNK``
+writer, ``cli._write``, joins into blocks of about ``errors._CHUNK``
 characters; each public writer returns the join of the pieces.  What the
 writer writes must equal, byte for byte, the text of the whole-string
 writer each generator replaced (``tests/oracles.py``), with blocks of the
@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dendrocode import cli, formats
+from dendrocode import cli, errors, formats
 from dendrocode.baire import BaireString, baire_cluster, digitize_reals
 from dendrocode.cli import main
-from dendrocode.hierarchy import Dendrogram, _Columns, drawing, gap_counts, gap_levels
+from dendrocode.hierarchy import Dendrogram, _Columns, gap_counts, gap_levels
 from dendrocode.padic import encode_dendrogram
 from dendrocode.render import _render_chunks, render_tree
 from dendrocode.ultrametric import cophenetic_matrix
@@ -31,7 +31,7 @@ from dendrocode.ultrametric import cophenetic_matrix
 import oracles
 from conftest import TREE_KINDS, make_tree
 
-CHUNKS = st.sampled_from([1, 64, formats._CHUNK])
+CHUNKS = st.sampled_from([1, 64, errors._CHUNK])
 
 
 def _counts(levels: np.ndarray) -> dict[int, int]:
@@ -68,7 +68,7 @@ def test_blocks_join_whole_pieces_until_the_chunk_size(pieces, chunk):
     """The writer's blocks join to the pieces, and no block splits a piece.
     Every block but the last holds at least ``_CHUNK`` characters and ends
     with the first piece that brings it there.  A str is one block."""
-    with mock.patch.object(formats, "_CHUNK", chunk):
+    with mock.patch.object(errors, "_CHUNK", chunk):
         blocks = list(cli._blocks(iter(pieces)))
         assert list(cli._blocks("".join(pieces))) == ["".join(pieces)]
     assert "".join(blocks) == "".join(pieces)
@@ -87,7 +87,7 @@ def _match_through_the_writer(chunk: int, writers: list) -> None:
     """For each ``(pieces, text, want)``: what ``cli._write`` writes of
     ``pieces`` with blocks of ``chunk`` characters, and ``text``, the
     public writer's string, are both ``want``."""
-    with mock.patch.object(formats, "_CHUNK", chunk):
+    with mock.patch.object(errors, "_CHUNK", chunk):
         written = _written(*(pieces for pieces, _, _ in writers))
     for got, (_, text, want) in zip(written, writers):
         _same(got, want)
@@ -135,7 +135,7 @@ def test_level_table_verbs_match_the_whole_tables(n, kind, seed, chunk, full_pre
     tree = _tree(n, kind, seed)
     enc = encode_dendrogram(tree, 3)
     precision = ["--full-precision"] if full_precision else []
-    with mock.patch.object(formats, "_CHUNK", chunk):
+    with mock.patch.object(errors, "_CHUNK", chunk):
         code, text = _verb(["cophenetic", "tree", "-o", "out", *precision],
                            {"tree": formats.tree_to_json(tree)})
         assert code == 0
@@ -219,8 +219,8 @@ def test_encoding_counts_are_the_counts_of_the_table(rng):
 def test_drawing_counts_are_the_counts_of_the_rank_table(rng):
     for kind in TREE_KINDS:
         tree = make_tree(40, kind, rng)
-        order, ranks = drawing(tree)
-        pos, ranks = np.argsort(order), np.array(ranks, dtype=np.intp)
+        order, gap, _, _ = _Columns.of(tree).drawing
+        pos, ranks = np.argsort(order), np.argsort(gap) + 1
         assert gap_counts(pos, ranks) == _counts(gap_levels(pos, ranks))
 
 

@@ -698,7 +698,7 @@ def test_stdout_is_spooled_whole_past_the_memory_spool(tmp_path, capsys):
     labels = [f"é{i}" for i in range(40)]
     text = "".join(f"{label},{i:04d}\n" for i, label in enumerate(labels))
     (tmp_path / "s.txt").write_text(text)
-    with mock.patch.object(formats, "_CHUNK", 7):
+    with mock.patch.object(errors, "_CHUNK", 7):
         code = main(["baire-cluster", str(tmp_path / "s.txt"), "--trie-out", "-"])
     hierarchy, tree = baire_cluster(formats.read_strings(text, 10))
     assert code == 0

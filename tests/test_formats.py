@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dendrocode import formats
+from dendrocode import errors, formats
 from dendrocode.baire import BaireString
 from dendrocode.errors import DendrocodeError, DomainError, ParseError
 from dendrocode.haar import HaarTransform, haar_forward, haar_inverse
@@ -380,7 +380,7 @@ def strict_read(text: str) -> PadicEncoding:
 def read_outcome(read, text: str, chunk: int):
     """What ``read`` makes of ``text`` with the canonical reader's chunk
     size set to ``chunk``: the encoding's fields, or the CLI error line."""
-    with mock.patch.object(formats, "_CHUNK", chunk):
+    with mock.patch.object(errors, "_CHUNK", chunk):
         try:
             enc = read(text)
         except DendrocodeError as exc:
@@ -448,7 +448,7 @@ class TestCanonicalEncodingReader:
     def test_canonical_text(self, enc, chunk):
         text = formats.encoding_to_json(enc)
         chunk = max(chunk, len(text) // 500)  # at most about 500 chunks
-        with mock.patch.object(formats, "_CHUNK", chunk):
+        with mock.patch.object(errors, "_CHUNK", chunk):
             assert (formats._canonical_encoding(text) is not None) == (enc.n >= 2)
         fast = read_outcome(formats.encoding_from_json, text, chunk)
         assert fast == read_outcome(strict_read, text, chunk)
@@ -489,7 +489,7 @@ class TestCanonicalEncodingReader:
         the byte check accepts exactly the texts that regenerating each
         chunk accepted, and the reader agrees with ``json``."""
         text = mutate_bytes(formats.encoding_to_json(enc), edits, in_body)
-        with mock.patch.object(formats, "_CHUNK", chunk):
+        with mock.patch.object(errors, "_CHUNK", chunk):
             fields = formats._canonical_encoding(text)
         assert fields_outcome(fields) == fields_outcome(canonical_encoding_by_regeneration(text, chunk))
         fast = read_outcome(formats.encoding_from_json, text, chunk)
@@ -507,7 +507,7 @@ class TestCanonicalEncodingReader:
             for kind in ("insert", "delete", "replace"):
                 for byte in "-01,\n 2x]":
                     edited = mutate_bytes(text, [(kind, at, byte)], False)
-                    with mock.patch.object(formats, "_CHUNK", chunk):
+                    with mock.patch.object(errors, "_CHUNK", chunk):
                         fields = fields_outcome(formats._canonical_encoding(edited))
                     assert fields == fields_outcome(canonical_encoding_by_regeneration(edited, chunk))
                     accepted += fields is not None
@@ -518,10 +518,10 @@ class TestCanonicalEncodingReader:
     def test_text_of_many_chunks(self, rng):
         enc = encode_dendrogram(random_tree(500, rng, heights="rank"), 5)
         text = formats.encoding_to_json(enc)
-        assert len(text) > 1.5 * formats._CHUNK
+        assert len(text) > 1.5 * errors._CHUNK
         fields = formats._canonical_encoding(text)
         assert fields is not None
-        assert read_outcome(formats.encoding_from_json, text, formats._CHUNK) == (
+        assert read_outcome(formats.encoding_from_json, text, errors._CHUNK) == (
             5, enc.labels, (500, 499), enc._cells.tobytes())
 
 

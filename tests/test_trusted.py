@@ -2,11 +2,12 @@
 
 Builders whose output is valid by construction make trees, matrices and
 strings through private entries that skip the public checks:
-``hierarchy._tree``, ``DissimilarityMatrix._built`` and
-``baire._baire_strings``; trees built from columns go through
-``hierarchy._Columns._dendrogram``, which calls ``_tree``.  Here every call
-of those entries runs the public constructor on what the entry made, over
-random, caterpillar and tied inputs, and the fields must come back equal.
+``hierarchy._tree``, ``DissimilarityMatrix._built``,
+``baire._baire_strings`` and ``padic._code``; trees built from columns go
+through ``hierarchy._Columns._dendrogram``, which calls ``_tree``.  Here
+every call of those entries runs the public constructor on what the entry
+made, over random, caterpillar and tied inputs, and the fields must come
+back equal.
 A second test lists the calls in the source, so that a new call site fails
 until it is added to ``CALL_SITES`` and exercised below.
 """
@@ -26,8 +27,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dendrocode
-from dendrocode import baire, formats, hierarchy, permutations, ultrametric
-from dendrocode.padic import decode, encode_dendrogram
+from dendrocode import baire, formats, hierarchy, padic, permutations
+from dendrocode.padic import PadicCode, decode, encode_dendrogram
 from dendrocode.baire import BaireString, baire_cluster, digitize_reals
 from dendrocode.hierarchy import (
     LINKAGES,
@@ -50,8 +51,6 @@ CALL_SITES = {
     ("_tree", "hierarchy", "swap_children"),
     ("_tree", "hierarchy", "canonicalize"),
     ("_tree", "hierarchy", "swap_orbit"),
-    ("_tree", "ultrametric", "_single_linkage_order"),
-    ("_tree", "permutations", "packed_representation"),
     ("_tree", "permutations", "unpack"),
     ("_tree", "permutations", "enumerate_nlr"),
     ("_tree", "hierarchy", "_dendrogram"),
@@ -63,6 +62,7 @@ CALL_SITES = {
     ("_baire_strings", "baire", "digitize_reals"),
     ("_baire_strings", "formats", "read_strings"),
     ("_baire_strings", "baire", "_strings_of"),
+    ("_code", "padic", "code"),
 }
 
 PACKAGE = Path(dendrocode.__file__).parent
@@ -76,7 +76,7 @@ def entry_calls(node: ast.AST, module: str, function: str | None = None):
     if isinstance(node, ast.Call):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("_tree", "_built", "_baire_strings", "_dendrogram"):
+        if name in ("_tree", "_built", "_baire_strings", "_dendrogram", "_code"):
             yield name, module, function
     for child in ast.iter_child_nodes(node):
         yield from entry_calls(child, module, function)
@@ -99,7 +99,7 @@ def refereed():
     it makes; yields the set of (entry, module, function) calls seen."""
     seen: set[tuple[str, str, str]] = set()
     tree, built, strings = hierarchy._tree, DissimilarityMatrix._built.__func__, baire._baire_strings
-    dendrogram = hierarchy._Columns._dendrogram
+    dendrogram, code = hierarchy._Columns._dendrogram, padic._code
 
     def checked_tree(labels, nodes):
         seen.add(("_tree", *_caller()))
@@ -135,8 +135,16 @@ def refereed():
             assert BaireString(s.base, s.digits, s.label) == s
         return out
 
+    def checked_code(coefficients, p):
+        seen.add(("_code", *_caller()))
+        out = code(coefficients, p)
+        assert type(out.coefficients) is tuple and {int}.issuperset(map(type, out.coefficients))
+        assert PadicCode(out.coefficients, out.p) == out
+        return out
+
     with contextlib.ExitStack() as stack:
-        for module in (hierarchy, ultrametric, permutations):
+        stack.enter_context(mock.patch.object(padic, "_code", checked_code))
+        for module in (hierarchy, permutations):
             stack.enter_context(mock.patch.object(module, "_tree", checked_tree))
         stack.enter_context(mock.patch.object(DissimilarityMatrix, "_built", classmethod(checked_built)))
         stack.enter_context(mock.patch.object(hierarchy._Columns, "_dendrogram", checked_dendrogram))
@@ -158,7 +166,9 @@ def exercise_tree(tree: Dendrogram) -> None:
     if all(a <= b for a, b in zip(tree.heights(), tree.heights()[1:])):
         canonical_form(um)  # a monotone tree's cophenetic matrix is ultrametric
     verify_ultrametric(um, 0.0)
-    assert decode(encode_dendrogram(tree)).nodes == tuple(
+    enc = encode_dendrogram(tree)
+    assert [code.coefficients for code in enc.codes()] == list(enc.C)
+    assert decode(enc).nodes == tuple(
         hierarchy.MergeNode(node.rank, float(node.rank), node.left, node.right) for node in tree.nodes)
 
 
@@ -180,8 +190,8 @@ class TestReferee:
         assert seen >= {
             ("_tree", "hierarchy", "swap_children"), ("_tree", "hierarchy", "canonicalize"),
             ("_tree", "hierarchy", "swap_orbit"), ("_tree", "hierarchy", "_merge_tree"),
-            ("_tree", "permutations", "packed_representation"), ("_tree", "permutations", "unpack"),
-            ("_built", "ultrametric", "cophenetic_matrix"), ("_dendrogram", "padic", "decode"),
+            ("_tree", "permutations", "unpack"), ("_built", "ultrametric", "cophenetic_matrix"),
+            ("_dendrogram", "padic", "decode"), ("_code", "padic", "code"),
         }
 
     @settings(max_examples=200, deadline=None)
