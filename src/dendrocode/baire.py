@@ -21,7 +21,7 @@ import numpy as np
 
 from . import errors
 from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
-from .hierarchy import Dendrogram, _Columns, _FromArrays, gap_levels, join_gaps
+from .hierarchy import Dendrogram, _FromArrays, _drawn, gap_levels, join_gaps
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,8 @@ class PrefixHierarchy:
         pos[order] = (np.cumsum(fresh) - 1)[first]
         return pos, self.depth + 1 - lcp[np.flatnonzero(fresh)[1:]]
 
-    def _tree_columns(self) -> _Columns:
-        """The tree of ``baire_cluster`` as columns.  Two sorted neighbours
+    def _tree_columns(self) -> Dendrogram:
+        """The tree of ``baire_cluster``, built as columns.  Two sorted neighbours
         meet at the depth r of their common prefix, so the gap between them
         closes at height base^(-r), level r.  Gaps join deepest first, then
         left to right (``join_gaps``), which binarizes every multiway split
@@ -334,7 +334,7 @@ class PrefixHierarchy:
             hi.append(b)
         level = lcp[gaps]
         heights = [1 / self.base**r for r in range(int(level.max(initial=0)) + 1)]
-        return _Columns._drawn(self.labels, heights, level, (
+        return _drawn(self.labels, heights, level, (
             order, gaps, np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)))
 
     def dump_text(self) -> str:
@@ -564,4 +564,4 @@ def baire_cluster(
             raise DomainError("all strings must share one base")
     codes, lengths = _digit_array([s.digits for s in strings], base)
     hierarchy = _prefix_tree(base, [s.label for s in strings], codes, lengths, tuple(strings))
-    return hierarchy, hierarchy._tree_columns()._dendrogram()
+    return hierarchy, hierarchy._tree_columns()

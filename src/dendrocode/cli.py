@@ -33,9 +33,9 @@ from . import errors, formats
 from .baire import _prefix_tree
 from .errors import _TABLE_GUARD, DendrocodeError, DomainError, ParseError, ResourceGuardError
 from .haar import haar_forward, haar_inverse, haar_threshold
-from .hierarchy import LINKAGES, _Columns, agglomerate, gap_counts, gap_levels, pairwise_distances
+from .hierarchy import LINKAGES, agglomerate, gap_counts, gap_levels, pairwise_distances
 from .lattice import build_semilattice, clusters_at_level, semilattice_text
-from .padic import _decoded_columns, encode_dendrogram
+from .padic import decode, encode_dendrogram
 from .permutations import (
     PackedPermutation,
     enumerate_nlr,
@@ -244,10 +244,10 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_cluster(args):
     table = formats.read_data_csv(_read(args.input), args.header, args.labels)
     diss = pairwise_distances(table.values, metric=args.metric, labels=table.labels)
-    columns = _Columns.of(agglomerate(diss, args.linkage))
-    yield args.output, formats._tree_json_chunks(columns)
+    tree = agglomerate(diss, args.linkage)
+    yield args.output, formats._tree_json_chunks(tree)
     if args.newick:
-        yield args.newick, formats._newick_chunks(columns, args.full_precision)
+        yield args.newick, formats._newick_chunks(tree, args.full_precision)
 
 
 def _cmd_cophenetic(args):
@@ -255,7 +255,7 @@ def _cmd_cophenetic(args):
     # the cophenetic matrix as the rank table of the drawing, each rank
     # mapped to its node's height and 0 to 0.0: the text of
     # write_matrix_csv(cophenetic_matrix(tree)), sized from the tree first
-    order, gap, _, _ = _Columns.of(tree).drawing
+    order, gap, _, _ = tree._drawing
     heights = [0.0, *map(float, tree.heights())]
     yield args.output, _level_table(tree.labels, np.argsort(order), np.argsort(gap) + 1,
                                     heights.__getitem__, args.full_precision)
@@ -300,7 +300,7 @@ def _cmd_padic_encode(args):
 
 def _cmd_padic_decode(args):
     enc = formats.encoding_from_json(_read(args.encoding))
-    yield args.output, formats._tree_json_chunks(_decoded_columns(enc))
+    yield args.output, formats._tree_json_chunks(decode(enc))
 
 
 def _cmd_padic_dist(args):
@@ -332,12 +332,12 @@ def _cmd_baire_dist(args):
 
 def _cmd_baire_cluster(args):
     hierarchy = _prefixes(args)
-    columns = hierarchy._tree_columns()
-    yield args.output, formats._tree_json_chunks(columns)
+    tree = hierarchy._tree_columns()
+    yield args.output, formats._tree_json_chunks(tree)
     if args.trie_out:
         yield args.trie_out, hierarchy._dump_chunks()
     if args.newick:
-        yield args.newick, formats._newick_chunks(columns, args.full_precision)
+        yield args.newick, formats._newick_chunks(tree, args.full_precision)
 
 
 def _cmd_dna_encode(args):
@@ -356,7 +356,7 @@ def _cmd_haar(args):
     tree_path = args.tree_out or _sidecar(args.output)
     if tree_path is None:
         raise DomainError("writing to stdout requires --tree-out for the tree sidecar")
-    yield tree_path, formats._tree_json_chunks(_Columns.of(tree))
+    yield tree_path, formats._tree_json_chunks(tree)
 
 
 def _load_transform(args):
@@ -423,7 +423,7 @@ def _parse_packed_literal(text: str) -> PackedPermutation:
 def _cmd_unpack(args):
     text = _read(args.permutation) if args.file else args.permutation
     tree = unpack(_parse_packed_literal(text))
-    yield args.output, formats._tree_json_chunks(_Columns.of(tree))
+    yield args.output, formats._tree_json_chunks(tree)
 
 
 def _cmd_enumerate_nlr(args):
@@ -431,7 +431,7 @@ def _cmd_enumerate_nlr(args):
     yield None, f"{len(trees)}\n"
     if args.trees_out:
         yield args.trees_out, itertools.chain.from_iterable(
-            formats._tree_json_chunks(_Columns.of(tree)) for tree in trees)
+            formats._tree_json_chunks(tree) for tree in trees)
 
 
 def _cmd_lattice(args):

@@ -34,7 +34,6 @@ from .hierarchy import (
     INTERNAL,
     MergeNode,
     TERMINAL,
-    _Columns,
     _parents,
 )
 from .lattice import BooleanTable, Semilattice
@@ -295,11 +294,14 @@ def _matrix_chunks(m: DissimilarityMatrix, full_precision: bool = False) -> Iter
 
 
 def _parse_child(token: str, n: int) -> Child:
-    if not isinstance(token, str) or len(token) < 2 or token[0] not in "tq":
-        raise ParseError(f"bad child reference {token!r}")
+    """The child that ``t`` or ``q`` and ASCII digits name; ``int`` alone
+    would also take a sign, spaces, underscores and other scripts' digits."""
+    digits = token[1:] if isinstance(token, str) and token[:1] in ("t", "q") else ""
     try:
-        idx = int(token[1:])
-    except ValueError:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        idx = int(digits)
+    except ValueError:  # also a number past Python's int-to-str digit limit
         raise ParseError(f"bad child reference {token!r}") from None
     if token[0] == "t":
         if not 1 <= idx <= n:
@@ -336,10 +338,10 @@ def _dumps(doc, indent: int | None = None, separators: tuple[str, str] | None = 
 def tree_to_json(tree: Dendrogram) -> str:
     """The tree as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"n",
     "labels", "nodes"}``: the text of ``_tree_json_chunks``."""
-    return "".join(_tree_json_chunks(_Columns.of(tree)))
+    return "".join(_tree_json_chunks(tree))
 
 
-def _tree_json_chunks(tree: _Columns) -> Iterator[str]:
+def _tree_json_chunks(tree: Dendrogram) -> Iterator[str]:
     """``tree_to_json`` text of a tree's columns, one piece per node
     record, led by its separator (the header before the first).  ``json``
     indents through its pure-Python encoder, so the header's label list
@@ -351,8 +353,8 @@ def _tree_json_chunks(tree: _Columns) -> Iterator[str]:
     if len(tree.labels) == 1:
         yield head + "[]\n}\n"
         return
-    heights = [_json_number(height) for height in tree.heights]
-    columns = (np.asarray(column).tolist() for column in (tree.level, tree.left, tree.right))
+    heights = [_json_number(height) for height in tree._heights]
+    columns = (np.asarray(column).tolist() for column in (tree._level, tree._left, tree._right))
     record = ',\n    {\n      "rank": %d,\n      "height": %s,\n      "left": "%s%d",\n      "right": "%s%d"\n    }'
     records = (record % (rank, heights[level], "tq"[a > 0], abs(a), "tq"[b > 0], abs(b))
                for rank, level, a, b in zip(itertools.count(1), *columns))
@@ -438,10 +440,10 @@ def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
     (terminals sit at height 0); the root carries its height as a comment.
     Each whitespace or Newick-reserved character (``()[]':;,``) of a label
     is written as ``_``.  The text of ``_newick_chunks``."""
-    return "".join(_newick_chunks(_Columns.of(tree), full_precision))
+    return "".join(_newick_chunks(tree, full_precision))
 
 
-def _newick_chunks(tree: _Columns, full_precision: bool = False) -> Iterator[str]:
+def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
     """``tree_to_newick`` text of a tree's columns, one piece per terminal
     of the drawing: the parentheses of the subtrees that start there, its
     label and branch, the closing tokens of the subtrees that end there in
@@ -456,10 +458,10 @@ def _newick_chunks(tree: _Columns, full_precision: bool = False) -> Iterator[str
     if n == 1:
         yield f"{labels[0]};\n"
         return
-    order, gap, lo, hi = (np.asarray(column, dtype=np.intp) for column in tree.drawing)
-    heights = tree.heights
+    order, gap, lo, hi = (np.asarray(column, dtype=np.intp) for column in tree._drawing)
+    heights = tree._heights
     levels = len(heights)
-    level = np.append(np.asarray(tree.level, dtype=np.intp), 0)  # level[n - 1]: past the root
+    level = np.append(np.asarray(tree._level, dtype=np.intp), 0)  # level[n - 1]: past the root
     terminal_parent, parent = _parents(gap, lo, hi)
     above = level[parent[:-1] - 1]  # the level of each rank's parent, the root's apart
     pairs, pair = np.unique(above * levels + level[:-2], return_inverse=True)
@@ -502,7 +504,7 @@ def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str
     """Read ``haar_to_csv`` text for ``tree``: the header must name the
     tree's columns, and the coordinate rows go through the cell readers of
     ``read_data_csv``."""
-    n1 = len(tree.nodes)
+    n1 = tree.n - 1
     expected = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
     lines = _table_lines(text)
     cells = None
@@ -606,7 +608,7 @@ def _require_encoding_within_guard(tree: Dendrogram, p: int) -> None:
     _require_encoding_prime(p)
     size = len(_encoding_head(p, tree.n, tree.labels)) + 1
     if tree.n >= 2:
-        _, gap, _, hi = _Columns.of(tree).drawing
+        _, gap, _, hi = tree._drawing
         size += 7 * tree.n * (tree.n - 1) + sum(hi) - sum(gap) + len(gap) + 2
     _require_within_guard(size, "the encoding")
 

@@ -1,17 +1,21 @@
 """Haar wavelet transform of a dendrogram: recursive pairwise averaging up
-the tree (smooths) with signed half-differences (details), exactly
-invertible, plus threshold-based wavelet regression.
+the tree (smooths) with signed half-differences (details), invertible,
+plus threshold-based wavelet regression.
 
 Per internal node: smooth = (s_left + s_right) / 2 and detail =
 (s_left - s_right) / 2, stored once; reconstruction adds the detail on the
-left support and subtracts it on the right, so the two signed contributions
-sum to zero exactly.  Swapping a node's children negates that node's detail
-bit-for-bit and leaves reconstructions byte-identical.
+left support and subtracts it on the right.  Reconstruction is exact in
+real arithmetic; in float64 each level of the path rounds, so a value
+comes back within 2 * depth * eps * max|x| of the data (eps the float64
+machine epsilon, depth the longest root-to-terminal path).  Swapping a
+node's children negates that node's detail bit-for-bit and leaves
+reconstructions byte-identical.
 
-Both directions run over one (2n - 1)-row table of smooths: slot i holds
-terminal i and slot n + r - 1 the node of rank r, so the root is the last
-row.  The forward pass fills it in increasing rank, the inverse in
-decreasing rank.
+Both directions run over one 2n-row table of smooths indexed by child
+code: row r holds the node of rank r and row ~i terminal i, so the
+terminals fill the last n rows in reverse and the root is row n - 1 (the
+one terminal's row when n = 1).  The forward pass fills it in increasing
+rank, the inverse in decreasing rank.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError, _require_nonnegative
-from .hierarchy import Child, Dendrogram, TERMINAL
+from .hierarchy import Dendrogram
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class HaarTransform:
         root = np.array(self.root_smooth, dtype=float)
         root.setflags(write=False)
         object.__setattr__(self, "root_smooth", root)
-        shape = (len(self.tree.nodes), *root.shape)
+        shape = (self.tree.n - 1, *root.shape)
         if len(self.details) != shape[0]:
             raise DomainError("need exactly one detail vector per internal node")
         try:
@@ -64,11 +68,6 @@ class HaarTransform:
         return self.details[rank - 1]
 
 
-def _slot(child: Child, n: int) -> int:
-    kind, idx = child
-    return idx if kind == TERMINAL else n + idx - 1
-
-
 def haar_forward(tree: Dendrogram, data: np.ndarray) -> HaarTransform:
     """Decompose ``data`` (rows aligned to the tree's terminal label order)
     into the root smooth and per-node details, processing nodes in rank
@@ -83,31 +82,31 @@ def haar_forward(tree: Dendrogram, data: np.ndarray) -> HaarTransform:
         raise AlignmentError("data needs at least one coordinate")
     if not np.isfinite(arr).all():
         raise DomainError("data contains missing or infinite values")
-    smooths = np.empty((2 * n - 1, arr.shape[1]))
-    smooths[:n] = arr
+    smooths = np.empty((2 * n, arr.shape[1]))
+    smooths[n:] = arr[::-1]
     details = np.empty((n - 1, arr.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, node in enumerate(tree.nodes):
-            s_left = smooths[_slot(node.left, n)]
-            s_right = smooths[_slot(node.right, n)]
-            smooths[n + k] = (s_left + s_right) / 2.0
-            details[k] = (s_left - s_right) / 2.0
-    return HaarTransform(tree, smooths[-1], details)
+        for rank, a, b in zip(range(1, n), tree._left, tree._right):
+            s_left, s_right = smooths[a], smooths[b]
+            smooths[rank] = (s_left + s_right) / 2.0
+            details[rank - 1] = (s_left - s_right) / 2.0
+    return HaarTransform(tree, smooths[n - 1 if n > 1 else -1], details)
 
 
 def haar_inverse(t: HaarTransform) -> np.ndarray:
-    """Exact reconstruction: each terminal is the root smooth plus the
-    signed details along its root-to-terminal path (+ on left supports,
-    - on right supports), accumulated top-down in decreasing rank."""
+    """Reconstruction: each terminal is the root smooth plus the signed
+    details along its root-to-terminal path (+ on left supports, - on
+    right supports), accumulated top-down in decreasing rank.  Exact in
+    real arithmetic, and within 2 * depth * eps * max|x| in float64."""
     n = t.tree.n
-    smooths = np.empty((2 * n - 1, t.dim))
-    smooths[-1] = t.root_smooth
+    smooths = np.empty((2 * n, t.dim))
+    smooths[n - 1 if n > 1 else -1] = t.root_smooth
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 2, -1, -1):
-            node, parent, d = t.tree.nodes[k], smooths[n + k], t.details[k]
-            smooths[_slot(node.left, n)] = parent + d
-            smooths[_slot(node.right, n)] = parent - d
-    out = smooths[:n]
+        for rank, a, b in zip(range(n - 1, 0, -1), t.tree._left[::-1], t.tree._right[::-1]):
+            parent, d = smooths[rank], t.details[rank - 1]
+            smooths[a] = parent + d
+            smooths[b] = parent - d
+    out = smooths[n:][::-1]
     if not np.isfinite(out).all():
         raise DomainError("Haar reconstruction overflows the float range")
     return out

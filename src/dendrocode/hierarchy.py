@@ -10,9 +10,7 @@ threads.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -55,6 +53,25 @@ class MergeNode:
     right: Child
 
 
+class _FromArrays:
+    """A field that its builder may leave unset, made once by ``make`` from
+    the instance's arrays on first access and kept in the instance dict."""
+
+    def __init__(self, name: str, make):
+        self.name, self.make = name, make
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        state = vars(instance)
+        if self.name not in state:
+            state[self.name] = self.make(instance)
+        return state[self.name]
+
+    def __set__(self, instance, value) -> None:
+        vars(instance)[self.name] = value
+
+
 @dataclass(frozen=True)
 class Dendrogram:
     """Immutable ranked binary dendrogram.
@@ -63,11 +80,23 @@ class Dendrogram:
     ``nodes[-1]`` is the root (rank n-1).  A single-terminal tree has no
     internal nodes.
 
-    The constructor checks its input and stores ``labels`` and ``nodes`` as
-    tuples.  Ranks and child indices must be ints (not bools, floats or
-    numpy integers), and heights finite nonnegative ints or floats (numpy's
-    float64 included).  Trees that the library builds valid by
-    construction come from ``_tree`` and skip the checks.
+    The tree is held as the columns that every reader takes: rank r has
+    height ``_heights[_level[r - 1]]``, so each distinct height is
+    formatted once, and children ``_left[r - 1]`` and ``_right[r - 1]``,
+    each a rank r as r, or terminal i as ``~i``.  ``_drawing`` is the
+    stored drawing as four columns ``(order, gap, lo, hi)``: the terminal
+    at each position, and for each rank the gap it joins and the positions
+    its subtree spans, as ``join_gaps`` yields them.  A builder that joined
+    gaps hands it in (``_drawn``); else it is read off the children on
+    first use (``_draw``).  Columns may be lists or integer arrays.
+    ``nodes`` is made from the columns on first access, so no verb makes
+    it; equality, hash and repr go through ``labels`` and ``nodes``.
+
+    The constructor checks its input, keeps ``labels`` and ``nodes`` as
+    tuples and stores their columns.  Ranks and child indices must be ints
+    (not bools, floats or numpy integers), and heights finite nonnegative
+    ints or floats (numpy's float64 included).  Trees that the library
+    builds valid by construction come from ``_tree`` and skip the checks.
     """
 
     labels: tuple[str, ...]
@@ -113,6 +142,9 @@ class Dendrogram:
         # a numpy integer) passes the tests above
         if any(type(node.rank) is not int for node in nodes) or any(type(i) is not int for _, i in refs):
             raise DomainError("ranks and child indices must be ints")
+        codes = [idx if kind == INTERNAL else ~idx for kind, idx in refs]
+        vars(self).update(_heights=tuple(node.height for node in nodes), _level=range(n - 1),
+                          _left=codes[0::2], _right=codes[1::2])
 
     @property
     def n(self) -> int:
@@ -120,139 +152,108 @@ class Dendrogram:
 
     @property
     def root(self) -> MergeNode | None:
-        return self.nodes[-1] if self.nodes else None
+        return self.nodes[-1] if self.n > 1 else None
 
     def node(self, rank: int) -> MergeNode:
-        if not 1 <= rank <= len(self.nodes):
-            raise RankRangeError(f"rank {rank} out of range 1..{len(self.nodes)}")
+        self._check_rank(rank)
         return self.nodes[rank - 1]
 
+    def _check_rank(self, rank: int) -> None:
+        if not 1 <= rank <= self.n - 1:
+            raise RankRangeError(f"rank {rank} out of range 1..{self.n - 1}")
+
     def heights(self) -> tuple[float, ...]:
-        return tuple(node.height for node in self.nodes)
+        return tuple(map(self._heights.__getitem__, np.asarray(self._level).tolist()))
 
     def members(self, rank: int) -> frozenset[int]:
         """Terminal indices under the node of the given rank, read off its
         subtree alone."""
-        found, stack = [], [self.node(rank)]
+        self._check_rank(rank)
+        found, stack = [], [rank]
         while stack:
-            node = stack.pop()
-            found += [idx for kind, idx in (node.left, node.right) if kind == TERMINAL]
-            stack += [self.nodes[idx - 1] for kind, idx in (node.left, node.right) if kind == INTERNAL]
+            r = stack.pop() - 1
+            children = (int(self._left[r]), int(self._right[r]))
+            found += [~code for code in children if code < 0]
+            stack += [code for code in children if code > 0]
         return frozenset(found)
 
     def terminal_order(self) -> tuple[int, ...]:
         """Left-to-right terminal indices of the stored drawing."""
-        return tuple(_Columns.of(self).drawing[0])
+        return tuple(np.asarray(self._drawing[0]).tolist())
+
+    def _children(self) -> tuple[list[int], list[int]]:
+        """The left and the right child codes, as new lists of ints."""
+        return np.asarray(self._left).tolist(), np.asarray(self._right).tolist()
 
 
-def _tree(labels: tuple[str, ...], nodes: tuple[MergeNode, ...]) -> Dendrogram:
-    """The dendrogram of ``labels`` and ``nodes``, both tuples, that a
-    builder made valid by construction; the constructor's checks are not
-    run.  Input from outside the library goes through ``Dendrogram``."""
+def _nodes_of(tree: Dendrogram) -> tuple[MergeNode, ...]:
+    """The ``MergeNode`` view of the tree's columns."""
+
+    def child(code: int) -> Child:
+        return (INTERNAL, code) if code > 0 else (TERMINAL, ~code)
+
+    heights = tree._heights
+    columns = (np.asarray(column).tolist() for column in (tree._level, tree._left, tree._right))
+    return tuple(MergeNode(rank, heights[level], child(a), child(b))
+                 for rank, (level, a, b) in enumerate(zip(*columns), start=1))
+
+
+def _draw(left: Sequence[int], right: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The drawing ``(order, gap, lo, hi)`` of the tree with child codes
+    ``left`` and ``right``: subtree sizes bottom-up, then each subtree's
+    first position top down: a left child starts where its parent does, a
+    right child after the left child's terminals."""
+    n = len(left) + 1
+    # the size and first position of rank r at index r, and of terminal
+    # i at index -(i + 1), its code
+    size, start, gap = [1] * (2 * n), [0] * (2 * n), [0] * (n - 1)
+    for r, a, b in zip(range(1, n), left, right):
+        size[r] = size[a] + size[b]
+    for r in range(n - 1, 0, -1):
+        a, first = left[r - 1], start[r]
+        start[a] = first
+        start[right[r - 1]] = gap[r - 1] = first + size[a]
+    order, lo = [0] * n, start[1:n]
+    for i, position in enumerate(start[: n - 1 : -1]):
+        order[position] = i
+    return order, gap, lo, [first + count - 1 for first, count in zip(lo, size[1:n])]
+
+
+Dendrogram.nodes = _FromArrays("nodes", _nodes_of)
+Dendrogram._drawing = _FromArrays("_drawing", lambda tree: _draw(tree._left, tree._right))
+
+
+def _tree(labels: tuple[str, ...], heights: Sequence, level: Sequence[int], left: Sequence[int],
+          right: Sequence[int], drawing: tuple[Sequence[int], ...] | None = None) -> Dendrogram:
+    """The dendrogram over the tuple ``labels`` of the columns that a
+    builder made valid by construction (``Dendrogram``), with its drawing
+    when the builder has it; the constructor's checks are not run.  Input
+    from outside the library goes through ``Dendrogram``."""
     tree = object.__new__(Dendrogram)
-    object.__setattr__(tree, "labels", labels)
-    object.__setattr__(tree, "nodes", nodes)
+    vars(tree).update(labels=labels, _heights=heights, _level=level, _left=left, _right=right)
+    if drawing is not None:
+        vars(tree)["_drawing"] = drawing
     return tree
 
 
-class _FromArrays:
-    """A field that its builder may leave unset, made once by ``make`` from
-    the instance's arrays on first access and kept in the instance dict."""
-
-    def __init__(self, name: str, make):
-        self.name, self.make = name, make
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        state = vars(instance)
-        if self.name not in state:
-            state[self.name] = self.make(instance)
-        return state[self.name]
-
-    def __set__(self, instance, value) -> None:
-        vars(instance)[self.name] = value
-
-
-class _Columns:
-    """A ranked tree as the columns that the tree writers read: rank r has
-    height ``heights[level[r - 1]]``, so each distinct height is formatted
-    once, and children ``left[r - 1]`` and ``right[r - 1]``, each a rank, or
-    ``-(i + 1)`` for terminal i.
-
-    ``drawing`` is the stored drawing as four columns ``(order, gap, lo,
-    hi)``: the terminal at each position, and for each rank the gap it
-    joins and the positions its subtree spans, as ``join_gaps`` yields
-    them.  A builder that joined gaps makes the columns from it
-    (``_drawn``); else it is read off the children on first use.  Columns
-    may be lists or integer arrays."""
-
-    def __init__(self, labels: Sequence[str], heights: Sequence, level: Sequence[int],
-                 left: Sequence[int], right: Sequence[int],
-                 drawing: tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]] | None = None):
-        self.labels, self.heights, self.level = labels, heights, level
-        self.left, self.right = left, right
-        if drawing is not None:
-            self.drawing = drawing
-
-    @classmethod
-    def of(cls, tree: Dendrogram) -> _Columns:
-        """The columns of ``tree``, one height per rank."""
-        left, right = ([idx if kind == INTERNAL else ~idx for kind, idx in map(side, tree.nodes)]
-                       for side in (operator.attrgetter("left"), operator.attrgetter("right")))
-        return cls(tree.labels, tree.heights(), range(len(left)), left, right)
-
-    def _dendrogram(self) -> Dendrogram:
-        """The tree of the columns, which its builder made valid."""
-
-        def child(code: int) -> Child:
-            return (INTERNAL, code) if code > 0 else (TERMINAL, ~code)
-
-        heights = self.heights
-        columns = (np.asarray(column).tolist() for column in (self.level, self.left, self.right))
-        return _tree(tuple(self.labels), tuple(
-            MergeNode(rank, heights[level], child(a), child(b))
-            for rank, (level, a, b) in enumerate(zip(*columns), start=1)))
-
-    @classmethod
-    def _drawn(cls, labels: Sequence[str], heights: Sequence, level: np.ndarray,
-               drawing: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> _Columns:
-        """The columns of the tree whose stored drawing is ``drawing``, with
-        each child read off it: a subtree is the left child of its parent
-        when the parent joins the gap after it (``_parents``)."""
-        order, gap, lo, hi = drawing
-        n = len(order)
-        left, right = np.empty(n - 1, dtype=np.intp), np.empty(n - 1, dtype=np.intp)
-        if n > 1:
-            terminal_parent, parent = _parents(gap, lo, hi)
-            # the subtrees below the root: the terminal at each position, then ranks 1..n-2
-            code = np.concatenate((~order, np.arange(1, n - 1)))
-            parent = np.concatenate((terminal_parent, parent[:-1]))
-            after = np.concatenate((np.arange(1, n + 1), hi[:-1] + 1))  # the gap after each subtree
-            is_left = gap[parent - 1] == after
-            left[parent[is_left] - 1] = code[is_left]
-            right[parent[~is_left] - 1] = code[~is_left]
-        return cls(labels, heights, level, left, right, drawing)
-
-    @functools.cached_property
-    def drawing(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Subtree sizes bottom-up, then each subtree's first position top
-        down: a left child starts where its parent does, a right child
-        after the left child's terminals."""
-        left, right, n = self.left, self.right, len(self.labels)
-        # the size and first position of rank r at index r, and of terminal
-        # i at index -(i + 1), its code
-        size, start, gap = [1] * (2 * n), [0] * (2 * n), [0] * (n - 1)
-        for r, a, b in zip(range(1, n), left, right):
-            size[r] = size[a] + size[b]
-        for r in range(n - 1, 0, -1):
-            a, first = left[r - 1], start[r]
-            start[a] = first
-            start[right[r - 1]] = gap[r - 1] = first + size[a]
-        order, lo = [0] * n, start[1:n]
-        for i, position in enumerate(start[: n - 1 : -1]):
-            order[position] = i
-        return order, gap, lo, [first + count - 1 for first, count in zip(lo, size[1:n])]
+def _drawn(labels: tuple[str, ...], heights: Sequence, level: np.ndarray,
+           drawing: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> Dendrogram:
+    """The tree whose stored drawing is ``drawing``, with each child read
+    off it: a subtree is the left child of its parent when the parent
+    joins the gap after it (``_parents``)."""
+    order, gap, lo, hi = drawing
+    n = len(order)
+    left, right = np.empty(n - 1, dtype=np.intp), np.empty(n - 1, dtype=np.intp)
+    if n > 1:
+        terminal_parent, parent = _parents(gap, lo, hi)
+        # the subtrees below the root: the terminal at each position, then ranks 1..n-2
+        code = np.concatenate((~order, np.arange(1, n - 1)))
+        parent = np.concatenate((terminal_parent, parent[:-1]))
+        after = np.concatenate((np.arange(1, n + 1), hi[:-1] + 1))  # the gap after each subtree
+        is_left = gap[parent - 1] == after
+        left[parent[is_left] - 1] = code[is_left]
+        right[parent[~is_left] - 1] = code[~is_left]
+    return _tree(labels, heights, level, left, right, drawing)
 
 
 def _parents(gap: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +329,7 @@ def join_gaps(n: int, gaps: Iterable[int]) -> Iterator[tuple[int, int, int]]:
 def member_sets(tree: Dendrogram) -> dict[int, frozenset[int]]:
     """Terminal index sets of every internal node, keyed by rank: the
     terminals at the drawing positions each rank spans."""
-    order, _, lo, hi = _Columns.of(tree).drawing
+    order, _, lo, hi = (np.asarray(column).tolist() for column in tree._drawing)
     return {rank: frozenset(order[a : b + 1]) for rank, (a, b) in enumerate(zip(lo, hi), start=1)}
 
 
@@ -490,17 +491,14 @@ def _distances_finite(arr: np.ndarray) -> bool:
     return bool(bound < np.finfo(float).max / 2)
 
 
-def _child_key(child: Child) -> tuple[int, int]:
-    # Canonical order: lower-ranked child left (terminals count as rank 0,
-    # ties between terminals broken by index).
-    kind, idx = child
-    return (0, idx) if kind == TERMINAL else (idx, -1)
-
-
-def _oriented(rank: int, height: float, a: Child, b: Child) -> MergeNode:
-    if _child_key(a) > _child_key(b):
-        a, b = b, a
-    return MergeNode(rank, height, a, b)
+def _canonical(left: Sequence[int], right: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The child codes in canonical order: at each rank the child of the
+    lower key goes left, a rank keyed by itself and terminal i by i - n,
+    below every rank."""
+    a, b = (np.asarray(codes, dtype=np.intp) for codes in (left, right))
+    n = len(a) + 1
+    swap = np.where(a > 0, a, ~a - n) > np.where(b > 0, b, ~b - n)
+    return np.where(swap, b, a).tolist(), np.where(swap, a, b).tolist()
 
 
 _SQUARED = {"ward", "median"}
@@ -625,35 +623,34 @@ def agglomerate(diss: DissimilarityMatrix, linkage: str = "complete") -> Dendrog
 def _merge_tree(labels: tuple[str, ...], merges: Iterable[tuple[int, int, float]]) -> Dendrogram:
     """The canonical dendrogram of ``merges`` (slot_i, slot_j, height) in
     rank order, each folding the cluster in slot j into slot i."""
-    cluster_ref: dict[int, Child] = {i: (TERMINAL, i) for i in range(len(labels))}
-    nodes: list[MergeNode] = []
+    code = [~i for i in range(len(labels))]  # the child code of the cluster in each slot
+    codes, heights = [], []  # each rank's two child codes in turn
     for rank, (i, j, height) in enumerate(merges, start=1):
-        nodes.append(_oriented(rank, height, cluster_ref[i], cluster_ref[j]))
-        cluster_ref[i] = (INTERNAL, rank)
-        del cluster_ref[j]
-    return _tree(labels, tuple(nodes))
+        codes += code[i], code[j]
+        heights.append(height)
+        code[i] = rank
+    return _tree(labels, heights, range(len(heights)), *_canonical(codes[0::2], codes[1::2]))
 
 
 def swap_children(tree: Dendrogram, rank: int) -> Dendrogram:
     """Exchange the two children of the node at ``rank``; an involution that
     leaves ranks, heights and all subtree internals untouched."""
-    node = tree.node(rank)
-    swapped = MergeNode(node.rank, node.height, node.right, node.left)
-    return _tree(tree.labels, (*tree.nodes[: rank - 1], swapped, *tree.nodes[rank:]))
+    tree._check_rank(rank)
+    left, right = tree._children()
+    left[rank - 1], right[rank - 1] = right[rank - 1], left[rank - 1]
+    return _tree(tree.labels, tree._heights, tree._level, left, right)
 
 
 def canonicalize(tree: Dendrogram) -> Dendrogram:
     """Deterministic drawing: at every node the later-formed (higher-rank)
     child subtree goes right; terminal pairs are ordered by index."""
-    return _tree(tree.labels, tuple(
-        _oriented(node.rank, node.height, node.left, node.right) for node in tree.nodes))
+    return _tree(tree.labels, tree._heights, tree._level, *_canonical(tree._left, tree._right))
 
 
 def swap_orbit(tree: Dendrogram) -> Iterable[Dendrogram]:
     """All 2^(n-1) child-swap orientations of ``tree``, canonical-first order."""
-    base = canonicalize(tree).nodes
-    for mask in range(1 << len(base)):
+    left, right = _canonical(tree._left, tree._right)
+    for mask in range(1 << len(left)):
         # bit r - 1 of the mask swaps the node of rank r
-        yield _tree(tree.labels, tuple(
-            MergeNode(node.rank, node.height, node.right, node.left) if mask >> k & 1 else node
-            for k, node in enumerate(base)))
+        pairs = [(b, a) if mask >> k & 1 else (a, b) for k, (a, b) in enumerate(zip(left, right))]
+        yield _tree(tree.labels, tree._heights, tree._level, [a for a, _ in pairs], [b for _, b in pairs])

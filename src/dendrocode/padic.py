@@ -21,8 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import (Dendrogram, MergeNode, _Columns, _FromArrays, gap_levels, internal, join_gaps,
-                        terminal)
+from .hierarchy import Dendrogram, _FromArrays, _drawn, _tree, gap_levels, join_gaps
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -328,7 +327,7 @@ def encode_dendrogram(tree: Dendrogram, p: int = 3) -> PadicEncoding:
     _require_encoding_prime(p)
     if tree.n < 2:
         return _encoding_from_array(p, tree.labels, np.zeros((tree.n, 0), dtype=np.int8))
-    order, gap, lo, hi = map(np.asarray, _Columns.of(tree).drawing)
+    order, gap, lo, hi = map(np.asarray, tree._drawing)
     return _encoding_from_array(p, tree.labels, _drawn_cells(gap, lo, hi)[np.argsort(order)])
 
 
@@ -355,14 +354,6 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     work.  Only when the check fails are the columns read in order
     (``_decode_by_columns``), to name the first bad one.
     """
-    return _decoded_columns(enc)._dendrogram()
-
-
-def _decoded_columns(enc: PadicEncoding) -> _Columns:
-    """The columns of ``decode(enc)``: those of the tree whose stored
-    drawing the root-first sort of ``enc``'s n >= 2 rows gives, when its
-    coefficients are ``enc``'s; else those of ``_decode_by_columns``,
-    which raises on a bad encoding."""
     cells, n = enc._cells, enc.n
     if n >= 2:
         order, cut = _root_first_order(cells)
@@ -375,9 +366,8 @@ def _decoded_columns(enc: PadicEncoding) -> _Columns:
                 break
             at += len(rows)
         else:
-            heights = [float(rank) for rank in range(n)]
-            return _Columns._drawn(enc.labels, heights, np.arange(1, n), drawing)
-    return _Columns.of(_decode_by_columns(enc))
+            return _drawn(enc.labels, [float(rank) for rank in range(n)], np.arange(1, n), drawing)
+    return _decode_by_columns(enc)
 
 
 def _decode_by_columns(enc: PadicEncoding) -> Dendrogram:
@@ -393,8 +383,8 @@ def _decode_by_columns(enc: PadicEncoding) -> Dendrogram:
         raise MalformedEncodingError("root column does not cover all terminals")
     cluster = np.arange(n)  # cluster id of each terminal
     members: list[list[int]] = [[i] for i in range(n)]
-    child = [terminal(i) for i in range(n)]
-    nodes: list[MergeNode] = []
+    child = [~i for i in range(n)]  # the child code of each cluster
+    codes = []  # each rank's two child codes in turn
     for j, column in enumerate(np.ascontiguousarray(enc._cells.T)):
         ids = []
         for sign in (1, -1):
@@ -407,14 +397,13 @@ def _decode_by_columns(enc: PadicEncoding) -> Dendrogram:
                 )
             ids.append(c)
         a, b = ids
-        rank = j + 1
-        nodes.append(MergeNode(rank, float(rank), child[a], child[b]))
+        codes += child[a], child[b]
         small, big = (a, b) if len(members[a]) < len(members[b]) else (b, a)
         cluster[members[small]] = big
         members[big] += members[small]
         members[small] = []
-        child[big] = internal(rank)
-    return Dendrogram(enc.labels, tuple(nodes))
+        child[big] = j + 1
+    return _tree(enc.labels, [float(rank) for rank in range(n)], range(1, n), codes[0::2], codes[1::2])
 
 
 def _check_compatible(a: PadicCode, b: PadicCode) -> None:

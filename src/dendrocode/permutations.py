@@ -18,7 +18,7 @@ from .errors import (
     UnrealizablePermutationError,
     _require_at_least,
 )
-from .hierarchy import Dendrogram, MergeNode, _Columns, _tree, internal, join_gaps, terminal
+from .hierarchy import Dendrogram, _draw, _tree, join_gaps
 
 TIE_RULES = ("earlier-low", "later-low")
 
@@ -161,19 +161,18 @@ def packed_representation(tree: Dendrogram) -> PackedPermutation:
     right; the rightmost position gets n.  Equals the inorder traversal of
     the oriented binary tree on the internal nodes.
     """
-    n, columns = tree.n, _Columns.of(tree)
-    left, right = list(columns.left), list(columns.right)
+    n, (left, right) = tree.n, tree._children()
     # Orientation key: a subtree's earliest merge rank, or n + index for a
     # bare terminal (child code -(index + 1)), so terminals go right of any
     # subtree with a merge.
     first = [0] * n  # earliest merge rank under each internal node, by rank
-    for rank, a, b in zip(range(1, n), columns.left, columns.right):
+    for rank, a, b in zip(range(1, n), tree._left, tree._right):
         ka = n + ~a if a < 0 else first[a]
         kb = n + ~b if b < 0 else first[b]
         if ka > kb:
             left[rank - 1], right[rank - 1] = b, a
         first[rank] = min(ka, kb, rank)
-    gap = _Columns(columns.labels, columns.heights, columns.level, left, right).drawing[1]
+    gap = _draw(left, right)[1]
     return PackedPermutation((*(np.argsort(gap) + 1).tolist(), n))
 
 
@@ -188,9 +187,9 @@ def unpack(perm: PackedPermutation) -> Dendrogram:
     """
     n = perm.n
     gaps = sorted(range(1, n), key=lambda k: perm.values[k - 1])  # gap k is boundary k-1
-    refs = [terminal(i) for i in range(n)]  # subtree of the run starting at each position
+    refs = [~i for i in range(n)]  # child code of the run starting at each position
     first = [n] * n  # earliest merge rank in the run starting at each position; n: none
-    nodes: list[MergeNode] = []
+    codes = []  # each rank's two child codes in turn
     for rank, (lo, k, _) in enumerate(join_gaps(n, gaps), start=1):
         lf, rf = first[lo], first[k]
         if rf < lf:  # the right run merged first (n: never)
@@ -198,10 +197,11 @@ def unpack(perm: PackedPermutation) -> Dendrogram:
                 f"prefix through rank {rank} is inconsistent: left cluster first "
                 f"merged at {lf if lf < n else 'never'}, right at {rf if rf < n else 'never'}"
             )
-        nodes.append(MergeNode(rank, float(rank), refs[lo], refs[k]))
-        refs[lo] = internal(rank)
+        codes += refs[lo], refs[k]
+        refs[lo] = rank
         first[lo] = min(lf, rank)  # the check leaves lf < rf unless both are n
-    return _tree(tuple(f"x{i + 1}" for i in range(n)), tuple(nodes))
+    labels = tuple(f"x{i + 1}" for i in range(n))
+    return _tree(labels, [float(rank) for rank in range(n)], range(1, n), codes[0::2], codes[1::2])
 
 
 def is_up_down(perm: Sequence[int]) -> bool:
@@ -228,20 +228,20 @@ def enumerate_nlr(n: int) -> list[Dendrogram]:
             f"n={n} exceeds the enumeration guard ({_NLR_GUARD}): counts grow as zigzag numbers"
         )
     # Give ranks 1, 2, ... to the gaps depth first, keeping the run ends as
-    # join_gaps does, refusing each join that unpack would refuse and making
-    # each merge node as unpack makes it, so each tree the search completes
-    # is built valid with no further check.
+    # join_gaps does, refusing each join that unpack would refuse and
+    # writing each rank's children as unpack writes them, so each tree the
+    # search completes is built valid with no further check.
     first = list(range(n))  # first position of the run ending at each position
     last = list(range(n))  # last position of the run starting at each position
     merged = [n] * n  # earliest merge rank of the run starting at each position; n: never
-    refs = [terminal(i) for i in range(n)]  # subtree of the run starting at each position
+    refs = [~i for i in range(n)]  # child code of the run starting at each position
     values = [0] * (n - 1) + [n]  # the packed permutation; 0: gap not yet joined
-    nodes: list[MergeNode] = []
-    found: list[tuple[tuple[int, ...], tuple[MergeNode, ...]]] = []
+    codes: list[int] = []  # each rank's two child codes in turn
+    found: list[tuple[tuple[int, ...], list[int]]] = []
 
     def search(rank: int) -> None:  # recursion depth n - 1 <= 9 under the guard
         if rank == n:
-            found.append((tuple(values), tuple(nodes)))
+            found.append((tuple(values), codes[:]))
             return
         for k in range(1, n):
             lo, hi = first[k - 1], last[k]
@@ -250,16 +250,17 @@ def enumerate_nlr(n: int) -> list[Dendrogram]:
                 continue
             values[k - 1] = rank
             first[hi], last[lo], merged[lo] = lo, hi, min(lf, rank)
-            nodes.append(MergeNode(rank, float(rank), ref, refs[k]))
-            refs[lo] = internal(rank)
+            codes.extend((ref, refs[k]))
+            refs[lo] = rank
             search(rank + 1)
             values[k - 1] = 0
             first[hi], last[lo], merged[lo], refs[lo] = k, k - 1, lf, ref
-            nodes.pop()
+            del codes[-2:]
 
     search(1)
     labels = tuple(f"x{i + 1}" for i in range(n))
+    heights = [float(rank) for rank in range(n)]
     trees = []
-    for _, tree_nodes in sorted(found, key=lambda item: item[0]):
-        trees.append(_tree(labels, tree_nodes))
+    for _, tree_codes in sorted(found):
+        trees.append(_tree(labels, heights, range(1, n), tree_codes[0::2], tree_codes[1::2]))
     return trees

@@ -6,7 +6,7 @@ right margin with its rank and height.  Rendering the same tree twice
 yields byte-identical output.
 
 The rows are written once each, in the order of the canonical drawing
-(``_Columns.drawing``), and handed on one at a time, so the writer holds
+(``Dendrogram._drawing``), and handed on one at a time, so the writer holds
 no more of the text than a block.
 """
 
@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from typing import Iterator
 
 from .formats import fmt_float
-from .hierarchy import Dendrogram, _Columns, canonicalize
+from .hierarchy import Dendrogram, canonicalize
 
 
 def render_tree(tree: Dendrogram, full_precision: bool = False) -> str:
@@ -28,7 +28,7 @@ def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
     drawing position k, and row 2k - 1 the junction of the rank that joins
     gap k."""
     tree = canonicalize(tree)
-    if not tree.nodes:
+    if tree.n == 1:
         yield f"{tree.labels[0]}\n"
         return
 
@@ -38,13 +38,12 @@ def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
         return label_width + 1 + 3 * rank
 
     n, margin = tree.n, column(tree.n - 1) + 4
-    columns = _Columns.of(tree)
-    order, gap, _, _ = columns.drawing
+    order, gap, _, _ = tree._drawing
     # the parent rank of each child, 0 for the root, and whether it is the
     # left child, at the child's code: rank r at r, terminal i at -(i + 1)
     parent, left = [0] * (2 * n), [False] * (2 * n)
     rows = [~order[0]] + [0] * (2 * n - 2)  # the child drawn on each row
-    for rank, a, b, k in zip(range(1, n), columns.left, columns.right, gap):
+    for rank, a, b, k in zip(range(1, n), tree._left, tree._right, gap):
         parent[a] = parent[b] = rank
         left[a] = True
         rows[2 * k - 1], rows[2 * k] = rank, ~order[k]
@@ -66,6 +65,6 @@ def _render_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
         for col in bars[bisect_left(bars, len(line)) :]:
             line += " " * (col - len(line)) + "|"
         if child > 0:
-            height = fmt_float(tree.nodes[child - 1].height, full_precision)
+            height = fmt_float(tree._heights[tree._level[child - 1]], full_precision)
             line += " " * (margin - len(line)) + f"q{child} h={height}"
         yield line + "\n"

@@ -19,8 +19,8 @@ from .hierarchy import (
     DissimilarityMatrix,
     UltrametricMatrix,
     _checked_data,
-    _Columns,
     _distances_finite,
+    _draw,
     _merge_tree,
     _pair_distances,
     gap_levels,
@@ -59,7 +59,7 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     of the stored heights, so for monotone trees the result passes
     ``verify_ultrametric`` at tolerance 0.
     """
-    order, gap, _, _ = _Columns.of(tree).drawing
+    order, gap, _, _ = tree._drawing
     levels = gap_levels(np.argsort(order), np.argsort(gap) + 1)
     return UltrametricMatrix._built(np.array([0.0, *tree.heights()])[levels], tree.labels)
 
@@ -341,8 +341,7 @@ def _single_linkage_order(tree: Dendrogram) -> list[int]:
     """Terminal order of a single-linkage tree with children sorted by a
     label-free subtree code, so the reordered matrix is unique for the
     weighted-hierarchy isomorphism class."""
-    columns = _Columns.of(tree)
-    heights, left, right = columns.heights, list(columns.left), list(columns.right)
+    heights, (left, right) = tree.heights(), tree._children()
 
     def code_less(a: int, b: int) -> bool:
         # Subtree codes order lexicographically: a bare terminal (a negative
@@ -365,7 +364,7 @@ def _single_linkage_order(tree: Dendrogram) -> list[int]:
     for r in range(len(left)):
         if code_less(right[r], left[r]):  # the smaller code goes left
             left[r], right[r] = right[r], left[r]
-    return _Columns(columns.labels, heights, columns.level, left, right).drawing[0]
+    return _draw(left, right)[0]
 
 
 def check_canonical_form(matrix: np.ndarray) -> str | None:

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from dendrocode import cli, errors, formats
 from dendrocode.baire import BaireString, baire_cluster, digitize_reals
 from dendrocode.cli import main
-from dendrocode.hierarchy import Dendrogram, _Columns, gap_counts, gap_levels
+from dendrocode.hierarchy import Dendrogram, gap_counts, gap_levels
 from dendrocode.padic import encode_dendrogram
 from dendrocode.render import _render_chunks, render_tree
 from dendrocode.ultrametric import cophenetic_matrix
@@ -113,9 +113,9 @@ def test_tree_writers_match_the_whole_string_writers(n, kind, seed, chunk, full_
     enc = encode_dendrogram(tree, 3)
     m = cophenetic_matrix(tree)
     _match_through_the_writer(chunk, [
-        (formats._tree_json_chunks(_Columns.of(tree)), formats.tree_to_json(tree),
+        (formats._tree_json_chunks(tree), formats.tree_to_json(tree),
          oracles.tree_json_whole(tree)),
-        (formats._newick_chunks(_Columns.of(tree), full_precision), formats.tree_to_newick(tree, full_precision),
+        (formats._newick_chunks(tree, full_precision), formats.tree_to_newick(tree, full_precision),
          oracles.newick_whole(tree, full_precision)),
         (_render_chunks(tree, full_precision), render_tree(tree, full_precision),
          oracles.render_whole(tree, full_precision)),
@@ -219,7 +219,7 @@ def test_encoding_counts_are_the_counts_of_the_table(rng):
 def test_drawing_counts_are_the_counts_of_the_rank_table(rng):
     for kind in TREE_KINDS:
         tree = make_tree(40, kind, rng)
-        order, gap, _, _ = _Columns.of(tree).drawing
+        order, gap, _, _ = tree._drawing
         pos, ranks = np.argsort(order), np.argsort(gap) + 1
         assert gap_counts(pos, ranks) == _counts(gap_levels(pos, ranks))
 

@@ -119,6 +119,11 @@ TREE_JSON = {
     "height-overflow": _tree_node(height=10**400),
     "bad-child": _tree_node(left="z1"),
     "child-range": _tree_node(left="t9"),
+    # int() would read each of these as t1
+    "child-sign": _tree_node(left="t+1"),
+    "child-space": _tree_node(left="t 1"),
+    "child-underscore": _tree_node(left="t0_1"),
+    "child-arabic-indic": _tree_node(left="t\u0661"),
     "repeated-child": _tree_node(right="t1"),
     "nodes-not-list": _tree(nodes=5),
     "node-not-object": _tree(nodes=[1, 2]),
@@ -278,6 +283,8 @@ def test_cells_past_int8_fail_cleanly(tmp_path, capsys, verb, name):
     pytest.param(["render"], TREE_JSON["height-overflow"], id="render:height-overflow"),
     pytest.param(["render"], TREE_JSON["labels-text"], id="render:labels-text"),
     pytest.param(["render"], TREE_JSON["labels-numbers"], id="render:labels-numbers"),
+    *(pytest.param(["packed"], TREE_JSON[name], id=f"packed:{name}")
+      for name in ("child-sign", "child-space", "child-underscore", "child-arabic-indic")),
     pytest.param(["padic-decode"], ENCODING_JSON["p-past-bound"], id="padic-decode:p-past-bound"),
     pytest.param(["lattice"], dense_table_csv(), id="lattice:dense-table"),
     pytest.param(["lattice"], "x,2,1\ny,1,0\nz,1,1\n", id="lattice:numeric-first-row"),

@@ -99,6 +99,21 @@ class TestInverse:
             err = np.abs(haar_inverse(haar_forward(tree, data)) - data).max()
             assert err <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 1000.0, 1e300])
+    @pytest.mark.parametrize("shape", ["left", "right", "random"])
+    def test_float_error_within_the_depth_bound(self, shape, scale):
+        # exact in real arithmetic; in float64 the error grows with the
+        # number of levels on a terminal's path, up to 2 * depth * eps * max|x|
+        rng = random.Random(1500)
+        n = 1500
+        tree = random_tree(n, rng) if shape == "random" else caterpillar(n, shape)
+        depth: dict = {}
+        for node in tree.nodes:
+            depth[("q", node.rank)] = 1 + max(depth.get(child, 0) for child in (node.left, node.right))
+        data = np.array([[rng.uniform(-scale, scale) for _ in range(2)] for _ in range(n)])
+        err = np.abs(haar_inverse(haar_forward(tree, data)) - data).max()
+        assert err <= 2 * depth[("q", n - 1)] * np.finfo(float).eps * np.abs(data).max()
+
     def test_zero_details_reconstruct_root_everywhere(self, iris_transform):
         wiped = haar_threshold(iris_transform, np.inf)
         out = haar_inverse(wiped)

@@ -3,13 +3,16 @@
 Builders whose output is valid by construction make trees, matrices and
 strings through private entries that skip the public checks:
 ``hierarchy._tree``, ``DissimilarityMatrix._built``,
-``baire._baire_strings`` and ``padic._code``; trees built from columns go
-through ``hierarchy._Columns._dendrogram``, which calls ``_tree``.  Here
-every call of those entries runs the public constructor on what the entry
-made, over random, caterpillar and tied inputs, and the fields must come
-back equal.
+``baire._baire_strings`` and ``padic._code``.  A tree is made from its
+columns, and from its drawing too when the builder joined gaps
+(``hierarchy._drawn``, which calls ``_tree``).  Here every call of those
+entries runs the public constructor on what the entry made, over random,
+caterpillar and tied inputs: the fields must come back equal, and a
+drawing handed in must be the one read off the children.
 A second test lists the calls in the source, so that a new call site fails
-until it is added to ``CALL_SITES`` and exercised below.
+until it is added to ``CALL_SITES`` and exercised below.  A third runs
+every tree verb with the maker of the ``nodes`` view raising, so that the
+verbs keep to the columns.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ CALL_SITES = {
     ("_tree", "hierarchy", "swap_orbit"),
     ("_tree", "permutations", "unpack"),
     ("_tree", "permutations", "enumerate_nlr"),
-    ("_tree", "hierarchy", "_dendrogram"),
-    ("_dendrogram", "baire", "baire_cluster"),
-    ("_dendrogram", "padic", "decode"),
+    ("_tree", "hierarchy", "_drawn"),
+    ("_tree", "padic", "_decode_by_columns"),
     ("_built", "hierarchy", "pairwise_distances"),
     ("_built", "ultrametric", "cophenetic_matrix"),
     ("_built", "ultrametric", "canonical_form"),
@@ -76,7 +78,7 @@ def entry_calls(node: ast.AST, module: str, function: str | None = None):
     if isinstance(node, ast.Call):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("_tree", "_built", "_baire_strings", "_dendrogram", "_code"):
+        if name in ("_tree", "_built", "_baire_strings", "_code"):
             yield name, module, function
     for child in ast.iter_child_nodes(node):
         yield from entry_calls(child, module, function)
@@ -99,22 +101,17 @@ def refereed():
     it makes; yields the set of (entry, module, function) calls seen."""
     seen: set[tuple[str, str, str]] = set()
     tree, built, strings = hierarchy._tree, DissimilarityMatrix._built.__func__, baire._baire_strings
-    dendrogram, code = hierarchy._Columns._dendrogram, padic._code
+    code = padic._code
 
-    def checked_tree(labels, nodes):
+    def checked_tree(labels, heights, level, left, right, drawing=None):
         seen.add(("_tree", *_caller()))
-        out = tree(labels, nodes)
+        out = tree(labels, heights, level, left, right, drawing)
         again = Dendrogram(out.labels, out.nodes)
         assert type(out.labels) is tuple and type(out.nodes) is tuple
         assert (again.labels, again.nodes) == (out.labels, out.nodes)
-        return out
-
-    def checked_dendrogram(columns):
-        # the tree's own drawing is the one its columns were built with
-        seen.add(("_dendrogram", *_caller()))
-        out = dendrogram(columns)
-        drawing = hierarchy._Columns.of(out).drawing
-        assert [np.asarray(c).tolist() for c in columns.drawing] == [list(c) for c in drawing]
+        if drawing is not None:
+            # the tree's own drawing is the one its columns were built with
+            assert [np.asarray(c).tolist() for c in drawing] == [list(c) for c in again._drawing]
         return out
 
     def checked_built(cls, values, labels=None):
@@ -144,10 +141,9 @@ def refereed():
 
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(padic, "_code", checked_code))
-        for module in (hierarchy, permutations):
+        for module in (hierarchy, permutations, padic):
             stack.enter_context(mock.patch.object(module, "_tree", checked_tree))
         stack.enter_context(mock.patch.object(DissimilarityMatrix, "_built", classmethod(checked_built)))
-        stack.enter_context(mock.patch.object(hierarchy._Columns, "_dendrogram", checked_dendrogram))
         for module in (baire, formats):
             stack.enter_context(mock.patch.object(module, "_baire_strings", checked_strings))
         yield seen
@@ -191,7 +187,7 @@ class TestReferee:
             ("_tree", "hierarchy", "swap_children"), ("_tree", "hierarchy", "canonicalize"),
             ("_tree", "hierarchy", "swap_orbit"), ("_tree", "hierarchy", "_merge_tree"),
             ("_tree", "permutations", "unpack"), ("_built", "ultrametric", "cophenetic_matrix"),
-            ("_dendrogram", "padic", "decode"), ("_code", "padic", "code"),
+            ("_tree", "hierarchy", "_drawn"), ("_code", "padic", "code"),
         }
 
     @settings(max_examples=200, deadline=None)
@@ -246,8 +242,7 @@ class TestReferee:
             pool = [rng.random() for _ in range(3)]  # some reals are equal
             reals = digitize_reals([rng.choice(pool) for _ in range(n)], width, base)
             baire_cluster(reals)
-        expected = {("_tree", "hierarchy", "_dendrogram"), ("_dendrogram", "baire", "baire_cluster"),
-                    ("_baire_strings", "baire", "digitize_reals")}
+        expected = {("_tree", "hierarchy", "_drawn"), ("_baire_strings", "baire", "digitize_reals")}
         if base <= 36:
             expected |= {("_baire_strings", "formats", "read_strings"), ("_baire_strings", "baire", "_strings_of")}
         assert seen == expected
@@ -261,4 +256,35 @@ class TestReferee:
             baire_cluster(formats.read_strings("a,0123\nb,01\nc,3\n", 4))
             assert len(baire._prefix_tree(4, *formats._read_digits("a,0123\nb,01\n", 4)).strings) == 2
             baire_cluster(digitize_reals([0.25, 0.5, 0.125], 4, 40))
+            decode(encode_dendrogram(Dendrogram(("a",), ())))  # one terminal: read column by column
         assert seen == CALL_SITES
+
+
+def test_no_tree_verb_makes_the_merge_nodes(tmp_path, capsys):
+    """Each tree verb exits 0 with the maker of the ``nodes`` view raising:
+    the verbs read and write the columns alone."""
+    from dendrocode import cli
+
+    def path(name: str) -> str:
+        return str(tmp_path / name)
+
+    assert cli.main(["gen-cloud", "-n", "12", "--dim", "2", "--seed", "3", "-o", path("data.csv")]) == 0
+    (tmp_path / "strings.txt").write_text("a,0123\nb,01\nc,3\nd,0123\n")
+    runs = [
+        ["cluster", path("data.csv"), "--newick", path("tree.nwk"), "-o", path("tree.json")],
+        ["cophenetic", path("tree.json"), "-o", path("um.csv")],
+        ["padic-encode", path("tree.json"), "--decimals", path("codes.csv"), "-o", path("enc.json")],
+        ["padic-decode", path("enc.json"), "-o", path("decoded.json")],
+        ["packed", path("tree.json"), "-o", path("perm.txt")],
+        ["unpack", path("perm.txt"), "--file", "-o", path("unpacked.json")],
+        ["enumerate-nlr", "-n", "5", "--trees-out", path("shapes.json")],
+        ["haar", path("data.csv"), "-o", path("wt.csv")],
+        ["haar-inverse", path("wt.csv"), "-o", path("back.csv")],
+        ["haar-denoise", path("wt.csv"), "--epsilon", "0.1", "-o", path("smooth.csv")],
+        ["render", path("tree.json"), "-o", path("tree.txt")],
+        ["baire-cluster", path("strings.txt"), "--base", "4", "--newick", path("trie.nwk"),
+         "--trie-out", path("trie.txt"), "-o", path("trie.json")],
+    ]
+    with mock.patch.object(Dendrogram.nodes, "make", side_effect=AssertionError("nodes made")):
+        for argv in runs:
+            assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
