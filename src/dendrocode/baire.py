@@ -255,10 +255,17 @@ class PrefixHierarchy:
     lcp: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # the public constructor: the digit array of the fields it was given
+        # the public constructor: the digit array of the fields it was
+        # given, which must be the strings' own labels, order and lcp
+        _require_one_base(self.strings, self.base)
+        if len(self.labels) != len(self.strings):
+            raise DomainError(f"expected {len(self.strings)} labels, got {len(self.labels)}")
         codes, lengths = _digit_array([s.digits for s in self.strings], self.base)
-        self._hold([s.label for s in self.strings], codes, lengths,
-                   np.array(self.order, dtype=np.intp), np.array(self.lcp, dtype=np.intp))
+        order, lcp = _prefix_order(codes, lengths)
+        if list(self.order) != order.tolist() or list(self.lcp) != lcp.tolist():
+            raise DomainError("order and lcp must be the strings' digit order and its "
+                              "common-prefix lengths")
+        self._hold([s.label for s in self.strings], codes, lengths, order, lcp)
 
     def _hold(self, tags: Sequence[str | None], codes: np.ndarray, lengths: np.ndarray,
               order: np.ndarray, lcp: np.ndarray) -> PrefixHierarchy:
@@ -542,6 +549,16 @@ def _prefix_tree(base: int, tags: Sequence[str | None], codes: np.ndarray, lengt
     return hierarchy._hold(tags, codes, lengths, order, lcp)
 
 
+def _require_one_base(strings: Sequence[BaireString], base: int | None) -> int:
+    """``base``, when ``strings`` are at least one and all in it; else one
+    ``DendrocodeError``."""
+    if not strings:
+        raise DegenerateInputError("need at least one string")
+    if any(s.base != base for s in strings):
+        raise DomainError("all strings must share one base")
+    return base
+
+
 def baire_cluster(
     strings: Sequence[BaireString],
 ) -> tuple[PrefixHierarchy, Dendrogram]:
@@ -556,12 +573,7 @@ def baire_cluster(
     digit array they read, without ``BaireString`` or ``MergeNode``
     objects.
     """
-    if not strings:
-        raise DegenerateInputError("need at least one string")
-    base = strings[0].base
-    for s in strings[1:]:
-        if s.base != base:
-            raise DomainError("all strings must share one base")
+    base = _require_one_base(strings, strings[0].base if strings else None)
     codes, lengths = _digit_array([s.digits for s in strings], base)
     hierarchy = _prefix_tree(base, [s.label for s in strings], codes, lengths, tuple(strings))
     return hierarchy, hierarchy._tree_columns()

@@ -27,8 +27,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
-import numpy as np
-
 from . import errors, formats
 from .baire import _prefix_tree
 from .errors import _TABLE_GUARD, DendrocodeError, DomainError, ParseError, ResourceGuardError
@@ -253,12 +251,11 @@ def _cmd_cluster(args):
 def _cmd_cophenetic(args):
     tree = _load_tree(args.tree)
     # the cophenetic matrix as the rank table of the drawing, each rank
-    # mapped to its node's height and 0 to 0.0: the text of
-    # write_matrix_csv(cophenetic_matrix(tree)), sized from the tree first
-    order, gap, _, _ = tree._drawing
+    # mapped to its node's height and 0 to 0.0, sized from the tree first:
+    # the bytes of _matrix_chunks(cophenetic_matrix(tree))
     heights = [0.0, *map(float, tree.heights())]
-    yield args.output, _level_table(tree.labels, np.argsort(order), np.argsort(gap) + 1,
-                                    heights.__getitem__, args.full_precision)
+    yield args.output, _level_table(tree.labels, *tree._level_gaps(), heights.__getitem__,
+                                    args.full_precision)
 
 
 def _level_table(labels, pos, gaps, value, full_precision=False):

@@ -275,17 +275,11 @@ def read_matrix_csv(text: str) -> DissimilarityMatrix:
     return DissimilarityMatrix(table.values, table.labels)
 
 
-def write_matrix_csv(
-    m: DissimilarityMatrix, full_precision: bool = False
-) -> str:
-    """Labelled square float table: the text of ``_matrix_chunks``."""
-    return "".join(_matrix_chunks(m, full_precision))
-
-
 def _matrix_chunks(m: DissimilarityMatrix, full_precision: bool = False) -> Iterator[str]:
-    """``write_matrix_csv`` text, through ``_level_table_chunks`` with each
-    cell's bit pattern as its level: each distinct float is formatted once,
-    -0.0 apart from 0.0, and the table guard covers the text."""
+    """The labelled square float table of ``m``, as the pieces of
+    ``_level_table_chunks`` with each cell's bit pattern as its level: each
+    distinct float is formatted once, -0.0 apart from 0.0, and the table
+    guard covers the output."""
 
     def value(bits: int) -> float:
         return float(np.int64(bits).view(np.float64))
@@ -335,15 +329,10 @@ def _dumps(doc, indent: int | None = None, separators: tuple[str, str] | None = 
         ) from None
 
 
-def tree_to_json(tree: Dendrogram) -> str:
-    """The tree as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"n",
-    "labels", "nodes"}``: the text of ``_tree_json_chunks``."""
-    return "".join(_tree_json_chunks(tree))
-
-
 def _tree_json_chunks(tree: Dendrogram) -> Iterator[str]:
-    """``tree_to_json`` text of a tree's columns, one piece per node
-    record, led by its separator (the header before the first).  ``json``
+    """The tree JSON of a tree's columns, ``json.dumps(doc, indent=2) +
+    "\\n"`` of ``{"n", "labels", "nodes"}``, one piece per node record,
+    led by its separator (the header before the first).  ``json``
     indents through its pure-Python encoder, so the header's label list
     goes through the C encoder with the separator ``indent=2`` puts between
     its items, and each node is written as one string in the same layout:
@@ -401,8 +390,9 @@ def _json_height(value) -> float:
 
 
 def tree_from_json(text: str) -> Dendrogram:
-    """Read ``tree_to_json`` text strictly: ``labels`` are strings, ``n``
-    and each ``rank`` JSON integers and each ``height`` a JSON number."""
+    """Read tree JSON (``_tree_json_chunks``) strictly: ``labels`` are
+    strings, ``n`` and each ``rank`` JSON integers and each ``height`` a
+    JSON number."""
     doc = _load_json(text)
     try:
         labels, raw_nodes = doc["labels"], doc["nodes"]
@@ -435,19 +425,16 @@ def tree_from_json(text: str) -> Dendrogram:
 _NEWICK_RESERVED = re.compile(r"[\s()\[\]':;,]")
 
 
-def tree_to_newick(tree: Dendrogram, full_precision: bool = False) -> str:
-    """Newick text with branch lengths = parent height - child height
-    (terminals sit at height 0); the root carries its height as a comment.
-    Each whitespace or Newick-reserved character (``()[]':;,``) of a label
-    is written as ``_``.  The text of ``_newick_chunks``."""
-    return "".join(_newick_chunks(tree, full_precision))
-
-
 def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[str]:
-    """``tree_to_newick`` text of a tree's columns, one piece per terminal
-    of the drawing: the parentheses of the subtrees that start there, its
-    label and branch, the closing tokens of the subtrees that end there in
-    rank order, and the comma before the next terminal.
+    """Newick of a tree's columns, with branch lengths = parent height -
+    child height (terminals sit at height 0); the root carries its height
+    as a comment.  Each whitespace or Newick-reserved character
+    (``()[]':;,``) of a label is written as ``_``.
+
+    One piece per terminal of the drawing: the parentheses of the subtrees
+    that start there, its label and branch, the closing tokens of the
+    subtrees that end there in rank order, and the comma before the next
+    terminal.
 
     A terminal's parent, and a subtree's, is the lower rank of the two gaps
     that bound it in the drawing, so every branch is read off the gap
@@ -481,17 +468,10 @@ def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
            f"[height={fmt_float(heights[level[n - 2]], full_precision)}];\n")
 
 
-def haar_to_csv(t: HaarTransform, coord_names: Sequence[str] | None = None,
-                full_precision: bool = False) -> str:
-    """Wavelet table layout: rows are coordinates, columns are the root
-    smooth s_{n-1} followed by details d_{n-1} down to d_1.  The text of
-    ``_haar_chunks``."""
-    return "".join(_haar_chunks(t, coord_names, full_precision))
-
-
 def _haar_chunks(t: HaarTransform, coord_names: Sequence[str] | None = None,
                  full_precision: bool = False) -> Iterator[str]:
-    """``haar_to_csv`` text, one piece per row."""
+    """The wavelet table, one piece per row: rows are coordinates, columns
+    are the root smooth s_{n-1} followed by details d_{n-1} down to d_1."""
     n1 = len(t.details)
     if coord_names is None:
         coord_names = tuple(f"c{i + 1}" for i in range(t.dim))
@@ -501,9 +481,9 @@ def _haar_chunks(t: HaarTransform, coord_names: Sequence[str] | None = None,
 
 
 def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str, ...]]:
-    """Read ``haar_to_csv`` text for ``tree``: the header must name the
-    tree's columns, and the coordinate rows go through the cell readers of
-    ``read_data_csv``."""
+    """Read a wavelet table (``_haar_chunks``) for ``tree``: the header
+    must name the tree's columns, and the coordinate rows go through the
+    cell readers of ``read_data_csv``."""
     n1 = tree.n - 1
     expected = ["", f"s{n1}", *(f"d{r}" for r in range(n1, 0, -1))]
     lines = _table_lines(text)
@@ -527,32 +507,22 @@ def haar_from_csv(text: str, tree: Dendrogram) -> tuple[HaarTransform, tuple[str
     return HaarTransform(tree, table[:, 0], table[:, :0:-1].T), coord_names
 
 
-def write_data_csv(
-    data: np.ndarray,
-    labels: Sequence[str] | None = None,
-    header: Sequence[str] | None = None,
-    full_precision: bool = False,
-) -> str:
-    """A float table, its rows led by ``labels`` and under ``header`` when
-    given: the text of ``_data_chunks``."""
-    return "".join(_data_chunks(data, labels, header, full_precision))
-
-
 def _data_chunks(
     data: np.ndarray,
     labels: Sequence[str] | None = None,
     header: Sequence[str] | None = None,
     full_precision: bool = False,
 ) -> Iterator[str]:
-    """``write_data_csv`` text, one piece per row."""
+    """A float table, its rows led by ``labels`` and under ``header`` when
+    given, one piece per row."""
     if header is not None:
         header = ([""] if labels is not None else []) + list(header)
     rows = (row.tolist() for row in np.atleast_2d(data))
     return _table_chunks(header, labels, rows, full_precision)
 
 
-# In ``encoding_to_json`` text each coefficient is followed by this
-# separator, bar the last, and the list then closes the document.
+# In encoding JSON (``_encoding_json_chunks``) each coefficient is followed
+# by this separator, bar the last, and the list then closes the document.
 _CELL_SEP = ",\n    "
 _C_OPEN = '"C": [\n    '
 _ENCODING_TAIL = "\n  ]\n}\n"
@@ -575,16 +545,10 @@ def _encoding_head(p: int, n: int, labels) -> str:
     return _dumps({"p": p, "n": n, "labels": list(labels), "C": []}, indent=2)
 
 
-def encoding_to_json(enc: PadicEncoding) -> str:
-    """The encoding as ``json.dumps(doc, indent=2) + "\\n"`` of ``{"p", "n",
-    "labels", "C"}``, with ``C`` the rows concatenated: the text of
-    ``_encoding_json_chunks``."""
-    return "".join(_encoding_json_chunks(enc))
-
-
 def _encoding_json_chunks(enc: PadicEncoding) -> Iterator[str]:
-    """``encoding_to_json`` text, one piece per row of coefficients after
-    the header.  ``json`` indents through its pure-Python encoder, so only
+    """The encoding JSON, ``json.dumps(doc, indent=2) + "\\n"`` of ``{"p",
+    "n", "labels", "C"}`` with ``C`` the rows concatenated, one piece per
+    row of coefficients after the header.  ``json`` indents through its pure-Python encoder, so only
     the header goes through it; the n(n-1) coefficients are written by
     ``_encoding_body``, which ends every one in ``_CELL_SEP``, so the last
     row drops its last separator."""
@@ -600,7 +564,7 @@ def _encoding_json_chunks(enc: PadicEncoding) -> Iterator[str]:
 
 def _require_encoding_within_guard(tree: Dendrogram, p: int) -> None:
     """Refuse, before its cells are built, the encoding of ``tree`` at
-    prime ``p`` whose ``encoding_to_json`` text would pass the guard; a
+    prime ``p`` whose encoding JSON would pass the guard; a
     prime that ``encode_dendrogram`` refuses is refused first.  The text is
     the header, 7 characters for each of the n(n-1) coefficients with its
     separator, bar the last separator's 6, one more for each -1, of which
@@ -614,12 +578,12 @@ def _require_encoding_within_guard(tree: Dendrogram, p: int) -> None:
 
 
 def encoding_from_json(text: str) -> PadicEncoding:
-    """Read ``encoding_to_json`` text strictly: ``p`` and ``n`` are JSON
+    """Read encoding JSON (``_encoding_json_chunks``) strictly: ``p`` and ``n`` are JSON
     integers, ``labels`` a list of strings and ``C`` a list of n(n-1)
     integers (not true or false); any other type is one ``ParseError``.
     The encoding then gets the checks of the ``PadicEncoding`` constructor.
 
-    Text that ``encoding_to_json`` writes is read at byte speed by
+    Text that ``_encoding_json_chunks`` writes is read at byte speed by
     ``_canonical_encoding``; any other text, and every error, goes through
     ``_strict_encoding``, which reads the whole document with ``json`` and
     builds the encoding through the constructor.  Both give equal
@@ -647,8 +611,8 @@ def _strict_encoding(text: str) -> PadicEncoding:
 
 
 def _canonical_encoding(text: str) -> tuple[int, tuple[str, ...], np.ndarray] | None:
-    """``(p, labels, cells)`` when ``text`` is exactly ``encoding_to_json``
-    text of n >= 2 labels, with ``cells`` the n x (n-1) int8 coefficient
+    """``(p, labels, cells)`` when ``text`` is exactly what
+    ``_encoding_json_chunks`` writes for n >= 2 labels, with ``cells`` the n x (n-1) int8 coefficient
     matrix; None on any doubt.
 
     Only the header goes through ``json``, and it must be the canonical
@@ -719,32 +683,11 @@ def _chunk_cells(chunk: bytes) -> np.ndarray | None:
     return cells
 
 
-def decimal_codes_csv(enc: PadicEncoding) -> str:
-    """``label,code`` rows of the encoding's decimal codes: the text of
-    ``_decimal_code_chunks``."""
-    return "".join(_decimal_code_chunks(enc))
-
-
 def _decimal_code_chunks(enc: PadicEncoding) -> Iterator[str]:
-    """``decimal_codes_csv`` text, one piece per row."""
+    """``label,code`` rows of the encoding's decimal codes, one piece per
+    row."""
     codes = ([code] for code in enc.decimal_codes())
     return _table_chunks(["label", "code"], enc.labels, codes)
-
-
-def level_table_csv(
-    labels: Sequence[str],
-    levels: np.ndarray,
-    value: Callable[[int], object],
-    full_precision: bool = False,
-) -> str:
-    """Labelled square table whose cell (i, k) is ``value(levels[i, k])``.
-
-    Every ultrametric table is an integer level per pair (the level of the
-    two terminals' lowest common ancestor) mapped to a number, so each
-    distinct level is formatted once, by ``_cell``; a float matrix passes
-    its cells' bit patterns as levels.  The text the table would take is
-    summed before it is built: past 1 GiB it is a ``ResourceGuardError``."""
-    return "".join(_level_table_chunks(labels, *_dense_levels(levels, value), full_precision))
 
 
 def _dense_levels(
@@ -767,12 +710,18 @@ def _level_table_chunks(
     value: Callable[[int], object],
     full_precision: bool = False,
 ) -> Iterator[str]:
-    """``level_table_csv`` as pieces, given ``counts``, the number of cells
-    of each level, and ``levels``, which builds the table's rows: the guard
-    is checked on the text the counts give before ``levels`` is called, so
-    a table past it is never built.  Levels are small nonnegative ints
-    (gap levels, or ``_dense_levels``): each row is one gather of the
-    levels' texts, joined."""
+    """The labelled square table whose cell (i, k) is ``value`` of level
+    (i, k), one piece per row, given ``counts``, the number of cells of
+    each level, and ``levels``, which builds the table's rows.
+
+    Every ultrametric table is an integer level per pair (the level of the
+    two terminals' lowest common ancestor) mapped to a number, so each
+    distinct level is formatted once, by ``_cell``; a float matrix passes
+    its cells' bit patterns as levels (``_matrix_chunks``).  The size of
+    the output is summed from the counts before ``levels`` is called: past
+    1 GiB it is a ``ResourceGuardError``, and the table is never built.
+    Levels are small nonnegative ints (gap levels, or ``_dense_levels``):
+    each row is one gather of the levels' texts, joined."""
     text = np.empty(max(counts, default=-1) + 1, dtype=object)
     size = 0
     for r, count in counts.items():
@@ -785,16 +734,10 @@ def _level_table_chunks(
     yield from _table_chunks(["", *labels], labels, rows)
 
 
-def violations_csv(violations: Iterable[tuple[int, int, int, float, float]],
-                   full_precision: bool = False) -> str:
-    """Violating triples as 1-based (i, j, k, lhs, rhs) rows: the text of
-    ``_violation_chunks``."""
-    return "".join(_violation_chunks(violations, full_precision))
-
-
 def _violation_chunks(violations: Iterable[tuple[int, int, int, float, float]],
                       full_precision: bool = False) -> Iterator[str]:
-    """``violations_csv`` text, one piece per row.  Each distinct lhs and
+    """Violating triples as 1-based (i, j, k, lhs, rhs) rows under a
+    header, one piece per row.  Each distinct lhs and
     rhs value is formatted once, keyed by its bit pattern so that -0.0
     stays apart from 0.0; number text is never quoted, so a row is its
     cells' text joined."""

@@ -65,6 +65,7 @@ class HaarTransform:
         return int(self.root_smooth.shape[0])
 
     def detail(self, rank: int) -> np.ndarray:
+        self.tree._check_rank(rank)
         return self.details[rank - 1]
 
 

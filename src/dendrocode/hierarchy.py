@@ -181,6 +181,13 @@ class Dendrogram:
         """Left-to-right terminal indices of the stored drawing."""
         return tuple(np.asarray(self._drawing[0]).tolist())
 
+    def _level_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each terminal's drawing position, and the rank that joins each
+        gap between positions: ``gap_levels`` of the two is the rank of
+        each two terminals' lowest common ancestor, 0 on the diagonal."""
+        order, gap, _, _ = self._drawing
+        return np.argsort(order), np.argsort(gap) + 1
+
     def _children(self) -> tuple[list[int], list[int]]:
         """The left and the right child codes, as new lists of ints."""
         return np.asarray(self._left).tolist(), np.asarray(self._right).tolist()

@@ -59,8 +59,7 @@ def cophenetic_matrix(tree: Dendrogram) -> UltrametricMatrix:
     of the stored heights, so for monotone trees the result passes
     ``verify_ultrametric`` at tolerance 0.
     """
-    order, gap, _, _ = tree._drawing
-    levels = gap_levels(np.argsort(order), np.argsort(gap) + 1)
+    levels = gap_levels(*tree._level_gaps())
     return UltrametricMatrix._built(np.array([0.0, *tree.heights()])[levels], tree.labels)
 
 

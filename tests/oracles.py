@@ -999,8 +999,8 @@ def ultrametricity_by_triangle_loop(m, sample, seed, tol):
 
 
 def tree_json_by_dumps(tree):
-    """``tree_to_json`` as one ``json.dumps(doc, indent=2)`` of the whole
-    document.  The package's writer before the header alone went through
+    """The tree JSON of ``_tree_json_chunks`` as one ``json.dumps(doc,
+    indent=2)`` of the whole document.  The package's writer before the header alone went through
     ``json`` and each node was written as one string."""
     import json
 
@@ -1021,14 +1021,14 @@ def tree_json_by_dumps(tree):
 
 
 # The whole-string writers that the chunked writers replaced, each building
-# its text in memory at once: ``tree_to_json``, ``tree_to_newick``,
-# ``encoding_to_json``, ``level_table_csv`` (so ``write_matrix_csv``),
-# ``render_tree`` and ``PrefixHierarchy.dump_text``.  The joined chunks of
-# each writer must equal its text byte for byte.
+# its output in memory at once: tree JSON, Newick, encoding JSON, the level
+# table (so the float matrix), ``render_tree`` and
+# ``PrefixHierarchy.dump_text``.  The joined chunks of each writer must
+# equal its string byte for byte.
 
 
 def tree_json_whole(tree):
-    """``tree_to_json``: the header through ``json``, then every node as
+    """``_tree_json_chunks`` joined: the header through ``json``, then every node as
     one string, joined at once."""
     from dendrocode.formats import _dumps, _json_number
 
@@ -1050,7 +1050,7 @@ def tree_json_whole(tree):
 
 
 def newick_whole(tree, full_precision=False):
-    """``tree_to_newick``: every part of the walk in one list, joined once."""
+    """``_newick_chunks`` joined: every part of the walk in one list, joined once."""
     import functools
     import re
 
@@ -1079,7 +1079,7 @@ def newick_whole(tree, full_precision=False):
 
 
 def encoding_json_whole(enc):
-    """``encoding_to_json``: the coefficients of all rows replaced at once,
+    """``_encoding_json_chunks`` joined: the coefficients of all rows replaced at once,
     the last separator sliced off the whole body, and the body decoded."""
     import json
 
@@ -1147,9 +1147,10 @@ def canonical_encoding_by_regeneration(text, chunk_size=1 << 20):
 
 
 def level_table_whole(labels, levels, value, full_precision=False):
-    """``level_table_csv``: each distinct level of the whole table, counted
-    by ``np.unique``, formatted once; the guard on the summed text; then
-    every row written through ``csv_table``."""
+    """``_level_table_chunks`` of ``_dense_levels`` joined: each distinct
+    level of the whole table, counted by ``np.unique``, formatted once; the
+    guard on the summed text; then every row written through
+    ``csv_table``."""
     import numpy as np
 
     from dendrocode.errors import _require_within_guard
@@ -1163,7 +1164,7 @@ def level_table_whole(labels, levels, value, full_precision=False):
 
 
 def matrix_csv_whole(m, full_precision=False):
-    """``write_matrix_csv``: ``level_table_whole`` of the cells' bit patterns."""
+    """``_matrix_chunks`` joined: ``level_table_whole`` of the cells' bit patterns."""
     import numpy as np
 
     def value(bits):

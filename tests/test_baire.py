@@ -25,7 +25,8 @@ from dendrocode.baire import (
     parse_digits,
 )
 from dendrocode.errors import DegenerateInputError, DendrocodeError, DomainError, ParseError
-from dendrocode.formats import read_strings, tree_to_json
+from dendrocode.hierarchy import Dendrogram
+from dendrocode.formats import read_strings
 from dendrocode.ultrametric import cophenetic_matrix, verify_ultrametric
 
 from oracles import (cluster_by_tuple_sort, decimal_radix_digits, digitize_floats_by_fractions,
@@ -386,7 +387,7 @@ class TestBaireCluster:
         strings = [BaireString(base, digits, name) for digits, name in drawn]
         hierarchy, tree = baire_cluster(strings)
         ref_tree, dump, node_count, depth = trie_cluster(strings)
-        assert tree_to_json(tree) == tree_to_json(ref_tree)
+        assert "".join(formats._tree_json_chunks(tree)) == "".join(formats._tree_json_chunks(ref_tree))
         assert hierarchy.dump_text() == dump
         assert (hierarchy.node_count, hierarchy.depth) == (node_count, depth)
         assert hierarchy.member_count() == len(strings)
@@ -406,8 +407,8 @@ def _clustered(read, cluster, text, base):
         hierarchy, tree = cluster(strings)
     except DendrocodeError as exc:
         return f"{exc.code}: {exc}"
-    return (strings, hierarchy.order, hierarchy.lcp, tree_to_json(tree), hierarchy.dump_text(),
-            hierarchy.levels().tolist())
+    return (strings, hierarchy.order, hierarchy.lcp, "".join(formats._tree_json_chunks(tree)),
+            hierarchy.dump_text(), hierarchy.levels().tolist())
 
 
 @st.composite
@@ -584,7 +585,39 @@ def _oracle_outputs(text: str, base: int, full_precision: bool) -> dict[str, str
             "float.csv": baire_dist_by_pairs(strings, False, full_precision)}
 
 
-class TestArrayPath:
+STEMS = (bs("12"), bs("13"), bs("2"))
+
+
+class TestPrefixHierarchyConstructor:
+    """The public constructor takes only the fields that ``baire_cluster``
+    makes of the strings; it used to take any, and the tree and the level
+    table then broke."""
+
+    def test_takes_the_strings_own_fields(self):
+        hierarchy = baire.PrefixHierarchy(10, ("s1", "s2", "s3"), STEMS, (0, 1, 2), (0, 1, 0))
+        assert hierarchy == baire_cluster(STEMS)[0]
+        tree = hierarchy._tree_columns()
+        assert Dendrogram(tree.labels, tree.nodes) == tree
+        assert hierarchy.levels().tolist() == [[-1, 1, 0], [1, -1, 0], [0, 0, -1]]
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ((10, ("a", "b", "c"), STEMS, (0, 0, 0), (0, 2, 7)), DomainError, "^order and lcp must be"),
+        ((10, ("a", "b", "c"), STEMS, (1, 0, 2), (0, 1, 0)), DomainError, "^order and lcp must be"),
+        ((10, ("a", "b", "c"), STEMS, (0, 1, 2), (0, 2, 0)), DomainError, "^order and lcp must be"),
+        ((10, ("a", "b", "c"), STEMS, (0, 1), (0, 1)), DomainError, "^order and lcp must be"),
+        ((10, ("a",), STEMS[:2], (0, 1), (0, 1)), DomainError, "^expected 2 labels, got 1$"),
+        ((10, (), (), (), ()), DegenerateInputError, "^need at least one string$"),
+        ((10, ("a", "b"), (bs("1"), bs("1", 3)), (0, 1), (0, 1)), DomainError,
+         "^all strings must share one base$"),
+        ((3, ("a",), (bs("1"),), (0,), (0,)), DomainError, "^all strings must share one base$"),
+    ], ids=["repeated-order", "unsorted-order", "wrong-lcp", "short-order", "one-label-for-two",
+            "no-string", "two-bases", "other-base"])
+    def test_refuses_fields_the_strings_do_not_give(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            baire.PrefixHierarchy(*fields)
+
+
+
     """The verbs cluster one digit array and write the tree from its
     columns; the oracles refer them, and the library's objects stay as the
     public constructors make them."""

@@ -1,10 +1,11 @@
 """Referee for the streamed writers: every large output is written as a
 generator of pieces (rows, node records, tokens, lines), which the one
 writer, ``cli._write``, joins into blocks of about ``errors._CHUNK``
-characters; each public writer returns the join of the pieces.  What the
-writer writes must equal, byte for byte, the text of the whole-string
-writer each generator replaced (``tests/oracles.py``), with blocks of the
-usual size and with blocks so small that every piece ends one.  The
+characters; a caller that wants one string joins the pieces, as
+``render_tree`` and ``PrefixHierarchy.dump_text`` do.  What the writer
+writes must equal, byte for byte, the output of the whole-string writer
+each generator replaced (``tests/oracles.py``), with blocks of the usual
+size and with blocks so small that every piece ends one.  The
 level-table verbs size their tables from the tree, so the counts they read
 off it must equal the counts of the built table."""
 
@@ -84,14 +85,12 @@ def test_blocks_join_whole_pieces_until_the_chunk_size(pieces, chunk):
 
 
 def _match_through_the_writer(chunk: int, writers: list) -> None:
-    """For each ``(pieces, text, want)``: what ``cli._write`` writes of
-    ``pieces`` with blocks of ``chunk`` characters, and ``text``, the
-    public writer's string, are both ``want``."""
+    """For each ``(pieces, want)``: what ``cli._write`` writes of
+    ``pieces`` with blocks of ``chunk`` characters is ``want``."""
     with mock.patch.object(errors, "_CHUNK", chunk):
-        written = _written(*(pieces for pieces, _, _ in writers))
-    for got, (_, text, want) in zip(written, writers):
+        written = _written(*(pieces for pieces, _ in writers))
+    for got, (_, want) in zip(written, writers):
         _same(got, want)
-        _same(text, want)
 
 
 def _verb(argv: list[str], inputs: dict[str, str]) -> tuple[int, str]:
@@ -112,18 +111,15 @@ def test_tree_writers_match_the_whole_string_writers(n, kind, seed, chunk, full_
     tree = _tree(n, kind, seed)
     enc = encode_dendrogram(tree, 3)
     m = cophenetic_matrix(tree)
+    drawing = oracles.render_whole(tree, full_precision)
     _match_through_the_writer(chunk, [
-        (formats._tree_json_chunks(tree), formats.tree_to_json(tree),
-         oracles.tree_json_whole(tree)),
-        (formats._newick_chunks(tree, full_precision), formats.tree_to_newick(tree, full_precision),
-         oracles.newick_whole(tree, full_precision)),
-        (_render_chunks(tree, full_precision), render_tree(tree, full_precision),
-         oracles.render_whole(tree, full_precision)),
-        (formats._encoding_json_chunks(enc), formats.encoding_to_json(enc),
-         oracles.encoding_json_whole(enc)),
-        (formats._matrix_chunks(m, full_precision), formats.write_matrix_csv(m, full_precision),
-         oracles.matrix_csv_whole(m, full_precision)),
+        (formats._tree_json_chunks(tree), oracles.tree_json_whole(tree)),
+        (formats._newick_chunks(tree, full_precision), oracles.newick_whole(tree, full_precision)),
+        (_render_chunks(tree, full_precision), drawing),
+        (formats._encoding_json_chunks(enc), oracles.encoding_json_whole(enc)),
+        (formats._matrix_chunks(m, full_precision), oracles.matrix_csv_whole(m, full_precision)),
     ])
+    _same(render_tree(tree, full_precision), drawing)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,10 +133,11 @@ def test_level_table_verbs_match_the_whole_tables(n, kind, seed, chunk, full_pre
     precision = ["--full-precision"] if full_precision else []
     with mock.patch.object(errors, "_CHUNK", chunk):
         code, text = _verb(["cophenetic", "tree", "-o", "out", *precision],
-                           {"tree": formats.tree_to_json(tree)})
+                           {"tree": "".join(formats._tree_json_chunks(tree))})
         assert code == 0
         _same(text, oracles.matrix_csv_whole(cophenetic_matrix(tree), full_precision))
-        code, text = _verb(["padic-dist", "enc", "-o", "out"], {"enc": formats.encoding_to_json(enc)})
+        code, text = _verb(["padic-dist", "enc", "-o", "out"],
+                           {"enc": "".join(formats._encoding_json_chunks(enc))})
         rows = [[oracles.exact_text(d) for d in row] for row in oracles.padic_table(enc)]
         assert code == 0
         _same(text, oracles.csv_table(["", *enc.labels], enc.labels, rows))
@@ -151,7 +148,8 @@ def test_level_table_verbs_match_the_whole_tables(n, kind, seed, chunk, full_pre
 def test_cophenetic_past_one_byte_of_ranks(n, kind, rng):
     """Ranks past 255 take a two-byte table."""
     tree = make_tree(n, kind, rng)
-    code, text = _verb(["cophenetic", "tree", "-o", "out"], {"tree": formats.tree_to_json(tree)})
+    code, text = _verb(["cophenetic", "tree", "-o", "out"],
+                       {"tree": "".join(formats._tree_json_chunks(tree))})
     assert code == 0
     _same(text, oracles.matrix_csv_whole(cophenetic_matrix(tree)))
 
@@ -167,12 +165,13 @@ def test_prefix_trees_match_the_whole_string_writers(base, n, width, seed, chunk
     strings = [BaireString(base, tuple(rng.choice(stems)[: rng.randint(1, width)]),
                            rng.choice(["a", "b", None])) for _ in range(n)]
     hierarchy, tree = baire_cluster(strings)
+    dump = oracles.dump_whole(hierarchy)
     _match_through_the_writer(chunk, [
-        (hierarchy._dump_chunks(), hierarchy.dump_text(), oracles.dump_whole(hierarchy)),
-        (formats._tree_json_chunks(hierarchy._tree_columns()), formats.tree_to_json(tree),
-         oracles.tree_json_whole(tree)),
-        (formats._newick_chunks(hierarchy._tree_columns()), formats.tree_to_newick(tree), oracles.newick_whole(tree)),
+        (hierarchy._dump_chunks(), dump),
+        (formats._tree_json_chunks(hierarchy._tree_columns()), oracles.tree_json_whole(tree)),
+        (formats._newick_chunks(hierarchy._tree_columns()), oracles.newick_whole(tree)),
     ])
+    _same(hierarchy.dump_text(), dump)
     pos, gaps = hierarchy._level_gaps()
     assert gap_counts(pos, gaps) == _counts(gap_levels(pos, gaps))
 
@@ -229,8 +228,8 @@ def test_level_tables_are_sized_before_they_are_built(verb, rng, capsys):
     """Past the guard, each level-table verb is one E_RESOURCE line and
     writes nothing; the table builder is never called."""
     tree = make_tree(30, "random", rng)
-    inputs = {"cophenetic": formats.tree_to_json(tree),
-              "padic-dist": formats.encoding_to_json(encode_dendrogram(tree, 3)),
+    inputs = {"cophenetic": "".join(formats._tree_json_chunks(tree)),
+              "padic-dist": "".join(formats._encoding_json_chunks(encode_dendrogram(tree, 3))),
               "baire-dist": "".join(f"s{i},{i:05d}\n" for i in range(30))}
     with (mock.patch("dendrocode.errors._TABLE_GUARD", 100),
           mock.patch("dendrocode.cli.gap_levels", side_effect=AssertionError)):
@@ -263,12 +262,12 @@ def test_tree_verbs_write_the_whole_string_bytes(n, kind, tmp_path):
     tree = _tree(n, kind, n)
     enc = encode_dendrogram(tree, 3)
     perm = packed_representation(tree)
-    written = {"enc.json": formats.encoding_to_json(enc), "perm.txt": perm.text()}
+    written = {"enc.json": "".join(formats._encoding_json_chunks(enc)), "perm.txt": perm.text()}
     runs = {"decoded.json": (["padic-decode", "enc.json"], oracles.tree_json_whole(decode(enc))),
             "unpacked.json": (["unpack", "--file", "perm.txt"], oracles.tree_json_whole(unpack(perm)))}
     if n > 1:  # the data verbs need two observations
         data, linkage = _data(n, kind)
-        written["data.csv"] = formats.write_data_csv(data, full_precision=True)
+        written["data.csv"] = "".join(formats._data_chunks(data, full_precision=True))
         built = agglomerate(pairwise_distances(data), linkage)
         median = agglomerate(pairwise_distances(data), "median")
         runs["cluster.json"] = (["cluster", "data.csv", "--linkage", linkage, "--newick", "cluster.nwk"],

@@ -116,10 +116,10 @@ class TestVerifyAndCanonical:
         assert out.strip() == "i,j,k,lhs,rhs"
 
     def test_raw_distances_fail_with_diagnostic(self, tmp_path, iris_csv, capsys):
-        m = formats.write_matrix_csv(
+        m = "".join(formats._matrix_chunks(
             __import__("dendrocode").pairwise_distances(IRIS8, labels=IRIS_LABELS8),
             full_precision=True,
-        )
+        ))
         path = tmp_path / "raw.csv"
         path.write_text(m)
         code, out, err = run(capsys, "verify-um", str(path))
@@ -227,7 +227,8 @@ class TestPadicVerbs:
             labels = tuple(f"t{i + 1}" for i in range(n))
             if n == 5:  # labels that CSV must quote
                 labels = ("a,b", 'say "hi"', " lead", "new\nline", "plain")
-            text = formats.encoding_to_json(encode_dendrogram(Dendrogram(labels, tree.nodes), 5))
+            enc = encode_dendrogram(Dendrogram(labels, tree.nodes), 5)
+            text = "".join(formats._encoding_json_chunks(enc))
             texts.append(text)
         path = tmp_path / "enc.json"
         for text in texts:
@@ -450,7 +451,7 @@ class TestHaarVerbs:
     @pytest.fixture
     def wavelet_tree(self, tmp_path):
         tree = tmp_path / "tree.json"
-        tree.write_text(formats.tree_to_json(random_tree(3, random.Random(7))))
+        tree.write_text("".join(formats._tree_json_chunks(random_tree(3, random.Random(7)))))
         return tree
 
     @pytest.mark.parametrize("verb", [["haar-inverse"], ["haar-denoise", "--epsilon", "0.1"]])
@@ -484,7 +485,7 @@ class TestExactCellsPastTheDigitLimit:
 
     def test_padic_encode_decimals(self, tmp_path, capsys):
         tree = tmp_path / "tree.json"
-        tree.write_text(formats.tree_to_json(caterpillar(800, "left")))
+        tree.write_text("".join(formats._tree_json_chunks(caterpillar(800, "left"))))
         enc_path, codes = tmp_path / "enc.json", tmp_path / "codes.csv"
         code, _, err = run(capsys, "padic-encode", str(tree), "-p", "1000003",
                            "-o", str(enc_path), "--decimals", str(codes))
@@ -514,7 +515,7 @@ class TestExactCellsPastTheDigitLimit:
     def test_padic_dist_table_past_the_guard(self, tmp_path, capsys):
         # 1 - 1/p^r at p = 1000003 over an 800-leaf caterpillar: about 4 GB of text
         tree = tmp_path / "tree.json"
-        tree.write_text(formats.tree_to_json(caterpillar(800, "left")))
+        tree.write_text("".join(formats._tree_json_chunks(caterpillar(800, "left"))))
         enc_path = tmp_path / "enc.json"
         run(capsys, "padic-encode", str(tree), "-p", "1000003", "-o", str(enc_path))
         code, out, err = run(capsys, "padic-dist", str(enc_path))

@@ -556,9 +556,9 @@ def test_the_encoding_is_sized_before_its_cells_are_built(tmp_path, capsys, kind
     """``padic-encode`` refuses an encoding whose text would pass the guard
     before ``encode_dendrogram`` runs; the size it gives is the text's."""
     tree = make_tree(23, kind, random.Random(23))
-    (tmp_path / "tree.json").write_text(formats.tree_to_json(tree))
+    (tmp_path / "tree.json").write_text("".join(formats._tree_json_chunks(tree)))
     out = tmp_path / "enc.json"
-    size = len(formats.encoding_to_json(encode_dendrogram(tree, 5)).encode())
+    size = len("".join(formats._encoding_json_chunks(encode_dendrogram(tree, 5))).encode())
     argv = ["padic-encode", str(tmp_path / "tree.json"), "-p", "5", "-o", str(out)]
     with mock.patch.object(errors, "_TABLE_GUARD", size):
         assert _run(capsys, argv) == (0, "")
@@ -709,7 +709,7 @@ def test_stdout_is_spooled_whole_past_the_memory_spool(tmp_path, capsys):
         code = main(["baire-cluster", str(tmp_path / "s.txt"), "--trie-out", "-"])
     hierarchy, tree = baire_cluster(formats.read_strings(text, 10))
     assert code == 0
-    assert capsys.readouterr().out == formats.tree_to_json(tree) + hierarchy.dump_text()
+    assert capsys.readouterr().out == "".join(formats._tree_json_chunks(tree)) + hierarchy.dump_text()
 
 
 # Every numeric flag of every verb: the verb's argv up to the flag (input

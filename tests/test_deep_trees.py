@@ -62,7 +62,7 @@ class TestDeepCaterpillar:
 
     def test_newick(self, deep):
         lean, tree = deep
-        assert formats.tree_to_newick(tree) == caterpillar_newick(DEEP, lean)
+        assert "".join(formats._newick_chunks(tree)) == caterpillar_newick(DEEP, lean)
 
     def test_packed_unpack_round_trip(self, deep):
         _, tree = deep
@@ -111,10 +111,10 @@ def deep_files(tmp_path_factory):
     tree = caterpillar(CLI_DEEP, "right")
     data = integer_haar_data(CLI_DEEP)
     tree_path = root / "tree.json"
-    tree_path.write_text(formats.tree_to_json(tree))
+    tree_path.write_text("".join(formats._tree_json_chunks(tree)))
     wt_path = root / "wt.csv"
-    wt_path.write_text(formats.haar_to_csv(haar_forward(tree, data), full_precision=True))
-    (root / "wt.csv.tree.json").write_text(formats.tree_to_json(tree))
+    wt_path.write_text("".join(formats._haar_chunks(haar_forward(tree, data), full_precision=True)))
+    (root / "wt.csv.tree.json").write_text("".join(formats._tree_json_chunks(tree)))
     return root, tree, data
 
 
@@ -132,7 +132,7 @@ class TestDeepCli:
         root, tree, data = deep_files
         code, out, err = run(capsys, "haar-inverse", str(root / "wt.csv"), "--full-precision")
         assert code == 0 and err == ""
-        assert out == formats.write_data_csv(data, tree.labels, ("c1", "c2"), full_precision=True)
+        assert out == "".join(formats._data_chunks(data, tree.labels, ("c1", "c2"), full_precision=True))
 
     def test_haar_denoise(self, deep_files, capsys):
         root, tree, _ = deep_files
@@ -189,7 +189,7 @@ class TestDeepPadic:
         else:
             tree = random_tree(CLI_DEEP, random.Random(7), heights="rank")
         tree_path, enc_path, codes_path = tmp_path / "tree.json", tmp_path / "enc.json", tmp_path / "codes.csv"
-        tree_path.write_text(formats.tree_to_json(tree))
+        tree_path.write_text("".join(formats._tree_json_chunks(tree)))
         code, out, err = run(capsys, "padic-encode", str(tree_path), "-o", str(enc_path),
                              "--decimals", str(codes_path))
         assert (code, out, err) == (0, "", "")
@@ -207,13 +207,14 @@ class TestDeepPadic:
         n = 400
         tree = random_tree(n, random.Random(8), heights="rank")
         path = tmp_path / "enc.json"
-        path.write_text(formats.encoding_to_json(encode_dendrogram(tree, 3)))
+        path.write_text("".join(formats._encoding_json_chunks(encode_dendrogram(tree, 3))))
         code, out, err = run(capsys, "padic-dist", str(path))
         assert code == 0 and err == ""
         # with rank heights the cophenetic matrix holds the rank of each
         # lowest common ancestor
         ranks = cophenetic_matrix(tree).values.astype(int)
-        assert out == formats.level_table_csv(tree.labels, ranks, lambda r: 1 - Fraction(1, 3**r))
+        dense = formats._dense_levels(ranks, lambda r: 1 - Fraction(1, 3**r))
+        assert out == "".join(formats._level_table_chunks(tree.labels, *dense))
 
     def test_decoding_in_bounded_memory(self):
         """The canonical reader holds the int8 matrix and about 1 MB of text
@@ -221,7 +222,7 @@ class TestDeepPadic:
         half the text's length.  ``json.loads`` of the whole text built a
         list of its 2,247,000 coefficients, past the text's length."""
         tree = caterpillar(1500, "left")
-        text = formats.encoding_to_json(encode_dendrogram(tree, 3))
+        text = "".join(formats._encoding_json_chunks(encode_dendrogram(tree, 3)))
         tracemalloc.start()
         try:
             back = decode(formats.encoding_from_json(text))

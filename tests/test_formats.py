@@ -116,14 +116,14 @@ class TestDataCsv:
 class TestMatrixCsv:
     def test_round_trip(self):
         m = pairwise_distances(IRIS8, labels=IRIS_LABELS8)
-        text = formats.write_matrix_csv(m, full_precision=True)
+        text = "".join(formats._matrix_chunks(m, full_precision=True))
         back = formats.read_matrix_csv(text)
         assert back.labels == IRIS_LABELS8
         assert np.array_equal(back.values, m.values)
 
     def test_seven_digit_default(self):
         m = DissimilarityMatrix(np.array([[0.0, 0.24494897], [0.24494897, 0.0]]))
-        text = formats.write_matrix_csv(m)
+        text = "".join(formats._matrix_chunks(m))
         assert "0.244949" in text
 
 
@@ -131,18 +131,18 @@ class TestTreeJson:
     def test_round_trip(self, rng):
         for n in (1, 2, 7, 12):
             tree = random_tree(n, rng) if n > 1 else Dendrogram(("solo",), ())
-            back = formats.tree_from_json(formats.tree_to_json(tree))
+            back = formats.tree_from_json("".join(formats._tree_json_chunks(tree)))
             assert back == tree
 
     def test_child_tokens_are_one_based(self):
         tree = Dendrogram(("a", "b"), (MergeNode(1, 2.0, terminal(0), terminal(1)),))
-        doc = json.loads(formats.tree_to_json(tree))
+        doc = json.loads("".join(formats._tree_json_chunks(tree)))
         assert doc["nodes"][0]["left"] == "t1"
         assert doc["nodes"][0]["right"] == "t2"
 
     def test_heights_survive_exactly(self, rng):
         tree = random_tree(9, rng)
-        back = formats.tree_from_json(formats.tree_to_json(tree))
+        back = formats.tree_from_json("".join(formats._tree_json_chunks(tree)))
         assert back.heights() == tree.heights()
 
     def test_bad_json_reports_location(self):
@@ -199,22 +199,22 @@ class TestTreeJson:
 class TestNewick:
     def test_two_leaves(self):
         tree = Dendrogram(("a", "b"), (MergeNode(1, 2.0, terminal(0), terminal(1)),))
-        assert formats.tree_to_newick(tree) == "(a:2,b:2)[height=2];\n"
+        assert "".join(formats._newick_chunks(tree)) == "(a:2,b:2)[height=2];\n"
 
     def test_nested_branch_lengths(self, rng):
         tree = random_tree(6, rng, heights="monotone")
-        text = formats.tree_to_newick(tree)
+        text = "".join(formats._newick_chunks(tree))
         assert text.count("(") == 5
         assert text.endswith(";\n")
 
     def test_single_leaf(self):
-        assert formats.tree_to_newick(Dendrogram(("x",), ())) == "x;\n"
+        assert "".join(formats._newick_chunks(Dendrogram(("x",), ()))) == "x;\n"
 
     @pytest.mark.parametrize("ch", [" ", "\t", "\n", "\r", "\u00a0", "(", ")", "[", "]", "'", ":", ";", ","])
     def test_reserved_characters_become_underscores(self, ch):
         tree = Dendrogram((f"a{ch}b", ch), (MergeNode(1, 2.0, terminal(0), terminal(1)),))
-        assert formats.tree_to_newick(tree) == "(a_b:2,_:2)[height=2];\n"
-        assert formats.tree_to_newick(Dendrogram((f"{ch}x",), ())) == "_x;\n"
+        assert "".join(formats._newick_chunks(tree)) == "(a_b:2,_:2)[height=2];\n"
+        assert "".join(formats._newick_chunks(Dendrogram((f"{ch}x",), ()))) == "_x;\n"
 
     def test_labels_cannot_end_the_tree_or_open_a_comment(self):
         labels = ("a:b", "c;d", "e[1]", "f'g")
@@ -223,7 +223,7 @@ class TestNewick:
             MergeNode(2, 1.0, terminal(2), terminal(3)),
             MergeNode(3, 3.0, internal(1), internal(2)),
         )
-        assert formats.tree_to_newick(Dendrogram(labels, nodes)) == (
+        assert "".join(formats._newick_chunks(Dendrogram(labels, nodes))) == (
             "((a_b:1,c_d:1):2,(e_1_:1,f_g:1):2)[height=3];\n"
         )
 
@@ -233,7 +233,7 @@ class TestHaarCsv:
         tree = random_tree(7, rng)
         data = np.array([[rng.uniform(-5, 5) for _ in range(3)] for _ in range(7)])
         t = haar_forward(tree, data)
-        text = formats.haar_to_csv(t, full_precision=True)
+        text = "".join(formats._haar_chunks(t, full_precision=True))
         back, names = formats.haar_from_csv(text, tree)
         assert names == ("c1", "c2", "c3")
         assert np.array_equal(back.root_smooth, t.root_smooth)
@@ -244,13 +244,13 @@ class TestHaarCsv:
     def test_header_layout(self):
         tree = Dendrogram(("a", "b"), (MergeNode(1, 1.0, terminal(0), terminal(1)),))
         t = haar_forward(tree, np.array([[1.0], [3.0]]))
-        text = formats.haar_to_csv(t)
+        text = "".join(formats._haar_chunks(t))
         assert text.splitlines()[0] == ",s1,d1"
 
     def test_wrong_tree_rejected(self, rng):
         tree = random_tree(5, rng)
         t = haar_forward(tree, np.ones((5, 2)))
-        text = formats.haar_to_csv(t)
+        text = "".join(formats._haar_chunks(t))
         other = random_tree(6, rng)
         with pytest.raises(ParseError, match="header"):
             formats.haar_from_csv(text, other)
@@ -287,12 +287,12 @@ class TestEncodingJson:
     def test_round_trip(self, rng):
         tree = random_tree(6, rng, heights="rank")
         enc = encode_dendrogram(tree, 3)
-        back = formats.encoding_from_json(formats.encoding_to_json(enc))
+        back = formats.encoding_from_json("".join(formats._encoding_json_chunks(enc)))
         assert back == enc
 
     def test_decimal_codes_csv(self, rng):
         enc = encode_dendrogram(random_tree(4, rng, heights="rank"), 3)
-        text = formats.decimal_codes_csv(enc)
+        text = "".join(formats._decimal_code_chunks(enc))
         lines = text.strip().splitlines()
         assert lines[0] == "label,code"
         assert len(lines) == 5
@@ -313,16 +313,16 @@ class TestEncodingJson:
         tree = random_tree(len(labels), rng, heights="rank")
         enc = encode_dendrogram(Dendrogram(labels, tree.nodes), p)
         doc = {"p": p, "n": len(labels), "labels": list(labels), "C": [c for row in enc.C for c in row]}
-        assert formats.encoding_to_json(enc) == json.dumps(doc, indent=2) + "\n"
+        assert "".join(formats._encoding_json_chunks(enc)) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_bytes_equal_json_dumps_on_the_sweep(self, p, rng):
         for enc in encoding_sweep(p, rng):
             doc = {"p": p, "n": enc.n, "labels": list(enc.labels),
                    "C": [c for row in enc.C for c in row]}
-            text = formats.encoding_to_json(enc)
+            text = "".join(formats._encoding_json_chunks(enc))
             assert text == json.dumps(doc, indent=2) + "\n"
-            assert formats.encoding_to_json(formats.encoding_from_json(text)) == text
+            assert "".join(formats._encoding_json_chunks(formats.encoding_from_json(text))) == text
 
     @pytest.mark.parametrize("field, value, message", [
         ("C", [1, 1, -1, 1.5, 0, -1], "'C' must be a list of integers"),
@@ -395,9 +395,9 @@ CHUNKS = st.integers(1, 16) | st.sampled_from([64, 4096, 1 << 20])
 
 
 def mutate(enc: PadicEncoding, kind: str, at: int, byte: str) -> str:
-    """``encoding_to_json`` text of ``enc`` (n >= 2) with one token, one
+    """The encoding JSON of ``enc`` (n >= 2) with one token, one
     byte or the layout changed; ``at`` picks the place."""
-    text = formats.encoding_to_json(enc)
+    text = "".join(formats._encoding_json_chunks(enc))
     tokens = [str(c) for row in enc.C for c in row]
     head = text[: text.index('"C": [') + len('"C": ')]
     if kind in ("2", "-0", "+1", "1.0"):
@@ -446,7 +446,7 @@ class TestCanonicalEncodingReader:
     @settings(max_examples=80, deadline=None)
     @given(encodings(), CHUNKS)
     def test_canonical_text(self, enc, chunk):
-        text = formats.encoding_to_json(enc)
+        text = "".join(formats._encoding_json_chunks(enc))
         chunk = max(chunk, len(text) // 500)  # at most about 500 chunks
         with mock.patch.object(errors, "_CHUNK", chunk):
             assert (formats._canonical_encoding(text) is not None) == (enc.n >= 2)
@@ -474,7 +474,8 @@ class TestCanonicalEncodingReader:
         expected = read_outcome(strict_read, text, 1 << 20)
         assert read_outcome(formats.encoding_from_json, text, 1 << 20) == expected
         if kind in ("crlf", "no-final-newline", "duplicate-c-first"):
-            assert expected == read_outcome(strict_read, formats.encoding_to_json(enc), 1 << 20)
+            text = "".join(formats._encoding_json_chunks(enc))
+            assert expected == read_outcome(strict_read, text, 1 << 20)
         else:
             assert isinstance(expected, str)
 
@@ -488,7 +489,7 @@ class TestCanonicalEncodingReader:
         bytes that canonical text is made of and two that it never holds:
         the byte check accepts exactly the texts that regenerating each
         chunk accepted, and the reader agrees with ``json``."""
-        text = mutate_bytes(formats.encoding_to_json(enc), edits, in_body)
+        text = mutate_bytes("".join(formats._encoding_json_chunks(enc)), edits, in_body)
         with mock.patch.object(errors, "_CHUNK", chunk):
             fields = formats._canonical_encoding(text)
         assert fields_outcome(fields) == fields_outcome(canonical_encoding_by_regeneration(text, chunk))
@@ -500,7 +501,7 @@ class TestCanonicalEncodingReader:
         tree = Dendrogram(("a", "b", "c", "d"), (
             MergeNode(1, 1.0, terminal(0), terminal(1)), MergeNode(2, 2.0, terminal(2), terminal(3)),
             MergeNode(3, 3.0, internal(2), internal(1))))
-        text = formats.encoding_to_json(encode_dendrogram(tree, 3))
+        text = "".join(formats._encoding_json_chunks(encode_dendrogram(tree, 3)))
         body = range(text.index("[\n    ") + 1, len(text) - len(formats._ENCODING_TAIL) + 1)
         accepted = 0
         for at in body:
@@ -517,7 +518,7 @@ class TestCanonicalEncodingReader:
 
     def test_text_of_many_chunks(self, rng):
         enc = encode_dendrogram(random_tree(500, rng, heights="rank"), 5)
-        text = formats.encoding_to_json(enc)
+        text = "".join(formats._encoding_json_chunks(enc))
         assert len(text) > 1.5 * errors._CHUNK
         fields = formats._canonical_encoding(text)
         assert fields is not None
@@ -542,31 +543,32 @@ class TestTreeJsonWriter:
         nodes = tuple(MergeNode(node.rank, h, node.left, node.right)
                       for node, h in zip(shape.nodes, heights))
         tree = Dendrogram(labels, nodes)
-        assert formats.tree_to_json(tree) == tree_json_by_dumps(tree)
+        assert "".join(formats._tree_json_chunks(tree)) == tree_json_by_dumps(tree)
 
     @pytest.mark.parametrize("label", ["solo", "", 'say "hi"', "雪", "new\nline"])
     def test_single_terminal(self, label):
         tree = Dendrogram((label,), ())
-        assert formats.tree_to_json(tree) == tree_json_by_dumps(tree)
+        assert "".join(formats._tree_json_chunks(tree)) == tree_json_by_dumps(tree)
 
 
 def as_levels(table):
-    """An n x n table of numbers as ``level_table_csv`` arguments: cell
-    (i, k) at level n*i + k, and the value of each level."""
+    """An n x n table of numbers as ``_level_table_chunks`` arguments: cell
+    (i, k) at level n*i + k, and the value of each level (``_dense_levels``)."""
     n = len(table)
-    return np.arange(n * n, dtype=np.int64).reshape(n, n), [v for row in table for v in row].__getitem__
+    levels = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    return formats._dense_levels(levels, [v for row in table for v in row].__getitem__)
 
 
 class TestFractionMatrixCsv:
     def test_equals_writing_every_cell(self):
         labels = ("", "a,b", 'say "hi"', " lead", "new\nline", "cr\rhere", "é", "plain")
         table = [[Fraction(i - j, 3 ** (i + j)) for j in range(8)] for i in range(8)]
-        text = formats.level_table_csv(labels, *as_levels(table))
+        text = "".join(formats._level_table_chunks(labels, *as_levels(table)))
         assert text == csv_table(["", *labels], labels, table)
 
     def test_single_label(self):
         expected = csv_table(["", ""], ("",), [[Fraction(0)]])
-        assert formats.level_table_csv(("",), *as_levels([[Fraction(0)]])) == expected
+        assert "".join(formats._level_table_chunks(("",), *as_levels([[Fraction(0)]]))) == expected
 
 
 # Labels that CSV must quote (",", '"', "\n", "\r"), that it writes bare (a
@@ -599,7 +601,7 @@ class TestWriterReferee:
         m = DissimilarityMatrix(values, labels)
         names = m.label_list()
         rows = [[float_text(v, full) for v in row] for row in values]
-        assert formats.write_matrix_csv(m, full) == csv_table(["", *names], names, rows)
+        assert "".join(formats._matrix_chunks(m, full)) == csv_table(["", *names], names, rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(0, 4), st.integers(0, 4), st.booleans())
@@ -611,7 +613,7 @@ class TestWriterReferee:
         full_header = None if header is None else ([""] if labels is not None else []) + header
         rows = [[float_text(v, full) for v in row] for row in values]
         expected = csv_table(full_header, labels, rows)
-        assert formats.write_data_csv(values, labels, header, full) == expected
+        assert "".join(formats._data_chunks(values, labels, header, full)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.booleans())
@@ -625,7 +627,7 @@ class TestWriterReferee:
                 + [float_text(t.detail(r)[c], full) for r in range(n - 1, 0, -1)]
                 for c in range(m)]
         labels = names if names is not None else [f"c{c + 1}" for c in range(m)]
-        assert formats.haar_to_csv(t, names, full) == csv_table(header, labels, rows)
+        assert "".join(formats._haar_chunks(t, names, full)) == csv_table(header, labels, rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(INTS, INTS, INTS, ANY_FLOATS, ANY_FLOATS), max_size=4), st.booleans())
@@ -634,7 +636,7 @@ class TestWriterReferee:
                  float_text(lhs, full), float_text(rhs, full)]
                 for i, j, k, lhs, rhs in violations]
         expected = csv_table(["i", "j", "k", "lhs", "rhs"], None, rows)
-        assert formats.violations_csv(violations, full) == expected
+        assert "".join(formats._violation_chunks(violations, full)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.integers(1, 6), st.sampled_from([3, 5, 7]))
@@ -643,7 +645,7 @@ class TestWriterReferee:
         tree = random_tree(n, random.Random(n)) if n > 1 else Dendrogram(("x",), ())
         enc = encode_dendrogram(Dendrogram(tuple(labels), tree.nodes), p)
         rows = [[exact_text(evaluate_code(code))] for code in enc.codes()]
-        assert formats.decimal_codes_csv(enc) == csv_table(["label", "code"], labels, rows)
+        assert "".join(formats._decimal_code_chunks(enc)) == csv_table(["label", "code"], labels, rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(0, 4))
@@ -651,12 +653,12 @@ class TestWriterReferee:
         labels = data.draw(st.lists(LABELS, min_size=n, max_size=n))
         table = [data.draw(st.lists(FRACTIONS, min_size=n, max_size=n)) for _ in range(n)]
         rows = [[exact_text(v) for v in row] for row in table]
-        text = formats.level_table_csv(labels, *as_levels(table))
+        text = "".join(formats._level_table_chunks(labels, *as_levels(table)))
         assert text == csv_table(["", *labels], labels, rows)
 
     def test_labelled_rows_with_no_cells(self):
         # CSV writes a row holding only the empty label as ""
-        text = formats.write_data_csv(np.zeros((3, 0)), ["", "a,b", "c"], [])
+        text = "".join(formats._data_chunks(np.zeros((3, 0)), ["", "a,b", "c"], []))
         assert text == '""\n""\n"a,b"\nc\n'
         assert text == csv_table([""], ["", "a,b", "c"], [[], [], []])
 
@@ -680,8 +682,8 @@ def bits(values: np.ndarray):
 
 
 class TestTableRoundTrip:
-    """``write_data_csv`` and ``write_matrix_csv --full-precision`` text
-    read back bit for bit.  Plain text is read in bulk; text with a quoted
+    """Data tables and float matrices, written at full precision, read
+    back bit for bit.  Plain text is read in bulk; text with a quoted
     label, a space or non-ASCII goes through the per-cell reader."""
 
     @settings(max_examples=150, deadline=None)
@@ -691,7 +693,7 @@ class TestTableRoundTrip:
         values = values.reshape(r, c)
         labels = data.draw(names(r)) if labelled else None
         header = data.draw(names(c)) if headed else None
-        text = formats.write_data_csv(values, labels, header, full_precision=True)
+        text = "".join(formats._data_chunks(values, labels, header, full_precision=True))
         table = formats.read_data_csv(text, header=headed, labels=labelled)
         assert table.labels == (tuple(labels) if labelled else None)
         assert table.header == (tuple(header) if headed else None)
@@ -707,7 +709,7 @@ class TestTableRoundTrip:
             for j in range(i + 1, n):
                 values[i, j] = values[j, i] = data.draw(FLOATS.map(abs) | st.just(-0.0))
         labels = data.draw(names(n))
-        text = formats.write_matrix_csv(DissimilarityMatrix(values, labels), full_precision=True)
+        text = "".join(formats._matrix_chunks(DissimilarityMatrix(values, labels), full_precision=True))
         back = formats.read_matrix_csv(text)
         assert back.labels == tuple(labels)
         assert bits(back.values) == bits(values)
@@ -832,10 +834,12 @@ class TestBulkTableReferee:
         m = pairwise_distances(data, labels=[f"o{i}" for i in range(6)])
         tree = random_tree(6, rng)
         cloud = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
-        texts = [formats.write_matrix_csv(m), formats.write_matrix_csv(m, full_precision=True),
-                 formats.write_data_csv(data), formats.write_data_csv(data, full_precision=True),
-                 formats.write_data_csv(data, [f"o{i}" for i in range(6)], list("wxyz")), cloud]
-        wavelet = formats.haar_to_csv(haar_forward(tree, data), full_precision=True)
+        texts = ["".join(formats._matrix_chunks(m)),
+                 "".join(formats._matrix_chunks(m, full_precision=True)),
+                 "".join(formats._data_chunks(data)),
+                 "".join(formats._data_chunks(data, full_precision=True)),
+                 "".join(formats._data_chunks(data, [f"o{i}" for i in range(6)], list("wxyz"))), cloud]
+        wavelet = "".join(formats._haar_chunks(haar_forward(tree, data), full_precision=True))
         expected = [table_outcome(formats.read_data_csv, text, None, None, bulk=False)
                     for text in texts]
         expected_haar = table_outcome(formats.haar_from_csv, wavelet, tree, bulk=False)
@@ -933,24 +937,26 @@ class TestReportsAndViolations:
         assert doc["seed"] == 1
 
     def test_violations_csv_one_based(self):
-        text = formats.violations_csv([(0, 1, 2, 5.0, 1.0)])
+        text = "".join(formats._violation_chunks([(0, 1, 2, 5.0, 1.0)]))
         assert text.splitlines()[1] == "1,2,3,5,1"
 
     def test_violations_csv_formats_by_bit_pattern(self):
         # each distinct value is formatted once: -0.0 must not take 0.0's text
         rows = [(0, 1, 2, 0.0, -0.0), (3, 4, 5, -0.0, 0.0), (6, 7, 8, 0.1, 0.1)]
-        assert formats.violations_csv(rows, True).splitlines()[1:] == [
+        assert "".join(formats._violation_chunks(rows, True)).splitlines()[1:] == [
             "1,2,3,0.0,-0.0", "4,5,6,-0.0,0.0", "7,8,9,0.1,0.1"]
 
     def test_level_table_of_any_integer_levels(self):
         # negative and huge levels are renumbered before the row gather
         levels = np.array([[0, -5, 2**62], [-5, 0, 7], [2**62, 7, 0]])
-        text = formats.level_table_csv(("a", "b", "c"), levels, lambda r: Fraction(r, 3))
+        dense = formats._dense_levels(levels, lambda r: Fraction(r, 3))
+        text = "".join(formats._level_table_chunks(("a", "b", "c"), *dense))
         assert text.splitlines()[1:] == [f"a,0,-5/3,{2**62}/3", "b,-5/3,0,7/3", f"c,{2**62}/3,7/3,0"]
 
     def test_fraction_matrix(self):
         levels = np.array([[0, 1], [1, 0]])
-        text = formats.level_table_csv(("a", "b"), levels, [Fraction(0), Fraction(2, 3)].__getitem__)
+        dense = formats._dense_levels(levels, [Fraction(0), Fraction(2, 3)].__getitem__)
+        text = "".join(formats._level_table_chunks(("a", "b"), *dense))
         assert "2/3" in text
 
 

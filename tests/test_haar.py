@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dendrocode import formats
-from dendrocode.errors import AlignmentError, DomainError
+from dendrocode.errors import AlignmentError, DomainError, RankRangeError
 from dendrocode.haar import HaarTransform, haar_forward, haar_inverse, haar_threshold
 from dendrocode.hierarchy import (
     Dendrogram,
@@ -265,7 +265,7 @@ class TestAgainstTheReferee:
             rows = [[float_text(ref.root_smooth[c], True)]
                     + [float_text(ref.detail(r)[c], True) for r in range(tree.n - 1, 0, -1)]
                     for c in range(dim)]
-            text = formats.haar_to_csv(t, None, True)
+            text = "".join(formats._haar_chunks(t, None, True))
             assert text == csv_table(header, [f"c{c + 1}" for c in range(dim)], rows)
             back, _ = formats.haar_from_csv(text, tree)
             _assert_identical(back.root_smooth, t.root_smooth)
@@ -314,6 +314,15 @@ class TestConstructor:
         root[0] = details[0, 0] = rows[0][0] = 9.0
         assert t.root_smooth[0] == 1.0 and u.root_smooth[0] == 1.0
         assert t.detail(1)[0] == 1.0 and u.detail(1)[0] == 1.0
+
+    @pytest.mark.parametrize("rank", [-1, 0, 3, 4])
+    def test_detail_rank_out_of_range_refused(self, rank):
+        # rank 0 used to return the root's detail (rank 2), and rank 3 to
+        # raise a bare IndexError
+        t = HaarTransform(random_tree(3, random.Random(3)), [1.0], [[2.0], [3.0]])
+        with pytest.raises(RankRangeError, match=rf"^rank {rank} out of range 1\.\.2$"):
+            t.detail(rank)
+        assert t.detail(1).tolist() == [2.0] and t.detail(2).tolist() == [3.0]
 
     def test_coefficients_are_read_only(self):
         t = HaarTransform(self.TREE, self.ROOT, np.ones((3, 4)))

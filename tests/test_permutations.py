@@ -7,12 +7,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dendrocode import formats
 from dendrocode.errors import (
     DomainError,
     ResourceGuardError,
     UnrealizablePermutationError,
 )
-from dendrocode.formats import tree_to_json
 from dendrocode.hierarchy import canonicalize, member_sets, swap_children
 from dendrocode.permutations import (
     TIE_RULES,
@@ -258,7 +258,7 @@ class TestPacked:
     def test_unpack_equals_the_span_referee(self):
         def outcome(fn, perm):
             try:
-                return tree_to_json(fn(perm))
+                return "".join(formats._tree_json_chunks(fn(perm)))
             except UnrealizablePermutationError as exc:
                 return str(exc)
 

@@ -47,7 +47,7 @@ def test_peak_rss_limits_the_address_space_of_the_verb(tmp_path):
     1 MB lies below what the process already holds, so the cophenetic table
     of a 2,000-leaf caterpillar cannot be allocated: the verb is refused."""
     sys.path.insert(0, str(ROOT / "src"))
-    from dendrocode.formats import tree_to_json
+    from dendrocode import formats
     from conftest import caterpillar
 
     stream, out = tmp_path / "stream.csv", tmp_path / "ordinal.txt"
@@ -58,7 +58,7 @@ def test_peak_rss_limits_the_address_space_of_the_verb(tmp_path):
     assert out.read_bytes() == b"012 012 201 102 201\n"
     assert result.stderr.startswith("peak_rss: exit=0 ")
     tree, table = tmp_path / "tree.json", tmp_path / "table.csv"
-    tree.write_text(tree_to_json(caterpillar(2000, "left")))
+    tree.write_text("".join(formats._tree_json_chunks(caterpillar(2000, "left"))))
     result = _run(tool, "--limit-mb", "1", "cophenetic", str(tree), "-o", str(table))
     assert result.returncode == 1
     assert result.stderr.startswith("E_RESOURCE: out of memory\npeak_rss: exit=1 "), result.stderr
