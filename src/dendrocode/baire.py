@@ -21,7 +21,7 @@ import numpy as np
 
 from . import errors
 from .errors import DegenerateInputError, DomainError, ParseError, _require_at_least
-from .hierarchy import Dendrogram, _FromArrays, _drawn, gap_levels, join_gaps
+from .hierarchy import Dendrogram, _FromArrays, _joined, gap_levels
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,9 @@ class PrefixHierarchy:
 
     def __post_init__(self) -> None:
         # the public constructor: the digit array of the fields it was
-        # given, which must be the strings' own labels, order and lcp
+        # given, which must be the strings' own labels, order and lcp, all
+        # kept as tuples
+        vars(self).update(labels=tuple(self.labels), strings=tuple(self.strings))
         _require_one_base(self.strings, self.base)
         if len(self.labels) != len(self.strings):
             raise DomainError(f"expected {len(self.strings)} labels, got {len(self.labels)}")
@@ -265,6 +267,7 @@ class PrefixHierarchy:
         if list(self.order) != order.tolist() or list(self.lcp) != lcp.tolist():
             raise DomainError("order and lcp must be the strings' digit order and its "
                               "common-prefix lengths")
+        vars(self).update(order=tuple(order.tolist()), lcp=tuple(lcp.tolist()))
         self._hold([s.label for s in self.strings], codes, lengths, order, lcp)
 
     def _hold(self, tags: Sequence[str | None], codes: np.ndarray, lengths: np.ndarray,
@@ -335,14 +338,9 @@ class PrefixHierarchy:
         order, lcp = self._order, self._lcp
         # a stable sort of -lcp: deepest lcp first, equal lcps left to right
         gaps = np.argsort(-lcp[1:], kind="stable") + 1
-        lo, hi = [], []
-        for a, _, b in join_gaps(len(order), gaps.tolist()):
-            lo.append(a)
-            hi.append(b)
         level = lcp[gaps]
         heights = [1 / self.base**r for r in range(int(level.max(initial=0)) + 1)]
-        return _drawn(self.labels, heights, level, (
-            order, gaps, np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)))
+        return _joined(self.labels, heights, level, order, gaps)
 
     def dump_text(self) -> str:
         """Indented one-node-per-line rendering for inspection, in preorder

@@ -404,15 +404,14 @@ def _cmd_packed(args):
 
 
 def _parse_packed_literal(text: str) -> PackedPermutation:
+    # ASCII digits only: int would also take a sign, underscores and other scripts' digits
     body = text.strip().strip("()")
+    cells = [v.strip() for v in body.split(",") if v.strip()] if "," in body else [*body] or [""]
     try:
-        if "," in body:
-            values = [int(v) for v in body.split(",") if v.strip()]
-        elif body.isdigit():
-            values = [int(ch) for ch in body]
-        else:
+        if not all(cell.isascii() and cell.isdigit() for cell in cells):
             raise ValueError
-    except ValueError:
+        values = [int(cell) for cell in cells]
+    except ValueError:  # also a number past Python's int-to-str digit limit
         raise ParseError(f"cannot parse permutation literal {text!r}") from None
     return PackedPermutation(tuple(values))
 

@@ -34,7 +34,6 @@ from .hierarchy import (
     INTERNAL,
     MergeNode,
     TERMINAL,
-    _parents,
 )
 from .lattice import BooleanTable, Semilattice
 from .padic import PadicEncoding, _encoding_from_array, _require_encoding_prime
@@ -172,7 +171,8 @@ def read_data_csv(
 
     With ``header``/``labels`` left as None the layout is sniffed: a
     non-numeric first row is a header, a non-numeric leading column holds
-    labels.
+    labels.  A header names the value columns (``_header_names``); one of
+    another width is a ``ParseError`` naming its line.
 
     Plain text (``_table_lines``) is read in bulk by ``_bulk_table``; any
     other text, and every table the bulk path does not take, is read cell
@@ -186,11 +186,19 @@ def read_data_csv(
     body = rows[1:] if header else rows
     if not body:
         raise ParseError("no data rows")
-    header_names = None
-    if header:
-        header_names = tuple(rows[0][1:] if labels else rows[0])
     names, values = _parse_cells(body, lines[1:] if header else lines, labels)
+    header_names = _header_names(rows[0], labels, values.shape[1]) if header else None
+    if header and header_names is None:
+        raise ParseError(f"line {lines[0]}: expected {values.shape[1]} header names, got {len(rows[0])}")
     return DataTable(header_names, names, values)
+
+
+def _header_names(first: list[str], labels: bool | None, width: int) -> tuple[str, ...] | None:
+    """The names that the header row ``first`` gives ``width`` value
+    columns: all its cells, or all but the first when the rows have labels
+    and it has one cell more; None for any other width."""
+    names = first[1:] if labels and len(first) == width + 1 else first
+    return tuple(names) if len(names) == width else None
 
 
 def _bulk_table(text: str, header: bool | None, labels: bool | None) -> DataTable | None:
@@ -208,7 +216,9 @@ def _bulk_table(text: str, header: bool | None, labels: bool | None) -> DataTabl
     cells = _bulk_cells(lines[1:] if header else lines, bool(labels))
     if cells is None:
         return None
-    header_names = tuple(first[1:] if labels else first) if header else None
+    header_names = _header_names(first, labels, cells[1].shape[1]) if header else None
+    if header and header_names is None:  # the cell by cell path names the header's line
+        return None
     return DataTable(header_names, *cells)
 
 
@@ -436,22 +446,23 @@ def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
     subtrees that end there in rank order, and the comma before the next
     terminal.
 
-    A terminal's parent, and a subtree's, is the lower rank of the two gaps
-    that bound it in the drawing, so every branch is read off the gap
-    ranks; each distinct (parent level, level) pair is formatted once."""
+    Each rank's parent and each terminal's come from one scatter of the
+    child columns; each distinct (parent level, level) pair is formatted
+    once."""
     labels, n = tree.labels, len(tree.labels)
     if _NEWICK_RESERVED.search("".join(labels)):
         labels = [_NEWICK_RESERVED.sub("_", label) for label in labels]
     if n == 1:
         yield f"{labels[0]};\n"
         return
-    order, gap, lo, hi = (np.asarray(column, dtype=np.intp) for column in tree._drawing)
+    order, _, lo, hi = (np.asarray(column, dtype=np.intp) for column in tree._drawing)
     heights = tree._heights
     levels = len(heights)
-    level = np.append(np.asarray(tree._level, dtype=np.intp), 0)  # level[n - 1]: past the root
-    terminal_parent, parent = _parents(gap, lo, hi)
-    above = level[parent[:-1] - 1]  # the level of each rank's parent, the root's apart
-    pairs, pair = np.unique(above * levels + level[:-2], return_inverse=True)
+    level = np.asarray(tree._level, dtype=np.intp)
+    up = np.empty(2 * n, dtype=np.intp)  # the parent rank of rank r at r, of terminal i at ~i
+    up[np.asarray(tree._left)] = up[np.asarray(tree._right)] = np.arange(1, n)
+    above = level[up[1 : n - 1] - 1]  # the level of each rank's parent, the root's apart
+    pairs, pair = np.unique(above * levels + level[:-1], return_inverse=True)
     texts = [f"):{fmt_float(heights[p // levels] - heights[p % levels], full_precision)}"
              for p in pairs.tolist()]
     closing = [""] * n  # the closing tokens of the subtrees that end at each position
@@ -460,7 +471,7 @@ def _newick_chunks(tree: Dendrogram, full_precision: bool = False) -> Iterator[s
     closing[n - 1] += ")"
     leaf = [fmt_float(height, full_precision) for height in heights]
     pieces = zip(np.bincount(lo, minlength=n).tolist(), order.tolist(),
-                 level[terminal_parent - 1].tolist(), closing)
+                 level[up[~order] - 1].tolist(), closing)
     for opens, i, branch, close in itertools.islice(pieces, n - 1):
         yield f"{'(' * opens}{labels[i]}:{leaf[branch]}{close},"
     opens, i, branch, close = next(pieces)

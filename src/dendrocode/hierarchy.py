@@ -86,11 +86,12 @@ class Dendrogram:
     each a rank r as r, or terminal i as ``~i``.  ``_drawing`` is the
     stored drawing as four columns ``(order, gap, lo, hi)``: the terminal
     at each position, and for each rank the gap it joins and the positions
-    its subtree spans, as ``join_gaps`` yields them.  A builder that joined
-    gaps hands it in (``_drawn``); else it is read off the children on
-    first use (``_draw``).  Columns may be lists or integer arrays.
-    ``nodes`` is made from the columns on first access, so no verb makes
-    it; equality, hash and repr go through ``labels`` and ``nodes``.
+    its subtree spans, as ``join_gaps`` yields them.  A builder that joins
+    gaps (``_joined``) writes the children and the drawing as it joins;
+    else the drawing is read off the children on first use (``_draw``).
+    Columns may be lists or integer arrays.  ``nodes`` is made from the
+    columns on first access, so no verb makes it; equality, hash and repr
+    go through ``labels`` and ``nodes``.
 
     The constructor checks its input, keeps ``labels`` and ``nodes`` as
     tuples and stores their columns.  Ranks and child indices must be ints
@@ -114,29 +115,38 @@ class Dendrogram:
             )
         refs: list[Child] = []
         for k, node in enumerate(nodes, start=1):
+            if not isinstance(node, MergeNode):
+                raise DomainError(f"node q{k} is not a MergeNode: {node!r}")
             if node.rank != k:
                 raise DomainError("nodes must be ordered by rank 1..n-1")
             height = node.height
             if type(height) not in (int, float, np.float64) or not 0.0 <= height <= sys.float_info.max:
                 raise DomainError(f"node q{k} has invalid height {height!r}")
             for child in (node.left, node.right):
-                kind, idx = child
-                if kind == TERMINAL:
-                    if not 0 <= idx < n:
-                        raise DomainError(f"node q{k} references unknown terminal {idx}")
-                elif kind == INTERNAL:
-                    if not 1 <= idx < k:
-                        raise DomainError(
-                            f"node q{k} must reference lower-ranked children, got q{idx}"
-                        )
-                else:
-                    raise DomainError(f"bad child reference {child!r}")
+                try:  # a pair of a kind and an index that compares with ints
+                    kind, idx = child
+                    if kind == TERMINAL:
+                        if not 0 <= idx < n:
+                            raise DomainError(f"node q{k} references unknown terminal {idx}")
+                    elif kind == INTERNAL:
+                        if not 1 <= idx < k:
+                            raise DomainError(
+                                f"node q{k} must reference lower-ranked children, got q{idx}"
+                            )
+                    else:
+                        raise DomainError(f"bad child reference {child!r}")
+                except (TypeError, ValueError):
+                    raise DomainError(f"bad child reference {child!r}") from None
                 refs.append(child)
+        try:
+            distinct = set(refs)
+        except TypeError:  # a list, say, passes the tests above
+            raise DomainError(f"bad child reference {next(filter(_unhashable, refs))!r}") from None
         # there are 2(n - 1) references and as many valid ones (n terminals
         # and the ranks 1..n-2), so each must be a distinct valid one; an
         # in-range index such as 0.5 is not
         valid = {*map(terminal, range(n)), *map(internal, range(1, n - 1))}
-        if nodes and set(refs) != valid:
+        if nodes and distinct != valid:
             raise DomainError("every terminal and every non-root node needs exactly one parent")
         # a rank or an index equal to an int but of another type (0.0, True,
         # a numpy integer) passes the tests above
@@ -193,6 +203,15 @@ class Dendrogram:
         return np.asarray(self._left).tolist(), np.asarray(self._right).tolist()
 
 
+def _unhashable(value) -> bool:
+    """Whether ``hash`` refuses ``value``."""
+    try:
+        hash(value)
+    except TypeError:
+        return True
+    return False
+
+
 def _nodes_of(tree: Dendrogram) -> tuple[MergeNode, ...]:
     """The ``MergeNode`` view of the tree's columns."""
 
@@ -243,36 +262,25 @@ def _tree(labels: tuple[str, ...], heights: Sequence, level: Sequence[int], left
     return tree
 
 
-def _drawn(labels: tuple[str, ...], heights: Sequence, level: np.ndarray,
-           drawing: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> Dendrogram:
-    """The tree whose stored drawing is ``drawing``, with each child read
-    off it: a subtree is the left child of its parent when the parent
-    joins the gap after it (``_parents``)."""
-    order, gap, lo, hi = drawing
-    n = len(order)
-    left, right = np.empty(n - 1, dtype=np.intp), np.empty(n - 1, dtype=np.intp)
-    if n > 1:
-        terminal_parent, parent = _parents(gap, lo, hi)
-        # the subtrees below the root: the terminal at each position, then ranks 1..n-2
-        code = np.concatenate((~order, np.arange(1, n - 1)))
-        parent = np.concatenate((terminal_parent, parent[:-1]))
-        after = np.concatenate((np.arange(1, n + 1), hi[:-1] + 1))  # the gap after each subtree
-        is_left = gap[parent - 1] == after
-        left[parent[is_left] - 1] = code[is_left]
-        right[parent[~is_left] - 1] = code[~is_left]
-    return _tree(labels, heights, level, left, right, drawing)
-
-
-def _parents(gap: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The parent rank of the terminal at each position, and of each rank
-    (n for the root), in a drawing of n positions where rank r joins gap
-    ``gap[r - 1]`` (between positions k - 1 and k) and spans positions
-    ``lo[r - 1]``..``hi[r - 1]``: the lower rank of the two gaps that bound
-    each subtree, the gaps past either end ranking n."""
-    n = len(gap) + 1
-    rank_at = np.full(n + 1, n, dtype=np.intp)
-    rank_at[gap] = np.arange(1, n)
-    return np.minimum(rank_at[:-1], rank_at[1:]), np.minimum(rank_at[lo], rank_at[hi + 1])
+def _joined(labels: tuple[str, ...], heights: Sequence, level: Sequence[int], order: np.ndarray,
+            gaps: np.ndarray) -> Dendrogram:
+    """The tree that joins the gaps between the terminals drawn in ``order``
+    in the order ``gaps`` (``join_gaps``), with that drawing.  Rank r joins
+    gap ``gaps[r - 1]``: its left child is the run that starts at lo, its
+    right child the run that starts at the gap, each coded ``~order[pos]``
+    until a rank takes it over."""
+    code = [~i for i in order.tolist()]  # the child code of the run that starts at each position
+    left, right, lo, hi = [], [], [], []
+    for rank, (a, k, b) in enumerate(join_gaps(len(code), gaps.tolist()), start=1):
+        left.append(code[a])
+        right.append(code[k])
+        code[a] = rank
+        lo.append(a)
+        hi.append(b)
+    # the spans as arrays: as lists of ints they held about 40 MB more at
+    # 10^6 terminals, while list children keep unpack's check loop fast
+    spans = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+    return _tree(labels, heights, level, left, right, (order, gaps, *spans))
 
 
 def gap_levels(pos: np.ndarray, gaps: np.ndarray) -> np.ndarray:

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, MalformedEncodingError
-from .hierarchy import Dendrogram, _FromArrays, _drawn, _tree, gap_levels, join_gaps
+from .hierarchy import Dendrogram, _FromArrays, _joined, _tree, gap_levels
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -133,18 +133,13 @@ class PadicEncoding:
         n = len(labels)
         if len(rows) != n:
             raise MalformedEncodingError("one coefficient row per terminal required")
-        # rows are checked in order, so cells above the first row of the
-        # wrong length are judged before its length is
-        short = next((i for i, row in enumerate(rows) if len(row) != n - 1), n)
-        flat = list(chain.from_iterable(rows[:short]))
-        if not {int}.issuperset(map(type, flat)):
-            raise MalformedEncodingError(_OUTSIDE_COEFFICIENTS)
-        if short < n:
-            _check_values(flat)
-            raise MalformedEncodingError(
-                f"row for {labels[short]} has {len(rows[short])} levels, expected {n - 1}"
-            )
-        cells = _checked_array(_checked_cells(n, flat))
+        for label, row in zip(labels, rows):
+            if len(row) != n - 1:
+                raise MalformedEncodingError(f"row for {label} has {len(row)} levels, expected {n - 1}")
+            if not ({int}.issuperset(map(type, row)) and {-1, 0, 1}.issuperset(row)):
+                raise MalformedEncodingError("coefficients must lie in {-1, 0, +1}")
+        # checked as Python ints, so no value wraps in the int8 array
+        cells = _checked_array(np.array(rows, dtype=np.int8).reshape(n, max(n - 1, 0)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "C", rows)
         object.__setattr__(self, "_cells", cells)
@@ -215,22 +210,6 @@ class PadicEncoding:
 
 
 PadicEncoding.C = _FromArrays("C", lambda enc: tuple(map(tuple, enc._cells.tolist())))
-
-_OUTSIDE_COEFFICIENTS = "coefficients must lie in {-1, 0, +1}"
-
-
-def _check_values(flat: list[int]) -> None:
-    if not {-1, 0, 1}.issuperset(flat):
-        raise MalformedEncodingError(_OUTSIDE_COEFFICIENTS)
-
-
-def _checked_cells(n: int, flat: list[int]) -> np.ndarray:
-    """n rows of n - 1 Python ints, concatenated into ``flat``, as an n x
-    (n-1) int8 array, after the value check of ``PadicEncoding``.  The
-    values are checked on the Python ints, before the conversion: numpy < 2
-    wraps 256 to 0 in an int8 array."""
-    _check_values(flat)
-    return np.fromiter(flat, dtype=np.int8, count=len(flat)).reshape(n, max(n - 1, 0))
 
 
 def _checked_array(cells: np.ndarray) -> np.ndarray:
@@ -349,7 +328,7 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     are the stored drawing of the tree when there is one, and the cut
     between two neighbours is the rank of the node that joins them, so the
     tree is the one that joins the gaps in the order of their cuts
-    (``join_gaps``), and its coefficients (``_drawn_cells``) must equal the
+    (``_joined``), and its coefficients (``_drawn_cells``) must equal the
     stored ones.  That costs one sort of the rows and O(n^2) numpy byte
     work.  Only when the check fails are the columns read in order
     (``_decode_by_columns``), to name the first bad one.
@@ -358,15 +337,14 @@ def decode(enc: PadicEncoding) -> Dendrogram:
     if n >= 2:
         order, cut = _root_first_order(cells)
         gaps = np.argsort(cut[1:]) + 1  # the gap of each rank, if the cuts are the ranks
-        spans = np.array([(lo, hi) for lo, _, hi in join_gaps(n, gaps.tolist())], dtype=np.intp)
-        drawing = (order, gaps, spans[:, 0], spans[:, 1])
-        drawn, at = _drawn_cells(*drawing[1:]), 0
+        tree = _joined(enc.labels, [float(rank) for rank in range(n)], np.arange(1, n), order, gaps)
+        drawn, at = _drawn_cells(*tree._drawing[1:]), 0
         for rows in _row_blocks(cells, order):
             if not np.array_equal(drawn[at:at + len(rows)], rows):
                 break
             at += len(rows)
         else:
-            return _drawn(enc.labels, [float(rank) for rank in range(n)], np.arange(1, n), drawing)
+            return tree
     return _decode_by_columns(enc)
 
 

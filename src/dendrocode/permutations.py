@@ -18,7 +18,7 @@ from .errors import (
     UnrealizablePermutationError,
     _require_at_least,
 )
-from .hierarchy import Dendrogram, _draw, _tree, join_gaps
+from .hierarchy import Dendrogram, _draw, _joined, _tree
 
 TIE_RULES = ("earlier-low", "later-low")
 
@@ -180,28 +180,26 @@ def unpack(perm: PackedPermutation) -> Dendrogram:
     """The unique packed-drawing dendrogram whose packed representation is
     ``perm``; terminals get synthetic labels and heights equal ranks.
 
-    Rank k merges the two clusters flanking the boundary i with p(i) = k.
-    The merge is realizable only when the left flank's earliest merge
-    precedes the right flank's (bare terminals count as latest); the first
+    Rank k merges the two clusters flanking the boundary i with p(i) = k
+    (``_joined``).  The merge is realizable only when the left flank's
+    earliest merge precedes the right flank's (bare terminals count as
+    latest); the child columns are read in rank order, and the first
     offending rank is reported otherwise.
     """
     n = perm.n
-    gaps = sorted(range(1, n), key=lambda k: perm.values[k - 1])  # gap k is boundary k-1
-    refs = [~i for i in range(n)]  # child code of the run starting at each position
-    first = [n] * n  # earliest merge rank in the run starting at each position; n: none
-    codes = []  # each rank's two child codes in turn
-    for rank, (lo, k, _) in enumerate(join_gaps(n, gaps), start=1):
-        lf, rf = first[lo], first[k]
-        if rf < lf:  # the right run merged first (n: never)
+    gaps = np.argsort(perm.values[:-1]) + 1  # gap k is boundary k-1
+    labels = tuple(f"x{i + 1}" for i in range(n))
+    tree = _joined(labels, [float(rank) for rank in range(n)], range(1, n), np.arange(n), gaps)
+    first = [n] * (2 * n)  # earliest merge rank under each child code; n: none
+    for rank, a, b in zip(range(1, n), tree._left, tree._right):
+        lf, rf = first[a], first[b]
+        if rf < lf:  # the right child merged first (n: never)
             raise UnrealizablePermutationError(
                 f"prefix through rank {rank} is inconsistent: left cluster first "
                 f"merged at {lf if lf < n else 'never'}, right at {rf if rf < n else 'never'}"
             )
-        codes += refs[lo], refs[k]
-        refs[lo] = rank
-        first[lo] = min(lf, rank)  # the check leaves lf < rf unless both are n
-    labels = tuple(f"x{i + 1}" for i in range(n))
-    return _tree(labels, [float(rank) for rank in range(n)], range(1, n), codes[0::2], codes[1::2])
+        first[rank] = min(lf, rank)  # the check leaves lf < rf unless both are n
+    return tree
 
 
 def is_up_down(perm: Sequence[int]) -> bool:

@@ -616,6 +616,13 @@ class TestPrefixHierarchyConstructor:
         with pytest.raises(error, match=message):
             baire.PrefixHierarchy(*fields)
 
+    def test_keeps_its_fields_as_tuples(self):
+        hierarchy = baire.PrefixHierarchy(10, ["s1", "s2", "s3"], list(STEMS), [0, 1, 2], [0, 1, 0])
+        assert hierarchy == baire_cluster(STEMS)[0]
+        assert hash(hierarchy) == hash(baire_cluster(STEMS)[0])
+        assert {type(field) for field in (hierarchy.labels, hierarchy.strings, hierarchy.order,
+                                          hierarchy.lcp)} == {tuple}
+
 
 
     """The verbs cluster one digit array and write the tree from its

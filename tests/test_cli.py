@@ -431,6 +431,21 @@ class TestHaarVerbs:
         assert table.labels == IRIS_LABELS8
         assert np.abs(table.values - IRIS8).max() <= 1e-12
 
+    def test_header_without_corner_cell_names_the_coordinates(self, tmp_path, capsys):
+        data, wt = tmp_path / "data.csv", tmp_path / "wt.csv"
+        data.write_text("x,y\na,1,2\nb,3,4\nc,5,7\n")
+        assert run(capsys, "haar", str(data), "-o", str(wt)) == (0, "", "")
+        assert [row[0] for row in csv.reader(io.StringIO(wt.read_text()))] == ["", "x", "y"]
+
+    @pytest.mark.parametrize("header, cells", [("x", 1), ('"x"', 1), ("a,b,c", 3)])
+    def test_header_of_another_width_is_refused(self, tmp_path, capsys, header, cells):
+        # the bulk reader (plain text) and the cell reader (a quote) alike
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n1,2\n3,4\n5,7\n")
+        code, out, err = run(capsys, "haar", str(data), "-o", str(tmp_path / "wt.csv"))
+        assert (code, out) == (1, "")
+        assert err == f"E_PARSE: line 1: expected 2 header names, got {cells}\n"
+
     def test_denoise_reduces_detail(self, tmp_path, iris_csv, capsys):
         wt = tmp_path / "wt.csv"
         run(capsys, "haar", str(iris_csv), "--linkage", "median", "-o", str(wt))
@@ -584,7 +599,7 @@ class TestPermutationVerbs:
         code, out2, _ = run(capsys, "packed", str(rebuilt_path))
         assert out2.strip() == literal
 
-    @pytest.mark.parametrize("literal", ["(1,a,3)", "(1²3)", "(12x)"])
+    @pytest.mark.parametrize("literal", ["(1,a,3)", "(1²3)", "(12x)", "(١,2)", "(+1,2)", "(١2)"])
     def test_unpack_rejects_non_integers(self, capsys, literal):
         code, out, err = run(capsys, "unpack", literal)
         assert (code, out) == (1, "")

@@ -85,6 +85,9 @@ CSV = {
     "single-row": "1,2\n",
     "long-cell": "1," + LONG_CELL + "\n",
     "long-quoted-cell": '"a","' + LONG_CELL + '"\n',
+    "header-without-corner": "x,y\na,1,2\nb,3,4\nc,5,7\n",
+    "header-too-narrow": "x\n1,2\n3,4\n5,7\n",
+    "header-too-wide": "a,b,c\n1,2\n3,4\n5,7\n",
 }
 
 WAVELET = {

@@ -295,6 +295,16 @@ class TestDendrogramValidation:
         with pytest.raises(DomainError):
             Dendrogram(("a", "b"), (MergeNode(rank, height, left, terminal(1)),))
 
+    @pytest.mark.parametrize("child", ["t0", None, ("t", "0"), ("t", 0, 1), ["t", 0], ("t",)],
+                             ids=["text", "none", "text-index", "triple", "list", "single"])
+    def test_malformed_child_is_a_bad_child_reference(self, child):
+        with pytest.raises(DomainError, match=r"^bad child reference "):
+            Dendrogram(("a", "b"), (MergeNode(1, 1.0, child, terminal(1)),))
+
+    def test_node_that_is_no_merge_node_is_refused(self):
+        with pytest.raises(DomainError, match=r"^node q1 is not a MergeNode: "):
+            Dendrogram(("a", "b"), ((1, 1.0, terminal(0), terminal(1)),))
+
     def test_int_and_float64_heights_are_kept(self):
         for height in (2, np.float64(0.5), 0.0):
             tree = Dendrogram(("a", "b"), (MergeNode(1, height, terminal(0), terminal(1)),))

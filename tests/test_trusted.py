@@ -4,8 +4,9 @@ Builders whose output is valid by construction make trees, matrices and
 strings through private entries that skip the public checks:
 ``hierarchy._tree``, ``DissimilarityMatrix._built``,
 ``baire._baire_strings`` and ``padic._code``.  A tree is made from its
-columns, and from its drawing too when the builder joined gaps
-(``hierarchy._drawn``, which calls ``_tree``).  Here every call of those
+columns, and with its drawing too when the builder joins gaps
+(``hierarchy._joined``, which writes the children as it joins and calls
+``_tree``).  Here every call of those
 entries runs the public constructor on what the entry made, over random,
 caterpillar and tied inputs: the fields must come back equal, and a
 drawing handed in must be the one read off the children.
@@ -54,9 +55,8 @@ CALL_SITES = {
     ("_tree", "hierarchy", "swap_children"),
     ("_tree", "hierarchy", "canonicalize"),
     ("_tree", "hierarchy", "swap_orbit"),
-    ("_tree", "permutations", "unpack"),
     ("_tree", "permutations", "enumerate_nlr"),
-    ("_tree", "hierarchy", "_drawn"),
+    ("_tree", "hierarchy", "_joined"),
     ("_tree", "padic", "_decode_by_columns"),
     ("_built", "hierarchy", "pairwise_distances"),
     ("_built", "ultrametric", "cophenetic_matrix"),
@@ -186,8 +186,8 @@ class TestReferee:
         assert seen >= {
             ("_tree", "hierarchy", "swap_children"), ("_tree", "hierarchy", "canonicalize"),
             ("_tree", "hierarchy", "swap_orbit"), ("_tree", "hierarchy", "_merge_tree"),
-            ("_tree", "permutations", "unpack"), ("_built", "ultrametric", "cophenetic_matrix"),
-            ("_tree", "hierarchy", "_drawn"), ("_code", "padic", "code"),
+            ("_built", "ultrametric", "cophenetic_matrix"),
+            ("_tree", "hierarchy", "_joined"), ("_code", "padic", "code"),
         }
 
     @settings(max_examples=200, deadline=None)
@@ -242,7 +242,7 @@ class TestReferee:
             pool = [rng.random() for _ in range(3)]  # some reals are equal
             reals = digitize_reals([rng.choice(pool) for _ in range(n)], width, base)
             baire_cluster(reals)
-        expected = {("_tree", "hierarchy", "_drawn"), ("_baire_strings", "baire", "digitize_reals")}
+        expected = {("_tree", "hierarchy", "_joined"), ("_baire_strings", "baire", "digitize_reals")}
         if base <= 36:
             expected |= {("_baire_strings", "formats", "read_strings"), ("_baire_strings", "baire", "_strings_of")}
         assert seen == expected
